@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from nsmlimit.diagnostics import bound_monitor
 from nsmlimit.harness import parse_config, run_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -28,12 +27,12 @@ def main() -> int:
     result = run_sweep(cfg, jobs=args.jobs, out_dir=args.out)
     s = result.summary
 
-    print(f"{'kappa':>8}  {'sup sqrt(Gamma)':>16}  {'sup Gamma/k^2':>14}  {'envelope c':>11}")
-    for rec in result.records:
-        mon = bound_monitor(rec.times(), rec.gammas(), cfg.initial.c0, rec.kappa)
+    print(f"{'kappa':>8}  {'sup sqrt(Gamma)':>16}  {'sup Gamma/k^2':>14}  "
+          f"{'envelope C':>11}  {'growth c':>9}  status")
+    for row in result.rows:
         print(
-            f"{rec.kappa:>8g}  {rec.sup_sqrt_gamma():>16.6e}  "
-            f"{mon.sup_ratio:>14.4f}  {mon.growth_rate:>11.4f}"
+            f"{row.kappa:>8g}  {row.sup_sqrt_gamma:>16.6e}  {row.sup_gamma_over_kappa2:>14.4f}  "
+            f"{row.envelope:>11.4f}  {row.growth_rate:>9.4f}  {row.status}"
         )
     print(f"\nfitted slope = {s['slope']:.4f}   r2 = {s['r2']:.6f}")
     print(f"records in {args.out}")

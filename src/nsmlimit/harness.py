@@ -52,6 +52,7 @@ __all__ = [
     "run_single",
     "run_sweep",
     "SweepResult",
+    "SweepRow",
     "fit_rate",
     "RateFit",
     "summarize_sweep",
@@ -536,19 +537,37 @@ def summarize_sweep(kappas, sup_errors, config_hash: str) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class SweepRow:
+    """Per-kappa summary of a sweep member, the same for any ``jobs``."""
+
+    kappa: float
+    sup_sqrt_gamma: float
+    sup_gamma_over_kappa2: float
+    envelope: float
+    growth_rate: float
+    status: str
+
+
 @dataclass
 class SweepResult:
     summary: dict
+    rows: list  # SweepRows in kappa_list order
     records: list  # RunRecords in kappa_list order (jobs == 1 only)
     failed: list
     paths: dict
 
 
-def _sweep_worker(args):
-    cfg, kap, out_dir = args
+def _sweep_member(cfg: RunConfig, kap: float, out_dir) -> tuple[RunRecord, SweepRow]:
     rec = run_single(cfg, kappa=kap)
     write_record(rec, out_dir)
-    return kap, rec.sup_sqrt_gamma(), rec.sup_gamma() / kap**2, rec.status
+    bound = bound_monitor(rec.times(), rec.gammas(), rec.certificates.get("budget", 1.0), kap)
+    return rec, SweepRow(kap, rec.sup_sqrt_gamma(), bound.sup_ratio, bound.c_envelope,
+                         bound.growth_rate, rec.status)
+
+
+def _sweep_worker(args) -> SweepRow:
+    return _sweep_member(*args)[1]
 
 
 def run_sweep(cfg: RunConfig, jobs: int = 1, out_dir: str | Path | None = None) -> SweepResult:
@@ -559,21 +578,18 @@ def run_sweep(cfg: RunConfig, jobs: int = 1, out_dir: str | Path | None = None) 
     out.mkdir(parents=True, exist_ok=True)
 
     records: list[RunRecord] = []
-    results = []
+    rows: list[SweepRow] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_sweep_worker, [(cfg, k, str(out)) for k in cfg.kappa_list])
-            )
+            rows = list(pool.map(_sweep_worker, [(cfg, k, str(out)) for k in cfg.kappa_list]))
     else:
         for kap in cfg.kappa_list:
-            rec = run_single(cfg, kappa=kap)
-            write_record(rec, out)
+            rec, row = _sweep_member(cfg, kap, out)
             records.append(rec)
-            results.append((kap, rec.sup_sqrt_gamma(), rec.sup_gamma() / kap**2, rec.status))
+            rows.append(row)
 
-    survivors = [(k, e) for k, e, _, status in results if status == "completed"]
-    failed = [(k, status) for k, _, _, status in results if status != "completed"]
+    survivors = [(r.kappa, r.sup_sqrt_gamma) for r in rows if r.status == "completed"]
+    failed = [(r.kappa, r.status) for r in rows if r.status != "completed"]
     if failed:
         warnings.warn(f"sweep members failed: {failed}")
     if len(survivors) < 3:
@@ -588,6 +604,6 @@ def run_sweep(cfg: RunConfig, jobs: int = 1, out_dir: str | Path | None = None) 
     summary_path = out / "sweep_summary.json"
     _atomic_write_text(summary_path, json.dumps(summary, indent=2) + "\n")
     return SweepResult(
-        summary=summary, records=records, failed=failed,
+        summary=summary, rows=rows, records=records, failed=failed,
         paths={"summary": summary_path, "out_dir": out},
     )

@@ -3,8 +3,10 @@
 The scaled system has two stiff mechanisms: the 1/kappa Maxwell rotation
 and the 1/(tau*eps) current-field coupling.  Both are linear once the
 density in the coupling terms is frozen at its spatial mean, so each
-Fourier mode carries a small constant matrix whose exponential is
-computed once per run.  A step is the Strang composition
+Fourier mode carries a constant generator L.  L splits into a longitudinal
+and two helical transverse parts whose 3x3 exponentials depend only on the
+pair (|k|^2, |k_full|^2): they are tabulated once per distinct pair and
+applied on the real-FFT half-spectrum.  A step is the Strang composition
 
     exp(dt/2 L)  o  SSP-RK2 on (full RHS - L)  o  exp(dt/2 L)
 
@@ -16,7 +18,6 @@ The limit system reuses the same machinery with only the viscous block.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,14 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowUpError, ConfigError, VacuumError
-from .model import (
-    FullState,
-    LimitState,
-    Params,
-    _full_rate,
-    _limit_rate,
-)
-from .spectral import Grid, ScalarField, VectorField, array_leray_project
+from .model import FullState, LimitState, Params, _full_rate, _limit_rate
+from .spectral import Grid, ScalarField, VectorField, array_irfft, array_leray_project, array_rfft
 
 __all__ = [
     "StepControl",
@@ -49,8 +44,9 @@ __all__ = [
 class StepControl:
     """Step size, horizon and stepping mode.
 
-    In adaptive mode dt is additionally capped by cfl*dx/max(1, |u|_inf);
-    the stiff propagator being exact, dt is never constrained by 1/kappa.
+    In adaptive mode dt is additionally capped by cfl*dx/max(1, max(|u| + c))
+    with the sound speed c = sqrt(eta P'(n)/tau); the stiff propagator being
+    exact, dt is never constrained by 1/kappa.
     """
 
     dt: float
@@ -69,124 +65,147 @@ class StepControl:
             raise ConfigError("mode must be 'fixed_dt' or 'adaptive'")
 
 
-def _hats(grid: Grid, arrs: np.ndarray) -> np.ndarray:
-    """(c, nx, ny, nz) physical -> (M, c) spectral stack."""
-    h = np.fft.fftn(arrs, axes=grid.fft_axes)
-    return h.reshape(h.shape[0], -1).T
+# One coefficient per (part, out field, in field) over the stacked (u, J, E, B):
+# part "x" multiplies the field, "s" adds khat (khat . field) and "rot" is
+# -i khat x field.  So "x" carries the transverse entries, "s" longitudinal
+# minus transverse; the first two rows are u's.
+_TERMS = (
+    ("x", 0, 0), ("s", 0, 0),
+    ("x", 1, 1), ("x", 1, 2), ("x", 2, 1), ("x", 2, 2), ("x", 3, 3),
+    ("s", 1, 1), ("s", 1, 2), ("s", 2, 1), ("s", 2, 2), ("s", 3, 3),
+    ("rot", 1, 3), ("rot", 2, 3), ("rot", 3, 1), ("rot", 3, 2),
+)
 
 
-def _phys(grid: Grid, hats: np.ndarray, comps: int) -> np.ndarray:
-    h = hats.T.reshape((comps,) + grid.shape)
-    return np.fft.ifftn(h, axes=grid.fft_axes).real
+def _pack(u_lon, u_tra, lon, hel):
+    """Per-pair rows in _TERMS order from u's factors and the (J, E, B) blocks."""
+    rows = [u_tra, u_lon - u_tra]
+    for part, i, j in _TERMS[2:]:
+        entry = hel[:, i - 1, j - 1]
+        rows.append(lon[:, i - 1, j - 1] - entry if part == "s" else entry)
+    return np.stack(rows)
 
 
 class StiffLinearOperator:
-    """Per-Fourier-mode linear generators and their half-step exponentials.
+    """Per-mode stiff generator L and its half-step exponential, in closed form.
 
-    The (J, E, B) block couples d_t J = a E (a = (1+eps)/(tau eps) n_mean),
-    d_t E = (ik x B)/kappa - n_mean P_k J and d_t B = -(ik x E)/kappa,
-    with the viscous multiplier on J; P_k is the per-mode Leray projector
-    (the projected current source keeps the split solenoidal).  The u
-    block carries the viscous multiplier alone.  The Maxwell sub-block is
-    skew-Hermitian, so its exponential is unitary.
+    Per Fourier mode the (J, E, B) block is d_t J = V J + a E with
+    a = (1+eps)/(tau eps) n_mean, d_t E = (ik x B)/kappa - n_mean P_k J and
+    d_t B = -(ik x E)/kappa; V = -(mu |k_full|^2 + (mu+lam) k k^T)/n_mean is
+    the viscous multiplier, which u carries alone, and P_k the Leray
+    projector.  With khat = k/|k| and omega = |k|/kappa,
+
+        L = Long (x) khat khat^T + Even(M) (x) (I - khat khat^T)
+            + Odd(M) (x) (-i khat x),
+
+    Long = [[v_L, a, 0], [0, 0, 0], [0, 0, 0]] and
+    M = [[v_T, a, 0], [-n_mean, 0, -omega], [0, omega, 0]], with
+    v_T = -mu |k_full|^2/n_mean and v_L = v_T - (mu+lam)|k|^2/n_mean.  M is
+    the generator on one helical transverse part (khat x = i); the other
+    helicity carries D M D, D = diag(1, 1, -1), so Even/Odd keep the entries
+    of M with D_ii D_jj = +1/-1 (Waleffe, Phys. Fluids A 4, 1992).  The same
+    identity with exp(h Long) and exp(h M) gives the exact propagator.  The
+    k = 0 and pure-Nyquist modes have khat = 0 and omega = 0.
+
+    ``gen`` and ``prop_half`` hold one real coefficient per _TERMS entry and
+    half-spectrum mode, tabulated per distinct (|k|^2, |k_full|^2) pair.
     """
 
-    def __init__(self, grid: Grid, dt: float, n_mean: float,
-                 gen_u: np.ndarray, gen_jeb: np.ndarray):
+    def __init__(self, grid: Grid, dt: float, khat: np.ndarray,
+                 gen: np.ndarray, prop_half: np.ndarray):
         self.grid = grid
         self.dt = dt
-        self.n_mean = n_mean
-        self.gen_u = gen_u        # (M, 3, 3)
-        self.gen_jeb = gen_jeb    # (M, 9, 9)
-        self.prop_u_half = scipy.linalg.expm(gen_u * (0.5 * dt))
-        self.prop_jeb_half = scipy.linalg.expm(gen_jeb * (0.5 * dt))
+        self.khat = khat            # (3, *half)
+        self.cross = np.zeros((3,) + khat.shape)  # khat x, as a (3, 3, *half) matrix
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            self.cross[a, c], self.cross[a, b] = khat[b], -khat[c]
+        self.gen = gen              # (len(_TERMS), *half)
+        self.prop_half = prop_half  # (len(_TERMS), *half)
 
     @classmethod
     def zero(cls, grid: Grid, dt: float) -> "StiffLinearOperator":
-        m = grid.npoints
-        return cls(
-            grid, dt, 1.0,
-            np.zeros((m, 3, 3), dtype=complex),
-            np.zeros((m, 9, 9), dtype=complex),
-        )
+        """L = 0: the identity propagator, so steps are plain SSP-RK2."""
+        k = grid.half_wavenumbers
+        prop = np.zeros((len(_TERMS),) + k.shape[1:])
+        prop[[n for n, (part, i, j) in enumerate(_TERMS) if part == "x" and i == j]] = 1.0
+        return cls(grid, dt, np.zeros_like(k), np.zeros_like(prop), prop)
+
+    def _apply(self, coef: np.ndarray, u, J, E, B) -> tuple:
+        """Per-mode sum over _TERMS on the half-spectrum; one transform each way."""
+        g, kh = self.grid, self.khat
+        x = array_rfft(g, np.stack([u, J, E, B]))
+        parts = {"x": x, "s": (kh * x).sum(axis=1), "rot": (self.cross * x[:, None]).sum(axis=2)}
+        parts["rot"] *= -1j
+        out, lon = np.zeros_like(x), np.zeros_like(parts["s"])
+        for c, (part, i, j) in zip(coef, _TERMS):
+            (lon if part == "s" else out)[i] += c * parts[part][j]
+        out += kh * lon[:, None]
+        return tuple(array_irfft(g, out))
+
+    def _apply_u(self, coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+        g, kh = self.grid, self.khat
+        x = array_rfft(g, u)
+        return array_irfft(g, coef[0] * x + kh * (coef[1] * (kh * x).sum(axis=0)))
 
     def apply_half(self, u, J, E, B):
         """One half-step exact propagation of (u, J, E, B)."""
-        g = self.grid
-        zu = np.einsum("mij,mj->mi", self.prop_u_half, _hats(g, u))
-        z = np.concatenate([_hats(g, J), _hats(g, E), _hats(g, B)], axis=1)
-        z = np.einsum("mij,mj->mi", self.prop_jeb_half, z)
-        return (
-            _phys(g, zu, 3),
-            _phys(g, z[:, 0:3], 3),
-            _phys(g, z[:, 3:6], 3),
-            _phys(g, z[:, 6:9], 3),
-        )
+        return self._apply(self.prop_half, u, J, E, B)
 
     def linear_rate(self, u, J, E, B):
         """L applied to (u, J, E, B), for forming the explicit remainder."""
-        g = self.grid
-        zu = np.einsum("mij,mj->mi", self.gen_u, _hats(g, u))
-        z = np.concatenate([_hats(g, J), _hats(g, E), _hats(g, B)], axis=1)
-        z = np.einsum("mij,mj->mi", self.gen_jeb, z)
-        return (
-            _phys(g, zu, 3),
-            _phys(g, z[:, 0:3], 3),
-            _phys(g, z[:, 3:6], 3),
-            _phys(g, z[:, 6:9], 3),
-        )
+        return self._apply(self.gen, u, J, E, B)
+
+    def apply_half_u(self, u):
+        """Half-step viscous propagation of u alone (the limit system)."""
+        return self._apply_u(self.prop_half, u)
+
+    def linear_rate_u(self, u):
+        """The viscous generator applied to u alone."""
+        return self._apply_u(self.gen, u)
 
 
 def build_stiff_operator(
     grid: Grid, p: Params, n_mean: float, dt: float
 ) -> StiffLinearOperator:
-    """Assemble per-mode generators and exponentiate the half step."""
+    """Tabulate the generator and its half-step exponential per distinct
+    (|k|^2, |k_full|^2) pair and spread them over the half-spectrum."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    kx, ky, kz = (np.broadcast_to(k, grid.shape).ravel() for k in grid.wavenumbers)
-    kvec = np.stack([kx, ky, kz], axis=1)  # (M, 3), Nyquist-zeroed derivative k
-    m = kvec.shape[0]
-    k2 = (kvec**2).sum(axis=1)
-    k2_full = np.broadcast_to(grid.k_squared, grid.shape).ravel()
-    eye = np.eye(3)
-
-    kk = np.einsum("mi,mj->mij", kvec, kvec)
-    # matches the physical-space viscous operator: full |k|^2 Laplacian,
+    k = grid.half_wavenumbers
+    k2 = (k**2).sum(axis=0)
+    keys = np.stack([k2.ravel(), grid.k_squared[grid.half_cut].ravel()], axis=1)
+    pairs, inverse = np.unique(keys, axis=0, return_inverse=True)
+    # as the physical-space viscous operator: full |k|^2 Laplacian,
     # derivative wavenumbers in grad div
-    visc = -(p.mu * k2_full[:, None, None] * eye + (p.mu + p.lam) * kk) / n_mean
-
-    cross = np.zeros((m, 3, 3))
-    cross[:, 0, 1] = -kvec[:, 2]
-    cross[:, 0, 2] = kvec[:, 1]
-    cross[:, 1, 0] = kvec[:, 2]
-    cross[:, 1, 2] = -kvec[:, 0]
-    cross[:, 2, 0] = -kvec[:, 1]
-    cross[:, 2, 1] = kvec[:, 0]
-
-    k2_safe = np.where(k2 == 0.0, 1.0, k2)
-    leray = eye - kk / k2_safe[:, None, None]
-    leray[k2 == 0.0] = eye
-
-    a_coef = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
-    gen = np.zeros((m, 9, 9), dtype=complex)
-    gen[:, 0:3, 0:3] = visc
-    gen[:, 0:3, 3:6] = a_coef * eye
-    gen[:, 3:6, 0:3] = -n_mean * leray
-    gen[:, 3:6, 6:9] = 1j * cross / p.kappa
-    gen[:, 6:9, 3:6] = -1j * cross / p.kappa
-    return StiffLinearOperator(grid, dt, n_mean, visc.astype(complex), gen)
+    v_tra = -p.mu * pairs[:, 1] / n_mean
+    v_lon = v_tra - (p.mu + p.lam) * pairs[:, 0] / n_mean
+    omega = np.sqrt(pairs[:, 0]) / p.kappa
+    lon = np.zeros((len(pairs), 3, 3))
+    lon[:, 0, 0] = v_lon
+    lon[:, 0, 1] = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
+    hel = lon.copy()
+    hel[:, 0, 0], hel[:, 1, 0], hel[:, 1, 2], hel[:, 2, 1] = v_tra, -n_mean, -omega, omega
+    # complex dtype: scipy's real-dtype expm loses ~50x accuracy at omega dt >> 1
+    h = 0.5 * dt
+    ex = scipy.linalg.expm(np.concatenate([lon, hel]) * (h + 0j)).real
+    tables = (_pack(v_lon, v_tra, lon, hel),
+              _pack(np.exp(h * v_lon), np.exp(h * v_tra), ex[: len(pairs)], ex[len(pairs):]))
+    gen, prop = (table[:, inverse].reshape((len(_TERMS),) + k2.shape) for table in tables)
+    return StiffLinearOperator(grid, dt, k / np.sqrt(np.where(k2 == 0.0, 1.0, k2)), gen, prop)
 
 
 # ---------------------------------------------------------------------------
 # steppers
 
 
-def _check_step(t: float, n: np.ndarray, *others: np.ndarray) -> None:
-    for arr in (n,) + others:
+def _check_step(t: float, **fields: np.ndarray) -> None:
+    """Name the first non-finite field, else report a vacuum via min n."""
+    for name, arr in fields.items():
         if not np.isfinite(arr).all():
-            raise BlowUpError(t)
-    if n.min() <= 0.0:
-        raise VacuumError(f"vacuum state at t={t:g}")
+            raise BlowUpError(t, f"blow-up detected at t={t:g}: non-finite {name}")
+    n_min = fields["n"].min()
+    if n_min <= 0.0:
+        raise VacuumError(f"vacuum state at t={t:g}: min n = {n_min:.6g}")
 
 
 def step_full(
@@ -212,21 +231,11 @@ def step_full(
     u, J, E, B = op.apply_half(state.u.values, J, state.E.values, state.B.values)
 
     def remainder(vals, tt):
-        n_, u_, J_, E_, B_ = vals
-        dn, du, dJ, dE, dB = _full_rate(grid, p, n_, u_, J_, E_, B_)
-        lu, lJ, lE, lB = op.linear_rate(u_, J_, E_, B_)
-        du = du - lu
-        dJ = dJ - lJ
-        dE = dE - lE
-        dB = dB - lB
+        dn, *rates = _full_rate(grid, p, *vals)
+        rates = (dn, *(r - lr for r, lr in zip(rates, op.linear_rate(*vals[1:]))))
         if forcing is not None:
-            fn, fu, fJ, fE, fB = forcing(tt)
-            dn = dn + fn
-            du = du + fu
-            dJ = dJ + fJ
-            dE = dE + fE
-            dB = dB + fB
-        return dn, du, dJ, dE, dB
+            rates = tuple(r + f for r, f in zip(rates, forcing(tt)))
+        return rates
 
     s0 = (n, u, J, E, B)
     k1 = remainder(s0, t)
@@ -239,14 +248,10 @@ def step_full(
     u, J, E, B = op.apply_half(u, J, E, B)
     E = array_leray_project(grid, E)
     B = array_leray_project(grid, B)
-    _check_step(t + dt, n, u, J, E, B)
-    return FullState(
-        ScalarField(grid, n),
-        VectorField(grid, u),
-        VectorField(grid, J / p.kappa),
-        VectorField(grid, E),
-        VectorField(grid, B),
-    )
+    _check_step(t + dt, n=n, u=u, J=J, E=E, B=B)
+    u = u.copy()  # not a view into the stacked transform output
+    return FullState(ScalarField(grid, n), VectorField(grid, u), VectorField(grid, J / p.kappa),
+                     VectorField(grid, E), VectorField(grid, B))
 
 
 def step_limit(
@@ -265,19 +270,14 @@ def step_limit(
         op = build_stiff_operator(grid, p, state.n.mean, dt)
 
     n = state.n.values
-    zu = np.einsum("mij,mj->mi", op.prop_u_half, _hats(grid, state.u.values))
-    u = _phys(grid, zu, 3)
+    u = op.apply_half_u(state.u.values)
 
     def remainder(vals, tt):
-        n_, u_ = vals
-        dn, du = _limit_rate(grid, p, n_, u_)
-        lu = np.einsum("mij,mj->mi", op.gen_u, _hats(grid, u_))
-        du = du - _phys(grid, lu, 3)
+        dn, du = _limit_rate(grid, p, *vals)
+        rates = (dn, du - op.linear_rate_u(vals[1]))
         if forcing is not None:
-            fn, fu = forcing(tt)
-            dn = dn + fn
-            du = du + fu
-        return dn, du
+            rates = tuple(r + f for r, f in zip(rates, forcing(tt)))
+        return rates
 
     s0 = (n, u)
     k1 = remainder(s0, t)
@@ -285,9 +285,8 @@ def step_limit(
     k2 = remainder(s1, t + dt)
     n, u = (x + 0.5 * dt * (a + b) for x, a, b in zip(s0, k1, k2))
 
-    zu = np.einsum("mij,mj->mi", op.prop_u_half, _hats(grid, u))
-    u = _phys(grid, zu, 3)
-    _check_step(t + dt, n, u)
+    u = op.apply_half_u(u)
+    _check_step(t + dt, n=n, u=u)
     return LimitState(ScalarField(grid, n), VectorField(grid, u))
 
 
@@ -351,8 +350,9 @@ def evolve(
             i = 0
             dx = grid.spacing
             while t < sc.t_end - 1e-12 * sc.t_end:
-                speed = max(1.0, np.abs(state.u.values).max())
-                dt = min(sc.dt, sc.cfl * dx / speed, sc.t_end - t)
+                n_, u_ = state.n.values, state.u.values
+                c = np.sqrt((u_**2).sum(axis=0)) + np.sqrt(p.eta * p.pressure.dpressure(n_) / p.tau)
+                dt = min(sc.dt, sc.cfl * dx / max(1.0, c.max()), sc.t_end - t)
                 sub = StepControl(dt=dt, t_end=sc.t_end, cfl=sc.cfl, mode="adaptive")
                 op = build_stiff_operator(grid, p, state.n.mean, dt)
                 state = stepper(state, p, sub, op=op, forcing=forcing, t=t)

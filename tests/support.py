@@ -1,6 +1,7 @@
 """Shared helpers for order tests and paired trajectories."""
 
 import numpy as np
+import scipy.linalg
 
 from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
 from nsmlimit.integrator import StepControl, build_stiff_operator, step_full, step_limit
@@ -183,3 +184,65 @@ def paired_trajectory(grid, kappa, dt, n_steps, seed=7, amplitude=0.1, c0=1.0,
         if (i + 1) % stride == 0:
             snaps.append(((i + 1) * dt, full, limit))
     return snaps, p
+
+
+class DenseStiffReference:
+    """The stiff operator assembled as dense (M, 9, 9) complex per-mode blocks
+    on the full spectrum and exponentiated with scipy's expm: a slow but
+    direct reference for the closed-form StiffLinearOperator."""
+
+    def __init__(self, grid: Grid, p: Params, n_mean: float, dt: float):
+        self.grid = grid
+        kx, ky, kz = (np.broadcast_to(k, grid.shape).ravel() for k in grid.wavenumbers)
+        kvec = np.stack([kx, ky, kz], axis=1)  # (M, 3), Nyquist-zeroed derivative k
+        m = kvec.shape[0]
+        k2 = (kvec**2).sum(axis=1)
+        k2_full = np.broadcast_to(grid.k_squared, grid.shape).ravel()
+        eye = np.eye(3)
+
+        kk = np.einsum("mi,mj->mij", kvec, kvec)
+        visc = -(p.mu * k2_full[:, None, None] * eye + (p.mu + p.lam) * kk) / n_mean
+
+        cross = np.zeros((m, 3, 3))
+        cross[:, 0, 1] = -kvec[:, 2]
+        cross[:, 0, 2] = kvec[:, 1]
+        cross[:, 1, 0] = kvec[:, 2]
+        cross[:, 1, 2] = -kvec[:, 0]
+        cross[:, 2, 0] = -kvec[:, 1]
+        cross[:, 2, 1] = kvec[:, 0]
+
+        k2_safe = np.where(k2 == 0.0, 1.0, k2)
+        leray = eye - kk / k2_safe[:, None, None]
+        leray[k2 == 0.0] = eye
+
+        a_coef = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
+        gen = np.zeros((m, 9, 9), dtype=complex)
+        gen[:, 0:3, 0:3] = visc
+        gen[:, 0:3, 3:6] = a_coef * eye
+        gen[:, 3:6, 0:3] = -n_mean * leray
+        gen[:, 3:6, 6:9] = 1j * cross / p.kappa
+        gen[:, 6:9, 3:6] = -1j * cross / p.kappa
+        self.gen_u = visc.astype(complex)
+        self.gen_jeb = gen
+        self.prop_u_half = scipy.linalg.expm(self.gen_u * (0.5 * dt))
+        self.prop_jeb_half = scipy.linalg.expm(gen * (0.5 * dt))
+
+    def _hats(self, arrs):
+        h = np.fft.fftn(arrs, axes=self.grid.fft_axes)
+        return h.reshape(h.shape[0], -1).T
+
+    def _phys(self, hats):
+        h = hats.T.reshape((3,) + self.grid.shape)
+        return np.fft.ifftn(h, axes=self.grid.fft_axes).real
+
+    def _apply(self, blk_u, blk_jeb, u, J, E, B):
+        zu = np.einsum("mij,mj->mi", blk_u, self._hats(u))
+        z = np.concatenate([self._hats(J), self._hats(E), self._hats(B)], axis=1)
+        z = np.einsum("mij,mj->mi", blk_jeb, z)
+        return (self._phys(zu),) + tuple(self._phys(z[:, s:s + 3]) for s in (0, 3, 6))
+
+    def apply_half(self, u, J, E, B):
+        return self._apply(self.prop_u_half, self.prop_jeb_half, u, J, E, B)
+
+    def linear_rate(self, u, J, E, B):
+        return self._apply(self.gen_u, self.gen_jeb, u, J, E, B)

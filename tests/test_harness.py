@@ -270,8 +270,10 @@ class TestParallelSweep:
         cfg = parse_config_text(SHORT_CONFIG)
         seq = tmp_path / "seq"
         par = tmp_path / "par"
-        run_sweep(cfg, out_dir=seq, jobs=1)
-        run_sweep(cfg, out_dir=par, jobs=2)
+        rows_seq = run_sweep(cfg, out_dir=seq, jobs=1).rows
+        rows_par = run_sweep(cfg, out_dir=par, jobs=2).rows
+        assert [r.kappa for r in rows_seq] == list(cfg.kappa_list)
+        assert rows_par == rows_seq
         for name in sorted(p.name for p in seq.glob("*.csv")):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
         s1 = json.loads((seq / "sweep_summary.json").read_text())

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from support import ManufacturedFull, ManufacturedLimit, observed_order
+from support import DenseStiffReference, ManufacturedFull, ManufacturedLimit, observed_order
 
 from nsmlimit.errors import BlowUpError, ConfigError, VacuumError
 from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
 from nsmlimit.integrator import (
     StepControl,
     StiffLinearOperator,
+    _check_step,
     build_stiff_operator,
     evolve,
     step_full,
     step_limit,
 )
-from nsmlimit.model import FullState, LimitState, Params, _full_rate
+from nsmlimit.model import FullState, LimitState, Params, PressureLaw, _full_rate
 from nsmlimit.spectral import (
     Grid,
     ScalarField,
@@ -40,10 +41,33 @@ class TestStepControl:
             StepControl(**bad)
 
 
+def _random_fields(grid, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(3,) + grid.shape) for _ in range(4)]
+
+
 class TestStiffOperator:
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8)],
+                             ids=["1d64", "2d16", "3d8"])
+    @pytest.mark.parametrize("kappa", [0.4, 0.05, 1e-3])
+    @pytest.mark.parametrize("epsilon", [0.1, 1e-6])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_matches_dense_reference(self, grid, kappa, epsilon, lam):
+        # closed form against dense complex expm of the (M, 9, 9) blocks
+        p = Params(kappa=kappa, epsilon=epsilon, lam=lam)
+        op = build_stiff_operator(grid, p, n_mean=1.07, dt=0.01)
+        ref = DenseStiffReference(grid, p, n_mean=1.07, dt=0.01)
+        fields = _random_fields(grid, 11)
+        u = fields[0]
+        prop, rate = ref.apply_half(*fields), ref.linear_rate(*fields)
+        for got, want in [(op.apply_half(*fields), prop), (op.linear_rate(*fields), rate),
+                          ([op.apply_half_u(u)], prop[:1]), ([op.linear_rate_u(u)], rate[:1])]:
+            got, want = np.stack(got), np.stack(want)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
     def test_zero_mode_is_coupling_block_exponential(self, grid64):
-        # k = 0: curl and viscous terms vanish; the propagator must be the
-        # matrix exponential of the bare current-field coupling
+        # k = 0: curl and viscous terms vanish; constant fields must follow
+        # the matrix exponential of the bare current-field coupling
         p = Params(kappa=0.3)
         dt = 0.01
         op = build_stiff_operator(grid64, p, n_mean=1.0, dt=dt)
@@ -52,24 +76,50 @@ class TestStiffOperator:
         gen[0:3, 3:6] = a * np.eye(3)
         gen[3:6, 0:3] = -np.eye(3)
         expected = scipy.linalg.expm(gen * (dt / 2))
-        assert np.abs(op.prop_jeb_half[0] - expected).max() < 1e-12
+        z0 = np.random.default_rng(0).normal(size=9)
+        ones = np.ones((3,) + grid64.shape)
+        J0, E0, B0 = (z0[s:s + 3, None, None, None] * ones for s in (0, 3, 6))
+        u, J, E, B = op.apply_half(ones, J0, E0, B0)
+        got = np.concatenate([J, E, B])
+        assert np.abs(got - (expected @ z0)[:, None, None, None]).max() < 1e-12
+        assert np.abs(u - 1.0).max() < 1e-12
 
     def test_maxwell_rotation_preserves_norm(self, grid64):
-        # kappa = 1, single mode k = (1,0,0): the (E, B) sub-block is a
-        # rotation (collision coupling switched off via huge tau)
+        # kappa = 1, single mode k = (1,0,0): the (E, B) pair rotates
+        # (collision coupling switched off via huge tau)
         p = Params(kappa=1.0, tau=1e14)
         op = build_stiff_operator(grid64, p, n_mean=1.0, dt=0.37)
-        sub = op.prop_jeb_half[1][3:9, 3:9]
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert abs(np.linalg.norm(sub @ v) - np.linalg.norm(v)) < 1e-12
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        a, b = np.random.default_rng(0).normal(size=(2, 4))
+        wave = [a[i] * np.cos(x) + b[i] * np.sin(x) for i in range(4)]
+        E0, B0 = np.stack([0 * x, wave[0], wave[1]]), np.stack([0 * x, wave[2], wave[3]])
+        z = np.zeros_like(E0)
+        _, _, E, B = op.apply_half(z, z, E0, B0)
+        norm0 = np.sqrt((E0**2).sum() + (B0**2).sum())
+        assert abs(np.sqrt((E**2).sum() + (B**2).sum()) - norm0) < 1e-13 * norm0
+
+    @pytest.mark.parametrize("kappa, tol", [(0.1, 1e-12), (1e-4, 1e-10), (1e-7, 1e-7)])
+    def test_pure_maxwell_energy_drift(self, grid64, kappa, tol):
+        # fluid at rest, coupling off: ten half-steps at omega*dt up to ~1e8
+        # keep |E|^2 + |B|^2
+        p = Params(kappa=kappa, tau=1e14)
+        op = build_stiff_operator(grid64, p, n_mean=1.0, dt=0.37)
+        E = leray_project(random_smooth_vector(grid64, 5, 0.8, zero_mean=True)).values
+        B = leray_project(random_smooth_vector(grid64, 6, 0.8, zero_mean=True)).values
+        u = J = np.zeros_like(E)
+        em0 = (E**2).sum() + (B**2).sum()
+        for _ in range(10):
+            u, J, E, B = op.apply_half(u, J, E, B)
+        assert abs((E**2).sum() + (B**2).sum() - em0) / em0 < tol
 
     def test_small_dt_is_identity(self, grid64):
         p = Params(kappa=0.5)
         op = build_stiff_operator(grid64, p, n_mean=1.0, dt=1e-9)
-        dev = np.abs(op.prop_jeb_half - np.eye(9)).max()
+        fields = [v / np.abs(v).max() for v in _random_fields(grid64, 3)]
+        dev = max(np.abs(y - x).max() for x, y in zip(fields, op.apply_half(*fields)))
         # deviation is O(dt |L|), dominated by the viscous mu k^2 block
-        assert dev < 1e-9 * (np.abs(op.gen_jeb).max() + 1.0)
+        lmax = max(np.abs(r).max() for r in op.linear_rate(*fields))
+        assert dev < 1e-9 * (lmax + 1.0)
 
     def test_invalid_dt(self, grid64):
         with pytest.raises(ConfigError):
@@ -171,6 +221,24 @@ class TestStepFull:
         bad = FullState(s.n, VectorField(grid64, bad_u), s.jt, s.E, s.B)
         with pytest.raises(BlowUpError, match="blow-up detected at t="):
             step_full(bad, p, StepControl(dt=1e-3, t_end=1e-3))
+
+    @pytest.mark.parametrize("name", ["n", "u", "J", "E", "B"])
+    def test_blowup_names_first_nonfinite_field(self, grid64, name):
+        order = ["n", "u", "J", "E", "B"]
+        fields = {f: np.ones((3,) + grid64.shape) for f in order}
+        for later in order[order.index(name):]:
+            fields[later][1, 3] = np.nan
+        with pytest.raises(BlowUpError, match=rf"at t=0\.25: non-finite {name}$") as exc:
+            _check_step(0.25, **fields)
+        assert exc.value.time == 0.25
+
+    def test_vacuum_reports_min_density_and_time(self, grid64):
+        # linear pressure keeps the rates finite at negative density
+        p = Params(kappa=0.2, pressure=PressureLaw(gamma=1.0))
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        state = LimitState(ScalarField(grid64, 1.0 + 1.5 * np.sin(x)), VectorField.zeros(grid64))
+        with pytest.raises(VacuumError, match=r"at t=0\.001: min n = -0\.49"):
+            step_limit(state, p, StepControl(dt=1e-3, t_end=1e-3))
 
     def test_asymptotic_robustness_quick(self, grid64):
         # identical grid/dt across three decades of kappa; the full-horizon
@@ -306,6 +374,20 @@ class TestEvolve:
         final, log = evolve(limit, p, sc)
         assert log.status == "completed"
         assert log.n_steps >= 5
+
+    def test_adaptive_step_respects_sound_speed(self, grid64):
+        # at rest, so only the sound speed c = sqrt(eta P'(1)/tau) ~ 12.9
+        # can hold dt below the requested 0.01
+        p = Params(kappa=0.2, pressure=PressureLaw(amplitude=100.0))
+        c = math.sqrt(p.eta * p.pressure.dpressure(1.0) / p.tau)
+        cap = 0.5 * grid64.spacing / c
+        state = LimitState(ScalarField(grid64, np.ones(grid64.shape)), VectorField.zeros(grid64))
+        times = []
+        final, log = evolve(state, p, StepControl(dt=1e-2, t_end=0.05, mode="adaptive"),
+                            observer=lambda i, t, st: times.append(t))
+        assert log.status == "completed"
+        assert log.n_steps == math.ceil(0.05 / cap)
+        assert max(np.diff(times)) <= cap * (1.0 + 1e-12)
 
 
 class TestThreeAxisSmoke:
