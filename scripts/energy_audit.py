@@ -11,34 +11,30 @@ import argparse
 import sys
 
 from nsmlimit.diagnostics import energy_identity_audit
-from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
-from nsmlimit.integrator import StepControl, build_stiff_operator, step_full, step_limit
+from nsmlimit.harness import InitialSpec, RunConfig, run_single
+from nsmlimit.integrator import StepControl
 from nsmlimit.model import Params
 from nsmlimit.spectral import Grid
 
 
 def trajectory(grid, kappa, dt, n_steps, seed):
-    p = Params(kappa=kappa)
-    limit = make_limit_data(grid, seed=seed, amplitude=0.1)
-    full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed, 1.0, kappa))
-    sc = StepControl(dt=dt, t_end=n_steps * dt)
-    op_f = build_stiff_operator(grid, p, full.n.mean, dt)
-    op_l = build_stiff_operator(grid, p, limit.n.mean, dt)
-    snaps = [(0.0, full, limit)]
-    for i in range(n_steps):
-        full = step_full(full, p, sc, op=op_f, t=i * dt)
-        limit = step_limit(limit, p, sc, op=op_l, t=i * dt)
-        snaps.append(((i + 1) * dt, full, limit))
-    return snaps, p
+    """Paired run with a snapshot every step; returns (snapshots, params)."""
+    cfg = RunConfig(grid=grid, params=Params(kappa=kappa), step=StepControl(dt=dt, t_end=n_steps * dt),
+                    initial=InitialSpec(seed=seed, base_amplitude=0.1, c0=1.0),
+                    kappa_list=(kappa,), snapshot_stride=1)
+    rec = run_single(cfg)
+    if rec.status != "completed":
+        raise RuntimeError(rec.message)
+    return rec.snapshots, cfg.params
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kappa", type=float, default=0.05)
     ap.add_argument("--dt", type=float, default=4e-3)
     ap.add_argument("--steps", type=int, default=8)
     ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     grid = Grid(1, 64)
     residuals = []

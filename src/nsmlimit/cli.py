@@ -65,9 +65,11 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     result = run_sweep(cfg, jobs=args.jobs)
     s = result.summary
-    print("kappa      sup sqrt(Gamma)")
-    for k, e in zip(s["kappa"], s["sup_error"]):
-        print(f"{k:<10g} {e:.6e}")
+    print(f"{'kappa':>8}  {'sup sqrt(Gamma)':>16}  {'sup Gamma/k^2':>14}  "
+          f"{'envelope C':>11}  {'growth c':>9}  status")
+    for row in result.rows:
+        print(f"{row.kappa:>8g}  {row.sup_sqrt_gamma:>16.6e}  {row.sup_gamma_over_kappa2:>14.4f}  "
+              f"{row.envelope:>11.4f}  {row.growth_rate:>9.4f}  {row.status}")
     print(f"fitted slope = {s['slope']:.4f}  r2 = {s['r2']:.6f}")
     print(f"wrote {result.paths['summary']}")
     if result.failed:

@@ -19,7 +19,7 @@ The limit system reuses the same machinery with only the viscous block.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -302,7 +302,6 @@ class StepLog:
     message: str = ""
     n_steps: int = 0
     wall_seconds: float = 0.0
-    times: list = field(default_factory=list)
 
 
 def _n_fixed_steps(sc: StepControl) -> int:
@@ -322,46 +321,41 @@ def evolve(
     stride: int = 1,
     forcing: Callable | None = None,
 ):
-    """March a state to t_end; observer(step_index, t, state) runs at the
-    given stride (and at t = 0).  Returns (final_state, StepLog)."""
+    """March one full or limit state to t_end (the paired full/limit run is
+    ``harness.run_single``).
+
+    A fixed_dt run builds the stiff operator once and steps at t = i*dt; an
+    adaptive run takes each dt from the CFL and sound-speed cap of
+    StepControl and rebuilds the operator for it.  observer(step_index, t,
+    state) runs at t = 0 and every ``stride`` steps; ``forcing`` is passed to
+    every step.  A blow-up or vacuum ends the march with that status.
+    Returns (final_state, StepLog)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     stepper = step_full if isinstance(state, FullState) else step_limit
-    grid = state.grid
+    fixed = sc.mode == "fixed_dt"
+    n_steps = _n_fixed_steps(sc) if fixed else 0
+    dx = state.grid.spacing
     log = StepLog()
     start = _time.perf_counter()
     if observer is not None:
         observer(0, 0.0, state)
-        log.times.append(0.0)
 
+    t, step, op = 0.0, sc, None
     try:
-        if sc.mode == "fixed_dt":
-            n_steps = _n_fixed_steps(sc)
-            op = build_stiff_operator(grid, p, state.n.mean, sc.dt)
-            for i in range(n_steps):
-                t = i * sc.dt
-                state = stepper(state, p, sc, op=op, forcing=forcing, t=t)
-                log.n_steps += 1
-                if observer is not None and (i + 1) % stride == 0:
-                    observer(i + 1, (i + 1) * sc.dt, state)
-                    log.times.append((i + 1) * sc.dt)
-        else:
-            t = 0.0
-            i = 0
-            dx = grid.spacing
-            while t < sc.t_end - 1e-12 * sc.t_end:
+        while (log.n_steps < n_steps) if fixed else (t < sc.t_end - 1e-12 * sc.t_end):
+            if not fixed:
                 n_, u_ = state.n.values, state.u.values
                 c = np.sqrt((u_**2).sum(axis=0)) + np.sqrt(p.eta * p.pressure.dpressure(n_) / p.tau)
-                dt = min(sc.dt, sc.cfl * dx / max(1.0, c.max()), sc.t_end - t)
-                sub = StepControl(dt=dt, t_end=sc.t_end, cfl=sc.cfl, mode="adaptive")
-                op = build_stiff_operator(grid, p, state.n.mean, dt)
-                state = stepper(state, p, sub, op=op, forcing=forcing, t=t)
-                t += dt
-                i += 1
-                log.n_steps += 1
-                if observer is not None and i % stride == 0:
-                    observer(i, t, state)
-                    log.times.append(t)
+                step = replace(sc, dt=min(sc.dt, sc.cfl * dx / max(1.0, c.max()), sc.t_end - t))
+                op = None
+            if op is None:
+                op = build_stiff_operator(state.grid, p, state.n.mean, step.dt)
+            state = stepper(state, p, step, op=op, forcing=forcing, t=t)
+            log.n_steps += 1
+            t = log.n_steps * sc.dt if fixed else t + step.dt
+            if observer is not None and log.n_steps % stride == 0:
+                observer(log.n_steps, t, state)
     except (BlowUpError, VacuumError) as exc:
         log.status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
         log.message = str(exc)

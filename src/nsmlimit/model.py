@@ -19,7 +19,7 @@ identities the reformulation check relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -129,9 +129,6 @@ class Params:
         for name in ("tau", "eta", "kappa_ei", "k_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def with_kappa(self, kappa: float) -> "Params":
-        return replace(self, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

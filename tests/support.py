@@ -3,8 +3,8 @@
 import numpy as np
 import scipy.linalg
 
-from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
-from nsmlimit.integrator import StepControl, build_stiff_operator, step_full, step_limit
+from nsmlimit.harness import InitialSpec, RunConfig, run_single
+from nsmlimit.integrator import StepControl, evolve
 from nsmlimit.model import FullState, LimitState, Params, _full_rate, _limit_rate
 from nsmlimit.spectral import Grid, ScalarField, VectorField
 
@@ -98,12 +98,9 @@ class ManufacturedFull:
         return tuple(want - have for want, have in zip(target, rate))
 
     def error_after(self, dt, t_end) -> float:
-        sc = StepControl(dt=dt, t_end=t_end)
-        n_steps = round(t_end / dt)
-        state = self.state(0.0)
-        op = build_stiff_operator(self.grid, self.p, 1.0, dt)
-        for i in range(n_steps):
-            state = step_full(state, self.p, sc, op=op, forcing=self.forcing, t=i * dt)
+        state, log = evolve(self.state(0.0), self.p, StepControl(dt=dt, t_end=t_end),
+                            forcing=self.forcing)
+        assert log.status == "completed", log.message
         n, u, J, E, B = self.state_arrays(t_end)
         got = (
             state.n.values, state.u.values, self.p.kappa * state.jt.values,
@@ -151,12 +148,9 @@ class ManufacturedLimit:
         return tuple(want - have for want, have in zip(target, rate))
 
     def error_after(self, dt, t_end) -> float:
-        sc = StepControl(dt=dt, t_end=t_end)
-        n_steps = round(t_end / dt)
-        state = self.state(0.0)
-        op = build_stiff_operator(self.grid, self.p, 1.0, dt)
-        for i in range(n_steps):
-            state = step_limit(state, self.p, sc, op=op, forcing=self.forcing, t=i * dt)
+        state, log = evolve(self.state(0.0), self.p, StepControl(dt=dt, t_end=t_end),
+                            forcing=self.forcing)
+        assert log.status == "completed", log.message
         n, u = self.state_arrays(t_end)
         return l2_state_error((state.n.values, state.u.values), (n, u))
 
@@ -169,21 +163,14 @@ def observed_order(errors: list[float]) -> float:
 
 def paired_trajectory(grid, kappa, dt, n_steps, seed=7, amplitude=0.1, c0=1.0,
                       stride=1):
-    """Evolve full and limit side by side, returning stride snapshots."""
-    p = Params(kappa=kappa)
-    limit = make_limit_data(grid, seed=seed, amplitude=amplitude)
-    spec = WellPreparedSpec.from_seed(limit, seed=seed, c0=c0, kappa=kappa)
-    full = make_well_prepared(spec)
-    sc = StepControl(dt=dt, t_end=n_steps * dt)
-    op_f = build_stiff_operator(grid, p, full.n.mean, dt)
-    op_l = build_stiff_operator(grid, p, limit.n.mean, dt)
-    snaps = [(0.0, full, limit)]
-    for i in range(n_steps):
-        full = step_full(full, p, sc, op=op_f, t=i * dt)
-        limit = step_limit(limit, p, sc, op=op_l, t=i * dt)
-        if (i + 1) % stride == 0:
-            snaps.append(((i + 1) * dt, full, limit))
-    return snaps, p
+    """Evolve full and limit side by side (run_single), returning stride snapshots."""
+    cfg = RunConfig(grid=grid, params=Params(kappa=kappa), step=StepControl(dt=dt, t_end=n_steps * dt),
+                    initial=InitialSpec(seed=seed, base_amplitude=amplitude, c0=c0),
+                    kappa_list=(kappa,), snapshot_stride=stride)
+    rec = run_single(cfg)
+    if rec.status != "completed":
+        raise RuntimeError(rec.message)
+    return rec.snapshots, cfg.params
 
 
 class DenseStiffReference:

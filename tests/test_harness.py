@@ -182,6 +182,24 @@ class TestPersistence:
         assert np.array_equal(full0.n.values, rec.snapshots[0][1].n.values)
         assert np.array_equal(limit0.u.values, rec.snapshots[0][2].u.values)
 
+    def test_loaded_snapshots_share_one_array_per_field(self, tmp_path):
+        # each stored array is read once; snapshots are views into it
+        rec = run_single(parse_config_text(SHORT_CONFIG), kappa=0.2)
+        _, snaps = load_snapshots(write_record(rec, tmp_path)["npz"])
+
+        def owner(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        assert len(snaps) == len(rec.snapshots)
+        for field_of in (lambda s: s[1].n.values, lambda s: s[2].u.values):
+            owners = {id(owner(field_of(s))): owner(field_of(s)) for s in snaps}
+            assert len(owners) == 1
+            # the one owner holds exactly the stored snapshots, nothing more
+            assert next(iter(owners.values())).nbytes == sum(field_of(s).nbytes for s in snaps)
+            assert all(np.array_equal(field_of(s), field_of(r)) for s, r in zip(snaps, rec.snapshots))
+
 
 class TestRunSweep:
     def test_needs_three_kappas(self, tmp_path):

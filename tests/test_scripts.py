@@ -1,0 +1,50 @@
+"""The scripts under scripts/ run end to end and print their tables."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+SWEEP_CONFIG = """\
+[step]
+dt = 2e-4
+t_end = 4e-3
+
+[sweep]
+kappa_list = 0.4, 0.2, 0.1
+"""
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_energy_audit_script(capsys):
+    assert _load("energy_audit").main(["--steps", "4"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^dt = 0\.004: max residual = \S+ \(mean \S+\)$", out, re.M)
+    assert re.search(r"^dt = 0\.002: max residual = \S+ \(mean \S+\)$", out, re.M)
+    assert re.search(r"^shrink under halving: x\d+\.\d\d$", out, re.M)
+    for term in range(1, 7):
+        assert re.search(rf"^  drop T{term}: residual \S+ \(x\d+\.\d\)$", out, re.M)
+
+
+def test_convergence_sweep_script(tmp_path, capsys):
+    config = tmp_path / "sweep.ini"
+    config.write_text(SWEEP_CONFIG)
+    out_dir = tmp_path / "out"
+    code = _load("convergence_sweep").main(["--config", str(config), "--out", str(out_dir)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    lines = out.splitlines()
+    assert lines[0].split() == ["kappa", "sup", "sqrt(Gamma)", "sup", "Gamma/k^2",
+                                "envelope", "C", "growth", "c", "status"]
+    rows = [line.split() for line in lines[1:4]]
+    assert [float(r[0]) for r in rows] == [0.4, 0.2, 0.1]
+    assert all(len(r) == 6 and r[5] == "completed" for r in rows)
+    assert lines[4].startswith("fitted slope = ")
+    assert (out_dir / "sweep_summary.json").exists()
