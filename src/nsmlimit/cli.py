@@ -49,8 +49,7 @@ def _load_config(args):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    kappa = args.kappa if args.kappa is not None else None
-    rec = run_single(cfg, kappa=kappa)
+    rec = run_single(cfg, kappa=args.kappa)
     paths = write_record(rec, cfg.out_dir)
     print(f"status={rec.status} kappa={rec.kappa:g} steps={rec.n_steps}")
     print(f"sup sqrt(Gamma) = {rec.sup_sqrt_gamma():.6e}")

@@ -317,7 +317,10 @@ def run_single(
     if cfg.step.mode != "fixed_dt":
         raise ConfigError("paired runs use fixed_dt stepping; adaptive mode is for exploratory evolve() calls")
     kap = cfg.params.kappa if kappa is None else kappa
-    p = replace(cfg.params, kappa=kap)
+    try:
+        p = replace(cfg.params, kappa=kap)
+    except ValueError as exc:  # a kappa override outside (0, 1]
+        raise ConfigError(str(exc)) from None
     grid = cfg.grid
     ini = cfg.initial
     if tag is None:

@@ -13,6 +13,12 @@ applied on the real-FFT half-spectrum.  A step is the Strang composition
 which is second order, unconditionally stable in kappa, and reduces to
 plain SSP-RK2 when L = 0.  E and B are Leray-projected after every step.
 
+States are physical between steps.  A step transforms the stacked
+(n, u, J, E, B) once on entry and once on exit; the half-steps, the SSP-RK2
+updates, L and the Leray projection are element-wise work on the
+half-spectrum coefficients in between, and each rate evaluation leaves
+Fourier space only to form its pointwise products (``model._full_rate``).
+
 The limit system reuses the same machinery with only the viscous block.
 """
 
@@ -26,8 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowUpError, ConfigError, VacuumError
-from .model import FullState, LimitState, Params, _full_rate, _limit_rate
-from .spectral import Grid, ScalarField, VectorField, array_irfft, array_leray_project, array_rfft
+from .model import FullState, LimitState, Params, _cross, _full_rate, _limit_rate, _split, _stack
+from .spectral import Grid, ScalarField, VectorField, array_irfft, array_rfft, half_leray_project
 
 __all__ = [
     "StepControl",
@@ -111,14 +117,9 @@ class StiffLinearOperator:
     half-spectrum mode, tabulated per distinct (|k|^2, |k_full|^2) pair.
     """
 
-    def __init__(self, grid: Grid, dt: float, khat: np.ndarray,
-                 gen: np.ndarray, prop_half: np.ndarray):
-        self.grid = grid
+    def __init__(self, dt: float, khat: np.ndarray, gen: np.ndarray, prop_half: np.ndarray):
         self.dt = dt
         self.khat = khat            # (3, *half)
-        self.cross = np.zeros((3,) + khat.shape)  # khat x, as a (3, 3, *half) matrix
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            self.cross[a, c], self.cross[a, b] = khat[b], -khat[c]
         self.gen = gen              # (len(_TERMS), *half)
         self.prop_half = prop_half  # (len(_TERMS), *half)
 
@@ -128,39 +129,39 @@ class StiffLinearOperator:
         k = grid.half_wavenumbers
         prop = np.zeros((len(_TERMS),) + k.shape[1:])
         prop[[n for n, (part, i, j) in enumerate(_TERMS) if part == "x" and i == j]] = 1.0
-        return cls(grid, dt, np.zeros_like(k), np.zeros_like(prop), prop)
+        return cls(dt, np.zeros_like(k), np.zeros_like(prop), prop)
 
-    def _apply(self, coef: np.ndarray, u, J, E, B) -> tuple:
-        """Per-mode sum over _TERMS on the half-spectrum; one transform each way."""
-        g, kh = self.grid, self.khat
-        x = array_rfft(g, np.stack([u, J, E, B]))
-        parts = {"x": x, "s": (kh * x).sum(axis=1), "rot": (self.cross * x[:, None]).sum(axis=2)}
+    def _apply(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Per-mode sum over _TERMS of the stacked half-spectrum (u, J, E, B)."""
+        kh = self.khat
+        parts = {"x": x, "s": (kh * x).sum(axis=1), "rot": _cross(kh, x.swapaxes(0, 1)).swapaxes(0, 1)}
         parts["rot"] *= -1j
         out, lon = np.zeros_like(x), np.zeros_like(parts["s"])
         for c, (part, i, j) in zip(coef, _TERMS):
             (lon if part == "s" else out)[i] += c * parts[part][j]
         out += kh * lon[:, None]
-        return tuple(array_irfft(g, out))
+        return out
 
     def _apply_u(self, coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-        g, kh = self.grid, self.khat
-        x = array_rfft(g, u)
-        return array_irfft(g, coef[0] * x + kh * (coef[1] * (kh * x).sum(axis=0)))
+        kh = self.khat
+        return coef[0] * u + kh * (coef[1] * (kh * u).sum(axis=0))
 
-    def apply_half(self, u, J, E, B):
-        """One half-step exact propagation of (u, J, E, B)."""
-        return self._apply(self.prop_half, u, J, E, B)
+    def apply_half(self, x):
+        """One half-step exact propagation of the half-spectrum (u, J, E, B),
+        stacked as (4, 3, *half)."""
+        return self._apply(self.prop_half, x)
 
-    def linear_rate(self, u, J, E, B):
-        """L applied to (u, J, E, B), for forming the explicit remainder."""
-        return self._apply(self.gen, u, J, E, B)
+    def linear_rate(self, x):
+        """L applied to the stacked half-spectrum (u, J, E, B)."""
+        return self._apply(self.gen, x)
 
     def apply_half_u(self, u):
-        """Half-step viscous propagation of u alone (the limit system)."""
+        """Half-step viscous propagation of the half-spectrum u alone (the
+        limit system)."""
         return self._apply_u(self.prop_half, u)
 
     def linear_rate_u(self, u):
-        """The viscous generator applied to u alone."""
+        """The viscous generator applied to the half-spectrum u alone."""
         return self._apply_u(self.gen, u)
 
 
@@ -191,7 +192,7 @@ def build_stiff_operator(
     tables = (_pack(v_lon, v_tra, lon, hel),
               _pack(np.exp(h * v_lon), np.exp(h * v_tra), ex[: len(pairs)], ex[len(pairs):]))
     gen, prop = (table[:, inverse].reshape((len(_TERMS),) + k2.shape) for table in tables)
-    return StiffLinearOperator(grid, dt, k / np.sqrt(np.where(k2 == 0.0, 1.0, k2)), gen, prop)
+    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, gen, prop)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,11 @@ def _check_step(t: float, **fields: np.ndarray) -> None:
         raise VacuumError(f"vacuum state at t={t:g}: min n = {n_min:.6g}")
 
 
+def _uJEB(x: np.ndarray) -> np.ndarray:
+    """(4, 3, *half) view of the (u, J, E, B) rows of a stacked full state."""
+    return x[1:].reshape((4, 3) + x.shape[1:])
+
+
 def step_full(
     state: FullState,
     p: Params,
@@ -218,39 +224,40 @@ def step_full(
 ) -> FullState:
     """One Strang step of the scaled system.
 
-    ``forcing(t)`` may supply extra explicit rates (dn, du, dJ, dE, dB) as
-    arrays, e.g. for manufactured-solution tests.
+    The state is transformed once on entry and once on exit; in between,
+    the stiff half-steps, the SSP-RK2 stages and the Leray projection work
+    on the stacked half-spectrum (n, u, J, E, B).  ``forcing(t)`` may supply
+    extra explicit rates (dn, du, dJ, dE, dB) as physical arrays, e.g. for
+    manufactured-solution tests.
     """
     grid = state.grid
     dt = sc.dt
     if op is None:
         op = build_stiff_operator(grid, p, state.n.mean, dt)
 
-    n = state.n.values
-    J = p.kappa * state.jt.values
-    u, J, E, B = op.apply_half(state.u.values, J, state.E.values, state.B.values)
+    x = array_rfft(grid, _stack(state.n.values, state.u.values, p.kappa * state.jt.values,
+                                state.E.values, state.B.values))
+    _uJEB(x)[:] = op.apply_half(_uJEB(x))
 
-    def remainder(vals, tt):
-        dn, *rates = _full_rate(grid, p, *vals)
-        rates = (dn, *(r - lr for r, lr in zip(rates, op.linear_rate(*vals[1:]))))
+    def remainder(y, tt):
+        rate = _full_rate(grid, p, y)
+        vectors = _uJEB(rate)
+        vectors -= op.linear_rate(_uJEB(y))
         if forcing is not None:
-            rates = tuple(r + f for r, f in zip(rates, forcing(tt)))
-        return rates
+            rate += array_rfft(grid, _stack(*forcing(tt)))
+        return rate
 
-    s0 = (n, u, J, E, B)
-    k1 = remainder(s0, t)
-    s1 = tuple(x + dt * k for x, k in zip(s0, k1))
-    k2 = remainder(s1, t + dt)
-    n, u, J, E, B = (
-        x + 0.5 * dt * (a + b) for x, a, b in zip(s0, k1, k2)
-    )
+    k1 = remainder(x, t)
+    k2 = remainder(x + dt * k1, t + dt)
+    x += 0.5 * dt * (k1 + k2)
 
-    u, J, E, B = op.apply_half(u, J, E, B)
-    E = array_leray_project(grid, E)
-    B = array_leray_project(grid, B)
+    v = op.apply_half(_uJEB(x))
+    v[2:] = half_leray_project(grid, v[2:])
+    _uJEB(x)[:] = v
+    n, u, J, E, B = _split(array_irfft(grid, x))
     _check_step(t + dt, n=n, u=u, J=J, E=E, B=B)
-    u = u.copy()  # not a view into the stacked transform output
-    return FullState(ScalarField(grid, n), VectorField(grid, u), VectorField(grid, J / p.kappa),
+    J /= p.kappa
+    return FullState(ScalarField(grid, n), VectorField(grid, u), VectorField(grid, J),
                      VectorField(grid, E), VectorField(grid, B))
 
 
@@ -263,29 +270,29 @@ def step_limit(
     t: float = 0.0,
 ) -> LimitState:
     """One IMEX step of the limit system: exact viscous multiplier around
-    an explicit SSP-RK2 stage for advection and pressure."""
+    an explicit SSP-RK2 stage for advection and pressure, on the stacked
+    half-spectrum (n, u) as in ``step_full``."""
     grid = state.grid
     dt = sc.dt
     if op is None:
         op = build_stiff_operator(grid, p, state.n.mean, dt)
 
-    n = state.n.values
-    u = op.apply_half_u(state.u.values)
+    x = array_rfft(grid, _stack(state.n.values, state.u.values))
+    x[1:] = op.apply_half_u(x[1:])
 
-    def remainder(vals, tt):
-        dn, du = _limit_rate(grid, p, *vals)
-        rates = (dn, du - op.linear_rate_u(vals[1]))
+    def remainder(y, tt):
+        rate = _limit_rate(grid, p, y)
+        rate[1:] -= op.linear_rate_u(y[1:])
         if forcing is not None:
-            rates = tuple(r + f for r, f in zip(rates, forcing(tt)))
-        return rates
+            rate += array_rfft(grid, _stack(*forcing(tt)))
+        return rate
 
-    s0 = (n, u)
-    k1 = remainder(s0, t)
-    s1 = tuple(x + dt * k for x, k in zip(s0, k1))
-    k2 = remainder(s1, t + dt)
-    n, u = (x + 0.5 * dt * (a + b) for x, a, b in zip(s0, k1, k2))
+    k1 = remainder(x, t)
+    k2 = remainder(x + dt * k1, t + dt)
+    x += 0.5 * dt * (k1 + k2)
 
-    u = op.apply_half_u(u)
+    x[1:] = op.apply_half_u(x[1:])
+    n, u = _split(array_irfft(grid, x))
     _check_step(t + dt, n=n, u=u)
     return LimitState(ScalarField(grid, n), VectorField(grid, u))
 

@@ -10,10 +10,16 @@ Three systems are evaluated here, all on the periodic torus:
   variable substitution and scaling algebra between the three forms can
   be certified numerically (``reformulation_check``).
 
-Every nonlinear product is formed pointwise on the grid and dealiased
-once, as the final operation of the term it enters.  Intermediate
-sub-products are never dealiased: that would break the exact pointwise
-identities the reformulation check relies on.
+The stepping rates ``_full_rate`` and ``_limit_rate`` take the stacked
+state on the real-FFT half-spectrum and return its time derivative there.
+Every pointwise product of a rate is formed on the grid and all of them are
+transformed in one batched call.  The 2/3 mask is linear, so the nonlinear
+terms of each equation are summed first and masked once (Orszag, J. Atmos.
+Sci. 28, 1971); the linear viscous and curl terms stay unmasked.  The
+certificate forms (``_two_fluid_rate``, ``_reformed_rate``) mask each term
+once, as the final operation of the term, and never mask intermediate
+sub-products: that would break the exact pointwise identities the
+reformulation check relies on.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ from .spectral import (
     array_curl,
     array_dealias,
     array_divergence,
+    array_irfft,
     array_leray_project,
+    array_rfft,
+    half_leray_project,
     derive_seed,
     random_smooth_field,
     random_smooth_vector,
@@ -256,7 +265,7 @@ def enthalpy_h(rho: float, law: PressureLaw) -> float:
 # array-level right-hand sides
 #
 # All take and return plain ndarrays so the integrator can run stages
-# without wrapping; the public rhs_* functions validate and wrap.
+# without wrapping; the public rhs_* functions validate, transform and wrap.
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,10 +278,9 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-# Fused hat-space helpers for the stepping hot path: each takes physical
-# arrays, applies the derivative and the 2/3 mask in a single transform
-# round trip, and returns physical arrays.  Equivalent to composing the
-# spectral-module primitives, just fewer FFT calls.
+# Fused helpers for the certificate forms: each takes physical arrays,
+# applies the derivative and the 2/3 mask in a single transform round trip,
+# and returns physical arrays.
 
 
 def _div_outer(grid: Grid, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,60 +321,144 @@ def _visc(grid: Grid, v: np.ndarray, mu: float, mu_lam: float) -> np.ndarray:
     return np.fft.ifftn(np.stack(out), axes=grid.fft_axes).real
 
 
-def _fluid_rate(grid: Grid, p: Params, n: np.ndarray, u: np.ndarray):
-    """Continuity rate and conservative momentum rate shared by both systems.
+# ---------------------------------------------------------------------------
+# half-spectrum stepping rates
+#
+# A state is stacked as (n, u, J, E, B) or (n, u) along one leading axis
+# (``_stack``) and passed as its real-FFT half-spectrum.  Symmetric 3x3
+# tensors are stored as their entries (00, 01, 02, 11, 12, 22).
 
-    dn      = -1/(1+eps) div(n u)
-    d(nu)   = -1/(1+eps) div(n u x u) + mu lap u + (mu+lam) grad div u
-              - (1+eps) eta/tau grad P(n)
-    """
-    inv = 1.0 / (1.0 + p.epsilon)
-    dn = -inv * _div_nl(grid, n * u)
-    mom = -inv * _div_outer(grid, n, u, u)
-    mom = mom + _visc(grid, u, p.mu, p.mu + p.lam)
-    mom = mom - ((1.0 + p.epsilon) * p.eta / p.tau) * _grad_nl(
-        grid, p.pressure.pressure(n)
-    )
-    return dn, mom
+_SYM_ROW = [0, 0, 0, 1, 1, 2]
+_SYM_COL = [0, 1, 2, 1, 2, 2]
+_SYM_DIAG = [0, 3, 5]
+_SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _full_rate(grid: Grid, p: Params, n, u, J, E, B):
-    """Primitive rates of the scaled system in the variables (n, u, J, E, B).
+def _stack(*fields: np.ndarray) -> np.ndarray:
+    """Stack a scalar (*shape) and vectors (3, *shape) along one leading axis."""
+    return np.concatenate([f.reshape((-1,) + f.shape[-3:]) for f in fields])
 
-    The momentum equations are converted from conservative form via
-    d_t u = (d_t(nu) - u d_t n)/n, and likewise for J = kappa j~.  The
-    current source of the E equation is solenoidally projected.
-    """
-    eps = p.epsilon
+
+def _split(x: np.ndarray) -> tuple:
+    """Views (n, u, ...) of a stack built by ``_stack``."""
+    return (x[0],) + tuple(x[i:i + 3] for i in range(1, len(x), 3))
+
+
+def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
+    """ik . t for symmetric tensors (..., 6, *half) -> (..., 3, *half)."""
+    k = grid.half_wavenumbers
+    out = k[0] * np.take(t, _SYM_FULL[:, 0], axis=-4)
+    for j in range(1, grid.dims_active):
+        out += k[j] * np.take(t, _SYM_FULL[:, j], axis=-4)
+    out *= 1j
+    return out
+
+
+def _visc_hat(grid: Grid, p: Params, v: np.ndarray) -> np.ndarray:
+    """mu lap v + (mu+lam) grad div v for half-spectrum vectors (..., 3, *half)."""
+    k = grid.half_wavenumbers
+    kv = (k * v).sum(axis=-4, keepdims=True)
+    return -p.mu * grid.k_squared[grid.half_cut] * v - (p.mu + p.lam) * k * kv
+
+
+def _curl_hat(grid: Grid, v: np.ndarray) -> np.ndarray:
+    return 1j * _cross(grid.half_wavenumbers, v)
+
+
+def _fluid_products(p: Params, n: np.ndarray, u: np.ndarray, extra: int) -> np.ndarray:
+    """Grid products of the fluid part, then ``extra`` rows left for the caller:
+    n u and the momentum flux n u u^T/(1+eps) + (1+eps) eta/tau P(n) I."""
+    prod = np.empty((9 + extra,) + n.shape)
+    nu, flux = prod[:3], prod[3:9]
+    np.multiply(n, u, out=nu)
+    np.multiply(nu[_SYM_ROW], u[_SYM_COL] / (1.0 + p.epsilon), out=flux)
+    flux[_SYM_DIAG] += ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
+    return prod
+
+
+def _continuity(grid: Grid, p: Params, nu_hat: np.ndarray) -> np.ndarray:
+    """dn = -div(n u)/(1+eps), masked, from the transformed n u."""
+    div = 1j * (grid.half_wavenumbers * nu_hat).sum(axis=0)
+    return (-1.0 / (1.0 + p.epsilon)) * grid.half_dealias_mask * div
+
+
+def _to_primitive(grid: Grid, out: np.ndarray, state: np.ndarray, rows: int) -> None:
+    """Turn d_t n (out[0]) and the conservative rates d_t(n v) (out[1:rows])
+    into d_t v = (d_t(n v) - v d_t n)/n, masked, in place."""
+    cons = array_irfft(grid, out[:rows])
+    quot = (cons[1:] - state[1:rows] * cons[0]) / state[0]
+    out[1:rows] = grid.half_dealias_mask * array_rfft(grid, quot)
+
+
+def _full_products(p: Params, n, u, J, E, B) -> np.ndarray:
+    """Grid products of ``_full_rate``: n u, the fluxes F and C, the sources
+    of d(nu) and d(nJ), and n J."""
+    eps, kap = p.epsilon, p.kappa
     inv = 1.0 / (1.0 + eps)
     a_coef = (1.0 + eps) / (p.tau * eps)
-    D = lambda arr: array_dealias(grid, arr)
-
-    dn, mom = _fluid_rate(grid, p, n, u)
-    div_nJJ = _div_outer(grid, n, J, J)
-    nJxB = D(n * _cross(J, B))
-    mom = mom - inv * eps * div_nJJ
-    mom = mom + (p.kappa / p.tau) * nJxB
-    du = D((mom - u * dn) / n)
-
-    cur = -((eps - 1.0) * inv) * div_nJJ
-    cur = cur - inv * (_div_outer(grid, n, u, J) + _div_outer(grid, n, J, u))
-    cur = cur + _visc(grid, J, p.mu, p.mu + p.lam)
-    cur = cur + a_coef * D(n * E)
-    cur = cur + (p.kappa / (p.tau * eps)) * D(n * _cross(u, B))
-    cur = cur + ((eps - 1.0) / (p.tau * eps)) * p.kappa * nJxB
-    cur = cur - a_coef * p.kappa_ei * p.k_rate * p.kappa**2 * D(n * n * J)
-    dJ = D((cur - J * dn) / n)
-
-    dE = array_curl(grid, B) / p.kappa - array_leray_project(grid, D(n * J))
-    dB = -array_curl(grid, E) / p.kappa
-    return dn, du, dJ, dE, dB
+    prod = _fluid_products(p, n, u, 15)
+    nu, flux, cur_flux, src = prod[:3], prod[3:9], prod[9:15], prod[18:21]
+    nJ = np.multiply(n, J, out=prod[21:24])
+    nJJ = nJ[_SYM_ROW] * J[_SYM_COL]
+    flux += (inv * eps) * nJJ
+    np.multiply(nu[_SYM_ROW], J[_SYM_COL], out=cur_flux)
+    cur_flux += nJ[_SYM_ROW] * u[_SYM_COL]
+    cur_flux += (eps - 1.0) * nJJ
+    cur_flux *= inv
+    nJxB = _cross(nJ, B)
+    np.multiply(kap / p.tau, nJxB, out=prod[15:18])
+    np.multiply(a_coef * n, E, out=src)
+    src += (kap / (p.tau * eps)) * _cross(nu, B)
+    src += ((eps - 1.0) * kap / (p.tau * eps)) * nJxB
+    src -= (a_coef * p.kappa_ei * p.k_rate * kap**2) * n * nJ
+    return prod
 
 
-def _limit_rate(grid: Grid, p: Params, n, u):
-    dn, mom = _fluid_rate(grid, p, n, u)
-    du = array_dealias(grid, (mom - u * dn) / n)
-    return dn, du
+def _full_rate(grid: Grid, p: Params, x: np.ndarray) -> np.ndarray:
+    """Primitive rates of the scaled system in the variables (n, u, J, E, B).
+
+    ``x`` is the stacked state with J = kappa j~ on the half-spectrum; the
+    result is its time derivative in the same layout.
+
+    dn      = -1/(1+eps) div(n u)
+    d(nu)   = -div F + mu lap u + (mu+lam) grad div u + kappa/tau n J x B
+    d(nJ)   = -div C + mu lap J + (mu+lam) grad div J + S
+    dE      = curl B/kappa - P(n J),    dB = -curl E/kappa
+
+    with the fluxes F = (n u u^T + eps n J J^T)/(1+eps) + (1+eps) eta/tau P(n) I,
+    C = ((eps-1) n J J^T + n (u J^T + J u^T))/(1+eps), the source
+    S = a n E + kappa/(tau eps) n u x B + (eps-1) kappa/(tau eps) n J x B
+    - a kappa_ei k_rate kappa^2 n^2 J with a = (1+eps)/(tau eps), and P the
+    Leray projector.  The momentum equations are converted to primitive form
+    via d_t u = (d_t(nu) - u d_t n)/n, and likewise for J.
+    """
+    state = array_irfft(grid, x)
+    hat = array_rfft(grid, _full_products(p, *_split(state)))
+    half = hat.shape[1:]
+    mask = grid.half_dealias_mask
+    out = np.empty_like(x)
+    out[0] = _continuity(grid, p, hat[:3])
+    flux = hat[15:21].reshape((2, 3) + half) - _div_sym(grid, hat[3:15].reshape((2, 6) + half))
+    out[1:7] = (mask * flux + _visc_hat(grid, p, x[1:7].reshape((2, 3) + half))).reshape((6,) + half)
+    out[7:10] = _curl_hat(grid, x[10:13]) / p.kappa - half_leray_project(grid, mask * hat[21:24])
+    out[10:13] = _curl_hat(grid, x[7:10]) / -p.kappa
+    _to_primitive(grid, out, state, 7)
+    return out
+
+
+def _limit_rate(grid: Grid, p: Params, x: np.ndarray) -> np.ndarray:
+    """Primitive rates of the limit system for the stacked half-spectrum (n, u):
+    dn = -1/(1+eps) div(n u) and d(nu) = -div F + mu lap u + (mu+lam) grad div u
+    with the fluid flux F of ``_full_rate`` at J = 0."""
+    state = array_irfft(grid, x)
+    n, u = _split(state)
+    hat = array_rfft(grid, _fluid_products(p, n, u, 0))
+    mask = grid.half_dealias_mask
+    out = np.empty_like(x)
+    out[0] = _continuity(grid, p, hat[:3])
+    out[1:4] = mask * -_div_sym(grid, hat[3:9]) + _visc_hat(grid, p, x[1:4])
+    _to_primitive(grid, out, state, 4)
+    return out
 
 
 def _two_fluid_rate(grid: Grid, p: Params, n, u_e, u_i, E, B, alpha, beta):
@@ -449,10 +541,8 @@ def rhs_full(s: FullState, p: Params) -> FullRate:
     """Time derivative of the scaled system; dJ is d(kappa j~)/dt."""
     validate_full_state(s)
     grid = s.grid
-    J = p.kappa * s.jt.values
-    dn, du, dJ, dE, dB = _full_rate(
-        grid, p, s.n.values, s.u.values, J, s.E.values, s.B.values
-    )
+    x = _stack(s.n.values, s.u.values, p.kappa * s.jt.values, s.E.values, s.B.values)
+    dn, du, dJ, dE, dB = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, x))))
     return FullRate(
         ScalarField(grid, dn),
         VectorField(grid, du),
@@ -466,7 +556,8 @@ def rhs_limit(s: LimitState, p: Params) -> LimitRate:
     """Time derivative of the one-fluid compressible limit system."""
     validate_limit_state(s)
     grid = s.grid
-    dn, du = _limit_rate(grid, p, s.n.values, s.u.values)
+    x = array_rfft(grid, _stack(s.n.values, s.u.values))
+    dn, du = _split(array_irfft(grid, _limit_rate(grid, p, x)))
     return LimitRate(ScalarField(grid, dn), VectorField(grid, du))
 
 
@@ -567,7 +658,9 @@ def reformulation_check(s: TwoFluidState, p: Params) -> ReformReport:
     E_s = E / kap
     B_s = B / kap**2
     J = kap * jt
-    fn, fu, fJ, fE, fB = _full_rate(grid, p, n, u, J, E_s, B_s)
+    fn, fu, fJ, fE, fB = _split(
+        array_irfft(grid, _full_rate(grid, p, array_rfft(grid, _stack(n, u, J, E_s, B_s))))
+    )
     # compare in primitive variables, converting the substituted rates the
     # same way the production side does (same dealias placement)
     D = lambda arr: array_dealias(grid, arr)

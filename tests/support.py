@@ -5,8 +5,30 @@ import scipy.linalg
 
 from nsmlimit.harness import InitialSpec, RunConfig, run_single
 from nsmlimit.integrator import StepControl, evolve
-from nsmlimit.model import FullState, LimitState, Params, _full_rate, _limit_rate
-from nsmlimit.spectral import Grid, ScalarField, VectorField
+from nsmlimit.model import (
+    FullState,
+    LimitState,
+    Params,
+    _cross,
+    _div_nl,
+    _div_outer,
+    _full_rate,
+    _grad_nl,
+    _limit_rate,
+    _split,
+    _stack,
+    _visc,
+)
+from nsmlimit.spectral import (
+    Grid,
+    ScalarField,
+    VectorField,
+    array_curl,
+    array_dealias,
+    array_irfft,
+    array_leray_project,
+    array_rfft,
+)
 
 
 def l2_state_error(arrs_a, arrs_b):
@@ -93,7 +115,8 @@ class ManufacturedFull:
 
     def forcing(self, t):
         exact = self.state_arrays(t)
-        rate = _full_rate(self.grid, self.p, *exact)
+        g = self.grid
+        rate = _split(array_irfft(g, _full_rate(g, self.p, array_rfft(g, _stack(*exact)))))
         target = self.rate_arrays(t)
         return tuple(want - have for want, have in zip(target, rate))
 
@@ -143,7 +166,9 @@ class ManufacturedLimit:
         return LimitState(ScalarField(self.grid, n), VectorField(self.grid, u))
 
     def forcing(self, t):
-        rate = _limit_rate(self.grid, self.p, *self.state_arrays(t))
+        g = self.grid
+        x = array_rfft(g, _stack(*self.state_arrays(t)))
+        rate = _split(array_irfft(g, _limit_rate(g, self.p, x)))
         target = self.rate_arrays(t)
         return tuple(want - have for want, have in zip(target, rate))
 
@@ -233,3 +258,65 @@ class DenseStiffReference:
 
     def linear_rate(self, u, J, E, B):
         return self._apply(self.gen_u, self.gen_jeb, u, J, E, B)
+
+
+# The stepping rates evaluated term by term: physical arrays in and out, each
+# nonlinear term masked on its own, a few FFT round trips per term.  A slow
+# but direct reference for the batched half-spectrum model._full_rate and
+# model._limit_rate.
+
+
+def per_term_fluid_rate(grid: Grid, p: Params, n: np.ndarray, u: np.ndarray):
+    """Continuity rate and conservative momentum rate shared by both systems.
+
+    dn      = -1/(1+eps) div(n u)
+    d(nu)   = -1/(1+eps) div(n u x u) + mu lap u + (mu+lam) grad div u
+              - (1+eps) eta/tau grad P(n)
+    """
+    inv = 1.0 / (1.0 + p.epsilon)
+    dn = -inv * _div_nl(grid, n * u)
+    mom = -inv * _div_outer(grid, n, u, u)
+    mom = mom + _visc(grid, u, p.mu, p.mu + p.lam)
+    mom = mom - ((1.0 + p.epsilon) * p.eta / p.tau) * _grad_nl(
+        grid, p.pressure.pressure(n)
+    )
+    return dn, mom
+
+
+def per_term_full_rate(grid: Grid, p: Params, n, u, J, E, B):
+    """Primitive rates of the scaled system in the variables (n, u, J, E, B).
+
+    The momentum equations are converted from conservative form via
+    d_t u = (d_t(nu) - u d_t n)/n, and likewise for J = kappa j~.  The
+    current source of the E equation is solenoidally projected.
+    """
+    eps = p.epsilon
+    inv = 1.0 / (1.0 + eps)
+    a_coef = (1.0 + eps) / (p.tau * eps)
+    D = lambda arr: array_dealias(grid, arr)
+
+    dn, mom = per_term_fluid_rate(grid, p, n, u)
+    div_nJJ = _div_outer(grid, n, J, J)
+    nJxB = D(n * _cross(J, B))
+    mom = mom - inv * eps * div_nJJ
+    mom = mom + (p.kappa / p.tau) * nJxB
+    du = D((mom - u * dn) / n)
+
+    cur = -((eps - 1.0) * inv) * div_nJJ
+    cur = cur - inv * (_div_outer(grid, n, u, J) + _div_outer(grid, n, J, u))
+    cur = cur + _visc(grid, J, p.mu, p.mu + p.lam)
+    cur = cur + a_coef * D(n * E)
+    cur = cur + (p.kappa / (p.tau * eps)) * D(n * _cross(u, B))
+    cur = cur + ((eps - 1.0) / (p.tau * eps)) * p.kappa * nJxB
+    cur = cur - a_coef * p.kappa_ei * p.k_rate * p.kappa**2 * D(n * n * J)
+    dJ = D((cur - J * dn) / n)
+
+    dE = array_curl(grid, B) / p.kappa - array_leray_project(grid, D(n * J))
+    dB = -array_curl(grid, E) / p.kappa
+    return dn, du, dJ, dE, dB
+
+
+def per_term_limit_rate(grid: Grid, p: Params, n, u):
+    dn, mom = per_term_fluid_rate(grid, p, n, u)
+    du = array_dealias(grid, (mom - u * dn) / n)
+    return dn, du

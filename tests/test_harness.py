@@ -242,6 +242,13 @@ class TestCli:
         cfg_path.write_text("[grid]\nbogus = 1\n")
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("kappa", ["2", "0"])
+    def test_kappa_out_of_range_exit_two(self, tmp_path, capsys, kappa):
+        out = tmp_path / "out"
+        assert main(["run", "--kappa", kappa, "--out", str(out)]) == 2
+        assert "config error: kappa must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from support import DenseStiffReference, ManufacturedFull, ManufacturedLimit, observed_order
 
@@ -16,12 +17,14 @@ from nsmlimit.integrator import (
     step_full,
     step_limit,
 )
-from nsmlimit.model import FullState, LimitState, Params, PressureLaw, _full_rate
+from nsmlimit.model import FullState, LimitState, Params, PressureLaw, _full_rate, _split, _stack
 from nsmlimit.spectral import (
     Grid,
     ScalarField,
     VectorField,
+    array_irfft,
     array_leray_project,
+    array_rfft,
     divergence,
     grid_integral,
     leray_project,
@@ -58,10 +61,12 @@ class TestStiffOperator:
         op = build_stiff_operator(grid, p, n_mean=1.07, dt=0.01)
         ref = DenseStiffReference(grid, p, n_mean=1.07, dt=0.01)
         fields = _random_fields(grid, 11)
-        u = fields[0]
+        x = array_rfft(grid, np.stack(fields))
         prop, rate = ref.apply_half(*fields), ref.linear_rate(*fields)
-        for got, want in [(op.apply_half(*fields), prop), (op.linear_rate(*fields), rate),
-                          ([op.apply_half_u(u)], prop[:1]), ([op.linear_rate_u(u)], rate[:1])]:
+        for got, want in [(array_irfft(grid, op.apply_half(x)), prop),
+                          (array_irfft(grid, op.linear_rate(x)), rate),
+                          ([array_irfft(grid, op.apply_half_u(x[0]))], prop[:1]),
+                          ([array_irfft(grid, op.linear_rate_u(x[0]))], rate[:1])]:
             got, want = np.stack(got), np.stack(want)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -79,7 +84,7 @@ class TestStiffOperator:
         z0 = np.random.default_rng(0).normal(size=9)
         ones = np.ones((3,) + grid64.shape)
         J0, E0, B0 = (z0[s:s + 3, None, None, None] * ones for s in (0, 3, 6))
-        u, J, E, B = op.apply_half(ones, J0, E0, B0)
+        u, J, E, B = array_irfft(grid64, op.apply_half(array_rfft(grid64, np.stack([ones, J0, E0, B0]))))
         got = np.concatenate([J, E, B])
         assert np.abs(got - (expected @ z0)[:, None, None, None]).max() < 1e-12
         assert np.abs(u - 1.0).max() < 1e-12
@@ -94,7 +99,7 @@ class TestStiffOperator:
         wave = [a[i] * np.cos(x) + b[i] * np.sin(x) for i in range(4)]
         E0, B0 = np.stack([0 * x, wave[0], wave[1]]), np.stack([0 * x, wave[2], wave[3]])
         z = np.zeros_like(E0)
-        _, _, E, B = op.apply_half(z, z, E0, B0)
+        _, _, E, B = array_irfft(grid64, op.apply_half(array_rfft(grid64, np.stack([z, z, E0, B0]))))
         norm0 = np.sqrt((E0**2).sum() + (B0**2).sum())
         assert abs(np.sqrt((E**2).sum() + (B**2).sum()) - norm0) < 1e-13 * norm0
 
@@ -109,16 +114,17 @@ class TestStiffOperator:
         u = J = np.zeros_like(E)
         em0 = (E**2).sum() + (B**2).sum()
         for _ in range(10):
-            u, J, E, B = op.apply_half(u, J, E, B)
+            u, J, E, B = array_irfft(grid64, op.apply_half(array_rfft(grid64, np.stack([u, J, E, B]))))
         assert abs((E**2).sum() + (B**2).sum() - em0) / em0 < tol
 
     def test_small_dt_is_identity(self, grid64):
         p = Params(kappa=0.5)
         op = build_stiff_operator(grid64, p, n_mean=1.0, dt=1e-9)
         fields = [v / np.abs(v).max() for v in _random_fields(grid64, 3)]
-        dev = max(np.abs(y - x).max() for x, y in zip(fields, op.apply_half(*fields)))
+        hat = array_rfft(grid64, np.stack(fields))
+        dev = max(np.abs(y - x).max() for x, y in zip(fields, array_irfft(grid64, op.apply_half(hat))))
         # deviation is O(dt |L|), dominated by the viscous mu k^2 block
-        lmax = max(np.abs(r).max() for r in op.linear_rate(*fields))
+        lmax = max(np.abs(r).max() for r in array_irfft(grid64, op.linear_rate(hat)))
         assert dev < 1e-9 * (lmax + 1.0)
 
     def test_invalid_dt(self, grid64):
@@ -171,9 +177,9 @@ class TestStepFull:
         grid = grid64
         J = p.kappa * state.jt.values
         s0 = (state.n.values, state.u.values, J, state.E.values, state.B.values)
-        k1 = _full_rate(grid, p, *s0)
+        k1 = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, _stack(*s0)))))
         s1 = tuple(x + sc.dt * k for x, k in zip(s0, k1))
-        k2 = _full_rate(grid, p, *s1)
+        k2 = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, _stack(*s1)))))
         heun = tuple(x + 0.5 * sc.dt * (a + b) for x, a, b in zip(s0, k1, k2))
         assert np.abs(out.n.values - heun[0]).max() < 1e-15
         assert np.abs(out.u.values - heun[1]).max() < 1e-15
@@ -252,6 +258,36 @@ class TestStepFull:
             final, log = evolve(state, p, sc)
             assert log.status == "completed"
             assert np.isfinite(final.n.values).all()
+
+
+_FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.mark.parametrize("grid", [Grid(3, 8), Grid(1, 64)], ids=["3d8", "1d64"])
+def test_transform_calls_per_step(grid, monkeypatch):
+    # one transform each way at the step boundary plus four per rate
+    # evaluation: 10 calls for either stepper
+    p = Params(kappa=0.1)
+    limit = make_limit_data(grid, seed=7, amplitude=0.1)
+    full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
+    sc = StepControl(dt=2e-4, t_end=2e-4)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (np.fft, scipy.fft):
+        for name in _FFT_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    for stepper, state in ((step_full, full), (step_limit, limit)):
+        op = build_stiff_operator(grid, p, state.n.mean, sc.dt)
+        calls.clear()
+        stepper(state, p, sc, op=op)
+        assert 0 < len(calls) <= 12, (stepper.__name__, calls)
 
 
 class TestStepLimit:

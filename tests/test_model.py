@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from support import per_term_full_rate, per_term_limit_rate
 
 from nsmlimit.errors import ConstraintDriftError, VacuumError
 from nsmlimit.integrator import StepControl, step_limit
@@ -12,6 +13,10 @@ from nsmlimit.model import (
     Params,
     PressureLaw,
     TwoFluidState,
+    _full_rate,
+    _limit_rate,
+    _split,
+    _stack,
     enthalpy_h,
     pressure,
     random_two_fluid_state,
@@ -25,6 +30,8 @@ from nsmlimit.spectral import (
     ScalarField,
     VectorField,
     array_dealias,
+    array_irfft,
+    array_rfft,
     grid_integral,
     leray_project,
     random_smooth_vector,
@@ -258,6 +265,31 @@ class TestRhsLimit:
             errs.append(np.abs(stepped.n.values - shifted.values).max())
         assert errs[0] < 1e-7
         assert errs[0] / errs[1] > 3.5
+
+
+class TestBatchedRates:
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8)],
+                             ids=["1d64", "2d16", "3d8"])
+    @pytest.mark.parametrize("kappa", [0.4, 1e-3])
+    @pytest.mark.parametrize("epsilon", [0.1, 1e-6])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_matches_per_term_reference(self, grid, kappa, epsilon, lam):
+        # one batched transform and one merged mask against the per-term
+        # dealiased rates; relative, since the rates reach ~1e6 at eps = 1e-6
+        p = Params(kappa=kappa, epsilon=epsilon, lam=lam)
+        rng = np.random.default_rng(17)
+        n = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=grid.shape)
+        u, J, E, B = (rng.normal(size=(3,) + grid.shape) for _ in range(4))
+        cases = [
+            (_full_rate, (n, u, J, E, B), per_term_full_rate),
+            (_limit_rate, (n, u), per_term_limit_rate),
+        ]
+        for rate, fields, reference in cases:
+            got = _split(array_irfft(grid, rate(grid, p, array_rfft(grid, _stack(*fields)))))
+            want = reference(grid, p, *fields)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 class TestRhsTwoFluid:
