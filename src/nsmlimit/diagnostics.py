@@ -7,28 +7,42 @@ O(kappa^2).  Alongside it we evaluate the relative-enthalpy functional
 integral_x integral_0^N [h(s+n0) - h(n0)] ds dx, the density-weighted
 high-order norm sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx,
 and a term-by-term audit of the zero-order kinetic-energy balance.
+
+Each ledger row and each audit snapshot makes one real transform of a
+stacked array each way.  A row takes ``array_rfft`` of the 13 error fields
+(N, U, J, E, B); the five H^l norms and the two dissipation rates are sums
+over those coefficients by the discrete Parseval identity
+(``Grid.half_parseval_weight``: interior modes of the last active axis
+count twice, its 0 and n/2 planes once), with the full |k|^2 in the norms
+and the Nyquist-zeroed derivative wavenumbers in the dissipation.  One
+``array_irfft`` then brings every d^a N with 1 <= |a| <= l, div E and
+div B to the grid, for the pointwise weight and the constraint residuals.
+An audit snapshot transforms (n U, n u, U, u0, j~) once and brings
+div(n U), div(n u), the gradients of U, u0 and j~ and the viscous term of
+u0 back in one call; its dissipation is again a Parseval sum.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product as _iproduct
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridMismatchError, SnapshotSpacingError, VacuumError
-from .model import FullState, LimitState, Params, PressureLaw, _cross
+from .model import FullState, LimitState, Params, PressureLaw, _cross, _stack, _visc_hat
 from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    array_divergence,
-    array_grad_div,
-    array_gradient,
-    array_laplacian,
+    _exponent,
+    _multi_indices,
+    array_irfft,
+    array_rfft,
     grid_integral,
-    sobolev_norm,
+    half_divergence,
     sup_norm,
 )
 
@@ -74,11 +88,25 @@ class ErrorState:
         return (self.N, self.E, self.B)
 
 
+def _check_density(what: str, *rho: np.ndarray) -> None:
+    n_min = min(float(r.min()) for r in rho)
+    if n_min <= 0.0:
+        raise VacuumError(f"vacuum state: {what} nonpositive (min n = {n_min:.6g})")
+
+
+@contextmanager
+def _at_time(t: float):
+    """Name the time in a VacuumError raised inside the block."""
+    try:
+        yield
+    except VacuumError as exc:
+        raise VacuumError(f"{exc} at t={t:g}") from None
+
+
 def error_state(full: FullState, limit: LimitState, kappa: float) -> ErrorState:
     if full.grid != limit.grid:
         raise GridMismatchError("full and limit states live on different grids")
-    if full.n.values.min() <= 0.0:
-        raise VacuumError("vacuum state: total density nonpositive")
+    _check_density("total density", full.n.values)
     return ErrorState(
         N=full.n - limit.n,
         U=full.u - limit.u,
@@ -88,19 +116,79 @@ def error_state(full: FullState, limit: LimitState, kappa: float) -> ErrorState:
     )
 
 
-def gamma_norm(e: ErrorState, l: float) -> float:
-    """Squared H^l size of the error state (sum over the five fields)."""
-    return (
-        sobolev_norm(e.N, l) ** 2
-        + sobolev_norm(e.U, l) ** 2
-        + sobolev_norm(e.J, l) ** 2
-        + sobolev_norm(e.E, l) ** 2
-        + sobolev_norm(e.B, l) ** 2
-    )
+# ---------------------------------------------------------------------------
+# half-spectrum kernels
+
+
+_FIELD_STARTS = (0, 1, 4, 7, 10)  # rows of N, U, J, E, B in ``_error_hat``
+
+
+def _error_hat(e: ErrorState) -> np.ndarray:
+    """``array_rfft`` of the 13 stacked rows (N, U, J, E, B)."""
+    return array_rfft(e.grid, _stack(e.N.values, e.U.values, e.J.values, e.E.values, e.B.values))
+
+
+def _mode_sums(grid: Grid, hat: np.ndarray, mult) -> np.ndarray:
+    """Per leading row, int |d|^2 dx by Parseval, where d has the
+    half-spectrum coefficients sqrt(mult) * hat."""
+    sq = hat.real**2 + hat.imag**2
+    return ((grid.half_parseval_weight * mult) * sq).sum(axis=(-3, -2, -1))
+
+
+def _field_norms(grid: Grid, hat: np.ndarray, l) -> list[float]:
+    """H^l norms of (N, U, J, E, B) from ``_error_hat`` coefficients."""
+    sq = _mode_sums(grid, hat, (1.0 + grid.k_squared[grid.half_cut]) ** _exponent(l))
+    return np.sqrt(np.add.reduceat(sq, _FIELD_STARTS)).tolist()
+
+
+def _dissipation(grid: Grid, p: Params, v_hat: np.ndarray) -> float:
+    """mu |grad v|^2 + (mu+lam) |div v|^2 from the (3, *half) coefficients of v."""
+    k = grid.half_wavenumbers
+    grad_sq = _mode_sums(grid, v_hat, (k * k).sum(axis=0)).sum()
+    div_sq = _mode_sums(grid, half_divergence(grid, v_hat), 1.0)
+    return float(p.mu * grad_sq + (p.mu + p.lam) * div_sq)
+
+
+def _partials_hat(grid: Grid, n_hat: np.ndarray, l: int, extra: int) -> np.ndarray:
+    """(ik)^a n_hat for every multi-index 1 <= |a| <= l, then ``extra`` rows
+    left for the caller.  Each row is one multiply of an earlier row (the
+    index lowered by one on its first nonzero axis) or of n_hat."""
+    alphas = list(_multi_indices(grid.dims_active, l, 1))
+    out = np.empty((len(alphas) + extra,) + n_hat.shape, dtype=complex)
+    ik = 1j * grid.half_wavenumbers
+    row_of = {}
+    for i, alpha in enumerate(alphas):
+        ax = next(j for j, order in enumerate(alpha) if order)
+        lower = alpha[:ax] + (alpha[ax] - 1,) + alpha[ax + 1:]
+        np.multiply(out[row_of[lower]] if lower in row_of else n_hat, ik[ax], out=out[i])
+        row_of[alpha] = i
+    return out
+
+
+def _high_weight(e: ErrorState, limit: LimitState, law: PressureLaw) -> np.ndarray:
+    """h'(N+n0)/(N+n0), the pointwise weight of the high-order norm."""
+    rho = e.N.values + limit.n.values
+    _check_density("total density", rho)
+    return law.denthalpy(rho) / rho
+
+
+def _weighted_sum(grid: Grid, weight: np.ndarray, d: np.ndarray) -> float:
+    """sum_a integral weight |d_a|^2 dx over the leading rows of d."""
+    return grid_integral(grid, weight * np.einsum("a...,a...->...", d, d))
 
 
 # ---------------------------------------------------------------------------
 # energy functionals
+
+
+def gamma_norm(e: ErrorState, l: float) -> float:
+    """Squared H^l size of the error state (sum over the five fields)."""
+    return sum(x * x for x in _field_norms(e.grid, _error_hat(e), l))
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def _inner_enthalpy_integral(
@@ -108,14 +196,12 @@ def _inner_enthalpy_integral(
 ) -> np.ndarray:
     """Pointwise integral_0^N [h(s+n0) - h(n0)] ds by Gauss-Legendre,
     doubling the node count until the relative change drops below tol."""
-    lowest = n0 + np.minimum(N, 0.0)
-    if lowest.min() <= 0.0:
-        raise VacuumError("vacuum in inner integral range")
+    _check_density("density in the inner integral range", n0 + np.minimum(N, 0.0))
     h0 = law.enthalpy(n0)
     prev = None
     nodes = 8
     while True:
-        xi, w = np.polynomial.legendre.leggauss(nodes)
+        xi, w = _gauss_legendre(nodes)
         s = 0.5 * N[..., None] * (xi + 1.0)
         vals = law.enthalpy(s + n0[..., None]) - h0[..., None]
         cur = 0.5 * N * (w * vals).sum(axis=-1)
@@ -136,47 +222,21 @@ def enthalpy_functional(e: ErrorState, limit: LimitState, law: PressureLaw) -> f
     return grid_integral(grid, inner)
 
 
-def _interior_multi_indices(dims: int, l: int):
-    for alpha in _iproduct(range(l + 1), repeat=dims):
-        if 1 <= sum(alpha) <= l:
-            yield alpha
-
-
 def weighted_high_norm(
     e: ErrorState, limit: LimitState, law: PressureLaw, l: int
 ) -> float:
     """sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx."""
     grid = e.grid
-    rho = e.N.values + limit.n.values
-    if rho.min() <= 0.0:
-        raise VacuumError("vacuum state: total density nonpositive")
-    weight = law.denthalpy(rho) / rho
-    hat = np.fft.fftn(e.N.values, axes=grid.fft_axes)
-    total = 0.0
-    for alpha in _interior_multi_indices(grid.dims_active, int(l)):
-        mult = np.ones(grid.shape, dtype=complex)
-        for ax, order in enumerate(alpha):
-            if order:
-                mult = mult * (1j * grid.wavenumbers[ax]) ** order
-        d = np.fft.ifftn(mult * hat, axes=grid.fft_axes).real
-        total += grid_integral(grid, weight * d * d)
-    return total
+    weight = _high_weight(e, limit, law)
+    d = array_irfft(grid, _partials_hat(grid, array_rfft(grid, e.N.values), int(l), 0))
+    return _weighted_sum(grid, weight, d)
 
 
 def dissipation_rates(e: ErrorState, p: Params) -> tuple[float, float]:
     """Instantaneous viscous dissipation of U and of J = kappa j~:
     mu |grad .|^2 + (mu+lam) |div .|^2."""
-    grid = e.grid
-
-    def rate(v: VectorField) -> float:
-        grad_sq = sum(
-            grid_integral(grid, array_gradient(grid, v.values[i]) ** 2)
-            for i in range(3)
-        )
-        div_sq = grid_integral(grid, array_divergence(grid, v.values) ** 2)
-        return p.mu * grad_sq + (p.mu + p.lam) * div_sq
-
-    return rate(e.U), rate(e.J)
+    hat = array_rfft(e.grid, _stack(e.U.values, e.J.values))
+    return _dissipation(e.grid, p, hat[:3]), _dissipation(e.grid, p, hat[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +281,18 @@ def make_energy_ledger(
     mass0: float,
 ) -> EnergyLedger:
     grid = full.grid
-    e = error_state(full, limit, p.kappa)
-    norms = [
-        sobolev_norm(e.N, l),
-        sobolev_norm(e.U, l),
-        sobolev_norm(e.J, l),
-        sobolev_norm(e.E, l),
-        sobolev_norm(e.B, l),
-    ]
-    diss_u, diss_j = dissipation_rates(e, p)
+    with _at_time(t):
+        e = error_state(full, limit, p.kappa)
+        weight = _high_weight(e, limit, p.pressure)
+        enthalpy = enthalpy_functional(e, limit, p.pressure)
+    hat = _error_hat(e)
+    norms = _field_norms(grid, hat, l)
+    diss_u, diss_j = _dissipation(grid, p, hat[1:4]), _dissipation(grid, p, hat[4:7])
+    high = _partials_hat(grid, hat[0], int(l), 2)
+    high[-2:] = half_divergence(grid, hat[7:].reshape((2, 3) + hat.shape[1:]))
+    del hat  # not held through the inverse transform, the row's memory peak
+    d = array_irfft(grid, high)
     div_scale = 1.0 + sup_norm(full.E) + sup_norm(full.B)
-    div_e = float(np.abs(array_divergence(grid, full.E.values)).max()) / div_scale
-    div_b = float(np.abs(array_divergence(grid, full.B.values)).max()) / div_scale
     mass = grid_integral(grid, full.n.values)
     return EnergyLedger(
         t=t,
@@ -242,12 +302,12 @@ def make_energy_ledger(
         norm_J=norms[2],
         norm_E=norms[3],
         norm_B=norms[4],
-        enthalpy_fn=enthalpy_functional(e, limit, p.pressure),
-        weighted_high=weighted_high_norm(e, limit, p.pressure, int(l)),
+        enthalpy_fn=enthalpy,
+        weighted_high=_weighted_sum(grid, weight, d[:-2]),
         diss_U=diss_u,
         diss_J=diss_j,
-        divE=div_e,
-        divB=div_b,
+        divE=float(np.abs(d[-2]).max()) / div_scale,
+        divB=float(np.abs(d[-1]).max()) / div_scale,
         mass_err=abs(mass - mass0) / abs(mass0),
     )
 
@@ -283,27 +343,39 @@ def _audit_terms(full: FullState, limit: LimitState, p: Params) -> dict:
     law = p.pressure
     n_tot = full.n.values          # N + n0
     n0 = limit.n.values
+    _check_density("density", n_tot, n0)
     U = (full.u - limit.u).values
     u0 = limit.u.values
     u_full = full.u.values
     jt = full.jt.values
     B = full.B.values
 
+    # one forward transform of (n U, n u, U, u0, j~), one inverse of
+    # div(n U), div(n u), the gradients (i, j) -> d_j v_i of U, u0 and j~,
+    # and the viscous term of u0
+    V = array_rfft(grid, np.stack([n_tot * U, n_tot * u_full, U, u0, jt]))
+    half = V.shape[2:]
+    grads = 1j * V[2:, :, None] * grid.half_wavenumbers
+    d = array_irfft(grid, np.concatenate([
+        half_divergence(grid, V[:2]),
+        grads.reshape((27,) + half),
+        _visc_hat(grid, p, V[3]),
+    ]))
+    div_nU, div_nu = d[0], d[1]
+    grad_U, grad_u0, grad_jt = d[2:29].reshape((3, 3, 3) + grid.shape)
+    visc0 = d[29:]
+
     h_diff = law.enthalpy(n_tot) - law.enthalpy(n0)
-    div_nU = array_divergence(grid, n_tot * U)
     t1 = ((1.0 + eps) * p.eta / p.tau) * grid_integral(grid, h_diff * div_nU)
 
     # d_t(N+n0) from the combined continuity equation
-    dt_n = -array_divergence(grid, n_tot * u_full) / (1.0 + eps)
+    dt_n = -div_nu / (1.0 + eps)
     t2 = 0.5 * grid_integral(grid, dt_n * (U * U).sum(axis=0))
 
-    grad_U = np.stack([array_gradient(grid, U[i]) for i in range(3)])  # (i, j, ...)
     adv = np.einsum("j...,ij...->i...", u_full, grad_U)
-    grad_u0 = np.stack([array_gradient(grid, u0[i]) for i in range(3)])
     adv = adv + np.einsum("j...,ij...->i...", U, grad_u0)
     t3 = -grid_integral(grid, (adv * n_tot * U).sum(axis=0)) / (1.0 + eps)
 
-    grad_jt = np.stack([array_gradient(grid, jt[i]) for i in range(3)])
     jdotj = np.einsum("j...,ij...->i...", jt, grad_jt)
     t4 = (
         -(eps / (1.0 + eps))
@@ -314,14 +386,11 @@ def _audit_terms(full: FullState, limit: LimitState, p: Params) -> dict:
     lorentz = _cross(jt, B)
     t5 = (p.kappa**2 / p.tau) * grid_integral(grid, (lorentz * n_tot * U).sum(axis=0))
 
-    visc0 = p.mu * array_laplacian(grid, u0) + (p.mu + p.lam) * array_grad_div(grid, u0)
     t6 = grid_integral(
         grid, ((1.0 / n_tot - 1.0 / n0) * visc0 * n_tot * U).sum(axis=0)
     )
 
-    diss = p.mu * sum(
-        grid_integral(grid, array_gradient(grid, U[i]) ** 2) for i in range(3)
-    ) + (p.mu + p.lam) * grid_integral(grid, array_divergence(grid, U) ** 2)
+    diss = _dissipation(grid, p, V[2])
 
     energy = 0.5 * grid_integral(grid, n_tot * (U * U).sum(axis=0))
     return {
@@ -348,7 +417,10 @@ def energy_identity_audit(
     if drop_term is not None and drop_term not in range(1, 7):
         raise ValueError("drop_term must be in 1..6")
 
-    per_snap = [_audit_terms(full, limit, p) for _, full, limit in snaps]
+    per_snap = []
+    for t, full, limit in snaps:
+        with _at_time(t):
+            per_snap.append(_audit_terms(full, limit, p))
     residuals = []
     mid_terms = None
     for i in range(1, len(snaps) - 1):

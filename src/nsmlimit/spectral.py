@@ -183,6 +183,20 @@ class Grid:
         return k / np.sqrt(np.where(k2 == 0.0, 1.0, k2))
 
     @cached_property
+    def half_parseval_weight(self) -> np.ndarray:
+        """Per-mode weight w with int f g dx = sum w Re(F conj(G)), F and G the
+        ``array_rfft`` of real f and g (Parseval on the half-spectrum): V/M^2
+        (M = npoints), doubled on the interior modes of the last active axis,
+        whose conjugate partners the half-spectrum omits; its 0 and n/2
+        planes are their own partners."""
+        n = self.points_per_dim
+        w = np.full(n // 2 + 1, 2.0 * self.volume / self.npoints**2)
+        w[[0, n // 2]] *= 0.5
+        shape = [1, 1, 1]
+        shape[self.dims_active - 1] = w.size
+        return w.reshape(shape)
+
+    @cached_property
     def nyquist_wavenumber(self) -> float:
         return math.pi * self.points_per_dim / self.period
 
@@ -266,6 +280,11 @@ def half_leray_project(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
     return v_hat - kh * (kh * v_hat).sum(axis=-4, keepdims=True)
 
 
+def half_divergence(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
+    """``array_divergence`` on half-spectrum vectors: (..., 3, *half) -> (..., *half)."""
+    return 1j * (grid.half_wavenumbers * v_hat).sum(axis=-4)
+
+
 def array_gradient(grid: Grid, a: np.ndarray) -> np.ndarray:
     A = _fft(grid, a)
     return np.stack([_ifft(grid, 1j * grid.wavenumbers[ax] * A) for ax in range(3)])
@@ -290,12 +309,6 @@ def array_curl(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 def array_laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
     return _ifft(grid, -grid.k_squared * _fft(grid, a))
-
-
-def array_grad_div(grid: Grid, v: np.ndarray) -> np.ndarray:
-    V = _fft(grid, v)
-    div_hat = sum(1j * grid.wavenumbers[ax] * V[ax] for ax in range(3))
-    return np.stack([_ifft(grid, 1j * grid.wavenumbers[ax] * div_hat) for ax in range(3)])
 
 
 def array_dealias(grid: Grid, a: np.ndarray) -> np.ndarray:

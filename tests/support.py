@@ -1,14 +1,20 @@
 """Shared helpers for order tests and paired trajectories."""
 
+from itertools import product as _iproduct
+
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
+from nsmlimit.diagnostics import EnergyLedger, ErrorState, enthalpy_functional, error_state
+from nsmlimit.errors import VacuumError
 from nsmlimit.harness import InitialSpec, RunConfig, run_single
 from nsmlimit.integrator import StepControl, evolve
 from nsmlimit.model import (
     FullState,
     LimitState,
     Params,
+    PressureLaw,
     _cross,
     _div_nl,
     _div_outer,
@@ -25,9 +31,15 @@ from nsmlimit.spectral import (
     VectorField,
     array_curl,
     array_dealias,
+    array_divergence,
+    array_gradient,
     array_irfft,
+    array_laplacian,
     array_leray_project,
     array_rfft,
+    grid_integral,
+    sobolev_norm,
+    sup_norm,
 )
 
 
@@ -180,6 +192,27 @@ class ManufacturedLimit:
         return l2_state_error((state.n.values, state.u.values), (n, u))
 
 
+_FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+def count_fft_calls(monkeypatch) -> list:
+    """Wrap every numpy.fft and scipy.fft transform entry point; the returned
+    list collects the name of each call (clear it before the counted code)."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (np.fft, scipy.fft):
+        for name in _FFT_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return calls
+
+
 def observed_order(errors: list[float]) -> float:
     """Mean Richardson exponent from errors at dt, dt/2, dt/4, ..."""
     rates = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
@@ -320,3 +353,154 @@ def per_term_limit_rate(grid: Grid, p: Params, n, u):
     dn, mom = per_term_fluid_rate(grid, p, n, u)
     du = array_dealias(grid, (mom - u * dn) / n)
     return dn, du
+
+
+# The energy ledger and the audit terms evaluated in grid space: one complex
+# FFT round trip per norm, derivative and divergence, integrals by the
+# trapezoid rule.  A slow but direct reference for the half-spectrum kernels
+# of nsmlimit.diagnostics.
+
+
+def _interior_multi_indices(dims: int, l: int):
+    for alpha in _iproduct(range(l + 1), repeat=dims):
+        if 1 <= sum(alpha) <= l:
+            yield alpha
+
+
+def grid_space_weighted_high_norm(
+    e: ErrorState, limit: LimitState, law: PressureLaw, l: int
+) -> float:
+    """sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx."""
+    grid = e.grid
+    rho = e.N.values + limit.n.values
+    if rho.min() <= 0.0:
+        raise VacuumError("vacuum state: total density nonpositive")
+    weight = law.denthalpy(rho) / rho
+    hat = np.fft.fftn(e.N.values, axes=grid.fft_axes)
+    total = 0.0
+    for alpha in _interior_multi_indices(grid.dims_active, int(l)):
+        mult = np.ones(grid.shape, dtype=complex)
+        for ax, order in enumerate(alpha):
+            if order:
+                mult = mult * (1j * grid.wavenumbers[ax]) ** order
+        d = np.fft.ifftn(mult * hat, axes=grid.fft_axes).real
+        total += grid_integral(grid, weight * d * d)
+    return total
+
+
+def grid_space_dissipation_rates(e: ErrorState, p: Params) -> tuple[float, float]:
+    """Instantaneous viscous dissipation of U and of J = kappa j~:
+    mu |grad .|^2 + (mu+lam) |div .|^2."""
+    grid = e.grid
+
+    def rate(v: VectorField) -> float:
+        grad_sq = sum(
+            grid_integral(grid, array_gradient(grid, v.values[i]) ** 2)
+            for i in range(3)
+        )
+        div_sq = grid_integral(grid, array_divergence(grid, v.values) ** 2)
+        return p.mu * grad_sq + (p.mu + p.lam) * div_sq
+
+    return rate(e.U), rate(e.J)
+
+
+def grid_space_ledger(
+    t: float,
+    full: FullState,
+    limit: LimitState,
+    p: Params,
+    l: float,
+    mass0: float,
+) -> EnergyLedger:
+    grid = full.grid
+    e = error_state(full, limit, p.kappa)
+    norms = [
+        sobolev_norm(e.N, l),
+        sobolev_norm(e.U, l),
+        sobolev_norm(e.J, l),
+        sobolev_norm(e.E, l),
+        sobolev_norm(e.B, l),
+    ]
+    diss_u, diss_j = grid_space_dissipation_rates(e, p)
+    div_scale = 1.0 + sup_norm(full.E) + sup_norm(full.B)
+    div_e = float(np.abs(array_divergence(grid, full.E.values)).max()) / div_scale
+    div_b = float(np.abs(array_divergence(grid, full.B.values)).max()) / div_scale
+    mass = grid_integral(grid, full.n.values)
+    return EnergyLedger(
+        t=t,
+        gamma=sum(x * x for x in norms),
+        norm_N=norms[0],
+        norm_U=norms[1],
+        norm_J=norms[2],
+        norm_E=norms[3],
+        norm_B=norms[4],
+        enthalpy_fn=enthalpy_functional(e, limit, p.pressure),
+        weighted_high=grid_space_weighted_high_norm(e, limit, p.pressure, int(l)),
+        diss_U=diss_u,
+        diss_J=diss_j,
+        divE=div_e,
+        divB=div_b,
+        mass_err=abs(mass - mass0) / abs(mass0),
+    )
+
+
+def _grad_div(grid: Grid, v: np.ndarray) -> np.ndarray:
+    V = np.fft.fftn(v, axes=grid.fft_axes)
+    div_hat = sum(1j * grid.wavenumbers[ax] * V[ax] for ax in range(3))
+    return np.stack([
+        np.fft.ifftn(1j * grid.wavenumbers[ax] * div_hat, axes=grid.fft_axes).real
+        for ax in range(3)
+    ])
+
+
+def grid_space_audit_terms(full: FullState, limit: LimitState, p: Params) -> dict:
+    grid = full.grid
+    eps = p.epsilon
+    law = p.pressure
+    n_tot = full.n.values          # N + n0
+    n0 = limit.n.values
+    U = (full.u - limit.u).values
+    u0 = limit.u.values
+    u_full = full.u.values
+    jt = full.jt.values
+    B = full.B.values
+
+    h_diff = law.enthalpy(n_tot) - law.enthalpy(n0)
+    div_nU = array_divergence(grid, n_tot * U)
+    t1 = ((1.0 + eps) * p.eta / p.tau) * grid_integral(grid, h_diff * div_nU)
+
+    # d_t(N+n0) from the combined continuity equation
+    dt_n = -array_divergence(grid, n_tot * u_full) / (1.0 + eps)
+    t2 = 0.5 * grid_integral(grid, dt_n * (U * U).sum(axis=0))
+
+    grad_U = np.stack([array_gradient(grid, U[i]) for i in range(3)])  # (i, j, ...)
+    adv = np.einsum("j...,ij...->i...", u_full, grad_U)
+    grad_u0 = np.stack([array_gradient(grid, u0[i]) for i in range(3)])
+    adv = adv + np.einsum("j...,ij...->i...", U, grad_u0)
+    t3 = -grid_integral(grid, (adv * n_tot * U).sum(axis=0)) / (1.0 + eps)
+
+    grad_jt = np.stack([array_gradient(grid, jt[i]) for i in range(3)])
+    jdotj = np.einsum("j...,ij...->i...", jt, grad_jt)
+    t4 = (
+        -(eps / (1.0 + eps))
+        * p.kappa**2
+        * grid_integral(grid, (jdotj * n_tot * U).sum(axis=0))
+    )
+
+    lorentz = _cross(jt, B)
+    t5 = (p.kappa**2 / p.tau) * grid_integral(grid, (lorentz * n_tot * U).sum(axis=0))
+
+    visc0 = p.mu * array_laplacian(grid, u0) + (p.mu + p.lam) * _grad_div(grid, u0)
+    t6 = grid_integral(
+        grid, ((1.0 / n_tot - 1.0 / n0) * visc0 * n_tot * U).sum(axis=0)
+    )
+
+    diss = p.mu * sum(
+        grid_integral(grid, array_gradient(grid, U[i]) ** 2) for i in range(3)
+    ) + (p.mu + p.lam) * grid_integral(grid, array_divergence(grid, U) ** 2)
+
+    energy = 0.5 * grid_integral(grid, n_tot * (U * U).sum(axis=0))
+    return {
+        "energy": energy, "dissipation": diss,
+        "T1": t1, "T2": t2, "T3": t3, "T4": t4, "T5": t5, "T6": t6,
+    }

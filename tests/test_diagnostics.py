@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from support import paired_trajectory
+from support import count_fft_calls, grid_space_audit_terms, grid_space_ledger, paired_trajectory
 
 from nsmlimit.errors import GridMismatchError, SnapshotSpacingError, VacuumError
 from nsmlimit.diagnostics import (
     LEDGER_COLUMNS,
+    _audit_terms,
     bound_monitor,
     energy_identity_audit,
     enthalpy_functional,
@@ -17,14 +18,23 @@ from nsmlimit.diagnostics import (
     weighted_high_norm,
     ErrorState,
 )
-from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
+from nsmlimit.initdata import (
+    WellPreparedSpec,
+    hypothesis_certificate,
+    make_limit_data,
+    make_well_prepared,
+)
 from nsmlimit.model import FullState, LimitState, Params, PressureLaw
 from nsmlimit.spectral import (
     Grid,
     ScalarField,
     VectorField,
     derivative,
+    derive_seed,
     grid_integral,
+    leray_project,
+    random_smooth_field,
+    random_smooth_vector,
     sobolev_norm,
 )
 
@@ -33,6 +43,22 @@ def flat_limit(grid):
     return LimitState(
         ScalarField(grid, np.ones(grid.shape)), VectorField.zeros(grid)
     )
+
+
+def smooth_pair(grid, seed=3):
+    """Unrelated smooth full and limit states: O(1) errors, densities in
+    [0.7, 1.3], solenoidal E and B."""
+    def density(tag):
+        f = random_smooth_field(grid, derive_seed(seed, tag), 0.5, zero_mean=True).values
+        return ScalarField(grid, 1.0 + 0.3 * f / np.abs(f).max())
+
+    def vector(tag):
+        return random_smooth_vector(grid, derive_seed(seed, tag), 0.5)
+
+    limit = LimitState(density(0), vector(1))
+    full = FullState(density(2), vector(3), vector(4), leray_project(vector(5)),
+                     leray_project(vector(6)))
+    return full, limit
 
 
 def zero_error(grid, N=None):
@@ -193,6 +219,54 @@ class TestEnergyLedger:
         assert len(row.as_tuple()) == len(LEDGER_COLUMNS)
 
 
+    def test_vacuum_names_time_and_min_density(self, grid64):
+        p = Params(kappa=0.2)
+        limit = flat_limit(grid64)
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        z = VectorField.zeros(grid64)
+        full = FullState(ScalarField(grid64, 0.5 + np.cos(x)), z, z, z, z)
+        with pytest.raises(VacuumError, match=r"min n = -0\.5\) at t=0\.5$"):
+            make_energy_ledger(0.5, full, limit, p, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8)],
+                         ids=["1d64", "2d16", "3d8"])
+@pytest.mark.parametrize("kappa", [0.4, 1e-3])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_matches_grid_space_reference(grid, kappa, lam):
+    # half-spectrum Parseval sums and batched transforms against one complex
+    # round trip per norm, derivative and divergence
+    p = Params(kappa=kappa, lam=lam)
+    full, limit = smooth_pair(grid)
+    mass0 = 0.9 * grid_integral(grid, full.n.values)
+    got = make_energy_ledger(0.25, full, limit, p, 4.0, mass0)
+    want = grid_space_ledger(0.25, full, limit, p, 4.0, mass0)
+    for col in LEDGER_COLUMNS:
+        g, w = getattr(got, col), getattr(want, col)
+        tol = 1e-14 if col in ("divE", "divB") else 1e-12 * max(1.0, abs(w))
+        assert abs(g - w) <= tol, (col, g, w)
+    got = _audit_terms(full, limit, p)
+    want = grid_space_audit_terms(full, limit, p)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert abs(got[key] - w) <= 1e-12 * max(1.0, abs(w)), (key, got[key], w)
+
+
+@pytest.mark.parametrize("grid", [Grid(3, 8), Grid(1, 64)], ids=["3d8", "1d64"])
+def test_transform_calls_per_row_and_snapshot(grid, monkeypatch):
+    # one forward transform of a stacked array and one inverse of another
+    p = Params(kappa=0.1)
+    limit = make_limit_data(grid, seed=7, amplitude=0.1)
+    full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
+    calls = count_fft_calls(monkeypatch)
+    for fn, args in ((make_energy_ledger, (0.0, full, limit, p, 4.0, 1.0)),
+                     (_audit_terms, (full, limit, p)),
+                     (hypothesis_certificate, (full, limit, p.kappa, 1.0, 4.0))):
+        calls.clear()
+        fn(*args)
+        assert 0 < len(calls) <= 2, (fn.__name__, calls)
+
+
 class TestEnergyAudit:
     def test_stationary_equilibrium_residual_zero(self, grid64):
         p = Params(kappa=0.2)
@@ -225,6 +299,17 @@ class TestEnergyAudit:
     def test_too_few_snapshots(self, grid64):
         snaps, p = paired_trajectory(grid64, kappa=0.1, dt=2e-3, n_steps=1)
         with pytest.raises(ValueError):
+            energy_identity_audit(snaps, p)
+
+    def test_vacuum_names_snapshot_time(self, grid64):
+        p = Params(kappa=0.2)
+        flat = flat_limit(grid64)
+        z = VectorField.zeros(grid64)
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        bad = FullState(ScalarField(grid64, 0.5 + np.cos(x)), z, z, z, z)
+        good = FullState(flat.n, z, z, z, z)
+        snaps = [(0.0, good, flat), (0.01, good, flat), (0.02, bad, flat)]
+        with pytest.raises(VacuumError, match=r"min n = -0\.5\) at t=0\.02$"):
             energy_identity_audit(snaps, p)
 
     def test_bad_drop_term(self, grid64):

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.linalg
-from support import DenseStiffReference, ManufacturedFull, ManufacturedLimit, observed_order
+from support import (
+    DenseStiffReference,
+    ManufacturedFull,
+    ManufacturedLimit,
+    count_fft_calls,
+    observed_order,
+)
 
 from nsmlimit.errors import BlowUpError, ConfigError, VacuumError
 from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
@@ -260,10 +265,6 @@ class TestStepFull:
             assert np.isfinite(final.n.values).all()
 
 
-_FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
-
-
 @pytest.mark.parametrize("grid", [Grid(3, 8), Grid(1, 64)], ids=["3d8", "1d64"])
 def test_transform_calls_per_step(grid, monkeypatch):
     # one transform each way at the step boundary plus four per rate
@@ -272,17 +273,7 @@ def test_transform_calls_per_step(grid, monkeypatch):
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
     sc = StepControl(dt=2e-4, t_end=2e-4)
-    calls = []
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module in (np.fft, scipy.fft):
-        for name in _FFT_ENTRY_POINTS:
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    calls = count_fft_calls(monkeypatch)
     for stepper, state in ((step_full, full), (step_limit, limit)):
         op = build_stiff_operator(grid, p, state.n.mean, sc.dt)
         calls.clear()
