@@ -6,7 +6,15 @@ class SimulationError(Exception):
 
 
 class VacuumError(SimulationError):
-    """Density reached zero or became negative."""
+    """Density reached zero or became negative.
+
+    ``member`` is the index of the failing state within a batch of states
+    stepped together (0 for a single state; None where no step is involved).
+    """
+
+    def __init__(self, message: str = "", member: int | None = None):
+        self.member = member
+        super().__init__(message)
 
 
 class ConstraintDriftError(SimulationError):
@@ -14,10 +22,11 @@ class ConstraintDriftError(SimulationError):
 
 
 class BlowUpError(SimulationError):
-    """NaN/Inf detected during time stepping."""
+    """NaN/Inf detected during time stepping; ``member`` as for VacuumError."""
 
-    def __init__(self, time: float, message: str | None = None):
+    def __init__(self, time: float, message: str | None = None, member: int | None = None):
         self.time = time
+        self.member = member
         super().__init__(message or f"blow-up detected at t={time:g}")
 
 

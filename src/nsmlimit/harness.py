@@ -1,15 +1,32 @@
 """Run configuration, paired full/limit runs, kappa sweeps and persistence.
 
 A run evolves the scaled system and its limit on the same grid and step,
-recording an EnergyLedger row every ``snapshot_stride`` steps.  A sweep
-repeats that over a decreasing kappa list and fits the log-log rate of
-sup_t sqrt(Gamma) against kappa.
+recording an EnergyLedger row every ``snapshot_stride`` steps.  A sweep runs
+a decreasing kappa list and fits the log-log rate of sup_t sqrt(Gamma)
+against kappa.
+
+``run_single`` with a tuple of kappas runs them as one batch: the full
+systems of all members are stepped as one stacked state (one ``step_full``
+call per step), and the limit system, which does not depend on kappa, is
+built, stepped and recorded once for all of them.  Each member's records are
+bit for bit those of its own run.  A member that blows up or hits vacuum
+gets its own status, message and step count and leaves the batch; the
+others redo that step without it.  A sweep is one such batch (or, with
+``jobs`` > 1, one batch per contiguous chunk of the list per worker).
+
+``run_single`` calls ``step_full``, ``step_limit``, ``build_stiff_operator``,
+``make_energy_ledger``, ``make_limit_data``, ``make_well_prepared`` and
+``hypothesis_certificate`` through this module's names, and ``run_sweep``
+goes through ``run_single``: perfbench wraps these names for its spans and
+times set-up by swapping ``harness.step_full`` for a one-shot probe.
 
 Outputs per run (written atomically):
   <tag>.csv            ledger rows, fixed header, 17-significant-digit floats
   <tag>.json           record without timings (byte-reproducible)
   <tag>_snapshots.npz  stored states for the energy-identity audit
-  <tag>.time.txt       wall-clock timing (kept out of the reproducible files)
+  <tag>.time.txt       wall-clock timing (kept out of the reproducible files);
+                       a batch member's is the whole batch's, and the file
+                       then says so and adds ``batch_members = K``
 Sweep summary: sweep_summary.json with
   {kappa, sup_error, slope, intercept, r2, config_hash}.
 """
@@ -32,7 +49,6 @@ import numpy as np
 
 from .diagnostics import (
     LEDGER_COLUMNS,
-    EnergyLedger,
     bound_monitor,
     make_energy_ledger,
 )
@@ -288,6 +304,7 @@ class RunRecord:
     wall_seconds: float
     snapshots: list  # [(t, FullState, LimitState)]
     tag: str
+    batch_members: int = 1  # members stepped together; they share wall_seconds
 
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.rows])
@@ -302,85 +319,128 @@ class RunRecord:
         return math.sqrt(self.sup_gamma())
 
 
+def _batch(members: list):
+    """Members in the form ``step_full`` and ``build_stiff_operator`` take:
+    a tuple of two or more, or the lone member itself, since a batch of one
+    would carry a member axis that costs about 8% of a 1-D step."""
+    return tuple(members) if len(members) > 1 else members[0]
+
+
 def run_single(
     cfg: RunConfig,
-    kappa: float | None = None,
+    kappa: float | tuple[float, ...] | None = None,
     tag: str | None = None,
-) -> RunRecord:
-    """Evolve the paired full/limit systems for one kappa, collecting
-    ledger rows and snapshots at the configured stride.
+):
+    """Evolve the paired full/limit systems, collecting ledger rows and
+    snapshots at the configured stride.
+
+    ``kappa`` is one value (default: the config's), returning one
+    RunRecord, or a tuple of values, returning their RunRecords in order.
+    A tuple is a batch run together: every step makes one ``step_full``
+    call on the (K, 13, *half) stack of all members and one ``step_limit``
+    call.  The limit system does not depend on kappa, so its data, operator
+    and trajectory are made once and shared by every member.  A member's
+    records are bit for bit those of its own run.  A member that blows up or
+    hits vacuum gets its own status, message and step count and is dropped;
+    the step is then redone for the others from their pre-step states
+    (states are immutable).  Every member's ``wall_seconds`` is the wall
+    time of the whole batch, and ``batch_members`` says how many ran.
+    ``tag`` names a single run; batch members are tagged by kappa.
 
     This is the only loop that steps both systems (``integrator.evolve``
-    marches one).  It calls ``step_full``/``step_limit`` through this
-    module's names on every step: perfbench times set-up by swapping
-    ``harness.step_full`` for a one-shot probe."""
+    marches one).  It calls the solver through this module's names on
+    every step (see the module docstring): perfbench wraps them there, and
+    times set-up from entry to the first ``harness.step_full`` call."""
     if cfg.step.mode != "fixed_dt":
         raise ConfigError("paired runs use fixed_dt stepping; adaptive mode is for exploratory evolve() calls")
-    kap = cfg.params.kappa if kappa is None else kappa
+    batch = isinstance(kappa, tuple)
+    if batch and tag is not None:
+        raise ConfigError("tag names a single run; batch members are tagged by kappa")
+    kappas = kappa if batch else (cfg.params.kappa if kappa is None else kappa,)
     try:
-        p = replace(cfg.params, kappa=kap)
+        params = tuple(replace(cfg.params, kappa=k) for k in kappas)
     except ValueError as exc:  # a kappa override outside (0, 1]
         raise ConfigError(str(exc)) from None
     grid = cfg.grid
     ini = cfg.initial
-    if tag is None:
-        tag = f"run_kappa{kap:g}"
+    dt = cfg.step.dt
 
     limit = make_limit_data(
         grid, seed=ini.seed, amplitude=ini.base_amplitude,
         velocity_amplitude=ini.velocity_amplitude,
         max_wavenumber=ini.max_wavenumber,
     )
-    spec = WellPreparedSpec.from_seed(
-        limit, seed=ini.seed, c0=ini.c0, kappa=kap, l=cfg.l,
-        max_wavenumber=ini.max_wavenumber, well_prepared=ini.well_prepared,
-    )
-    full = make_well_prepared(spec)
-    certificates = hypothesis_certificate(full, limit, kap, ini.c0, cfg.l)
-    mass0 = grid_integral(grid, full.n.values)
+    records, fulls, masses = [], [], []
+    for p in params:
+        spec = WellPreparedSpec.from_seed(
+            limit, seed=ini.seed, c0=ini.c0, kappa=p.kappa, l=cfg.l,
+            max_wavenumber=ini.max_wavenumber, well_prepared=ini.well_prepared,
+        )
+        full = make_well_prepared(spec)
+        records.append(RunRecord(
+            kappa=p.kappa, status="completed", message="", n_steps=0, dt=dt,
+            t_end=cfg.step.t_end, l=cfg.l, rows=[], snapshots=[],
+            certificates=hypothesis_certificate(full, limit, p.kappa, ini.c0, cfg.l),
+            config_text=cfg.config_text, wall_seconds=0.0,
+            tag=tag if tag is not None else f"run_kappa{p.kappa:g}",
+            batch_members=len(params),
+        ))
+        fulls.append(full)
+        masses.append(grid_integral(grid, full.n.values))
+    n_means = [full.n.mean for full in fulls]
 
-    rows: list[EnergyLedger] = []
-    snapshots: list = []
+    def record(k, t):
+        records[k].rows.append(make_energy_ledger(t, fulls[k], limit, params[k], cfg.l, masses[k]))
+        records[k].snapshots.append((t, fulls[k], limit))
 
-    def record(t, f, lm):
-        rows.append(make_energy_ledger(t, f, lm, p, cfg.l, mass0))
-        snapshots.append((t, f, lm))
+    def fail(k, exc, steps_done):
+        records[k].status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
+        records[k].message = str(exc)
+        records[k].n_steps = steps_done
 
     start = _time.perf_counter()
-    record(0.0, full, limit)
-    status, message, steps_done = "completed", "", 0
-    try:
-        n_steps = _n_fixed_steps(cfg.step)
-        if n_steps:
-            op_full = build_stiff_operator(grid, p, full.n.mean, cfg.step.dt)
-            op_limit = build_stiff_operator(grid, p, limit.n.mean, cfg.step.dt)
-            for i in range(n_steps):
-                t = i * cfg.step.dt
-                full = step_full(full, p, cfg.step, op=op_full, t=t)
-                limit = step_limit(limit, p, cfg.step, op=op_limit, t=t)
-                steps_done = i + 1
-                if steps_done % cfg.snapshot_stride == 0:
-                    record(steps_done * cfg.step.dt, full, limit)
-    except (BlowUpError, VacuumError) as exc:
-        status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
-        message = str(exc)
+    live = list(range(len(params)))  # members still stepping, in order
+    for k in live:
+        record(k, 0.0)
+    n_steps = _n_fixed_steps(cfg.step)
+    steps_done = 0
+    op_full = None
+    op_limit = build_stiff_operator(grid, params[0], limit.n.mean, dt) if n_steps else None
+    while steps_done < n_steps and live:
+        t = steps_done * dt
+        members = _batch([params[k] for k in live])
+        if op_full is None:
+            op_full = build_stiff_operator(grid, members, _batch([n_means[k] for k in live]), dt)
+        try:
+            stepped = step_full(_batch([fulls[k] for k in live]), members, cfg.step, op=op_full, t=t)
+        except (BlowUpError, VacuumError) as exc:
+            fail(live.pop(exc.member), exc, steps_done)
+            op_full = None  # rebuilt for the survivors, who redo this step
+            continue
+        try:
+            limit = step_limit(limit, params[0], cfg.step, op=op_limit, t=t)
+        except (BlowUpError, VacuumError) as exc:
+            for k in live:
+                fail(k, exc, steps_done)
+            live = []
+            break
+        for k, full in zip(live, stepped if len(live) > 1 else (stepped,)):
+            fulls[k] = full
+        steps_done += 1
+        if steps_done % cfg.snapshot_stride == 0:
+            for k in list(live):
+                try:
+                    record(k, steps_done * dt)
+                except VacuumError as exc:  # from the ledger's own density checks
+                    fail(k, exc, steps_done)
+                    live.remove(k)
+                    op_full = None
+    for k in live:
+        records[k].n_steps = steps_done
     wall = _time.perf_counter() - start
-
-    return RunRecord(
-        kappa=kap,
-        status=status,
-        message=message,
-        n_steps=steps_done,
-        dt=cfg.step.dt,
-        t_end=cfg.step.t_end,
-        l=cfg.l,
-        rows=rows,
-        certificates=certificates,
-        config_text=cfg.config_text,
-        wall_seconds=wall,
-        snapshots=snapshots,
-        tag=tag,
-    )
+    for rec in records:
+        rec.wall_seconds = wall
+    return records if batch else records[0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +522,11 @@ def write_record(rec: RunRecord, out_dir: str | Path) -> dict[str, Path]:
         buf = io.BytesIO()
         np.savez(buf, **arrays)
         _atomic_write_bytes(paths["npz"], buf.getvalue())
-    _atomic_write_text(paths["time"], f"wall_seconds = {rec.wall_seconds:.6f}\n")
+    timing = f"wall_seconds = {rec.wall_seconds:.6f}\n"
+    if rec.batch_members > 1:
+        timing += ("# wall_seconds is the wall time of the whole batch this run was stepped in\n"
+                   f"batch_members = {rec.batch_members}\n")
+    _atomic_write_text(paths["time"], timing)
     return paths
 
 
@@ -564,35 +628,43 @@ class SweepResult:
     paths: dict
 
 
-def _sweep_member(cfg: RunConfig, kap: float, out_dir) -> tuple[RunRecord, SweepRow]:
-    rec = run_single(cfg, kappa=kap)
-    write_record(rec, out_dir)
-    bound = bound_monitor(rec.times(), rec.gammas(), rec.certificates.get("budget", 1.0), kap)
-    return rec, SweepRow(kap, rec.sup_sqrt_gamma(), bound.sup_ratio, bound.c_envelope,
-                         bound.growth_rate, rec.status)
+def _sweep_members(cfg: RunConfig, kappas: tuple, out_dir) -> tuple[list, list]:
+    """One batched run_single over ``kappas``; writes every record and returns
+    (records, SweepRows) in order."""
+    records = run_single(cfg, kappa=tuple(kappas))
+    rows = []
+    for rec in records:
+        write_record(rec, out_dir)
+        bound = bound_monitor(rec.times(), rec.gammas(), rec.certificates.get("budget", 1.0), rec.kappa)
+        rows.append(SweepRow(rec.kappa, rec.sup_sqrt_gamma(), bound.sup_ratio, bound.c_envelope,
+                             bound.growth_rate, rec.status))
+    return records, rows
 
 
-def _sweep_worker(args) -> SweepRow:
-    return _sweep_member(*args)[1]
+def _sweep_worker(args) -> list:
+    return _sweep_members(*args)[1]
 
 
 def run_sweep(cfg: RunConfig, jobs: int = 1, out_dir: str | Path | None = None) -> SweepResult:
-    """run_single per kappa (optionally in parallel), then fit the rate."""
+    """Run the kappa list as one batch (``run_single`` with a tuple of
+    kappas), then fit the rate.  With ``jobs`` > 1 the list is cut into
+    that many contiguous chunks (at most one per kappa), each run as one
+    batch by a pool worker; the records are the same either way."""
     if len(cfg.kappa_list) < 3:
         raise ConfigError("sweep needs at least 3 kappa values")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     records: list[RunRecord] = []
-    rows: list[SweepRow] = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, [(cfg, k, str(out)) for k in cfg.kappa_list]))
+        ks = cfg.kappa_list
+        n = min(jobs, len(ks))
+        cuts = [len(ks) * i // n for i in range(n + 1)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            chunks = pool.map(_sweep_worker, [(cfg, ks[a:b], str(out)) for a, b in zip(cuts, cuts[1:])])
+            rows = [row for chunk in chunks for row in chunk]
     else:
-        for kap in cfg.kappa_list:
-            rec, row = _sweep_member(cfg, kap, out)
-            records.append(rec)
-            rows.append(row)
+        records, rows = _sweep_members(cfg, cfg.kappa_list, out)
 
     survivors = [(r.kappa, r.sup_sqrt_gamma) for r in rows if r.status == "completed"]
     failed = [(r.kappa, r.status) for r in rows if r.status != "completed"]

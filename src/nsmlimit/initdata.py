@@ -135,8 +135,8 @@ def make_well_prepared(spec: WellPreparedSpec) -> FullState:
 
     n = n0 + kappa dn, u = u0 + kappa du, j~ = dj, E = kappa dE, B = kappa dB
     with each unit perturbation carrying H^l norm c0/sqrt(5) (dE, dB
-    normalized after projection), so the combined hypothesis norm is
-    c0*kappa up to roundoff and scales exactly linearly in kappa.
+    Leray-projected before they are normalized), so the combined hypothesis
+    norm is c0*kappa up to roundoff and scales exactly linearly in kappa.
     """
     grid = spec.base.grid
     l = spec.l
@@ -156,8 +156,8 @@ def make_well_prepared(spec: WellPreparedSpec) -> FullState:
         n=n,
         u=spec.base.u + scale * du,
         jt=dj if spec.well_prepared else (1.0 / spec.kappa) * dj,
-        E=scale * leray_project(de),
-        B=scale * leray_project(db),
+        E=scale * de,
+        B=scale * db,
     )
     if spec.well_prepared:
         norm = hypothesis_norm(state, spec.base, spec.kappa, l)

@@ -19,6 +19,13 @@ updates, L and the Leray projection are element-wise work on the
 half-spectrum coefficients in between, and each rate evaluation leaves
 Fourier space only to form its pointwise products (``model._full_rate``).
 
+The steppers and the operator also take a batch: a tuple of states whose
+Params differ only in kappa.  The batch is stepped as one (K, 13, *half)
+stack, kappa becomes a (K, 1, 1, 1, 1) column and the operator tables get a
+leading member axis.  Every operation acts on each member alone and the
+transforms give the same bits with or without the member axis, so a
+member's result does not depend on the batch it ran in.
+
 The limit system reuses the same machinery with only the viscous block.
 """
 
@@ -32,7 +39,18 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowUpError, ConfigError, VacuumError
-from .model import FullState, LimitState, Params, _cross, _full_rate, _limit_rate, _split, _stack
+from .model import (
+    FullState,
+    LimitState,
+    Params,
+    _ROWS,
+    _cross,
+    _full_rate,
+    _limit_rate,
+    _require_positive,
+    _split,
+    _stack,
+)
 from .spectral import Grid, ScalarField, VectorField, array_irfft, array_rfft, half_leray_project
 
 __all__ = [
@@ -114,7 +132,8 @@ class StiffLinearOperator:
     k = 0 and pure-Nyquist modes have khat = 0 and omega = 0.
 
     ``gen`` and ``prop_half`` hold one real coefficient per _TERMS entry and
-    half-spectrum mode, tabulated per distinct (|k|^2, |k_full|^2) pair.
+    half-spectrum mode, tabulated per distinct (|k|^2, |k_full|^2) pair,
+    after a leading member axis for a batch.
     """
 
     def __init__(self, dt: float, khat: np.ndarray, gen: np.ndarray, prop_half: np.ndarray):
@@ -132,23 +151,30 @@ class StiffLinearOperator:
         return cls(dt, np.zeros_like(k), np.zeros_like(prop), prop)
 
     def _apply(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Per-mode sum over _TERMS of the stacked half-spectrum (u, J, E, B)."""
+        """Per-mode sum over _TERMS of the stacked half-spectrum (u, J, E, B),
+        (..., 4, 3, *half), with ``coef`` (..., len(_TERMS), *half)."""
         kh = self.khat
-        parts = {"x": x, "s": (kh * x).sum(axis=1), "rot": _cross(kh, x.swapaxes(0, 1)).swapaxes(0, 1)}
-        parts["rot"] *= -1j
-        out, lon = np.zeros_like(x), np.zeros_like(parts["s"])
+        s = (kh * x).sum(axis=-4, keepdims=True)
+        rot = _cross(kh, x)
+        rot *= -1j
+        out, lon = np.zeros_like(x), np.zeros_like(s)
+        # terms and fields first: coef[n] is (..., 1, *half), parts[j] (..., 3 or 1, *half)
+        coef = coef.swapaxes(0, -4)[_ROWS[None]]
+        parts = {"x": x.swapaxes(0, -5), "s": s.swapaxes(0, -5), "rot": rot.swapaxes(0, -5)}
+        acc = {"x": out.swapaxes(0, -5), "s": lon.swapaxes(0, -5)}
         for c, (part, i, j) in zip(coef, _TERMS):
-            (lon if part == "s" else out)[i] += c * parts[part][j]
-        out += kh * lon[:, None]
+            acc["s" if part == "s" else "x"][i] += c * parts[part][j]
+        out += kh * lon
         return out
 
     def _apply_u(self, coef: np.ndarray, u: np.ndarray) -> np.ndarray:
         kh = self.khat
-        return coef[0] * u + kh * (coef[1] * (kh * u).sum(axis=0))
+        c0, c1 = coef[_ROWS[0, 1]], coef[_ROWS[1, 2]]
+        return c0 * u + kh * (c1 * (kh * u).sum(axis=-4, keepdims=True))
 
     def apply_half(self, x):
         """One half-step exact propagation of the half-spectrum (u, J, E, B),
-        stacked as (4, 3, *half)."""
+        stacked as (4, 3, *half), or (K, 4, 3, *half) for a batch."""
         return self._apply(self.prop_half, x)
 
     def linear_rate(self, x):
@@ -165,17 +191,42 @@ class StiffLinearOperator:
         return self._apply_u(self.gen, u)
 
 
-def build_stiff_operator(
-    grid: Grid, p: Params, n_mean: float, dt: float
-) -> StiffLinearOperator:
+def _shared_params(p):
+    """The Params a batch shares, and its kappa: ``p.kappa`` for one Params,
+    a (K, 1, 1, 1, 1) column for a tuple of Params that differ only in kappa."""
+    if isinstance(p, Params):
+        return p, p.kappa
+    first = vars(p[0]) | {"kappa": None}
+    if any(vars(q) | {"kappa": None} != first for q in p[1:]):
+        raise ConfigError("the Params of a batch must differ only in kappa")
+    return p[0], np.array([q.kappa for q in p]).reshape(-1, 1, 1, 1, 1)
+
+
+def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperator:
     """Tabulate the generator and its half-step exponential per distinct
-    (|k|^2, |k_full|^2) pair and spread them over the half-spectrum."""
+    (|k|^2, |k_full|^2) pair and spread them over the half-spectrum.
+
+    ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
+    each for a batch (Params differing only in kappa); then ``gen`` and
+    ``prop_half`` get a leading member axis, and each member is tabulated
+    on its own."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
     k = grid.half_wavenumbers
     k2 = (k**2).sum(axis=0)
     keys = np.stack([k2.ravel(), grid.k_squared[grid.half_cut].ravel()], axis=1)
     pairs, inverse = np.unique(keys, axis=0, return_inverse=True)
+    if isinstance(p, tuple):
+        _shared_params(p)
+        tables = np.stack([_tables(pairs, q, m, dt) for q, m in zip(p, n_mean)], axis=1)
+    else:
+        tables = _tables(pairs, p, n_mean, dt)
+    gen, prop = (table[..., inverse].reshape(table.shape[:-1] + k2.shape) for table in tables)
+    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, gen, prop)
+
+
+def _tables(pairs: np.ndarray, p: Params, n_mean: float, dt: float) -> np.ndarray:
+    """(gen, prop_half) rows in _TERMS order per (|k|^2, |k_full|^2) pair."""
     # as the physical-space viscous operator: full |k|^2 Laplacian,
     # derivative wavenumbers in grad div
     v_tra = -p.mu * pairs[:, 1] / n_mean
@@ -189,10 +240,8 @@ def build_stiff_operator(
     # complex dtype: scipy's real-dtype expm loses ~50x accuracy at omega dt >> 1
     h = 0.5 * dt
     ex = scipy.linalg.expm(np.concatenate([lon, hel]) * (h + 0j)).real
-    tables = (_pack(v_lon, v_tra, lon, hel),
-              _pack(np.exp(h * v_lon), np.exp(h * v_tra), ex[: len(pairs)], ex[len(pairs):]))
-    gen, prop = (table[:, inverse].reshape((len(_TERMS),) + k2.shape) for table in tables)
-    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, gen, prop)
+    return np.stack([_pack(v_lon, v_tra, lon, hel),
+                     _pack(np.exp(h * v_lon), np.exp(h * v_tra), ex[: len(pairs)], ex[len(pairs):])])
 
 
 # ---------------------------------------------------------------------------
@@ -200,47 +249,98 @@ def build_stiff_operator(
 
 
 def _check_step(t: float, **fields: np.ndarray) -> None:
-    """Name the first non-finite field, else report a vacuum via min n."""
+    """Name the first non-finite field, else report a vacuum via min n.  On
+    a batch the error's ``member`` is the first failing one along the axes
+    before the grid's of n."""
+    members = fields["n"].shape[:-3]
     for name, arr in fields.items():
         if not np.isfinite(arr).all():
-            raise BlowUpError(t, f"blow-up detected at t={t:g}: non-finite {name}")
-    n_min = fields["n"].min()
-    if n_min <= 0.0:
-        raise VacuumError(f"vacuum state at t={t:g}: min n = {n_min:.6g}")
+            finite = np.isfinite(arr).reshape(members + (-1,)).all(axis=-1)
+            raise BlowUpError(t, f"blow-up detected at t={t:g}: non-finite {name}",
+                              member=int(np.argmin(finite)))
+    _require_positive(fields["n"], f"at t={t:g}")
 
 
 def _uJEB(x: np.ndarray) -> np.ndarray:
-    """(4, 3, *half) view of the (u, J, E, B) rows of a stacked full state."""
-    return x[1:].reshape((4, 3) + x.shape[1:])
+    """(..., 4, 3, *half) view of the (u, J, E, B) rows of a stacked full state."""
+    return x[_ROWS[1, None]].reshape(x.shape[:-4] + (4, 3) + x.shape[-3:])
+
+
+def _physical(state, p) -> np.ndarray:
+    """The stacked physical fields of a state, with J = kappa j~ for a full
+    one; (K, rows, *shape) for a tuple of states."""
+    if isinstance(state, tuple):
+        return np.stack([_physical(s, q) for s, q in zip(state, p)])
+    if isinstance(state, FullState):
+        return _stack(state.n.values, state.u.values, p.kappa * state.jt.values,
+                      state.E.values, state.B.values)
+    return _stack(state.n.values, state.u.values)
+
+
+def _states(cls, grid: Grid, fields: tuple):
+    """``cls`` (FullState or LimitState) of the physical (n, u, ...) from
+    ``_split``; a tuple of them when the fields carry a member axis."""
+    if fields[0].ndim == 4:
+        return tuple(_states(cls, grid, member) for member in zip(*fields))
+    return cls(ScalarField(grid, fields[0]), *[VectorField(grid, v) for v in fields[1:]])
+
+
+def _predictor_guard(state, t: float) -> tuple:
+    """``guard`` of the SSP-RK2 predictor-stage rate: it catches a density
+    that turns non-positive within the step, so only members that entered
+    with a positive one count; a state passed in with a vacuum is reported
+    after the step."""
+    entry = np.stack([s.n.values for s in state]) if isinstance(state, tuple) else state.n.values
+    return f"in the SSP-RK2 predictor stage at t={t:g}", entry
+
+
+def _n_mean(state):
+    """Mean density of a state, or the tuple of them for a batch."""
+    return tuple(s.n.mean for s in state) if isinstance(state, tuple) else state.n.mean
 
 
 def step_full(
-    state: FullState,
-    p: Params,
+    state,
+    p,
     sc: StepControl,
     op: StiffLinearOperator | None = None,
     forcing: Callable | None = None,
     t: float = 0.0,
-) -> FullState:
+):
     """One Strang step of the scaled system.
+
+    ``state`` and ``p`` are a FullState and its Params, or a batch: a tuple
+    of K states and a tuple of K Params that differ only in kappa.  The
+    result has the same form.  A batch is one (K, 13, *half) stack with
+    kappa as a column, stepped by the same code as a single state, and each
+    member's result is bit for bit what it gets when stepped alone.  ``op``
+    must have been built for the same form.
 
     The state is transformed once on entry and once on exit; in between,
     the stiff half-steps, the SSP-RK2 stages and the Leray projection work
     on the stacked half-spectrum (n, u, J, E, B).  ``forcing(t)`` may supply
     extra explicit rates (dn, du, dJ, dE, dB) as physical arrays, e.g. for
-    manufactured-solution tests.
+    manufactured-solution tests; a batch gets the same forcing per member.
+
+    A density that turns non-positive in the SSP-RK2 predictor stage, or is
+    not positive after the step, raises VacuumError, and a non-finite field
+    after the step BlowUpError; both name the time and carry the index of
+    the failing member (0 for a single state).  The first stage is not
+    checked: the stiff half-step leaves n alone, so it sees the density
+    passed in.  A failure returns nothing for the other members; states are
+    immutable, so the caller can drop the member and redo the step.
     """
-    grid = state.grid
+    shared, kap = _shared_params(p)
+    grid = (state[0] if isinstance(state, tuple) else state).grid
     dt = sc.dt
     if op is None:
-        op = build_stiff_operator(grid, p, state.n.mean, dt)
+        op = build_stiff_operator(grid, p, _n_mean(state), dt)
 
-    x = array_rfft(grid, _stack(state.n.values, state.u.values, p.kappa * state.jt.values,
-                                state.E.values, state.B.values))
+    x = array_rfft(grid, _physical(state, p))
     _uJEB(x)[:] = op.apply_half(_uJEB(x))
 
-    def remainder(y, tt):
-        rate = _full_rate(grid, p, y)
+    def remainder(y, tt, guard=None):
+        rate = _full_rate(grid, shared, y, kap, guard)
         vectors = _uJEB(rate)
         vectors -= op.linear_rate(_uJEB(y))
         if forcing is not None:
@@ -248,53 +348,60 @@ def step_full(
         return rate
 
     k1 = remainder(x, t)
-    k2 = remainder(x + dt * k1, t + dt)
+    k2 = remainder(x + dt * k1, t + dt, _predictor_guard(state, t + dt))
     x += 0.5 * dt * (k1 + k2)
 
     v = op.apply_half(_uJEB(x))
-    v[2:] = half_leray_project(grid, v[2:])
+    v[..., 2:, :, :, :, :] = half_leray_project(grid, v[..., 2:, :, :, :, :])
     _uJEB(x)[:] = v
-    n, u, J, E, B = _split(array_irfft(grid, x))
-    _check_step(t + dt, n=n, u=u, J=J, E=E, B=B)
-    J /= p.kappa
-    return FullState(ScalarField(grid, n), VectorField(grid, u), VectorField(grid, J),
-                     VectorField(grid, E), VectorField(grid, B))
+    y = array_irfft(grid, x)
+    n, u, J, E, B = _split(y)
+    if not (np.isfinite(y).all() and n.min() > 0.0):
+        _check_step(t + dt, n=n, u=u, J=J, E=E, B=B)
+    J /= kap
+    return _states(FullState, grid, (n, u, J, E, B))
 
 
 def step_limit(
-    state: LimitState,
-    p: Params,
+    state,
+    p,
     sc: StepControl,
     op: StiffLinearOperator | None = None,
     forcing: Callable | None = None,
     t: float = 0.0,
-) -> LimitState:
+):
     """One IMEX step of the limit system: exact viscous multiplier around
     an explicit SSP-RK2 stage for advection and pressure, on the stacked
-    half-spectrum (n, u) as in ``step_full``."""
-    grid = state.grid
+    half-spectrum (n, u) as in ``step_full``, with the same single and
+    batch forms and the same failure reports."""
+    shared = _shared_params(p)[0]
+    grid = (state[0] if isinstance(state, tuple) else state).grid
     dt = sc.dt
     if op is None:
-        op = build_stiff_operator(grid, p, state.n.mean, dt)
+        op = build_stiff_operator(grid, p, _n_mean(state), dt)
 
-    x = array_rfft(grid, _stack(state.n.values, state.u.values))
-    x[1:] = op.apply_half_u(x[1:])
+    x = array_rfft(grid, _physical(state, p))
+    u = x[_ROWS[1, 4]]
+    u[...] = op.apply_half_u(u)
 
-    def remainder(y, tt):
-        rate = _limit_rate(grid, p, y)
-        rate[1:] -= op.linear_rate_u(y[1:])
+    def remainder(y, tt, guard=None):
+        rate = _limit_rate(grid, shared, y, guard)
+        du = rate[_ROWS[1, 4]]
+        du -= op.linear_rate_u(y[_ROWS[1, 4]])
         if forcing is not None:
             rate += array_rfft(grid, _stack(*forcing(tt)))
         return rate
 
     k1 = remainder(x, t)
-    k2 = remainder(x + dt * k1, t + dt)
+    k2 = remainder(x + dt * k1, t + dt, _predictor_guard(state, t + dt))
     x += 0.5 * dt * (k1 + k2)
 
-    x[1:] = op.apply_half_u(x[1:])
-    n, u = _split(array_irfft(grid, x))
-    _check_step(t + dt, n=n, u=u)
-    return LimitState(ScalarField(grid, n), VectorField(grid, u))
+    u[...] = op.apply_half_u(u)
+    y = array_irfft(grid, x)
+    n, u = _split(y)
+    if not (np.isfinite(y).all() and n.min() > 0.0):
+        _check_step(t + dt, n=n, u=u)
+    return _states(LimitState, grid, (n, u))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ state on the real-FFT half-spectrum and return its time derivative there.
 Every pointwise product of a rate is formed on the grid and all of them are
 transformed in one batched call.  The 2/3 mask is linear, so the nonlinear
 terms of each equation are summed first and masked once (Orszag, J. Atmos.
-Sci. 28, 1971); the linear viscous and curl terms stay unmasked.  The
-certificate forms (``_two_fluid_rate``, ``_reformed_rate``) mask each term
-once, as the final operation of the term, and never mask intermediate
-sub-products: that would break the exact pointwise identities the
-reformulation check relies on.
+Sci. 28, 1971); the linear viscous and curl terms stay unmasked.  The rates
+and their helpers index fields on axis -4, so a leading member axis (a
+batch of states stepped together) broadcasts through them, with kappa as a
+(K, 1, 1, 1, 1) column.  The certificate forms (``_two_fluid_rate``,
+``_reformed_rate``) mask each term once, as the final operation of the
+term, and never mask intermediate sub-products: that would break the exact
+pointwise identities the reformulation check relies on.
 """
 
 from __future__ import annotations
@@ -268,14 +270,53 @@ def enthalpy_h(rho: float, law: PressureLaw) -> float:
 # without wrapping; the public rhs_* functions validate, transform and wrap.
 
 
+class _RowIndex(dict):
+    """``x[_ROWS[a, b]]`` is ``x[..., a:b, :, :, :]``, rows a:b along the
+    field (or component) axis -4, and ``x[_ROWS[a]]`` is row a; a tuple of
+    more than two entries picks those rows.  Each index is built once: built
+    on every use it costs twice the indexing itself, which shows in the
+    call-overhead-bound 1-D steps."""
+
+    def __missing__(self, key):
+        if not isinstance(key, tuple):
+            row = key
+        else:
+            row = slice(*key) if len(key) == 2 else list(key)
+        index = self[key] = (Ellipsis, row, slice(None), slice(None), slice(None))
+        return index
+
+
+_ROWS = _RowIndex()
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    """a x b over the component axis -4 of (..., 3, *shape) arrays."""
+    a0, a1, a2 = a[_ROWS[0]], a[_ROWS[1]], a[_ROWS[2]]
+    b0, b1, b2 = b[_ROWS[0]], b[_ROWS[1]], b[_ROWS[2]]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-4)
+
+
+def _member_min(n: np.ndarray) -> np.ndarray:
+    """Minimum of a density per member (the axes before the grid's), as a
+    1-d array; one entry for a single state."""
+    return n.reshape(n.shape[:-3] + (-1,)).min(axis=-1).ravel()
+
+
+def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None) -> None:
+    """Raise VacuumError naming ``where`` and the minimum density for the
+    first member whose density n is not positive; ``member`` is 0 for a
+    single state.  Given ``entry``, another density of the same members,
+    only members whose entry density is positive count."""
+    if n.min() > 0.0:
+        return
+    n_min = _member_min(n)
+    bad = n_min <= 0.0
+    if entry is not None:
+        bad &= _member_min(entry) > 0.0
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        k = int(bad[0])
+        raise VacuumError(f"vacuum state {where}: min n = {n_min[k]:.6g}", member=k)
 
 
 # Fused helpers for the certificate forms: each takes physical arrays,
@@ -324,13 +365,14 @@ def _visc(grid: Grid, v: np.ndarray, mu: float, mu_lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # half-spectrum stepping rates
 #
-# A state is stacked as (n, u, J, E, B) or (n, u) along one leading axis
-# (``_stack``) and passed as its real-FFT half-spectrum.  Symmetric 3x3
-# tensors are stored as their entries (00, 01, 02, 11, 12, 22).
+# A state is stacked as (n, u, J, E, B) or (n, u) along axis -4 (``_stack``)
+# and passed as its real-FFT half-spectrum; a batch adds a leading member
+# axis.  Symmetric 3x3 tensors are stored as their entries
+# (00, 01, 02, 11, 12, 22).
 
-_SYM_ROW = [0, 0, 0, 1, 1, 2]
-_SYM_COL = [0, 1, 2, 1, 2, 2]
-_SYM_DIAG = [0, 3, 5]
+_SYM_ROW = _ROWS[0, 0, 0, 1, 1, 2]
+_SYM_COL = _ROWS[0, 1, 2, 1, 2, 2]
+_SYM_DIAG = (0, 3, 5)
 _SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
@@ -340,8 +382,8 @@ def _stack(*fields: np.ndarray) -> np.ndarray:
 
 
 def _split(x: np.ndarray) -> tuple:
-    """Views (n, u, ...) of a stack built by ``_stack``."""
-    return (x[0],) + tuple(x[i:i + 3] for i in range(1, len(x), 3))
+    """Views (n, u, ...) of a stack built by ``_stack``, along axis -4."""
+    return (x[_ROWS[0]],) + tuple(x[_ROWS[i, i + 3]] for i in range(1, x.shape[-4], 3))
 
 
 def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
@@ -367,38 +409,43 @@ def _curl_hat(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 def _fluid_products(p: Params, n: np.ndarray, u: np.ndarray, extra: int) -> np.ndarray:
     """Grid products of the fluid part, then ``extra`` rows left for the caller:
-    n u and the momentum flux n u u^T/(1+eps) + (1+eps) eta/tau P(n) I."""
-    prod = np.empty((9 + extra,) + n.shape)
-    nu, flux = prod[:3], prod[3:9]
+    n u and the momentum flux n u u^T/(1+eps) + (1+eps) eta/tau P(n) I.
+    ``n`` is (..., 1, *shape), so it broadcasts over the components of u."""
+    prod = np.empty(u.shape[:-4] + (9 + extra,) + u.shape[-3:])
+    nu, flux = prod[_ROWS[0, 3]], prod[_ROWS[3, 9]]
     np.multiply(n, u, out=nu)
     np.multiply(nu[_SYM_ROW], u[_SYM_COL] / (1.0 + p.epsilon), out=flux)
-    flux[_SYM_DIAG] += ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
+    pressure = ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
+    for diag in _SYM_DIAG:  # row by row: a fancy-indexed += costs twice as much
+        flux[_ROWS[diag, diag + 1]] += pressure
     return prod
 
 
 def _continuity(grid: Grid, p: Params, nu_hat: np.ndarray) -> np.ndarray:
     """dn = -div(n u)/(1+eps), masked, from the transformed n u."""
-    div = 1j * (grid.half_wavenumbers * nu_hat).sum(axis=0)
+    div = 1j * (grid.half_wavenumbers * nu_hat).sum(axis=-4)
     return (-1.0 / (1.0 + p.epsilon)) * grid.half_dealias_mask * div
 
 
 def _to_primitive(grid: Grid, out: np.ndarray, state: np.ndarray, rows: int) -> None:
-    """Turn d_t n (out[0]) and the conservative rates d_t(n v) (out[1:rows])
-    into d_t v = (d_t(n v) - v d_t n)/n, masked, in place."""
-    cons = array_irfft(grid, out[:rows])
-    quot = (cons[1:] - state[1:rows] * cons[0]) / state[0]
-    out[1:rows] = grid.half_dealias_mask * array_rfft(grid, quot)
+    """Turn d_t n (row 0 of ``out``) and the conservative rates d_t(n v)
+    (rows 1:rows) into d_t v = (d_t(n v) - v d_t n)/n, masked, in place."""
+    cons = array_irfft(grid, out[_ROWS[0, rows]])
+    n, dn = state[_ROWS[0, 1]], cons[_ROWS[0, 1]]
+    quot = (cons[_ROWS[1, rows]] - state[_ROWS[1, rows]] * dn) / n
+    out[_ROWS[1, rows]] = grid.half_dealias_mask * array_rfft(grid, quot)
 
 
-def _full_products(p: Params, n, u, J, E, B) -> np.ndarray:
+def _full_products(p: Params, kap, n, u, J, E, B) -> np.ndarray:
     """Grid products of ``_full_rate``: n u, the fluxes F and C, the sources
-    of d(nu) and d(nJ), and n J."""
-    eps, kap = p.epsilon, p.kappa
+    of d(nu) and d(nJ), and n J.  ``kap`` is a float or a member column."""
+    eps = p.epsilon
     inv = 1.0 / (1.0 + eps)
     a_coef = (1.0 + eps) / (p.tau * eps)
     prod = _fluid_products(p, n, u, 15)
-    nu, flux, cur_flux, src = prod[:3], prod[3:9], prod[9:15], prod[18:21]
-    nJ = np.multiply(n, J, out=prod[21:24])
+    nu, flux = prod[_ROWS[0, 3]], prod[_ROWS[3, 9]]
+    cur_flux, src = prod[_ROWS[9, 15]], prod[_ROWS[18, 21]]
+    nJ = np.multiply(n, J, out=prod[_ROWS[21, 24]])
     nJJ = nJ[_SYM_ROW] * J[_SYM_COL]
     flux += (inv * eps) * nJJ
     np.multiply(nu[_SYM_ROW], J[_SYM_COL], out=cur_flux)
@@ -406,19 +453,25 @@ def _full_products(p: Params, n, u, J, E, B) -> np.ndarray:
     cur_flux += (eps - 1.0) * nJJ
     cur_flux *= inv
     nJxB = _cross(nJ, B)
-    np.multiply(kap / p.tau, nJxB, out=prod[15:18])
+    np.multiply(kap / p.tau, nJxB, out=prod[_ROWS[15, 18]])
     np.multiply(a_coef * n, E, out=src)
     src += (kap / (p.tau * eps)) * _cross(nu, B)
     src += ((eps - 1.0) * kap / (p.tau * eps)) * nJxB
-    src -= (a_coef * p.kappa_ei * p.k_rate * kap**2) * n * nJ
+    # kap * kap, not kap**2: a float's ** (libm pow) and an array's ** (a
+    # square) round differently in about 1e-3 of cases
+    src -= (a_coef * p.kappa_ei * p.k_rate * (kap * kap)) * n * nJ
     return prod
 
 
-def _full_rate(grid: Grid, p: Params, x: np.ndarray) -> np.ndarray:
+def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None) -> np.ndarray:
     """Primitive rates of the scaled system in the variables (n, u, J, E, B).
 
-    ``x`` is the stacked state with J = kappa j~ on the half-spectrum; the
-    result is its time derivative in the same layout.
+    ``x`` is the stacked state with J = kappa j~ on the half-spectrum, of
+    shape (13, *half) or (K, 13, *half) for a batch; the result is its time
+    derivative in the same layout.  ``kappa`` replaces ``p.kappa``, e.g. by
+    a (K, 1, 1, 1, 1) column.  ``guard``, the arguments after n of
+    ``_require_positive``, makes a density that is not positive on the grid
+    raise VacuumError before the pressure law sees it.
 
     dn      = -1/(1+eps) div(n u)
     d(nu)   = -div F + mu lap u + (mu+lam) grad div u + kappa/tau n J x B
@@ -432,31 +485,41 @@ def _full_rate(grid: Grid, p: Params, x: np.ndarray) -> np.ndarray:
     Leray projector.  The momentum equations are converted to primitive form
     via d_t u = (d_t(nu) - u d_t n)/n, and likewise for J.
     """
+    kap = p.kappa if kappa is None else kappa
     state = array_irfft(grid, x)
-    hat = array_rfft(grid, _full_products(p, *_split(state)))
-    half = hat.shape[1:]
+    n = state[_ROWS[0, 1]]
+    if guard is not None:
+        _require_positive(n, *guard)
+    hat = array_rfft(grid, _full_products(p, kap, n, *_split(state)[1:]))
+    lead, half = hat.shape[:-4], hat.shape[-3:]
     mask = grid.half_dealias_mask
     out = np.empty_like(x)
-    out[0] = _continuity(grid, p, hat[:3])
-    flux = hat[15:21].reshape((2, 3) + half) - _div_sym(grid, hat[3:15].reshape((2, 6) + half))
-    out[1:7] = (mask * flux + _visc_hat(grid, p, x[1:7].reshape((2, 3) + half))).reshape((6,) + half)
-    out[7:10] = _curl_hat(grid, x[10:13]) / p.kappa - half_leray_project(grid, mask * hat[21:24])
-    out[10:13] = _curl_hat(grid, x[7:10]) / -p.kappa
+    out[_ROWS[0]] = _continuity(grid, p, hat[_ROWS[0, 3]])
+    flux = hat[_ROWS[15, 21]].reshape(lead + (2, 3) + half) - _div_sym(
+        grid, hat[_ROWS[3, 15]].reshape(lead + (2, 6) + half))
+    out[_ROWS[1, 7]] = (mask * flux + _visc_hat(grid, p, x[_ROWS[1, 7]].reshape(lead + (2, 3) + half))
+                        ).reshape(lead + (6,) + half)
+    out[_ROWS[7, 10]] = (_curl_hat(grid, x[_ROWS[10, 13]]) / kap
+                         - half_leray_project(grid, mask * hat[_ROWS[21, 24]]))
+    out[_ROWS[10, 13]] = _curl_hat(grid, x[_ROWS[7, 10]]) / -kap
     _to_primitive(grid, out, state, 7)
     return out
 
 
-def _limit_rate(grid: Grid, p: Params, x: np.ndarray) -> np.ndarray:
+def _limit_rate(grid: Grid, p: Params, x: np.ndarray, guard=None) -> np.ndarray:
     """Primitive rates of the limit system for the stacked half-spectrum (n, u):
     dn = -1/(1+eps) div(n u) and d(nu) = -div F + mu lap u + (mu+lam) grad div u
-    with the fluid flux F of ``_full_rate`` at J = 0."""
+    with the fluid flux F of ``_full_rate`` at J = 0; ``x`` and ``guard`` as
+    there."""
     state = array_irfft(grid, x)
-    n, u = _split(state)
-    hat = array_rfft(grid, _fluid_products(p, n, u, 0))
+    n = state[_ROWS[0, 1]]
+    if guard is not None:
+        _require_positive(n, *guard)
+    hat = array_rfft(grid, _fluid_products(p, n, state[_ROWS[1, 4]], 0))
     mask = grid.half_dealias_mask
     out = np.empty_like(x)
-    out[0] = _continuity(grid, p, hat[:3])
-    out[1:4] = mask * -_div_sym(grid, hat[3:9]) + _visc_hat(grid, p, x[1:4])
+    out[_ROWS[0]] = _continuity(grid, p, hat[_ROWS[0, 3]])
+    out[_ROWS[1, 4]] = mask * -_div_sym(grid, hat[_ROWS[3, 9]]) + _visc_hat(grid, p, x[_ROWS[1, 4]])
     _to_primitive(grid, out, state, 4)
     return out
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ kappa_list = 0.4, 0.2, 0.1
 [diagnostics]
 snapshot_stride = 10
 """
+
+ACCEPTANCE_TEXT = (Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini").read_text()
+
+
+def _stiff_epsilon_config(kappa_list: str):
+    """The acceptance config at epsilon = 1e-6 and t_end = 0.02, where the
+    larger kappas lose positivity."""
+    text = (ACCEPTANCE_TEXT.replace("epsilon = 0.1", "epsilon = 1e-6")
+            .replace("t_end = 0.1", "t_end = 0.02")
+            .replace("kappa_list = 0.4, 0.2, 0.1, 0.05", f"kappa_list = {kappa_list}"))
+    return parse_config_text(text)
+
+
+def _assert_same_files(out, alone_paths):
+    for kind in ("csv", "json", "npz"):
+        assert (out / alone_paths[kind].name).read_bytes() == alone_paths[kind].read_bytes(), kind
 
 
 class TestConfigParsing:
@@ -150,6 +167,25 @@ class TestRunSingle:
         assert rec.certificates["satisfied"]
         assert rec.certificates["hypothesis_norm"] <= 0.1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_predictor_stage_vacuum_is_typed(self):
+        # the density of the SSP-RK2 predictor turns negative before the
+        # pressure law sees it; that used to end as a blow-up in u
+        rec = run_single(_stiff_epsilon_config("0.4, 0.1, 0.01"), kappa=0.1)
+        assert rec.status == "vacuum"
+        assert rec.message.startswith("vacuum state in the SSP-RK2 predictor stage at t=0.013: min n = -")
+        assert rec.n_steps == 64
+
+    def test_batch_returns_records_in_order(self):
+        cfg = parse_config_text(SHORT_CONFIG)
+        recs = run_single(cfg, kappa=(0.4, 0.1))
+        assert [r.kappa for r in recs] == [0.4, 0.1]
+        assert [r.tag for r in recs] == ["run_kappa0.4", "run_kappa0.1"]
+        assert all(r.batch_members == 2 for r in recs)
+        assert recs[0].snapshots[1][2] is recs[1].snapshots[1][2]  # one shared limit run
+        with pytest.raises(ConfigError, match="tag names a single run"):
+            run_single(cfg, kappa=(0.4, 0.1), tag="both")
+
 
 class TestPersistence:
     def test_written_files_and_header(self, tmp_path):
@@ -226,6 +262,39 @@ class TestRunSweep:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for name in sorted(p.name for p in out1.glob("*.json")):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestBatchedSweep:
+    def test_members_match_standalone_runs(self, tmp_path):
+        cfg = parse_config_text(SHORT_CONFIG)
+        out = tmp_path / "sweep"
+        run_sweep(cfg, out_dir=out)
+        for kap in cfg.kappa_list:
+            paths = write_record(run_single(cfg, kappa=kap), tmp_path / "alone")
+            _assert_same_files(out, paths)
+            timing = (out / paths["time"].name).read_text().splitlines()
+            assert timing[0].startswith("wall_seconds = ")
+            assert "whole batch" in timing[1]
+            assert timing[2] == "batch_members = 3"
+            assert len(paths["time"].read_text().splitlines()) == 1
+
+    def test_member_failure_keeps_the_others(self, tmp_path):
+        cfg = _stiff_epsilon_config("0.4, 0.1, 0.01, 0.003, 0.001")
+        out = tmp_path / "sweep"
+        with pytest.warns(UserWarning, match="sweep members failed"):
+            result = run_sweep(cfg, out_dir=out)
+        recs = {r.kappa: r for r in result.records}
+        assert recs[0.4].status == "vacuum" and recs[0.4].n_steps == 3
+        assert recs[0.4].message.startswith("vacuum state at t=0.0008: min n = -")
+        assert recs[0.1].status == "vacuum" and recs[0.1].n_steps == 64
+        assert recs[0.1].message.startswith("vacuum state in the SSP-RK2 predictor stage at t=0.013:")
+        assert [r.status for r in result.rows] == ["vacuum", "vacuum", "completed", "completed", "completed"]
+        assert result.failed == [(0.4, "vacuum"), (0.1, "vacuum")]
+        for kap in cfg.kappa_list:
+            _assert_same_files(out, write_record(run_single(cfg, kappa=kap), tmp_path / "alone"))
+        assert result.summary["kappa"] == [0.01, 0.003, 0.001]
+        survivors = [recs[k].sup_sqrt_gamma() for k in (0.01, 0.003, 0.001)]
+        assert result.summary["sup_error"] == survivors
 
 
 class TestCli:

@@ -268,17 +268,82 @@ class TestStepFull:
 @pytest.mark.parametrize("grid", [Grid(3, 8), Grid(1, 64)], ids=["3d8", "1d64"])
 def test_transform_calls_per_step(grid, monkeypatch):
     # one transform each way at the step boundary plus four per rate
-    # evaluation: 10 calls for either stepper
+    # evaluation: 10 calls for either stepper, for one state or a batch of 4
     p = Params(kappa=0.1)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
     sc = StepControl(dt=2e-4, t_end=2e-4)
+    batch_p = tuple(Params(kappa=k) for k in (0.4, 0.2, 0.1, 0.05))
     calls = count_fft_calls(monkeypatch)
     for stepper, state in ((step_full, full), (step_limit, limit)):
-        op = build_stiff_operator(grid, p, state.n.mean, sc.dt)
-        calls.clear()
-        stepper(state, p, sc, op=op)
-        assert 0 < len(calls) <= 12, (stepper.__name__, calls)
+        for states, params in ((state, p), ((state,) * 4, batch_p)):
+            means = tuple(s.n.mean for s in states) if params is batch_p else state.n.mean
+            op = build_stiff_operator(grid, params, means, sc.dt)
+            calls.clear()
+            stepper(states, params, sc, op=op)
+            assert 0 < len(calls) <= 12, (stepper.__name__, calls)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+def test_batch_matches_single_steps(grid):
+    # a batch is one stack with kappa as a column; every member must come
+    # out bit for bit as when stepped alone, operator tables included
+    kappas = (0.4, 0.05, 1e-3)
+    ps = tuple(Params(kappa=k) for k in kappas)
+    limit = make_limit_data(grid, seed=7, amplitude=0.1)
+    fulls = tuple(make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=k))
+                  for k in kappas)
+    limits = tuple(make_limit_data(grid, seed=s, amplitude=0.1) for s in (3, 4, 5))
+    sc = StepControl(dt=2e-4, t_end=1.0)
+    for stepper, states, fields in ((step_full, fulls, ("n", "u", "jt", "E", "B")),
+                                    (step_limit, limits, ("n", "u"))):
+        op = build_stiff_operator(grid, ps, tuple(s.n.mean for s in states), sc.dt)
+        ops = [build_stiff_operator(grid, p, s.n.mean, sc.dt) for p, s in zip(ps, states)]
+        for k, single in enumerate(ops):
+            assert np.array_equal(op.gen[k], single.gen)
+            assert np.array_equal(op.prop_half[k], single.prop_half)
+        batch, alone = states, list(states)
+        for i in range(3):
+            batch = stepper(batch, ps, sc, op=op, t=i * sc.dt)
+            alone = [stepper(s, p, sc, op=o, t=i * sc.dt) for s, p, o in zip(alone, ps, ops)]
+        assert isinstance(batch, tuple) and len(batch) == len(states)
+        for b, a in zip(batch, alone):
+            for name in fields:
+                assert np.array_equal(getattr(b, name).values, getattr(a, name).values), name
+
+
+class TestBatchFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_names_member(self, grid64):
+        ps = tuple(Params(kappa=k) for k in (0.4, 0.2, 0.1))
+        s = _uniform(grid64)
+        bad_u = np.zeros((3,) + grid64.shape)
+        bad_u[0, 0] = np.inf
+        bad = FullState(s.n, VectorField(grid64, bad_u), s.jt, s.E, s.B)
+        sc = StepControl(dt=1e-3, t_end=1e-3)
+        with pytest.raises(BlowUpError) as alone:
+            step_full(bad, ps[1], sc)
+        with pytest.raises(BlowUpError) as batch:
+            step_full((s, bad, s), ps, sc)
+        assert batch.value.member == 1
+        assert str(batch.value) == str(alone.value)
+
+    def test_vacuum_names_member_and_min_density(self, grid64):
+        # linear pressure keeps the rates finite at negative density
+        ps = tuple(Params(kappa=k, pressure=PressureLaw(gamma=1.0)) for k in (0.4, 0.2))
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        good = LimitState(ScalarField(grid64, 1.0 + 0.1 * np.sin(x)), VectorField.zeros(grid64))
+        bad = LimitState(ScalarField(grid64, 1.0 + 1.5 * np.sin(x)), VectorField.zeros(grid64))
+        sc = StepControl(dt=1e-3, t_end=1e-3)
+        with pytest.raises(VacuumError, match=r"^vacuum state at t=0\.001: min n = -0\.49") as exc:
+            step_limit((good, bad), ps, sc)
+        assert exc.value.member == 1
+
+    def test_params_must_differ_only_in_kappa(self, grid64):
+        s = _uniform(grid64)
+        ps = (Params(kappa=0.4), Params(kappa=0.2, mu=0.2))
+        with pytest.raises(ConfigError, match="differ only in kappa"):
+            step_full((s, s), ps, StepControl(dt=1e-3, t_end=1e-3))
 
 
 class TestStepLimit:
