@@ -5,8 +5,8 @@ Reproduces the headline experiment: paired full/limit evolution on a
 64-point slab torus with well-prepared data, kappa in {0.4, 0.2, 0.1,
 0.05}, then a log-log fit of sup_t sqrt(Gamma) against kappa.  This is
 ``nsmlimit sweep`` with the acceptance config and ``out/convergence`` as
-defaults; any ``sweep`` option (``--config``, ``--out``, ``--jobs``)
-overrides them, and the exit code is the CLI's.
+defaults; ``--config`` and ``--out`` override them, and the exit code is
+the CLI's.
 """
 
 import sys

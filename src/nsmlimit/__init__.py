@@ -7,13 +7,6 @@ from .spectral import (
     ScalarField,
     VectorField,
     SobolevIndex,
-    curl,
-    dealias,
-    derivative,
-    divergence,
-    gradient,
-    laplacian,
-    leray_project,
     random_smooth_field,
     random_smooth_vector,
     sobolev_norm,

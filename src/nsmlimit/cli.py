@@ -61,8 +61,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs != 1:
+        raise ConfigError(f"--jobs must be 1 (a sweep runs as one batch), got {args.jobs}")
     cfg = _load_config(args)
-    result = run_sweep(cfg, jobs=args.jobs)
+    result = run_sweep(cfg)
     s = result.summary
     print(f"{'kappa':>8}  {'sup sqrt(Gamma)':>16}  {'sup Gamma/k^2':>14}  "
           f"{'envelope C':>11}  {'growth c':>9}  status")
@@ -116,6 +118,8 @@ def _cmd_moser(args) -> int:
 
 
 def _cmd_reform_check(args) -> int:
+    if args.states < 1:
+        raise ConfigError(f"--states must be at least 1, got {args.states}")
     cfg = _load_config(args)
     p: Params = cfg.params
     worst = 0.0
@@ -157,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="kappa sweep with rate fit")
     add_common(sp)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; must be 1, the sweep runs as one batch")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("audit", help="energy-identity audit on stored snapshots")

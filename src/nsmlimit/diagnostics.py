@@ -37,8 +37,9 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    _exponent,
-    _multi_indices,
+    _mode_sums,
+    _partials_hat,
+    _sobolev_weight,
     array_irfft,
     array_rfft,
     grid_integral,
@@ -128,16 +129,9 @@ def _error_hat(e: ErrorState) -> np.ndarray:
     return array_rfft(e.grid, _stack(e.N.values, e.U.values, e.J.values, e.E.values, e.B.values))
 
 
-def _mode_sums(grid: Grid, hat: np.ndarray, mult) -> np.ndarray:
-    """Per leading row, int |d|^2 dx by Parseval, where d has the
-    half-spectrum coefficients sqrt(mult) * hat."""
-    sq = hat.real**2 + hat.imag**2
-    return ((grid.half_parseval_weight * mult) * sq).sum(axis=(-3, -2, -1))
-
-
 def _field_norms(grid: Grid, hat: np.ndarray, l) -> list[float]:
     """H^l norms of (N, U, J, E, B) from ``_error_hat`` coefficients."""
-    sq = _mode_sums(grid, hat, (1.0 + grid.k_squared[grid.half_cut]) ** _exponent(l))
+    sq = _mode_sums(grid, hat, _sobolev_weight(grid, l))
     return np.sqrt(np.add.reduceat(sq, _FIELD_STARTS)).tolist()
 
 
@@ -147,22 +141,6 @@ def _dissipation(grid: Grid, p: Params, v_hat: np.ndarray) -> float:
     grad_sq = _mode_sums(grid, v_hat, (k * k).sum(axis=0)).sum()
     div_sq = _mode_sums(grid, half_divergence(grid, v_hat), 1.0)
     return float(p.mu * grad_sq + (p.mu + p.lam) * div_sq)
-
-
-def _partials_hat(grid: Grid, n_hat: np.ndarray, l: int, extra: int) -> np.ndarray:
-    """(ik)^a n_hat for every multi-index 1 <= |a| <= l, then ``extra`` rows
-    left for the caller.  Each row is one multiply of an earlier row (the
-    index lowered by one on its first nonzero axis) or of n_hat."""
-    alphas = list(_multi_indices(grid.dims_active, l, 1))
-    out = np.empty((len(alphas) + extra,) + n_hat.shape, dtype=complex)
-    ik = 1j * grid.half_wavenumbers
-    row_of = {}
-    for i, alpha in enumerate(alphas):
-        ax = next(j for j, order in enumerate(alpha) if order)
-        lower = alpha[:ax] + (alpha[ax] - 1,) + alpha[ax + 1:]
-        np.multiply(out[row_of[lower]] if lower in row_of else n_hat, ik[ax], out=out[i])
-        row_of[alpha] = i
-    return out
 
 
 def _high_weight(e: ErrorState, limit: LimitState, law: PressureLaw) -> np.ndarray:

@@ -34,10 +34,6 @@ class GridMismatchError(SimulationError):
     """Fields defined on different grids were combined."""
 
 
-class InactiveAxisError(SimulationError):
-    """A differential operator was requested along a collapsed grid axis."""
-
-
 class SnapshotSpacingError(SimulationError):
     """Snapshots handed to a time-centered audit are not uniformly spaced."""
 

@@ -11,8 +11,7 @@ call per step), and the limit system, which does not depend on kappa, is
 built, stepped and recorded once for all of them.  Each member's records are
 bit for bit those of its own run.  A member that blows up or hits vacuum
 gets its own status, message and step count and leaves the batch; the
-others redo that step without it.  A sweep is one such batch (or, with
-``jobs`` > 1, one batch per contiguous chunk of the list per worker).
+others redo that step without it.  A sweep is one such batch.
 
 ``run_single`` calls ``step_full``, ``step_limit``, ``build_stiff_operator``,
 ``make_energy_ledger``, ``make_limit_data``, ``make_well_prepared`` and
@@ -41,7 +40,7 @@ import math
 import os
 import time as _time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -534,23 +533,28 @@ def load_snapshots(path: str | Path):
     """Rebuild (kappa, [(t, FullState, LimitState), ...]) from a snapshots file.
 
     Each stored array is read once; the snapshots' fields are views into it.
+    A file that cannot be read, or does not hold such snapshots, raises
+    ConfigError.
     """
-    with np.load(path) as data:
-        a = {key: data[key] for key in data.files}
-    dims, pts, period = a["grid_meta"]
-    grid = Grid(int(dims), int(pts), float(period))
-    snaps = []
-    for i, t in enumerate(a["t"]):
-        full = FullState(
-            ScalarField(grid, a["full_n"][i]),
-            VectorField(grid, a["full_u"][i]),
-            VectorField(grid, a["full_jt"][i]),
-            VectorField(grid, a["full_E"][i]),
-            VectorField(grid, a["full_B"][i]),
-        )
-        limit = LimitState(ScalarField(grid, a["limit_n"][i]), VectorField(grid, a["limit_u"][i]))
-        snaps.append((float(t), full, limit))
-    return float(a["kappa"][0]), snaps
+    try:
+        with np.load(path) as data:
+            a = {key: data[key] for key in data.files}
+        dims, pts, period = a["grid_meta"]
+        grid = Grid(int(dims), int(pts), float(period))
+        snaps = []
+        for i, t in enumerate(a["t"]):
+            full = FullState(
+                ScalarField(grid, a["full_n"][i]),
+                VectorField(grid, a["full_u"][i]),
+                VectorField(grid, a["full_jt"][i]),
+                VectorField(grid, a["full_E"][i]),
+                VectorField(grid, a["full_B"][i]),
+            )
+            limit = LimitState(ScalarField(grid, a["limit_n"][i]), VectorField(grid, a["limit_u"][i]))
+            snaps.append((float(t), full, limit))
+        return float(a["kappa"][0]), snaps
+    except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read snapshots file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +613,7 @@ def summarize_sweep(kappas, sup_errors, config_hash: str) -> dict:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Per-kappa summary of a sweep member, the same for any ``jobs``."""
+    """Per-kappa summary of a sweep member."""
 
     kappa: float
     sup_sqrt_gamma: float
@@ -623,48 +627,26 @@ class SweepRow:
 class SweepResult:
     summary: dict
     rows: list  # SweepRows in kappa_list order
-    records: list  # RunRecords in kappa_list order (jobs == 1 only)
+    records: list  # RunRecords in kappa_list order
     failed: list
     paths: dict
 
 
-def _sweep_members(cfg: RunConfig, kappas: tuple, out_dir) -> tuple[list, list]:
-    """One batched run_single over ``kappas``; writes every record and returns
-    (records, SweepRows) in order."""
-    records = run_single(cfg, kappa=tuple(kappas))
-    rows = []
-    for rec in records:
-        write_record(rec, out_dir)
-        bound = bound_monitor(rec.times(), rec.gammas(), rec.certificates.get("budget", 1.0), rec.kappa)
-        rows.append(SweepRow(rec.kappa, rec.sup_sqrt_gamma(), bound.sup_ratio, bound.c_envelope,
-                             bound.growth_rate, rec.status))
-    return records, rows
-
-
-def _sweep_worker(args) -> list:
-    return _sweep_members(*args)[1]
-
-
-def run_sweep(cfg: RunConfig, jobs: int = 1, out_dir: str | Path | None = None) -> SweepResult:
+def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepResult:
     """Run the kappa list as one batch (``run_single`` with a tuple of
-    kappas), then fit the rate.  With ``jobs`` > 1 the list is cut into
-    that many contiguous chunks (at most one per kappa), each run as one
-    batch by a pool worker; the records are the same either way."""
+    kappas), write every member's record, then fit the rate."""
     if len(cfg.kappa_list) < 3:
         raise ConfigError("sweep needs at least 3 kappa values")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    records: list[RunRecord] = []
-    if jobs > 1:
-        ks = cfg.kappa_list
-        n = min(jobs, len(ks))
-        cuts = [len(ks) * i // n for i in range(n + 1)]
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            chunks = pool.map(_sweep_worker, [(cfg, ks[a:b], str(out)) for a, b in zip(cuts, cuts[1:])])
-            rows = [row for chunk in chunks for row in chunk]
-    else:
-        records, rows = _sweep_members(cfg, cfg.kappa_list, out)
+    records = run_single(cfg, kappa=tuple(cfg.kappa_list))
+    rows = []
+    for rec in records:
+        write_record(rec, out)
+        bound = bound_monitor(rec.times(), rec.gammas(), rec.certificates.get("budget", 1.0), rec.kappa)
+        rows.append(SweepRow(rec.kappa, rec.sup_sqrt_gamma(), bound.sup_ratio, bound.c_envelope,
+                             bound.growth_rate, rec.status))
 
     survivors = [(r.kappa, r.sup_sqrt_gamma) for r in rows if r.status == "completed"]
     failed = [(r.kappa, r.status) for r in rows if r.status != "completed"]

@@ -18,18 +18,19 @@ import numpy as np
 
 from .diagnostics import ErrorState, _error_hat, _field_norms, gamma_norm
 from .errors import VacuumError
-from .model import FullState, LimitState
+from .model import FullState, LimitState, _split
 from .spectral import (
     Grid,
     ScalarField,
     VectorField,
+    _smooth_hat,
+    _smooth_vector_hat,
     array_irfft,
     derive_seed,
     half_divergence,
-    leray_project,
+    half_leray_project,
     random_smooth_field,
     random_smooth_vector,
-    sobolev_norm,
     sup_norm,
 )
 
@@ -119,17 +120,6 @@ def make_limit_data(
     return LimitState(ScalarField(grid, n), VectorField(grid, u))
 
 
-def _unit_scalar(grid, seed, kmax, l) -> ScalarField:
-    f = random_smooth_field(grid, seed, _DECAY, max_wavenumber=kmax, zero_mean=True)
-    return f * (1.0 / sobolev_norm(f, l))
-
-def _unit_vector(grid, seed, kmax, l, solenoidal=False) -> VectorField:
-    v = random_smooth_vector(grid, seed, _DECAY, max_wavenumber=kmax, zero_mean=True)
-    if solenoidal:
-        v = leray_project(v)
-    return v * (1.0 / sobolev_norm(v, l))
-
-
 def make_well_prepared(spec: WellPreparedSpec) -> FullState:
     """Full-system initial data satisfying the O(kappa) hypothesis.
 
@@ -143,11 +133,20 @@ def make_well_prepared(spec: WellPreparedSpec) -> FullState:
     share = _BUDGET_SAFETY * spec.c0 / math.sqrt(5.0)
     scale = spec.kappa if spec.well_prepared else 1.0
 
-    dn = _unit_scalar(grid, spec.seeds[0], spec.max_wavenumber, l) * share
-    du = _unit_vector(grid, spec.seeds[1], spec.max_wavenumber, l) * share
-    dj = _unit_vector(grid, spec.seeds[2], spec.max_wavenumber, l) * share
-    de = _unit_vector(grid, spec.seeds[3], spec.max_wavenumber, l, solenoidal=True) * share
-    db = _unit_vector(grid, spec.seeds[4], spec.max_wavenumber, l, solenoidal=True) * share
+    # the 13 half-spectrum rows of (dn, du, dj, dE, dB), normalized by their
+    # H^l norms (Parseval sums) and brought to the grid in one transform
+    sample = dict(max_wavenumber=spec.max_wavenumber, zero_mean=True)
+    seeds = spec.seeds
+    vec = np.stack([_smooth_vector_hat(grid, s, _DECAY, **sample) for s in seeds[1:]])
+    vec[2:] = half_leray_project(grid, vec[2:])
+    hat = np.concatenate([_smooth_hat(grid, seeds[0], _DECAY, **sample)[None],
+                          vec.reshape((12,) + vec.shape[2:])])
+    norms = _field_norms(grid, hat, l)
+    dn, du, dj, de, db = (
+        kind(grid, values) * (1.0 / norm) * share
+        for kind, values, norm in zip((ScalarField,) + (VectorField,) * 4,
+                                      _split(array_irfft(grid, hat)), norms)
+    )
 
     n = spec.base.n + scale * dn
     if n.values.min() <= 0.0:

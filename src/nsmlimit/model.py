@@ -19,9 +19,12 @@ Sci. 28, 1971); the linear viscous and curl terms stay unmasked.  The rates
 and their helpers index fields on axis -4, so a leading member axis (a
 batch of states stepped together) broadcasts through them, with kappa as a
 (K, 1, 1, 1, 1) column.  The certificate forms (``_two_fluid_rate``,
-``_reformed_rate``) mask each term once, as the final operation of the
-term, and never mask intermediate sub-products: that would break the exact
-pointwise identities the reformulation check relies on.
+``_reformed_rate``) work on the same half-spectrum but term by term: each
+term's product is transformed on its own and masked once, as the final
+operation of the term, the terms are summed there, and one inverse
+transform brings all five rates to the grid.  Intermediate sub-products
+are never masked: that would break the exact pointwise identities the
+reformulation check relies on.
 """
 
 from __future__ import annotations
@@ -37,12 +40,9 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    array_curl,
-    array_dealias,
-    array_divergence,
     array_irfft,
-    array_leray_project,
     array_rfft,
+    half_divergence,
     half_leray_project,
     derive_seed,
     random_smooth_field,
@@ -232,8 +232,8 @@ def validate_full_state(s: FullState, div_tol: float = DIV_TOL) -> None:
         raise VacuumError("vacuum state: min density <= 0")
     grid = s.grid
     scale = max(1.0, sup_norm(s.E), sup_norm(s.B))
-    div_e = np.abs(array_divergence(grid, s.E.values)).max()
-    div_b = np.abs(array_divergence(grid, s.B.values)).max()
+    div = array_irfft(grid, half_divergence(grid, array_rfft(grid, np.stack([s.E.values, s.B.values]))))
+    div_e, div_b = np.abs(div).max(axis=(-3, -2, -1))
     if div_e > div_tol * scale or div_b > div_tol * scale:
         raise ConstraintDriftError(
             f"constraint drift: |div E|={div_e:.3e}, |div B|={div_b:.3e}"
@@ -317,49 +317,6 @@ def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None
     if bad.size:
         k = int(bad[0])
         raise VacuumError(f"vacuum state {where}: min n = {n_min[k]:.6g}", member=k)
-
-
-# Fused helpers for the certificate forms: each takes physical arrays,
-# applies the derivative and the 2/3 mask in a single transform round trip,
-# and returns physical arrays.
-
-
-def _div_outer(grid: Grid, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dealiased divergence of the tensor w * (a x b): out_i = sum_j d_j(w a_i b_j)."""
-    tensor = w * a[:, None] * b[None, :]  # (3, 3, *shape)
-    that = np.fft.fftn(tensor, axes=grid.fft_axes)
-    out = sum(1j * grid.wavenumbers[j] * that[:, j] for j in range(3))
-    return np.fft.ifftn(grid.dealias_mask * out, axes=grid.fft_axes).real
-
-
-def _div_nl(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Dealiased divergence of a (nonlinear-product) vector field."""
-    vhat = np.fft.fftn(v, axes=grid.fft_axes)
-    out = sum(1j * grid.wavenumbers[j] * vhat[j] for j in range(3))
-    return np.fft.ifftn(grid.dealias_mask * out, axes=grid.fft_axes).real
-
-
-def _grad_nl(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Dealiased gradient of a (nonlinear) scalar field."""
-    ahat = grid.dealias_mask * np.fft.fftn(a, axes=grid.fft_axes)
-    return np.stack(
-        [
-            np.fft.ifftn(1j * grid.wavenumbers[ax] * ahat, axes=grid.fft_axes).real
-            for ax in range(3)
-        ]
-    )
-
-
-def _visc(grid: Grid, v: np.ndarray, mu: float, mu_lam: float) -> np.ndarray:
-    """mu lap v + (mu+lam) grad div v in one transform round trip."""
-    vhat = np.fft.fftn(v, axes=grid.fft_axes)
-    div_hat = sum(1j * grid.wavenumbers[j] * vhat[j] for j in range(3))
-    out = [
-        -mu * grid.k_squared * vhat[i]
-        + mu_lam * 1j * grid.wavenumbers[i] * div_hat
-        for i in range(3)
-    ]
-    return np.fft.ifftn(np.stack(out), axes=grid.fft_axes).real
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +481,31 @@ def _limit_rate(grid: Grid, p: Params, x: np.ndarray, guard=None) -> np.ndarray:
     return out
 
 
+# Certificate-form helpers: each takes physical arrays and returns the
+# half-spectrum coefficients of one term, masked as its final operation.
+
+
+def _masked(grid: Grid, arr: np.ndarray) -> np.ndarray:
+    """2/3-masked coefficients of a (nonlinear-product) field."""
+    return grid.half_dealias_mask * array_rfft(grid, arr)
+
+
+def _masked_div(grid: Grid, t: np.ndarray) -> np.ndarray:
+    """Masked divergence of a product vector (3, *shape) or tensor
+    (3, 3, *shape), contracting its last component axis."""
+    return grid.half_dealias_mask * half_divergence(grid, array_rfft(grid, t))
+
+
+def _div_outer(grid: Grid, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Masked divergence of the tensor w * (a x b): out_i = sum_j d_j(w a_i b_j)."""
+    return _masked_div(grid, w * a[:, None] * b[None, :])
+
+
+def _grad_nl(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Masked gradient of a (nonlinear) scalar field."""
+    return grid.half_dealias_mask * (1j * grid.half_wavenumbers * array_rfft(grid, a))
+
+
 def _two_fluid_rate(grid: Grid, p: Params, n, u_e, u_i, E, B, alpha, beta):
     """Conservative rates of the original two-fluid form.
 
@@ -531,12 +513,13 @@ def _two_fluid_rate(grid: Grid, p: Params, n, u_e, u_i, E, B, alpha, beta):
     squared reciprocal light speed and beta the induced-field strength.
     """
     eps = p.epsilon
-    D = lambda arr: array_dealias(grid, arr)
-    visc = lambda v: _visc(grid, v, p.mu, p.mu + p.lam)
+    D = lambda arr: _masked(grid, arr)
+    visc = lambda v: _visc_hat(grid, p, array_rfft(grid, v))
+    curl = lambda v: _curl_hat(grid, array_rfft(grid, v))
     grad_p = _grad_nl(grid, p.pressure.pressure(n))
     fric = p.kappa_ei * beta / p.kappa**2 * p.k_rate
 
-    dn = -_div_nl(grid, n * u_i)
+    dn = -_masked_div(grid, n * u_i)
     dnu_e = (
         -_div_outer(grid, n, u_e, u_e)
         + visc(u_e)
@@ -558,9 +541,9 @@ def _two_fluid_rate(grid: Grid, p: Params, n, u_e, u_i, E, B, alpha, beta):
         / p.tau
     )
     current = D(n * (u_i - u_e)) / p.kappa  # j = n(u_i - u_e)/kappa
-    dE = (array_curl(grid, B) - beta * current) / alpha
-    dB = -array_curl(grid, E)
-    return dn, dnu_e, dnu_i, dE, dB
+    dE = (curl(B) - beta * current) / alpha
+    dB = -curl(E)
+    return _split(array_irfft(grid, _stack(dn, dnu_e, dnu_i, dE, dB)))
 
 
 def _reformed_rate(grid: Grid, p: Params, n, u, jt, E, B, alpha, beta):
@@ -572,10 +555,11 @@ def _reformed_rate(grid: Grid, p: Params, n, u, jt, E, B, alpha, beta):
     eps = p.epsilon
     inv = 1.0 / (1.0 + eps)
     kap = p.kappa
-    D = lambda arr: array_dealias(grid, arr)
-    visc = lambda v: _visc(grid, v, p.mu, p.mu + p.lam)
+    D = lambda arr: _masked(grid, arr)
+    visc = lambda v: _visc_hat(grid, p, array_rfft(grid, v))
+    curl = lambda v: _curl_hat(grid, array_rfft(grid, v))
 
-    dn = -inv * _div_nl(grid, n * u)
+    dn = -inv * _masked_div(grid, n * u)
     dnu = (
         -inv * (_div_outer(grid, n, u, u) + eps * kap**2 * _div_outer(grid, n, jt, jt))
         + visc(u)
@@ -591,9 +575,9 @@ def _reformed_rate(grid: Grid, p: Params, n, u, jt, E, B, alpha, beta):
         + ((eps - 1.0) / (p.tau * eps)) * D(n * _cross(jt, B))
         - ((1.0 + eps) / (p.tau * eps * kap)) * p.kappa_ei * p.k_rate * beta * D(n * n * jt)
     )
-    dE = (array_curl(grid, B) - beta * D(n * jt)) / alpha
-    dB = -array_curl(grid, E)
-    return dn, dnu, dnj, dE, dB
+    dE = (curl(B) - beta * D(n * jt)) / alpha
+    dB = -curl(E)
+    return _split(array_irfft(grid, _stack(dn, dnu, dnj, dE, dB)))
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +710,8 @@ def reformulation_check(s: TwoFluidState, p: Params) -> ReformReport:
     )
     # compare in primitive variables, converting the substituted rates the
     # same way the production side does (same dealias placement)
-    D = lambda arr: array_dealias(grid, arr)
-    du_rf = D((rf[1] - u * rf[0]) / n)
-    dJ_rf = D((rf[2] - J * rf[0]) / n)
+    du_rf, dJ_rf = array_irfft(grid, _masked(grid, np.stack([(rf[1] - u * rf[0]) / n,
+                                                             (rf[2] - J * rf[0]) / n])))
     scaling = {
         "n": _rel_discrepancy(grid, rf[0], fn),
         "u": _rel_discrepancy(grid, du_rf, fu),
@@ -768,10 +751,9 @@ def random_two_fluid_state(
 
     n = 1.0 + amplitude * scalar(1)
     u_i = amplitude * vector(2)
-    w = amplitude * array_leray_project(grid, vector(3))
+    solenoidal = np.stack([vector(3), vector(4), vector(5)])
+    w, E, B = amplitude * array_irfft(grid, half_leray_project(grid, array_rfft(grid, solenoidal)))
     u_e = u_i - w / n
-    E = amplitude * array_leray_project(grid, vector(4))
-    B = amplitude * array_leray_project(grid, vector(5))
     return TwoFluidState(
         ScalarField(grid, n),
         VectorField(grid, u_e),

@@ -1,6 +1,9 @@
-"""Shared helpers for order tests and paired trajectories."""
+"""Shared helpers for order tests and paired trajectories, and slow but
+direct reference kernels for the tests to compare the solver against."""
 
+import math
 from itertools import product as _iproduct
+from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -16,31 +19,309 @@ from nsmlimit.model import (
     Params,
     PressureLaw,
     _cross,
-    _div_nl,
-    _div_outer,
     _full_rate,
-    _grad_nl,
     _limit_rate,
     _split,
     _stack,
-    _visc,
 )
 from nsmlimit.spectral import (
+    _TWO_PI,
+    Field,
     Grid,
     ScalarField,
+    SobolevIndex,
     VectorField,
-    array_curl,
-    array_dealias,
-    array_divergence,
-    array_gradient,
+    _exponent,
+    _hash_unit,
+    _multi_indices,
+    _require_same_grid,
     array_irfft,
-    array_laplacian,
-    array_leray_project,
     array_rfft,
     grid_integral,
-    sobolev_norm,
     sup_norm,
 )
+
+
+# The complex full-spectrum layout: fftn/ifftn of the grid values, one
+# round trip per operator.  Slow but direct references for the half-spectrum
+# kernels of nsmlimit (the sampler, the norms, the Moser ratios and the
+# certificate forms) and for the per-term and grid-space references below.
+
+
+def _fft(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(values, axes=grid.fft_axes)
+
+
+def _ifft(grid: Grid, hat: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(hat, axes=grid.fft_axes).real
+
+
+def array_gradient(grid: Grid, a: np.ndarray) -> np.ndarray:
+    A = _fft(grid, a)
+    return np.stack([_ifft(grid, 1j * grid.wavenumbers[ax] * A) for ax in range(3)])
+
+
+def array_divergence(grid: Grid, v: np.ndarray) -> np.ndarray:
+    V = _fft(grid, v)
+    out = 1j * grid.wavenumbers[0] * V[0]
+    for ax in (1, 2):
+        out = out + 1j * grid.wavenumbers[ax] * V[ax]
+    return _ifft(grid, out)
+
+
+def array_curl(grid: Grid, v: np.ndarray) -> np.ndarray:
+    V = _fft(grid, v)
+    kx, ky, kz = grid.wavenumbers
+    cx = 1j * (ky * V[2] - kz * V[1])
+    cy = 1j * (kz * V[0] - kx * V[2])
+    cz = 1j * (kx * V[1] - ky * V[0])
+    return np.stack([_ifft(grid, cx), _ifft(grid, cy), _ifft(grid, cz)])
+
+
+def array_laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
+    return _ifft(grid, -grid.k_squared * _fft(grid, a))
+
+
+def array_dealias(grid: Grid, a: np.ndarray) -> np.ndarray:
+    return _ifft(grid, grid.dealias_mask * _fft(grid, a))
+
+
+def array_leray_project(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Remove the gradient part per mode: v_hat - k (k.v_hat)/|k|^2.
+
+    Built from the derivative wavenumbers (Nyquist zeroed) so it is an
+    exact orthogonal projector consistent with array_divergence."""
+    V = _fft(grid, v)
+    kx, ky, kz = grid.wavenumbers
+    k2 = (kx**2 + ky**2 + kz**2) * np.ones(grid.shape)
+    k2_safe = np.where(k2 == 0.0, 1.0, k2)
+    k_dot_v = sum(grid.wavenumbers[ax] * V[ax] for ax in range(3))
+    coeff = np.where(k2 == 0.0, 0.0, k_dot_v / k2_safe)
+    return np.stack(
+        [_ifft(grid, V[ax] - grid.wavenumbers[ax] * coeff) for ax in range(3)]
+    )
+
+
+def translate(f: Field, shifts: Sequence[float]) -> Field:
+    """Evaluate the trigonometric interpolant at x - shift (exact for band-limited f)."""
+    phase = np.exp(
+        -1j * sum(f.grid.wavenumbers[ax] * shifts[ax] for ax in range(3))
+    )
+    return type(f)(f.grid, _ifft(f.grid, phase * _fft(f.grid, f.values)))
+
+
+def _weighted_coeff_sum(f: Field, weight: np.ndarray) -> float:
+    c2 = np.abs(_fft(f.grid, f.values) / f.grid.npoints) ** 2
+    if c2.ndim == 4:
+        c2 = c2.sum(axis=0)
+    return float((weight * c2).sum() * f.grid.volume)
+
+
+def sobolev_norm(f: Field, l=SobolevIndex()) -> float:
+    """H^l norm, ``sqrt(V sum_k (1+|k|^2)^l |c_k|^2)``; l=0 is the L^2 norm."""
+    s = _exponent(l)
+    if s < 0:
+        raise ValueError("Sobolev exponent must be nonnegative")
+    return math.sqrt(_weighted_coeff_sum(f, (1.0 + f.grid.k_squared) ** s))
+
+
+def sobolev_seminorm(f: Field, s: float) -> float:
+    """Homogeneous seminorm |f|_{H^s} = sqrt(V sum |k|^{2s} |c_k|^2)."""
+    if s == 0:
+        return sobolev_norm(f, 0.0)
+    return math.sqrt(_weighted_coeff_sum(f, f.grid.k_squared ** s))
+
+
+def random_smooth_field(
+    grid: Grid,
+    seed: int,
+    decay_rate: float,
+    *,
+    max_wavenumber: float | None = None,
+    zero_mean: bool = False,
+) -> ScalarField:
+    """Real random field with |c_k| = exp(-decay_rate |k|), random phases.
+
+    Deterministic in ``seed`` and independent of the grid resolution (the
+    same seed names the same function on a finer grid, up to the appended
+    exponentially small tail).  ``max_wavenumber`` band-limits the sample;
+    ``zero_mean`` removes the k = 0 mode.
+    """
+    if decay_rate <= 0:
+        raise ValueError("decay_rate must be positive")
+    mi = grid.mode_indices
+    half = grid.points_per_dim // 2
+    # conjugate-partner index, componentwise -k with Nyquist fixed points
+    ci = tuple(np.where(m == -half, m, -m) for m in mi)
+    self_conj = (mi[0] == ci[0]) & (mi[1] == ci[1]) & (mi[2] == ci[2])
+    is_canon = (mi[0] > ci[0]) | (
+        (mi[0] == ci[0])
+        & ((mi[1] > ci[1]) | ((mi[1] == ci[1]) & (mi[2] >= ci[2])))
+    )
+    canon = tuple(np.where(is_canon, m, c) for m, c in zip(mi, ci))
+    u = _hash_unit(seed, *canon)
+
+    k_abs = np.sqrt(grid.k_squared)
+    mag = np.exp(-decay_rate * k_abs)
+    if max_wavenumber is not None:
+        mag = np.where(k_abs <= max_wavenumber * (1.0 + 1e-12), mag, 0.0)
+    phase = np.where(is_canon, 1.0, -1.0) * _TWO_PI * u
+    coeff = mag * np.exp(1j * phase)
+    # self-conjugate modes (k = 0 and Nyquist combinations) must stay real
+    coeff = np.where(self_conj, mag * np.cos(_TWO_PI * u), coeff)
+    if zero_mean:
+        coeff[0, 0, 0] = 0.0
+    values = np.fft.ifftn(coeff * grid.npoints, axes=grid.fft_axes).real
+    return ScalarField(grid, values)
+
+
+def _partial(grid: Grid, values: np.ndarray, alpha: Sequence[int]) -> np.ndarray:
+    mult = np.ones(grid.shape, dtype=complex)
+    for ax, order in enumerate(alpha):
+        if order:
+            mult = mult * (1j * grid.wavenumbers[ax]) ** order
+    return _ifft(grid, mult * _fft(grid, values))
+
+
+def _l2(grid: Grid, values: np.ndarray) -> float:
+    return math.sqrt(grid_integral(grid, values**2))
+
+
+def moser_ratios(f: ScalarField, g: ScalarField, s: int) -> tuple[float, float]:
+    """Max product-rule and commutator ratios over multi-indices |alpha| <= s."""
+    grid = _require_same_grid(f.grid, g.grid)
+    fg = f.values * g.values
+    sup_f = sup_norm(f)
+    sup_g = sup_norm(g)
+    sup_df = float(
+        np.sqrt((array_gradient(grid, f.values) ** 2).sum(axis=0)).max()
+    )
+    den1 = sup_f * sobolev_seminorm(g, s) + sup_g * sobolev_seminorm(f, s)
+    den2 = sup_df * sobolev_seminorm(g, s - 1) + sup_g * sobolev_seminorm(f, s)
+    r1 = 0.0
+    r2 = 0.0
+    for alpha in _multi_indices(grid.dims_active, s):
+        d_fg = _partial(grid, fg, alpha)
+        r1 = max(r1, _l2(grid, d_fg) / den1)
+        if sum(alpha) >= 1:
+            comm = d_fg - f.values * _partial(grid, g.values, alpha)
+            r2 = max(r2, _l2(grid, comm) / den2)
+    return r1, r2
+
+
+# Fused helpers for the certificate forms: each takes physical arrays,
+# applies the derivative and the 2/3 mask in a single transform round trip,
+# and returns physical arrays.
+
+
+def _div_outer(grid: Grid, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased divergence of the tensor w * (a x b): out_i = sum_j d_j(w a_i b_j)."""
+    tensor = w * a[:, None] * b[None, :]  # (3, 3, *shape)
+    that = np.fft.fftn(tensor, axes=grid.fft_axes)
+    out = sum(1j * grid.wavenumbers[j] * that[:, j] for j in range(3))
+    return np.fft.ifftn(grid.dealias_mask * out, axes=grid.fft_axes).real
+
+
+def _div_nl(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Dealiased divergence of a (nonlinear-product) vector field."""
+    vhat = np.fft.fftn(v, axes=grid.fft_axes)
+    out = sum(1j * grid.wavenumbers[j] * vhat[j] for j in range(3))
+    return np.fft.ifftn(grid.dealias_mask * out, axes=grid.fft_axes).real
+
+
+def _grad_nl(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Dealiased gradient of a (nonlinear) scalar field."""
+    ahat = grid.dealias_mask * np.fft.fftn(a, axes=grid.fft_axes)
+    return np.stack(
+        [
+            np.fft.ifftn(1j * grid.wavenumbers[ax] * ahat, axes=grid.fft_axes).real
+            for ax in range(3)
+        ]
+    )
+
+
+def _visc(grid: Grid, v: np.ndarray, mu: float, mu_lam: float) -> np.ndarray:
+    """mu lap v + (mu+lam) grad div v in one transform round trip."""
+    vhat = np.fft.fftn(v, axes=grid.fft_axes)
+    div_hat = sum(1j * grid.wavenumbers[j] * vhat[j] for j in range(3))
+    out = [
+        -mu * grid.k_squared * vhat[i]
+        + mu_lam * 1j * grid.wavenumbers[i] * div_hat
+        for i in range(3)
+    ]
+    return np.fft.ifftn(np.stack(out), axes=grid.fft_axes).real
+
+
+def _two_fluid_rate(grid: Grid, p: Params, n, u_e, u_i, E, B, alpha, beta):
+    """Conservative rates of the original two-fluid form.
+
+    The electron/ion pressures are P_e = eps*P and P_i = P; alpha is the
+    squared reciprocal light speed and beta the induced-field strength.
+    """
+    eps = p.epsilon
+    D = lambda arr: array_dealias(grid, arr)
+    visc = lambda v: _visc(grid, v, p.mu, p.mu + p.lam)
+    grad_p = _grad_nl(grid, p.pressure.pressure(n))
+    fric = p.kappa_ei * beta / p.kappa**2 * p.k_rate
+
+    dn = -_div_nl(grid, n * u_i)
+    dnu_e = (
+        -_div_outer(grid, n, u_e, u_e)
+        + visc(u_e)
+        + (
+            -p.eta * eps * grad_p
+            - (D(n * E) + D(n * _cross(u_e, B))) / p.kappa
+            - fric * D(n * n * (u_e - u_i))
+        )
+        / (p.tau * eps)
+    )
+    dnu_i = (
+        -_div_outer(grid, n, u_i, u_i)
+        + visc(u_i)
+        + (
+            -p.eta * grad_p
+            + (D(n * E) + D(n * _cross(u_i, B))) / p.kappa
+            - fric * D(n * n * (u_i - u_e))
+        )
+        / p.tau
+    )
+    current = D(n * (u_i - u_e)) / p.kappa  # j = n(u_i - u_e)/kappa
+    dE = (array_curl(grid, B) - beta * current) / alpha
+    dB = -array_curl(grid, E)
+    return dn, dnu_e, dnu_i, dE, dB
+
+
+def _reformed_rate(grid: Grid, p: Params, n, u, jt, E, B, alpha, beta):
+    """Conservative rates of the substituted system in (n, u, j~, E, B).
+
+    Returns (dn, d(nu), kappa d(n j~), dE, dB); the Maxwell pair keeps the
+    unscaled fields, so alpha and beta appear explicitly.
+    """
+    eps = p.epsilon
+    inv = 1.0 / (1.0 + eps)
+    kap = p.kappa
+    D = lambda arr: array_dealias(grid, arr)
+    visc = lambda v: _visc(grid, v, p.mu, p.mu + p.lam)
+
+    dn = -inv * _div_nl(grid, n * u)
+    dnu = (
+        -inv * (_div_outer(grid, n, u, u) + eps * kap**2 * _div_outer(grid, n, jt, jt))
+        + visc(u)
+        - ((1.0 + eps) * p.eta / p.tau) * _grad_nl(grid, p.pressure.pressure(n))
+        + D(n * _cross(jt, B)) / p.tau
+    )
+    dnj = (
+        -((eps - 1.0) * inv) * kap**2 * _div_outer(grid, n, jt, jt)
+        - kap * inv * (_div_outer(grid, n, u, jt) + _div_outer(grid, n, jt, u))
+        + kap * visc(jt)
+        + ((1.0 + eps) / (p.tau * eps * kap)) * D(n * E)
+        + D(n * _cross(u, B)) / (p.tau * eps * kap)
+        + ((eps - 1.0) / (p.tau * eps)) * D(n * _cross(jt, B))
+        - ((1.0 + eps) / (p.tau * eps * kap)) * p.kappa_ei * p.k_rate * beta * D(n * n * jt)
+    )
+    dE = (array_curl(grid, B) - beta * D(n * jt)) / alpha
+    dB = -array_curl(grid, E)
+    return dn, dnu, dnj, dE, dB
 
 
 def l2_state_error(arrs_a, arrs_b):

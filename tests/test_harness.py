@@ -324,9 +324,31 @@ class TestCli:
     def test_sweep_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(SHORT_CONFIG)
-        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--jobs", "1"])
         assert rc == 0
         assert (tmp_path / "out" / "sweep_summary.json").exists()
+
+    def test_sweep_jobs_other_than_one_exit_two(self, tmp_path, capsys):
+        # a sweep runs its kappa list as one batch: --jobs 1 is accepted,
+        # any other value is a config error and writes nothing
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SHORT_CONFIG)
+        for jobs in ("2", "0"):
+            out = tmp_path / f"out{jobs}"
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--jobs", jobs]) == 2
+            assert "config error: --jobs must be 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["moser", "--pairs", "0"], ["moser", "--pairs", "-2"], ["reform-check", "--states", "0"],
+    ], ids=["pairs0", "pairs-2", "states0"])
+    def test_count_below_one_exit_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and "at least 1" in captured.err
+        assert captured.out == ""
 
     def test_reform_check_exit_zero(self, tmp_path):
         rc = main(["reform-check", "--states", "3"])
@@ -347,6 +369,17 @@ class TestCli:
                    "--record", str(out / "run_kappa0.1_snapshots.npz")])
         assert rc == 0
 
+    @pytest.mark.parametrize("content", [None, b"not an npz file\n", "wrong_keys"],
+                             ids=["missing", "not_npz", "wrong_keys"])
+    def test_audit_unreadable_record_exit_two(self, tmp_path, capsys, content):
+        record = tmp_path / "run_snapshots.npz"
+        if content == "wrong_keys":
+            np.savez(record, t=np.zeros(3))
+        elif content is not None:
+            record.write_bytes(content)
+        assert main(["audit", "--record", str(record)]) == 2
+        assert f"config error: cannot read snapshots file {record}" in capsys.readouterr().err
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(SHORT_CONFIG)
@@ -357,19 +390,3 @@ class TestCli:
                   "--seed", str(seed), "--kappa", "0.2"])
             outs.append((out / "run_kappa0.2.csv").read_text())
         assert outs[0] != outs[1]
-
-
-class TestParallelSweep:
-    def test_jobs_two_matches_sequential(self, tmp_path):
-        cfg = parse_config_text(SHORT_CONFIG)
-        seq = tmp_path / "seq"
-        par = tmp_path / "par"
-        rows_seq = run_sweep(cfg, out_dir=seq, jobs=1).rows
-        rows_par = run_sweep(cfg, out_dir=par, jobs=2).rows
-        assert [r.kappa for r in rows_seq] == list(cfg.kappa_list)
-        assert rows_par == rows_seq
-        for name in sorted(p.name for p in seq.glob("*.csv")):
-            assert (seq / name).read_bytes() == (par / name).read_bytes()
-        s1 = json.loads((seq / "sweep_summary.json").read_text())
-        s2 = json.loads((par / "sweep_summary.json").read_text())
-        assert s1 == s2

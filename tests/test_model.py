@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from support import per_term_full_rate, per_term_limit_rate
+import support
+from support import array_dealias, array_leray_project, per_term_full_rate, per_term_limit_rate, translate
 
 from nsmlimit.errors import ConstraintDriftError, VacuumError
 from nsmlimit.integrator import StepControl, step_limit
@@ -15,8 +16,10 @@ from nsmlimit.model import (
     TwoFluidState,
     _full_rate,
     _limit_rate,
+    _reformed_rate,
     _split,
     _stack,
+    _two_fluid_rate,
     enthalpy_h,
     pressure,
     random_two_fluid_state,
@@ -29,14 +32,11 @@ from nsmlimit.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    array_dealias,
     array_irfft,
     array_rfft,
     grid_integral,
-    leray_project,
     random_smooth_vector,
     sup_norm,
-    translate,
 )
 
 
@@ -174,9 +174,7 @@ class TestRhsFull:
         r = rhs_full(s, p)
         assert np.abs(r.dB.values).max() == 0.0
         J = p.kappa * jt
-        src = -leray_project(
-            VectorField(grid64, array_dealias(grid64, n * J))
-        ).values
+        src = -array_leray_project(grid64, array_dealias(grid64, n * J))
         assert np.abs(r.dE.values - src).max() < 1e-14
 
     def test_vacuum_raises(self, grid64):
@@ -205,8 +203,8 @@ def _generic_full_state(grid, p, seed=5, amp=0.05):
     n = 1.0 + amp * np.sin(x)
     u = amp * random_smooth_vector(grid, seed, 0.5, max_wavenumber=4, zero_mean=True).values
     jt = amp * random_smooth_vector(grid, seed + 1, 0.5, max_wavenumber=4, zero_mean=True).values
-    E = amp * leray_project(random_smooth_vector(grid, seed + 2, 0.5, max_wavenumber=4, zero_mean=True)).values
-    B = amp * leray_project(random_smooth_vector(grid, seed + 3, 0.5, max_wavenumber=4, zero_mean=True)).values
+    E = amp * array_leray_project(grid, random_smooth_vector(grid, seed + 2, 0.5, max_wavenumber=4, zero_mean=True).values)
+    B = amp * array_leray_project(grid, random_smooth_vector(grid, seed + 3, 0.5, max_wavenumber=4, zero_mean=True).values)
     return FullState(
         ScalarField(grid, n), VectorField(grid, u), VectorField(grid, jt),
         VectorField(grid, E), VectorField(grid, B),
@@ -275,18 +273,29 @@ class TestBatchedRates:
     @pytest.mark.parametrize("lam", [0.0, 0.05])
     def test_matches_per_term_reference(self, grid, kappa, epsilon, lam):
         # one batched transform and one merged mask against the per-term
-        # dealiased rates; relative, since the rates reach ~1e6 at eps = 1e-6
+        # dealiased rates; relative, since the rates reach ~1e6 at eps = 1e-6.
+        # The half-spectrum certificate forms against their full-spectrum
+        # references likewise.
         p = Params(kappa=kappa, epsilon=epsilon, lam=lam)
         rng = np.random.default_rng(17)
         n = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=grid.shape)
         u, J, E, B = (rng.normal(size=(3,) + grid.shape) for _ in range(4))
+
+        def stepping(rate):
+            return lambda *x: _split(array_irfft(grid, rate(grid, p, array_rfft(grid, _stack(*x)))))
+
+        def certificate(rate):
+            return lambda *x: rate(grid, p, *x, kappa**2, kappa**4)
+
         cases = [
-            (_full_rate, (n, u, J, E, B), per_term_full_rate),
-            (_limit_rate, (n, u), per_term_limit_rate),
+            (stepping(_full_rate), (n, u, J, E, B), lambda *x: per_term_full_rate(grid, p, *x)),
+            (stepping(_limit_rate), (n, u), lambda *x: per_term_limit_rate(grid, p, *x)),
+            (certificate(_two_fluid_rate), (n, u, J, E, B), certificate(support._two_fluid_rate)),
+            (certificate(_reformed_rate), (n, u, J, E, B), certificate(support._reformed_rate)),
         ]
         for rate, fields, reference in cases:
-            got = _split(array_irfft(grid, rate(grid, p, array_rfft(grid, _stack(*fields)))))
-            want = reference(grid, p, *fields)
+            got = rate(*fields)
+            want = reference(*fields)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
@@ -310,8 +319,10 @@ class TestRhsTwoFluid:
         n = ScalarField(grid64, 1.0 + 0.1 * np.sin(x))
         u = VectorField(grid64, 0.1 * random_smooth_vector(
             grid64, 2, 0.5, max_wavenumber=4).values)
-        E = leray_project(random_smooth_vector(grid64, 3, 0.5, max_wavenumber=4)) * 0.1
-        B = leray_project(random_smooth_vector(grid64, 4, 0.5, max_wavenumber=4)) * 0.1
+        E = VectorField(grid64, array_leray_project(
+            grid64, random_smooth_vector(grid64, 3, 0.5, max_wavenumber=4).values)) * 0.1
+        B = VectorField(grid64, array_leray_project(
+            grid64, random_smooth_vector(grid64, 4, 0.5, max_wavenumber=4).values)) * 0.1
         s = TwoFluidState(n, u, u, E, B)
         r1 = rhs_twofluid(s, p)
         r2 = rhs_twofluid(s, Params(kappa=0.3, kappa_ei=123.0, k_rate=45.0))
