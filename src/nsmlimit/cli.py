@@ -89,7 +89,10 @@ def _cmd_audit(args) -> int:
     cfg = _load_config(args)
     kappa, snaps = load_snapshots(args.record)
     p = replace(cfg.params, kappa=kappa)
-    report = energy_identity_audit(snaps, p, drop_term=args.drop_term)
+    try:
+        report = energy_identity_audit(snaps, p, drop_term=args.drop_term)
+    except ValueError as exc:  # fewer than 3 snapshots, or a drop term outside 1..6
+        raise ConfigError(str(exc)) from None
     print(f"snapshots: {len(snaps)}  interior points: {len(report.residuals)}")
     print(f"max residual  = {report.max_residual:.6e}")
     print(f"mean residual = {report.mean_residual:.6e}")

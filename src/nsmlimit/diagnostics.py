@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatchError, SnapshotSpacingError, VacuumError
-from .model import FullState, LimitState, Params, PressureLaw, _cross, _stack, _visc_hat
+from .model import FullState, LimitState, Params, PressureLaw, _cross, _stack, _stacked, _visc_hat
 from .spectral import (
     Grid,
     ScalarField,
@@ -78,16 +78,6 @@ class ErrorState:
     def grid(self) -> Grid:
         return self.N.grid
 
-    @property
-    def parabolic_block(self):
-        """Fields obeying parabolic equations (velocity and current errors)."""
-        return (self.U, self.J)
-
-    @property
-    def hyperbolic_block(self):
-        """Fields obeying the symmetric-hyperbolic sub-system."""
-        return (self.N, self.E, self.B)
-
 
 def _check_density(what: str, *rho: np.ndarray) -> None:
     n_min = min(float(r.min()) for r in rho)
@@ -126,7 +116,7 @@ _FIELD_STARTS = (0, 1, 4, 7, 10)  # rows of N, U, J, E, B in ``_error_hat``
 
 def _error_hat(e: ErrorState) -> np.ndarray:
     """``array_rfft`` of the 13 stacked rows (N, U, J, E, B)."""
-    return array_rfft(e.grid, _stack(e.N.values, e.U.values, e.J.values, e.E.values, e.B.values))
+    return array_rfft(e.grid, _stacked(e))
 
 
 def _field_norms(grid: Grid, hat: np.ndarray, l) -> list[float]:

@@ -5,10 +5,11 @@ recording an EnergyLedger row every ``snapshot_stride`` steps.  A sweep runs
 a decreasing kappa list and fits the log-log rate of sup_t sqrt(Gamma)
 against kappa.
 
-``run_single`` with a tuple of kappas runs them as one batch: the full
-systems of all members are stepped as one stacked state (one ``step_full``
-call per step), and the limit system, which does not depend on kappa, is
-built, stepped and recorded once for all of them.  Each member's records are
+A run steps one stacked array per system and builds states only where it
+records.  ``run_single`` with a tuple of kappas runs them as one batch: the
+full systems of all members are one stack (one ``step_full`` call per
+step), and the limit system, which does not depend on kappa, is built,
+stepped and recorded once for all of them.  Each member's records are
 bit for bit those of its own run.  A member that blows up or hits vacuum
 gets its own status, message and step count and leaves the batch; the
 others redo that step without it.  A sweep is one such batch.
@@ -54,7 +55,7 @@ from .diagnostics import (
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
 from .integrator import StepControl, build_stiff_operator, step_full, step_limit, _n_fixed_steps
-from .model import FullState, LimitState, Params, PressureLaw
+from .model import FullState, LimitState, Params, PressureLaw, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
 __all__ = [
@@ -318,13 +319,6 @@ class RunRecord:
         return math.sqrt(self.sup_gamma())
 
 
-def _batch(members: list):
-    """Members in the form ``step_full`` and ``build_stiff_operator`` take:
-    a tuple of two or more, or the lone member itself, since a batch of one
-    would carry a member axis that costs about 8% of a 1-D step."""
-    return tuple(members) if len(members) > 1 else members[0]
-
-
 def run_single(
     cfg: RunConfig,
     kappa: float | tuple[float, ...] | None = None,
@@ -335,16 +329,18 @@ def run_single(
 
     ``kappa`` is one value (default: the config's), returning one
     RunRecord, or a tuple of values, returning their RunRecords in order.
-    A tuple is a batch run together: every step makes one ``step_full``
-    call on the (K, 13, *half) stack of all members and one ``step_limit``
-    call.  The limit system does not depend on kappa, so its data, operator
-    and trajectory are made once and shared by every member.  A member's
-    records are bit for bit those of its own run.  A member that blows up or
-    hits vacuum gets its own status, message and step count and is dropped;
-    the step is then redone for the others from their pre-step states
-    (states are immutable).  Every member's ``wall_seconds`` is the wall
-    time of the whole batch, and ``batch_members`` says how many ran.
-    ``tag`` names a single run; batch members are tagged by kappa.
+    A tuple is a batch run together.  The run holds one stack of the
+    members' physical rows (n, u, j~, E, B), (K, 13, *shape), or (13,
+    *shape) for a lone member, and one (4, *shape) stack of the limit
+    system, which does not depend on kappa and is made once; every step is
+    one ``step_full`` and one ``step_limit`` call.  A record builds
+    FullState/LimitState views of the current stacks (the steppers return
+    new ones, so a snapshot is never overwritten).  A member's records are
+    bit for bit those of its own run.  A member that blows up or hits
+    vacuum gets its own status, message and step count and leaves the
+    stack; the others redo that step.  Every member's ``wall_seconds`` is
+    the batch's, and ``batch_members`` says how many ran.  ``tag`` names a
+    single run; batch members are tagged by kappa.
 
     This is the only loop that steps both systems (``integrator.evolve``
     marches one).  It calls the solver through this module's names on
@@ -369,7 +365,7 @@ def run_single(
         velocity_amplitude=ini.velocity_amplitude,
         max_wavenumber=ini.max_wavenumber,
     )
-    records, fulls, masses = [], [], []
+    records, fulls, masses, n_means = [], [], [], []
     for p in params:
         spec = WellPreparedSpec.from_seed(
             limit, seed=ini.seed, c0=ini.c0, kappa=p.kappa, l=cfg.l,
@@ -384,56 +380,66 @@ def run_single(
             tag=tag if tag is not None else f"run_kappa{p.kappa:g}",
             batch_members=len(params),
         ))
-        fulls.append(full)
+        fulls.append(_stacked(full))
         masses.append(grid_integral(grid, full.n.values))
-    n_means = [full.n.mean for full in fulls]
+        n_means.append(full.n.mean)
+    live = list(range(len(params)))  # members still stepping, in stack order
+    x_full = np.stack(fulls) if len(live) > 1 else fulls[0]
+    x_limit = _stacked(limit)
+    steps_done, op_full = 0, None
 
-    def record(k, t):
-        records[k].rows.append(make_energy_ledger(t, fulls[k], limit, params[k], cfg.l, masses[k]))
-        records[k].snapshots.append((t, fulls[k], limit))
-
-    def fail(k, exc, steps_done):
+    def leave(i, exc):
+        """The member at stack position i fails and leaves the stack; the
+        others get a new operator."""
+        nonlocal x_full, op_full
+        k = live.pop(i)
         records[k].status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
         records[k].message = str(exc)
         records[k].n_steps = steps_done
+        if live:
+            rest = np.delete(x_full, i, axis=0)
+            x_full = rest if len(live) > 1 else rest[0]
+        op_full = None
+
+    def record(t):
+        """A ledger row and a snapshot of every live member, as views of the stacks."""
+        limit = _state_view(grid, x_limit)
+        for i in reversed(range(len(live))):  # backwards, so leave() keeps the positions before i
+            k = live[i]
+            full = _state_view(grid, x_full if len(live) == 1 else x_full[i])
+            try:
+                records[k].rows.append(make_energy_ledger(t, full, limit, params[k], cfg.l, masses[k]))
+            except VacuumError as exc:  # from the ledger's own density checks
+                leave(i, exc)
+            else:
+                records[k].snapshots.append((t, full, limit))
 
     start = _time.perf_counter()
-    live = list(range(len(params)))  # members still stepping, in order
-    for k in live:
-        record(k, 0.0)
+    record(0.0)
     n_steps = _n_fixed_steps(cfg.step)
-    steps_done = 0
-    op_full = None
     op_limit = build_stiff_operator(grid, params[0], limit.n.mean, dt) if n_steps else None
     while steps_done < n_steps and live:
         t = steps_done * dt
-        members = _batch([params[k] for k in live])
         if op_full is None:
-            op_full = build_stiff_operator(grid, members, _batch([n_means[k] for k in live]), dt)
+            members, means = zip(*[(params[k], n_means[k]) for k in live])
+            if len(live) == 1:
+                members, means = members[0], means[0]
+            op_full = build_stiff_operator(grid, members, means, dt)
         try:
-            stepped = step_full(_batch([fulls[k] for k in live]), members, cfg.step, op=op_full, t=t)
+            stepped = step_full(grid, x_full, members, cfg.step, op=op_full, t=t)
         except (BlowUpError, VacuumError) as exc:
-            fail(live.pop(exc.member), exc, steps_done)
-            op_full = None  # rebuilt for the survivors, who redo this step
+            leave(exc.member, exc)  # the others redo this step
             continue
         try:
-            limit = step_limit(limit, params[0], cfg.step, op=op_limit, t=t)
+            x_limit = step_limit(grid, x_limit, params[0], cfg.step, op=op_limit, t=t)
         except (BlowUpError, VacuumError) as exc:
-            for k in live:
-                fail(k, exc, steps_done)
-            live = []
+            while live:
+                leave(0, exc)
             break
-        for k, full in zip(live, stepped if len(live) > 1 else (stepped,)):
-            fulls[k] = full
+        x_full = stepped
         steps_done += 1
         if steps_done % cfg.snapshot_stride == 0:
-            for k in list(live):
-                try:
-                    record(k, steps_done * dt)
-                except VacuumError as exc:  # from the ledger's own density checks
-                    fail(k, exc, steps_done)
-                    live.remove(k)
-                    op_full = None
+            record(steps_done * dt)
     for k in live:
         records[k].n_steps = steps_done
     wall = _time.perf_counter() - start

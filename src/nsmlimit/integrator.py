@@ -13,18 +13,20 @@ applied on the real-FFT half-spectrum.  A step is the Strang composition
 which is second order, unconditionally stable in kappa, and reduces to
 plain SSP-RK2 when L = 0.  E and B are Leray-projected after every step.
 
-States are physical between steps.  A step transforms the stacked
-(n, u, J, E, B) once on entry and once on exit; the half-steps, the SSP-RK2
-updates, L and the Leray projection are element-wise work on the
-half-spectrum coefficients in between, and each rate evaluation leaves
-Fourier space only to form its pointwise products (``model._full_rate``).
+The steppers take and return one stacked physical array: the rows
+(n, u, j~, E, B), (13, *shape), or (n, u), (4, *shape), for the limit
+system.  A step scales j~ to J = kappa j~ and transforms once on entry, and
+transforms back and divides J by kappa once on exit; the half-steps, the
+SSP-RK2 updates, L and the Leray projection are element-wise work on the
+half-spectrum in between, and each rate evaluation leaves Fourier space
+only to form its pointwise products (``model._full_rate``).  States are
+built only where fields are read (``evolve``'s observer and result).
 
-The steppers and the operator also take a batch: a tuple of states whose
-Params differ only in kappa.  The batch is stepped as one (K, 13, *half)
-stack, kappa becomes a (K, 1, 1, 1, 1) column and the operator tables get a
-leading member axis.  Every operation acts on each member alone and the
-transforms give the same bits with or without the member axis, so a
-member's result does not depend on the batch it ran in.
+A batch is one more leading axis, (K, 13, *shape), with a tuple of Params
+that differ only in kappa: kappa becomes a (K, 1, 1, 1, 1) column and the
+operator tables get a leading member axis.  Every operation acts on each
+member alone and the transforms give the same bits with or without the
+member axis, so a member's result does not depend on the batch it ran in.
 
 The limit system reuses the same machinery with only the viscous block.
 """
@@ -49,9 +51,10 @@ from .model import (
     _limit_rate,
     _require_positive,
     _split,
-    _stack,
+    _stacked,
+    _state_view,
 )
-from .spectral import Grid, ScalarField, VectorField, array_irfft, array_rfft, half_leray_project
+from .spectral import Grid, array_irfft, array_rfft, half_leray_project
 
 __all__ = [
     "StepControl",
@@ -266,122 +269,98 @@ def _uJEB(x: np.ndarray) -> np.ndarray:
     return x[_ROWS[1, None]].reshape(x.shape[:-4] + (4, 3) + x.shape[-3:])
 
 
-def _physical(state, p) -> np.ndarray:
-    """The stacked physical fields of a state, with J = kappa j~ for a full
-    one; (K, rows, *shape) for a tuple of states."""
-    if isinstance(state, tuple):
-        return np.stack([_physical(s, q) for s, q in zip(state, p)])
-    if isinstance(state, FullState):
-        return _stack(state.n.values, state.u.values, p.kappa * state.jt.values,
-                      state.E.values, state.B.values)
-    return _stack(state.n.values, state.u.values)
-
-
-def _states(cls, grid: Grid, fields: tuple):
-    """``cls`` (FullState or LimitState) of the physical (n, u, ...) from
-    ``_split``; a tuple of them when the fields carry a member axis."""
-    if fields[0].ndim == 4:
-        return tuple(_states(cls, grid, member) for member in zip(*fields))
-    return cls(ScalarField(grid, fields[0]), *[VectorField(grid, v) for v in fields[1:]])
-
-
-def _predictor_guard(state, t: float) -> tuple:
-    """``guard`` of the SSP-RK2 predictor-stage rate: it catches a density
-    that turns non-positive within the step, so only members that entered
-    with a positive one count; a state passed in with a vacuum is reported
-    after the step."""
-    entry = np.stack([s.n.values for s in state]) if isinstance(state, tuple) else state.n.values
-    return f"in the SSP-RK2 predictor stage at t={t:g}", entry
-
-
-def _n_mean(state):
-    """Mean density of a state, or the tuple of them for a batch."""
-    return tuple(s.n.mean for s in state) if isinstance(state, tuple) else state.n.mean
+def _predictor_guard(x: np.ndarray, t: float) -> tuple:
+    """``guard`` of the SSP-RK2 predictor-stage rate: only members of the
+    stack x passed in with a positive density count; a vacuum passed in is
+    reported after the step."""
+    return f"in the SSP-RK2 predictor stage at t={t:g}", x[_ROWS[0]]
 
 
 def step_full(
-    state,
+    grid: Grid,
+    x: np.ndarray,
     p,
     sc: StepControl,
     op: StiffLinearOperator | None = None,
     forcing: Callable | None = None,
     t: float = 0.0,
-):
-    """One Strang step of the scaled system.
+) -> np.ndarray:
+    """One Strang step of the scaled system; returns the stepped stack.
 
-    ``state`` and ``p`` are a FullState and its Params, or a batch: a tuple
-    of K states and a tuple of K Params that differ only in kappa.  The
-    result has the same form.  A batch is one (K, 13, *half) stack with
-    kappa as a column, stepped by the same code as a single state, and each
-    member's result is bit for bit what it gets when stepped alone.  ``op``
-    must have been built for the same form.
+    ``x`` holds the physical rows (n, u, j~, E, B) of one state, (13,
+    *shape), with ``p`` its Params; or of a batch, (K, 13, *shape), with a
+    tuple of K Params that differ only in kappa.  Each member's result is
+    bit for bit what it gets when stepped alone.  ``op`` must have been
+    built for the same form.  ``x`` is not modified.
 
-    The state is transformed once on entry and once on exit; in between,
-    the stiff half-steps, the SSP-RK2 stages and the Leray projection work
-    on the stacked half-spectrum (n, u, J, E, B).  ``forcing(t)`` may supply
-    extra explicit rates (dn, du, dJ, dE, dB) as physical arrays, e.g. for
-    manufactured-solution tests; a batch gets the same forcing per member.
+    The stack is transformed once on entry, with j~ scaled to J = kappa j~,
+    and once on exit; in between, the stiff half-steps, the SSP-RK2 stages
+    and the Leray projection work on the half-spectrum (n, u, J, E, B).
+    ``forcing(t)`` may supply extra explicit rates of (n, u, J, E, B) as
+    one stacked physical array, e.g. for manufactured-solution tests; a
+    batch gets the same forcing per member.
 
     A density that turns non-positive in the SSP-RK2 predictor stage, or is
     not positive after the step, raises VacuumError, and a non-finite field
     after the step BlowUpError; both name the time and carry the index of
     the failing member (0 for a single state).  The first stage is not
     checked: the stiff half-step leaves n alone, so it sees the density
-    passed in.  A failure returns nothing for the other members; states are
-    immutable, so the caller can drop the member and redo the step.
+    passed in.  A failure returns nothing for the other members; the caller
+    can drop the member from ``x`` and redo the step.
     """
     shared, kap = _shared_params(p)
-    grid = (state[0] if isinstance(state, tuple) else state).grid
     dt = sc.dt
     if op is None:
-        op = build_stiff_operator(grid, p, _n_mean(state), dt)
+        op = build_stiff_operator(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), dt)
 
-    x = array_rfft(grid, _physical(state, p))
-    _uJEB(x)[:] = op.apply_half(_uJEB(x))
+    h = x.copy()
+    h[_ROWS[4, 7]] *= kap
+    h = array_rfft(grid, h)
+    _uJEB(h)[:] = op.apply_half(_uJEB(h))
 
     def remainder(y, tt, guard=None):
         rate = _full_rate(grid, shared, y, kap, guard)
         vectors = _uJEB(rate)
         vectors -= op.linear_rate(_uJEB(y))
         if forcing is not None:
-            rate += array_rfft(grid, _stack(*forcing(tt)))
+            rate += array_rfft(grid, forcing(tt))
         return rate
 
-    k1 = remainder(x, t)
-    k2 = remainder(x + dt * k1, t + dt, _predictor_guard(state, t + dt))
-    x += 0.5 * dt * (k1 + k2)
+    k1 = remainder(h, t)
+    k2 = remainder(h + dt * k1, t + dt, _predictor_guard(x, t + dt))
+    h += 0.5 * dt * (k1 + k2)
 
-    v = op.apply_half(_uJEB(x))
+    v = op.apply_half(_uJEB(h))
     v[..., 2:, :, :, :, :] = half_leray_project(grid, v[..., 2:, :, :, :, :])
-    _uJEB(x)[:] = v
-    y = array_irfft(grid, x)
+    _uJEB(h)[:] = v
+    y = array_irfft(grid, h)
     n, u, J, E, B = _split(y)
     if not (np.isfinite(y).all() and n.min() > 0.0):
         _check_step(t + dt, n=n, u=u, J=J, E=E, B=B)
     J /= kap
-    return _states(FullState, grid, (n, u, J, E, B))
+    return y
 
 
 def step_limit(
-    state,
+    grid: Grid,
+    x: np.ndarray,
     p,
     sc: StepControl,
     op: StiffLinearOperator | None = None,
     forcing: Callable | None = None,
     t: float = 0.0,
-):
+) -> np.ndarray:
     """One IMEX step of the limit system: exact viscous multiplier around
     an explicit SSP-RK2 stage for advection and pressure, on the stacked
-    half-spectrum (n, u) as in ``step_full``, with the same single and
-    batch forms and the same failure reports."""
+    (n, u), (4, *shape) or (K, 4, *shape), as in ``step_full``, with the
+    same batch form and the same failure reports."""
     shared = _shared_params(p)[0]
-    grid = (state[0] if isinstance(state, tuple) else state).grid
     dt = sc.dt
     if op is None:
-        op = build_stiff_operator(grid, p, _n_mean(state), dt)
+        op = build_stiff_operator(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), dt)
 
-    x = array_rfft(grid, _physical(state, p))
-    u = x[_ROWS[1, 4]]
+    h = array_rfft(grid, x)
+    u = h[_ROWS[1, 4]]
     u[...] = op.apply_half_u(u)
 
     def remainder(y, tt, guard=None):
@@ -389,19 +368,19 @@ def step_limit(
         du = rate[_ROWS[1, 4]]
         du -= op.linear_rate_u(y[_ROWS[1, 4]])
         if forcing is not None:
-            rate += array_rfft(grid, _stack(*forcing(tt)))
+            rate += array_rfft(grid, forcing(tt))
         return rate
 
-    k1 = remainder(x, t)
-    k2 = remainder(x + dt * k1, t + dt, _predictor_guard(state, t + dt))
-    x += 0.5 * dt * (k1 + k2)
+    k1 = remainder(h, t)
+    k2 = remainder(h + dt * k1, t + dt, _predictor_guard(x, t + dt))
+    h += 0.5 * dt * (k1 + k2)
 
     u[...] = op.apply_half_u(u)
-    y = array_irfft(grid, x)
+    y = array_irfft(grid, h)
     n, u = _split(y)
     if not (np.isfinite(y).all() and n.min() > 0.0):
         _check_step(t + dt, n=n, u=u)
-    return _states(LimitState, grid, (n, u))
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +417,20 @@ def evolve(
     """March one full or limit state to t_end (the paired full/limit run is
     ``harness.run_single``).
 
-    A fixed_dt run builds the stiff operator once and steps at t = i*dt; an
-    adaptive run takes each dt from the CFL and sound-speed cap of
-    StepControl and rebuilds the operator for it.  observer(step_index, t,
-    state) runs at t = 0 and every ``stride`` steps; ``forcing`` is passed to
-    every step.  A blow-up or vacuum ends the march with that status.
-    Returns (final_state, StepLog)."""
+    The state is stacked once; states viewing the stack are built only for
+    the observer and the result.  A fixed_dt run builds the stiff operator
+    once and steps at t = i*dt; an adaptive run takes each dt from the CFL
+    and sound-speed cap of StepControl and rebuilds the operator for it.
+    observer(step_index, t, state) runs at t = 0 and every ``stride``
+    steps; ``forcing`` is passed to every step.  A blow-up or vacuum ends
+    the march with that status.  Returns (final_state, StepLog)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     stepper = step_full if isinstance(state, FullState) else step_limit
     fixed = sc.mode == "fixed_dt"
     n_steps = _n_fixed_steps(sc) if fixed else 0
-    dx = state.grid.spacing
+    grid = state.grid
+    x = _stacked(state)
     log = StepLog()
     start = _time.perf_counter()
     if observer is not None:
@@ -459,19 +440,19 @@ def evolve(
     try:
         while (log.n_steps < n_steps) if fixed else (t < sc.t_end - 1e-12 * sc.t_end):
             if not fixed:
-                n_, u_ = state.n.values, state.u.values
+                n_, u_ = x[_ROWS[0]], x[_ROWS[1, 4]]
                 c = np.sqrt((u_**2).sum(axis=0)) + np.sqrt(p.eta * p.pressure.dpressure(n_) / p.tau)
-                step = replace(sc, dt=min(sc.dt, sc.cfl * dx / max(1.0, c.max()), sc.t_end - t))
+                step = replace(sc, dt=min(sc.dt, sc.cfl * grid.spacing / max(1.0, c.max()), sc.t_end - t))
                 op = None
             if op is None:
-                op = build_stiff_operator(state.grid, p, state.n.mean, step.dt)
-            state = stepper(state, p, step, op=op, forcing=forcing, t=t)
+                op = build_stiff_operator(grid, p, float(x[_ROWS[0]].mean()), step.dt)
+            x = stepper(grid, x, p, step, op=op, forcing=forcing, t=t)
             log.n_steps += 1
             t = log.n_steps * sc.dt if fixed else t + step.dt
             if observer is not None and log.n_steps % stride == 0:
-                observer(log.n_steps, t, state)
+                observer(log.n_steps, t, _state_view(grid, x))
     except (BlowUpError, VacuumError) as exc:
         log.status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
         log.message = str(exc)
     log.wall_seconds = _time.perf_counter() - start
-    return state, log
+    return (_state_view(grid, x) if log.n_steps else state), log

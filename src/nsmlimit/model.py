@@ -343,6 +343,18 @@ def _split(x: np.ndarray) -> tuple:
     return (x[_ROWS[0]],) + tuple(x[_ROWS[i, i + 3]] for i in range(1, x.shape[-4], 3))
 
 
+def _stacked(state) -> np.ndarray:
+    """The fields of a state, e.g. a FullState's (n, u, j~, E, B), as one stack."""
+    return _stack(*(f.values for f in vars(state).values()))
+
+
+def _state_view(grid: Grid, x: np.ndarray):
+    """The FullState (13 rows) or LimitState (4 rows) viewing the stack x."""
+    n, *vectors = _split(x)
+    cls = FullState if len(vectors) == 4 else LimitState
+    return cls(ScalarField(grid, n), *(VectorField(grid, v) for v in vectors))
+
+
 def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
     """ik . t for symmetric tensors (..., 6, *half) -> (..., 3, *half)."""
     k = grid.half_wavenumbers
@@ -603,7 +615,7 @@ def rhs_limit(s: LimitState, p: Params) -> LimitRate:
     """Time derivative of the one-fluid compressible limit system."""
     validate_limit_state(s)
     grid = s.grid
-    x = array_rfft(grid, _stack(s.n.values, s.u.values))
+    x = array_rfft(grid, _stacked(s))
     dn, du = _split(array_irfft(grid, _limit_rate(grid, p, x)))
     return LimitRate(ScalarField(grid, dn), VectorField(grid, du))
 

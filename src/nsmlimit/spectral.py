@@ -618,6 +618,8 @@ def moser_ensemble(
     """Empirical uniform constants of the two inequalities over a seeded ensemble."""
     if n_pairs < 1:
         raise ConfigError(f"moser ensemble needs at least 1 pair, got {n_pairs}")
+    if s < 1:
+        raise ConfigError(f"moser ensemble needs a derivative order s of at least 1, got {s}")
     c1 = 0.0
     c2 = 0.0
     for i in range(n_pairs):

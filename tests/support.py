@@ -21,7 +21,6 @@ from nsmlimit.model import (
     _cross,
     _full_rate,
     _limit_rate,
-    _split,
     _stack,
 )
 from nsmlimit.spectral import (
@@ -407,11 +406,9 @@ class ManufacturedFull:
         )
 
     def forcing(self, t):
-        exact = self.state_arrays(t)
         g = self.grid
-        rate = _split(array_irfft(g, _full_rate(g, self.p, array_rfft(g, _stack(*exact)))))
-        target = self.rate_arrays(t)
-        return tuple(want - have for want, have in zip(target, rate))
+        rate = array_irfft(g, _full_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
+        return _stack(*self.rate_arrays(t)) - rate
 
     def error_after(self, dt, t_end) -> float:
         state, log = evolve(self.state(0.0), self.p, StepControl(dt=dt, t_end=t_end),
@@ -460,10 +457,8 @@ class ManufacturedLimit:
 
     def forcing(self, t):
         g = self.grid
-        x = array_rfft(g, _stack(*self.state_arrays(t)))
-        rate = _split(array_irfft(g, _limit_rate(g, self.p, x)))
-        target = self.rate_arrays(t)
-        return tuple(want - have for want, have in zip(target, rate))
+        rate = array_irfft(g, _limit_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
+        return _stack(*self.rate_arrays(t)) - rate
 
     def error_after(self, dt, t_end) -> float:
         state, log = evolve(self.state(0.0), self.p, StepControl(dt=dt, t_end=t_end),

@@ -94,13 +94,6 @@ class TestErrorState:
             norms.append(math.sqrt(gamma_norm(e, 4.0)))
         assert abs(norms[0] - 2 * norms[1]) < 1e-11
 
-    def test_partition_blocks(self, grid64):
-        base = make_limit_data(grid64, seed=7, amplitude=0.1)
-        full = make_well_prepared(WellPreparedSpec.from_seed(base, 7, 1.0, 0.2))
-        e = error_state(full, base, 0.2)
-        assert e.parabolic_block == (e.U, e.J)
-        assert e.hyperbolic_block == (e.N, e.E, e.B)
-
     def test_grid_mismatch(self, grid64):
         base32 = make_limit_data(Grid(1, 32), seed=7, amplitude=0.1)
         base64 = make_limit_data(grid64, seed=7, amplitude=0.1)

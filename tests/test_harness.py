@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nsmlimit import harness
 from nsmlimit.cli import main
 from nsmlimit.diagnostics import LEDGER_COLUMNS
 from nsmlimit.errors import ConfigError
+from nsmlimit.model import FullState, LimitState
 from nsmlimit.harness import (
     RunConfig,
     default_config_text,
@@ -186,6 +188,33 @@ class TestRunSingle:
         with pytest.raises(ConfigError, match="tag names a single run"):
             run_single(cfg, kappa=(0.4, 0.1), tag="both")
 
+    def test_states_built_only_where_recorded(self, monkeypatch):
+        # the paired loop steps one stack per system: a record builds one
+        # FullState per member and one LimitState, and a step builds none;
+        # states made by the initial-data calls are not counted
+        built = {FullState: 0, LimitState: 0}
+        setting_up = []
+        for cls in built:
+            def init(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                built[_cls] += not setting_up
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
+        for name in ("make_limit_data", "make_well_prepared", "hypothesis_certificate"):
+            def setup(*args, _fn=getattr(harness, name), **kwargs):
+                setting_up.append(True)
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    setting_up.pop()
+            monkeypatch.setattr(harness, name, setup)
+        cfg = parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 25"))
+        recs = run_single(cfg, kappa=(0.4, 0.2, 0.1))
+        assert [r.n_steps for r in recs] == [50] * 3
+        assert [len(r.snapshots) for r in recs] == [3] * 3
+        assert built == {FullState: 3 * 3, LimitState: 3}
+        # the members of one record view one stack
+        assert recs[0].snapshots[1][1].n.values.base is recs[2].snapshots[1][1].B.values.base
+
 
 class TestPersistence:
     def test_written_files_and_header(self, tmp_path):
@@ -358,6 +387,15 @@ class TestCli:
         rc = main(["moser", "--pairs", "5"])
         assert rc == 0
 
+    @pytest.mark.parametrize("l", ["0", "0.5"])
+    def test_moser_order_below_one_exit_two(self, tmp_path, capsys, l):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[diagnostics]\nl = {l}\n")
+        assert main(["moser", "--config", str(cfg_path), "--pairs", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: moser ensemble needs a derivative order s of at least 1, got 0" in captured.err
+        assert captured.out == ""
+
     def test_audit_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         text = SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 5")
@@ -368,6 +406,21 @@ class TestCli:
         rc = main(["audit", "--config", str(cfg_path),
                    "--record", str(out / "run_kappa0.1_snapshots.npz")])
         assert rc == 0
+
+    @pytest.mark.parametrize("t_end, extra, message", [
+        ("2e-4", [], "need at least 3 snapshots"),
+        ("4e-4", ["--drop-term", "7"], "drop_term must be in 1..6"),
+        ("4e-4", ["--drop-term", "0"], "drop_term must be in 1..6"),
+    ], ids=["two_snapshots", "drop_term7", "drop_term0"])
+    def test_audit_bad_input_exit_two(self, tmp_path, capsys, t_end, extra, message):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[step]\ndt = 2e-4\nt_end = {t_end}\n\n[diagnostics]\nsnapshot_stride = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        record = out / "run_kappa0.1_snapshots.npz"
+        assert main(["audit", "--config", str(cfg_path), "--record", str(record), *extra]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"not an npz file\n", "wrong_keys"],
                              ids=["missing", "not_npz", "wrong_keys"])

@@ -24,7 +24,9 @@ from nsmlimit.integrator import (
     step_full,
     step_limit,
 )
-from nsmlimit.model import FullState, LimitState, Params, PressureLaw, _full_rate, _split, _stack
+from nsmlimit.model import (
+    FullState, LimitState, Params, PressureLaw, _full_rate, _split, _stack, _stacked, _state_view,
+)
 from nsmlimit.spectral import (
     Grid,
     ScalarField,
@@ -145,8 +147,9 @@ def _uniform(grid):
 class TestStepFull:
     def test_equilibrium_fixed_point_any_dt(self, grid64):
         p = Params(kappa=0.2)
+        x = _stacked(_uniform(grid64))
         for dt in (1e-4, 0.05, 0.5):
-            out = step_full(_uniform(grid64), p, StepControl(dt=dt, t_end=dt))
+            out = _state_view(grid64, step_full(grid64, x, p, StepControl(dt=dt, t_end=dt)))
             assert np.abs(out.n.values - 1.0).max() < 1e-14
             assert sup_norm(out.u) < 1e-14
             assert sup_norm(out.E) < 1e-14
@@ -166,8 +169,10 @@ class TestStepFull:
         sc = StepControl(dt=1e-3, t_end=0.1)
         op = build_stiff_operator(grid64, p, 1.0, sc.dt)
         em0 = sobolev_norm(E0, 0.0) ** 2 + sobolev_norm(B0, 0.0) ** 2
+        x = _stacked(state)
         for i in range(100):
-            state = step_full(state, p, sc, op=op, t=i * sc.dt)
+            x = step_full(grid64, x, p, sc, op=op, t=i * sc.dt)
+        state = _state_view(grid64, x)
         em1 = sobolev_norm(state.E, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2
         assert abs(em1 - em0) / em0 < 1e-8
 
@@ -178,7 +183,8 @@ class TestStepFull:
         limit = make_limit_data(grid64, seed=3, amplitude=0.08)
         spec = WellPreparedSpec.from_seed(limit, seed=3, c0=1.0, kappa=p.kappa)
         state = make_well_prepared(spec)
-        out = step_full(state, p, sc, op=StiffLinearOperator.zero(grid64, sc.dt))
+        out = _state_view(grid64, step_full(grid64, _stacked(state), p, sc,
+                                            op=StiffLinearOperator.zero(grid64, sc.dt)))
 
         grid = grid64
         J = p.kappa * state.jt.values
@@ -206,8 +212,10 @@ class TestStepFull:
         state = make_well_prepared(spec)
         sc = StepControl(dt=2e-4, t_end=0.01)
         op = build_stiff_operator(grid64, p, state.n.mean, sc.dt)
+        x = _stacked(state)
         for i in range(50):
-            state = step_full(state, p, sc, op=op, t=i * sc.dt)
+            x = step_full(grid64, x, p, sc, op=op, t=i * sc.dt)
+            state = _state_view(grid64, x)
             tol = 1e-10 * (1.0 + sup_norm(state.E) + sup_norm(state.B))
             assert np.abs(array_divergence(grid64, state.E.values)).max() <= tol
             assert np.abs(array_divergence(grid64, state.B.values)).max() <= tol
@@ -220,9 +228,10 @@ class TestStepFull:
         mass0 = grid_integral(grid64, state.n.values)
         sc = StepControl(dt=2e-4, t_end=0.02)
         op = build_stiff_operator(grid64, p, state.n.mean, sc.dt)
+        x = _stacked(state)
         for i in range(100):
-            state = step_full(state, p, sc, op=op, t=i * sc.dt)
-        assert abs(grid_integral(grid64, state.n.values) - mass0) / mass0 < 1e-10
+            x = step_full(grid64, x, p, sc, op=op, t=i * sc.dt)
+        assert abs(grid_integral(grid64, x[0]) - mass0) / mass0 < 1e-10
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detection(self, grid64):
@@ -232,7 +241,7 @@ class TestStepFull:
         bad_u[0, 0] = np.inf
         bad = FullState(s.n, VectorField(grid64, bad_u), s.jt, s.E, s.B)
         with pytest.raises(BlowUpError, match="blow-up detected at t="):
-            step_full(bad, p, StepControl(dt=1e-3, t_end=1e-3))
+            step_full(grid64, _stacked(bad), p, StepControl(dt=1e-3, t_end=1e-3))
 
     @pytest.mark.parametrize("name", ["n", "u", "J", "E", "B"])
     def test_blowup_names_first_nonfinite_field(self, grid64, name):
@@ -250,7 +259,7 @@ class TestStepFull:
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         state = LimitState(ScalarField(grid64, 1.0 + 1.5 * np.sin(x)), VectorField.zeros(grid64))
         with pytest.raises(VacuumError, match=r"at t=0\.001: min n = -0\.49"):
-            step_limit(state, p, StepControl(dt=1e-3, t_end=1e-3))
+            step_limit(grid64, _stacked(state), p, StepControl(dt=1e-3, t_end=1e-3))
 
     def test_asymptotic_robustness_quick(self, grid64):
         # identical grid/dt across three decades of kappa; the full-horizon
@@ -277,11 +286,12 @@ def test_transform_calls_per_step(grid, monkeypatch):
     batch_p = tuple(Params(kappa=k) for k in (0.4, 0.2, 0.1, 0.05))
     calls = count_fft_calls(monkeypatch)
     for stepper, state in ((step_full, full), (step_limit, limit)):
-        for states, params in ((state, p), ((state,) * 4, batch_p)):
-            means = tuple(s.n.mean for s in states) if params is batch_p else state.n.mean
+        x = _stacked(state)
+        for xs, params, means in ((x, p, state.n.mean),
+                                  (np.stack([x] * 4), batch_p, (state.n.mean,) * 4)):
             op = build_stiff_operator(grid, params, means, sc.dt)
             calls.clear()
-            stepper(states, params, sc, op=op)
+            stepper(grid, xs, params, sc, op=op)
             assert 0 < len(calls) <= 12, (stepper.__name__, calls)
 
 
@@ -296,21 +306,20 @@ def test_batch_matches_single_steps(grid):
                   for k in kappas)
     limits = tuple(make_limit_data(grid, seed=s, amplitude=0.1) for s in (3, 4, 5))
     sc = StepControl(dt=2e-4, t_end=1.0)
-    for stepper, states, fields in ((step_full, fulls, ("n", "u", "jt", "E", "B")),
-                                    (step_limit, limits, ("n", "u"))):
+    for stepper, states in ((step_full, fulls), (step_limit, limits)):
         op = build_stiff_operator(grid, ps, tuple(s.n.mean for s in states), sc.dt)
         ops = [build_stiff_operator(grid, p, s.n.mean, sc.dt) for p, s in zip(ps, states)]
         for k, single in enumerate(ops):
             assert np.array_equal(op.gen[k], single.gen)
             assert np.array_equal(op.prop_half[k], single.prop_half)
-        batch, alone = states, list(states)
+        alone = [_stacked(s) for s in states]
+        batch = np.stack(alone)
         for i in range(3):
-            batch = stepper(batch, ps, sc, op=op, t=i * sc.dt)
-            alone = [stepper(s, p, sc, op=o, t=i * sc.dt) for s, p, o in zip(alone, ps, ops)]
-        assert isinstance(batch, tuple) and len(batch) == len(states)
+            batch = stepper(grid, batch, ps, sc, op=op, t=i * sc.dt)
+            alone = [stepper(grid, x, p, sc, op=o, t=i * sc.dt) for x, p, o in zip(alone, ps, ops)]
+        assert batch.shape == (len(states),) + alone[0].shape
         for b, a in zip(batch, alone):
-            for name in fields:
-                assert np.array_equal(getattr(b, name).values, getattr(a, name).values), name
+            assert np.array_equal(b, a)
 
 
 class TestBatchFailures:
@@ -323,9 +332,9 @@ class TestBatchFailures:
         bad = FullState(s.n, VectorField(grid64, bad_u), s.jt, s.E, s.B)
         sc = StepControl(dt=1e-3, t_end=1e-3)
         with pytest.raises(BlowUpError) as alone:
-            step_full(bad, ps[1], sc)
+            step_full(grid64, _stacked(bad), ps[1], sc)
         with pytest.raises(BlowUpError) as batch:
-            step_full((s, bad, s), ps, sc)
+            step_full(grid64, np.stack([_stacked(x) for x in (s, bad, s)]), ps, sc)
         assert batch.value.member == 1
         assert str(batch.value) == str(alone.value)
 
@@ -337,14 +346,14 @@ class TestBatchFailures:
         bad = LimitState(ScalarField(grid64, 1.0 + 1.5 * np.sin(x)), VectorField.zeros(grid64))
         sc = StepControl(dt=1e-3, t_end=1e-3)
         with pytest.raises(VacuumError, match=r"^vacuum state at t=0\.001: min n = -0\.49") as exc:
-            step_limit((good, bad), ps, sc)
+            step_limit(grid64, np.stack([_stacked(good), _stacked(bad)]), ps, sc)
         assert exc.value.member == 1
 
     def test_params_must_differ_only_in_kappa(self, grid64):
         s = _uniform(grid64)
         ps = (Params(kappa=0.4), Params(kappa=0.2, mu=0.2))
         with pytest.raises(ConfigError, match="differ only in kappa"):
-            step_full((s, s), ps, StepControl(dt=1e-3, t_end=1e-3))
+            step_full(grid64, np.stack([_stacked(s)] * 2), ps, StepControl(dt=1e-3, t_end=1e-3))
 
 
 class TestStepLimit:
@@ -352,7 +361,7 @@ class TestStepLimit:
         p = Params(kappa=0.2)
         s = LimitState(ScalarField(grid64, np.ones(grid64.shape)),
                        VectorField.zeros(grid64))
-        out = step_limit(s, p, StepControl(dt=0.1, t_end=0.1))
+        out = _state_view(grid64, step_limit(grid64, _stacked(s), p, StepControl(dt=0.1, t_end=0.1)))
         assert np.abs(out.n.values - 1.0).max() < 1e-14
         assert sup_norm(out.u) < 1e-14
 
@@ -377,9 +386,10 @@ class TestStepLimit:
         sc = StepControl(dt=dt, t_end=t_end)
         op = build_stiff_operator(grid, p, 1.0, dt)
         series = np.empty(n_steps)
+        x = _stacked(state)
         for i in range(n_steps):
-            state = step_limit(state, p, sc, op=op, t=i * dt)
-            series[i] = state.n.values[4, 0, 0] - 1.0  # x = pi/2: sin mode peak
+            x = step_limit(grid, x, p, sc, op=op, t=i * dt)
+            series[i] = x[0, 4, 0, 0] - 1.0  # n at x = pi/2: sin mode peak
         window = np.hanning(n_steps)
         spec = np.abs(np.fft.rfft(series * window))
         freqs = np.fft.rfftfreq(n_steps, d=dt) * 2 * math.pi
@@ -404,9 +414,10 @@ class TestStepLimit:
             VectorField(grid64, np.stack([
                 5.0 * np.sin(x), np.zeros(grid64.shape), np.zeros(grid64.shape)])),
         )
+        x = _stacked(state)
         with pytest.raises((VacuumError, BlowUpError)):
             for i in range(200):
-                state = step_limit(state, p, StepControl(dt=0.05, t_end=10.0), t=i * 0.05)
+                x = step_limit(grid64, x, p, StepControl(dt=0.05, t_end=10.0), t=i * 0.05)
 
 
 class TestEvolve:

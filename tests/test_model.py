@@ -19,6 +19,7 @@ from nsmlimit.model import (
     _reformed_rate,
     _split,
     _stack,
+    _stacked,
     _two_fluid_rate,
     enthalpy_h,
     pressure,
@@ -257,10 +258,9 @@ class TestRhsLimit:
         ]))
         errs = []
         for dt in (2e-3, 1e-3):
-            s = LimitState(n, u)
-            stepped = step_limit(s, p, StepControl(dt=dt, t_end=dt))
+            stepped = step_limit(grid64, _stacked(LimitState(n, u)), p, StepControl(dt=dt, t_end=dt))
             shifted = translate(n, (c * dt / (1.0 + p.epsilon), 0.0, 0.0))
-            errs.append(np.abs(stepped.n.values - shifted.values).max())
+            errs.append(np.abs(stepped[0] - shifted.values).max())
         assert errs[0] < 1e-7
         assert errs[0] / errs[1] > 3.5
 
