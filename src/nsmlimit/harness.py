@@ -14,7 +14,8 @@ bit for bit those of its own run.  A member that blows up or hits vacuum
 gets its own status, message and step count and leaves the batch; the
 others redo that step without it.  A sweep is one such batch.
 
-``run_single`` calls ``step_full``, ``step_limit``, ``build_stiff_operator``,
+``run_single`` calls ``step_full``, ``step_limit``, ``build_stiff_operator``
+(the full system's; the limit's is ``StiffLinearOperator.viscous``),
 ``make_energy_ledger``, ``make_limit_data``, ``make_well_prepared`` and
 ``hypothesis_certificate`` through this module's names, and ``run_sweep``
 goes through ``run_single``: perfbench wraps these names for its spans and
@@ -54,7 +55,8 @@ from .diagnostics import (
 )
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
-from .integrator import StepControl, build_stiff_operator, step_full, step_limit, _n_fixed_steps
+from .integrator import StepControl, StiffLinearOperator, build_stiff_operator, step_full, step_limit
+from .integrator import _n_fixed_steps
 from .model import FullState, LimitState, Params, PressureLaw, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
@@ -417,7 +419,7 @@ def run_single(
     start = _time.perf_counter()
     record(0.0)
     n_steps = _n_fixed_steps(cfg.step)
-    op_limit = build_stiff_operator(grid, params[0], limit.n.mean, dt) if n_steps else None
+    op_limit = StiffLinearOperator.viscous(grid, params[0], limit.n.mean, dt) if n_steps else None
     while steps_done < n_steps and live:
         t = steps_done * dt
         if op_full is None:

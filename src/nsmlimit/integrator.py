@@ -12,12 +12,14 @@ applied on the real-FFT half-spectrum.  A step is the Strang composition
 
 which is second order, unconditionally stable in kappa, and reduces to
 plain SSP-RK2 when L = 0.  E and B are Leray-projected after every step.
+The remainder N - L is formed directly by the rates, so L is never applied
+and the 1/kappa curl terms, which N and L share, are never formed.
 
 The steppers take and return one stacked physical array: the rows
 (n, u, j~, E, B), (13, *shape), or (n, u), (4, *shape), for the limit
 system.  A step scales j~ to J = kappa j~ and transforms once on entry, and
 transforms back and divides J by kappa once on exit; the half-steps, the
-SSP-RK2 updates, L and the Leray projection are element-wise work on the
+SSP-RK2 updates and the Leray projection are element-wise work on the
 half-spectrum in between, and each rate evaluation leaves Fourier space
 only to form its pointwise products (``model._full_rate``).  States are
 built only where fields are read (``evolve``'s observer and result).
@@ -28,7 +30,8 @@ operator tables get a leading member axis.  Every operation acts on each
 member alone and the transforms give the same bits with or without the
 member axis, so a member's result does not depend on the batch it ran in.
 
-The limit system reuses the same machinery with only the viscous block.
+The limit system steps the same way with u's viscous block alone
+(``StiffLinearOperator.viscous``).
 """
 
 from __future__ import annotations
@@ -104,15 +107,6 @@ _TERMS = (
 )
 
 
-def _pack(u_lon, u_tra, lon, hel):
-    """Per-pair rows in _TERMS order from u's factors and the (J, E, B) blocks."""
-    rows = [u_tra, u_lon - u_tra]
-    for part, i, j in _TERMS[2:]:
-        entry = hel[:, i - 1, j - 1]
-        rows.append(lon[:, i - 1, j - 1] - entry if part == "s" else entry)
-    return np.stack(rows)
-
-
 class StiffLinearOperator:
     """Per-mode stiff generator L and its half-step exponential, in closed form.
 
@@ -134,16 +128,18 @@ class StiffLinearOperator:
     identity with exp(h Long) and exp(h M) gives the exact propagator.  The
     k = 0 and pure-Nyquist modes have khat = 0 and omega = 0.
 
-    ``gen`` and ``prop_half`` hold one real coefficient per _TERMS entry and
-    half-spectrum mode, tabulated per distinct (|k|^2, |k_full|^2) pair,
-    after a leading member axis for a batch.
+    ``prop_half`` holds one real coefficient per _TERMS entry (u's two alone
+    for the limit system's ``viscous`` operator) and half-spectrum mode,
+    after a leading member axis for a batch.  L is not tabulated: the rates
+    take ``n_mean`` (None for L = 0) and form N(y) - L y directly.
     """
 
-    def __init__(self, dt: float, khat: np.ndarray, gen: np.ndarray, prop_half: np.ndarray):
+    def __init__(self, dt: float, khat: np.ndarray, prop_half: np.ndarray, n_mean=None):
         self.dt = dt
         self.khat = khat            # (3, *half)
-        self.gen = gen              # (len(_TERMS), *half)
-        self.prop_half = prop_half  # (len(_TERMS), *half)
+        self.prop_half = prop_half  # (len(_TERMS) or 2, *half)
+        # the frozen mean density: a float, or a (K, 1, 1, 1, 1) column for a batch
+        self.n_mean = np.reshape(n_mean, (-1, 1, 1, 1, 1)) if np.ndim(n_mean) else n_mean
 
     @classmethod
     def zero(cls, grid: Grid, dt: float) -> "StiffLinearOperator":
@@ -151,18 +147,33 @@ class StiffLinearOperator:
         k = grid.half_wavenumbers
         prop = np.zeros((len(_TERMS),) + k.shape[1:])
         prop[[n for n, (part, i, j) in enumerate(_TERMS) if part == "x" and i == j]] = 1.0
-        return cls(dt, np.zeros_like(k), np.zeros_like(prop), prop)
+        return cls(dt, np.zeros_like(k), prop)
 
-    def _apply(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Per-mode sum over _TERMS of the stacked half-spectrum (u, J, E, B),
-        (..., 4, 3, *half), with ``coef`` (..., len(_TERMS), *half)."""
+    @classmethod
+    def viscous(cls, grid: Grid, p, n_mean, dt: float) -> "StiffLinearOperator":
+        """The limit system's operator: u's two viscous rows alone,
+        e^{h v_T} and e^{h v_L} - e^{h v_T} with h = dt/2, per half-spectrum
+        mode; ``p`` and ``n_mean`` as for ``build_stiff_operator``."""
+        if dt <= 0:
+            raise ConfigError("dt must be positive")
+        p, m = _shared_params(p)[0], np.reshape(n_mean, np.shape(n_mean) + (1, 1, 1))
+        v_tra = -p.mu * grid.k_squared[grid.half_cut] / m
+        v_lon = v_tra - (p.mu + p.lam) * (grid.half_wavenumbers**2).sum(axis=0) / m
+        e_tra = np.exp(0.5 * dt * v_tra)
+        prop = np.stack([e_tra, np.exp(0.5 * dt * v_lon) - e_tra], axis=-4)
+        return cls(dt, grid.half_unit_wavenumbers, prop, n_mean)
+
+    def apply_half(self, x):
+        """One half-step exact propagation of the half-spectrum (u, J, E, B),
+        stacked as (4, 3, *half), or (K, 4, 3, *half) for a batch: the
+        per-mode sum over _TERMS."""
         kh = self.khat
         s = (kh * x).sum(axis=-4, keepdims=True)
         rot = _cross(kh, x)
         rot *= -1j
         out, lon = np.zeros_like(x), np.zeros_like(s)
         # terms and fields first: coef[n] is (..., 1, *half), parts[j] (..., 3 or 1, *half)
-        coef = coef.swapaxes(0, -4)[_ROWS[None]]
+        coef = self.prop_half.swapaxes(0, -4)[_ROWS[None]]
         parts = {"x": x.swapaxes(0, -5), "s": s.swapaxes(0, -5), "rot": rot.swapaxes(0, -5)}
         acc = {"x": out.swapaxes(0, -5), "s": lon.swapaxes(0, -5)}
         for c, (part, i, j) in zip(coef, _TERMS):
@@ -170,28 +181,12 @@ class StiffLinearOperator:
         out += kh * lon
         return out
 
-    def _apply_u(self, coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-        kh = self.khat
-        c0, c1 = coef[_ROWS[0, 1]], coef[_ROWS[1, 2]]
-        return c0 * u + kh * (c1 * (kh * u).sum(axis=-4, keepdims=True))
-
-    def apply_half(self, x):
-        """One half-step exact propagation of the half-spectrum (u, J, E, B),
-        stacked as (4, 3, *half), or (K, 4, 3, *half) for a batch."""
-        return self._apply(self.prop_half, x)
-
-    def linear_rate(self, x):
-        """L applied to the stacked half-spectrum (u, J, E, B)."""
-        return self._apply(self.gen, x)
-
     def apply_half_u(self, u):
         """Half-step viscous propagation of the half-spectrum u alone (the
         limit system)."""
-        return self._apply_u(self.prop_half, u)
-
-    def linear_rate_u(self, u):
-        """The viscous generator applied to the half-spectrum u alone."""
-        return self._apply_u(self.gen, u)
+        kh, coef = self.khat, self.prop_half
+        c0, c1 = coef[_ROWS[0, 1]], coef[_ROWS[1, 2]]
+        return c0 * u + kh * (c1 * (kh * u).sum(axis=-4, keepdims=True))
 
 
 def _shared_params(p):
@@ -206,13 +201,12 @@ def _shared_params(p):
 
 
 def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperator:
-    """Tabulate the generator and its half-step exponential per distinct
-    (|k|^2, |k_full|^2) pair and spread them over the half-spectrum.
+    """Tabulate the half-step exponential per distinct (|k|^2, |k_full|^2)
+    pair and spread it over the half-spectrum.
 
     ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
-    each for a batch (Params differing only in kappa); then ``gen`` and
-    ``prop_half`` get a leading member axis, and each member is tabulated
-    on its own."""
+    each for a batch (Params differing only in kappa); then ``prop_half``
+    gets a leading member axis, and each member is tabulated on its own."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
     k = grid.half_wavenumbers
@@ -221,15 +215,15 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperato
     pairs, inverse = np.unique(keys, axis=0, return_inverse=True)
     if isinstance(p, tuple):
         _shared_params(p)
-        tables = np.stack([_tables(pairs, q, m, dt) for q, m in zip(p, n_mean)], axis=1)
+        table = np.stack([_table(pairs, q, m, dt) for q, m in zip(p, n_mean)])
     else:
-        tables = _tables(pairs, p, n_mean, dt)
-    gen, prop = (table[..., inverse].reshape(table.shape[:-1] + k2.shape) for table in tables)
-    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, gen, prop)
+        table = _table(pairs, p, n_mean, dt)
+    prop = table[..., inverse].reshape(table.shape[:-1] + k2.shape)
+    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, prop, n_mean)
 
 
-def _tables(pairs: np.ndarray, p: Params, n_mean: float, dt: float) -> np.ndarray:
-    """(gen, prop_half) rows in _TERMS order per (|k|^2, |k_full|^2) pair."""
+def _table(pairs: np.ndarray, p: Params, n_mean: float, dt: float) -> np.ndarray:
+    """prop_half rows in _TERMS order per (|k|^2, |k_full|^2) pair."""
     # as the physical-space viscous operator: full |k|^2 Laplacian,
     # derivative wavenumbers in grad div
     v_tra = -p.mu * pairs[:, 1] / n_mean
@@ -243,8 +237,13 @@ def _tables(pairs: np.ndarray, p: Params, n_mean: float, dt: float) -> np.ndarra
     # complex dtype: scipy's real-dtype expm loses ~50x accuracy at omega dt >> 1
     h = 0.5 * dt
     ex = scipy.linalg.expm(np.concatenate([lon, hel]) * (h + 0j)).real
-    return np.stack([_pack(v_lon, v_tra, lon, hel),
-                     _pack(np.exp(h * v_lon), np.exp(h * v_tra), ex[: len(pairs)], ex[len(pairs):])])
+    ex_lon, ex_hel = ex[: len(pairs)], ex[len(pairs):]
+    e_tra = np.exp(h * v_tra)
+    rows = [e_tra, np.exp(h * v_lon) - e_tra]
+    for part, i, j in _TERMS[2:]:
+        entry = ex_hel[:, i - 1, j - 1]
+        rows.append(ex_lon[:, i - 1, j - 1] - entry if part == "s" else entry)
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +318,7 @@ def step_full(
     _uJEB(h)[:] = op.apply_half(_uJEB(h))
 
     def remainder(y, tt, guard=None):
-        rate = _full_rate(grid, shared, y, kap, guard)
-        vectors = _uJEB(rate)
-        vectors -= op.linear_rate(_uJEB(y))
+        rate = _full_rate(grid, shared, y, kap, guard, op.n_mean)
         if forcing is not None:
             rate += array_rfft(grid, forcing(tt))
         return rate
@@ -357,16 +354,14 @@ def step_limit(
     shared = _shared_params(p)[0]
     dt = sc.dt
     if op is None:
-        op = build_stiff_operator(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), dt)
+        op = StiffLinearOperator.viscous(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), dt)
 
     h = array_rfft(grid, x)
     u = h[_ROWS[1, 4]]
     u[...] = op.apply_half_u(u)
 
     def remainder(y, tt, guard=None):
-        rate = _limit_rate(grid, shared, y, guard)
-        du = rate[_ROWS[1, 4]]
-        du -= op.linear_rate_u(y[_ROWS[1, 4]])
+        rate = _limit_rate(grid, shared, y, guard, op.n_mean)
         if forcing is not None:
             rate += array_rfft(grid, forcing(tt))
         return rate
@@ -445,7 +440,8 @@ def evolve(
                 step = replace(sc, dt=min(sc.dt, sc.cfl * grid.spacing / max(1.0, c.max()), sc.t_end - t))
                 op = None
             if op is None:
-                op = build_stiff_operator(grid, p, float(x[_ROWS[0]].mean()), step.dt)
+                build = build_stiff_operator if stepper is step_full else StiffLinearOperator.viscous
+                op = build(grid, p, float(x[_ROWS[0]].mean()), step.dt)
             x = stepper(grid, x, p, step, op=op, forcing=forcing, t=t)
             log.n_steps += 1
             t = log.n_steps * sc.dt if fixed else t + step.dt

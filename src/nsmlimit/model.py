@@ -432,7 +432,7 @@ def _full_products(p: Params, kap, n, u, J, E, B) -> np.ndarray:
     return prod
 
 
-def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None) -> np.ndarray:
+def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None, n_mean=None):
     """Primitive rates of the scaled system in the variables (n, u, J, E, B).
 
     ``x`` is the stacked state with J = kappa j~ on the half-spectrum, of
@@ -441,6 +441,11 @@ def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None) -> 
     a (K, 1, 1, 1, 1) column.  ``guard``, the arguments after n of
     ``_require_positive``, makes a density that is not positive on the grid
     raise VacuumError before the pressure law sees it.
+
+    Given a StiffLinearOperator's frozen mean density ``n_mean``, it returns
+    the Strang remainder N(y) - L y: u and J lose their viscous term over
+    n_mean, J also a n_mean E, dE is P(n_mean J - n J) and dB zero; the
+    1/kappa curl terms, shared by N and L, are never formed.
 
     dn      = -1/(1+eps) div(n u)
     d(nu)   = -div F + mu lap u + (mu+lam) grad div u + kappa/tau n J x B
@@ -466,20 +471,27 @@ def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None) -> 
     out[_ROWS[0]] = _continuity(grid, p, hat[_ROWS[0, 3]])
     flux = hat[_ROWS[15, 21]].reshape(lead + (2, 3) + half) - _div_sym(
         grid, hat[_ROWS[3, 15]].reshape(lead + (2, 6) + half))
-    out[_ROWS[1, 7]] = (mask * flux + _visc_hat(grid, p, x[_ROWS[1, 7]].reshape(lead + (2, 3) + half))
-                        ).reshape(lead + (6,) + half)
-    out[_ROWS[7, 10]] = (_curl_hat(grid, x[_ROWS[10, 13]]) / kap
-                         - half_leray_project(grid, mask * hat[_ROWS[21, 24]]))
-    out[_ROWS[10, 13]] = _curl_hat(grid, x[_ROWS[7, 10]]) / -kap
+    visc = _visc_hat(grid, p, x[_ROWS[1, 7]].reshape(lead + (2, 3) + half)).reshape(lead + (6,) + half)
+    out[_ROWS[1, 7]] = mask * flux.reshape(lead + (6,) + half) + visc
+    nJ = mask * hat[_ROWS[21, 24]]
+    if n_mean is None:
+        out[_ROWS[7, 10]] = _curl_hat(grid, x[_ROWS[10, 13]]) / kap - half_leray_project(grid, nJ)
+        out[_ROWS[10, 13]] = _curl_hat(grid, x[_ROWS[7, 10]]) / -kap
+    else:
+        out[_ROWS[7, 10]] = half_leray_project(grid, n_mean * x[_ROWS[4, 7]] - nJ)
+        out[_ROWS[10, 13]] = 0.0
     _to_primitive(grid, out, state, 7)
+    if n_mean is not None:
+        out[_ROWS[1, 7]] -= visc / n_mean
+        out[_ROWS[4, 7]] -= ((1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean) * x[_ROWS[7, 10]]
     return out
 
 
-def _limit_rate(grid: Grid, p: Params, x: np.ndarray, guard=None) -> np.ndarray:
+def _limit_rate(grid: Grid, p: Params, x: np.ndarray, guard=None, n_mean=None) -> np.ndarray:
     """Primitive rates of the limit system for the stacked half-spectrum (n, u):
     dn = -1/(1+eps) div(n u) and d(nu) = -div F + mu lap u + (mu+lam) grad div u
-    with the fluid flux F of ``_full_rate`` at J = 0; ``x`` and ``guard`` as
-    there."""
+    with the fluid flux F of ``_full_rate`` at J = 0; ``x``, ``guard`` and
+    ``n_mean`` as there: given n_mean, u loses its viscous term divided by it."""
     state = array_irfft(grid, x)
     n = state[_ROWS[0, 1]]
     if guard is not None:
@@ -488,8 +500,11 @@ def _limit_rate(grid: Grid, p: Params, x: np.ndarray, guard=None) -> np.ndarray:
     mask = grid.half_dealias_mask
     out = np.empty_like(x)
     out[_ROWS[0]] = _continuity(grid, p, hat[_ROWS[0, 3]])
-    out[_ROWS[1, 4]] = mask * -_div_sym(grid, hat[_ROWS[3, 9]]) + _visc_hat(grid, p, x[_ROWS[1, 4]])
+    visc = _visc_hat(grid, p, x[_ROWS[1, 4]])
+    out[_ROWS[1, 4]] = mask * -_div_sym(grid, hat[_ROWS[3, 9]]) + visc
     _to_primitive(grid, out, state, 4)
+    if n_mean is not None:
+        out[_ROWS[1, 4]] -= visc / n_mean
     return out
 
 
@@ -601,14 +616,8 @@ def rhs_full(s: FullState, p: Params) -> FullRate:
     validate_full_state(s)
     grid = s.grid
     x = _stack(s.n.values, s.u.values, p.kappa * s.jt.values, s.E.values, s.B.values)
-    dn, du, dJ, dE, dB = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, x))))
-    return FullRate(
-        ScalarField(grid, dn),
-        VectorField(grid, du),
-        VectorField(grid, dJ),
-        VectorField(grid, dE),
-        VectorField(grid, dB),
-    )
+    dn, *vectors = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, x))))
+    return FullRate(ScalarField(grid, dn), *(VectorField(grid, v) for v in vectors))
 
 
 def rhs_limit(s: LimitState, p: Params) -> LimitRate:
@@ -633,17 +642,8 @@ def rhs_twofluid(
     alpha = p.kappa**2 if alpha is None else alpha
     beta = p.kappa**4 if beta is None else beta
     grid = s.grid
-    dn, dnu_e, dnu_i, dE, dB = _two_fluid_rate(
-        grid, p, s.n.values, s.u_e.values, s.u_i.values, s.E.values, s.B.values,
-        alpha, beta,
-    )
-    return TwoFluidRate(
-        ScalarField(grid, dn),
-        VectorField(grid, dnu_e),
-        VectorField(grid, dnu_i),
-        VectorField(grid, dE),
-        VectorField(grid, dB),
-    )
+    dn, *vectors = _two_fluid_rate(grid, p, *(f.values for f in vars(s).values()), alpha, beta)
+    return TwoFluidRate(ScalarField(grid, dn), *(VectorField(grid, v) for v in vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +651,9 @@ def rhs_twofluid(
 
 
 def _rel_discrepancy(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    num = math.sqrt(grid_integral(grid, (a - b) ** 2 if a.ndim == 3 else ((a - b) ** 2).sum(axis=0)))
-    sa = math.sqrt(grid_integral(grid, a**2 if a.ndim == 3 else (a**2).sum(axis=0)))
-    sb = math.sqrt(grid_integral(grid, b**2 if b.ndim == 3 else (b**2).sum(axis=0)))
-    scale = max(sa, sb)
-    if scale == 0.0:
-        return 0.0
-    return num / scale
+    norm = lambda f: math.sqrt(grid_integral(grid, f**2 if f.ndim == 3 else (f**2).sum(axis=0)))
+    scale = max(norm(a), norm(b))
+    return 0.0 if scale == 0.0 else norm(a - b) / scale
 
 
 @dataclass(frozen=True)

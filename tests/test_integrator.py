@@ -25,7 +25,8 @@ from nsmlimit.integrator import (
     step_limit,
 )
 from nsmlimit.model import (
-    FullState, LimitState, Params, PressureLaw, _full_rate, _split, _stack, _stacked, _state_view,
+    FullState, LimitState, Params, PressureLaw, _full_rate, _limit_rate, _split, _stack, _stacked,
+    _state_view,
 )
 from nsmlimit.spectral import (
     Grid,
@@ -68,11 +69,9 @@ class TestStiffOperator:
         ref = DenseStiffReference(grid, p, n_mean=1.07, dt=0.01)
         fields = _random_fields(grid, 11)
         x = array_rfft(grid, np.stack(fields))
-        prop, rate = ref.apply_half(*fields), ref.linear_rate(*fields)
+        prop = ref.apply_half(*fields)
         for got, want in [(array_irfft(grid, op.apply_half(x)), prop),
-                          (array_irfft(grid, op.linear_rate(x)), rate),
-                          ([array_irfft(grid, op.apply_half_u(x[0]))], prop[:1]),
-                          ([array_irfft(grid, op.linear_rate_u(x[0]))], rate[:1])]:
+                          ([array_irfft(grid, op.apply_half_u(x[0]))], prop[:1])]:
             got, want = np.stack(got), np.stack(want)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -130,12 +129,90 @@ class TestStiffOperator:
         hat = array_rfft(grid64, np.stack(fields))
         dev = max(np.abs(y - x).max() for x, y in zip(fields, array_irfft(grid64, op.apply_half(hat))))
         # deviation is O(dt |L|), dominated by the viscous mu k^2 block
-        lmax = max(np.abs(r).max() for r in array_irfft(grid64, op.linear_rate(hat)))
+        ref = DenseStiffReference(grid64, p, n_mean=1.0, dt=1e-9)
+        lmax = max(np.abs(r).max() for r in ref.linear_rate(*fields))
         assert dev < 1e-9 * (lmax + 1.0)
 
     def test_invalid_dt(self, grid64):
         with pytest.raises(ConfigError):
             build_stiff_operator(grid64, Params(kappa=0.5), 1.0, dt=0.0)
+        with pytest.raises(ConfigError):
+            StiffLinearOperator.viscous(grid64, Params(kappa=0.5), 1.0, dt=0.0)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    def test_viscous_operator_steps_as_full_builder(self, grid):
+        # the limit system's u-only operator tabulates the same viscous rows
+        # as the full builder, for one state and for a batch
+        ps = tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.05))
+        limits = [make_limit_data(grid, seed=s, amplitude=0.1) for s in (3, 4)]
+        sc = StepControl(dt=2e-4, t_end=1.0)
+        means = tuple(s.n.mean for s in limits)
+        for p, m, x in ((ps[0], means[0], _stacked(limits[0])),
+                        (ps, means, np.stack([_stacked(s) for s in limits]))):
+            viscous = StiffLinearOperator.viscous(grid, p, m, sc.dt)
+            full = build_stiff_operator(grid, p, m, sc.dt)
+            a = b = x
+            for i in range(3):
+                a = step_limit(grid, a, p, sc, op=viscous, t=i * sc.dt)
+                b = step_limit(grid, b, p, sc, op=full, t=i * sc.dt)
+            assert np.array_equal(a, b)
+            assert np.array_equal(step_limit(grid, x, p, sc), step_limit(grid, x, p, sc, op=full))
+
+
+def _random_state(grid, seed, kappas):
+    """Random stacked (n, u, J, E, B) half-spectra with 0.9 <= n <= 1.1, one
+    per kappa, and their Params."""
+    rng = np.random.default_rng(seed)
+    xs = [np.concatenate([1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(1,) + grid.shape),
+                          rng.normal(size=(12,) + grid.shape)]) for _ in kappas]
+    return [array_rfft(grid, x) for x in xs], [Params(kappa=k, lam=0.05) for k in kappas]
+
+
+class TestRemainder:
+    """The rates given a frozen mean density return N(y) - L y directly."""
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    @pytest.mark.parametrize("kappas", [(0.05,), (0.4, 0.05, 1e-3)], ids=["single", "batch3"])
+    @pytest.mark.parametrize("system", ["full", "limit"])
+    def test_matches_rate_minus_dense_generator(self, grid, kappas, system):
+        xs, ps = _random_state(grid, 5, kappas)
+        rows = 13 if system == "full" else 4
+        xs = [x[:rows] for x in xs]
+        means = [float(array_irfft(grid, x[0]).mean()) for x in xs]
+        batch = len(kappas) > 1
+        x = np.stack(xs) if batch else xs[0]
+        p, m = (tuple(ps), tuple(means)) if batch else (ps[0], means[0])
+        n_mean = build_stiff_operator(grid, p, m, dt=0.01).n_mean
+        kap = np.reshape(kappas, (-1, 1, 1, 1, 1)) if batch else kappas[0]
+        if system == "full":
+            got = _full_rate(grid, ps[0], x, kap, n_mean=n_mean)
+            rate = _full_rate(grid, ps[0], x, kap)
+        else:
+            got = _limit_rate(grid, ps[0], x, n_mean=n_mean)
+            rate = _limit_rate(grid, ps[0], x)
+        for k in range(len(kappas)):
+            member = (lambda a: a[k]) if batch else (lambda a: a)
+            want = array_irfft(grid, member(rate))
+            fields = list(array_irfft(grid, xs[k])[1:].reshape(-1, 3, *grid.shape))
+            fields += [np.zeros_like(fields[0])] * (4 - len(fields))
+            lin = DenseStiffReference(grid, ps[k], means[k], dt=0.01).linear_rate(*fields)
+            want[1:] -= np.concatenate(lin)[: rows - 1]
+            err = np.abs(array_irfft(grid, member(got)) - want).max()
+            assert err <= 1e-12 * max(1.0, np.abs(want).max()), (k, err)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    @pytest.mark.parametrize("kappa", [1.0, 1e-2, 1e-4])
+    def test_maxwell_rows_uniform_in_kappa(self, grid, kappa):
+        # fluid at rest, n = 1, solenoidal E and B: the 1/kappa curl terms of
+        # N and L cancel, so the Maxwell rows of the remainder vanish at any kappa
+        p = Params(kappa=kappa)
+        E, B = (array_leray_project(grid, random_smooth_vector(grid, s, 0.8, zero_mean=True).values)
+                for s in (5, 6))
+        z = np.zeros_like(E)
+        x = array_rfft(grid, _stack(np.ones(grid.shape), z, z, E, B))
+        op = build_stiff_operator(grid, p, 1.0, dt=2e-4)
+        remainder = array_irfft(grid, _full_rate(grid, p, x, n_mean=op.n_mean))
+        assert np.abs(remainder[7:]).max() <= 1e-14
 
 
 def _uniform(grid):
@@ -310,7 +387,7 @@ def test_batch_matches_single_steps(grid):
         op = build_stiff_operator(grid, ps, tuple(s.n.mean for s in states), sc.dt)
         ops = [build_stiff_operator(grid, p, s.n.mean, sc.dt) for p, s in zip(ps, states)]
         for k, single in enumerate(ops):
-            assert np.array_equal(op.gen[k], single.gen)
+            assert op.n_mean[k, 0, 0, 0, 0] == single.n_mean
             assert np.array_equal(op.prop_half[k], single.prop_half)
         alone = [_stacked(s) for s in states]
         batch = np.stack(alone)

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end and print their tables."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -48,3 +49,33 @@ def test_convergence_sweep_script(tmp_path, capsys):
     assert all(len(r) == 6 and r[5] == "completed" for r in rows)
     assert lines[4].startswith("fitted slope = ")
     assert (out_dir / "sweep_summary.json").exists()
+
+
+def test_bench_record_assembly():
+    # the JSON assembly of scripts/bench.py, on the output shape of
+    # ``perfbench/run.py --workload all``, without running the benchmark
+    bench = _load("bench")
+
+    def row(wall):
+        return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+            "wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": 64.0, "unit": "MB"}}})
+
+    stdout = "\n".join([
+        "perfbench sweep_1d seed=7 (input seed 7) mode=end_to_end nproc=2 commit=abc",
+        "  wall_s 1.1 s", row(1.1),
+        "perfbench paired_3d seed=7 (input seed 7) mode=end_to_end nproc=2 commit=abc",
+        row(1.9),
+        "", "workload   metric                             value",
+        "sweep_1d   wall_s                             1.1 s",
+    ])
+    rows = bench.parse_workloads(stdout)
+    assert list(rows) == ["sweep_1d", "paired_3d"]
+    env = {"python": "3", "numpy": "2", "scipy": "1", "thread_env": {}, "git_commit": "abc"}
+    record = json.loads(json.dumps(bench.assemble("t", 15.0, rows, env)))
+    assert record["tag"] == "t" and record["seconds"] == 15.0 and record["environment"] == env
+    sweep = record["workloads"]["sweep_1d"]
+    assert sweep["metrics"] == {"wall_s": 1.1, "peak_rss_mb": 64.0}
+    assert sweep["units"] == {"wall_s": "s", "peak_rss_mb": "MB"}
+    assert (sweep["correct"], sweep["attempted"], sweep["failed"]) == (True, 3, 0)
+    assert record["workloads"]["paired_3d"]["metrics"]["wall_s"] == 1.9
+    assert set(bench.environment()) >= {"python", "numpy", "scipy", "thread_env", "git_commit"}
