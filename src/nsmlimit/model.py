@@ -432,7 +432,7 @@ def _full_products(p: Params, kap, n, u, J, E, B) -> np.ndarray:
     return prod
 
 
-def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None, n_mean=None):
+def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None, n_mean=None) -> np.ndarray:
     """Primitive rates of the scaled system in the variables (n, u, J, E, B).
 
     ``x`` is the stacked state with J = kappa j~ on the half-spectrum, of
