@@ -18,9 +18,6 @@ from .model import (
     PressureLaw,
     TwoFluidState,
     reformulation_check,
-    rhs_full,
-    rhs_limit,
-    rhs_twofluid,
 )
 from .integrator import StepControl, build_stiff_operator, evolve, step_full, step_limit
 from .initdata import WellPreparedSpec, make_limit_data, make_well_prepared

@@ -3,6 +3,12 @@
 Subcommands: run, sweep, audit, moser, reform-check.
 Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 4 acceptance-fit failure.
+
+``sweep`` exits 3 when any member blows up or hits vacuum; it still prints
+the per-kappa table, and with fewer than 3 completed members it fits no
+rate and writes no sweep_summary.json.  ``audit`` exits 2 on a snapshots
+file it cannot read, with fewer than 3 snapshots, or with unevenly spaced
+snapshot times.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .diagnostics import energy_identity_audit
-from .errors import ConfigError
+from .errors import ConfigError, SnapshotSpacingError
 from .harness import (
     R2_MIN,
     REFORM_TOL,
@@ -71,8 +77,11 @@ def _cmd_sweep(args) -> int:
     for row in result.rows:
         print(f"{row.kappa:>8g}  {row.sup_sqrt_gamma:>16.6e}  {row.sup_gamma_over_kappa2:>14.4f}  "
               f"{row.envelope:>11.4f}  {row.growth_rate:>9.4f}  {row.status}")
-    print(f"fitted slope = {s['slope']:.4f}  r2 = {s['r2']:.6f}")
-    print(f"wrote {result.paths['summary']}")
+    if s is None:
+        print("fewer than 3 sweep members completed; no rate fit", file=sys.stderr)
+    else:
+        print(f"fitted slope = {s['slope']:.4f}  r2 = {s['r2']:.6f}")
+        print(f"wrote {result.paths['summary']}")
     if result.failed:
         return EXIT_BLOWUP
     lo, hi = SLOPE_RANGE
@@ -91,7 +100,8 @@ def _cmd_audit(args) -> int:
     p = replace(cfg.params, kappa=kappa)
     try:
         report = energy_identity_audit(snaps, p, drop_term=args.drop_term)
-    except ValueError as exc:  # fewer than 3 snapshots, or a drop term outside 1..6
+    except (ValueError, SnapshotSpacingError) as exc:
+        # fewer than 3 snapshots, a drop term outside 1..6, or uneven times
         raise ConfigError(str(exc)) from None
     print(f"snapshots: {len(snaps)}  interior points: {len(report.residuals)}")
     print(f"max residual  = {report.max_residual:.6e}")

@@ -17,10 +17,6 @@ class VacuumError(SimulationError):
         super().__init__(message)
 
 
-class ConstraintDriftError(SimulationError):
-    """A divergence constraint (div E = 0 or div B = 0) drifted beyond tolerance."""
-
-
 class BlowUpError(SimulationError):
     """NaN/Inf detected during time stepping; ``member`` as for VacuumError."""
 

@@ -633,7 +633,7 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    summary: dict
+    summary: dict | None  # None when fewer than 3 members completed
     rows: list  # SweepRows in kappa_list order
     records: list  # RunRecords in kappa_list order
     failed: list
@@ -642,7 +642,10 @@ class SweepResult:
 
 def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepResult:
     """Run the kappa list as one batch (``run_single`` with a tuple of
-    kappas), write every member's record, then fit the rate."""
+    kappas), write every member's record, then fit the rate.
+
+    With fewer than 3 completed members there is no fit: ``summary`` is
+    None and no sweep_summary.json is written."""
     if len(cfg.kappa_list) < 3:
         raise ConfigError("sweep needs at least 3 kappa values")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -660,8 +663,9 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepResult:
     failed = [(r.kappa, r.status) for r in rows if r.status != "completed"]
     if failed:
         warnings.warn(f"sweep members failed: {failed}")
+    paths = {"out_dir": out}
     if len(survivors) < 3:
-        raise ConfigError("fewer than 3 sweep members completed; no rate fit")
+        return SweepResult(summary=None, rows=rows, records=records, failed=failed, paths=paths)
 
     sup_errors = [e for _, e in survivors]
     if any(b > a * (1.0 + 1e-12) for a, b in zip(sup_errors, sup_errors[1:])):
@@ -669,9 +673,6 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepResult:
             "sup_t sqrt(Gamma) is not monotone nonincreasing along the kappa sweep"
         )
     summary = summarize_sweep([k for k, _ in survivors], sup_errors, cfg.config_hash)
-    summary_path = out / "sweep_summary.json"
-    _atomic_write_text(summary_path, json.dumps(summary, indent=2) + "\n")
-    return SweepResult(
-        summary=summary, rows=rows, records=records, failed=failed,
-        paths={"summary": summary_path, "out_dir": out},
-    )
+    paths["summary"] = out / "sweep_summary.json"
+    _atomic_write_text(paths["summary"], json.dumps(summary, indent=2) + "\n")
+    return SweepResult(summary=summary, rows=rows, records=records, failed=failed, paths=paths)

@@ -30,8 +30,8 @@ operator tables get a leading member axis.  Every operation acts on each
 member alone and the transforms give the same bits with or without the
 member axis, so a member's result does not depend on the batch it ran in.
 
-The limit system steps the same way with u's viscous block alone
-(``StiffLinearOperator.viscous``).
+The limit system steps through the same body (``_strang_step``) with u's
+viscous block alone (``StiffLinearOperator.viscous``).
 """
 
 from __future__ import annotations
@@ -268,11 +268,41 @@ def _uJEB(x: np.ndarray) -> np.ndarray:
     return x[_ROWS[1, None]].reshape(x.shape[:-4] + (4, 3) + x.shape[-3:])
 
 
-def _predictor_guard(x: np.ndarray, t: float) -> tuple:
-    """``guard`` of the SSP-RK2 predictor-stage rate: only members of the
-    stack x passed in with a positive density count; a vacuum passed in is
-    reported after the step."""
-    return f"in the SSP-RK2 predictor stage at t={t:g}", x[_ROWS[0]]
+def _strang_step(grid: Grid, x: np.ndarray, h: np.ndarray, dt: float, t: float,
+                 rate: Callable, forcing: Callable | None, rows: Callable,
+                 half_step: Callable, project: bool = False) -> np.ndarray:
+    """The Strang/SSP-RK2 body shared by ``step_full`` and ``step_limit``.
+
+    ``x`` is the physical stack passed to the stepper and ``h`` its
+    half-spectrum, with J = kappa j~ for the scaled system; h is stepped in
+    place.  ``rate(y, guard)`` is the remainder of the half-spectrum stack
+    y, ``rows(h)`` the view of the stiff rows of h and ``half_step`` the
+    operator's propagator for them; ``project`` Leray projects the last two
+    of those rows (E and B) after the second half-step.  The
+    predictor-stage rate is guarded with the density of x: only members
+    passed in with a positive density count there, and a vacuum passed in
+    is reported after the step.  Returns the stepped physical stack, J
+    still kappa j~."""
+    rows(h)[:] = half_step(rows(h))
+
+    def remainder(y, tt, guard=None):
+        out = rate(y, guard)
+        if forcing is not None:
+            out += array_rfft(grid, forcing(tt))
+        return out
+
+    k1 = remainder(h, t)
+    k2 = remainder(h + dt * k1, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[_ROWS[0]]))
+    h += 0.5 * dt * (k1 + k2)
+
+    v = half_step(rows(h))
+    if project:
+        v[..., 2:, :, :, :, :] = half_leray_project(grid, v[..., 2:, :, :, :, :])
+    rows(h)[:] = v
+    y = array_irfft(grid, h)
+    if not (np.isfinite(y).all() and y[_ROWS[0]].min() > 0.0):
+        _check_step(t + dt, **dict(zip(("n", "u", "J", "E", "B"), _split(y))))
+    return y
 
 
 def step_full(
@@ -308,33 +338,15 @@ def step_full(
     can drop the member from ``x`` and redo the step.
     """
     shared, kap = _shared_params(p)
-    dt = sc.dt
     if op is None:
-        op = build_stiff_operator(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), dt)
-
+        op = build_stiff_operator(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), sc.dt)
     h = x.copy()
     h[_ROWS[4, 7]] *= kap
     h = array_rfft(grid, h)
-    _uJEB(h)[:] = op.apply_half(_uJEB(h))
-
-    def remainder(y, tt, guard=None):
-        rate = _full_rate(grid, shared, y, kap, guard, op.n_mean)
-        if forcing is not None:
-            rate += array_rfft(grid, forcing(tt))
-        return rate
-
-    k1 = remainder(h, t)
-    k2 = remainder(h + dt * k1, t + dt, _predictor_guard(x, t + dt))
-    h += 0.5 * dt * (k1 + k2)
-
-    v = op.apply_half(_uJEB(h))
-    v[..., 2:, :, :, :, :] = half_leray_project(grid, v[..., 2:, :, :, :, :])
-    _uJEB(h)[:] = v
-    y = array_irfft(grid, h)
-    n, u, J, E, B = _split(y)
-    if not (np.isfinite(y).all() and n.min() > 0.0):
-        _check_step(t + dt, n=n, u=u, J=J, E=E, B=B)
-    J /= kap
+    y = _strang_step(grid, x, h, sc.dt, t,
+                     lambda y, guard: _full_rate(grid, shared, y, kap, guard, op.n_mean),
+                     forcing, _uJEB, op.apply_half, project=True)
+    y[_ROWS[4, 7]] /= kap
     return y
 
 
@@ -352,30 +364,11 @@ def step_limit(
     (n, u), (4, *shape) or (K, 4, *shape), as in ``step_full``, with the
     same batch form and the same failure reports."""
     shared = _shared_params(p)[0]
-    dt = sc.dt
     if op is None:
-        op = StiffLinearOperator.viscous(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), dt)
-
-    h = array_rfft(grid, x)
-    u = h[_ROWS[1, 4]]
-    u[...] = op.apply_half_u(u)
-
-    def remainder(y, tt, guard=None):
-        rate = _limit_rate(grid, shared, y, guard, op.n_mean)
-        if forcing is not None:
-            rate += array_rfft(grid, forcing(tt))
-        return rate
-
-    k1 = remainder(h, t)
-    k2 = remainder(h + dt * k1, t + dt, _predictor_guard(x, t + dt))
-    h += 0.5 * dt * (k1 + k2)
-
-    u[...] = op.apply_half_u(u)
-    y = array_irfft(grid, h)
-    n, u = _split(y)
-    if not (np.isfinite(y).all() and n.min() > 0.0):
-        _check_step(t + dt, n=n, u=u)
-    return y
+        op = StiffLinearOperator.viscous(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), sc.dt)
+    return _strang_step(grid, x, array_rfft(grid, x), sc.dt, t,
+                        lambda y, guard: _limit_rate(grid, shared, y, guard, op.n_mean),
+                        forcing, lambda h: h[_ROWS[1, 4]], op.apply_half_u)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintDriftError, GridMismatchError, VacuumError
+from .errors import VacuumError
 from .spectral import (
     Grid,
     ScalarField,
@@ -57,23 +56,10 @@ __all__ = [
     "FullState",
     "LimitState",
     "TwoFluidState",
-    "FullRate",
-    "LimitRate",
-    "TwoFluidRate",
-    "pressure",
-    "enthalpy_h",
-    "rhs_full",
-    "rhs_limit",
-    "rhs_twofluid",
     "reformulation_check",
     "ReformReport",
     "random_two_fluid_state",
-    "validate_full_state",
-    "DIV_TOL",
 ]
-
-# divergence-constraint tolerance, relative to max(1, |E|_inf, |B|_inf)
-DIV_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -189,85 +175,8 @@ class TwoFluidState:
         return self.n.grid
 
 
-@dataclass(frozen=True)
-class FullRate:
-    """Time derivatives (dn, du, dJ, dE, dB) with J = kappa*j~."""
-
-    dn: ScalarField
-    du: VectorField
-    dJ: VectorField
-    dE: VectorField
-    dB: VectorField
-
-
-@dataclass(frozen=True)
-class LimitRate:
-    dn: ScalarField
-    du: VectorField
-
-
-@dataclass(frozen=True)
-class TwoFluidRate:
-    """Conservative-form rates: d/dt of (n, n u_e, n u_i, E, B)."""
-
-    dn: ScalarField
-    dnu_e: VectorField
-    dnu_i: VectorField
-    dE: VectorField
-    dB: VectorField
-
-
-def _same_grid(*fields) -> Grid:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise GridMismatchError("state fields live on different grids")
-    return g
-
-
-def validate_full_state(s: FullState, div_tol: float = DIV_TOL) -> None:
-    """Check positivity of n and the div E = div B = 0 constraints."""
-    _same_grid(s.n, s.u, s.jt, s.E, s.B)
-    if s.n.values.min() <= 0.0:
-        raise VacuumError("vacuum state: min density <= 0")
-    grid = s.grid
-    scale = max(1.0, sup_norm(s.E), sup_norm(s.B))
-    div = array_irfft(grid, half_divergence(grid, array_rfft(grid, np.stack([s.E.values, s.B.values]))))
-    div_e, div_b = np.abs(div).max(axis=(-3, -2, -1))
-    if div_e > div_tol * scale or div_b > div_tol * scale:
-        raise ConstraintDriftError(
-            f"constraint drift: |div E|={div_e:.3e}, |div B|={div_b:.3e}"
-        )
-
-
-def validate_limit_state(s: LimitState) -> None:
-    _same_grid(s.n, s.u)
-    if s.n.values.min() <= 0.0:
-        raise VacuumError("vacuum state: min density <= 0")
-
-
 # ---------------------------------------------------------------------------
-# pressure / enthalpy entry points
-
-
-def pressure(n: ScalarField, law: PressureLaw) -> ScalarField:
-    if n.values.min() <= 0.0:
-        raise VacuumError("vacuum state: pressure of nonpositive density")
-    return ScalarField(n.grid, law.pressure(n.values))
-
-
-def enthalpy_h(rho: float, law: PressureLaw) -> float:
-    """Enthalpy h(rho) = integral_1^rho P'(s)/s ds; h(1) = 0, increasing."""
-    if rho <= 0.0:
-        raise VacuumError("vacuum state: enthalpy of nonpositive density")
-    return float(law.enthalpy(rho))
-
-
-# ---------------------------------------------------------------------------
-# array-level right-hand sides
-#
-# All take and return plain ndarrays so the integrator can run stages
-# without wrapping; the public rhs_* functions validate, transform and wrap.
+# array-level helpers
 
 
 class _RowIndex(dict):
@@ -605,45 +514,6 @@ def _reformed_rate(grid: Grid, p: Params, n, u, jt, E, B, alpha, beta):
     dE = (curl(B) - beta * D(n * jt)) / alpha
     dB = -curl(E)
     return _split(array_irfft(grid, _stack(dn, dnu, dnj, dE, dB)))
-
-
-# ---------------------------------------------------------------------------
-# public right-hand sides
-
-
-def rhs_full(s: FullState, p: Params) -> FullRate:
-    """Time derivative of the scaled system; dJ is d(kappa j~)/dt."""
-    validate_full_state(s)
-    grid = s.grid
-    x = _stack(s.n.values, s.u.values, p.kappa * s.jt.values, s.E.values, s.B.values)
-    dn, *vectors = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, x))))
-    return FullRate(ScalarField(grid, dn), *(VectorField(grid, v) for v in vectors))
-
-
-def rhs_limit(s: LimitState, p: Params) -> LimitRate:
-    """Time derivative of the one-fluid compressible limit system."""
-    validate_limit_state(s)
-    grid = s.grid
-    x = array_rfft(grid, _stacked(s))
-    dn, du = _split(array_irfft(grid, _limit_rate(grid, p, x)))
-    return LimitRate(ScalarField(grid, dn), VectorField(grid, du))
-
-
-def rhs_twofluid(
-    s: TwoFluidState, p: Params, alpha: float | None = None, beta: float | None = None
-) -> TwoFluidRate:
-    """Conservative time derivative of the original two-fluid form.
-
-    Defaults fold in the scaling assumptions alpha = kappa^2, beta = alpha^2.
-    """
-    _same_grid(s.n, s.u_e, s.u_i, s.E, s.B)
-    if s.n.values.min() <= 0.0:
-        raise VacuumError("vacuum state: min density <= 0")
-    alpha = p.kappa**2 if alpha is None else alpha
-    beta = p.kappa**4 if beta is None else beta
-    grid = s.grid
-    dn, *vectors = _two_fluid_rate(grid, p, *(f.values for f in vars(s).values()), alpha, beta)
-    return TwoFluidRate(ScalarField(grid, dn), *(VectorField(grid, v) for v in vectors))
 
 
 # ---------------------------------------------------------------------------

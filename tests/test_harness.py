@@ -41,13 +41,16 @@ snapshot_stride = 10
 ACCEPTANCE_TEXT = (Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini").read_text()
 
 
-def _stiff_epsilon_config(kappa_list: str):
+def _stiff_epsilon_text(kappa_list: str) -> str:
     """The acceptance config at epsilon = 1e-6 and t_end = 0.02, where the
     larger kappas lose positivity."""
-    text = (ACCEPTANCE_TEXT.replace("epsilon = 0.1", "epsilon = 1e-6")
+    return (ACCEPTANCE_TEXT.replace("epsilon = 0.1", "epsilon = 1e-6")
             .replace("t_end = 0.1", "t_end = 0.02")
             .replace("kappa_list = 0.4, 0.2, 0.1, 0.05", f"kappa_list = {kappa_list}"))
-    return parse_config_text(text)
+
+
+def _stiff_epsilon_config(kappa_list: str):
+    return parse_config_text(_stiff_epsilon_text(kappa_list))
 
 
 def _assert_same_files(out, alone_paths):
@@ -358,6 +361,24 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "sweep_summary.json").exists()
 
+    def test_sweep_too_few_completed_exit_three(self, tmp_path, capsys):
+        # two of three members hit vacuum: every record is written and the
+        # table printed, but there is no rate fit and no summary file
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_stiff_epsilon_text("0.4, 0.1, 0.01"))
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="sweep members failed"):
+            rc = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        statuses = [line.split()[-1] for line in captured.out.splitlines()[1:]]
+        assert statuses == ["vacuum", "vacuum", "completed"]
+        assert "no rate fit" in captured.err
+        for kap in ("0.4", "0.1", "0.01"):
+            for suffix in (".csv", ".json", "_snapshots.npz"):
+                assert (out / f"run_kappa{kap}{suffix}").exists()
+        assert not (out / "sweep_summary.json").exists()
+
     def test_sweep_jobs_other_than_one_exit_two(self, tmp_path, capsys):
         # a sweep runs its kappa list as one batch: --jobs 1 is accepted,
         # any other value is a config error and writes nothing
@@ -421,6 +442,22 @@ class TestCli:
         record = out / "run_kappa0.1_snapshots.npz"
         assert main(["audit", "--config", str(cfg_path), "--record", str(record), *extra]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_audit_uneven_snapshot_times_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[step]\ndt = 2e-4\nt_end = 6e-4\n\n[diagnostics]\nsnapshot_stride = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        record = out / "run_kappa0.1_snapshots.npz"
+        with np.load(record) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["t"] = arrays["t"] ** 1.5
+        np.savez(record, **arrays)
+        assert main(["audit", "--config", str(cfg_path), "--record", str(record)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: nonuniform snapshot spacing" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content", [None, b"not an npz file\n", "wrong_keys"],
                              ids=["missing", "not_npz", "wrong_keys"])

@@ -426,6 +426,24 @@ class TestBatchFailures:
             step_limit(grid64, np.stack([_stacked(good), _stacked(bad)]), ps, sc)
         assert exc.value.member == 1
 
+    def test_limit_predictor_stage_vacuum_names_member(self, grid64):
+        # positive on entry, negative in the SSP-RK2 predictor stage; linear
+        # pressure keeps the first-stage rate finite
+        ps = tuple(Params(kappa=k, pressure=PressureLaw(gamma=1.0)) for k in (0.4, 0.2))
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        zero = np.zeros(grid64.shape)
+        good = LimitState(ScalarField(grid64, 1.0 + 0.1 * np.sin(x)), VectorField.zeros(grid64))
+        bad = LimitState(ScalarField(grid64, 1.0 + 0.5 * np.sin(x)),
+                         VectorField(grid64, np.stack([10.0 * np.sin(x), zero, zero])))
+        sc = StepControl(dt=0.2, t_end=0.2)
+        with pytest.raises(VacuumError) as alone:
+            step_limit(grid64, _stacked(bad), ps[1], sc)
+        assert str(alone.value).startswith("vacuum state in the SSP-RK2 predictor stage at t=0.2: min n = -")
+        with pytest.raises(VacuumError) as batch:
+            step_limit(grid64, np.stack([_stacked(good), _stacked(bad)]), ps, sc)
+        assert batch.value.member == 1
+        assert str(batch.value) == str(alone.value)
+
     def test_params_must_differ_only_in_kappa(self, grid64):
         s = _uniform(grid64)
         ps = (Params(kappa=0.4), Params(kappa=0.2, mu=0.2))

@@ -12,10 +12,11 @@ from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepa
 from nsmlimit.model import (
     Params,
     _curl_hat,
+    _full_rate,
+    _stacked,
     _visc_hat,
     random_two_fluid_state,
     reformulation_check,
-    rhs_full,
 )
 from nsmlimit.spectral import (
     Grid,
@@ -462,7 +463,7 @@ def test_single_real_spectral_layout(grid, monkeypatch):
          lambda: reformulation_check(random_two_fluid_state(grid, p, seed=1), p)),
         ("moser_ratios", lambda: moser_ratios(random_smooth_field(grid, 1, 1.0),
                                               random_smooth_field(grid, 2, 1.0), 4)),
-        ("rhs_full", lambda: rhs_full(state["full"], p)),
+        ("_full_rate", lambda: _full_rate(grid, p, array_rfft(grid, _stacked(state["full"])))),
     ]
     for name, run in entries:
         calls.clear()
