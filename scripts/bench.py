@@ -1,12 +1,17 @@
 """Run the perfbench end-to-end benchmark and commit its numbers as JSON.
 
-    python scripts/bench.py --tag T [--seconds S]
+    python scripts/bench.py --tag T [--tree DIR] [--seconds S] [--repeat N]
+    python scripts/bench.py --tag A --tree DIR_A --tag B --tree DIR_B --repeat N
 
-Runs ``perfbench/run.py --workload all --seconds S`` unchanged in a
-subprocess (each workload in its own process) and writes ``BENCH_<T>.json``
-at the repository root: the end-to-end metrics and the correct/attempted/
-failed counts per workload, the Python, numpy and scipy versions, the
-thread environment and the git commit of the measured tree.
+Runs ``perfbench/run.py --workload all --seconds S`` of the checkout DIR
+(default: this one) unchanged in a subprocess, N times, and writes
+``BENCH_<T>.json`` at the root of this repository: per workload, each
+end-to-end metric's median, quartiles and samples (one per run), the
+correct/attempted/failed counts summed over the runs, and the Python, numpy
+and scipy versions, the thread environment and the git commit of the
+measured tree.  Several ``--tag``/``--tree`` pairs are measured in turn,
+one run of each per repeat, in reversed order on every other repeat, so
+that their samples alternate and each side runs first as often.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "perfbench" / "run.py"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 _HEADER = re.compile(r"^perfbench (\S+) seed=")
@@ -40,31 +44,38 @@ def parse_workloads(stdout: str) -> dict:
     return rows
 
 
-def assemble(tag: str, seconds: float, rows: dict, environment: dict) -> dict:
-    """The BENCH record: one entry per workload with its end-to-end metric
-    values and units, and the environment they were measured in."""
-    return {
-        "tag": tag,
-        "seconds": seconds,
-        "environment": environment,
-        "workloads": {
-            name: {
-                "correct": row["correct"],
-                "attempted": row["attempted"],
-                "failed": row["failed"],
-                "metrics": {k: m["value"] for k, m in row["metrics"].items()},
-                "units": {k: m["unit"] for k, m in row["metrics"].items()},
-            }
-            for name, row in rows.items()
-        },
-    }
+def summarize(samples: list) -> dict:
+    """Median, quartiles (linear interpolation) and the samples themselves."""
+    import numpy as np
+
+    q1, median, q3 = (float(q) for q in np.percentile(samples, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "samples": list(samples)}
 
 
-def environment() -> dict:
+def assemble(tag: str, seconds: float, runs: list, environment: dict) -> dict:
+    """The BENCH record of ``runs``, one ``parse_workloads`` result per run:
+    per workload, every end-to-end metric's ``summarize`` over the runs with
+    its unit, and the unit counts summed over the runs."""
+    workloads = {}
+    for name in runs[0]:
+        rows = [run[name] for run in runs]
+        metrics = rows[0]["metrics"]
+        workloads[name] = {
+            "correct": all(row["correct"] for row in rows),
+            "attempted": sum(row["attempted"] for row in rows),
+            "failed": sum(row["failed"] for row in rows),
+            "metrics": {k: summarize([row["metrics"][k]["value"] for row in rows]) for k in metrics},
+            "units": {k: m["unit"] for k, m in metrics.items()},
+        }
+    return {"tag": tag, "seconds": seconds, "runs": len(runs), "environment": environment,
+            "workloads": workloads}
+
+
+def environment(tree: Path = ROOT) -> dict:
     import numpy
     import scipy
 
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -82,21 +93,38 @@ def environment() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
+    ap.add_argument("--tag", action="append", required=True,
+                    help="names the output file BENCH_<tag>.json; repeat it to measure several trees")
+    ap.add_argument("--tree", action="append", type=Path, default=None,
+                    help="the checkout to measure, once per --tag (default: this one)")
     ap.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds per workload")
+    ap.add_argument("--repeat", type=int, default=1, help="runs per tree, alternating between trees")
     args = ap.parse_args(argv)
-    if not re.fullmatch(r"[\w.-]+", args.tag):
+    trees = args.tree or [ROOT]
+    if len(trees) != len(args.tag):
+        ap.error("give one --tree per --tag")
+    if any(not re.fullmatch(r"[\w.-]+", tag) for tag in args.tag):
         ap.error("--tag may hold letters, digits, '_', '.' and '-' only")
-    proc = subprocess.run([sys.executable, str(RUN), "--workload", "all", "--seconds", str(args.seconds)],
-                          cwd=ROOT, capture_output=True, text=True)
-    sys.stdout.write(proc.stdout)
-    sys.stderr.write(proc.stderr)
-    if proc.returncode != 0:
-        return proc.returncode
-    record = assemble(args.tag, args.seconds, parse_workloads(proc.stdout), environment())
-    out = ROOT / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
-    print(f"wrote {out}")
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    trees = [tree.resolve() for tree in trees]
+    runs = {tag: [] for tag in args.tag}
+    sides = list(zip(args.tag, trees))
+    for i in range(args.repeat):
+        for tag, tree in sides if i % 2 == 0 else sides[::-1]:
+            print(f"bench: run {i + 1}/{args.repeat} of {tag} ({tree})", flush=True)
+            proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "all",
+                                   "--seconds", str(args.seconds)], cwd=tree, capture_output=True, text=True)
+            sys.stdout.write(proc.stdout)
+            sys.stderr.write(proc.stderr)
+            if proc.returncode != 0:
+                return proc.returncode
+            runs[tag].append(parse_workloads(proc.stdout))
+    for tag, tree in sides:
+        record = assemble(tag, args.seconds, runs[tag], environment(tree))
+        out = ROOT / f"BENCH_{tag}.json"
+        out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
+        print(f"wrote {out}")
     return 0
 
 

@@ -6,9 +6,11 @@ Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 
 ``sweep`` exits 3 when any member blows up or hits vacuum; it still prints
 the per-kappa table, and with fewer than 3 completed members it fits no
-rate and writes no sweep_summary.json.  ``audit`` exits 2 on a snapshots
-file it cannot read, with fewer than 3 snapshots, or with unevenly spaced
-snapshot times.
+rate and writes no sweep_summary.json.  ``audit`` takes the Params from
+the config text the snapshots file stores; it exits 2 on a snapshots file
+it cannot read, with fewer than 3 snapshots, with unevenly spaced snapshot
+times, when ``--config`` gives other Params, or when the file stores no
+config and ``--config`` is not given.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .harness import (
     REFORM_TOL,
     SLOPE_RANGE,
     default_config_text,
+    load_snapshot_config,
     load_snapshots,
     parse_config,
     parse_config_text,
@@ -94,10 +97,25 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _audit_params(args, kappa: float) -> Params:
+    """The Params of the run that wrote ``args.record``, from the config
+    text it stores; ``--config`` must agree with it, and is required for a
+    file that stores none."""
+    text = load_snapshot_config(args.record)
+    given = None if args.config is None else replace(_load_config(args).params, kappa=kappa)
+    if text is None:
+        if given is None:
+            raise ConfigError(f"snapshots file {args.record} stores no run config; pass --config")
+        return given
+    p = replace(parse_config_text(text).params, kappa=kappa)
+    if given is not None and given != p:
+        raise ConfigError(f"the [params] of {args.config} differ from those stored in {args.record}")
+    return p
+
+
 def _cmd_audit(args) -> int:
-    cfg = _load_config(args)
     kappa, snaps = load_snapshots(args.record)
-    p = replace(cfg.params, kappa=kappa)
+    p = _audit_params(args, kappa)
     try:
         report = energy_identity_audit(snaps, p, drop_term=args.drop_term)
     except (ValueError, SnapshotSpacingError) as exc:

@@ -24,7 +24,9 @@ times set-up by swapping ``harness.step_full`` for a one-shot probe.
 Outputs per run (written atomically):
   <tag>.csv            ledger rows, fixed header, 17-significant-digit floats
   <tag>.json           record without timings (byte-reproducible)
-  <tag>_snapshots.npz  stored states for the energy-identity audit
+  <tag>_snapshots.npz  stored states for the energy-identity audit, and the
+                       run's config text under ``config`` when it has one
+                       (``load_snapshot_config``)
   <tag>.time.txt       wall-clock timing (kept out of the reproducible files);
                        a batch member's is the whole batch's, and the file
                        then says so and adds ``batch_members = K``
@@ -76,6 +78,7 @@ __all__ = [
     "summarize_sweep",
     "write_record",
     "load_snapshots",
+    "load_snapshot_config",
     "SLOPE_RANGE",
     "R2_MIN",
     "REFORM_TOL",
@@ -526,6 +529,8 @@ def write_record(rec: RunRecord, out_dir: str | Path) -> dict[str, Path]:
             ),
             "kappa": np.array([rec.kappa]),
         }
+        if rec.config_text:
+            arrays["config"] = np.array(rec.config_text)
         buf = io.BytesIO()
         np.savez(buf, **arrays)
         _atomic_write_bytes(paths["npz"], buf.getvalue())
@@ -562,6 +567,17 @@ def load_snapshots(path: str | Path):
             snaps.append((float(t), full, limit))
         return float(a["kappa"][0]), snaps
     except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read snapshots file {path}: {exc}") from exc
+
+
+def load_snapshot_config(path: str | Path) -> str | None:
+    """The config text of the run that wrote a snapshots file, or None for
+    a file that stores none.  A file that cannot be read raises
+    ConfigError."""
+    try:
+        with np.load(path) as data:
+            return str(data["config"]) if "config" in data.files else None
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read snapshots file {path}: {exc}") from exc
 
 

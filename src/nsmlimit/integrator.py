@@ -6,7 +6,10 @@ density in the coupling terms is frozen at its spatial mean, so each
 Fourier mode carries a constant generator L.  L splits into a longitudinal
 and two helical transverse parts whose 3x3 exponentials depend only on the
 pair (|k|^2, |k_full|^2): they are tabulated once per distinct pair and
-applied on the real-FFT half-spectrum.  A step is the Strang composition
+applied on the real-FFT half-spectrum.  The longitudinal exponential is
+closed form and the helical one a vectorised scaling-and-squaring Pade
+approximant (``_expm3``), both element-wise numpy work with no BLAS call.
+A step is the Strang composition
 
     exp(dt/2 L)  o  SSP-RK2 on (full RHS - L)  o  exp(dt/2 L)
 
@@ -41,7 +44,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BlowUpError, ConfigError, VacuumError
 from .model import (
@@ -125,8 +127,9 @@ class StiffLinearOperator:
     the generator on one helical transverse part (khat x = i); the other
     helicity carries D M D, D = diag(1, 1, -1), so Even/Odd keep the entries
     of M with D_ii D_jj = +1/-1 (Waleffe, Phys. Fluids A 4, 1992).  The same
-    identity with exp(h Long) and exp(h M) gives the exact propagator.  The
-    k = 0 and pure-Nyquist modes have khat = 0 and omega = 0.
+    identity with exp(h Long) and exp(h M) gives the exact propagator
+    (``_exp_blocks``).  The k = 0 and pure-Nyquist modes have khat = 0 and
+    omega = 0.
 
     ``prop_half`` holds one real coefficient per _TERMS entry (u's two alone
     for the limit system's ``viscous`` operator) and half-spectrum mode,
@@ -202,7 +205,8 @@ def _shared_params(p):
 
 def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperator:
     """Tabulate the half-step exponential per distinct (|k|^2, |k_full|^2)
-    pair and spread it over the half-spectrum.
+    pair and spread it over the half-spectrum.  The pairs are told apart by
+    one complex key, |k|^2 + i |k_full|^2.
 
     ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
     each for a batch (Params differing only in kappa); then ``prop_half``
@@ -211,8 +215,9 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperato
         raise ConfigError("dt must be positive")
     k = grid.half_wavenumbers
     k2 = (k**2).sum(axis=0)
-    keys = np.stack([k2.ravel(), grid.k_squared[grid.half_cut].ravel()], axis=1)
-    pairs, inverse = np.unique(keys, axis=0, return_inverse=True)
+    pairs, inverse = np.unique(k2.ravel() + 1j * grid.k_squared[grid.half_cut].ravel(),
+                               return_inverse=True)
+    pairs = np.stack([pairs.real, pairs.imag], axis=1)
     if isinstance(p, tuple):
         _shared_params(p)
         table = np.stack([_table(pairs, q, m, dt) for q, m in zip(p, n_mean)])
@@ -224,26 +229,84 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperato
 
 def _table(pairs: np.ndarray, p: Params, n_mean: float, dt: float) -> np.ndarray:
     """prop_half rows in _TERMS order per (|k|^2, |k_full|^2) pair."""
+    h = 0.5 * dt
+    ex_lon, ex_hel = _exp_blocks(pairs, p, n_mean, h)
+    e_tra = np.exp(h * (-p.mu * pairs[:, 1] / n_mean))
+    rows = [e_tra, ex_lon[0, 0] - e_tra]
+    for part, i, j in _TERMS[2:]:
+        entry = ex_hel[i - 1, j - 1]
+        rows.append(ex_lon[i - 1, j - 1] - entry if part == "s" else entry)
+    return np.stack(rows)
+
+
+def _exp_blocks(pairs: np.ndarray, p: Params, n_mean: float, h: float):
+    """exp(h Long) and exp(h M), each (3, 3, pairs), per (|k|^2, |k_full|^2)
+    pair.  Long has zero E and B rows, so its exponential is closed form:
+    e^x and a h (e^x - 1)/x in the J row, with x = h v_L and the limit a h
+    at x = 0.  M's goes through ``_expm3``."""
     # as the physical-space viscous operator: full |k|^2 Laplacian,
     # derivative wavenumbers in grad div
     v_tra = -p.mu * pairs[:, 1] / n_mean
     v_lon = v_tra - (p.mu + p.lam) * pairs[:, 0] / n_mean
     omega = np.sqrt(pairs[:, 0]) / p.kappa
-    lon = np.zeros((len(pairs), 3, 3))
-    lon[:, 0, 0] = v_lon
-    lon[:, 0, 1] = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
-    hel = lon.copy()
-    hel[:, 0, 0], hel[:, 1, 0], hel[:, 1, 2], hel[:, 2, 1] = v_tra, -n_mean, -omega, omega
-    # complex dtype: scipy's real-dtype expm loses ~50x accuracy at omega dt >> 1
-    h = 0.5 * dt
-    ex = scipy.linalg.expm(np.concatenate([lon, hel]) * (h + 0j)).real
-    ex_lon, ex_hel = ex[: len(pairs)], ex[len(pairs):]
-    e_tra = np.exp(h * v_tra)
-    rows = [e_tra, np.exp(h * v_lon) - e_tra]
-    for part, i, j in _TERMS[2:]:
-        entry = ex_hel[:, i - 1, j - 1]
-        rows.append(ex_lon[:, i - 1, j - 1] - entry if part == "s" else entry)
-    return np.stack(rows)
+    a = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
+    x = h * v_lon
+    phi = np.ones_like(x)  # (e^x - 1)/x
+    phi[x != 0.0] = np.expm1(x[x != 0.0]) / x[x != 0.0]
+    ex_lon = np.zeros((3, 3, len(pairs)))
+    ex_lon[0, 0], ex_lon[0, 1] = np.exp(x), a * h * phi
+    ex_lon[1, 1] = ex_lon[2, 2] = 1.0
+    hel = np.zeros((3, 3, len(pairs)))
+    hel[0, 0], hel[0, 1], hel[1, 0] = h * v_tra, h * a, -h * n_mean
+    hel[1, 2], hel[2, 1] = -h * omega, h * omega
+    return ex_lon, _expm3(hel)
+
+
+# The [13/13] Pade coefficients b_0..b_13 (numerator sum b_j A^j, denominator
+# sum b_j (-A)^j) and the 1-norm up to which the approximant is accurate to
+# double precision without scaling (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _mul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of stacked 3x3 matrices, (3, 3, P), element-wise (no BLAS)."""
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1] + a[:, 2, None] * b[2]
+
+
+def _expm3(a: np.ndarray) -> np.ndarray:
+    """exp of each real 3x3 matrix a[:, :, i] by scaling and squaring with
+    the [13/13] Pade approximant, the squaring count chosen per matrix
+    from its 1-norm; the Pade quotient is solved by the adjugate."""
+    norm = np.abs(a).sum(axis=0).max(axis=0)
+    s = np.maximum(0, np.ceil(np.log2(np.maximum(norm, 1e-300) / _THETA13))).astype(int)
+    a = a * np.ldexp(1.0, -s)
+    eye = np.zeros_like(a)
+    eye[0, 0] = eye[1, 1] = eye[2, 2] = 1.0
+    a2 = _mul3(a, a)
+    a4 = _mul3(a2, a2)
+    a6 = _mul3(a2, a4)
+    b = _PADE13
+    u = _mul3(a, _mul3(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = _mul3(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    q, r = v - u, v + u
+    # adj(q)[i, j] is the (j, i) cofactor; q^-1 = adj(q) / det(q)
+    adj = np.empty_like(q)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[j, i] = q[i1, j1] * q[i2, j2] - q[i1, j2] * q[i2, j1]
+    det = q[0, 0] * adj[0, 0] + q[0, 1] * adj[1, 0] + q[0, 2] * adj[2, 0]
+    ex = _mul3(adj, r) / det
+    for n in range(s.max(initial=0)):
+        sel = s > n
+        ex[:, :, sel] = _mul3(ex[:, :, sel], ex[:, :, sel])
+    return ex
 
 
 # ---------------------------------------------------------------------------

@@ -497,10 +497,13 @@ def _smooth_hat(
     zero_mean: bool = False,
 ) -> np.ndarray:
     """Half-spectrum coefficients (``array_rfft`` layout) of
-    ``random_smooth_field``."""
+    ``random_smooth_field``.  Only the modes inside ``max_wavenumber`` are
+    drawn; the others stay zero."""
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
-    mi = tuple(m[grid.half_cut] for m in grid.mode_indices)
+    k_abs = np.sqrt(grid.k_squared[grid.half_cut])
+    inside = ... if max_wavenumber is None else k_abs <= max_wavenumber * (1.0 + 1e-12)
+    mi = tuple(m[grid.half_cut][inside] for m in grid.mode_indices)
     half = grid.points_per_dim // 2
     # conjugate-partner index, componentwise -k with Nyquist fixed points
     ci = tuple(np.where(m == -half, m, -m) for m in mi)
@@ -512,14 +515,11 @@ def _smooth_hat(
     canon = tuple(np.where(is_canon, m, c) for m, c in zip(mi, ci))
     u = _hash_unit(seed, *canon)
 
-    k_abs = np.sqrt(grid.k_squared[grid.half_cut])
-    mag = np.exp(-decay_rate * k_abs)
-    if max_wavenumber is not None:
-        mag = np.where(k_abs <= max_wavenumber * (1.0 + 1e-12), mag, 0.0)
+    mag = np.exp(-decay_rate * k_abs[inside])
     phase = np.where(is_canon, 1.0, -1.0) * _TWO_PI * u
-    coeff = mag * np.exp(1j * phase)
+    coeff = np.zeros(k_abs.shape, dtype=complex)
     # self-conjugate modes (k = 0 and Nyquist combinations) must stay real
-    coeff = np.where(self_conj, mag * np.cos(_TWO_PI * u), coeff)
+    coeff[inside] = np.where(self_conj, mag * np.cos(_TWO_PI * u), mag * np.exp(1j * phase))
     if zero_mean:
         coeff[0, 0, 0] = 0.0
     return coeff * grid.npoints

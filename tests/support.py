@@ -174,6 +174,40 @@ def random_smooth_field(
     return ScalarField(grid, values)
 
 
+def smooth_hat_reference(
+    grid: Grid,
+    seed: int,
+    decay_rate: float,
+    *,
+    max_wavenumber: float | None = None,
+    zero_mean: bool = False,
+) -> np.ndarray:
+    """``spectral._smooth_hat`` drawn on every half-spectrum mode and masked
+    to ``max_wavenumber`` afterwards: the reference that its band-limited
+    sampling must reproduce bit for bit."""
+    mi = tuple(m[grid.half_cut] for m in grid.mode_indices)
+    half = grid.points_per_dim // 2
+    ci = tuple(np.where(m == -half, m, -m) for m in mi)
+    self_conj = (mi[0] == ci[0]) & (mi[1] == ci[1]) & (mi[2] == ci[2])
+    is_canon = (mi[0] > ci[0]) | (
+        (mi[0] == ci[0])
+        & ((mi[1] > ci[1]) | ((mi[1] == ci[1]) & (mi[2] >= ci[2])))
+    )
+    canon = tuple(np.where(is_canon, m, c) for m, c in zip(mi, ci))
+    u = _hash_unit(seed, *canon)
+
+    k_abs = np.sqrt(grid.k_squared[grid.half_cut])
+    mag = np.exp(-decay_rate * k_abs)
+    if max_wavenumber is not None:
+        mag = np.where(k_abs <= max_wavenumber * (1.0 + 1e-12), mag, 0.0)
+    phase = np.where(is_canon, 1.0, -1.0) * _TWO_PI * u
+    coeff = mag * np.exp(1j * phase)
+    coeff = np.where(self_conj, mag * np.cos(_TWO_PI * u), coeff)
+    if zero_mean:
+        coeff[0, 0, 0] = 0.0
+    return coeff * grid.npoints
+
+
 def _partial(grid: Grid, values: np.ndarray, alpha: Sequence[int]) -> np.ndarray:
     mult = np.ones(grid.shape, dtype=complex)
     for ax, order in enumerate(alpha):

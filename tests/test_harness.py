@@ -14,6 +14,7 @@ from nsmlimit.harness import (
     RunConfig,
     default_config_text,
     fit_rate,
+    load_snapshot_config,
     load_snapshots,
     parse_config_text,
     run_single,
@@ -427,6 +428,42 @@ class TestCli:
         rc = main(["audit", "--config", str(cfg_path),
                    "--record", str(out / "run_kappa0.1_snapshots.npz")])
         assert rc == 0
+
+    def test_audit_takes_params_from_the_record(self, tmp_path, capsys):
+        # a mu = 0.5 run audits under mu = 0.5 without --config; a --config
+        # with other params, or a record without a stored config and no
+        # --config, is a config error
+        run_cfg = tmp_path / "mu.ini"
+        run_cfg.write_text("[params]\nmu = 0.5\n\n[step]\ndt = 2e-4\nt_end = 1e-3\n\n"
+                           "[diagnostics]\nsnapshot_stride = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_cfg), "--out", str(out)]) == 0
+        record = out / "run_kappa0.1_snapshots.npz"
+        assert load_snapshot_config(record) == run_cfg.read_text()
+        capsys.readouterr()
+
+        def max_residual(argv):
+            assert main(["audit", "--record", str(record), *argv]) == 0
+            line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("max residual"))
+            return float(line.split("=")[1])
+
+        stored = max_residual([])
+        assert stored < 1e-4
+        assert max_residual(["--config", str(run_cfg)]) == stored
+        default_cfg = tmp_path / "default.ini"
+        default_cfg.write_text("")
+        assert main(["audit", "--record", str(record), "--config", str(default_cfg)]) == 2
+        assert "config error: the [params] of" in capsys.readouterr().err
+
+        with np.load(record) as data:
+            arrays = {key: data[key] for key in data.files if key != "config"}
+        np.savez(record, **arrays)
+        assert load_snapshot_config(record) is None
+        assert main(["audit", "--record", str(record)]) == 2
+        assert "stores no run config; pass --config" in capsys.readouterr().err
+        assert max_residual(["--config", str(run_cfg)]) == stored
+        # the default params audit the same states far worse
+        assert max_residual(["--config", str(default_cfg)]) > 100 * stored
 
     @pytest.mark.parametrize("t_end, extra, message", [
         ("2e-4", [], "need at least 3 snapshots"),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from nsmlimit.integrator import (
     StepControl,
     StiffLinearOperator,
     _check_step,
+    _exp_blocks,
     build_stiff_operator,
     evolve,
     step_full,
@@ -157,6 +162,102 @@ class TestStiffOperator:
                 b = step_limit(grid, b, p, sc, op=full, t=i * sc.dt)
             assert np.array_equal(a, b)
             assert np.array_equal(step_limit(grid, x, p, sc), step_limit(grid, x, p, sc, op=full))
+
+
+def _mode_pairs(grid):
+    """The distinct (|k|^2, |k_full|^2) pairs of a grid's half-spectrum."""
+    k2 = (grid.half_wavenumbers**2).sum(axis=0).ravel()
+    return np.unique(np.stack([k2, grid.k_squared[grid.half_cut].ravel()], axis=1), axis=0)
+
+
+def _generators(pairs, p, n_mean, h):
+    """h Long and h M per pair, (P, 3, 3), as the StiffLinearOperator
+    docstring defines them."""
+    v_tra = -p.mu * pairs[:, 1] / n_mean
+    v_lon = v_tra - (p.mu + p.lam) * pairs[:, 0] / n_mean
+    omega = np.sqrt(pairs[:, 0]) / p.kappa
+    a = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
+    lon = np.zeros((len(pairs), 3, 3))
+    lon[:, 0, 0], lon[:, 0, 1] = v_lon, a
+    hel = np.zeros((len(pairs), 3, 3))
+    hel[:, 0, 0], hel[:, 0, 1], hel[:, 1, 0], hel[:, 1, 2], hel[:, 2, 1] = v_tra, a, -n_mean, -omega, omega
+    return h * lon, h * hel
+
+
+def _rel_err(got, want):
+    """Per-matrix max-abs error relative to the largest entry, (P,)."""
+    return np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+
+
+class TestBlockExponentials:
+    """``_exp_blocks``: the closed-form longitudinal block and the
+    scaling-and-squaring Pade helical block, against scipy's expm."""
+
+    @pytest.mark.parametrize("kappa", [0.4, 1e-3, 1e-7])
+    @pytest.mark.parametrize("epsilon", [0.1, 1e-6])
+    @pytest.mark.parametrize("dt", [2e-4, 0.01, 0.37])
+    def test_blocks_match_scipy_expm(self, kappa, epsilon, dt):
+        # within ||h M||_1 <= 1e3 the helical block agrees to 1e-12; beyond
+        # it both lose accuracy with the squaring count, and agree to
+        # 2e-15 ||h M||_1.  The longitudinal block is closed form and agrees
+        # everywhere.
+        pairs, p, h = _mode_pairs(Grid(3, 16)), Params(kappa=kappa, epsilon=epsilon, lam=0.05), 0.5 * dt
+        ex_lon, ex_hel = (np.moveaxis(b, -1, 0) for b in _exp_blocks(pairs, p, 1.07, h))
+        lon, hel = _generators(pairs, p, 1.07, h)
+        assert _rel_err(ex_lon, scipy.linalg.expm(lon + 0j).real).max() <= 1e-12
+        norm = np.abs(hel).sum(axis=1).max(axis=1)
+        err = _rel_err(ex_hel, scipy.linalg.expm(hel + 0j).real)
+        assert (err[norm <= 1e3] <= 1e-12).all()
+        assert (err[norm > 1e3] <= 2e-15 * norm[norm > 1e3]).all()
+
+    @pytest.mark.parametrize("kappa, dt", [(1e-3, 0.37), (1e-7, 2e-4), (1e-7, 0.01), (1e-7, 0.37)])
+    def test_helical_block_rotates_beyond_pade_range(self, kappa, dt):
+        # coupling off (tau = 1e14): (E, B) rotate by h omega, up to the
+        # rounding of h omega itself; ||h M||_1 reaches ~2e7
+        pairs, p, h = _mode_pairs(Grid(3, 16)), Params(kappa=kappa, tau=1e14), 0.5 * dt
+        _, hel = _generators(pairs, p, 1.0, h)
+        beyond = np.abs(hel).sum(axis=1).max(axis=1) > 1e3
+        assert beyond.sum() > 10
+        eb = _exp_blocks(pairs[beyond], p, 1.0, h)[1][1:, 1:]
+        theta = h * np.sqrt(pairs[beyond, 0]) / kappa
+        c, s = np.cos(theta), np.sin(theta)
+        assert (np.abs(eb - np.array([[c, -s], [s, c]])).max(axis=(0, 1)) <= 1e-15 * theta).all()
+
+    def test_longitudinal_entry_at_vanishing_viscous_rate(self):
+        # the J-E entry a h (e^x - 1)/x, x = h v_L, is exactly a h at x = 0
+        # and keeps full accuracy at |x| ~ 1e-17
+        p, h = Params(mu=1e-15, kappa=0.2), 0.005
+        pairs = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+        ex_lon = _exp_blocks(pairs, p, 1.0, h)[0]
+        a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
+        x = h * (-2e-15 * pairs[:, 0])
+        assert np.abs(x[1:]).min() == pytest.approx(1e-17)
+        assert ex_lon[0, 1, 0] == a * h
+        assert np.abs(ex_lon[0, 1] - a * h * (1.0 + 0.5 * x)).max() <= 1e-16 * a * h
+        assert np.array_equal(ex_lon[0, 0], np.exp(x))
+        lon = _generators(pairs, p, 1.0, h)[0]
+        assert _rel_err(np.moveaxis(ex_lon, -1, 0), scipy.linalg.expm(lon + 0j).real).max() <= 1e-15
+
+
+def test_setup_does_not_import_scipy_linalg():
+    # the operator build is element-wise numpy work: a 1-D run imports no
+    # scipy at all, and a 3-D operator build no scipy.linalg
+    code = (
+        "import sys\n"
+        "from nsmlimit.harness import parse_config_text, run_single\n"
+        "from nsmlimit.integrator import build_stiff_operator\n"
+        "from nsmlimit.model import Params\n"
+        "from nsmlimit.spectral import Grid\n"
+        "rec = run_single(parse_config_text('[step]\\ndt = 2e-4\\nt_end = 1e-3\\n'))\n"
+        "assert rec.status == 'completed' and rec.n_steps == 5, rec.status\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy after 1-D run'\n"
+        "build_stiff_operator(Grid(3, 8), Params(kappa=1e-3), 1.0, 0.01)\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg after 3-D build'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _random_state(grid, seed, kappas):

@@ -5,6 +5,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SWEEP_CONFIG = """\
@@ -60,22 +62,48 @@ def test_bench_record_assembly():
         return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
             "wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": 64.0, "unit": "MB"}}})
 
-    stdout = "\n".join([
-        "perfbench sweep_1d seed=7 (input seed 7) mode=end_to_end nproc=2 commit=abc",
-        "  wall_s 1.1 s", row(1.1),
-        "perfbench paired_3d seed=7 (input seed 7) mode=end_to_end nproc=2 commit=abc",
-        row(1.9),
-        "", "workload   metric                             value",
-        "sweep_1d   wall_s                             1.1 s",
-    ])
-    rows = bench.parse_workloads(stdout)
+    def stdout(sweep_wall, paired_wall):
+        return "\n".join([
+            "perfbench sweep_1d seed=7 (input seed 7) mode=end_to_end nproc=2 commit=abc",
+            "  wall_s 1.1 s", row(sweep_wall),
+            "perfbench paired_3d seed=7 (input seed 7) mode=end_to_end nproc=2 commit=abc",
+            row(paired_wall),
+            "", "workload   metric                             value",
+            "sweep_1d   wall_s                             1.1 s",
+        ])
+
+    rows = bench.parse_workloads(stdout(1.1, 1.9))
     assert list(rows) == ["sweep_1d", "paired_3d"]
     env = {"python": "3", "numpy": "2", "scipy": "1", "thread_env": {}, "git_commit": "abc"}
-    record = json.loads(json.dumps(bench.assemble("t", 15.0, rows, env)))
+    record = json.loads(json.dumps(bench.assemble("t", 15.0, [rows], env)))
     assert record["tag"] == "t" and record["seconds"] == 15.0 and record["environment"] == env
+    assert record["runs"] == 1
     sweep = record["workloads"]["sweep_1d"]
-    assert sweep["metrics"] == {"wall_s": 1.1, "peak_rss_mb": 64.0}
+    assert sweep["metrics"]["wall_s"] == {"median": 1.1, "q1": 1.1, "q3": 1.1, "samples": [1.1]}
     assert sweep["units"] == {"wall_s": "s", "peak_rss_mb": "MB"}
     assert (sweep["correct"], sweep["attempted"], sweep["failed"]) == (True, 3, 0)
-    assert record["workloads"]["paired_3d"]["metrics"]["wall_s"] == 1.9
+    assert record["workloads"]["paired_3d"]["metrics"]["wall_s"]["median"] == 1.9
     assert set(bench.environment()) >= {"python", "numpy", "scipy", "thread_env", "git_commit"}
+
+
+def test_bench_repeats_give_median_and_quartiles():
+    bench = _load("bench")
+
+    def run(wall, correct=True):
+        return {"sweep_1d": {"correct": correct, "attempted": 3, "failed": int(not correct),
+                             "metrics": {"wall_s": {"value": wall, "unit": "s"}}}}
+
+    runs = [run(1.0), run(4.0), run(2.0), run(3.0, correct=False), run(5.0)]
+    sweep = bench.assemble("t", 25.0, runs, {})["workloads"]["sweep_1d"]
+    assert sweep["metrics"]["wall_s"] == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                                          "samples": [1.0, 4.0, 2.0, 3.0, 5.0]}
+    assert (sweep["correct"], sweep["attempted"], sweep["failed"]) == (False, 15, 1)
+
+
+def test_bench_needs_one_tree_per_tag(tmp_path, capsys):
+    bench = _load("bench")
+    for argv in (["--tag", "a", "--tag", "b"], ["--tag", "a", "--tree", str(tmp_path), "--tree", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            bench.main(argv)
+        assert exc.value.code == 2
+        assert "give one --tree per --tag" in capsys.readouterr().err

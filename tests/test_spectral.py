@@ -24,6 +24,7 @@ from nsmlimit.spectral import (
     SobolevIndex,
     VectorField,
     _mode_sums,
+    _smooth_hat,
     array_irfft,
     array_rfft,
     derive_seed,
@@ -359,6 +360,18 @@ class TestRandomField:
         coarse = random_smooth_field(Grid(1, 64), 42, 1.0)
         fine = random_smooth_field(Grid(1, 128), 42, 1.0)
         assert np.abs(fine.values[::2, 0, 0] - coarse.values[:, 0, 0]).max() < 1e-9
+
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8), Grid(3, 32)],
+                             ids=["1d64", "2d16", "3d8", "3d32"])
+    @pytest.mark.parametrize("max_wavenumber", [None, 4.0, 2.5])
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_band_limited_sampling_is_bit_identical(self, grid, max_wavenumber, zero_mean):
+        # drawing only the modes inside max_wavenumber changes no coefficient
+        for seed in (0, 7, 2**40 + 3):
+            kw = dict(max_wavenumber=max_wavenumber, zero_mean=zero_mean)
+            want = support.smooth_hat_reference(grid, seed, 0.3, **kw)
+            assert np.array_equal(_smooth_hat(grid, seed, 0.3, **kw), want)
 
 
 class TestFieldAlgebra:
