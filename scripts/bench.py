@@ -9,9 +9,13 @@ Runs ``perfbench/run.py --workload all --seconds S`` of the checkout DIR
 end-to-end metric's median, quartiles and samples (one per run), the
 correct/attempted/failed counts summed over the runs, and the Python, numpy
 and scipy versions, the thread environment and the git commit of the
-measured tree.  Several ``--tag``/``--tree`` pairs are measured in turn,
-one run of each per repeat, in reversed order on every other repeat, so
-that their samples alternate and each side runs first as often.
+measured tree.  After each perfbench run the tree's Tier-1 test command
+(``TIER1``, with the tree's ``src`` on PYTHONPATH) runs once; the record
+holds its wall time (median, quartiles, samples) and its pass/fail/error
+counts per run, and the line count of the tree's ``src/nsmlimit/*.py``.
+Several ``--tag``/``--tree`` pairs are measured in turn, one run of each
+per repeat, in reversed order on every other repeat, so that their samples
+alternate and each side runs first as often.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 _HEADER = re.compile(r"^perfbench (\S+) seed=")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+_TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
 
 def parse_workloads(stdout: str) -> dict:
@@ -52,10 +59,36 @@ def summarize(samples: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "samples": list(samples)}
 
 
-def assemble(tag: str, seconds: float, runs: list, environment: dict) -> dict:
+def parse_tier1(stdout: str) -> dict:
+    """The passed, failed and error counts of pytest's closing summary line."""
+    counts = {"passed": 0, "failed": 0, "errors": 0}
+    summary = stdout.strip().splitlines()[-1] if stdout.strip() else ""
+    for n, kind in _TIER1_COUNT.findall(summary):
+        counts["errors" if kind.startswith("error") else kind] = int(n)
+    return counts
+
+
+def run_tier1(tree: Path) -> dict:
+    """Wall time and ``parse_tier1`` counts of one Tier-1 run of ``tree``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - start, **parse_tier1(proc.stdout)}
+
+
+def src_lines(tree: Path = ROOT) -> int:
+    """Lines of ``src/nsmlimit/*.py`` in ``tree``, as ``wc -l`` counts them."""
+    return sum(path.read_text().count("\n") for path in (tree / "src" / "nsmlimit").glob("*.py"))
+
+
+def assemble(tag: str, seconds: float, runs: list, environment: dict,
+             tier1: list = (), lines: int | None = None) -> dict:
     """The BENCH record of ``runs``, one ``parse_workloads`` result per run:
     per workload, every end-to-end metric's ``summarize`` over the runs with
-    its unit, and the unit counts summed over the runs."""
+    its unit, and the unit counts summed over the runs; with ``tier1``, one
+    ``run_tier1`` result per run, the Tier-1 wall time's ``summarize`` and
+    the per-run counts; and ``lines``, the ``src_lines`` of the tree."""
     workloads = {}
     for name in runs[0]:
         rows = [run[name] for run in runs]
@@ -67,8 +100,13 @@ def assemble(tag: str, seconds: float, runs: list, environment: dict) -> dict:
             "metrics": {k: summarize([row["metrics"][k]["value"] for row in rows]) for k in metrics},
             "units": {k: m["unit"] for k, m in metrics.items()},
         }
-    return {"tag": tag, "seconds": seconds, "runs": len(runs), "environment": environment,
-            "workloads": workloads}
+    record = {"tag": tag, "seconds": seconds, "runs": len(runs), "environment": environment,
+              "workloads": workloads, "src_lines": lines, "tier1": None}
+    if tier1:
+        record["tier1"] = {"command": "python " + " ".join(TIER1),
+                           "wall_s": summarize([r["wall_s"] for r in tier1]),
+                           **{k: [r[k] for r in tier1] for k in ("passed", "failed", "errors")}}
+    return record
 
 
 def environment(tree: Path = ROOT) -> dict:
@@ -109,6 +147,7 @@ def main(argv=None) -> int:
         ap.error("--repeat must be at least 1")
     trees = [tree.resolve() for tree in trees]
     runs = {tag: [] for tag in args.tag}
+    tier1 = {tag: [] for tag in args.tag}
     sides = list(zip(args.tag, trees))
     for i in range(args.repeat):
         for tag, tree in sides if i % 2 == 0 else sides[::-1]:
@@ -120,8 +159,10 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 return proc.returncode
             runs[tag].append(parse_workloads(proc.stdout))
+            tier1[tag].append(run_tier1(tree))
+            print(f"bench: Tier-1 of {tag}: {tier1[tag][-1]}", flush=True)
     for tag, tree in sides:
-        record = assemble(tag, args.seconds, runs[tag], environment(tree))
+        record = assemble(tag, args.seconds, runs[tag], environment(tree), tier1[tag], src_lines(tree))
         out = ROOT / f"BENCH_{tag}.json"
         out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
         print(f"wrote {out}")

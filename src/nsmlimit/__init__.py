@@ -6,7 +6,6 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    SobolevIndex,
     random_smooth_field,
     random_smooth_vector,
     sobolev_norm,
@@ -21,16 +20,7 @@ from .model import (
 )
 from .integrator import StepControl, build_stiff_operator, evolve, step_full, step_limit
 from .initdata import WellPreparedSpec, make_limit_data, make_well_prepared
-from .diagnostics import (
-    EnergyLedger,
-    ErrorState,
-    bound_monitor,
-    energy_identity_audit,
-    enthalpy_functional,
-    error_state,
-    gamma_norm,
-    weighted_high_norm,
-)
+from .diagnostics import EnergyLedger, bound_monitor, energy_identity_audit
 from .harness import RunConfig, RunRecord, fit_rate, parse_config, run_single, run_sweep
 
 __version__ = "0.1.0"

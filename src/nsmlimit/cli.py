@@ -16,6 +16,7 @@ config and ``--config`` is not given.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,13 +45,40 @@ EXIT_BLOWUP = 3
 EXIT_ACCEPT = 4
 
 
+_SECTION = re.compile(r"\[([^\]]*)\]")
+_SEED_VALUE = re.compile(r"(seed\s*[=:][ \t]*)[^\s#;]*", re.IGNORECASE)
+
+
+def _with_seed(text: str, seed: int) -> str:
+    """``text`` with ``seed = <seed>`` in its [initial] section: the value of
+    the seed line replaced, else the line added under the section header,
+    else the section appended.  Every other line stays as it is."""
+    lines = text.splitlines(keepends=True)
+    section, header = None, None
+    for i, line in enumerate(lines):
+        if m := _SECTION.match(line):
+            section = m.group(1).strip()
+            header = i if section == "initial" else header
+        elif section == "initial" and _SEED_VALUE.match(line):
+            lines[i] = _SEED_VALUE.sub(rf"\g<1>{seed}", line, count=1)
+            return "".join(lines)
+    if header is None:
+        sep = "" if not text or text.endswith("\n") else "\n"
+        return f"{text}{sep}\n[initial]\nseed = {seed}\n"
+    if not lines[header].endswith("\n"):
+        lines[header] += "\n"
+    lines.insert(header + 1, f"seed = {seed}\n")
+    return "".join(lines)
+
+
 def _load_config(args):
     if args.config is None:
         cfg = parse_config_text(default_config_text())
     else:
         cfg = parse_config(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
+        # re-parsed, so the recorded config text and its hash name the seed
+        cfg = parse_config_text(_with_seed(cfg.config_text, args.seed))
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg

@@ -1,16 +1,19 @@
-"""Error-state extraction, energy functionals and identity audits.
+"""Energy ledger rows, identity audits and the uniform bound monitor.
 
-The error state collects N = n - n0, U = u - u0, J = kappa j~, E, B on a
-shared grid.  Its squared H^l size Gamma = |N|_l^2 + |U|_l^2 + |J|_l^2 +
+The error between a full and a limit state is one stacked array
+(``_error_stack``): the rows N = n - n0, U = u - u0, J = kappa j~, E, B,
+(13, *shape).  Its squared H^l size Gamma = |N|_l^2 + |U|_l^2 + |J|_l^2 +
 |E|_l^2 + |B|_l^2 is the quantity the convergence estimate bounds by
-O(kappa^2).  Alongside it we evaluate the relative-enthalpy functional
-integral_x integral_0^N [h(s+n0) - h(n0)] ds dx, the density-weighted
-high-order norm sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx,
-and a term-by-term audit of the zero-order kinetic-energy balance.
+O(kappa^2).  A ledger row (``make_energy_ledger``) records it with the
+relative-enthalpy functional integral_x integral_0^N [h(s+n0) - h(n0)] ds dx,
+the density-weighted high-order norm
+sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx and the viscous
+dissipation of U and J; the audit checks the zero-order kinetic-energy
+balance term by term.
 
 Each ledger row and each audit snapshot makes one real transform of a
-stacked array each way.  A row takes ``array_rfft`` of the 13 error fields
-(N, U, J, E, B); the five H^l norms and the two dissipation rates are sums
+stacked array each way.  A row takes ``array_rfft`` of the error stack;
+the five H^l norms and the two dissipation rates are sums
 over those coefficients by the discrete Parseval identity
 (``Grid.half_parseval_weight``: interior modes of the last active axis
 count twice, its 0 and n/2 planes once), with the full |k|^2 in the norms
@@ -31,14 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError, SnapshotSpacingError, VacuumError
-from .model import FullState, LimitState, Params, PressureLaw, _cross, _stack, _stacked, _visc_hat
+from .errors import SnapshotSpacingError, VacuumError
+from .model import FullState, LimitState, Params, PressureLaw, _cross, _stacked, _visc_hat
 from .spectral import (
     Grid,
-    ScalarField,
-    VectorField,
     _mode_sums,
     _partials_hat,
+    _require_same_grid,
     _sobolev_weight,
     array_irfft,
     array_rfft,
@@ -48,13 +50,7 @@ from .spectral import (
 )
 
 __all__ = [
-    "ErrorState",
     "EnergyLedger",
-    "error_state",
-    "gamma_norm",
-    "enthalpy_functional",
-    "weighted_high_norm",
-    "dissipation_rates",
     "make_energy_ledger",
     "energy_identity_audit",
     "AuditReport",
@@ -62,21 +58,6 @@ __all__ = [
     "BoundReport",
     "LEDGER_COLUMNS",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Differences between the full and limit solutions (J = kappa j~)."""
-
-    N: ScalarField
-    U: VectorField
-    J: VectorField
-    E: VectorField
-    B: VectorField
-
-    @property
-    def grid(self) -> Grid:
-        return self.N.grid
 
 
 def _check_density(what: str, *rho: np.ndarray) -> None:
@@ -94,33 +75,25 @@ def _at_time(t: float):
         raise VacuumError(f"{exc} at t={t:g}") from None
 
 
-def error_state(full: FullState, limit: LimitState, kappa: float) -> ErrorState:
-    if full.grid != limit.grid:
-        raise GridMismatchError("full and limit states live on different grids")
-    _check_density("total density", full.n.values)
-    return ErrorState(
-        N=full.n - limit.n,
-        U=full.u - limit.u,
-        J=kappa * full.jt,
-        E=full.E,
-        B=full.B,
-    )
+def _error_stack(full: FullState, limit: LimitState, kappa: float) -> np.ndarray:
+    """The error rows (N, U, J, E, B) = (n - n0, u - u0, kappa j~, E, B) of a
+    full state against a limit state on the same grid, (13, *shape)."""
+    _require_same_grid(full.grid, limit.grid)
+    x = _stacked(full)
+    x[:4] -= _stacked(limit)
+    x[4:7] *= kappa
+    return x
 
 
 # ---------------------------------------------------------------------------
 # half-spectrum kernels
 
 
-_FIELD_STARTS = (0, 1, 4, 7, 10)  # rows of N, U, J, E, B in ``_error_hat``
+_FIELD_STARTS = (0, 1, 4, 7, 10)  # rows of N, U, J, E, B in ``_error_stack``
 
 
-def _error_hat(e: ErrorState) -> np.ndarray:
-    """``array_rfft`` of the 13 stacked rows (N, U, J, E, B)."""
-    return array_rfft(e.grid, _stacked(e))
-
-
-def _field_norms(grid: Grid, hat: np.ndarray, l) -> list[float]:
-    """H^l norms of (N, U, J, E, B) from ``_error_hat`` coefficients."""
+def _field_norms(grid: Grid, hat: np.ndarray, l: float) -> list[float]:
+    """H^l norms of (N, U, J, E, B) from the coefficients of an error stack."""
     sq = _mode_sums(grid, hat, _sobolev_weight(grid, l))
     return np.sqrt(np.add.reduceat(sq, _FIELD_STARTS)).tolist()
 
@@ -133,9 +106,9 @@ def _dissipation(grid: Grid, p: Params, v_hat: np.ndarray) -> float:
     return float(p.mu * grad_sq + (p.mu + p.lam) * div_sq)
 
 
-def _high_weight(e: ErrorState, limit: LimitState, law: PressureLaw) -> np.ndarray:
+def _high_weight(N: np.ndarray, n0: np.ndarray, law: PressureLaw) -> np.ndarray:
     """h'(N+n0)/(N+n0), the pointwise weight of the high-order norm."""
-    rho = e.N.values + limit.n.values
+    rho = N + n0
     _check_density("total density", rho)
     return law.denthalpy(rho) / rho
 
@@ -143,15 +116,6 @@ def _high_weight(e: ErrorState, limit: LimitState, law: PressureLaw) -> np.ndarr
 def _weighted_sum(grid: Grid, weight: np.ndarray, d: np.ndarray) -> float:
     """sum_a integral weight |d_a|^2 dx over the leading rows of d."""
     return grid_integral(grid, weight * np.einsum("a...,a...->...", d, d))
-
-
-# ---------------------------------------------------------------------------
-# energy functionals
-
-
-def gamma_norm(e: ErrorState, l: float) -> float:
-    """Squared H^l size of the error state (sum over the five fields)."""
-    return sum(x * x for x in _field_norms(e.grid, _error_hat(e), l))
 
 
 @lru_cache(maxsize=None)
@@ -181,30 +145,6 @@ def _inner_enthalpy_integral(
             return cur
         prev = cur
         nodes *= 2
-
-
-def enthalpy_functional(e: ErrorState, limit: LimitState, law: PressureLaw) -> float:
-    """Relative-enthalpy energy (nonnegative whenever P' > 0)."""
-    grid = e.grid
-    inner = _inner_enthalpy_integral(e.N.values, limit.n.values, law)
-    return grid_integral(grid, inner)
-
-
-def weighted_high_norm(
-    e: ErrorState, limit: LimitState, law: PressureLaw, l: int
-) -> float:
-    """sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx."""
-    grid = e.grid
-    weight = _high_weight(e, limit, law)
-    d = array_irfft(grid, _partials_hat(grid, array_rfft(grid, e.N.values), int(l), 0))
-    return _weighted_sum(grid, weight, d)
-
-
-def dissipation_rates(e: ErrorState, p: Params) -> tuple[float, float]:
-    """Instantaneous viscous dissipation of U and of J = kappa j~:
-    mu |grad .|^2 + (mu+lam) |div .|^2."""
-    hat = array_rfft(e.grid, _stack(e.U.values, e.J.values))
-    return _dissipation(e.grid, p, hat[:3]), _dissipation(e.grid, p, hat[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +189,18 @@ def make_energy_ledger(
     mass0: float,
 ) -> EnergyLedger:
     grid = full.grid
+    n0 = limit.n.values
+    x = _error_stack(full, limit, p.kappa)
     with _at_time(t):
-        e = error_state(full, limit, p.kappa)
-        weight = _high_weight(e, limit, p.pressure)
-        enthalpy = enthalpy_functional(e, limit, p.pressure)
-    hat = _error_hat(e)
+        _check_density("total density", full.n.values)
+        weight = _high_weight(x[0], n0, p.pressure)
+        enthalpy = grid_integral(grid, _inner_enthalpy_integral(x[0], n0, p.pressure))
+    hat = array_rfft(grid, x)
     norms = _field_norms(grid, hat, l)
     diss_u, diss_j = _dissipation(grid, p, hat[1:4]), _dissipation(grid, p, hat[4:7])
     high = _partials_hat(grid, hat[0], int(l), 2)
     high[-2:] = half_divergence(grid, hat[7:].reshape((2, 3) + hat.shape[1:]))
-    del hat  # not held through the inverse transform, the row's memory peak
+    del x, hat  # not held through the inverse transform, the row's memory peak
     d = array_irfft(grid, high)
     div_scale = 1.0 + sup_norm(full.E) + sup_norm(full.B)
     mass = grid_integral(grid, full.n.values)
@@ -312,7 +254,7 @@ def _audit_terms(full: FullState, limit: LimitState, p: Params) -> dict:
     n_tot = full.n.values          # N + n0
     n0 = limit.n.values
     _check_density("density", n_tot, n0)
-    U = (full.u - limit.u).values
+    U = full.u.values - limit.u.values
     u0 = limit.u.values
     u_full = full.u.values
     jt = full.jt.values

@@ -251,12 +251,12 @@ def parse_config_text(text: str) -> RunConfig:
                 gamma=get("params", "pressure_gamma", 5.0 / 3.0),
             ),
         )
-        step = StepControl(
-            dt=get("step", "dt", 2e-4),
-            t_end=get("step", "t_end", 0.1),
-            cfl=get("step", "cfl", 0.5),
-            mode=get("step", "mode", "fixed_dt"),
-        )
+        # [step] cfl and mode are kept for old configs; the step is always fixed
+        if not 0.0 < get("step", "cfl", 0.5) <= 1.0:
+            raise ConfigError("cfl must lie in (0, 1]")
+        if get("step", "mode", "fixed_dt") != "fixed_dt":
+            raise ConfigError("mode must be 'fixed_dt', the only stepping mode")
+        step = StepControl(dt=get("step", "dt", 2e-4), t_end=get("step", "t_end", 0.1))
         initial = InitialSpec(
             seed=get("initial", "seed", 7),
             base_amplitude=get("initial", "base_amplitude", 0.1),
@@ -351,8 +351,6 @@ def run_single(
     marches one).  It calls the solver through this module's names on
     every step (see the module docstring): perfbench wraps them there, and
     times set-up from entry to the first ``harness.step_full`` call."""
-    if cfg.step.mode != "fixed_dt":
-        raise ConfigError("paired runs use fixed_dt stepping; adaptive mode is for exploratory evolve() calls")
     batch = isinstance(kappa, tuple)
     if batch and tag is not None:
         raise ConfigError("tag names a single run; batch members are tagged by kappa")

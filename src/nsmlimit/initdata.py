@@ -7,6 +7,11 @@ O(1) so that kappa*j~ is O(kappa).  Each perturbation is band-limited
 (default modes |k| <= 4) so H^4 norms are grid-converged already at 64
 points per axis, and is normalized so the five contributions share the
 hypothesis budget c0*kappa equally.
+
+The data are composed as one stacked array of the rows (n, u, j~, E, B),
+and the hypothesis norm and certificate are taken of the error stack
+(n - n0, u - u0, kappa j~, E, B) that the energy ledger uses
+(``diagnostics._error_stack``).
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ErrorState, _error_hat, _field_norms, gamma_norm
+from .diagnostics import _error_stack, _field_norms
 from .errors import VacuumError
-from .model import FullState, LimitState, _split
+from .model import FullState, LimitState, _stacked, _state_view
 from .spectral import (
     Grid,
     ScalarField,
@@ -26,6 +31,7 @@ from .spectral import (
     _smooth_hat,
     _smooth_vector_hat,
     array_irfft,
+    array_rfft,
     derive_seed,
     half_divergence,
     half_leray_project,
@@ -141,23 +147,16 @@ def make_well_prepared(spec: WellPreparedSpec) -> FullState:
     vec[2:] = half_leray_project(grid, vec[2:])
     hat = np.concatenate([_smooth_hat(grid, seeds[0], _DECAY, **sample)[None],
                           vec.reshape((12,) + vec.shape[2:])])
-    norms = _field_norms(grid, hat, l)
-    dn, du, dj, de, db = (
-        kind(grid, values) * (1.0 / norm) * share
-        for kind, values, norm in zip((ScalarField,) + (VectorField,) * 4,
-                                      _split(array_irfft(grid, hat)), norms)
-    )
-
-    n = spec.base.n + scale * dn
-    if n.values.min() <= 0.0:
+    # per row: 1/norm of its field, then the factor of (n, u, j~, E, B)
+    inv_norms = np.repeat([1.0 / norm for norm in _field_norms(grid, hat, l)], (1, 3, 3, 3, 3))
+    jt_factor = 1.0 if spec.well_prepared else 1.0 / spec.kappa
+    factors = np.repeat([scale, jt_factor, scale], (4, 3, 6))
+    x = array_irfft(grid, hat) * inv_norms[:, None, None, None] * share
+    x *= factors[:, None, None, None]
+    x[:4] += _stacked(spec.base)
+    if x[0].min() <= 0.0:
         raise VacuumError("vacuum state: perturbed density nonpositive")
-    state = FullState(
-        n=n,
-        u=spec.base.u + scale * du,
-        jt=dj if spec.well_prepared else (1.0 / spec.kappa) * dj,
-        E=scale * de,
-        B=scale * db,
-    )
+    state = _state_view(grid, x)
     if spec.well_prepared:
         norm = hypothesis_norm(state, spec.base, spec.kappa, l)
         if norm > spec.c0 * spec.kappa * (1.0 + 1e-9):
@@ -167,14 +166,14 @@ def make_well_prepared(spec: WellPreparedSpec) -> FullState:
     return state
 
 
-def _hypothesis_error(full: FullState, base: LimitState, kappa: float) -> ErrorState:
-    """(n - n0, u - u0, kappa j~, E, B) without the ledger's vacuum check."""
-    return ErrorState(full.n - base.n, full.u - base.u, kappa * full.jt, full.E, full.B)
+def _error_norm(grid: Grid, hat: np.ndarray, l: float) -> float:
+    """H^l norm of an error stack from its ``array_rfft`` coefficients."""
+    return math.sqrt(sum(x * x for x in _field_norms(grid, hat, l)))
 
 
 def hypothesis_norm(full: FullState, base: LimitState, kappa: float, l: float) -> float:
     """H^l norm of (n - n0, u - u0, kappa j~, E, B)."""
-    return math.sqrt(gamma_norm(_hypothesis_error(full, base, kappa), l))
+    return _error_norm(full.grid, array_rfft(full.grid, _error_stack(full, base, kappa)), l)
 
 
 def hypothesis_certificate(
@@ -182,8 +181,8 @@ def hypothesis_certificate(
 ) -> dict:
     """Recompute and record the data hypothesis and constraint residuals."""
     grid = full.grid
-    hat = _error_hat(_hypothesis_error(full, base, kappa))
-    norm = math.sqrt(sum(x * x for x in _field_norms(grid, hat, l)))
+    hat = array_rfft(grid, _error_stack(full, base, kappa))
+    norm = _error_norm(grid, hat, l)
     div_e, div_b = array_irfft(grid, half_divergence(grid, hat[7:].reshape((2, 3) + hat.shape[1:])))
     return {
         "hypothesis_norm": norm,

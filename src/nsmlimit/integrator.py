@@ -40,7 +40,7 @@ viscous block alone (``StiffLinearOperator.viscous``).
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,27 +74,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step size, horizon and stepping mode.
-
-    In adaptive mode dt is additionally capped by cfl*dx/max(1, max(|u| + c))
-    with the sound speed c = sqrt(eta P'(n)/tau); the stiff propagator being
-    exact, dt is never constrained by 1/kappa.
-    """
+    """Fixed step size and horizon; t_end is a whole number of steps.  The
+    stiff propagator being exact, dt is never constrained by 1/kappa."""
 
     dt: float
     t_end: float
-    cfl: float = 0.5
-    mode: str = "fixed_dt"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigError("cfl must lie in (0, 1]")
-        if self.mode not in ("fixed_dt", "adaptive"):
-            raise ConfigError("mode must be 'fixed_dt' or 'adaptive'")
 
 
 # One coefficient per (part, out field, in field) over the stacked (u, J, E, B):
@@ -453,7 +443,7 @@ def _n_fixed_steps(sc: StepControl) -> int:
         return 0
     n = round(sc.t_end / sc.dt)
     if n < 1 or abs(n * sc.dt - sc.t_end) > 1e-9 * max(sc.dt, sc.t_end):
-        raise ConfigError("t_end must be an integer multiple of dt in fixed_dt mode")
+        raise ConfigError("t_end must be an integer multiple of dt")
     return n
 
 
@@ -469,17 +459,16 @@ def evolve(
     ``harness.run_single``).
 
     The state is stacked once; states viewing the stack are built only for
-    the observer and the result.  A fixed_dt run builds the stiff operator
-    once and steps at t = i*dt; an adaptive run takes each dt from the CFL
-    and sound-speed cap of StepControl and rebuilds the operator for it.
+    the observer and the result.  The stiff operator is built once, at the
+    initial mean density, and the march steps at t = i*dt.
     observer(step_index, t, state) runs at t = 0 and every ``stride``
     steps; ``forcing`` is passed to every step.  A blow-up or vacuum ends
     the march with that status.  Returns (final_state, StepLog)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
-    stepper = step_full if isinstance(state, FullState) else step_limit
-    fixed = sc.mode == "fixed_dt"
-    n_steps = _n_fixed_steps(sc) if fixed else 0
+    full = isinstance(state, FullState)
+    stepper = step_full if full else step_limit
+    n_steps = _n_fixed_steps(sc)
     grid = state.grid
     x = _stacked(state)
     log = StepLog()
@@ -487,22 +476,14 @@ def evolve(
     if observer is not None:
         observer(0, 0.0, state)
 
-    t, step, op = 0.0, sc, None
+    build = build_stiff_operator if full else StiffLinearOperator.viscous
+    op = build(grid, p, float(x[_ROWS[0]].mean()), sc.dt)
     try:
-        while (log.n_steps < n_steps) if fixed else (t < sc.t_end - 1e-12 * sc.t_end):
-            if not fixed:
-                n_, u_ = x[_ROWS[0]], x[_ROWS[1, 4]]
-                c = np.sqrt((u_**2).sum(axis=0)) + np.sqrt(p.eta * p.pressure.dpressure(n_) / p.tau)
-                step = replace(sc, dt=min(sc.dt, sc.cfl * grid.spacing / max(1.0, c.max()), sc.t_end - t))
-                op = None
-            if op is None:
-                build = build_stiff_operator if stepper is step_full else StiffLinearOperator.viscous
-                op = build(grid, p, float(x[_ROWS[0]].mean()), step.dt)
-            x = stepper(grid, x, p, step, op=op, forcing=forcing, t=t)
+        while log.n_steps < n_steps:
+            x = stepper(grid, x, p, sc, op=op, forcing=forcing, t=log.n_steps * sc.dt)
             log.n_steps += 1
-            t = log.n_steps * sc.dt if fixed else t + step.dt
             if observer is not None and log.n_steps % stride == 0:
-                observer(log.n_steps, t, _state_view(grid, x))
+                observer(log.n_steps, log.n_steps * sc.dt, _state_view(grid, x))
     except (BlowUpError, VacuumError) as exc:
         log.status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
         log.message = str(exc)

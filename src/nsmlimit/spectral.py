@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iproduct
-from typing import Callable
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "SobolevIndex",
     "sobolev_norm",
     "sup_norm",
     "grid_integral",
@@ -226,16 +224,11 @@ class Grid:
         shape[axis] = x.size
         return x.reshape(shape)
 
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(self.coordinate(ax) for ax in range(3))
 
-
-def _require_same_grid(*grids: Grid) -> Grid:
-    first = grids[0]
-    for g in grids[1:]:
-        if g != first:
-            raise GridMismatchError("fields live on different grids")
-    return first
+def _require_same_grid(a: Grid, b: Grid) -> Grid:
+    if a != b:
+        raise GridMismatchError("fields live on different grids")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +319,9 @@ class ScalarField:
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
-        x, y, z = grid.coordinates()
-        return cls(grid, np.asarray(fn(x, y, z)) * np.ones(grid.shape))
-
     @property
     def mean(self) -> float:
         return float(self.values.mean())
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
 
 
 @dataclass(frozen=True)
@@ -367,53 +339,8 @@ class VectorField:
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(grid, np.zeros((3,) + grid.shape))
 
-    @classmethod
-    def from_components(cls, fx: ScalarField, fy: ScalarField, fz: ScalarField):
-        grid = _require_same_grid(fx.grid, fy.grid, fz.grid)
-        return cls(grid, np.stack([fx.values, fy.values, fz.values]))
-
-    @property
-    def components(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        return tuple(ScalarField(self.grid, self.values[i]) for i in range(3))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _require_same_grid(self.grid, other.grid)
-        return VectorField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _require_same_grid(self.grid, other.grid)
-        return VectorField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "VectorField":
-        return VectorField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.values)
-
 
 Field = ScalarField | VectorField
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """Sobolev exponent l >= 0; convergence studies need l > 2 + 3/2 so that
-    H^l embeds into C^2 in three dimensions."""
-
-    l: float = 4.0
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("Sobolev exponent must be nonnegative")
-
-    @property
-    def embeds_c2(self) -> bool:
-        return self.l > 2.0 + 1.5
-
-
-def _exponent(l) -> float:
-    return float(l.l) if isinstance(l, SobolevIndex) else float(l)
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +362,15 @@ def sup_norm(f: Field) -> float:
     return float(np.abs(f.values).max())
 
 
-def _sobolev_weight(grid: Grid, l) -> np.ndarray:
+def _sobolev_weight(grid: Grid, l: float) -> np.ndarray:
     """(1+|k|^2)^l on the half-spectrum, the ``_mode_sums`` multiplier of the
     squared H^l norm."""
-    s = _exponent(l)
-    if s < 0:
+    if l < 0:
         raise ValueError("Sobolev exponent must be nonnegative")
-    return (1.0 + grid.k_squared[grid.half_cut]) ** s
+    return (1.0 + grid.k_squared[grid.half_cut]) ** float(l)
 
 
-def sobolev_norm(f: Field, l=SobolevIndex()) -> float:
+def sobolev_norm(f: Field, l: float = 4.0) -> float:
     """H^l norm, ``sqrt(V sum_k (1+|k|^2)^l |c_k|^2)``; l=0 is the L^2 norm."""
     hat = array_rfft(f.grid, f.values)
     return math.sqrt(_mode_sums(f.grid, hat, _sobolev_weight(f.grid, l)).sum())

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from nsmlimit.diagnostics import EnergyLedger, ErrorState, enthalpy_functional, error_state
+from nsmlimit.diagnostics import EnergyLedger
 from nsmlimit.errors import VacuumError
 from nsmlimit.harness import InitialSpec, RunConfig, run_single
 from nsmlimit.integrator import StepControl, evolve
@@ -28,12 +28,9 @@ from nsmlimit.spectral import (
     Field,
     Grid,
     ScalarField,
-    SobolevIndex,
     VectorField,
-    _exponent,
     _hash_unit,
     _multi_indices,
-    _require_same_grid,
     array_irfft,
     array_rfft,
     grid_integral,
@@ -116,12 +113,11 @@ def _weighted_coeff_sum(f: Field, weight: np.ndarray) -> float:
     return float((weight * c2).sum() * f.grid.volume)
 
 
-def sobolev_norm(f: Field, l=SobolevIndex()) -> float:
+def sobolev_norm(f: Field, l: float = 4.0) -> float:
     """H^l norm, ``sqrt(V sum_k (1+|k|^2)^l |c_k|^2)``; l=0 is the L^2 norm."""
-    s = _exponent(l)
-    if s < 0:
+    if l < 0:
         raise ValueError("Sobolev exponent must be nonnegative")
-    return math.sqrt(_weighted_coeff_sum(f, (1.0 + f.grid.k_squared) ** s))
+    return math.sqrt(_weighted_coeff_sum(f, (1.0 + f.grid.k_squared) ** float(l)))
 
 
 def sobolev_seminorm(f: Field, s: float) -> float:
@@ -222,7 +218,8 @@ def _l2(grid: Grid, values: np.ndarray) -> float:
 
 def moser_ratios(f: ScalarField, g: ScalarField, s: int) -> tuple[float, float]:
     """Max product-rule and commutator ratios over multi-indices |alpha| <= s."""
-    grid = _require_same_grid(f.grid, g.grid)
+    assert f.grid == g.grid
+    grid = f.grid
     fg = f.values * g.values
     sup_f = sup_norm(f)
     sup_g = sup_norm(g)
@@ -678,15 +675,14 @@ def _interior_multi_indices(dims: int, l: int):
 
 
 def grid_space_weighted_high_norm(
-    e: ErrorState, limit: LimitState, law: PressureLaw, l: int
+    grid: Grid, N: np.ndarray, n0: np.ndarray, law: PressureLaw, l: int
 ) -> float:
     """sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx."""
-    grid = e.grid
-    rho = e.N.values + limit.n.values
+    rho = N + n0
     if rho.min() <= 0.0:
         raise VacuumError("vacuum state: total density nonpositive")
     weight = law.denthalpy(rho) / rho
-    hat = np.fft.fftn(e.N.values, axes=grid.fft_axes)
+    hat = np.fft.fftn(N, axes=grid.fft_axes)
     total = 0.0
     for alpha in _interior_multi_indices(grid.dims_active, int(l)):
         mult = np.ones(grid.shape, dtype=complex)
@@ -698,20 +694,22 @@ def grid_space_weighted_high_norm(
     return total
 
 
-def grid_space_dissipation_rates(e: ErrorState, p: Params) -> tuple[float, float]:
-    """Instantaneous viscous dissipation of U and of J = kappa j~:
-    mu |grad .|^2 + (mu+lam) |div .|^2."""
-    grid = e.grid
+def grid_space_dissipation(grid: Grid, p: Params, v: np.ndarray) -> float:
+    """Instantaneous viscous dissipation mu |grad v|^2 + (mu+lam) |div v|^2."""
+    grad_sq = sum(grid_integral(grid, array_gradient(grid, v[i]) ** 2) for i in range(3))
+    div_sq = grid_integral(grid, array_divergence(grid, v) ** 2)
+    return p.mu * grad_sq + (p.mu + p.lam) * div_sq
 
-    def rate(v: VectorField) -> float:
-        grad_sq = sum(
-            grid_integral(grid, array_gradient(grid, v.values[i]) ** 2)
-            for i in range(3)
-        )
-        div_sq = grid_integral(grid, array_divergence(grid, v.values) ** 2)
-        return p.mu * grad_sq + (p.mu + p.lam) * div_sq
 
-    return rate(e.U), rate(e.J)
+def grid_space_enthalpy_functional(
+    grid: Grid, N: np.ndarray, n0: np.ndarray, law: PressureLaw, nodes: int = 64
+) -> float:
+    """integral_x integral_0^N [h(s+n0) - h(n0)] ds dx, the inner integral
+    by one fixed Gauss-Legendre rule of ``nodes`` points."""
+    xi, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * N[..., None] * (xi + 1.0)
+    vals = law.enthalpy(s + n0[..., None]) - law.enthalpy(n0)[..., None]
+    return grid_integral(grid, 0.5 * N * (vals @ w))
 
 
 def grid_space_ledger(
@@ -723,15 +721,18 @@ def grid_space_ledger(
     mass0: float,
 ) -> EnergyLedger:
     grid = full.grid
-    e = error_state(full, limit, p.kappa)
+    assert grid == limit.grid
+    n0 = limit.n.values
+    N = full.n.values - n0
+    U = full.u.values - limit.u.values
+    J = p.kappa * full.jt.values
     norms = [
-        sobolev_norm(e.N, l),
-        sobolev_norm(e.U, l),
-        sobolev_norm(e.J, l),
-        sobolev_norm(e.E, l),
-        sobolev_norm(e.B, l),
+        sobolev_norm(ScalarField(grid, N), l),
+        sobolev_norm(VectorField(grid, U), l),
+        sobolev_norm(VectorField(grid, J), l),
+        sobolev_norm(full.E, l),
+        sobolev_norm(full.B, l),
     ]
-    diss_u, diss_j = grid_space_dissipation_rates(e, p)
     div_scale = 1.0 + sup_norm(full.E) + sup_norm(full.B)
     div_e = float(np.abs(array_divergence(grid, full.E.values)).max()) / div_scale
     div_b = float(np.abs(array_divergence(grid, full.B.values)).max()) / div_scale
@@ -744,10 +745,10 @@ def grid_space_ledger(
         norm_J=norms[2],
         norm_E=norms[3],
         norm_B=norms[4],
-        enthalpy_fn=enthalpy_functional(e, limit, p.pressure),
-        weighted_high=grid_space_weighted_high_norm(e, limit, p.pressure, int(l)),
-        diss_U=diss_u,
-        diss_J=diss_j,
+        enthalpy_fn=grid_space_enthalpy_functional(grid, N, n0, p.pressure),
+        weighted_high=grid_space_weighted_high_norm(grid, N, n0, p.pressure, int(l)),
+        diss_U=grid_space_dissipation(grid, p, U),
+        diss_J=grid_space_dissipation(grid, p, J),
         divE=div_e,
         divB=div_b,
         mass_err=abs(mass - mass0) / abs(mass0),
@@ -769,7 +770,7 @@ def grid_space_audit_terms(full: FullState, limit: LimitState, p: Params) -> dic
     law = p.pressure
     n_tot = full.n.values          # N + n0
     n0 = limit.n.values
-    U = (full.u - limit.u).values
+    U = full.u.values - limit.u.values
     u0 = limit.u.values
     u_full = full.u.values
     jt = full.jt.values
@@ -805,9 +806,7 @@ def grid_space_audit_terms(full: FullState, limit: LimitState, p: Params) -> dic
         grid, ((1.0 / n_tot - 1.0 / n0) * visc0 * n_tot * U).sum(axis=0)
     )
 
-    diss = p.mu * sum(
-        grid_integral(grid, array_gradient(grid, U[i]) ** 2) for i in range(3)
-    ) + (p.mu + p.lam) * grid_integral(grid, array_divergence(grid, U) ** 2)
+    diss = grid_space_dissipation(grid, p, U)
 
     energy = 0.5 * grid_integral(grid, n_tot * (U * U).sum(axis=0))
     return {

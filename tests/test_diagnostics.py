@@ -17,18 +17,15 @@ from nsmlimit.errors import GridMismatchError, SnapshotSpacingError, VacuumError
 from nsmlimit.diagnostics import (
     LEDGER_COLUMNS,
     _audit_terms,
+    _inner_enthalpy_integral,
     bound_monitor,
     energy_identity_audit,
-    enthalpy_functional,
-    error_state,
-    gamma_norm,
     make_energy_ledger,
-    weighted_high_norm,
-    ErrorState,
 )
 from nsmlimit.initdata import (
     WellPreparedSpec,
     hypothesis_certificate,
+    hypothesis_norm,
     make_limit_data,
     make_well_prepared,
 )
@@ -69,11 +66,28 @@ def smooth_pair(grid, seed=3):
     return full, limit
 
 
-def zero_error(grid, N=None):
+def density_error_pair(grid, N=None, n0=None):
+    """A limit state (density n0, default 1, at rest) and a full state whose
+    only error against it is the density error N (default none)."""
+    n0 = np.ones(grid.shape) if n0 is None else n0
     z = VectorField.zeros(grid)
-    if N is None:
-        N = ScalarField.zeros(grid)
-    return ErrorState(N, z, z, z, z)
+    full_n = n0 if N is None else n0 + N
+    return FullState(ScalarField(grid, full_n), z, z, z, z), LimitState(ScalarField(grid, n0), z)
+
+
+def ledger_row(full, limit, law=PressureLaw(), l=4.0, kappa=0.2):
+    return make_energy_ledger(0.0, full, limit, Params(kappa=kappa, pressure=law), l, 1.0)
+
+
+NORM_COLUMNS = ("norm_N", "norm_U", "norm_J", "norm_E", "norm_B")
+
+
+def error_fields(full, limit, kappa):
+    """(N, U, J, E, B) as Fields, formed from the state values."""
+    grid = full.grid
+    return (ScalarField(grid, full.n.values - limit.n.values),
+            VectorField(grid, full.u.values - limit.u.values),
+            VectorField(grid, kappa * full.jt.values), full.E, full.B)
 
 
 class TestErrorState:
@@ -81,17 +95,18 @@ class TestErrorState:
         base = make_limit_data(grid64, seed=7, amplitude=0.1)
         spec = WellPreparedSpec.from_seed(base, seed=7, c0=0.0, kappa=0.2)
         full = make_well_prepared(spec)
-        e = error_state(full, base, 0.2)
-        for fld in (e.N, e.U, e.J, e.E, e.B):
-            assert np.abs(fld.values).max() == 0.0
+        row = ledger_row(full, base)
+        assert row.gamma == 0.0
+        for col in NORM_COLUMNS:
+            assert getattr(row, col) == 0.0
+        assert hypothesis_norm(full, base, 0.2, 4.0) == 0.0
 
     def test_linear_in_kappa(self, grid64):
         base = make_limit_data(grid64, seed=7, amplitude=0.1)
         norms = []
         for kappa in (0.2, 0.1):
             full = make_well_prepared(WellPreparedSpec.from_seed(base, 7, 1.0, kappa))
-            e = error_state(full, base, kappa)
-            norms.append(math.sqrt(gamma_norm(e, 4.0)))
+            norms.append(hypothesis_norm(full, base, kappa, 4.0))
         assert abs(norms[0] - 2 * norms[1]) < 1e-11
 
     def test_grid_mismatch(self, grid64):
@@ -99,59 +114,63 @@ class TestErrorState:
         base64 = make_limit_data(grid64, seed=7, amplitude=0.1)
         full = make_well_prepared(WellPreparedSpec.from_seed(base64, 7, 1.0, 0.2))
         with pytest.raises(GridMismatchError):
-            error_state(full, base32, 0.2)
+            make_energy_ledger(0.0, full, base32, Params(kappa=0.2), 4.0, 1.0)
+        with pytest.raises(GridMismatchError):
+            hypothesis_certificate(full, base32, 0.2, 1.0, 4.0)
 
 
 class TestGamma:
     def test_zero(self, grid64):
-        assert gamma_norm(zero_error(grid64), 4.0) == 0.0
+        assert ledger_row(*density_error_pair(grid64)).gamma == 0.0
 
     def test_quadratic_scaling(self, grid64):
         base = make_limit_data(grid64, seed=7, amplitude=0.1)
         full = make_well_prepared(WellPreparedSpec.from_seed(base, 7, 1.0, 0.2))
-        e = error_state(full, base, 0.2)
-        g1 = gamma_norm(e, 4.0)
-        scaled = ErrorState(3.0 * e.N, 3.0 * e.U, 3.0 * e.J, 3.0 * e.E, 3.0 * e.B)
-        assert gamma_norm(scaled, 4.0) == pytest.approx(9.0 * g1, rel=1e-12)
+        g1 = ledger_row(full, base).gamma
+        tripled = FullState(
+            ScalarField(grid64, base.n.values + 3.0 * (full.n.values - base.n.values)),
+            VectorField(grid64, base.u.values + 3.0 * (full.u.values - base.u.values)),
+            *(VectorField(grid64, 3.0 * f.values) for f in (full.jt, full.E, full.B)),
+        )
+        assert ledger_row(tripled, base).gamma == pytest.approx(9.0 * g1, rel=1e-12)
 
     def test_single_sin_mode_h1(self, grid64):
         # N = sin x, others zero, l = 1: Gamma = ||N||_1^2 = 2 pi
-        N = ScalarField.from_function(grid64, lambda x, y, z: np.sin(x))
-        e = zero_error(grid64, N=N)
-        assert gamma_norm(e, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        full, limit = density_error_pair(grid64, N=np.sin(x), n0=np.full(grid64.shape, 2.0))
+        assert ledger_row(full, limit, l=1.0).gamma == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_additivity_against_independent_norms(self, grid64):
         base = make_limit_data(grid64, seed=5, amplitude=0.1)
         full = make_well_prepared(WellPreparedSpec.from_seed(base, 5, 1.0, 0.3))
-        e = error_state(full, base, 0.3)
-        parts = sum(
-            support.sobolev_norm(f, 4.0) ** 2 for f in (e.N, e.U, e.J, e.E, e.B)
-        )
-        assert gamma_norm(e, 4.0) == pytest.approx(parts, rel=1e-14)
+        row = ledger_row(full, base, kappa=0.3)
+        norms = [support.sobolev_norm(f, 4.0) for f in error_fields(full, base, 0.3)]
+        assert row.gamma == pytest.approx(sum(x * x for x in norms), rel=1e-14)
+        for col, want in zip(NORM_COLUMNS, norms):
+            assert getattr(row, col) == pytest.approx(want, rel=1e-14)
 
 
 class TestEnthalpyFunctional:
     def test_zero_error_is_zero(self, grid64):
-        law = PressureLaw()
-        assert enthalpy_functional(zero_error(grid64), flat_limit(grid64), law) == 0.0
+        assert ledger_row(*density_error_pair(grid64)).enthalpy_fn == 0.0
 
     def test_gamma_two_closed_form(self, grid64):
         # n0 = 1, gamma = 2, A = 1: h(rho) = 2(rho-1), so the inner integral
         # is N^2 and the functional is ||N||_L2^2
         law = PressureLaw(amplitude=1.0, gamma=2.0)
-        N = ScalarField.from_function(grid64, lambda x, y, z: 0.1 * np.sin(x))
-        e = zero_error(grid64, N=N)
-        val = enthalpy_functional(e, flat_limit(grid64), law)
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        full, limit = density_error_pair(grid64, N=0.1 * np.sin(x))
+        N = ScalarField(grid64, full.n.values - limit.n.values)
+        val = ledger_row(full, limit, law).enthalpy_fn
         assert val == pytest.approx(sobolev_norm(N, 0.0) ** 2, rel=1e-12)
 
     def test_general_gamma_against_quadrature(self, grid64):
         law = PressureLaw()  # gamma = 5/3
         x = grid64.coordinate(0) * np.ones(grid64.shape)
-        Nv = 0.2 * np.sin(x) + 0.05 * np.cos(2 * x)
         n0v = 1.0 + 0.1 * np.cos(x)
-        e = zero_error(grid64, N=ScalarField(grid64, Nv))
-        limit = LimitState(ScalarField(grid64, n0v), VectorField.zeros(grid64))
-        got = enthalpy_functional(e, limit, law)
+        full, limit = density_error_pair(grid64, N=0.2 * np.sin(x) + 0.05 * np.cos(2 * x), n0=n0v)
+        Nv = full.n.values - n0v
+        got = ledger_row(full, limit, law).enthalpy_fn
         # brute-force quadrature per grid point, then torus integral
         per_point = np.array([
             quad(lambda s: law.enthalpy(s + b) - law.enthalpy(b), 0.0, a,
@@ -162,16 +181,15 @@ class TestEnthalpyFunctional:
         assert got == pytest.approx(ref, abs=1e-8)
 
     def test_positive_for_mixed_sign_error(self, grid64):
-        law = PressureLaw()
-        N = ScalarField.from_function(grid64, lambda x, y, z: 0.3 * np.sin(3 * x))
-        val = enthalpy_functional(zero_error(grid64, N=N), flat_limit(grid64), law)
-        assert val > 0.0
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        full, limit = density_error_pair(grid64, N=0.3 * np.sin(3 * x))
+        assert ledger_row(full, limit).enthalpy_fn > 0.0
 
     def test_vacuum_in_integral_range(self, grid64):
-        law = PressureLaw()
-        N = ScalarField(grid64, np.full(grid64.shape, -1.5))
+        # the ledger's total-density check fires before the integral's own
         with pytest.raises(VacuumError, match="inner integral"):
-            enthalpy_functional(zero_error(grid64, N=N), flat_limit(grid64), law)
+            _inner_enthalpy_integral(np.full(grid64.shape, -1.5), np.ones(grid64.shape),
+                                     PressureLaw())
 
 
 class TestWeightedHighNorm:
@@ -180,30 +198,26 @@ class TestWeightedHighNorm:
         # quadrature of the weight
         law = PressureLaw()
         x = grid64.coordinate(0) * np.ones(grid64.shape)
-        N = ScalarField(grid64, 0.1 * np.sin(x) + 0.02 * np.cos(3 * x))
-        n0 = ScalarField(grid64, 1.0 + 0.05 * np.cos(2 * x))
-        e = zero_error(grid64, N=N)
-        limit = LimitState(n0, VectorField.zeros(grid64))
-        got = weighted_high_norm(e, limit, law, 4)
-        rho = N.values + n0.values
+        n0 = 1.0 + 0.05 * np.cos(2 * x)
+        full, limit = density_error_pair(grid64, N=0.1 * np.sin(x) + 0.02 * np.cos(3 * x), n0=n0)
+        got = ledger_row(full, limit, law).weighted_high
+        N = full.n.values - n0
+        rho = N + n0
         weight = law.denthalpy(rho) / rho
         ref = 0.0
         for order in range(1, 5):
-            d = _partial(grid64, N.values, (order,))
+            d = _partial(grid64, N, (order,))
             ref += grid_integral(grid64, weight * d**2)
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_positive(self, grid64):
-        law = PressureLaw()
-        N = ScalarField.from_function(grid64, lambda x, y, z: 0.2 * np.sin(x))
-        val = weighted_high_norm(zero_error(grid64, N=N), flat_limit(grid64), law, 4)
-        assert val > 0.0
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        full, limit = density_error_pair(grid64, N=0.2 * np.sin(x))
+        assert ledger_row(full, limit).weighted_high > 0.0
 
     def test_zero_for_constant_error(self, grid64):
-        law = PressureLaw()
-        N = ScalarField(grid64, np.full(grid64.shape, 0.1))
-        val = weighted_high_norm(zero_error(grid64, N=N), flat_limit(grid64), law, 4)
-        assert val == pytest.approx(0.0, abs=1e-25)
+        full, limit = density_error_pair(grid64, N=np.full(grid64.shape, 0.1))
+        assert ledger_row(full, limit).weighted_high == pytest.approx(0.0, abs=1e-25)
 
 
 class TestEnergyLedger:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nsmlimit import harness
-from nsmlimit.cli import main
+from nsmlimit.cli import _with_seed, main
 from nsmlimit.diagnostics import LEDGER_COLUMNS
 from nsmlimit.errors import ConfigError
 from nsmlimit.model import FullState, LimitState
@@ -93,6 +93,23 @@ class TestConfigParsing:
     def test_kappa_list_bounds(self):
         with pytest.raises(ConfigError):
             parse_config_text("[sweep]\nkappa_list = 1.5, 0.2, 0.1\n")
+
+    def test_cfl_out_of_range_rejected(self):
+        # [step] cfl is checked and otherwise unused: the step is always fixed
+        assert parse_config_text("[step]\ncfl = 1.0\n").step.dt == 2e-4
+        for cfl in ("0.0", "1.5"):
+            with pytest.raises(ConfigError, match=r"cfl must lie in \(0, 1\]"):
+                parse_config_text(f"[step]\ncfl = {cfl}\n")
+
+    @pytest.mark.parametrize("mode", ["leapfrog", "adaptive"])
+    def test_mode_other_than_fixed_dt_rejected(self, tmp_path, capsys, mode):
+        text = f"[step]\nmode = {mode}\n"
+        with pytest.raises(ConfigError, match="mode must be 'fixed_dt'"):
+            parse_config_text(text)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "config error: mode must be 'fixed_dt'" in capsys.readouterr().err
 
 
 class TestFitRate:
@@ -510,10 +527,27 @@ class TestCli:
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(SHORT_CONFIG)
-        outs = []
-        for seed, sub in ((1, "o1"), (2, "o2")):
+        outs, records = [], []
+        for seed, sub in ((1, "o1"), (2, "o2"), (None, "o3")):
             out = tmp_path / sub
-            main(["run", "--config", str(cfg_path), "--out", str(out),
-                  "--seed", str(seed), "--kappa", "0.2"])
+            override = [] if seed is None else ["--seed", str(seed)]
+            main(["run", "--config", str(cfg_path), "--out", str(out), "--kappa", "0.2", *override])
             outs.append((out / "run_kappa0.2.csv").read_text())
+            records.append(json.loads((out / "run_kappa0.2.json").read_text()))
         assert outs[0] != outs[1]
+        # the recorded config names the seed the run used, so the hashes differ
+        assert records[0]["config_hash"] != records[1]["config_hash"]
+        for seed, rec in zip((1, 2), records):
+            assert parse_config_text(rec["config"]).initial.seed == seed
+            assert rec["config"].startswith(SHORT_CONFIG)
+        assert records[2]["config"] == SHORT_CONFIG  # no --seed: the text as written
+
+    @pytest.mark.parametrize("text, want", [
+        ("# c\n[initial]\nseed = 7  # data seed\nc0 = 1.0\n[step]\ndt = 1e-3\n",
+         "# c\n[initial]\nseed = 42  # data seed\nc0 = 1.0\n[step]\ndt = 1e-3\n"),
+        ("[initial]\nc0 = 1.0\n[step]\nseed_note = 1\n",
+         "[initial]\nseed = 42\nc0 = 1.0\n[step]\nseed_note = 1\n"),
+        ("[step]\ndt = 1e-3", "[step]\ndt = 1e-3\n\n[initial]\nseed = 42\n"),
+    ], ids=["replaced", "added_line", "added_section"])
+    def test_seed_override_keeps_other_lines(self, text, want):
+        assert _with_seed(text, 42) == want

@@ -11,7 +11,15 @@ from nsmlimit.initdata import (
     make_limit_data,
     make_well_prepared,
 )
-from nsmlimit.spectral import array_irfft, array_rfft, half_divergence, sobolev_norm, sup_norm
+from nsmlimit.spectral import (
+    ScalarField,
+    VectorField,
+    array_irfft,
+    array_rfft,
+    half_divergence,
+    sobolev_norm,
+    sup_norm,
+)
 
 
 class TestLimitData:
@@ -106,7 +114,9 @@ class TestWellPrepared:
         base = make_limit_data(grid64, seed=7, amplitude=0.1)
         full = make_well_prepared(WellPreparedSpec.from_seed(base, 7, 1.0, 0.2))
         share = 0.999 / math.sqrt(5.0) * 0.2
-        for fld in (full.n - base.n, full.u - base.u, 0.2 * full.jt):
+        for fld in (ScalarField(grid64, full.n.values - base.n.values),
+                    VectorField(grid64, full.u.values - base.u.values),
+                    VectorField(grid64, 0.2 * full.jt.values)):
             assert sobolev_norm(fld, 4.0) == pytest.approx(share, rel=1e-10)
         # E and B were normalized after projection, so they carry the share too
         assert sobolev_norm(full.E, 4.0) == pytest.approx(share, rel=1e-10)

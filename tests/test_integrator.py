@@ -47,10 +47,7 @@ from nsmlimit.spectral import (
 
 
 class TestStepControl:
-    @pytest.mark.parametrize("bad", [
-        dict(dt=0.0, t_end=1.0), dict(dt=0.1, t_end=-1.0),
-        dict(dt=0.1, t_end=1.0, cfl=0.0), dict(dt=0.1, t_end=1.0, mode="leapfrog"),
-    ])
+    @pytest.mark.parametrize("bad", [dict(dt=0.0, t_end=1.0), dict(dt=0.1, t_end=-1.0)])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             StepControl(**bad)
@@ -663,31 +660,12 @@ class TestEvolve:
             final, log = evolve(state, p, StepControl(dt=dt, t_end=0.02))
             assert log.status == "completed"
             finals.append(final)
-        d1 = sup_norm(finals[0].u - finals[1].u) + sup_norm(finals[0].E - finals[1].E)
-        d2 = sup_norm(finals[1].u - finals[2].u) + sup_norm(finals[1].E - finals[2].E)
+        def gap(a, b):
+            return sum(sup_norm(VectorField(grid64, f.values - g.values))
+                       for f, g in ((a.u, b.u), (a.E, b.E)))
+
+        d1, d2 = gap(finals[0], finals[1]), gap(finals[1], finals[2])
         assert 2.5 < d1 / d2 < 6.0
-
-    def test_adaptive_mode_runs(self, grid64):
-        p = Params(kappa=0.2)
-        limit = make_limit_data(grid64, seed=4, amplitude=0.1)
-        sc = StepControl(dt=1e-3, t_end=5e-3, mode="adaptive")
-        final, log = evolve(limit, p, sc)
-        assert log.status == "completed"
-        assert log.n_steps >= 5
-
-    def test_adaptive_step_respects_sound_speed(self, grid64):
-        # at rest, so only the sound speed c = sqrt(eta P'(1)/tau) ~ 12.9
-        # can hold dt below the requested 0.01
-        p = Params(kappa=0.2, pressure=PressureLaw(amplitude=100.0))
-        c = math.sqrt(p.eta * p.pressure.dpressure(1.0) / p.tau)
-        cap = 0.5 * grid64.spacing / c
-        state = LimitState(ScalarField(grid64, np.ones(grid64.shape)), VectorField.zeros(grid64))
-        times = []
-        final, log = evolve(state, p, StepControl(dt=1e-2, t_end=0.05, mode="adaptive"),
-                            observer=lambda i, t, st: times.append(t))
-        assert log.status == "completed"
-        assert log.n_steps == math.ceil(0.05 / cap)
-        assert max(np.diff(times)) <= cap * (1.0 + 1e-12)
 
 
 class TestThreeAxisSmoke:

@@ -124,9 +124,8 @@ class TestRhsFull:
         # B = (0, 0, sin x), everything else at equilibrium:
         # dE = curl(B)/kappa = (0, -cos x, 0)/kappa, dB = 0
         p = Params(kappa=0.25)
-        sinx = ScalarField.from_function(grid64, lambda x, y, z: np.sin(x))
-        zero = ScalarField.zeros(grid64)
-        B = VectorField.from_components(zero, zero, sinx)
+        B = VectorField.zeros(grid64)
+        B.values[2] = np.sin(grid64.coordinate(0))
         s = FullState(
             ScalarField(grid64, np.ones(grid64.shape)),
             VectorField.zeros(grid64), VectorField.zeros(grid64),
@@ -315,10 +314,10 @@ class TestRhsTwoFluid:
         n = ScalarField(grid64, 1.0 + 0.1 * np.sin(x))
         u = VectorField(grid64, 0.1 * random_smooth_vector(
             grid64, 2, 0.5, max_wavenumber=4).values)
-        E = VectorField(grid64, array_leray_project(
-            grid64, random_smooth_vector(grid64, 3, 0.5, max_wavenumber=4).values)) * 0.1
-        B = VectorField(grid64, array_leray_project(
-            grid64, random_smooth_vector(grid64, 4, 0.5, max_wavenumber=4).values)) * 0.1
+        E = VectorField(grid64, 0.1 * array_leray_project(
+            grid64, random_smooth_vector(grid64, 3, 0.5, max_wavenumber=4).values))
+        B = VectorField(grid64, 0.1 * array_leray_project(
+            grid64, random_smooth_vector(grid64, 4, 0.5, max_wavenumber=4).values))
         s = TwoFluidState(n, u, u, E, B)
         r1 = two_fluid_rate(s, p)
         r2 = two_fluid_rate(s, Params(kappa=0.3, kappa_ei=123.0, k_rate=45.0))

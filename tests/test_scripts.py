@@ -107,3 +107,27 @@ def test_bench_needs_one_tree_per_tag(tmp_path, capsys):
             bench.main(argv)
         assert exc.value.code == 2
         assert "give one --tree per --tag" in capsys.readouterr().err
+
+
+def test_bench_records_tier1_and_src_lines(tmp_path):
+    bench = _load("bench")
+    assert bench.parse_tier1("....\n419 passed in 19.69s\n") == {"passed": 419, "failed": 0, "errors": 0}
+    assert bench.parse_tier1("F.E\n= 1 failed, 417 passed, 1 error in 20.1s =\n") == {
+        "passed": 417, "failed": 1, "errors": 1}
+    pkg = tmp_path / "src" / "nsmlimit"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not counted\n")
+    assert bench.src_lines(tmp_path) == 3
+
+    run = {"sweep_1d": {"correct": True, "attempted": 3, "failed": 0,
+                        "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}}
+    tier1 = [{"wall_s": 21.0, "passed": 419, "failed": 0, "errors": 0},
+             {"wall_s": 23.0, "passed": 418, "failed": 1, "errors": 0}]
+    record = json.loads(json.dumps(bench.assemble("t", 25.0, [run, run], {}, tier1, 3300)))
+    assert record["src_lines"] == 3300
+    assert record["tier1"] == {"command": "python -m pytest -q --continue-on-collection-errors",
+                               "wall_s": {"median": 22.0, "q1": 21.5, "q3": 22.5, "samples": [21.0, 23.0]},
+                               "passed": [419, 418], "failed": [0, 1], "errors": [0, 0]}
+    assert bench.assemble("t", 25.0, [run], {})["tier1"] is None
