@@ -1,0 +1,161 @@
+"""Interleaved in-process A/B of one paired step in two source trees.
+
+    python scripts/step_ab.py --tree A_DIR --tree B_DIR [--rounds R] [--steps S]
+                              [--sweep CONFIG ...] [--run CONFIG ...]
+
+Imports each tree's ``src/nsmlimit`` under its own package name
+(``nsmlimit_a``, ``nsmlimit_b``) into one process, so both sides share the
+interpreter, the numpy build and the machine state.  Each input is a config
+file: ``--sweep`` steps the batch of its ``[sweep] kappa_list`` (as
+``nsmlimit sweep`` does) and ``--run`` its single ``[params] kappa`` (as
+``nsmlimit run``); by default the inputs are ``--sweep
+configs/acceptance.ini --run perfbench/paired_3d.ini``.  Each tree takes its
+initial stacks and operators from its own ``harness.run_single``: the first
+``step_full`` and ``step_limit`` calls are caught and the run stopped there.
+
+A paired step is one ``step_full`` on the members' stack and one
+``step_limit`` on the limit's.  Per round and input, each tree runs S paired
+steps from the initial stacks, the two trees in alternating order, after one
+untimed warm-up round.  Reported per input and tree: the median and
+quartiles of the paired-step time over all rounds, the median minor page
+faults per ``step_full`` and per paired step, the rounds in which B's
+median step was faster than A's, and whether both trees' stacks after a
+round are bit for bit equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import resource
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class _Caught(Exception):
+    """Stops ``run_single`` once both steppers have been called."""
+
+
+def import_tree(tree: Path, name: str):
+    """The package ``src/nsmlimit`` of ``tree``, imported as ``name``."""
+    pkg = tree / "src" / "nsmlimit"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("harness", "integrator"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
+
+
+def first_step_args(pkg, config: Path, batch: bool) -> dict:
+    """The arguments of the first ``step_full`` and ``step_limit`` calls of
+    ``harness.run_single`` on ``config`` in package ``pkg``."""
+    harness = pkg.harness
+    cfg = harness.parse_config(config)
+    caught, saved = {}, (harness.step_full, harness.step_limit)
+
+    def full(grid, x, p, sc, op=None, forcing=None, t=0.0):
+        caught["full"] = (grid, x, p, sc, op)
+        return saved[0](grid, x, p, sc, op=op, forcing=forcing, t=t)
+
+    def limit(grid, x, p, sc, op=None, forcing=None, t=0.0):
+        caught["limit"] = (grid, x, p, sc, op)
+        raise _Caught
+
+    harness.step_full, harness.step_limit = full, limit
+    try:
+        harness.run_single(cfg, kappa=tuple(cfg.kappa_list) if batch else None)
+    except _Caught:
+        pass
+    finally:
+        harness.step_full, harness.step_limit = saved
+    if "limit" not in caught:
+        raise SystemExit(f"{config}: the run made no step")
+    return caught
+
+
+def paired_steps(pkg, args: dict, steps: int):
+    """S paired steps from the caught arguments: the per-step seconds, the
+    minor faults per ``step_full`` and per paired step, and the final stacks."""
+    step_full, step_limit = pkg.integrator.step_full, pkg.integrator.step_limit
+    grid, x, p, sc, op = args["full"]
+    _, xl, pl, _, opl = args["limit"]
+    seconds, full_faults, pair_faults = [], [], []
+    for i in range(steps):
+        t = i * sc.dt
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        x = step_full(grid, x, p, sc, op=op, t=t)
+        f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        xl = step_limit(grid, xl, pl, sc, op=opl, t=t)
+        t1 = time.perf_counter()
+        f2 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        seconds.append(t1 - t0)
+        full_faults.append(f1 - f0)
+        pair_faults.append(f2 - f0)
+    return seconds, full_faults, pair_faults, (x, xl)
+
+
+def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int) -> None:
+    """Run the A/B of one input and print its table."""
+    sides = [(tag, pkg, first_step_args(pkg, config, batch)) for tag, pkg in trees]
+    for _, pkg, args in sides:  # warm-up, untimed
+        paired_steps(pkg, args, steps)
+    samples = {tag: {"s": [], "full": [], "pair": []} for tag, _, _ in sides}
+    wins, identical = 0, True
+    for r in range(rounds):
+        medians, finals = {}, {}
+        for tag, pkg, args in sides if r % 2 == 0 else sides[::-1]:
+            seconds, full_faults, pair_faults, finals[tag] = paired_steps(pkg, args, steps)
+            samples[tag]["s"] += seconds
+            samples[tag]["full"] += full_faults
+            samples[tag]["pair"] += pair_faults
+            medians[tag] = np.median(seconds)
+        wins += medians["B"] < medians["A"]
+        identical &= all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                         for a, b in zip(finals["A"], finals["B"]))
+    print(f"{name}: {rounds} rounds of {steps} paired steps per tree")
+    print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/full':>12} {'faults/pair':>12}")
+    median_ms = {}
+    for tag, _, _ in sides:
+        q1, median_ms[tag], q3 = np.percentile(samples[tag]["s"], [25, 50, 75]) * 1e3
+        full_f, pair_f = (np.median(samples[tag][k]) for k in ("full", "pair"))
+        print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {full_f:12.0f} {pair_f:12.0f}")
+    print(f"  B/A median {median_ms['B'] / median_ms['A']:.3f}; B faster in {wins}/{rounds} rounds; "
+          f"final stacks {'bit-identical' if identical else 'DIFFER'}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", type=Path, required=True,
+                    help="source tree A, then source tree B")
+    ap.add_argument("--rounds", type=int, default=30, help="timed rounds per input")
+    ap.add_argument("--steps", type=int, default=10, help="paired steps per tree and round")
+    ap.add_argument("--sweep", action="append", type=Path, default=[],
+                    help="config whose [sweep] kappa_list is stepped as one batch")
+    ap.add_argument("--run", action="append", type=Path, default=[],
+                    help="config stepped at its single [params] kappa")
+    args = ap.parse_args(argv)
+    if len(args.tree) != 2:
+        ap.error("give --tree twice: A, then B")
+    if args.rounds < 1 or args.steps < 1:
+        ap.error("--rounds and --steps must be at least 1")
+    inputs = [(path, True) for path in args.sweep] + [(path, False) for path in args.run]
+    if not inputs:
+        inputs = [(ROOT / "configs" / "acceptance.ini", True), (ROOT / "perfbench" / "paired_3d.ini", False)]
+    trees = [(tag, import_tree(tree.resolve(), f"nsmlimit_{tag.lower()}"))
+             for tag, tree in zip("AB", args.tree)]
+    for path, batch in inputs:
+        compare(trees, f"{'sweep' if batch else 'run'} {path.name}", path, batch, args.rounds, args.steps)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

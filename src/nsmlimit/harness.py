@@ -227,6 +227,8 @@ def parse_config_text(text: str) -> RunConfig:
                     values[section][key] = typ(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+            if typ is float and not math.isfinite(values[section][key]):
+                raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
 
     def get(section, key, default):
         return values.get(section, {}).get(key, default)

@@ -35,12 +35,18 @@ member axis, so a member's result does not depend on the batch it ran in.
 
 The limit system steps through the same body (``_strang_step``) with u's
 viscous block alone (``StiffLinearOperator.viscous``).
+
+The 1-D steps are bound by numpy call overhead, so the propagator applies
+its per-mode coefficients in seven grouped multiplies (``_GROUPS``) and the
+stage updates and the projection write in place; each element keeps the
+floating-point operations, in the same order, of the term-by-term form.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,6 +58,7 @@ from .model import (
     Params,
     _ROWS,
     _cross,
+    _fields,
     _full_rate,
     _limit_rate,
     _require_positive,
@@ -81,22 +88,35 @@ class StepControl:
     t_end: float
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigError("dt must be positive")
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ConfigError("t_end must be nonnegative")
 
 
 # One coefficient per (part, out field, in field) over the stacked (u, J, E, B):
 # part "x" multiplies the field, "s" adds khat (khat . field) and "rot" is
 # -i khat x field.  So "x" carries the transverse entries, "s" longitudinal
-# minus transverse; the first two rows are u's.
+# minus transverse; the first two are u's, the only ones of the limit
+# system's ``viscous`` operator.  The order lets ``apply_half`` apply the
+# terms in groups, one multiply each (``_GROUPS``).
 _TERMS = (
-    ("x", 0, 0), ("s", 0, 0),
-    ("x", 1, 1), ("x", 1, 2), ("x", 2, 1), ("x", 2, 2), ("x", 3, 3),
-    ("s", 1, 1), ("s", 1, 2), ("s", 2, 1), ("s", 2, 2), ("s", 3, 3),
+    ("x", 0, 0), ("s", 0, 0), ("x", 1, 1), ("s", 1, 1),
+    ("x", 2, 2), ("s", 2, 2), ("x", 3, 3), ("s", 3, 3),
+    ("x", 1, 2), ("x", 2, 1), ("s", 1, 2), ("s", 2, 1),
     ("rot", 1, 3), ("rot", 2, 3), ("rot", 3, 1), ("rot", 3, 2),
 )
+# The _TERMS rows of each group: the "x" diagonal, on all four fields; the
+# J <-> E "x" entries, against the fields (E, J); the same two for "s"; the
+# rotations of B into J and E; then of J and of E into B, one at a time.
+_GROUPS = (slice(0, 8, 2), slice(8, 10), slice(1, 8, 2), slice(10, 12),
+           slice(12, 14), slice(14, 15), slice(15, 16))
+
+
+# in (u, J, E, B): J to B, J and E, E then J (a view), and B; in their rotations: each one
+_JEB, _JE, _EJ, _B = _fields(slice(1, 4)), _fields(slice(1, 3)), _fields(slice(2, 0, -1)), _fields(slice(3, 4))
+_EB = _fields(slice(2, 4))
+_ROT_J, _ROT_E, _ROT_B = (_fields(slice(i, i + 1)) for i in range(3))
 
 
 class StiffLinearOperator:
@@ -123,8 +143,12 @@ class StiffLinearOperator:
 
     ``prop_half`` holds one real coefficient per _TERMS entry (u's two alone
     for the limit system's ``viscous`` operator) and half-spectrum mode,
-    after a leading member axis for a batch.  L is not tabulated: the rates
-    take ``n_mean`` (None for L = 0) and form N(y) - L y directly.
+    after a leading member axis for a batch, in C order.  _TERMS interleaves
+    the "x" and "s" diagonals, so each group ``apply_half`` multiplies at
+    once (_GROUPS: the four "x" diagonals, the two J <-> E "x" entries, the
+    same for "s", the two rotations of B, and one rotation each of J and of
+    E) is a view of ``prop_half``.  L is not tabulated: the rates take
+    ``n_mean`` (None for L = 0) and form N(y) - L y directly.
     """
 
     def __init__(self, dt: float, khat: np.ndarray, prop_half: np.ndarray, n_mean=None):
@@ -147,30 +171,46 @@ class StiffLinearOperator:
         """The limit system's operator: u's two viscous rows alone,
         e^{h v_T} and e^{h v_L} - e^{h v_T} with h = dt/2, per half-spectrum
         mode; ``p`` and ``n_mean`` as for ``build_stiff_operator``."""
-        if dt <= 0:
+        if not dt > 0:
             raise ConfigError("dt must be positive")
         p, m = _shared_params(p)[0], np.reshape(n_mean, np.shape(n_mean) + (1, 1, 1))
-        v_tra = -p.mu * grid.k_squared[grid.half_cut] / m
+        v_tra = -p.mu * grid.half_k_squared / m
         v_lon = v_tra - (p.mu + p.lam) * (grid.half_wavenumbers**2).sum(axis=0) / m
         e_tra = np.exp(0.5 * dt * v_tra)
         prop = np.stack([e_tra, np.exp(0.5 * dt * v_lon) - e_tra], axis=-4)
         return cls(dt, grid.half_unit_wavenumbers, prop, n_mean)
 
+    @cached_property
+    def _groups(self) -> tuple:
+        """Views of ``prop_half`` per _GROUPS entry, (..., rows, 1, *half)."""
+        return tuple(np.expand_dims(self.prop_half[..., g, :, :, :], -4) for g in _GROUPS)
+
     def apply_half(self, x):
         """One half-step exact propagation of the half-spectrum (u, J, E, B),
         stacked as (4, 3, *half), or (K, 4, 3, *half) for a batch: the
-        per-mode sum over _TERMS."""
+        per-mode sum over _TERMS, one multiply per group of _GROUPS, with
+        "rot" formed for J, E and B alone, the only fields it acts on.
+
+        Every product is the one of the term-by-term sum, and each field
+        adds its products in that sum's order, except that E's two "x"
+        products are added the other way round (a sum of two doubles does
+        not depend on their order) and no field starts from a zero (x + 0.0
+        is x for every double but -0.0).  So the result has the bits of the
+        term-by-term sum, up to the sign of an exact zero."""
         kh = self.khat
+        diag, off, s_diag, s_off, rot_b, rot_j, rot_e = self._groups
         s = (kh * x).sum(axis=-4, keepdims=True)
-        rot = _cross(kh, x)
+        rot = _cross(kh, x[_JEB])  # rot J, rot E, rot B
         rot *= -1j
-        out, lon = np.zeros_like(x), np.zeros_like(s)
-        # terms and fields first: coef[n] is (..., 1, *half), parts[j] (..., 3 or 1, *half)
-        coef = self.prop_half.swapaxes(0, -4)[_ROWS[None]]
-        parts = {"x": x.swapaxes(0, -5), "s": s.swapaxes(0, -5), "rot": rot.swapaxes(0, -5)}
-        acc = {"x": out.swapaxes(0, -5), "s": lon.swapaxes(0, -5)}
-        for c, (part, i, j) in zip(coef, _TERMS):
-            acc["s" if part == "s" else "x"][i] += c * parts[part][j]
+        out = diag * x
+        out_je, out_b = out[_JE], out[_B]
+        out_je += off * x[_EJ]
+        lon = s_diag * s
+        lon_je = lon[_JE]
+        lon_je += s_off * s[_EJ]
+        out_je += rot_b * rot[_ROT_B]
+        out_b += rot_j * rot[_ROT_J]
+        out_b += rot_e * rot[_ROT_E]
         out += kh * lon
         return out
 
@@ -184,13 +224,23 @@ class StiffLinearOperator:
 
 def _shared_params(p):
     """The Params a batch shares, and its kappa: ``p.kappa`` for one Params,
-    a (K, 1, 1, 1, 1) column for a tuple of Params that differ only in kappa."""
+    a read-only (K, 1, 1, 1, 1) column for a tuple of Params that differ
+    only in kappa."""
     if isinstance(p, Params):
         return p, p.kappa
+    return _batch_params(p)
+
+
+@lru_cache(maxsize=16)
+def _batch_params(p: tuple):
+    """``_shared_params`` of a tuple, checked and built once per tuple: a
+    batch steps with the same tuple every step."""
     first = vars(p[0]) | {"kappa": None}
     if any(vars(q) | {"kappa": None} != first for q in p[1:]):
         raise ConfigError("the Params of a batch must differ only in kappa")
-    return p[0], np.array([q.kappa for q in p]).reshape(-1, 1, 1, 1, 1)
+    kap = np.array([q.kappa for q in p]).reshape(-1, 1, 1, 1, 1)
+    kap.flags.writeable = False
+    return p[0], kap
 
 
 def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperator:
@@ -201,11 +251,11 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperato
     ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
     each for a batch (Params differing only in kappa); then ``prop_half``
     gets a leading member axis, and each member is tabulated on its own."""
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigError("dt must be positive")
     k = grid.half_wavenumbers
     k2 = (k**2).sum(axis=0)
-    pairs, inverse = np.unique(k2.ravel() + 1j * grid.k_squared[grid.half_cut].ravel(),
+    pairs, inverse = np.unique(k2.ravel() + 1j * grid.half_k_squared.ravel(),
                                return_inverse=True)
     pairs = np.stack([pairs.real, pairs.imag], axis=1)
     if isinstance(p, tuple):
@@ -213,7 +263,8 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperato
         table = np.stack([_table(pairs, q, m, dt) for q, m in zip(p, n_mean)])
     else:
         table = _table(pairs, p, n_mean, dt)
-    prop = table[..., inverse].reshape(table.shape[:-1] + k2.shape)
+    # C order: the gather alone leaves the term axis innermost
+    prop = np.ascontiguousarray(table[..., inverse]).reshape(table.shape[:-1] + k2.shape)
     return StiffLinearOperator(dt, grid.half_unit_wavenumbers, prop, n_mean)
 
 
@@ -222,10 +273,13 @@ def _table(pairs: np.ndarray, p: Params, n_mean: float, dt: float) -> np.ndarray
     h = 0.5 * dt
     ex_lon, ex_hel = _exp_blocks(pairs, p, n_mean, h)
     e_tra = np.exp(h * (-p.mu * pairs[:, 1] / n_mean))
-    rows = [e_tra, ex_lon[0, 0] - e_tra]
-    for part, i, j in _TERMS[2:]:
-        entry = ex_hel[i - 1, j - 1]
-        rows.append(ex_lon[i - 1, j - 1] - entry if part == "s" else entry)
+    rows = []
+    for part, i, j in _TERMS:
+        if i == 0:  # u's two: e^{h v_T} and e^{h v_L} - e^{h v_T}
+            rows.append(e_tra if part == "x" else ex_lon[0, 0] - e_tra)
+        else:
+            entry = ex_hel[i - 1, j - 1]
+            rows.append(ex_lon[i - 1, j - 1] - entry if part == "s" else entry)
     return np.stack(rows)
 
 
@@ -344,13 +398,18 @@ def _strang_step(grid: Grid, x: np.ndarray, h: np.ndarray, dt: float, t: float,
             out += array_rfft(grid, forcing(tt))
         return out
 
+    # each update in place, with the operands of h + dt k1 and
+    # h + dt/2 (k1 + k2) in that order
     k1 = remainder(h, t)
-    k2 = remainder(h + dt * k1, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[_ROWS[0]]))
-    h += 0.5 * dt * (k1 + k2)
+    stage = np.multiply(dt, k1)
+    stage += h
+    k2 = remainder(stage, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[_ROWS[0]]))
+    k1 += k2
+    h += np.multiply(0.5 * dt, k1, out=k1)
 
     v = half_step(rows(h))
     if project:
-        v[..., 2:, :, :, :, :] = half_leray_project(grid, v[..., 2:, :, :, :, :])
+        half_leray_project(grid, v[_EB], out=v[_EB])
     rows(h)[:] = v
     y = array_irfft(grid, h)
     if not (np.isfinite(y).all() and y[_ROWS[0]].min() > 0.0):

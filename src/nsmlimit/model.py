@@ -13,7 +13,14 @@ Three systems are evaluated here, all on the periodic torus:
 The stepping rates ``_full_rate`` and ``_limit_rate`` take the stacked
 state on the real-FFT half-spectrum and return its time derivative there.
 Every pointwise product of a rate is formed on the grid and all of them are
-transformed in one batched call.  The 2/3 mask is linear, so the nonlinear
+transformed in one batched call.  The products are laid out so that paired
+work is one numpy call (``_full_products``): n u and n J are adjacent, so
+one multiply forms both and one cross product with B gives n u x B and
+n J x B, and the symmetric tensors are stored diagonal first, so the
+pressure is one slice add.  In the call-overhead-bound 1-D steps the number
+of numpy calls, not the arithmetic, sets the time; every regrouping keeps
+each element's floating-point operations and their order, so the rates
+give the same bits as the row-by-row forms (``tests/support.py``).  The 2/3 mask is linear, so the nonlinear
 terms of each equation are summed first and masked once (Orszag, J. Atmos.
 Sci. 28, 1971); the linear viscous and curl terms stay unmasked.  The rates
 and their helpers index fields on axis -4, so a leading member axis (a
@@ -70,9 +77,9 @@ class PressureLaw:
     gamma: float = 5.0 / 3.0
 
     def __post_init__(self):
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise ValueError("pressure amplitude must be positive")
-        if self.gamma < 1:
+        if not self.gamma >= 1:
             raise ValueError("adiabatic exponent must be >= 1")
 
     def pressure(self, rho):
@@ -119,12 +126,12 @@ class Params:
             raise ValueError("kappa must lie in (0, 1]")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
-        if 2.0 * self.mu + 3.0 * self.lam <= 0:
+        if not 2.0 * self.mu + 3.0 * self.lam > 0:
             raise ValueError("2*mu + 3*lam must be positive")
         for name in ("tau", "eta", "kappa_ei", "k_rate"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -181,16 +188,12 @@ class TwoFluidState:
 
 class _RowIndex(dict):
     """``x[_ROWS[a, b]]`` is ``x[..., a:b, :, :, :]``, rows a:b along the
-    field (or component) axis -4, and ``x[_ROWS[a]]`` is row a; a tuple of
-    more than two entries picks those rows.  Each index is built once: built
-    on every use it costs twice the indexing itself, which shows in the
-    call-overhead-bound 1-D steps."""
+    field (or component) axis -4, and ``x[_ROWS[a]]`` is row a.  Each index
+    is built once: built on every use it costs twice the indexing itself,
+    which shows in the call-overhead-bound 1-D steps."""
 
     def __missing__(self, key):
-        if not isinstance(key, tuple):
-            row = key
-        else:
-            row = slice(*key) if len(key) == 2 else list(key)
+        row = slice(*key) if isinstance(key, tuple) else key
         index = self[key] = (Ellipsis, row, slice(None), slice(None), slice(None))
         return index
 
@@ -198,11 +201,23 @@ class _RowIndex(dict):
 _ROWS = _RowIndex()
 
 
+def _fields(f) -> tuple:
+    """``x[_fields(f)]`` is ``x[..., f, :, :, :, :]``: entry or entries f
+    along axis -5, the field axis of (..., fields, 3, *shape) stacks."""
+    return (Ellipsis, f) + (slice(None),) * 4
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the component axis -4 of (..., 3, *shape) arrays."""
-    a0, a1, a2 = a[_ROWS[0]], a[_ROWS[1]], a[_ROWS[2]]
-    b0, b1, b2 = b[_ROWS[0]], b[_ROWS[1]], b[_ROWS[2]]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-4)
+    """a x b over the component axis -4 of (..., 3, *shape) arrays, as
+    a[1, 2, 0] b[2, 0, 1] - a[2, 0, 1] b[1, 2, 0]."""
+    out = a.take(_NEXT, axis=-4) * b.take(_PREV, axis=-4)
+    out -= a.take(_PREV, axis=-4) * b.take(_NEXT, axis=-4)
+    return out
+
+
+# Row gathers go through ``ndarray.take``: it costs a third of the same
+# fancy index, which shows in the call-overhead-bound 1-D steps.
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _member_min(n: np.ndarray) -> np.ndarray:
@@ -233,13 +248,15 @@ def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None
 #
 # A state is stacked as (n, u, J, E, B) or (n, u) along axis -4 (``_stack``)
 # and passed as its real-FFT half-spectrum; a batch adds a leading member
-# axis.  Symmetric 3x3 tensors are stored as their entries
-# (00, 01, 02, 11, 12, 22).
+# axis.  Symmetric 3x3 tensors are stored diagonal first, as their entries
+# (00, 11, 22, 01, 02, 12), so a multiple of I is added to rows 0:3.  The
+# symmetric product of vectors a, b is a[_SYM_ROW] * b[_SYM_COL].
 
-_SYM_ROW = _ROWS[0, 0, 0, 1, 1, 2]
-_SYM_COL = _ROWS[0, 1, 2, 1, 2, 2]
-_SYM_DIAG = (0, 3, 5)
-_SYM_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_SYM_ROW = np.array([0, 1, 2, 0, 0, 1])
+_SYM_COL = np.array([0, 1, 2, 1, 2, 2])
+_SYM_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # storage row of entry (i, j)
+# the first and second of a pair of vectors, (..., 2, 3, *shape)
+_FIRST, _SECOND = _fields(0), _fields(1)
 
 
 def _stack(*fields: np.ndarray) -> np.ndarray:
@@ -267,9 +284,9 @@ def _state_view(grid: Grid, x: np.ndarray):
 def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
     """ik . t for symmetric tensors (..., 6, *half) -> (..., 3, *half)."""
     k = grid.half_wavenumbers
-    out = k[0] * np.take(t, _SYM_FULL[:, 0], axis=-4)
+    out = k[0] * t.take(_SYM_FULL[0], axis=-4)
     for j in range(1, grid.dims_active):
-        out += k[j] * np.take(t, _SYM_FULL[:, j], axis=-4)
+        out += k[j] * t.take(_SYM_FULL[j], axis=-4)
     out *= 1j
     return out
 
@@ -278,66 +295,84 @@ def _visc_hat(grid: Grid, p: Params, v: np.ndarray) -> np.ndarray:
     """mu lap v + (mu+lam) grad div v for half-spectrum vectors (..., 3, *half)."""
     k = grid.half_wavenumbers
     kv = (k * v).sum(axis=-4, keepdims=True)
-    return -p.mu * grid.k_squared[grid.half_cut] * v - (p.mu + p.lam) * k * kv
+    out = (-p.mu * grid.half_k_squared) * v
+    out -= ((p.mu + p.lam) * k) * kv
+    return out
 
 
 def _curl_hat(grid: Grid, v: np.ndarray) -> np.ndarray:
     return 1j * _cross(grid.half_wavenumbers, v)
 
 
-def _fluid_products(p: Params, n: np.ndarray, u: np.ndarray, extra: int) -> np.ndarray:
-    """Grid products of the fluid part, then ``extra`` rows left for the caller:
-    n u and the momentum flux n u u^T/(1+eps) + (1+eps) eta/tau P(n) I.
-    ``n`` is (..., 1, *shape), so it broadcasts over the components of u."""
-    prod = np.empty(u.shape[:-4] + (9 + extra,) + u.shape[-3:])
-    nu, flux = prod[_ROWS[0, 3]], prod[_ROWS[3, 9]]
-    np.multiply(n, u, out=nu)
-    np.multiply(nu[_SYM_ROW], u[_SYM_COL] / (1.0 + p.epsilon), out=flux)
-    pressure = ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
-    for diag in _SYM_DIAG:  # row by row: a fancy-indexed += costs twice as much
-        flux[_ROWS[diag, diag + 1]] += pressure
-    return prod
+def _momentum_flux(p: Params, n: np.ndarray, nu_row: np.ndarray, u_col: np.ndarray,
+                   out: np.ndarray) -> None:
+    """The fluid flux n u u^T/(1+eps) + (1+eps) eta/tau P(n) I into ``out``
+    (..., 6, *shape), from n u and u gathered by _SYM_ROW and _SYM_COL.
+    ``n`` is (..., 1, *shape), so it broadcasts over the components."""
+    np.multiply(nu_row, u_col / (1.0 + p.epsilon), out=out)
+    out[_ROWS[0, 3]] += ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
 
 
-def _continuity(grid: Grid, p: Params, nu_hat: np.ndarray) -> np.ndarray:
-    """dn = -div(n u)/(1+eps), masked, from the transformed n u."""
-    div = 1j * (grid.half_wavenumbers * nu_hat).sum(axis=-4)
-    return (-1.0 / (1.0 + p.epsilon)) * grid.half_dealias_mask * div
+def _continuity(grid: Grid, p: Params, nu_hat: np.ndarray, out: np.ndarray) -> None:
+    """dn = -div(n u)/(1+eps), masked, from the transformed n u, into ``out``."""
+    div = (grid.half_wavenumbers * nu_hat).sum(axis=-4)
+    np.multiply(1j, div, out=div)
+    np.multiply((-1.0 / (1.0 + p.epsilon)) * grid.half_dealias_mask, div, out=out)
 
 
 def _to_primitive(grid: Grid, out: np.ndarray, state: np.ndarray, rows: int) -> None:
     """Turn d_t n (row 0 of ``out``) and the conservative rates d_t(n v)
     (rows 1:rows) into d_t v = (d_t(n v) - v d_t n)/n, masked, in place."""
     cons = array_irfft(grid, out[_ROWS[0, rows]])
-    n, dn = state[_ROWS[0, 1]], cons[_ROWS[0, 1]]
-    quot = (cons[_ROWS[1, rows]] - state[_ROWS[1, rows]] * dn) / n
-    out[_ROWS[1, rows]] = grid.half_dealias_mask * array_rfft(grid, quot)
+    quot = state[_ROWS[1, rows]] * cons[_ROWS[0, 1]]
+    np.subtract(cons[_ROWS[1, rows]], quot, out=quot)
+    quot /= state[_ROWS[0, 1]]
+    np.multiply(grid.half_dealias_mask, array_rfft(grid, quot), out=out[_ROWS[1, rows]])
 
 
-def _full_products(p: Params, kap, n, u, J, E, B) -> np.ndarray:
-    """Grid products of ``_full_rate``: n u, the fluxes F and C, the sources
-    of d(nu) and d(nJ), and n J.  ``kap`` is a float or a member column."""
+def _fluid_products(p: Params, n: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Grid products of ``_limit_rate``, (..., 9, *shape): n u (rows 0:3)
+    and the fluid flux F (3:9)."""
+    prod = np.empty(n.shape[:-4] + (9,) + n.shape[-3:])
+    nu = np.multiply(n, u, out=prod[_ROWS[0, 3]])
+    _momentum_flux(p, n, nu.take(_SYM_ROW, axis=-4), u.take(_SYM_COL, axis=-4), prod[_ROWS[3, 9]])
+    return prod
+
+
+def _full_products(p: Params, kap, n, uJ, E, B) -> np.ndarray:
+    """Grid products of ``_full_rate``, (..., 24, *shape): n u and n J (rows
+    0:6), the symmetric fluxes F and C (6:18), and the sources of d(nu) and
+    d(nJ) (18:24).  ``uJ`` is the state's (u, J) rows; ``kap`` is a float or
+    a member column."""
     eps = p.epsilon
     inv = 1.0 / (1.0 + eps)
     a_coef = (1.0 + eps) / (p.tau * eps)
-    prod = _fluid_products(p, n, u, 15)
-    nu, flux = prod[_ROWS[0, 3]], prod[_ROWS[3, 9]]
-    cur_flux, src = prod[_ROWS[9, 15]], prod[_ROWS[18, 21]]
-    nJ = np.multiply(n, J, out=prod[_ROWS[21, 24]])
-    nJJ = nJ[_SYM_ROW] * J[_SYM_COL]
-    flux += (inv * eps) * nJJ
-    np.multiply(nu[_SYM_ROW], J[_SYM_COL], out=cur_flux)
-    cur_flux += nJ[_SYM_ROW] * u[_SYM_COL]
-    cur_flux += (eps - 1.0) * nJJ
+    lead, shape = n.shape[:-4], n.shape[-3:]
+    pairs = lead + (2, 3) + shape
+    prod = np.empty(lead + (24,) + shape)
+    nuJ = np.multiply(n, uJ, out=prod[_ROWS[0, 6]]).reshape(pairs)
+    nJ = prod[_ROWS[3, 6]]
+    flux, cur_flux, src = prod[_ROWS[6, 12]], prod[_ROWS[12, 18]], prod[_ROWS[21, 24]]
+    # (n u, n J) by _SYM_ROW and (u, J) by _SYM_COL, each (..., 2, 6, *shape)
+    row, col = nuJ.take(_SYM_ROW, axis=-4), uJ.reshape(pairs).take(_SYM_COL, axis=-4)
+    nu_row, nJ_row, u_col, J_col = row[_FIRST], row[_SECOND], col[_FIRST], col[_SECOND]
+    _momentum_flux(p, n, nu_row, u_col, flux)
+    nJJ = nJ_row * J_col
+    tmp = np.multiply(inv * eps, nJJ)
+    flux += tmp
+    np.multiply(nu_row, J_col, out=cur_flux)
+    cur_flux += np.multiply(nJ_row, u_col, out=tmp)
+    cur_flux += np.multiply(eps - 1.0, nJJ, out=tmp)
     cur_flux *= inv
-    nJxB = _cross(nJ, B)
-    np.multiply(kap / p.tau, nJxB, out=prod[_ROWS[15, 18]])
+    xB = _cross(nuJ, B[_fields(None)])
+    nuxB, nJxB = xB[_FIRST], xB[_SECOND]
+    np.multiply(kap / p.tau, nJxB, out=prod[_ROWS[18, 21]])
     np.multiply(a_coef * n, E, out=src)
-    src += (kap / (p.tau * eps)) * _cross(nu, B)
-    src += ((eps - 1.0) * kap / (p.tau * eps)) * nJxB
+    src += np.multiply(kap / (p.tau * eps), nuxB, out=nuxB)
+    src += np.multiply((eps - 1.0) * kap / (p.tau * eps), nJxB, out=nJxB)
     # kap * kap, not kap**2: a float's ** (libm pow) and an array's ** (a
     # square) round differently in about 1e-3 of cases
-    src -= (a_coef * p.kappa_ei * p.k_rate * (kap * kap)) * n * nJ
+    src -= np.multiply((a_coef * p.kappa_ei * p.k_rate * (kap * kap)) * n, nJ, out=nuxB)
     return prod
 
 
@@ -373,26 +408,30 @@ def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None, n_m
     n = state[_ROWS[0, 1]]
     if guard is not None:
         _require_positive(n, *guard)
-    hat = array_rfft(grid, _full_products(p, kap, n, *_split(state)[1:]))
+    hat = array_rfft(grid, _full_products(p, kap, n, state[_ROWS[1, 7]], state[_ROWS[7, 10]],
+                                          state[_ROWS[10, 13]]))
     lead, half = hat.shape[:-4], hat.shape[-3:]
     mask = grid.half_dealias_mask
     out = np.empty_like(x)
-    out[_ROWS[0]] = _continuity(grid, p, hat[_ROWS[0, 3]])
-    flux = hat[_ROWS[15, 21]].reshape(lead + (2, 3) + half) - _div_sym(
-        grid, hat[_ROWS[3, 15]].reshape(lead + (2, 6) + half))
+    _continuity(grid, p, hat[_ROWS[0, 3]], out[_ROWS[0]])
+    flux = _div_sym(grid, hat[_ROWS[6, 18]].reshape(lead + (2, 6) + half))
+    np.subtract(hat[_ROWS[18, 24]].reshape(lead + (2, 3) + half), flux, out=flux)
+    np.multiply(mask, flux, out=flux)
     visc = _visc_hat(grid, p, x[_ROWS[1, 7]].reshape(lead + (2, 3) + half)).reshape(lead + (6,) + half)
-    out[_ROWS[1, 7]] = mask * flux.reshape(lead + (6,) + half) + visc
-    nJ = mask * hat[_ROWS[21, 24]]
+    np.add(flux.reshape(visc.shape), visc, out=out[_ROWS[1, 7]])
+    nJ = mask * hat[_ROWS[3, 6]]
     if n_mean is None:
         out[_ROWS[7, 10]] = _curl_hat(grid, x[_ROWS[10, 13]]) / kap - half_leray_project(grid, nJ)
         out[_ROWS[10, 13]] = _curl_hat(grid, x[_ROWS[7, 10]]) / -kap
     else:
-        out[_ROWS[7, 10]] = half_leray_project(grid, n_mean * x[_ROWS[4, 7]] - nJ)
+        half_leray_project(grid, n_mean * x[_ROWS[4, 7]] - nJ, out=out[_ROWS[7, 10]])
         out[_ROWS[10, 13]] = 0.0
     _to_primitive(grid, out, state, 7)
     if n_mean is not None:
-        out[_ROWS[1, 7]] -= visc / n_mean
-        out[_ROWS[4, 7]] -= ((1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean) * x[_ROWS[7, 10]]
+        du = out[_ROWS[1, 7]]
+        du -= visc / n_mean
+        dJ = out[_ROWS[4, 7]]
+        dJ -= ((1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean) * x[_ROWS[7, 10]]
     return out
 
 
@@ -405,15 +444,18 @@ def _limit_rate(grid: Grid, p: Params, x: np.ndarray, guard=None, n_mean=None) -
     n = state[_ROWS[0, 1]]
     if guard is not None:
         _require_positive(n, *guard)
-    hat = array_rfft(grid, _fluid_products(p, n, state[_ROWS[1, 4]], 0))
-    mask = grid.half_dealias_mask
+    hat = array_rfft(grid, _fluid_products(p, n, state[_ROWS[1, 4]]))
     out = np.empty_like(x)
-    out[_ROWS[0]] = _continuity(grid, p, hat[_ROWS[0, 3]])
+    _continuity(grid, p, hat[_ROWS[0, 3]], out[_ROWS[0]])
+    flux = _div_sym(grid, hat[_ROWS[3, 9]])
+    np.negative(flux, out=flux)
+    np.multiply(grid.half_dealias_mask, flux, out=flux)
     visc = _visc_hat(grid, p, x[_ROWS[1, 4]])
-    out[_ROWS[1, 4]] = mask * -_div_sym(grid, hat[_ROWS[3, 9]]) + visc
+    np.add(flux, visc, out=out[_ROWS[1, 4]])
     _to_primitive(grid, out, state, 4)
     if n_mean is not None:
-        out[_ROWS[1, 4]] -= visc / n_mean
+        du = out[_ROWS[1, 4]]
+        du -= visc / n_mean
     return out
 
 

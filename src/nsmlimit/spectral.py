@@ -160,6 +160,11 @@ class Grid:
         return (kx**2 + ky**2 + kz**2) * np.ones(self.shape)
 
     @cached_property
+    def half_k_squared(self) -> np.ndarray:
+        """``k_squared`` on the half-spectrum, contiguous."""
+        return np.ascontiguousarray(self.k_squared[self.half_cut])
+
+    @cached_property
     def half_cut(self) -> tuple[slice, ...]:
         """Index of the real-FFT half-spectrum (``array_rfft``) within the
         full one: the last active axis keeps its first n//2 + 1 entries."""
@@ -206,8 +211,10 @@ class Grid:
 
     @cached_property
     def half_dealias_mask(self) -> np.ndarray:
-        """``dealias_mask`` on the half-spectrum."""
-        return self.dealias_mask[self.half_cut]
+        """``dealias_mask`` on the half-spectrum, as a contiguous float
+        multiplier (1 or 0): multiplying by it gives the bits the bool mask
+        gives, without the strided read and the per-call cast."""
+        return np.ascontiguousarray(self.dealias_mask[self.half_cut], dtype=float)
 
     @cached_property
     def fft_axes(self) -> tuple[int, ...]:
@@ -256,13 +263,14 @@ def array_irfft(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(hat, s=(grid.points_per_dim,) * len(axes), axes=axes)
 
 
-def half_leray_project(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
+def half_leray_project(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal projection onto divergence-free fields (mean part kept) of
     half-spectrum vectors (..., 3, *half): v_hat - k (k.v_hat)/|k|^2, with
     the derivative wavenumbers (Nyquist zeroed), so it is exact and
-    consistent with ``half_divergence``."""
+    consistent with ``half_divergence``.  ``out`` receives the result, as
+    for a numpy ufunc; it may be ``v_hat`` itself."""
     kh = grid.half_unit_wavenumbers
-    return v_hat - kh * (kh * v_hat).sum(axis=-4, keepdims=True)
+    return np.subtract(v_hat, kh * (kh * v_hat).sum(axis=-4, keepdims=True), out=out)
 
 
 def half_divergence(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
@@ -367,7 +375,7 @@ def _sobolev_weight(grid: Grid, l: float) -> np.ndarray:
     squared H^l norm."""
     if l < 0:
         raise ValueError("Sobolev exponent must be nonnegative")
-    return (1.0 + grid.k_squared[grid.half_cut]) ** float(l)
+    return (1.0 + grid.half_k_squared) ** float(l)
 
 
 def sobolev_norm(f: Field, l: float = 4.0) -> float:
@@ -427,7 +435,7 @@ def _smooth_hat(
     drawn; the others stay zero."""
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
-    k_abs = np.sqrt(grid.k_squared[grid.half_cut])
+    k_abs = np.sqrt(grid.half_k_squared)
     inside = ... if max_wavenumber is None else k_abs <= max_wavenumber * (1.0 + 1e-12)
     mi = tuple(m[grid.half_cut][inside] for m in grid.mode_indices)
     half = grid.points_per_dim // 2
@@ -515,7 +523,7 @@ def moser_ratios(f: ScalarField, g: ScalarField, s: int) -> tuple[float, float]:
     grid = _require_same_grid(f.grid, g.grid)
     fg = f.values * g.values
     hat = array_rfft(grid, np.stack([f.values, g.values, fg]))
-    k2 = grid.k_squared[grid.half_cut]
+    k2 = grid.half_k_squared
     semi_f, semi_g = np.sqrt(_mode_sums(grid, hat[:2], k2**s))
     semi_g1 = math.sqrt(_mode_sums(grid, hat[1], k2 ** (s - 1)))
     partials = _partials_hat(grid, hat[1:], s, 0)  # rows (d^a g, d^a fg) per a

@@ -12,7 +12,7 @@ import scipy.linalg
 from nsmlimit.diagnostics import EnergyLedger
 from nsmlimit.errors import VacuumError
 from nsmlimit.harness import InitialSpec, RunConfig, run_single
-from nsmlimit.integrator import StepControl, evolve
+from nsmlimit.integrator import _TERMS, StepControl, evolve
 from nsmlimit.model import (
     FullState,
     LimitState,
@@ -660,6 +660,100 @@ def per_term_limit_rate(grid: Grid, p: Params, n, u):
     dn, mom = per_term_fluid_rate(grid, p, n, u)
     du = array_dealias(grid, (mom - u * dn) / n)
     return dn, du
+
+
+# The stepping kernels one term and one row at a time, with every
+# floating-point operation of the grouped kernels of nsmlimit in the same
+# order: bit-for-bit references for StiffLinearOperator.apply_half, the
+# grid products of the rates and model._cross.
+
+
+def componentwise_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over axis -4, one component at a time."""
+    a0, a1, a2 = (a[..., i, :, :, :] for i in range(3))
+    b0, b1, b2 = (b[..., i, :, :, :] for i in range(3))
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-4)
+
+
+# (part, out field, in field) of the half-step propagator, in the order each
+# field's terms are summed: "x" multiplies the field, "s" adds
+# khat (khat . field) and "rot" is -i khat x field, over (u, J, E, B)
+_HALF_STEP_TERMS = (
+    ("x", 0, 0), ("s", 0, 0),
+    ("x", 1, 1), ("x", 1, 2), ("x", 2, 1), ("x", 2, 2), ("x", 3, 3),
+    ("s", 1, 1), ("s", 1, 2), ("s", 2, 1), ("s", 2, 2), ("s", 3, 3),
+    ("rot", 1, 3), ("rot", 2, 3), ("rot", 3, 1), ("rot", 3, 2),
+)
+
+
+def term_by_term_half_step(op, x: np.ndarray) -> np.ndarray:
+    """``op.apply_half(x)`` one term at a time, each field's terms summed
+    from zero in _HALF_STEP_TERMS order; ``op.prop_half`` rows are looked up
+    by the operator's own term order (``integrator._TERMS``)."""
+    kh = op.khat
+    s = (kh * x).sum(axis=-4, keepdims=True)
+    rot = componentwise_cross(kh, x)
+    rot *= -1j
+    out, lon = np.zeros_like(x), np.zeros_like(s)
+    parts = {"x": x, "s": s, "rot": rot}
+    for term in _HALF_STEP_TERMS:
+        part, i, j = term
+        coef = op.prop_half[..., _TERMS.index(term), None, :, :, :]
+        acc = lon if part == "s" else out
+        acc[..., i, :, :, :, :] += coef * parts[part][..., j, :, :, :, :]
+    out += kh * lon
+    return out
+
+
+# row i of the products of model._full_products is row _FULL_ROWS[i] of those
+# below: n u, F and C with symmetric entries (00, 01, 02, 11, 12, 22), the
+# two sources, then n J
+_FULL_ROWS = [0, 1, 2, 21, 22, 23, 3, 6, 8, 4, 5, 7, 9, 12, 14, 10, 11, 13, 15, 16, 17, 18, 19, 20]
+_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _row_by_row_flux(p: Params, n, nu, u):
+    rows = [nu[..., i, :, :, :] * (u[..., j, :, :, :] / (1.0 + p.epsilon)) for i, j in _SYM_PAIRS]
+    pressure = ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n[..., 0, :, :, :])
+    for d in (0, 3, 5):
+        rows[d] += pressure
+    return rows
+
+
+def row_by_row_fluid_products(p: Params, n, u) -> np.ndarray:
+    """``model._fluid_products``: n u, then the fluid flux F's entries in
+    the diagonal-first order (00, 11, 22, 01, 02, 12)."""
+    nu = n * u
+    flux = _row_by_row_flux(p, n, nu, u)
+    return np.stack([nu[..., i, :, :, :] for i in range(3)] + [flux[d] for d in (0, 3, 5, 1, 2, 4)], axis=-4)
+
+
+def row_by_row_full_products(p: Params, kap, n, u, J, E, B) -> np.ndarray:
+    """``model._full_products``, one row at a time; ``kap`` a float or a
+    member column."""
+    eps = p.epsilon
+    inv = 1.0 / (1.0 + eps)
+    a_coef = (1.0 + eps) / (p.tau * eps)
+    nu, nJ = n * u, n * J
+    flux = _row_by_row_flux(p, n, nu, u)
+    cur = []
+    for d, (i, j) in enumerate(_SYM_PAIRS):
+        nJJ = nJ[..., i, :, :, :] * J[..., j, :, :, :]
+        flux[d] += (inv * eps) * nJJ
+        c = nu[..., i, :, :, :] * J[..., j, :, :, :]
+        c += nJ[..., i, :, :, :] * u[..., j, :, :, :]
+        c += (eps - 1.0) * nJJ
+        c *= inv
+        cur.append(c)
+    nJxB = componentwise_cross(nJ, B)
+    src = np.multiply(a_coef * n, E)
+    src += (kap / (p.tau * eps)) * componentwise_cross(nu, B)
+    src += ((eps - 1.0) * kap / (p.tau * eps)) * nJxB
+    src -= (a_coef * p.kappa_ei * p.k_rate * (kap * kap)) * n * nJ
+    vectors = (nu, (kap / p.tau) * nJxB, src, nJ)
+    rows = [v[..., i, :, :, :] for v in vectors[:1] for i in range(3)] + flux + cur
+    rows += [v[..., i, :, :, :] for v in vectors[1:] for i in range(3)]
+    return np.stack(rows, axis=-4)[..., _FULL_ROWS, :, :, :]
 
 
 # The energy ledger and the audit terms evaluated in grid space: one complex

@@ -361,6 +361,19 @@ class TestCli:
         cfg_path.write_text("[grid]\nbogus = 1\n")
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section, key", [
+        ("step", "dt"), ("step", "t_end"), ("diagnostics", "l"), ("params", "mu"),
+        ("params", "pressure_gamma"), ("initial", "c0"), ("params", "tau")])
+    def test_non_finite_value_exit_two(self, tmp_path, capsys, section, key, value):
+        # a non-finite number is a config error before anything runs or is written
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"config error: {section}.{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kappa", ["2", "0"])
     def test_kappa_out_of_range_exit_two(self, tmp_path, capsys, kappa):
         out = tmp_path / "out"

@@ -15,6 +15,7 @@ from support import (
     array_leray_project,
     count_fft_calls,
     observed_order,
+    term_by_term_half_step,
 )
 
 from nsmlimit.errors import BlowUpError, ConfigError, VacuumError
@@ -184,6 +185,37 @@ def _generators(pairs, p, n_mean, h):
 def _rel_err(got, want):
     """Per-matrix max-abs error relative to the largest entry, (P,)."""
     return np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+
+
+def _operator_inputs(grid, members):
+    """Params and mean densities of one state (members None) or a batch of 3."""
+    if members is None:
+        return Params(kappa=0.1, lam=0.05), 1.07
+    return tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.1, 0.02)), (1.07, 0.98, 1.0)
+
+
+class TestGroupedHalfStep:
+    # the grouped propagator against the term-by-term sum it replaced
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
+    def test_apply_half_bit_for_bit(self, grid, members):
+        p, n_mean = _operator_inputs(grid, members)
+        op = build_stiff_operator(grid, p, n_mean, dt=0.01)
+        rng = np.random.default_rng(5)
+        shape = ((members,) if members else ()) + (4, 3) + grid.half_wavenumbers.shape[1:]
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x[..., 2:, 0, :, :, :] = 0.0  # exact zeros, as in the x rows of a 1-D E and B
+        want = term_by_term_half_step(op, x)
+        assert np.array_equal(op.apply_half(x), want)
+        assert np.array_equal(op.apply_half_u(x[..., 0, :, :, :, :]), want[..., 0, :, :, :, :])
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
+    def test_prop_half_is_c_contiguous(self, grid, members):
+        p, n_mean = _operator_inputs(grid, members)
+        for op in (build_stiff_operator(grid, p, n_mean, dt=0.01),
+                   StiffLinearOperator.viscous(grid, p, n_mean, dt=0.01)):
+            assert op.prop_half.flags.c_contiguous
 
 
 class TestBlockExponentials:

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 import support
-from support import array_dealias, array_leray_project, per_term_full_rate, per_term_limit_rate, translate
+from support import (
+    array_dealias,
+    array_leray_project,
+    componentwise_cross,
+    per_term_full_rate,
+    per_term_limit_rate,
+    row_by_row_fluid_products,
+    row_by_row_full_products,
+    translate,
+)
 
 from nsmlimit.errors import VacuumError
 from nsmlimit.integrator import StepControl, step_limit
@@ -14,6 +23,9 @@ from nsmlimit.model import (
     Params,
     PressureLaw,
     TwoFluidState,
+    _cross,
+    _fluid_products,
+    _full_products,
     _full_rate,
     _limit_rate,
     _reformed_rate,
@@ -354,3 +366,41 @@ class TestReformulation:
         s = random_two_fluid_state(grid64, p, seed=9)
         dn = two_fluid_rate(s, p)[0]
         assert abs(grid_integral(grid64, dn)) < 1e-13
+
+
+class TestGroupedProducts:
+    # the grid products and cross product against the row-by-row forms they
+    # replaced
+    @staticmethod
+    def _inputs(grid, members):
+        rng = np.random.default_rng(9)
+        lead = (members,) if members else ()
+        n = 1.0 + 0.1 * rng.normal(size=lead + (1,) + grid.shape)
+        u, J, E, B = (rng.normal(size=lead + (3,) + grid.shape) for _ in range(4))
+        if members is None:
+            return Params(kappa=0.1, lam=0.05), 0.1, n, u, J, E, B
+        kappas = (0.4, 0.1, 0.02)
+        kap = np.array(kappas).reshape(-1, 1, 1, 1, 1)
+        return Params(kappa=kappas[0], lam=0.05), kap, n, u, J, E, B
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
+    def test_full_products_bit_for_bit(self, grid, members):
+        p, kap, n, u, J, E, B = self._inputs(grid, members)
+        got = _full_products(p, kap, n, np.concatenate([u, J], axis=-4), E, B)
+        assert np.array_equal(got, row_by_row_full_products(p, kap, n, u, J, E, B))
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
+    def test_fluid_products_bit_for_bit(self, grid, members):
+        p, _, n, u, *_ = self._inputs(grid, members)
+        assert np.array_equal(_fluid_products(p, n, u), row_by_row_fluid_products(p, n, u))
+
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
+    def test_cross_bit_for_bit(self, members):
+        grid = Grid(3, 8)
+        _, _, _, u, J, *_ = self._inputs(grid, members)
+        assert np.array_equal(_cross(u, J), componentwise_cross(u, J))
+        k = grid.half_unit_wavenumbers  # broadcast against a stack of fields, as apply_half does
+        x = array_rfft(grid, np.stack([u, J], axis=-5))
+        assert np.array_equal(_cross(k, x), componentwise_cross(k, x))

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +132,26 @@ def test_bench_records_tier1_and_src_lines(tmp_path):
                                "wall_s": {"median": 22.0, "q1": 21.5, "q3": 22.5, "samples": [21.0, 23.0]},
                                "passed": [419, 418], "failed": [0, 1], "errors": [0, 0]}
     assert bench.assemble("t", 25.0, [run], {})["tier1"] is None
+
+
+def test_step_ab_smoke(tmp_path, capsys):
+    # this tree against itself on tiny inputs: one batch (1-D) and one single
+    # run (3-D); each side is imported under its own package name
+    step_ab = _load("step_ab")
+    sweep, run = tmp_path / "sweep.ini", tmp_path / "run.ini"
+    sweep.write_text("[grid]\npoints_per_dim = 16\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n\n"
+                     "[sweep]\nkappa_list = 0.4, 0.2\n")
+    run.write_text("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n")
+    tree = str(SCRIPTS.parent)
+    try:
+        assert step_ab.main(["--tree", tree, "--tree", tree, "--rounds", "2", "--steps", "2",
+                             "--sweep", str(sweep), "--run", str(run)]) == 0
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in ("nsmlimit_a", "nsmlimit_b")]:
+            del sys.modules[name]
+    out = capsys.readouterr().out
+    assert re.search(r"^sweep sweep\.ini: 2 rounds of 2 paired steps per tree$", out, re.M)
+    assert re.search(r"^run run\.ini: 2 rounds of 2 paired steps per tree$", out, re.M)
+    for tag in "AB":
+        assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+ +\d+$", out, re.M)) == 2
+    assert len(re.findall(r"B faster in \d/2 rounds; final stacks bit-identical$", out, re.M)) == 2
