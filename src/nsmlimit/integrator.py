@@ -37,9 +37,10 @@ The limit system steps through the same body (``_strang_step``) with u's
 viscous block alone (``StiffLinearOperator.viscous``).
 
 The 1-D steps are bound by numpy call overhead, so the propagator applies
-its per-mode coefficients in seven grouped multiplies (``_GROUPS``) and the
-stage updates and the projection write in place; each element keeps the
-floating-point operations, in the same order, of the term-by-term form.
+its per-mode coefficients in seven grouped multiplies (``_GROUPS``), and the
+closing SSP-RK2 update and the projection write in place; each element
+keeps the floating-point operations, in the same order, of the
+term-by-term form.
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ _GROUPS = (slice(0, 8, 2), slice(8, 10), slice(1, 8, 2), slice(10, 12),
            slice(12, 14), slice(14, 15), slice(15, 16))
 
 
-# in (u, J, E, B): J to B, J and E, E then J (a view), and B; in their rotations: each one
-_JEB, _JE, _EJ, _B = _fields(slice(1, 4)), _fields(slice(1, 3)), _fields(slice(2, 0, -1)), _fields(slice(3, 4))
-_EB = _fields(slice(2, 4))
+# fields of (u, J, E, B): J to B, J and E, E then J (a view), B, and E and B
+_JEB, _JE, _EJ = _fields(slice(1, 4)), _fields(slice(1, 3)), _fields(slice(2, 0, -1))
+_B, _EB = _fields(slice(3, 4)), _fields(slice(2, 4))
+# each field of the rotations (rot J, rot E, rot B)
 _ROT_J, _ROT_E, _ROT_B = (_fields(slice(i, i + 1)) for i in range(3))
 
 
@@ -398,13 +400,9 @@ def _strang_step(grid: Grid, x: np.ndarray, h: np.ndarray, dt: float, t: float,
             out += array_rfft(grid, forcing(tt))
         return out
 
-    # each update in place, with the operands of h + dt k1 and
-    # h + dt/2 (k1 + k2) in that order
     k1 = remainder(h, t)
-    stage = np.multiply(dt, k1)
-    stage += h
-    k2 = remainder(stage, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[_ROWS[0]]))
-    k1 += k2
+    k2 = remainder(h + dt * k1, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[_ROWS[0]]))
+    k1 += k2  # h + dt/2 (k1 + k2), with k1 as its buffer
     h += np.multiply(0.5 * dt, k1, out=k1)
 
     v = half_step(rows(h))

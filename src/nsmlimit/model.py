@@ -20,9 +20,10 @@ n J x B, and the symmetric tensors are stored diagonal first, so the
 pressure is one slice add.  In the call-overhead-bound 1-D steps the number
 of numpy calls, not the arithmetic, sets the time; every regrouping keeps
 each element's floating-point operations and their order, so the rates
-give the same bits as the row-by-row forms (``tests/support.py``).  The 2/3 mask is linear, so the nonlinear
-terms of each equation are summed first and masked once (Orszag, J. Atmos.
-Sci. 28, 1971); the linear viscous and curl terms stay unmasked.  The rates
+give the same bits as the row-by-row forms (``tests/support.py``).  The
+2/3 mask is linear, so the nonlinear terms of each equation are summed
+first and masked once (Orszag, J. Atmos. Sci. 28, 1971); the linear
+viscous and curl terms stay unmasked.  The rates
 and their helpers index fields on axis -4, so a leading member axis (a
 batch of states stepped together) broadcasts through them, with kappa as a
 (K, 1, 1, 1, 1) column.  The certificate forms (``_two_fluid_rate``,
@@ -250,7 +251,8 @@ def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None
 # and passed as its real-FFT half-spectrum; a batch adds a leading member
 # axis.  Symmetric 3x3 tensors are stored diagonal first, as their entries
 # (00, 11, 22, 01, 02, 12), so a multiple of I is added to rows 0:3.  The
-# symmetric product of vectors a, b is a[_SYM_ROW] * b[_SYM_COL].
+# symmetric product of vectors a, b multiplies a gathered by _SYM_ROW with
+# b gathered by _SYM_COL.
 
 _SYM_ROW = np.array([0, 1, 2, 0, 0, 1])
 _SYM_COL = np.array([0, 1, 2, 1, 2, 2])
@@ -310,7 +312,8 @@ def _momentum_flux(p: Params, n: np.ndarray, nu_row: np.ndarray, u_col: np.ndarr
     (..., 6, *shape), from n u and u gathered by _SYM_ROW and _SYM_COL.
     ``n`` is (..., 1, *shape), so it broadcasts over the components."""
     np.multiply(nu_row, u_col / (1.0 + p.epsilon), out=out)
-    out[_ROWS[0, 3]] += ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
+    diagonal = out[_ROWS[0, 3]]
+    diagonal += ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
 
 
 def _continuity(grid: Grid, p: Params, nu_hat: np.ndarray, out: np.ndarray) -> None:
@@ -339,22 +342,16 @@ def _fluid_products(p: Params, n: np.ndarray, u: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _full_products(p: Params, kap, n, uJ, E, B) -> np.ndarray:
-    """Grid products of ``_full_rate``, (..., 24, *shape): n u and n J (rows
-    0:6), the symmetric fluxes F and C (6:18), and the sources of d(nu) and
-    d(nJ) (18:24).  ``uJ`` is the state's (u, J) rows; ``kap`` is a float or
-    a member column."""
+def _symmetric_fluxes(p: Params, n: np.ndarray, nuJ: np.ndarray, uJ: np.ndarray,
+                      flux: np.ndarray, cur_flux: np.ndarray) -> None:
+    """The fluxes F and C of ``_full_rate`` into ``flux`` and ``cur_flux``
+    (..., 6, *shape), from the pairs (n u, n J) and (u, J), (..., 2, 3,
+    *shape).  Its two gathers, (..., 2, 6, *shape) each, are freed on
+    return, before the cross products with B: held on, they would raise the
+    peak memory of a 3-D step."""
     eps = p.epsilon
     inv = 1.0 / (1.0 + eps)
-    a_coef = (1.0 + eps) / (p.tau * eps)
-    lead, shape = n.shape[:-4], n.shape[-3:]
-    pairs = lead + (2, 3) + shape
-    prod = np.empty(lead + (24,) + shape)
-    nuJ = np.multiply(n, uJ, out=prod[_ROWS[0, 6]]).reshape(pairs)
-    nJ = prod[_ROWS[3, 6]]
-    flux, cur_flux, src = prod[_ROWS[6, 12]], prod[_ROWS[12, 18]], prod[_ROWS[21, 24]]
-    # (n u, n J) by _SYM_ROW and (u, J) by _SYM_COL, each (..., 2, 6, *shape)
-    row, col = nuJ.take(_SYM_ROW, axis=-4), uJ.reshape(pairs).take(_SYM_COL, axis=-4)
+    row, col = nuJ.take(_SYM_ROW, axis=-4), uJ.take(_SYM_COL, axis=-4)
     nu_row, nJ_row, u_col, J_col = row[_FIRST], row[_SECOND], col[_FIRST], col[_SECOND]
     _momentum_flux(p, n, nu_row, u_col, flux)
     nJJ = nJ_row * J_col
@@ -364,6 +361,21 @@ def _full_products(p: Params, kap, n, uJ, E, B) -> np.ndarray:
     cur_flux += np.multiply(nJ_row, u_col, out=tmp)
     cur_flux += np.multiply(eps - 1.0, nJJ, out=tmp)
     cur_flux *= inv
+
+
+def _full_products(p: Params, kap, n, uJ, E, B) -> np.ndarray:
+    """Grid products of ``_full_rate``, (..., 24, *shape): n u and n J (rows
+    0:6), the symmetric fluxes F and C (6:18), and the sources of d(nu) and
+    d(nJ) (18:24).  ``uJ`` is the state's (u, J) rows; ``kap`` is a float or
+    a member column."""
+    eps = p.epsilon
+    a_coef = (1.0 + eps) / (p.tau * eps)
+    lead, shape = n.shape[:-4], n.shape[-3:]
+    pairs = lead + (2, 3) + shape
+    prod = np.empty(lead + (24,) + shape)
+    nuJ = np.multiply(n, uJ, out=prod[_ROWS[0, 6]]).reshape(pairs)
+    nJ, src = prod[_ROWS[3, 6]], prod[_ROWS[21, 24]]
+    _symmetric_fluxes(p, n, nuJ, uJ.reshape(pairs), prod[_ROWS[6, 12]], prod[_ROWS[12, 18]])
     xB = _cross(nuJ, B[_fields(None)])
     nuxB, nJxB = xB[_FIRST], xB[_SECOND]
     np.multiply(kap / p.tau, nJxB, out=prod[_ROWS[18, 21]])
