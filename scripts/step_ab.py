@@ -1,7 +1,9 @@
-"""Interleaved in-process A/B of one paired step in two source trees.
+"""Interleaved in-process A/B of one paired step, or of the record-and-audit
+path, in two source trees.
 
     python scripts/step_ab.py --tree A_DIR --tree B_DIR [--rounds R] [--steps S]
                               [--sweep CONFIG ...] [--run CONFIG ...]
+                              [--audit CONFIG ...]
 
 Imports each tree's ``src/nsmlimit`` under its own package name
 (``nsmlimit_a``, ``nsmlimit_b``) into one process, so both sides share the
@@ -21,6 +23,17 @@ quartiles of the paired-step time over all rounds, the median minor page
 faults per ``step_full`` and per paired step, the rounds in which B's
 median step was faster than A's, and whether both trees' stacks after a
 round are bit for bit equal.
+
+``--audit`` times what a run does with its snapshots: each tree runs the
+config's single ``[params] kappa`` once through its own ``run_single``
+(untimed), and a pass is the ledger rows of those snapshots (one
+``make_energy_ledger`` call on the sequences where the tree's ledger takes
+them, one call per snapshot where it does not) plus ``energy_identity_audit``
+on them.  Per round each tree makes one pass, in alternating order, after
+one untimed warm-up pass.  Reported per tree: the median and quartiles of
+the pass time and its median minor page faults, the rounds in which B's
+pass was faster, and whether both trees' rows and audit residuals are bit
+for bit equal.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ def import_tree(tree: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("harness", "integrator"):
+    for sub in ("harness", "integrator", "diagnostics"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -132,6 +145,62 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
           f"final stacks {'bit-identical' if identical else 'DIFFER'}")
 
 
+def takes_sequences(pkg) -> bool:
+    """Whether the tree's ``make_energy_ledger`` takes sequences of snapshots
+    (it chunks them), or one snapshot per call."""
+    return hasattr(pkg.diagnostics, "_chunk_size")
+
+
+def audit_pass(pkg, snaps: list, p, l: float, sequences: bool):
+    """One pass of the record-and-audit path on a run's snapshots: the
+    seconds, the minor faults, the ledger rows as one array and the audit
+    residuals.  ``sequences`` makes the rows one ``make_energy_ledger`` call."""
+    diagnostics = pkg.diagnostics
+    mass0 = pkg.spectral.grid_integral(snaps[0][1].grid, snaps[0][1].n.values)
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    if sequences:
+        rows = diagnostics.make_energy_ledger(*zip(*snaps), p, l, mass0)
+    else:
+        rows = [diagnostics.make_energy_ledger(t, full, limit, p, l, mass0) for t, full, limit in snaps]
+    report = diagnostics.energy_identity_audit(snaps, p)
+    t1 = time.perf_counter()
+    f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return t1 - t0, f1 - f0, np.array([r.as_tuple() for r in rows]), np.array(report.residuals)
+
+
+def compare_audit(trees, config: Path, rounds: int) -> None:
+    """Run the A/B of the record-and-audit path on one config and print its table."""
+    sides = []
+    for tag, pkg in trees:
+        cfg = pkg.harness.parse_config(config)
+        rec = pkg.harness.run_single(cfg)
+        if len(rec.snapshots) < 3:
+            raise SystemExit(f"{config}: the run recorded {len(rec.snapshots)} snapshots, the audit needs 3")
+        sides.append((tag, pkg, rec.snapshots, cfg.params, cfg.l, takes_sequences(pkg)))
+    for _, pkg, *args in sides:  # warm-up, untimed
+        audit_pass(pkg, *args)
+    samples = {tag: {"s": [], "faults": []} for tag, *_ in sides}
+    wins, identical = 0, True
+    for r in range(rounds):
+        seconds, outputs = {}, {}
+        for tag, pkg, *args in sides if r % 2 == 0 else sides[::-1]:
+            seconds[tag], faults, *outputs[tag] = audit_pass(pkg, *args)
+            samples[tag]["s"].append(seconds[tag])
+            samples[tag]["faults"].append(faults)
+        wins += seconds["B"] < seconds["A"]
+        identical &= all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                         for a, b in zip(outputs["A"], outputs["B"]))
+    print(f"audit {config.name}: {rounds} rounds of one pass over {len(sides[0][2])} snapshots per tree")
+    print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/pass':>12}")
+    median_ms = {}
+    for tag, *_ in sides:
+        q1, median_ms[tag], q3 = np.percentile(samples[tag]["s"], [25, 50, 75]) * 1e3
+        print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {np.median(samples[tag]['faults']):12.0f}")
+    print(f"  B/A median {median_ms['B'] / median_ms['A']:.3f}; B faster in {wins}/{rounds} rounds; "
+          f"rows and residuals {'bit-identical' if identical else 'DIFFER'}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", type=Path, required=True,
@@ -142,18 +211,23 @@ def main(argv=None) -> int:
                     help="config whose [sweep] kappa_list is stepped as one batch")
     ap.add_argument("--run", action="append", type=Path, default=[],
                     help="config stepped at its single [params] kappa")
+    ap.add_argument("--audit", action="append", type=Path, default=[],
+                    help="config run once at its single [params] kappa, whose snapshots "
+                         "get ledger rows and the energy-identity audit")
     args = ap.parse_args(argv)
     if len(args.tree) != 2:
         ap.error("give --tree twice: A, then B")
     if args.rounds < 1 or args.steps < 1:
         ap.error("--rounds and --steps must be at least 1")
     inputs = [(path, True) for path in args.sweep] + [(path, False) for path in args.run]
-    if not inputs:
+    if not inputs and not args.audit:
         inputs = [(ROOT / "configs" / "acceptance.ini", True), (ROOT / "perfbench" / "paired_3d.ini", False)]
     trees = [(tag, import_tree(tree.resolve(), f"nsmlimit_{tag.lower()}"))
              for tag, tree in zip("AB", args.tree)]
     for path, batch in inputs:
         compare(trees, f"{'sweep' if batch else 'run'} {path.name}", path, batch, args.rounds, args.steps)
+    for path in args.audit:
+        compare_audit(trees, path, args.rounds)
     return 0
 
 

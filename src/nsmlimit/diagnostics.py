@@ -11,18 +11,24 @@ sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx and the viscous
 dissipation of U and J; the audit checks the zero-order kinetic-energy
 balance term by term.
 
-Each ledger row and each audit snapshot makes one real transform of a
-stacked array each way.  A row takes ``array_rfft`` of the error stack;
-the five H^l norms and the two dissipation rates are sums
-over those coefficients by the discrete Parseval identity
+Both run over chunks of snapshots, with one transform of a stacked array
+each way per chunk of snapshots.  A chunk holds at most ``_chunk_size``
+snapshots, a fixed budget of 2048 grid points (32 snapshots on a 64-point
+line, one on 32^3); one snapshot is a chunk of one.  Every per-element
+operation and every reduction is the one-snapshot one, in the same order,
+so a row or an audit term does not depend on the chunk it was computed in.
+
+A chunk of ledger rows takes ``array_rfft`` of its (S, 13, *shape) error
+stacks; the five H^l norms and the two dissipation rates are sums over
+those coefficients by the discrete Parseval identity
 (``Grid.half_parseval_weight``: interior modes of the last active axis
 count twice, its 0 and n/2 planes once), with the full |k|^2 in the norms
 and the Nyquist-zeroed derivative wavenumbers in the dissipation.  One
 ``array_irfft`` then brings every d^a N with 1 <= |a| <= l, div E and
 div B to the grid, for the pointwise weight and the constraint residuals.
-An audit snapshot transforms (n U, n u, U, u0, j~) once and brings
-div(n U), div(n u), the gradients of U, u0 and j~ and the viscous term of
-u0 back in one call; its dissipation is again a Parseval sum.
+A chunk of audit snapshots transforms (n U, n u, U, u0, j~) once and
+brings div(n U), div(n u), the gradients of U, u0 and j~ and the viscous
+term of u0 back in one call; its dissipation is again a Parseval sum.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SnapshotSpacingError, VacuumError
-from .model import FullState, LimitState, Params, PressureLaw, _cross, _stacked, _visc_hat
+from .model import FullState, LimitState, Params, PressureLaw, _cross, _stack, _stacked, _visc_hat
 from .spectral import (
     Grid,
     _mode_sums,
@@ -44,9 +50,7 @@ from .spectral import (
     _sobolev_weight,
     array_irfft,
     array_rfft,
-    grid_integral,
     half_divergence,
-    sup_norm,
 )
 
 __all__ = [
@@ -59,6 +63,8 @@ __all__ = [
     "LEDGER_COLUMNS",
 ]
 
+_SPACE = (-3, -2, -1)  # the grid axes of a field
+
 
 def _check_density(what: str, *rho: np.ndarray) -> None:
     n_min = min(float(r.min()) for r in rho)
@@ -67,12 +73,42 @@ def _check_density(what: str, *rho: np.ndarray) -> None:
 
 
 @contextmanager
-def _at_time(t: float):
-    """Name the time in a VacuumError raised inside the block."""
+def _at_time(t: float | None):
+    """Name the time in a VacuumError raised inside the block (None names none)."""
     try:
         yield
     except VacuumError as exc:
+        if t is None:
+            raise
         raise VacuumError(f"{exc} at t={t:g}") from None
+
+
+def _first_vacuum(ts, checks) -> None:
+    """Raise the VacuumError of the first snapshot that fails a density check.
+
+    ``checks`` are (what, per-snapshot minimum) pairs in the order a
+    snapshot's checks are made, so the error is the one the snapshot alone
+    gives; ``ts`` names its time (None: no time)."""
+    bad = np.logical_or.reduce([m <= 0.0 for _, m in checks])
+    if bad.any():
+        s = int(bad.argmax())
+        with _at_time(None if ts is None else ts[s]):
+            for what, m in checks:
+                if m[s] <= 0.0:
+                    raise VacuumError(f"vacuum state: {what} nonpositive (min n = {m[s]:.6g})")
+
+
+def _check_ledger_densities(ts, n: np.ndarray, n0: np.ndarray) -> None:
+    """The ledger's density checks on chunks (S, *shape) of full and limit
+    densities, in the order a row makes them: the total density n, the
+    total density (n - n0) + n0 of the pointwise weight, and the range
+    n0 + min(n - n0, 0) of the inner enthalpy integral."""
+    N = n - n0
+    _first_vacuum(ts, [
+        ("total density", n.min(axis=_SPACE)),
+        ("total density", (N + n0).min(axis=_SPACE)),
+        ("density in the inner integral range", (n0 + np.minimum(N, 0.0)).min(axis=_SPACE)),
+    ])
 
 
 def _error_stack(full: FullState, limit: LimitState, kappa: float) -> np.ndarray:
@@ -86,36 +122,61 @@ def _error_stack(full: FullState, limit: LimitState, kappa: float) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# chunks of snapshots
+
+_CHUNK_POINTS = 2048
+
+
+def _chunk_size(grid: Grid) -> int:
+    """Snapshots per chunk: a budget of 2048 grid points, at least one."""
+    return max(1, _CHUNK_POINTS // grid.npoints)
+
+
+def _chunks(grid: Grid, snapshots: list):
+    """Consecutive chunks of (t, full, limit) snapshots, each as (times,
+    fulls, limits)."""
+    size = _chunk_size(grid)
+    for i in range(0, len(snapshots), size):
+        yield tuple(zip(*snapshots[i:i + size]))
+
+
+def _chunk_stack(states) -> np.ndarray:
+    """The stacks (``_stacked``) of a chunk of states, (S, rows, *shape), in one copy."""
+    x = _stack(*(f.values for state in states for f in vars(state).values()))
+    return x.reshape((len(states), -1) + x.shape[1:])
+
+
+def _integrals(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """``grid_integral`` of each field of a chunk of scalar fields (S, *shape)."""
+    return values.mean(axis=_SPACE) * grid.volume
+
+
+# ---------------------------------------------------------------------------
 # half-spectrum kernels
 
 
 _FIELD_STARTS = (0, 1, 4, 7, 10)  # rows of N, U, J, E, B in ``_error_stack``
 
 
-def _field_norms(grid: Grid, hat: np.ndarray, l: float) -> list[float]:
-    """H^l norms of (N, U, J, E, B) from the coefficients of an error stack."""
+def _field_norms(grid: Grid, hat: np.ndarray, l: float) -> list:
+    """H^l norms of (N, U, J, E, B) from the coefficients of an error stack
+    (13, *half), or a list of them per stack of a chunk (S, 13, *half)."""
     sq = _mode_sums(grid, hat, _sobolev_weight(grid, l))
-    return np.sqrt(np.add.reduceat(sq, _FIELD_STARTS)).tolist()
+    return np.sqrt(np.add.reduceat(sq, _FIELD_STARTS, axis=-1)).tolist()
 
 
-def _dissipation(grid: Grid, p: Params, v_hat: np.ndarray) -> float:
-    """mu |grad v|^2 + (mu+lam) |div v|^2 from the (3, *half) coefficients of v."""
+def _dissipation(grid: Grid, p: Params, v_hat: np.ndarray) -> np.ndarray:
+    """mu |grad v|^2 + (mu+lam) |div v|^2 per snapshot, from the (S, 3, *half)
+    coefficients of v."""
     k = grid.half_wavenumbers
-    grad_sq = _mode_sums(grid, v_hat, (k * k).sum(axis=0)).sum()
+    grad_sq = _mode_sums(grid, v_hat, (k * k).sum(axis=0)).sum(axis=-1)
     div_sq = _mode_sums(grid, half_divergence(grid, v_hat), 1.0)
-    return float(p.mu * grad_sq + (p.mu + p.lam) * div_sq)
+    return p.mu * grad_sq + (p.mu + p.lam) * div_sq
 
 
-def _high_weight(N: np.ndarray, n0: np.ndarray, law: PressureLaw) -> np.ndarray:
-    """h'(N+n0)/(N+n0), the pointwise weight of the high-order norm."""
-    rho = N + n0
-    _check_density("total density", rho)
-    return law.denthalpy(rho) / rho
-
-
-def _weighted_sum(grid: Grid, weight: np.ndarray, d: np.ndarray) -> float:
-    """sum_a integral weight |d_a|^2 dx over the leading rows of d."""
-    return grid_integral(grid, weight * np.einsum("a...,a...->...", d, d))
+def _sup_norms(v: np.ndarray) -> np.ndarray:
+    """``sup_norm`` of each vector field of a chunk (S, 3, *shape)."""
+    return np.sqrt((v**2).sum(axis=1)).max(axis=_SPACE)
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +188,17 @@ def _inner_enthalpy_integral(
     N: np.ndarray, n0: np.ndarray, law: PressureLaw, tol: float = 1e-10
 ) -> np.ndarray:
     """Pointwise integral_0^N [h(s+n0) - h(n0)] ds by Gauss-Legendre,
-    doubling the node count until the relative change drops below tol."""
+    doubling the node count until the relative change drops below tol.
+
+    N and n0 are fields (*shape) or chunks of them (S, *shape).  Each field
+    stops at the node count at which it converges alone: the fields that
+    have converged leave the later levels."""
     _check_density("density in the inner integral range", n0 + np.minimum(N, 0.0))
+    lead, shape = N.shape[:-3], N.shape[-3:]
+    N, n0 = N.reshape((-1,) + shape), n0.reshape((-1,) + shape)
     h0 = law.enthalpy(n0)
+    out = np.empty(N.shape)
+    todo = np.arange(len(N))  # fields not yet converged, in ``out``
     prev = None
     nodes = 8
     while True:
@@ -138,11 +207,13 @@ def _inner_enthalpy_integral(
         vals = law.enthalpy(s + n0[..., None]) - h0[..., None]
         cur = 0.5 * N * (w * vals).sum(axis=-1)
         if prev is not None:
-            scale = max(float(np.abs(cur).max()), 1e-300)
-            if float(np.abs(cur - prev).max()) <= tol * scale:
-                return cur
-        if nodes >= 256:
-            return cur
+            scale = np.maximum(np.abs(cur).max(axis=_SPACE), 1e-300)
+            done = (np.abs(cur - prev).max(axis=_SPACE) <= tol * scale) | (nodes >= 256)
+            out[todo[done]] = cur[done]
+            todo, keep = todo[~done], ~done
+            if not todo.size:
+                return out.reshape(lead + shape)
+            N, n0, h0, cur = N[keep], n0[keep], h0[keep], cur[keep]
         prev = cur
         nodes *= 2
 
@@ -180,46 +251,56 @@ class EnergyLedger:
         return tuple(getattr(self, c) for c in LEDGER_COLUMNS)
 
 
-def make_energy_ledger(
-    t: float,
-    full: FullState,
-    limit: LimitState,
-    p: Params,
-    l: float,
-    mass0: float,
-) -> EnergyLedger:
-    grid = full.grid
-    n0 = limit.n.values
-    x = _error_stack(full, limit, p.kappa)
-    with _at_time(t):
-        _check_density("total density", full.n.values)
-        weight = _high_weight(x[0], n0, p.pressure)
-        enthalpy = grid_integral(grid, _inner_enthalpy_integral(x[0], n0, p.pressure))
+def make_energy_ledger(t, full, limit, p: Params, l: float, mass0: float):
+    """The EnergyLedger row of one snapshot (t, full, limit), or the list of
+    rows of equal-length sequences of times, full states and limit states,
+    computed a chunk at a time.  A row is the same in either form.
+
+    A nonpositive density raises VacuumError naming the time of the first
+    snapshot that has one."""
+    if isinstance(full, FullState):
+        return _ledger_rows((t,), (full,), (limit,), p, l, mass0)[0]
+    snapshots = list(zip(t, full, limit, strict=True))
+    if not snapshots:
+        return []
+    return [row for chunk in _chunks(snapshots[0][1].grid, snapshots)
+            for row in _ledger_rows(*chunk, p, l, mass0)]
+
+
+def _ledger_rows(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[EnergyLedger]:
+    """The rows of one chunk of snapshots."""
+    grid = fulls[0].grid
+    for state in fulls[1:] + limits:
+        _require_same_grid(grid, state.grid)
+    x, x0 = _chunk_stack(fulls), _chunk_stack(limits)
+    _check_ledger_densities(ts, x[:, 0], x0[:, 0])
+    mass = _integrals(grid, x[:, 0])
+    x[:, :4] -= x0
+    x[:, 4:7] *= p.kappa
+    N, n0 = x[:, 0], x0[:, 0]
+    rho = N + n0
+    weight = p.pressure.denthalpy(rho) / rho
+    enthalpy = _integrals(grid, _inner_enthalpy_integral(N, n0, p.pressure))
+    div_scale = 1.0 + _sup_norms(x[:, 7:10]) + _sup_norms(x[:, 10:13])
     hat = array_rfft(grid, x)
     norms = _field_norms(grid, hat, l)
-    diss_u, diss_j = _dissipation(grid, p, hat[1:4]), _dissipation(grid, p, hat[4:7])
-    high = _partials_hat(grid, hat[0], int(l), 2)
-    high[-2:] = half_divergence(grid, hat[7:].reshape((2, 3) + hat.shape[1:]))
-    del x, hat  # not held through the inverse transform, the row's memory peak
+    diss_u, diss_j = _dissipation(grid, p, hat[:, 1:4]), _dissipation(grid, p, hat[:, 4:7])
+    high = _partials_hat(grid, hat[:, 0], int(l), 2)  # (rows, S, *half)
+    div_eb = half_divergence(grid, hat[:, 7:].reshape((len(ts), 2, 3) + hat.shape[2:]))
+    high[-2:] = div_eb.swapaxes(0, 1)
+    # not held through the inverse transform, the chunk's memory peak
+    del x, x0, N, n0, rho, hat, div_eb
     d = array_irfft(grid, high)
-    div_scale = 1.0 + sup_norm(full.E) + sup_norm(full.B)
-    mass = grid_integral(grid, full.n.values)
-    return EnergyLedger(
-        t=t,
-        gamma=sum(x * x for x in norms),
-        norm_N=norms[0],
-        norm_U=norms[1],
-        norm_J=norms[2],
-        norm_E=norms[3],
-        norm_B=norms[4],
-        enthalpy_fn=enthalpy,
-        weighted_high=_weighted_sum(grid, weight, d[:-2]),
-        diss_U=diss_u,
-        diss_J=diss_j,
-        divE=float(np.abs(d[-2]).max()) / div_scale,
-        divB=float(np.abs(d[-1]).max()) / div_scale,
-        mass_err=abs(mass - mass0) / abs(mass0),
-    )
+    weighted = _integrals(grid, weight * np.einsum("a...,a...->...", d[:-2], d[:-2]))
+    div_e = np.abs(d[-2]).max(axis=_SPACE) / div_scale
+    div_b = np.abs(d[-1]).max(axis=_SPACE) / div_scale
+    columns = zip(ts, norms, *(a.tolist() for a in (enthalpy, weighted, diss_u, diss_j,
+                                                    div_e, div_b, mass)))
+    return [
+        EnergyLedger(t, sum(v * v for v in nrm), *nrm, h, w, du, dj, de, db,
+                     abs(m - mass0) / abs(mass0))
+        for t, nrm, h, w, du, dj, de, db, m in columns
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -248,61 +329,66 @@ class AuditReport:
 
 
 def _audit_terms(full: FullState, limit: LimitState, p: Params) -> dict:
-    grid = full.grid
+    """The audit terms of one snapshot, as floats: a chunk of one."""
+    return {key: v.item() for key, v in _audit_chunk(None, (full,), (limit,), p).items()}
+
+
+def _audit_chunk(ts, fulls, limits, p: Params) -> dict:
+    """The audit terms of a chunk of snapshots, one (S,) array per term; a
+    vacuum names the time in ``ts`` (None: no time) of the first bad one."""
+    grid = fulls[0].grid
     eps = p.epsilon
     law = p.pressure
-    n_tot = full.n.values          # N + n0
-    n0 = limit.n.values
-    _check_density("density", n_tot, n0)
-    U = full.u.values - limit.u.values
-    u0 = limit.u.values
-    u_full = full.u.values
-    jt = full.jt.values
-    B = full.B.values
+    x, x0 = _chunk_stack(fulls), _chunk_stack(limits)
+    n_tot, n0 = x[:, 0], x0[:, 0]  # N + n0 and n0
+    m_tot, m0 = n_tot.min(axis=_SPACE), n0.min(axis=_SPACE)
+    _first_vacuum(ts, [("density", np.where(m0 < m_tot, m0, m_tot))])
+    u_full, u0, jt, B = x[:, 1:4], x0[:, 1:4], x[:, 4:7], x[:, 10:13]
+    U = u_full - u0
+    nt = n_tot[:, None]
 
     # one forward transform of (n U, n u, U, u0, j~), one inverse of
     # div(n U), div(n u), the gradients (i, j) -> d_j v_i of U, u0 and j~,
     # and the viscous term of u0
-    V = array_rfft(grid, np.stack([n_tot * U, n_tot * u_full, U, u0, jt]))
-    half = V.shape[2:]
-    grads = 1j * V[2:, :, None] * grid.half_wavenumbers
+    V = array_rfft(grid, np.stack([nt * U, nt * u_full, U, u0, jt], axis=1))
+    grads = 1j * V[:, 2:, :, None] * grid.half_wavenumbers
     d = array_irfft(grid, np.concatenate([
-        half_divergence(grid, V[:2]),
-        grads.reshape((27,) + half),
-        _visc_hat(grid, p, V[3]),
-    ]))
-    div_nU, div_nu = d[0], d[1]
-    grad_U, grad_u0, grad_jt = d[2:29].reshape((3, 3, 3) + grid.shape)
-    visc0 = d[29:]
+        half_divergence(grid, V[:, :2]),
+        grads.reshape((len(fulls), 27) + V.shape[3:]),
+        _visc_hat(grid, p, V[:, 3]),
+    ], axis=1))
+    div_nU, div_nu = d[:, 0], d[:, 1]
+    grad_U, grad_u0, grad_jt = d[:, 2:29].reshape((len(fulls), 3, 3, 3) + grid.shape).swapaxes(0, 1)
+    visc0 = d[:, 29:]
 
     h_diff = law.enthalpy(n_tot) - law.enthalpy(n0)
-    t1 = ((1.0 + eps) * p.eta / p.tau) * grid_integral(grid, h_diff * div_nU)
+    t1 = ((1.0 + eps) * p.eta / p.tau) * _integrals(grid, h_diff * div_nU)
 
     # d_t(N+n0) from the combined continuity equation
     dt_n = -div_nu / (1.0 + eps)
-    t2 = 0.5 * grid_integral(grid, dt_n * (U * U).sum(axis=0))
+    t2 = 0.5 * _integrals(grid, dt_n * (U * U).sum(axis=1))
 
-    adv = np.einsum("j...,ij...->i...", u_full, grad_U)
-    adv = adv + np.einsum("j...,ij...->i...", U, grad_u0)
-    t3 = -grid_integral(grid, (adv * n_tot * U).sum(axis=0)) / (1.0 + eps)
+    adv = np.einsum("sj...,sij...->si...", u_full, grad_U)
+    adv = adv + np.einsum("sj...,sij...->si...", U, grad_u0)
+    t3 = -_integrals(grid, (adv * nt * U).sum(axis=1)) / (1.0 + eps)
 
-    jdotj = np.einsum("j...,ij...->i...", jt, grad_jt)
+    jdotj = np.einsum("sj...,sij...->si...", jt, grad_jt)
     t4 = (
         -(eps / (1.0 + eps))
         * p.kappa**2
-        * grid_integral(grid, (jdotj * n_tot * U).sum(axis=0))
+        * _integrals(grid, (jdotj * nt * U).sum(axis=1))
     )
 
     lorentz = _cross(jt, B)
-    t5 = (p.kappa**2 / p.tau) * grid_integral(grid, (lorentz * n_tot * U).sum(axis=0))
+    t5 = (p.kappa**2 / p.tau) * _integrals(grid, (lorentz * nt * U).sum(axis=1))
 
-    t6 = grid_integral(
-        grid, ((1.0 / n_tot - 1.0 / n0) * visc0 * n_tot * U).sum(axis=0)
+    t6 = _integrals(
+        grid, ((1.0 / n_tot - 1.0 / n0)[:, None] * visc0 * nt * U).sum(axis=1)
     )
 
-    diss = _dissipation(grid, p, V[2])
+    diss = _dissipation(grid, p, V[:, 2])
 
-    energy = 0.5 * grid_integral(grid, n_tot * (U * U).sum(axis=0))
+    energy = 0.5 * _integrals(grid, n_tot * (U * U).sum(axis=1))
     return {
         "energy": energy, "dissipation": diss,
         "T1": t1, "T2": t2, "T3": t3, "T4": t4, "T5": t5, "T6": t6,
@@ -313,7 +399,7 @@ def energy_identity_audit(
     snapshots, p: Params, drop_term: int | None = None
 ) -> AuditReport:
     """Audit the zero-order energy balance on >= 3 uniformly spaced
-    snapshots of (t, full_state, limit_state)."""
+    snapshots of (t, full_state, limit_state), a chunk at a time."""
     snaps = list(snapshots)
     if len(snaps) < 3:
         raise ValueError("need at least 3 snapshots")
@@ -328,9 +414,9 @@ def energy_identity_audit(
         raise ValueError("drop_term must be in 1..6")
 
     per_snap = []
-    for t, full, limit in snaps:
-        with _at_time(t):
-            per_snap.append(_audit_terms(full, limit, p))
+    for chunk in _chunks(snaps[0][1].grid, snaps):
+        terms = _audit_chunk(*chunk, p)
+        per_snap += [dict(zip(terms, v)) for v in zip(*(a.tolist() for a in terms.values()))]
     residuals = []
     mid_terms = None
     for i in range(1, len(snaps) - 1):

@@ -52,6 +52,8 @@ import numpy as np
 
 from .diagnostics import (
     LEDGER_COLUMNS,
+    _check_ledger_densities,
+    _chunk_size,
     bound_monitor,
     make_energy_ledger,
 )
@@ -89,6 +91,13 @@ R2_MIN = 0.98
 REFORM_TOL = 1e-9
 
 
+def _require_finite(section: str, **values) -> None:
+    """ConfigError for a non-finite number, named by its config key."""
+    for key, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     seed: int = 7
@@ -97,6 +106,11 @@ class InitialSpec:
     c0: float = 1.0
     max_wavenumber: float = 4.0
     well_prepared: bool = True
+
+    def __post_init__(self):
+        _require_finite("initial", base_amplitude=self.base_amplitude,
+                        velocity_amplitude=self.velocity_amplitude, c0=self.c0,
+                        max_wavenumber=self.max_wavenumber)
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,7 @@ class RunConfig:
     config_text: str = ""
 
     def __post_init__(self):
+        _require_finite("diagnostics", l=self.l)
         ks = self.kappa_list
         if any(k2 >= k1 for k1, k2 in zip(ks, ks[1:])):
             raise ConfigError("kappa_list must be strictly decreasing")
@@ -149,6 +164,10 @@ _SCHEMA = {
     "diagnostics": {"l": float, "snapshot_stride": int},
     "output": {"directory": str},
 }
+
+
+# sections whose numbers the dataclasses they fill check for finiteness
+_CHECKED_BY_DATACLASS = ("initial", "diagnostics")
 
 
 def default_config_text() -> str:
@@ -227,8 +246,8 @@ def parse_config_text(text: str) -> RunConfig:
                     values[section][key] = typ(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-            if typ is float and not math.isfinite(values[section][key]):
-                raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+            if typ is float and section not in _CHECKED_BY_DATACLASS:
+                _require_finite(section, **{key: values[section][key]})
 
     def get(section, key, default):
         return values.get(section, {}).get(key, default)
@@ -342,12 +361,15 @@ def run_single(
     system, which does not depend on kappa and is made once; every step is
     one ``step_full`` and one ``step_limit`` call.  A record builds
     FullState/LimitState views of the current stacks (the steppers return
-    new ones, so a snapshot is never overwritten).  A member's records are
-    bit for bit those of its own run.  A member that blows up or hits
-    vacuum gets its own status, message and step count and leaves the
-    stack; the others redo that step.  Every member's ``wall_seconds`` is
-    the batch's, and ``batch_members`` says how many ran.  ``tag`` names a
-    single run; batch members are tagged by kappa.
+    new ones, so a snapshot is never overwritten) and runs the ledger's
+    density checks on them.  The ledger rows are made a chunk of snapshots
+    at a time: each member's snapshots queue until they fill a chunk
+    (``diagnostics._chunk_size``), and the rest at the end of the run.  A
+    member's records are bit for bit those of its own run.  A member that
+    blows up or hits vacuum gets its own status, message and step count
+    and leaves the stack; the others redo that step.  Every member's
+    ``wall_seconds`` is the batch's, and ``batch_members`` says how many
+    ran.  ``tag`` names a single run; batch members are tagged by kappa.
 
     This is the only loop that steps both systems (``integrator.evolve``
     marches one).  It calls the solver through this module's names on
@@ -406,19 +428,31 @@ def run_single(
             x_full = rest if len(live) > 1 else rest[0]
         op_full = None
 
+    def flush(k):
+        """The ledger rows of member k's snapshots that have none yet, as one call."""
+        rec = records[k]
+        queued = rec.snapshots[len(rec.rows):]
+        if queued:
+            rec.rows += make_energy_ledger(*zip(*queued), params[k], cfg.l, masses[k])
+
     def record(t):
-        """A ledger row and a snapshot of every live member, as views of the stacks."""
+        """A snapshot of every live member, as views of the stacks, queued for
+        its ledger row; a full chunk of them is flushed.  The ledger's density
+        checks run here, so a member leaves at the step they fail."""
         limit = _state_view(grid, x_limit)
         for i in reversed(range(len(live))):  # backwards, so leave() keeps the positions before i
             k = live[i]
             full = _state_view(grid, x_full if len(live) == 1 else x_full[i])
             try:
-                records[k].rows.append(make_energy_ledger(t, full, limit, params[k], cfg.l, masses[k]))
-            except VacuumError as exc:  # from the ledger's own density checks
+                _check_ledger_densities((t,), full.n.values[None], limit.n.values[None])
+            except VacuumError as exc:
                 leave(i, exc)
             else:
                 records[k].snapshots.append((t, full, limit))
+                if len(records[k].snapshots) - len(records[k].rows) == chunk:
+                    flush(k)
 
+    chunk = _chunk_size(grid)
     start = _time.perf_counter()
     record(0.0)
     n_steps = _n_fixed_steps(cfg.step)
@@ -447,6 +481,8 @@ def run_single(
             record(steps_done * dt)
     for k in live:
         records[k].n_steps = steps_done
+    for k in range(len(records)):
+        flush(k)
     wall = _time.perf_counter() - start
     for rec in records:
         rec.wall_seconds = wall

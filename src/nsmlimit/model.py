@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -293,12 +294,24 @@ def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _rate_multipliers(grid: Grid, p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half-spectrum multipliers of the rates that depend only on the
+    grid and the Params, made once per (grid, Params): -mu |k|^2 and
+    (mu+lam) k of ``_visc_hat``, and -mask/(1+eps) of ``_continuity``."""
+    out = (-p.mu * grid.half_k_squared, (p.mu + p.lam) * grid.half_wavenumbers,
+           (-1.0 / (1.0 + p.epsilon)) * grid.half_dealias_mask)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _visc_hat(grid: Grid, p: Params, v: np.ndarray) -> np.ndarray:
     """mu lap v + (mu+lam) grad div v for half-spectrum vectors (..., 3, *half)."""
-    k = grid.half_wavenumbers
-    kv = (k * v).sum(axis=-4, keepdims=True)
-    out = (-p.mu * grid.half_k_squared) * v
-    out -= ((p.mu + p.lam) * k) * kv
+    lap, grad_div, _ = _rate_multipliers(grid, p)
+    kv = (grid.half_wavenumbers * v).sum(axis=-4, keepdims=True)
+    out = lap * v
+    out -= grad_div * kv
     return out
 
 
@@ -320,7 +333,7 @@ def _continuity(grid: Grid, p: Params, nu_hat: np.ndarray, out: np.ndarray) -> N
     """dn = -div(n u)/(1+eps), masked, from the transformed n u, into ``out``."""
     div = (grid.half_wavenumbers * nu_hat).sum(axis=-4)
     np.multiply(1j, div, out=div)
-    np.multiply((-1.0 / (1.0 + p.epsilon)) * grid.half_dealias_mask, div, out=out)
+    np.multiply(_rate_multipliers(grid, p)[2], div, out=out)
 
 
 def _to_primitive(grid: Grid, out: np.ndarray, state: np.ndarray, rows: int) -> None:

@@ -16,7 +16,10 @@ from support import (
 from nsmlimit.errors import GridMismatchError, SnapshotSpacingError, VacuumError
 from nsmlimit.diagnostics import (
     LEDGER_COLUMNS,
+    _audit_chunk,
     _audit_terms,
+    _chunk_size,
+    _chunks,
     _inner_enthalpy_integral,
     bound_monitor,
     energy_identity_audit,
@@ -269,17 +272,88 @@ def test_matches_grid_space_reference(grid, kappa, lam):
 
 @pytest.mark.parametrize("grid", [Grid(3, 8), Grid(1, 64)], ids=["3d8", "1d64"])
 def test_transform_calls_per_row_and_snapshot(grid, monkeypatch):
-    # one forward transform of a stacked array and one inverse of another
+    # one forward transform of a stacked array and one inverse of another,
+    # per row, per audit snapshot and per chunk of either
     p = Params(kappa=0.1)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
     calls = count_fft_calls(monkeypatch)
+    one_way = ["rfft", "irfft"] if grid.dims_active == 1 else ["rfftn", "irfftn"]
     for fn, args in ((make_energy_ledger, (0.0, full, limit, p, 4.0, 1.0)),
-                     (_audit_terms, (full, limit, p)),
-                     (hypothesis_certificate, (full, limit, p.kappa, 1.0, 4.0))):
+                     (_audit_terms, (full, limit, p))):
         calls.clear()
         fn(*args)
-        assert 0 < len(calls) <= 2, (fn.__name__, calls)
+        assert calls == one_way, (fn.__name__, calls)
+    calls.clear()
+    hypothesis_certificate(full, limit, p.kappa, 1.0, 4.0)
+    assert 0 < len(calls) <= 2, calls
+    snaps = [(0.01 * s, full, limit) for s in range(2 * _chunk_size(grid) + 1)]  # three chunks
+    for fn, args in ((make_energy_ledger, (*zip(*snaps), p, 4.0, 1.0)),
+                     (energy_identity_audit, (snaps, p))):
+        calls.clear()
+        fn(*args)
+        assert calls == one_way * 3, (fn.__name__, calls)
+
+
+@pytest.mark.parametrize("grid, size", [(Grid(1, 64), 32), (Grid(2, 16), 8), (Grid(3, 8), 4),
+                                        (Grid(3, 32), 1)], ids=["1d64", "2d16", "3d8", "3d32"])
+def test_chunk_is_a_budget_of_grid_points(grid, size):
+    assert _chunk_size(grid) == size
+    snaps = [(float(s), None, None) for s in range(2 * size + 1)]
+    assert [len(ts) for ts, _, _ in _chunks(grid, snaps)] == [size, size, 1]
+
+
+def chunk_snapshots(grid, count):
+    """Snapshots of unrelated smooth states.  Every fourth keeps its density;
+    the others are shifted to a minimum of 0.1, 0.01 or 0.001, nearer
+    vacuum, so that their inner integrals stop at different node counts
+    (16 to the last level, 256)."""
+    snaps = []
+    for s in range(count):
+        full, limit = smooth_pair(grid, seed=s)
+        n = full.n.values
+        if s % 4:
+            n = n - n.min() + 10.0 ** -(s % 4)
+        snaps.append((0.01 * s, FullState(ScalarField(grid, n), full.u, full.jt, full.E, full.B), limit))
+    return snaps
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8)], ids=["1d64", "2d16", "3d8"])
+def test_chunks_match_single_snapshots_bit_for_bit(grid):
+    # rows and audit terms of three chunks (the last of one snapshot) against
+    # one call per snapshot: every column and term is equal, not close
+    p = Params(kappa=0.3, lam=0.05)
+    snaps = chunk_snapshots(grid, 2 * _chunk_size(grid) + 1)
+    rows = make_energy_ledger(*zip(*snaps), p, 4.0, 7.0)
+    singles = [make_energy_ledger(t, full, limit, p, 4.0, 7.0) for t, full, limit in snaps]
+    assert len(rows) == len(snaps)
+    for col in LEDGER_COLUMNS:
+        assert np.array_equal([getattr(r, col) for r in rows], [getattr(r, col) for r in singles]), col
+    terms = [_audit_chunk(*chunk, p) for chunk in _chunks(grid, snaps)]
+    singles = [_audit_terms(full, limit, p) for _, full, limit in snaps]
+    for key in singles[0]:
+        assert np.array_equal(np.concatenate([t[key] for t in terms]), [t[key] for t in singles]), key
+
+
+def test_chunk_vacuum_names_the_first_bad_snapshot(grid64):
+    # snapshot 2 fails only the inner-integral range (its limit density),
+    # snapshot 4 the total density: the chunk raises what snapshot 2 alone
+    # raises, at its time
+    p = Params(kappa=0.2)
+    x = grid64.coordinate(0) * np.ones(grid64.shape)
+    snaps = [(0.01 * s, *density_error_pair(grid64)) for s in range(6)]
+    snaps[2] = (0.02, *density_error_pair(grid64, N=np.full(grid64.shape, 1.0), n0=0.5 + np.cos(x)))
+    snaps[4] = (0.04, *density_error_pair(grid64, N=np.cos(x) - 0.75))
+    with pytest.raises(VacuumError) as alone:
+        make_energy_ledger(*snaps[2], p, 4.0, 1.0)
+    assert str(alone.value) == ("vacuum state: density in the inner integral range nonpositive "
+                                "(min n = -0.5) at t=0.02")
+    with pytest.raises(VacuumError) as chunk:
+        make_energy_ledger(*zip(*snaps), p, 4.0, 1.0)
+    assert str(chunk.value) == str(alone.value)
+    with pytest.raises(VacuumError, match=r"^vacuum state: total density nonpositive "
+                                          r"\(min n = -0\.75\) at t=0\.04$"):
+        make_energy_ledger(*zip(*snaps[3:]), p, 4.0, 1.0)
 
 
 class TestEnergyAudit:

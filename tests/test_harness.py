@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,47 @@ class TestRunSingle:
         assert rec.status == "vacuum"
         assert rec.message.startswith("vacuum state in the SSP-RK2 predictor stage at t=0.013: min n = -")
         assert rec.n_steps == 64
+
+    def test_record_time_vacuum_keeps_status_message_and_steps(self, monkeypatch):
+        # a density made nonpositive after step 40 of member 0.1, where no
+        # step checks it, fails the ledger's check when that step is
+        # recorded: the member leaves there, with the rows of its 40 earlier
+        # snapshots (a full chunk of 32 and 8 more); the other member is
+        # unchanged
+        cfg = parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 1"))
+        clean = run_single(cfg, kappa=(0.4, 0.1))
+        steps = []
+
+        def step_full(grid, x, p, *args, _step=harness.step_full, **kwargs):
+            out = _step(grid, x, p, *args, **kwargs)
+            steps.append(x.shape[:-4])  # the members stepped
+            if len(steps) == 40:
+                out[1, 0, 5] = -0.5
+            return out
+
+        monkeypatch.setattr(harness, "step_full", step_full)
+        kept, left = run_single(cfg, kappa=(0.4, 0.1))
+        assert (left.status, left.message, left.n_steps) == (
+            "vacuum", "vacuum state: total density nonpositive (min n = -0.5) at t=0.008", 40)
+        assert len(left.snapshots) == 40 and left.rows == clean[1].rows[:40]
+        assert steps == [(2,)] * 40 + [()] * 10
+        assert (kept.status, kept.n_steps, kept.rows) == ("completed", 50, clean[0].rows)
+
+    def test_non_finite_initial_spec_is_a_config_error(self):
+        # built in code, not parsed: c0 = nan used to run to a blow-up with a
+        # nan Gamma
+        cfg = parse_config_text(SHORT_CONFIG)
+        with pytest.raises(ConfigError, match=r"^initial\.c0 must be finite, got nan$"):
+            run_single(replace(cfg, initial=replace(cfg.initial, c0=math.nan)), kappa=0.2)
+        with pytest.raises(ConfigError, match=r"^initial\.max_wavenumber must be finite, got inf$"):
+            run_single(replace(cfg, initial=replace(cfg.initial, max_wavenumber=math.inf)), kappa=0.2)
+
+    def test_non_finite_l_is_a_config_error(self):
+        # replace(cfg, l=nan) used to fail inside run_single with "cannot
+        # convert float NaN to integer"
+        cfg = parse_config_text(SHORT_CONFIG)
+        with pytest.raises(ConfigError, match=r"^diagnostics\.l must be finite, got nan$"):
+            run_single(replace(cfg, l=math.nan), kappa=0.2)
 
     def test_batch_returns_records_in_order(self):
         cfg = parse_config_text(SHORT_CONFIG)
