@@ -27,8 +27,7 @@ round are bit for bit equal.
 ``--audit`` times what a run does with its snapshots: each tree runs the
 config's single ``[params] kappa`` once through its own ``run_single``
 (untimed), and a pass is the ledger rows of those snapshots (one
-``make_energy_ledger`` call on the sequences where the tree's ledger takes
-them, one call per snapshot where it does not) plus ``energy_identity_audit``
+``make_energy_ledger`` call on their sequences) plus ``energy_identity_audit``
 on them.  Per round each tree makes one pass, in alternating order, after
 one untimed warm-up pass.  Reported per tree: the median and quartiles of
 the pass time and its median minor page faults, the rounds in which B's
@@ -145,24 +144,15 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
           f"final stacks {'bit-identical' if identical else 'DIFFER'}")
 
 
-def takes_sequences(pkg) -> bool:
-    """Whether the tree's ``make_energy_ledger`` takes sequences of snapshots
-    (it chunks them), or one snapshot per call."""
-    return hasattr(pkg.diagnostics, "_chunk_size")
-
-
-def audit_pass(pkg, snaps: list, p, l: float, sequences: bool):
+def audit_pass(pkg, snaps: list, p, l: float):
     """One pass of the record-and-audit path on a run's snapshots: the
-    seconds, the minor faults, the ledger rows as one array and the audit
-    residuals.  ``sequences`` makes the rows one ``make_energy_ledger`` call."""
+    seconds, the minor faults, the ledger rows (one ``make_energy_ledger``
+    call) as one array and the audit residuals."""
     diagnostics = pkg.diagnostics
     mass0 = pkg.spectral.grid_integral(snaps[0][1].grid, snaps[0][1].n.values)
     f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    if sequences:
-        rows = diagnostics.make_energy_ledger(*zip(*snaps), p, l, mass0)
-    else:
-        rows = [diagnostics.make_energy_ledger(t, full, limit, p, l, mass0) for t, full, limit in snaps]
+    rows = diagnostics.make_energy_ledger(*zip(*snaps), p, l, mass0)
     report = diagnostics.energy_identity_audit(snaps, p)
     t1 = time.perf_counter()
     f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -177,7 +167,7 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
         rec = pkg.harness.run_single(cfg)
         if len(rec.snapshots) < 3:
             raise SystemExit(f"{config}: the run recorded {len(rec.snapshots)} snapshots, the audit needs 3")
-        sides.append((tag, pkg, rec.snapshots, cfg.params, cfg.l, takes_sequences(pkg)))
+        sides.append((tag, pkg, rec.snapshots, cfg.params, cfg.l))
     for _, pkg, *args in sides:  # warm-up, untimed
         audit_pass(pkg, *args)
     samples = {tag: {"s": [], "faults": []} for tag, *_ in sides}

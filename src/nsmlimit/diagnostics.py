@@ -11,12 +11,16 @@ sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx and the viscous
 dissipation of U and J; the audit checks the zero-order kinetic-energy
 balance term by term.
 
-Both run over chunks of snapshots, with one transform of a stacked array
-each way per chunk of snapshots.  A chunk holds at most ``_chunk_size``
-snapshots, a fixed budget of 2048 grid points (32 snapshots on a 64-point
-line, one on 32^3); one snapshot is a chunk of one.  Every per-element
-operation and every reduction is the one-snapshot one, in the same order,
-so a row or an audit term does not depend on the chunk it was computed in.
+Both take all of a run's snapshots in one call and split them into chunks
+here, with one transform of a stacked array each way per chunk.  A chunk
+holds at most ``_chunk_size`` snapshots, a fixed budget of 2048 grid
+points (32 snapshots on a 64-point line, one on 32^3); one snapshot is a
+chunk of one.  Every per-element operation and every reduction is the
+one-snapshot one, in the same order, so a row or an audit term does not
+depend on the chunk it was computed in.  A row's density checks
+(``_check_ledger_densities``, which ``run_single`` also makes when it
+records) run once per chunk, and a vacuum names the time of the first
+snapshot that has one.
 
 A chunk of ledger rows takes ``array_rfft`` of its (S, 13, *shape) error
 stacks; the five H^l norms and the two dissipation rates are sums over
@@ -34,7 +38,6 @@ term of u0 back in one call; its dissipation is again a Parseval sum.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,23 +69,6 @@ __all__ = [
 _SPACE = (-3, -2, -1)  # the grid axes of a field
 
 
-def _check_density(what: str, *rho: np.ndarray) -> None:
-    n_min = min(float(r.min()) for r in rho)
-    if n_min <= 0.0:
-        raise VacuumError(f"vacuum state: {what} nonpositive (min n = {n_min:.6g})")
-
-
-@contextmanager
-def _at_time(t: float | None):
-    """Name the time in a VacuumError raised inside the block (None names none)."""
-    try:
-        yield
-    except VacuumError as exc:
-        if t is None:
-            raise
-        raise VacuumError(f"{exc} at t={t:g}") from None
-
-
 def _first_vacuum(ts, checks) -> None:
     """Raise the VacuumError of the first snapshot that fails a density check.
 
@@ -92,10 +78,9 @@ def _first_vacuum(ts, checks) -> None:
     bad = np.logical_or.reduce([m <= 0.0 for _, m in checks])
     if bad.any():
         s = int(bad.argmax())
-        with _at_time(None if ts is None else ts[s]):
-            for what, m in checks:
-                if m[s] <= 0.0:
-                    raise VacuumError(f"vacuum state: {what} nonpositive (min n = {m[s]:.6g})")
+        what, n_min = next((what, m[s]) for what, m in checks if m[s] <= 0.0)
+        at = "" if ts is None else f" at t={ts[s]:g}"
+        raise VacuumError(f"vacuum state: {what} nonpositive (min n = {n_min:.6g}){at}")
 
 
 def _check_ledger_densities(ts, n: np.ndarray, n0: np.ndarray) -> None:
@@ -190,10 +175,10 @@ def _inner_enthalpy_integral(
     """Pointwise integral_0^N [h(s+n0) - h(n0)] ds by Gauss-Legendre,
     doubling the node count until the relative change drops below tol.
 
-    N and n0 are fields (*shape) or chunks of them (S, *shape).  Each field
+    N and n0 are fields (*shape) or chunks of them (S, *shape), with
+    n0 + min(N, 0) positive (``_check_ledger_densities``).  Each field
     stops at the node count at which it converges alone: the fields that
     have converged leave the later levels."""
-    _check_density("density in the inner integral range", n0 + np.minimum(N, 0.0))
     lead, shape = N.shape[:-3], N.shape[-3:]
     N, n0 = N.reshape((-1,) + shape), n0.reshape((-1,) + shape)
     h0 = law.enthalpy(n0)

@@ -1,9 +1,9 @@
 """Run configuration, paired full/limit runs, kappa sweeps and persistence.
 
 A run evolves the scaled system and its limit on the same grid and step,
-recording an EnergyLedger row every ``snapshot_stride`` steps.  A sweep runs
-a decreasing kappa list and fits the log-log rate of sup_t sqrt(Gamma)
-against kappa.
+recording a snapshot every ``snapshot_stride`` steps; after the march each
+snapshot gets its EnergyLedger row.  A sweep runs a decreasing kappa list
+and fits the log-log rate of sup_t sqrt(Gamma) against kappa.
 
 A run steps one stacked array per system and builds states only where it
 records.  ``run_single`` with a tuple of kappas runs them as one batch: the
@@ -50,13 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (
-    LEDGER_COLUMNS,
-    _check_ledger_densities,
-    _chunk_size,
-    bound_monitor,
-    make_energy_ledger,
-)
+from .diagnostics import LEDGER_COLUMNS, _check_ledger_densities, bound_monitor, make_energy_ledger
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
 from .integrator import StepControl, StiffLinearOperator, build_stiff_operator, step_full, step_limit
@@ -111,6 +105,11 @@ class InitialSpec:
         _require_finite("initial", base_amplitude=self.base_amplitude,
                         velocity_amplitude=self.velocity_amplitude, c0=self.c0,
                         max_wavenumber=self.max_wavenumber)
+        if not 0.0 <= self.base_amplitude < 1.0:
+            raise ConfigError(f"initial.base_amplitude must lie in [0, 1), got {self.base_amplitude!r}")
+        for key, value in (("velocity_amplitude", self.velocity_amplitude), ("c0", self.c0)):
+            if value is not None and value < 0.0:
+                raise ConfigError(f"initial.{key} must be nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,12 @@ class RunConfig:
 
     def __post_init__(self):
         _require_finite("diagnostics", l=self.l)
+        if self.l < 0.0:
+            raise ConfigError(f"diagnostics.l must be nonnegative, got {self.l!r}")
+        k_min = 2.0 * math.pi / self.grid.period  # the lowest nonzero wavenumber
+        if self.initial.max_wavenumber < k_min:
+            raise ConfigError(f"initial.max_wavenumber must be at least 2 pi/period = {k_min:g}, "
+                              f"got {self.initial.max_wavenumber!r}")
         ks = self.kappa_list
         if any(k2 >= k1 for k1, k2 in zip(ks, ks[1:])):
             raise ConfigError("kappa_list must be strictly decreasing")
@@ -362,10 +367,9 @@ def run_single(
     one ``step_full`` and one ``step_limit`` call.  A record builds
     FullState/LimitState views of the current stacks (the steppers return
     new ones, so a snapshot is never overwritten) and runs the ledger's
-    density checks on them.  The ledger rows are made a chunk of snapshots
-    at a time: each member's snapshots queue until they fill a chunk
-    (``diagnostics._chunk_size``), and the rest at the end of the run.  A
-    member's records are bit for bit those of its own run.  A member that
+    density checks on them.  After the march, each member's ledger rows
+    are one ``make_energy_ledger`` call on its snapshots.  A member's
+    records are bit for bit those of its own run.  A member that
     blows up or hits vacuum gets its own status, message and step count
     and leaves the stack; the others redo that step.  Every member's
     ``wall_seconds`` is the batch's, and ``batch_members`` says how many
@@ -428,17 +432,10 @@ def run_single(
             x_full = rest if len(live) > 1 else rest[0]
         op_full = None
 
-    def flush(k):
-        """The ledger rows of member k's snapshots that have none yet, as one call."""
-        rec = records[k]
-        queued = rec.snapshots[len(rec.rows):]
-        if queued:
-            rec.rows += make_energy_ledger(*zip(*queued), params[k], cfg.l, masses[k])
-
     def record(t):
-        """A snapshot of every live member, as views of the stacks, queued for
-        its ledger row; a full chunk of them is flushed.  The ledger's density
-        checks run here, so a member leaves at the step they fail."""
+        """A snapshot of every live member, as views of the stacks.  The
+        ledger's density checks run here, so a member leaves at the step they
+        fail."""
         limit = _state_view(grid, x_limit)
         for i in reversed(range(len(live))):  # backwards, so leave() keeps the positions before i
             k = live[i]
@@ -449,10 +446,7 @@ def run_single(
                 leave(i, exc)
             else:
                 records[k].snapshots.append((t, full, limit))
-                if len(records[k].snapshots) - len(records[k].rows) == chunk:
-                    flush(k)
 
-    chunk = _chunk_size(grid)
     start = _time.perf_counter()
     record(0.0)
     n_steps = _n_fixed_steps(cfg.step)
@@ -481,8 +475,9 @@ def run_single(
             record(steps_done * dt)
     for k in live:
         records[k].n_steps = steps_done
-    for k in range(len(records)):
-        flush(k)
+    for rec, p, mass0 in zip(records, params, masses):
+        if rec.snapshots:
+            rec.rows = make_energy_ledger(*zip(*rec.snapshots), p, cfg.l, mass0)
     wall = _time.perf_counter() - start
     for rec in records:
         rec.wall_seconds = wall

@@ -10,8 +10,8 @@ hypothesis budget c0*kappa equally.
 
 The data are composed as one stacked array of the rows (n, u, j~, E, B),
 and the hypothesis norm and certificate are taken of the error stack
-(n - n0, u - u0, kappa j~, E, B) that the energy ledger uses
-(``diagnostics._error_stack``).
+(n - n0, u - u0, kappa j~, E, B) (``diagnostics._error_stack``), the rows
+whose H^l norms the energy ledger records.
 """
 
 from __future__ import annotations

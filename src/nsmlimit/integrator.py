@@ -372,6 +372,13 @@ def _check_step(t: float, **fields: np.ndarray) -> None:
     _require_positive(fields["n"], f"at t={t:g}")
 
 
+def _require_step_dt(op: StiffLinearOperator, sc: StepControl) -> None:
+    """ConfigError for an operator built for another dt than the step's: its
+    half-steps would not match the SSP-RK2 stage."""
+    if op.dt != sc.dt:
+        raise ConfigError(f"the operator was built for dt={op.dt!r}, the step has dt={sc.dt!r}")
+
+
 def _uJEB(x: np.ndarray) -> np.ndarray:
     """(..., 4, 3, *half) view of the (u, J, E, B) rows of a stacked full state."""
     return x[_ROWS[1, None]].reshape(x.shape[:-4] + (4, 3) + x.shape[-3:])
@@ -430,7 +437,8 @@ def step_full(
     *shape), with ``p`` its Params; or of a batch, (K, 13, *shape), with a
     tuple of K Params that differ only in kappa.  Each member's result is
     bit for bit what it gets when stepped alone.  ``op`` must have been
-    built for the same form.  ``x`` is not modified.
+    built for the same form and for ``sc.dt`` (ConfigError otherwise).
+    ``x`` is not modified.
 
     The stack is transformed once on entry, with j~ scaled to J = kappa j~,
     and once on exit; in between, the stiff half-steps, the SSP-RK2 stages
@@ -450,6 +458,7 @@ def step_full(
     shared, kap = _shared_params(p)
     if op is None:
         op = build_stiff_operator(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), sc.dt)
+    _require_step_dt(op, sc)
     h = x.copy()
     h[_ROWS[4, 7]] *= kap
     h = array_rfft(grid, h)
@@ -476,6 +485,7 @@ def step_limit(
     shared = _shared_params(p)[0]
     if op is None:
         op = StiffLinearOperator.viscous(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), sc.dt)
+    _require_step_dt(op, sc)
     return _strang_step(grid, x, array_rfft(grid, x), sc.dt, t,
                         lambda y, guard: _limit_rate(grid, shared, y, guard, op.n_mean),
                         forcing, lambda h: h[_ROWS[1, 4]], op.apply_half_u)

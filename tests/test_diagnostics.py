@@ -20,7 +20,6 @@ from nsmlimit.diagnostics import (
     _audit_terms,
     _chunk_size,
     _chunks,
-    _inner_enthalpy_integral,
     bound_monitor,
     energy_identity_audit,
     make_energy_ledger,
@@ -189,10 +188,14 @@ class TestEnthalpyFunctional:
         assert ledger_row(full, limit).enthalpy_fn > 0.0
 
     def test_vacuum_in_integral_range(self, grid64):
-        # the ledger's total-density check fires before the integral's own
-        with pytest.raises(VacuumError, match="inner integral"):
-            _inner_enthalpy_integral(np.full(grid64.shape, -1.5), np.ones(grid64.shape),
-                                     PressureLaw())
+        # n > 0 everywhere, n0 <= 0 at one point: only the range
+        # n0 + min(N, 0) of the inner integral is nonpositive
+        n0 = np.ones(grid64.shape)
+        n0[5] = -0.5
+        full, limit = density_error_pair(grid64, N=1.0 - n0, n0=n0)
+        with pytest.raises(VacuumError, match=r"^vacuum state: density in the inner integral range "
+                                              r"nonpositive \(min n = -0\.5\) at t=0$"):
+            ledger_row(full, limit)
 
 
 class TestWeightedHighNorm:

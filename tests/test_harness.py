@@ -9,7 +9,7 @@ import pytest
 from nsmlimit import harness
 from nsmlimit.cli import _with_seed, main
 from nsmlimit.diagnostics import LEDGER_COLUMNS
-from nsmlimit.errors import ConfigError
+from nsmlimit.errors import ConfigError, VacuumError
 from nsmlimit.model import FullState, LimitState
 from nsmlimit.harness import (
     RunConfig,
@@ -225,6 +225,36 @@ class TestRunSingle:
         assert steps == [(2,)] * 40 + [()] * 10
         assert (kept.status, kept.n_steps, kept.rows) == ("completed", 50, clean[0].rows)
 
+    def test_one_ledger_call_per_member_after_the_march(self, monkeypatch):
+        # a stride-1 run records 51 snapshots per member, more than one chunk
+        # of 32: each member with snapshots gets its rows from one call after
+        # the last step, and a member that left at t = 0 gets none
+        cfg = parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 1"))
+        clean = run_single(cfg, kappa=(0.4, 0.2))
+        calls = []
+
+        def step_full(*args, _step=harness.step_full, **kwargs):
+            calls.append("step")
+            return _step(*args, **kwargs)
+
+        def make_energy_ledger(t, *args, _ledger=harness.make_energy_ledger):
+            calls.append(len(t))
+            return _ledger(t, *args)
+
+        def check(*args, _check=harness._check_ledger_densities):
+            if not calls:  # the first check: the last member's record at t = 0
+                calls.append("left")
+                raise VacuumError("vacuum state: forced")
+            _check(*args)
+
+        monkeypatch.setattr(harness, "step_full", step_full)
+        monkeypatch.setattr(harness, "make_energy_ledger", make_energy_ledger)
+        monkeypatch.setattr(harness, "_check_ledger_densities", check)
+        recs = run_single(cfg, kappa=(0.4, 0.2, 0.1))
+        assert calls == ["left"] + ["step"] * 50 + [51, 51]
+        assert [r.rows for r in recs] == [clean[0].rows, clean[1].rows, []]
+        assert (recs[2].status, recs[2].message, recs[2].n_steps) == ("vacuum", "vacuum state: forced", 0)
+
     def test_non_finite_initial_spec_is_a_config_error(self):
         # built in code, not parsed: c0 = nan used to run to a blow-up with a
         # nan Gamma
@@ -414,6 +444,27 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"config error: {section}.{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("diagnostics", "l", "-1", "diagnostics.l must be nonnegative, got -1.0"),
+        ("initial", "c0", "-1", "initial.c0 must be nonnegative, got -1.0"),
+        ("initial", "max_wavenumber", "0.5",
+         "initial.max_wavenumber must be at least 2 pi/period = 1, got 0.5"),
+        ("initial", "base_amplitude", "1.5", "initial.base_amplitude must lie in [0, 1), got 1.5"),
+        ("initial", "base_amplitude", "-0.1", "initial.base_amplitude must lie in [0, 1), got -0.1"),
+        ("initial", "velocity_amplitude", "-0.1",
+         "initial.velocity_amplitude must be nonnegative, got -0.1"),
+    ], ids=["l", "c0", "max_wavenumber", "base_amplitude_above_1", "base_amplitude_negative",
+            "velocity_amplitude"])
+    def test_out_of_range_value_exit_two(self, tmp_path, capsys, section, key, value, message):
+        # each used to crash inside the run (exit 1) or, when negative, run
+        # silently with flat data
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kappa", ["2", "0"])

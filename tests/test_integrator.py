@@ -383,6 +383,13 @@ class TestStepFull:
         em1 = sobolev_norm(state.E, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2
         assert abs(em1 - em0) / em0 < 1e-8
 
+    def test_operator_for_another_dt_rejected(self, grid64):
+        # its half-steps would not match the SSP-RK2 stage at the step's dt
+        p = Params(kappa=0.2)
+        op = build_stiff_operator(grid64, p, 1.0, 4e-3)
+        with pytest.raises(ConfigError, match=r"^the operator was built for dt=0\.004, the step has dt=0\.001$"):
+            step_full(grid64, _stacked(_uniform(grid64)), p, StepControl(dt=1e-3, t_end=1e-3), op=op)
+
     def test_zero_operator_reduces_to_heun(self, grid64):
         # with L = 0 the Strang composition collapses to plain SSP-RK2
         p = Params(kappa=0.2)
@@ -589,6 +596,13 @@ class TestStepLimit:
         out = _state_view(grid64, step_limit(grid64, _stacked(s), p, StepControl(dt=0.1, t_end=0.1)))
         assert np.abs(out.n.values - 1.0).max() < 1e-14
         assert sup_norm(out.u) < 1e-14
+
+    def test_operator_for_another_dt_rejected(self, grid64):
+        p = Params(kappa=0.2)
+        op = StiffLinearOperator.viscous(grid64, p, 1.0, 4e-3)
+        s = LimitState(ScalarField(grid64, np.ones(grid64.shape)), VectorField.zeros(grid64))
+        with pytest.raises(ConfigError, match=r"^the operator was built for dt=0\.004, the step has dt=0\.001$"):
+            step_limit(grid64, _stacked(s), p, StepControl(dt=1e-3, t_end=1e-3), op=op)
 
     def test_manufactured_order(self, grid64):
         mms = ManufacturedLimit(grid64, Params(kappa=0.5))
