@@ -204,8 +204,7 @@ class TestRunSingle:
         # a density made nonpositive after step 40 of member 0.1, where no
         # step checks it, fails the ledger's check when that step is
         # recorded: the member leaves there, with the rows of its 40 earlier
-        # snapshots (a full chunk of 32 and 8 more); the other member is
-        # unchanged
+        # snapshots; the other member is unchanged
         cfg = parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 1"))
         clean = run_single(cfg, kappa=(0.4, 0.1))
         steps = []
