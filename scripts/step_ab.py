@@ -32,7 +32,8 @@ on them.  Per round each tree makes one pass, in alternating order, after
 one untimed warm-up pass.  Reported per tree: the median and quartiles of
 the pass time and its median minor page faults, the rounds in which B's
 pass was faster, and whether both trees' rows and audit residuals are bit
-for bit equal.
+for bit equal; if not, each ledger column (and the audit residual) whose
+bits differ, with its largest relative difference.
 """
 
 from __future__ import annotations
@@ -159,6 +160,19 @@ def audit_pass(pkg, snaps: list, p, l: float):
     return t1 - t0, f1 - f0, np.array([r.as_tuple() for r in rows]), np.array(report.residuals)
 
 
+def column_differences(a: np.ndarray, b: np.ndarray, columns) -> list:
+    """(name, largest relative difference) of each column of two (rows,
+    columns) arrays whose bits differ, the difference relative to the larger
+    of the two magnitudes (0 where both are 0)."""
+    out = []
+    for j, name in enumerate(columns):
+        x, y = a[:, j], b[:, j]
+        if x.tobytes() != y.tobytes():
+            scale = np.maximum(np.abs(x), np.abs(y))
+            out.append((name, float((np.abs(x - y) / np.where(scale > 0, scale, 1.0)).max())))
+    return out
+
+
 def compare_audit(trees, config: Path, rounds: int) -> None:
     """Run the A/B of the record-and-audit path on one config and print its table."""
     sides = []
@@ -189,6 +203,14 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
         print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {np.median(samples[tag]['faults']):12.0f}")
     print(f"  B/A median {median_ms['B'] / median_ms['A']:.3f}; B faster in {wins}/{rounds} rounds; "
           f"rows and residuals {'bit-identical' if identical else 'DIFFER'}")
+    (rows_a, res_a), (rows_b, res_b) = outputs["A"], outputs["B"]
+    if rows_a.shape != rows_b.shape or res_a.shape != res_b.shape:
+        print(f"  row counts differ: A {len(rows_a)}, B {len(rows_b)}")
+    elif not identical:
+        columns = sides[0][1].diagnostics.LEDGER_COLUMNS
+        for name, rel in (column_differences(rows_a, rows_b, columns)
+                          + column_differences(res_a[:, None], res_b[:, None], ["audit residual"])):
+            print(f"  {name} differs: max relative difference {rel:.3g}")
 
 
 def main(argv=None) -> int:

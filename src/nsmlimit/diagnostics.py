@@ -5,8 +5,9 @@ The error between a full and a limit state is one stacked array
 (13, *shape).  Its squared H^l size Gamma = |N|_l^2 + |U|_l^2 + |J|_l^2 +
 |E|_l^2 + |B|_l^2 is the quantity the convergence estimate bounds by
 O(kappa^2).  A ledger row (``make_energy_ledger``) records it with the
-relative-enthalpy functional integral_x integral_0^N [h(s+n0) - h(n0)] ds dx,
-the density-weighted high-order norm
+relative-enthalpy functional integral_x integral_0^N [h(s+n0) - h(n0)] ds dx
+(the inner integral in closed form, ``PressureLaw.relative_enthalpy``), the
+density-weighted high-order norm
 sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx and the viscous
 dissipation of U and J; the audit checks the zero-order kinetic-energy
 balance term by term.
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SnapshotSpacingError, VacuumError
-from .model import FullState, LimitState, Params, PressureLaw, _cross, _stack, _stacked, _visc_hat
+from .model import FullState, LimitState, Params, _cross, _stack, _stacked, _visc_hat
 from .spectral import (
     Grid,
     _mode_sums,
@@ -87,7 +87,8 @@ def _check_ledger_densities(ts, n: np.ndarray, n0: np.ndarray) -> None:
     """The ledger's density checks on chunks (S, *shape) of full and limit
     densities, in the order a row makes them: the total density n, the
     total density (n - n0) + n0 of the pointwise weight, and the range
-    n0 + min(n - n0, 0) of the inner enthalpy integral."""
+    n0 + min(n - n0, 0) of the inner enthalpy integral, which is the domain
+    of ``PressureLaw.relative_enthalpy``."""
     N = n - n0
     _first_vacuum(ts, [
         ("total density", n.min(axis=_SPACE)),
@@ -115,6 +116,22 @@ _CHUNK_POINTS = 2048
 def _chunk_size(grid: Grid) -> int:
     """Snapshots per chunk: a budget of 2048 grid points, at least one."""
     return max(1, _CHUNK_POINTS // grid.npoints)
+
+
+# A ledger chunk's largest arrays hold every d^a N with 1 <= |a| <= l, a
+# count that grows like l^d, so one row at a large l could take the machine's
+# memory.  256 MiB admits l <= 12 on 32^3 (456 rows of one snapshot, 235 MiB)
+# and rejects l = 20 there (1,772 rows, 914 MiB).
+_LEDGER_STACK_BUDGET = 256 * 2**20
+
+
+def _ledger_stack_bytes(grid: Grid, l: float) -> int:
+    """Bytes of a chunk's ``_partials_hat`` stack (C(int(l) + d, d) + 1 rows)
+    at 16 B per half-spectrum mode, and of its image on the grid."""
+    d, n = grid.dims_active, grid.points_per_dim
+    rows = math.comb(int(l) + d, d) + 1
+    half_modes = grid.npoints // n * (n // 2 + 1)
+    return rows * _chunk_size(grid) * (16 * half_modes + 8 * grid.npoints)
 
 
 def _chunks(grid: Grid, snapshots: list):
@@ -162,45 +179,6 @@ def _dissipation(grid: Grid, p: Params, v_hat: np.ndarray) -> np.ndarray:
 def _sup_norms(v: np.ndarray) -> np.ndarray:
     """``sup_norm`` of each vector field of a chunk (S, 3, *shape)."""
     return np.sqrt((v**2).sum(axis=1)).max(axis=_SPACE)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-def _inner_enthalpy_integral(
-    N: np.ndarray, n0: np.ndarray, law: PressureLaw, tol: float = 1e-10
-) -> np.ndarray:
-    """Pointwise integral_0^N [h(s+n0) - h(n0)] ds by Gauss-Legendre,
-    doubling the node count until the relative change drops below tol.
-
-    N and n0 are fields (*shape) or chunks of them (S, *shape), with
-    n0 + min(N, 0) positive (``_check_ledger_densities``).  Each field
-    stops at the node count at which it converges alone: the fields that
-    have converged leave the later levels."""
-    lead, shape = N.shape[:-3], N.shape[-3:]
-    N, n0 = N.reshape((-1,) + shape), n0.reshape((-1,) + shape)
-    h0 = law.enthalpy(n0)
-    out = np.empty(N.shape)
-    todo = np.arange(len(N))  # fields not yet converged, in ``out``
-    prev = None
-    nodes = 8
-    while True:
-        xi, w = _gauss_legendre(nodes)
-        s = 0.5 * N[..., None] * (xi + 1.0)
-        vals = law.enthalpy(s + n0[..., None]) - h0[..., None]
-        cur = 0.5 * N * (w * vals).sum(axis=-1)
-        if prev is not None:
-            scale = np.maximum(np.abs(cur).max(axis=_SPACE), 1e-300)
-            done = (np.abs(cur - prev).max(axis=_SPACE) <= tol * scale) | (nodes >= 256)
-            out[todo[done]] = cur[done]
-            todo, keep = todo[~done], ~done
-            if not todo.size:
-                return out.reshape(lead + shape)
-            N, n0, h0, cur = N[keep], n0[keep], h0[keep], cur[keep]
-        prev = cur
-        nodes *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +243,7 @@ def _ledger_rows(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[E
     N, n0 = x[:, 0], x0[:, 0]
     rho = N + n0
     weight = p.pressure.denthalpy(rho) / rho
-    enthalpy = _integrals(grid, _inner_enthalpy_integral(N, n0, p.pressure))
+    enthalpy = _integrals(grid, p.pressure.relative_enthalpy(N, n0))
     div_scale = 1.0 + _sup_norms(x[:, 7:10]) + _sup_norms(x[:, 10:13])
     hat = array_rfft(grid, x)
     norms = _field_norms(grid, hat, l)

@@ -51,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import LEDGER_COLUMNS, _check_ledger_densities, bound_monitor, make_energy_ledger
+from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
 from .integrator import StepControl, StiffLinearOperator, build_stiff_operator, step_full, step_limit
@@ -128,6 +129,10 @@ class RunConfig:
         _require_finite("diagnostics", l=self.l)
         if self.l < 0.0:
             raise ConfigError(f"diagnostics.l must be nonnegative, got {self.l!r}")
+        stack = _ledger_stack_bytes(self.grid, self.l)
+        if stack > _LEDGER_STACK_BUDGET:
+            raise ConfigError(f"diagnostics.l = {self.l!r} needs a {stack / 2**20:.0f} MiB ledger derivative "
+                              f"stack on this grid, above the {_LEDGER_STACK_BUDGET // 2**20} MiB budget")
         k_min = 2.0 * math.pi / self.grid.period  # the lowest nonzero wavenumber
         if self.initial.max_wavenumber < k_min:
             raise ConfigError(f"initial.max_wavenumber must be at least 2 pi/period = {k_min:g}, "
@@ -353,7 +358,6 @@ class RunRecord:
 def run_single(
     cfg: RunConfig,
     kappa: float | tuple[float, ...] | None = None,
-    tag: str | None = None,
 ):
     """Evolve the paired full/limit systems, collecting ledger rows and
     snapshots at the configured stride.
@@ -373,15 +377,13 @@ def run_single(
     blows up or hits vacuum gets its own status, message and step count
     and leaves the stack; the others redo that step.  Every member's
     ``wall_seconds`` is the batch's, and ``batch_members`` says how many
-    ran.  ``tag`` names a single run; batch members are tagged by kappa.
+    ran.  A record is tagged ``run_kappa<kappa>``.
 
     This is the only loop that steps both systems (``integrator.evolve``
     marches one).  It calls the solver through this module's names on
     every step (see the module docstring): perfbench wraps them there, and
     times set-up from entry to the first ``harness.step_full`` call."""
     batch = isinstance(kappa, tuple)
-    if batch and tag is not None:
-        raise ConfigError("tag names a single run; batch members are tagged by kappa")
     kappas = kappa if batch else (cfg.params.kappa if kappa is None else kappa,)
     try:
         params = tuple(replace(cfg.params, kappa=k) for k in kappas)
@@ -408,7 +410,7 @@ def run_single(
             t_end=cfg.step.t_end, l=cfg.l, rows=[], snapshots=[],
             certificates=hypothesis_certificate(full, limit, p.kappa, ini.c0, cfg.l),
             config_text=cfg.config_text, wall_seconds=0.0,
-            tag=tag if tag is not None else f"run_kappa{p.kappa:g}",
+            tag=f"run_kappa{p.kappa:g}",
             batch_members=len(params),
         ))
         fulls.append(_stacked(full))

@@ -45,6 +45,7 @@ term-by-term form.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -89,6 +90,9 @@ class StepControl:
     t_end: float
 
     def __post_init__(self):
+        for key, value in (("dt", self.dt), ("t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ConfigError(f"step.{key} must be finite, got {value!r}")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         if not self.t_end >= 0:

@@ -101,6 +101,19 @@ class PressureLaw:
         """h'(rho) = P'(rho)/rho."""
         return self.amplitude * self.gamma * rho ** (self.gamma - 2.0)
 
+    def relative_enthalpy(self, N, rho0):
+        """integral_0^N [h(s+rho0) - h(rho0)] ds for rho0 + min(N, 0) > 0, in
+        closed form through x = N/rho0.  Both terms of the gamma-law bracket
+        carry the factor gamma - 1, so it keeps its relative accuracy as
+        gamma -> 1 and up to vacuum (x -> -1); as x -> 0 it loses it like
+        eps/|x|, as h(rho0 + N) - h(rho0) does."""
+        x = N / rho0
+        y = np.log1p(x)
+        if self.gamma == 1.0:
+            return self.amplitude * rho0 * ((1.0 + x) * y - x)
+        g1 = self.gamma - 1.0
+        return self.amplitude * rho0**self.gamma * ((1.0 + x) * np.expm1(g1 * y) - g1 * x) / g1
+
 
 @dataclass(frozen=True)
 class Params:

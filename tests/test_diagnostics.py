@@ -20,6 +20,7 @@ from nsmlimit.diagnostics import (
     _audit_terms,
     _chunk_size,
     _chunks,
+    _ledger_stack_bytes,
     bound_monitor,
     energy_identity_audit,
     make_energy_ledger,
@@ -36,6 +37,8 @@ from nsmlimit.spectral import (
     Grid,
     ScalarField,
     VectorField,
+    _multi_indices,
+    array_rfft,
     derive_seed,
     grid_integral,
     random_smooth_field,
@@ -166,8 +169,9 @@ class TestEnthalpyFunctional:
         val = ledger_row(full, limit, law).enthalpy_fn
         assert val == pytest.approx(sobolev_norm(N, 0.0) ** 2, rel=1e-12)
 
-    def test_general_gamma_against_quadrature(self, grid64):
-        law = PressureLaw()  # gamma = 5/3
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 1.0, 2.0], ids=["5_3", "1", "2"])
+    def test_general_gamma_against_quadrature(self, grid64, gamma):
+        law = PressureLaw(gamma=gamma)
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         n0v = 1.0 + 0.1 * np.cos(x)
         full, limit = density_error_pair(grid64, N=0.2 * np.sin(x) + 0.05 * np.cos(2 * x), n0=n0v)
@@ -181,6 +185,20 @@ class TestEnthalpyFunctional:
         ]).reshape(grid64.shape)
         ref = grid_integral(grid64, per_point)
         assert got == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 1.0, 2.0], ids=["5_3", "1", "2"])
+    @pytest.mark.parametrize("n", [1e-6, 1e-9])
+    def test_near_vacuum_to_rounding(self, grid64, gamma, n):
+        # a uniform density n against n0 = 1, against the direct forms, which
+        # do not cancel near vacuum
+        law = PressureLaw(amplitude=1.3, gamma=gamma)
+        full, limit = density_error_pair(grid64, N=np.full(grid64.shape, n - 1.0))
+        N, A = n - 1.0, law.amplitude
+        if gamma == 1.0:
+            exact = A * (n * math.log(n) - N)
+        else:
+            exact = A / (gamma - 1.0) * (n**gamma - 1.0 - gamma * N)
+        assert ledger_row(full, limit, law).enthalpy_fn == pytest.approx(grid64.volume * exact, rel=1e-12)
 
     def test_positive_for_mixed_sign_error(self, grid64):
         x = grid64.coordinate(0) * np.ones(grid64.shape)
@@ -306,11 +324,21 @@ def test_chunk_is_a_budget_of_grid_points(grid, size):
     assert [len(ts) for ts, _, _ in _chunks(grid, snaps)] == [size, size, 1]
 
 
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 32)], ids=["1d64", "2d16", "3d32"])
+@pytest.mark.parametrize("l", [0.0, 4.0, 7.5, 20.0])
+def test_ledger_stack_bytes_counts_the_derivative_rows(grid, l):
+    # the rows of ``_partials_hat`` (1 <= |a| <= l, then div E and div B) of
+    # a chunk, at the sizes of their half-spectrum and grid arrays
+    rows = len(list(_multi_indices(grid.dims_active, int(l), 1))) + 2
+    half = array_rfft(grid, np.zeros(grid.shape)).size
+    assert _ledger_stack_bytes(grid, l) == rows * _chunk_size(grid) * (16 * half + 8 * grid.npoints)
+
+
 def chunk_snapshots(grid, count):
     """Snapshots of unrelated smooth states.  Every fourth keeps its density;
     the others are shifted to a minimum of 0.1, 0.01 or 0.001, nearer
-    vacuum, so that their inner integrals stop at different node counts
-    (16 to the last level, 256)."""
+    vacuum, where the enthalpy functional and the weight h'(n)/n take
+    their widest range of values within one chunk."""
     snaps = []
     for s in range(count):
         full, limit = smooth_pair(grid, seed=s)

@@ -277,8 +277,6 @@ class TestRunSingle:
         assert [r.tag for r in recs] == ["run_kappa0.4", "run_kappa0.1"]
         assert all(r.batch_members == 2 for r in recs)
         assert recs[0].snapshots[1][2] is recs[1].snapshots[1][2]  # one shared limit run
-        with pytest.raises(ConfigError, match="tag names a single run"):
-            run_single(cfg, kappa=(0.4, 0.1), tag="both")
 
     def test_states_built_only_where_recorded(self, monkeypatch):
         # the paired loop steps one stack per system: a record builds one
@@ -464,6 +462,23 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", ["configs/acceptance.ini", "perfbench/paired_3d.ini",
+                                      "perfbench/audit_1d.ini"])
+    def test_shipped_configs_within_ledger_budget(self, path):
+        cfg = parse_config_text((Path(__file__).resolve().parent.parent / path).read_text())
+        assert cfg.l == 4.0
+
+    def test_ledger_stack_over_budget_exit_two(self, tmp_path, capsys):
+        # l = 20 on 32^3 would hold 1,772 derivative rows of a snapshot at
+        # once in each ledger call
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[grid]\ndims_active = 3\npoints_per_dim = 32\n[diagnostics]\nl = 20\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert ("config error: diagnostics.l = 20.0 needs a 914 MiB ledger derivative stack on this "
+                "grid, above the 256 MiB budget\n") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kappa", ["2", "0"])

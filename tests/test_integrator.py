@@ -53,6 +53,13 @@ class TestStepControl:
         with pytest.raises(ConfigError):
             StepControl(**bad)
 
+    @pytest.mark.parametrize("key, value", [("dt", math.inf), ("t_end", math.inf), ("t_end", math.nan)])
+    def test_non_finite_is_a_config_error(self, key, value):
+        # t_end = inf used to pass and then fail with an OverflowError when
+        # the step count was taken
+        with pytest.raises(ConfigError, match=rf"^step\.{key} must be finite, got {value!r}$"):
+            StepControl(**{"dt": 1e-3, "t_end": 1.0, key: value})
+
 
 def _random_fields(grid, seed):
     rng = np.random.default_rng(seed)

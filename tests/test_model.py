@@ -96,6 +96,15 @@ class TestPressureLaw:
         law = PressureLaw(amplitude=3.0, gamma=1.0)
         assert law.enthalpy(2.0) == pytest.approx(3.0 * math.log(2.0), rel=1e-14)
 
+    def test_relative_enthalpy_continuous_at_gamma_one(self):
+        # gamma = 1 + 1e-9 against the log branch differs by O(1e-9)
+        # relative; expm1(gamma log1p(x)) - gamma x, over gamma - 1, would be
+        # off by 0.27 at x = 1e-6
+        N = 1.7 * np.array([-1.0 + 1e-9, -0.5, -1e-2, 1e-6, 3.0])
+        near = PressureLaw(amplitude=2.3, gamma=1.0 + 1e-9).relative_enthalpy(N, 1.7)
+        log = PressureLaw(amplitude=2.3, gamma=1.0).relative_enthalpy(N, 1.7)
+        assert near == pytest.approx(log, rel=1e-8)
+
     def test_monotone(self):
         law = PressureLaw()
         rhos = np.linspace(0.2, 3.0, 50)

@@ -6,6 +6,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -155,6 +156,20 @@ def test_step_ab_smoke(tmp_path, capsys):
     for tag in "AB":
         assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+ +\d+$", out, re.M)) == 2
     assert len(re.findall(r"B faster in \d/2 rounds; final stacks bit-identical$", out, re.M)) == 2
+
+
+def test_step_ab_column_differences():
+    # only the columns whose bits differ, relative to the larger magnitude;
+    # -0.0 against 0.0 differs in its bits, by 0
+    step_ab = _load("step_ab")
+    a = np.array([[1.0, 2.0, 0.0, 5.0], [3.0, 4.0, 0.0, 0.0]])
+    b = np.array([[1.0, 2.0 * (1 + 1e-12), -0.0, 5.0], [3.0, 4.0, 0.0, 1.0]])
+    assert step_ab.column_differences(a, a.copy(), "wxyz") == []
+    diffs = step_ab.column_differences(a, b, "wxyz")
+    assert [name for name, _ in diffs] == ["x", "y", "z"]
+    assert diffs[0][1] == pytest.approx(1e-12, rel=1e-3)
+    assert diffs[1][1] == 0.0
+    assert diffs[2][1] == 1.0
 
 
 def test_step_ab_audit_smoke(tmp_path, capsys):
