@@ -55,7 +55,6 @@ from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
 from .integrator import StepControl, StiffLinearOperator, build_stiff_operator, step_full, step_limit
-from .integrator import _n_fixed_steps
 from .model import FullState, LimitState, Params, PressureLaw, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
@@ -155,8 +154,10 @@ def _text_hash(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config file format: flat INI sections mirroring the dataclasses;
-# unknown sections or keys are errors.
+# config file format: flat INI sections mirroring the dataclasses.  A file
+# is read over default_config_text(), the one source of defaults, so every
+# key it leaves out keeps its default.  Unknown sections or keys are errors;
+# a value is converted by its type here, a bool by configparser's getboolean.
 
 _SCHEMA = {
     "grid": {"dims_active": int, "points_per_dim": int, "period": float},
@@ -224,17 +225,9 @@ directory = out
 """
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
-
-
 def parse_config_text(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read_string(default_config_text())
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -250,63 +243,34 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             typ = _SCHEMA[section][key]
             try:
-                if typ is bool:
-                    values[section][key] = _parse_bool(raw)
-                else:
-                    values[section][key] = typ(raw)
+                values[section][key] = cp.getboolean(section, key) if typ is bool else typ(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
             if typ is float and section not in _CHECKED_BY_DATACLASS:
                 _require_finite(section, **{key: values[section][key]})
 
-    def get(section, key, default):
-        return values.get(section, {}).get(key, default)
-
+    physics, stepping, diagnostics = values["params"], values["step"], values["diagnostics"]
     try:
-        grid = Grid(
-            dims_active=get("grid", "dims_active", 1),
-            points_per_dim=get("grid", "points_per_dim", 64),
-            period=get("grid", "period", 2.0 * math.pi),
-        )
-        params = Params(
-            kappa=get("params", "kappa", 0.1),
-            epsilon=get("params", "epsilon", 0.1),
-            mu=get("params", "mu", 0.1),
-            lam=get("params", "lambda", 0.0),
-            tau=get("params", "tau", 1.0),
-            eta=get("params", "eta", 1.0),
-            kappa_ei=get("params", "kappa_ei", 1.0),
-            k_rate=get("params", "k_rate", 1.0),
-            pressure=PressureLaw(
-                amplitude=get("params", "pressure_amplitude", 1.0),
-                gamma=get("params", "pressure_gamma", 5.0 / 3.0),
-            ),
-        )
+        grid = Grid(**values["grid"])
+        pressure = PressureLaw(amplitude=physics.pop("pressure_amplitude"), gamma=physics.pop("pressure_gamma"))
+        params = Params(lam=physics.pop("lambda"), pressure=pressure, **physics)
         # [step] cfl and mode are kept for old configs; the step is always fixed
-        if not 0.0 < get("step", "cfl", 0.5) <= 1.0:
+        if not 0.0 < stepping["cfl"] <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
-        if get("step", "mode", "fixed_dt") != "fixed_dt":
+        if stepping["mode"] != "fixed_dt":
             raise ConfigError("mode must be 'fixed_dt', the only stepping mode")
-        step = StepControl(dt=get("step", "dt", 2e-4), t_end=get("step", "t_end", 0.1))
-        initial = InitialSpec(
-            seed=get("initial", "seed", 7),
-            base_amplitude=get("initial", "base_amplitude", 0.1),
-            velocity_amplitude=get("initial", "velocity_amplitude", None),
-            c0=get("initial", "c0", 1.0),
-            max_wavenumber=get("initial", "max_wavenumber", 4.0),
-            well_prepared=get("initial", "well_prepared", True),
-        )
-        raw_list = get("sweep", "kappa_list", "0.4, 0.2, 0.1, 0.05")
-        kappa_list = tuple(float(tok) for tok in raw_list.replace(",", " ").split())
+        step = StepControl(dt=stepping["dt"], t_end=stepping["t_end"])
+        initial = InitialSpec(**values["initial"])
+        kappa_list = tuple(float(tok) for tok in values["sweep"]["kappa_list"].replace(",", " ").split())
         return RunConfig(
             grid=grid,
             params=params,
             step=step,
             initial=initial,
             kappa_list=kappa_list,
-            l=get("diagnostics", "l", 4.0),
-            out_dir=get("output", "directory", "out"),
-            snapshot_stride=get("diagnostics", "snapshot_stride", 25),
+            l=diagnostics["l"],
+            out_dir=values["output"]["directory"],
+            snapshot_stride=diagnostics["snapshot_stride"],
             config_text=text,
         )
     except (ValueError, ConfigError) as exc:
@@ -451,7 +415,7 @@ def run_single(
 
     start = _time.perf_counter()
     record(0.0)
-    n_steps = _n_fixed_steps(cfg.step)
+    n_steps = cfg.step.n_steps
     op_limit = StiffLinearOperator.viscous(grid, params[0], limit.n.mean, dt) if n_steps else None
     while steps_done < n_steps and live:
         t = steps_done * dt

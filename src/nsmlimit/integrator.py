@@ -83,8 +83,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepControl:
-    """Fixed step size and horizon; t_end is a whole number of steps.  The
-    stiff propagator being exact, dt is never constrained by 1/kappa."""
+    """Fixed step size and horizon; t_end must be a whole number
+    ``n_steps`` of steps, checked here, so a config with a bad horizon fails
+    when it is parsed.  The stiff propagator being exact, dt is never
+    constrained by 1/kappa."""
 
     dt: float
     t_end: float
@@ -94,9 +96,17 @@ class StepControl:
             if not math.isfinite(value):
                 raise ConfigError(f"step.{key} must be finite, got {value!r}")
         if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+            raise ConfigError(f"step.dt must be positive, got {self.dt!r}")
         if not self.t_end >= 0:
-            raise ConfigError("t_end must be nonnegative")
+            raise ConfigError(f"step.t_end must be nonnegative, got {self.t_end!r}")
+        n = self.n_steps
+        if self.t_end > 0 and (n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end)):
+            raise ConfigError(f"step.t_end = {self.t_end!r} must be an integer multiple of step.dt = {self.dt!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps from 0 to t_end."""
+        return round(self.t_end / self.dt)
 
 
 # One coefficient per (part, out field, in field) over the stacked (u, J, E, B):
@@ -509,15 +519,6 @@ class StepLog:
     wall_seconds: float = 0.0
 
 
-def _n_fixed_steps(sc: StepControl) -> int:
-    if sc.t_end == 0.0:
-        return 0
-    n = round(sc.t_end / sc.dt)
-    if n < 1 or abs(n * sc.dt - sc.t_end) > 1e-9 * max(sc.dt, sc.t_end):
-        raise ConfigError("t_end must be an integer multiple of dt")
-    return n
-
-
 def evolve(
     state: FullState | LimitState,
     p: Params,
@@ -531,7 +532,8 @@ def evolve(
 
     The state is stacked once; states viewing the stack are built only for
     the observer and the result.  The stiff operator is built once, at the
-    initial mean density, and the march steps at t = i*dt.
+    initial mean density, and the march makes ``sc.n_steps`` steps at
+    t = i*dt (``StepControl`` has checked that they end at t_end).
     observer(step_index, t, state) runs at t = 0 and every ``stride``
     steps; ``forcing`` is passed to every step.  A blow-up or vacuum ends
     the march with that status.  Returns (final_state, StepLog)."""
@@ -539,7 +541,7 @@ def evolve(
         raise ConfigError("stride must be >= 1")
     full = isinstance(state, FullState)
     stepper = step_full if full else step_limit
-    n_steps = _n_fixed_steps(sc)
+    n_steps = sc.n_steps
     grid = state.grid
     x = _stacked(state)
     log = StepLog()

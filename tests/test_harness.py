@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +10,15 @@ from nsmlimit import harness
 from nsmlimit.cli import _with_seed, main
 from nsmlimit.diagnostics import LEDGER_COLUMNS
 from nsmlimit.errors import ConfigError, VacuumError
-from nsmlimit.model import FullState, LimitState
+from nsmlimit.model import FullState, LimitState, Params
 from nsmlimit.harness import (
+    InitialSpec,
     RunConfig,
     default_config_text,
     fit_rate,
     load_snapshot_config,
     load_snapshots,
+    parse_config,
     parse_config_text,
     run_single,
     run_sweep,
@@ -40,7 +42,8 @@ kappa_list = 0.4, 0.2, 0.1
 snapshot_stride = 10
 """
 
-ACCEPTANCE_TEXT = (Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini").read_text()
+ACCEPTANCE_PATH = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
+ACCEPTANCE_TEXT = ACCEPTANCE_PATH.read_text()
 
 
 def _stiff_epsilon_text(kappa_list: str) -> str:
@@ -74,6 +77,38 @@ class TestConfigParsing:
         assert cfg.step.t_end == 0.01
         assert cfg.params.mu == 0.1
         assert cfg.initial.c0 == 1.0
+
+    def test_empty_config_gives_the_dataclass_defaults(self):
+        # default_config_text() and the dataclass defaults are the two
+        # sources of defaults; they must agree
+        cfg = parse_config_text("")
+        assert cfg.params == Params()
+        assert cfg.initial == InitialSpec()
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        assert (cfg.l, cfg.snapshot_stride, cfg.out_dir) == (
+            defaults["l"], defaults["snapshot_stride"], defaults["out_dir"])
+
+    def test_defaults_reproduce_the_acceptance_config(self):
+        default = parse_config_text(default_config_text())
+        assert replace(parse_config(ACCEPTANCE_PATH), config_text=default.config_text) == default
+
+    def test_partial_section_keeps_the_other_defaults(self):
+        cfg = parse_config_text("[params]\nmu = 0.2\n")
+        default = parse_config_text("")
+        assert cfg.params == replace(default.params, mu=0.2)
+        assert replace(cfg, params=default.params, config_text="") == default
+
+    @pytest.mark.parametrize("raw, value", [("yes", True), ("On", True), ("1", True), ("TRUE", True),
+                                            ("no", False), ("off", False), ("0", False), ("False", False)])
+    def test_boolean_spellings(self, raw, value):
+        assert parse_config_text(f"[initial]\nwell_prepared = {raw}\n").initial.well_prepared is value
+
+    def test_duplicate_key_names_its_line_in_the_file(self):
+        # the default text is read first, but as a source of its own, so the
+        # line number is that of the file
+        with pytest.raises(ConfigError, match=r"^config parse failure: .*\[line +3\]: option "
+                                              r"'dims_active' in section 'grid' already exists$"):
+            parse_config_text("[grid]\ndims_active = 1\ndims_active = 2\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -452,11 +487,15 @@ class TestCli:
         ("initial", "base_amplitude", "-0.1", "initial.base_amplitude must lie in [0, 1), got -0.1"),
         ("initial", "velocity_amplitude", "-0.1",
          "initial.velocity_amplitude must be nonnegative, got -0.1"),
+        ("initial", "well_prepared", "maybe", "bad value for initial.well_prepared: 'maybe'"),
+        ("step", "dt", "-1", "step.dt must be positive, got -1.0"),
+        ("step", "t_end", "0.0003", "step.t_end = 0.0003 must be an integer multiple of step.dt = 0.0002"),
     ], ids=["l", "c0", "max_wavenumber", "base_amplitude_above_1", "base_amplitude_negative",
-            "velocity_amplitude"])
+            "velocity_amplitude", "well_prepared", "dt", "t_end"])
     def test_out_of_range_value_exit_two(self, tmp_path, capsys, section, key, value, message):
-        # each used to crash inside the run (exit 1) or, when negative, run
-        # silently with flat data
+        # each is a config error naming its key and value before anything
+        # runs; most used to crash inside the run (exit 1) or, when
+        # negative, run silently with flat data
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
         out = tmp_path / "out"

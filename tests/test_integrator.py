@@ -48,7 +48,8 @@ from nsmlimit.spectral import (
 
 
 class TestStepControl:
-    @pytest.mark.parametrize("bad", [dict(dt=0.0, t_end=1.0), dict(dt=0.1, t_end=-1.0)])
+    @pytest.mark.parametrize("bad", [dict(dt=0.0, t_end=1.0), dict(dt=0.1, t_end=-1.0),
+                                     dict(dt=2e-4, t_end=3e-4), dict(dt=2e-4, t_end=1e-4)])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             StepControl(**bad)
@@ -59,6 +60,10 @@ class TestStepControl:
         # the step count was taken
         with pytest.raises(ConfigError, match=rf"^step\.{key} must be finite, got {value!r}$"):
             StepControl(**{"dt": 1e-3, "t_end": 1.0, key: value})
+
+    @pytest.mark.parametrize("dt, t_end, n", [(2e-4, 0.1, 500), (1e-3, 0.0, 0), (0.05, 10.0, 200)])
+    def test_n_steps(self, dt, t_end, n):
+        assert StepControl(dt=dt, t_end=t_end).n_steps == n
 
 
 def _random_fields(grid, seed):

@@ -196,3 +196,36 @@ def test_step_ab_audit_smoke(tmp_path, capsys):
     assert re.search(r"B faster in \d/2 rounds; rows and residuals bit-identical$", out, re.M)
     assert "paired steps" not in out
     assert chunked[2].shape == (11, 14)
+
+
+def test_cmp_outputs_smoke(tmp_path, capsys):
+    # this tree against itself on a short C8-style sweep: every output but
+    # the timing files, the audits and the printed table included, is
+    # byte-identical
+    cmp_outputs = _load("cmp_outputs")
+    config = tmp_path / "sweep.ini"
+    config.write_text("[grid]\npoints_per_dim = 16\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n\n"
+                      "[sweep]\nkappa_list = 0.4, 0.2, 0.1\n\n[diagnostics]\nsnapshot_stride = 5\n")
+    tree = str(SCRIPTS.parent)
+    assert cmp_outputs.main(["--tree", tree, "--tree", tree, "--sweep", str(config)]) == 0
+    # per member a CSV, JSON, npz and audit, the summary and the sweep's table
+    assert capsys.readouterr().out == "sweep sweep.ini: 14 outputs identical\n"
+
+
+def test_cmp_outputs_names_what_differs(tmp_path):
+    cmp_outputs = _load("cmp_outputs")
+    a, b = tmp_path / "A", tmp_path / "B"
+    for d, gamma, wall in ((a, "0.5", "1.0"), (b, "0.5000000001", "2.0")):
+        d.mkdir()
+        (d / "run.csv").write_text(f"t,gamma,norm_N\n0,1,2\n0.1,{gamma},3\n")
+        (d / "run.time.txt").write_text(f"wall_seconds = {wall}\n")
+        (d / "run.json").write_text("{}\n")
+    (a / "short.csv").write_text("t,gamma\n0,1\n")
+    (b / "short.csv").write_text("t,gamma\n0,1\n0.1,2\n")
+    (b / "extra.json").write_text("{}\n")
+    n, lines = cmp_outputs.compare_dirs(a, b)
+    assert n == 4
+    assert lines[0] == "only in B: extra.json"
+    assert lines[1].startswith("run.csv differs: gamma 2e-10") and "norm_N" not in lines[1]
+    assert lines[2:] == ["short.csv differs in its header or row count"]
+
