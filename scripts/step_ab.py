@@ -12,17 +12,20 @@ file: ``--sweep`` steps the batch of its ``[sweep] kappa_list`` (as
 ``nsmlimit sweep`` does) and ``--run`` its single ``[params] kappa`` (as
 ``nsmlimit run``); by default the inputs are ``--sweep
 configs/acceptance.ini --run perfbench/paired_3d.ini``.  Each tree takes its
-initial stacks and operators from its own ``harness.run_single``: the first
-``step_full`` and ``step_limit`` calls are caught and the run stopped there.
+initial stacks and operators from its own ``harness.run_single``: its first
+paired step is caught and the run stopped there.
 
-A paired step is one ``step_full`` on the members' stack and one
-``step_limit`` on the limit's.  Per round and input, each tree runs S paired
-steps from the initial stacks, the two trees in alternating order, after one
-untimed warm-up round.  Reported per input and tree: the median and
-quartiles of the paired-step time over all rounds, the median minor page
-faults per ``step_full`` and per paired step, the rounds in which B's
-median step was faster than A's, and whether both trees' stacks after a
-round are bit for bit equal.
+A paired step is what one step of ``run_single`` calls: one ``step_full``
+on the stack that holds the limit and every member (a tree whose harness
+has no ``step_limit``), or one ``step_full`` on the members' stack and one
+``step_limit`` on the limit's (a tree whose harness has one).  Per round
+and input, each tree runs S paired steps from the initial stacks, the two
+trees in alternating order, after one untimed warm-up round.  Reported per
+input and tree: the median and quartiles of the paired-step time over all
+rounds, the median minor page faults per ``step_full`` and per paired
+step, the rounds in which B's median step was faster than A's, and whether
+both trees' final states are bit for bit equal, field by field and member
+by member (the limit first), whatever the layout of their stacks.
 
 ``--audit`` times what a run does with its snapshots: each tree runs the
 config's single ``[params] kappa`` once through its own ``run_single``
@@ -51,7 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class _Caught(Exception):
-    """Stops ``run_single`` once both steppers have been called."""
+    """Stops ``run_single`` once its first paired step has been called."""
 
 
 def import_tree(tree: Path, name: str):
@@ -62,34 +65,39 @@ def import_tree(tree: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("harness", "integrator", "diagnostics"):
+    for sub in ("model", "harness", "integrator", "diagnostics"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
 
 def first_step_args(pkg, config: Path, batch: bool) -> dict:
-    """The arguments of the first ``step_full`` and ``step_limit`` calls of
-    ``harness.run_single`` on ``config`` in package ``pkg``."""
+    """The arguments of the steppers' calls in the first paired step of
+    ``harness.run_single`` on ``config`` in package ``pkg``: ``full``, and
+    ``limit`` where the harness steps the limit with a ``step_limit`` of its
+    own."""
     harness = pkg.harness
     cfg = harness.parse_config(config)
-    caught, saved = {}, (harness.step_full, harness.step_limit)
+    names = ("step_full", "step_limit") if hasattr(harness, "step_limit") else ("step_full",)
+    caught, saved = {}, {name: getattr(harness, name) for name in names}
 
-    def full(grid, x, p, sc, op=None, forcing=None, t=0.0):
-        caught["full"] = (grid, x, p, sc, op)
-        return saved[0](grid, x, p, sc, op=op, forcing=forcing, t=t)
+    def catch(key, stepper, last):
+        def wrapper(grid, x, p, sc, op=None, forcing=None, t=0.0):
+            caught[key] = (grid, x, p, sc, op)
+            if last:
+                raise _Caught
+            return stepper(grid, x, p, sc, op=op, forcing=forcing, t=t)
+        return wrapper
 
-    def limit(grid, x, p, sc, op=None, forcing=None, t=0.0):
-        caught["limit"] = (grid, x, p, sc, op)
-        raise _Caught
-
-    harness.step_full, harness.step_limit = full, limit
+    for key, name in zip(("full", "limit"), names):
+        setattr(harness, name, catch(key, saved[name], name == names[-1]))
     try:
         harness.run_single(cfg, kappa=tuple(cfg.kappa_list) if batch else None)
     except _Caught:
         pass
     finally:
-        harness.step_full, harness.step_limit = saved
-    if "limit" not in caught:
+        for name, stepper in saved.items():
+            setattr(harness, name, stepper)
+    if len(caught) < len(names):
         raise SystemExit(f"{config}: the run made no step")
     return caught
 
@@ -97,9 +105,11 @@ def first_step_args(pkg, config: Path, batch: bool) -> dict:
 def paired_steps(pkg, args: dict, steps: int):
     """S paired steps from the caught arguments: the per-step seconds, the
     minor faults per ``step_full`` and per paired step, and the final stacks."""
-    step_full, step_limit = pkg.integrator.step_full, pkg.integrator.step_limit
+    step_full = pkg.integrator.step_full
     grid, x, p, sc, op = args["full"]
-    _, xl, pl, _, opl = args["limit"]
+    step_limit = pkg.integrator.step_limit if "limit" in args else None
+    if step_limit is not None:
+        _, xl, pl, _, opl = args["limit"]
     seconds, full_faults, pair_faults = [], [], []
     for i in range(steps):
         t = i * sc.dt
@@ -107,13 +117,37 @@ def paired_steps(pkg, args: dict, steps: int):
         t0 = time.perf_counter()
         x = step_full(grid, x, p, sc, op=op, t=t)
         f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        xl = step_limit(grid, xl, pl, sc, op=opl, t=t)
+        if step_limit is not None:
+            xl = step_limit(grid, xl, pl, sc, op=opl, t=t)
         t1 = time.perf_counter()
         f2 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         seconds.append(t1 - t0)
         full_faults.append(f1 - f0)
         pair_faults.append(f2 - f0)
-    return seconds, full_faults, pair_faults, (x, xl)
+    return seconds, full_faults, pair_faults, (x,) if step_limit is None else (x, xl)
+
+
+def member_fields(pkg, grid, stacks) -> list:
+    """The field arrays of each member of a paired step's final stacks, the
+    limit first: ``stacks`` is the one stack of the whole member set, or
+    the members' stack (one state, or (K, 13, *shape)) and the limit's."""
+    model = pkg.model
+    if len(stacks) == 1:
+        states = [model._state_view(grid, stacks[0], m)
+                  for m in range(model._layout(len(stacks[0])).members)]
+    else:
+        x, xl = stacks
+        states = [model._state_view(grid, s) for s in [xl] + ([x] if x.ndim == xl.ndim else list(x))]
+    return [[f.values for f in vars(state).values()] for state in states]
+
+
+def same_states(sides: dict, grid) -> bool:
+    """Whether both trees' final states agree bit for bit, field by field."""
+    (pkg_a, a), (pkg_b, b) = sides["A"], sides["B"]
+    fields_a, fields_b = member_fields(pkg_a, grid, a), member_fields(pkg_b, grid, b)
+    return len(fields_a) == len(fields_b) and all(
+        len(fa) == len(fb) and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(fa, fb))
+        for fa, fb in zip(fields_a, fields_b))
 
 
 def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int) -> None:
@@ -126,14 +160,14 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
     for r in range(rounds):
         medians, finals = {}, {}
         for tag, pkg, args in sides if r % 2 == 0 else sides[::-1]:
-            seconds, full_faults, pair_faults, finals[tag] = paired_steps(pkg, args, steps)
+            seconds, full_faults, pair_faults, stacks = paired_steps(pkg, args, steps)
+            finals[tag] = (pkg, stacks)
             samples[tag]["s"] += seconds
             samples[tag]["full"] += full_faults
             samples[tag]["pair"] += pair_faults
             medians[tag] = np.median(seconds)
         wins += medians["B"] < medians["A"]
-        identical &= all(a.shape == b.shape and a.tobytes() == b.tobytes()
-                         for a, b in zip(finals["A"], finals["B"]))
+        identical &= same_states(finals, sides[0][2]["full"][0])
     print(f"{name}: {rounds} rounds of {steps} paired steps per tree")
     print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/full':>12} {'faults/pair':>12}")
     median_ms = {}
@@ -142,7 +176,7 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         full_f, pair_f = (np.median(samples[tag][k]) for k in ("full", "pair"))
         print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {full_f:12.0f} {pair_f:12.0f}")
     print(f"  B/A median {median_ms['B'] / median_ms['A']:.3f}; B faster in {wins}/{rounds} rounds; "
-          f"final stacks {'bit-identical' if identical else 'DIFFER'}")
+          f"final states {'bit-identical' if identical else 'DIFFER'}")
 
 
 def audit_pass(pkg, snaps: list, p, l: float):

@@ -18,7 +18,7 @@ from .model import (
     TwoFluidState,
     reformulation_check,
 )
-from .integrator import StepControl, build_stiff_operator, evolve, step_full, step_limit
+from .integrator import StepControl, build_stiff_operator, evolve, step_full
 from .initdata import WellPreparedSpec, make_limit_data, make_well_prepared
 from .diagnostics import EnergyLedger, bound_monitor, energy_identity_audit
 from .harness import RunConfig, RunRecord, fit_rate, parse_config, run_single, run_sweep

@@ -5,17 +5,20 @@ recording a snapshot every ``snapshot_stride`` steps; after the march each
 snapshot gets its EnergyLedger row.  A sweep runs a decreasing kappa list
 and fits the log-log rate of sup_t sqrt(Gamma) against kappa.
 
-A run steps one stacked array per system and builds states only where it
-records.  ``run_single`` with a tuple of kappas runs them as one batch: the
-full systems of all members are one stack (one ``step_full`` call per
-step), and the limit system, which does not depend on kappa, is built,
-stepped and recorded once for all of them.  Each member's records are
-bit for bit those of its own run.  A member that blows up or hits vacuum
-gets its own status, message and step count and leaves the batch; the
-others redo that step without it.  A sweep is one such batch.
+A run steps one stacked array, the member set of ``integrator.step_full``,
+and builds states only where it records: the limit system, which does not
+depend on kappa and is the scaled system without current and fields, is
+its first member, and the scaled system at each kappa of the run one more.
+So a paired step is one ``step_full`` call and one operator serves both
+systems.  ``run_single`` with a tuple of kappas runs them as one batch, and
+the limit is built, stepped and recorded once for all of them.  Each
+member's records are bit for bit those of its own run.  A member that
+blows up or hits vacuum gets its own status, message and step count and
+leaves the set; the others redo that step without it.  A failure of the
+limit ends every member with the limit's message.  A sweep is one such
+batch.
 
-``run_single`` calls ``step_full``, ``step_limit``, ``build_stiff_operator``
-(the full system's; the limit's is ``StiffLinearOperator.viscous``),
+``run_single`` calls ``step_full``, ``build_stiff_operator``,
 ``make_energy_ledger``, ``make_limit_data``, ``make_well_prepared`` and
 ``hypothesis_certificate`` through this module's names, and ``run_sweep``
 goes through ``run_single``: perfbench wraps these names for its spans and
@@ -54,8 +57,8 @@ from .diagnostics import LEDGER_COLUMNS, _check_ledger_densities, bound_monitor,
 from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
-from .integrator import StepControl, StiffLinearOperator, build_stiff_operator, step_full, step_limit
-from .model import FullState, LimitState, Params, PressureLaw, _stacked, _state_view
+from .integrator import StepControl, build_stiff_operator, step_full
+from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
 __all__ = [
@@ -328,23 +331,25 @@ def run_single(
 
     ``kappa`` is one value (default: the config's), returning one
     RunRecord, or a tuple of values, returning their RunRecords in order.
-    A tuple is a batch run together.  The run holds one stack of the
-    members' physical rows (n, u, j~, E, B), (K, 13, *shape), or (13,
-    *shape) for a lone member, and one (4, *shape) stack of the limit
-    system, which does not depend on kappa and is made once; every step is
-    one ``step_full`` and one ``step_limit`` call.  A record builds
-    FullState/LimitState views of the current stacks (the steppers return
-    new ones, so a snapshot is never overwritten) and runs the ledger's
-    density checks on them.  After the march, each member's ledger rows
-    are one ``make_energy_ledger`` call on its snapshots.  A member's
-    records are bit for bit those of its own run.  A member that
-    blows up or hits vacuum gets its own status, message and step count
-    and leaves the stack; the others redo that step.  Every member's
-    ``wall_seconds`` is the batch's, and ``batch_members`` says how many
-    ran.  A record is tagged ``run_kappa<kappa>``.
+    A tuple is a batch run together.  The run holds one stack, the member
+    set (``model``, "member sets") of the limit system, which does not
+    depend on kappa and is made once, and of the K members, (4 + 13 K,
+    *shape); every step is one ``step_full`` call on it, with one operator
+    for the set.  A record builds FullState/LimitState views of the current
+    stack (the stepper returns a new one, so a snapshot is never
+    overwritten) and runs the ledger's density checks on them.  After the
+    march, each member's ledger rows are one ``make_energy_ledger`` call on
+    its snapshots.  A member's records are bit for bit those of its own
+    run.  A member that blows up or hits vacuum gets its own status,
+    message and step count and leaves the stack; the others redo that
+    step.  A blow-up or vacuum of the limit ends every member with the
+    limit's message and step count; a member that fails the same check is
+    reported first, with its own.  Every member's ``wall_seconds`` is the
+    batch's, and ``batch_members`` says how many ran.  A record is tagged
+    ``run_kappa<kappa>``.
 
     This is the only loop that steps both systems (``integrator.evolve``
-    marches one).  It calls the solver through this module's names on
+    marches one state).  It calls the solver through this module's names on
     every step (see the module docstring): perfbench wraps them there, and
     times set-up from entry to the first ``harness.step_full`` call."""
     batch = isinstance(kappa, tuple)
@@ -362,7 +367,7 @@ def run_single(
         velocity_amplitude=ini.velocity_amplitude,
         max_wavenumber=ini.max_wavenumber,
     )
-    records, fulls, masses, n_means = [], [], [], []
+    records, stacks, masses, n_means = [], [_stacked(limit)], [], []
     for p in params:
         spec = WellPreparedSpec.from_seed(
             limit, seed=ini.seed, c0=ini.c0, kappa=p.kappa, l=cfg.l,
@@ -377,65 +382,59 @@ def run_single(
             tag=f"run_kappa{p.kappa:g}",
             batch_members=len(params),
         ))
-        fulls.append(_stacked(full))
+        stacks.append(_stacked(full))
         masses.append(grid_integral(grid, full.n.values))
         n_means.append(full.n.mean)
-    live = list(range(len(params)))  # members still stepping, in stack order
-    x_full = np.stack(fulls) if len(live) > 1 else fulls[0]
-    x_limit = _stacked(limit)
-    steps_done, op_full = 0, None
+    live = list(range(len(params)))  # members still stepping, in stack order after the limit
+    x = _join(stacks)
+    del stacks  # x holds their rows
+    steps_done, op = 0, None
 
     def leave(i, exc):
-        """The member at stack position i fails and leaves the stack; the
-        others get a new operator."""
-        nonlocal x_full, op_full
-        k = live.pop(i)
+        """The member at stack position i (the limit is 0) fails and leaves
+        the stack; the others get a new operator."""
+        nonlocal x, op
+        k = live.pop(i - 1)
         records[k].status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
         records[k].message = str(exc)
         records[k].n_steps = steps_done
-        if live:
-            rest = np.delete(x_full, i, axis=0)
-            x_full = rest if len(live) > 1 else rest[0]
-        op_full = None
+        x = _drop(x, i)
+        op = None
 
     def record(t):
-        """A snapshot of every live member, as views of the stacks.  The
+        """A snapshot of every live member, as views of the stack.  The
         ledger's density checks run here, so a member leaves at the step they
         fail."""
-        limit = _state_view(grid, x_limit)
-        for i in reversed(range(len(live))):  # backwards, so leave() keeps the positions before i
-            k = live[i]
-            full = _state_view(grid, x_full if len(live) == 1 else x_full[i])
+        limit = _state_view(grid, x)
+        for i in reversed(range(1, len(live) + 1)):  # backwards, so leave() keeps the positions before i
+            full = _state_view(grid, x, i)
             try:
                 _check_ledger_densities((t,), full.n.values[None], limit.n.values[None])
             except VacuumError as exc:
                 leave(i, exc)
             else:
-                records[k].snapshots.append((t, full, limit))
+                records[live[i - 1]].snapshots.append((t, full, limit))
 
     start = _time.perf_counter()
     record(0.0)
     n_steps = cfg.step.n_steps
-    op_limit = StiffLinearOperator.viscous(grid, params[0], limit.n.mean, dt) if n_steps else None
     while steps_done < n_steps and live:
         t = steps_done * dt
-        if op_full is None:
+        if op is None:
             members, means = zip(*[(params[k], n_means[k]) for k in live])
             if len(live) == 1:
                 members, means = members[0], means[0]
-            op_full = build_stiff_operator(grid, members, means, dt)
+            op = build_stiff_operator(grid, members, means, dt, limit_mean=limit.n.mean)
         try:
-            stepped = step_full(grid, x_full, members, cfg.step, op=op_full, t=t)
+            stepped = step_full(grid, x, members, cfg.step, op=op, t=t)
         except (BlowUpError, VacuumError) as exc:
-            leave(exc.member, exc)  # the others redo this step
-            continue
-        try:
-            x_limit = step_limit(grid, x_limit, params[0], cfg.step, op=op_limit, t=t)
-        except (BlowUpError, VacuumError) as exc:
-            while live:
-                leave(0, exc)
+            if exc.member:
+                leave(exc.member, exc)  # the others redo this step
+                continue
+            while live:  # the limit failed: every member ends with it
+                leave(1, exc)
             break
-        x_full = stepped
+        x = stepped
         steps_done += 1
         if steps_done % cfg.snapshot_stride == 0:
             record(steps_done * dt)

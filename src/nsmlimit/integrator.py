@@ -18,23 +18,26 @@ plain SSP-RK2 when L = 0.  E and B are Leray-projected after every step.
 The remainder N - L is formed directly by the rates, so L is never applied
 and the 1/kappa curl terms, which N and L share, are never formed.
 
-The steppers take and return one stacked physical array: the rows
-(n, u, j~, E, B), (13, *shape), or (n, u), (4, *shape), for the limit
-system.  A step scales j~ to J = kappa j~ and transforms once on entry, and
-transforms back and divides J by kappa once on exit; the half-steps, the
-SSP-RK2 updates and the Leray projection are element-wise work on the
-half-spectrum in between, and each rate evaluation leaves Fourier space
-only to form its pointwise products (``model._full_rate``).  States are
-built only where fields are read (``evolve``'s observer and result).
+``step_full`` takes and returns the physical stack of a member set
+(``model``, "member sets"): the states stepped together, in field-major
+rows.  A lone state is its own stack, (n, u, j~, E, B), (13, *shape), or
+(n, u), (4, *shape), for the limit system; ``harness.run_single`` steps the
+limit and the scaled system at each kappa as one set, the limit first.  The
+limit is the scaled system on J = E = B = 0: its operator is u's viscous
+block alone, and the rates skip the terms that vanish there.  A step scales
+j~ to J = kappa j~ and transforms once on entry, and transforms back and
+divides J by kappa once on exit; the half-steps, the SSP-RK2 updates and
+the Leray projection are element-wise work on the half-spectrum in between,
+and each rate evaluation leaves Fourier space only to form its pointwise
+products (``model._full_rate``).  States are built only where fields are
+read (``evolve``'s observer and result).
 
-A batch is one more leading axis, (K, 13, *shape), with a tuple of Params
-that differ only in kappa: kappa becomes a (K, 1, 1, 1, 1) column and the
-operator tables get a leading member axis.  Every operation acts on each
-member alone and the transforms give the same bits with or without the
-member axis, so a member's result does not depend on the batch it ran in.
-
-The limit system steps through the same body (``_strang_step``) with u's
-viscous block alone (``StiffLinearOperator.viscous``).
+The members of a set share their Params but for kappa, given as a tuple of
+Params, one per member with a current; the operator tables and the rate
+coefficients hold one row or column entry per member.  Every operation acts
+on each member alone and the transforms give the same bits whatever rows
+they transform together, so a member's result does not depend on the set
+it ran in.
 
 The 1-D steps are bound by numpy call overhead, so the propagator applies
 its per-mode coefficients in seven grouped multiplies (``_GROUPS``), and the
@@ -58,13 +61,12 @@ from .model import (
     FullState,
     LimitState,
     Params,
-    _ROWS,
+    _Layout,
     _cross,
-    _fields,
     _full_rate,
-    _limit_rate,
+    _layout,
+    _rate_coefficients,
     _require_positive,
-    _split,
     _stacked,
     _state_view,
 )
@@ -75,7 +77,6 @@ __all__ = [
     "StiffLinearOperator",
     "build_stiff_operator",
     "step_full",
-    "step_limit",
     "evolve",
     "StepLog",
 ]
@@ -99,6 +100,9 @@ class StepControl:
             raise ConfigError(f"step.dt must be positive, got {self.dt!r}")
         if not self.t_end >= 0:
             raise ConfigError(f"step.t_end must be nonnegative, got {self.t_end!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"step.dt = {self.dt!r} is too small: step.t_end / step.dt "
+                              f"overflows for step.t_end = {self.t_end!r}")
         n = self.n_steps
         if self.t_end > 0 and (n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end)):
             raise ConfigError(f"step.t_end = {self.t_end!r} must be an integer multiple of step.dt = {self.dt!r}")
@@ -112,31 +116,22 @@ class StepControl:
 # One coefficient per (part, out field, in field) over the stacked (u, J, E, B):
 # part "x" multiplies the field, "s" adds khat (khat . field) and "rot" is
 # -i khat x field.  So "x" carries the transverse entries, "s" longitudinal
-# minus transverse; the first two are u's, the only ones of the limit
-# system's ``viscous`` operator.  The order lets ``apply_half`` apply the
-# terms in groups, one multiply each (``_GROUPS``).
+# minus transverse; the two of u are the limit system's only ones.  The
+# terms come in the groups ``apply_half`` multiplies at once (``_GROUPS``):
+# the "x" diagonal, on all four fields; the J <-> E "x" entries, against the
+# fields (E, J); the same two for "s"; the rotations of B into J and E; then
+# of J and of E into B, one at a time.
 _TERMS = (
-    ("x", 0, 0), ("s", 0, 0), ("x", 1, 1), ("s", 1, 1),
-    ("x", 2, 2), ("s", 2, 2), ("x", 3, 3), ("s", 3, 3),
-    ("x", 1, 2), ("x", 2, 1), ("s", 1, 2), ("s", 2, 1),
+    ("x", 0, 0), ("x", 1, 1), ("x", 2, 2), ("x", 3, 3), ("x", 1, 2), ("x", 2, 1),
+    ("s", 0, 0), ("s", 1, 1), ("s", 2, 2), ("s", 3, 3), ("s", 1, 2), ("s", 2, 1),
     ("rot", 1, 3), ("rot", 2, 3), ("rot", 3, 1), ("rot", 3, 2),
 )
-# The _TERMS rows of each group: the "x" diagonal, on all four fields; the
-# J <-> E "x" entries, against the fields (E, J); the same two for "s"; the
-# rotations of B into J and E; then of J and of E into B, one at a time.
-_GROUPS = (slice(0, 8, 2), slice(8, 10), slice(1, 8, 2), slice(10, 12),
-           slice(12, 14), slice(14, 15), slice(15, 16))
-
-
-# fields of (u, J, E, B): J to B, J and E, E then J (a view), B, and E and B
-_JEB, _JE, _EJ = _fields(slice(1, 4)), _fields(slice(1, 3)), _fields(slice(2, 0, -1))
-_B, _EB = _fields(slice(3, 4)), _fields(slice(2, 4))
-# each field of the rotations (rot J, rot E, rot B)
-_ROT_J, _ROT_E, _ROT_B = (_fields(slice(i, i + 1)) for i in range(3))
+_GROUPS = ((0, 4), (4, 6), (6, 10), (10, 12), (12, 14), (14, 15), (15, 16))
 
 
 class StiffLinearOperator:
-    """Per-mode stiff generator L and its half-step exponential, in closed form.
+    """Per-mode stiff generator L of a member set and its half-step
+    exponential, in closed form.
 
     Per Fourier mode the (J, E, B) block is d_t J = V J + a E with
     a = (1+eps)/(tau eps) n_mean, d_t E = (ik x B)/kappa - n_mean P_k J and
@@ -155,57 +150,52 @@ class StiffLinearOperator:
     of M with D_ii D_jj = +1/-1 (Waleffe, Phys. Fluids A 4, 1992).  The same
     identity with exp(h Long) and exp(h M) gives the exact propagator
     (``_exp_blocks``).  The k = 0 and pure-Nyquist modes have khat = 0 and
-    omega = 0.
+    omega = 0.  The limit system's L is u's viscous block alone.
 
-    ``prop_half`` holds one real coefficient per _TERMS entry (u's two alone
-    for the limit system's ``viscous`` operator) and half-spectrum mode,
-    after a leading member axis for a batch, in C order.  _TERMS interleaves
-    the "x" and "s" diagonals, so each group ``apply_half`` multiplies at
-    once (_GROUPS: the four "x" diagonals, the two J <-> E "x" entries, the
-    same for "s", the two rotations of B, and one rotation each of J and of
-    E) is a view of ``prop_half``.  L is not tabulated: the rates take
-    ``n_mean`` (None for L = 0) and form N(y) - L y directly.
+    ``prop_half`` holds, term by term in _TERMS order, one row of real
+    half-spectrum coefficients per member the term acts on: u's terms on
+    every member of the set (``layout``), the others on the members with a
+    current; so each group ``apply_half`` multiplies at once is a view of
+    it.  L is not tabulated: the rates take the frozen mean densities in
+    ``coef`` (``model._rate_coefficients``; None for L = 0) and form
+    N(y) - L y directly.
     """
 
-    def __init__(self, dt: float, khat: np.ndarray, prop_half: np.ndarray, n_mean=None):
+    def __init__(self, dt: float, khat: np.ndarray, prop_half: np.ndarray, layout: _Layout,
+                 coef=None):
         self.dt = dt
         self.khat = khat            # (3, *half)
-        self.prop_half = prop_half  # (len(_TERMS) or 2, *half)
-        # the frozen mean density: a float, or a (K, 1, 1, 1, 1) column for a batch
-        self.n_mean = np.reshape(n_mean, (-1, 1, 1, 1, 1)) if np.ndim(n_mean) else n_mean
+        self.prop_half = prop_half  # (rows, *half)
+        self.layout = layout
+        self.coef = coef
 
     @classmethod
     def zero(cls, grid: Grid, dt: float) -> "StiffLinearOperator":
-        """L = 0: the identity propagator, so steps are plain SSP-RK2."""
+        """L = 0 for one state: the identity propagator, so steps are plain
+        SSP-RK2."""
         k = grid.half_wavenumbers
         prop = np.zeros((len(_TERMS),) + k.shape[1:])
-        prop[[n for n, (part, i, j) in enumerate(_TERMS) if part == "x" and i == j]] = 1.0
-        return cls(dt, np.zeros_like(k), prop)
-
-    @classmethod
-    def viscous(cls, grid: Grid, p, n_mean, dt: float) -> "StiffLinearOperator":
-        """The limit system's operator: u's two viscous rows alone,
-        e^{h v_T} and e^{h v_L} - e^{h v_T} with h = dt/2, per half-spectrum
-        mode; ``p`` and ``n_mean`` as for ``build_stiff_operator``."""
-        if not dt > 0:
-            raise ConfigError("dt must be positive")
-        p, m = _shared_params(p)[0], np.reshape(n_mean, np.shape(n_mean) + (1, 1, 1))
-        v_tra = -p.mu * grid.half_k_squared / m
-        v_lon = v_tra - (p.mu + p.lam) * (grid.half_wavenumbers**2).sum(axis=0) / m
-        e_tra = np.exp(0.5 * dt * v_tra)
-        prop = np.stack([e_tra, np.exp(0.5 * dt * v_lon) - e_tra], axis=-4)
-        return cls(dt, grid.half_unit_wavenumbers, prop, n_mean)
+        prop[_GROUPS[0][0]:_GROUPS[0][1]] = 1.0  # the "x" diagonal
+        return cls(dt, np.zeros_like(k), prop, _layout(13))
 
     @cached_property
     def _groups(self) -> tuple:
-        """Views of ``prop_half`` per _GROUPS entry, (..., rows, 1, *half)."""
-        return tuple(np.expand_dims(self.prop_half[..., g, :, :, :], -4) for g in _GROUPS)
+        """Views of ``prop_half`` per _GROUPS entry, with a member axis for
+        the J <-> E and rotation groups and a component axis of 1."""
+        m, k = self.layout.members, self.layout.currents
+        ends = np.cumsum([m if i == 0 else k for _, i, _ in _TERMS])
+        starts = np.concatenate([[0], ends[:-1]])
+        tail = (1,) + self.prop_half.shape[1:]
+        shapes = ((-1,), (2, k), (-1,), (2, k), (2, k), (k,), (k,))
+        return tuple(self.prop_half[starts[a]:ends[b - 1]].reshape(shape + tail)
+                     for (a, b), shape in zip(_GROUPS, shapes))
 
     def apply_half(self, x):
-        """One half-step exact propagation of the half-spectrum (u, J, E, B),
-        stacked as (4, 3, *half), or (K, 4, 3, *half) for a batch: the
-        per-mode sum over _TERMS, one multiply per group of _GROUPS, with
-        "rot" formed for J, E and B alone, the only fields it acts on.
+        """One half-step exact propagation of the half-spectrum stiff rows
+        of a member set, (M + 3K, 3, *half): u of every member, then J, E
+        and B of the members with a current; (4, 3, *half) for one state.
+        The per-mode sum over _TERMS is one multiply per group of _GROUPS,
+        with "rot" formed for J, E and B alone, the only fields it acts on.
 
         Every product is the one of the term-by-term sum, and each field
         adds its products in that sum's order, except that E's two "x"
@@ -215,27 +205,27 @@ class StiffLinearOperator:
         term-by-term sum, up to the sign of an exact zero."""
         kh = self.khat
         diag, off, s_diag, s_off, rot_b, rot_j, rot_e = self._groups
-        s = (kh * x).sum(axis=-4, keepdims=True)
-        rot = _cross(kh, x[_JEB])  # rot J, rot E, rot B
-        rot *= -1j
+        m, k = self.layout.members, self.layout.currents
+        s = np.add.reduce(kh * x, axis=-4, keepdims=True)
         out = diag * x
-        out_je, out_b = out[_JE], out[_B]
-        out_je += off * x[_EJ]
         lon = s_diag * s
-        lon_je = lon[_JE]
-        lon_je += s_off * s[_EJ]
-        out_je += rot_b * rot[_ROT_B]
-        out_b += rot_j * rot[_ROT_J]
-        out_b += rot_e * rot[_ROT_E]
+        if k:
+            # (J, E, B) of the members with a current, (3, K, 3, *half)
+            jeb_shape = self.layout.shapes(x.shape[2:]).jeb
+            jeb = x[m:].reshape(jeb_shape)
+            rot = _cross(kh, jeb)  # rot J, rot E, rot B
+            rot *= -1j
+            out_jeb = out[m:].reshape(jeb_shape)
+            out_je, out_b = out_jeb[:2], out_jeb[2]
+            out_je += off * jeb[1::-1]
+            lon_shape = jeb_shape[:2] + (1,) + jeb_shape[3:]
+            lon_je = lon[m:].reshape(lon_shape)[:2]
+            lon_je += s_off * s[m:].reshape(lon_shape)[1::-1]
+            out_je += rot_b * rot[2]
+            out_b += rot_j * rot[0]
+            out_b += rot_e * rot[1]
         out += kh * lon
         return out
-
-    def apply_half_u(self, u):
-        """Half-step viscous propagation of the half-spectrum u alone (the
-        limit system)."""
-        kh, coef = self.khat, self.prop_half
-        c0, c1 = coef[_ROWS[0, 1]], coef[_ROWS[1, 2]]
-        return c0 * u + kh * (c1 * (kh * u).sum(axis=-4, keepdims=True))
 
 
 def _shared_params(p):
@@ -259,40 +249,61 @@ def _batch_params(p: tuple):
     return p[0], kap
 
 
-def build_stiff_operator(grid: Grid, p, n_mean, dt: float) -> StiffLinearOperator:
-    """Tabulate the half-step exponential per distinct (|k|^2, |k_full|^2)
-    pair and spread it over the half-spectrum.  The pairs are told apart by
-    one complex key, |k|^2 + i |k_full|^2.
+def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> StiffLinearOperator:
+    """Tabulate the half-step exponential of a member set per distinct
+    (|k|^2, |k_full|^2) pair and spread it over the half-spectrum.  The
+    pairs are told apart by one complex key, |k|^2 + i |k_full|^2.
 
     ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
-    each for a batch (Params differing only in kappa); then ``prop_half``
-    gets a leading member axis, and each member is tabulated on its own."""
+    each for several states (Params differing only in kappa); each member is
+    tabulated on its own.  ``limit_mean``, when given, adds the limit system
+    as the set's first member, at that mean density; a lone limit state
+    passes its Params with ``n_mean = ()``.  The operator also forms the
+    set's rate coefficients (``model._rate_coefficients``)."""
     if not dt > 0:
         raise ConfigError("dt must be positive")
+    shared, kap = _shared_params(p)
+    if isinstance(p, tuple):
+        members = tuple(zip(p, n_mean))
+    else:
+        members = ((p, n_mean),) if np.ndim(n_mean) == 0 else ()
+    limit = () if limit_mean is None else (limit_mean,)
     k = grid.half_wavenumbers
     k2 = (k**2).sum(axis=0)
     pairs, inverse = np.unique(k2.ravel() + 1j * grid.half_k_squared.ravel(),
                                return_inverse=True)
     pairs = np.stack([pairs.real, pairs.imag], axis=1)
-    if isinstance(p, tuple):
-        _shared_params(p)
-        table = np.stack([_table(pairs, q, m, dt) for q, m in zip(p, n_mean)])
-    else:
-        table = _table(pairs, p, n_mean, dt)
-    # C order: the gather alone leaves the term axis innermost
-    prop = np.ascontiguousarray(table[..., inverse]).reshape(table.shape[:-1] + k2.shape)
-    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, prop, n_mean)
-
-
-def _table(pairs: np.ndarray, p: Params, n_mean: float, dt: float) -> np.ndarray:
-    """prop_half rows in _TERMS order per (|k|^2, |k_full|^2) pair."""
     h = 0.5 * dt
+    limit_rows = [_u_rows(pairs, shared, m, h) for m in limit]
+    tables = [_table(pairs, q, m, h) for q, m in members]
+    table = np.stack([row for t, (part, i, _) in enumerate(_TERMS)
+                      for row in [u[part] for u in limit_rows if i == 0] + [tb[t] for tb in tables]])
+    # C order: the gather alone leaves the row axis innermost
+    prop = np.ascontiguousarray(table[:, inverse]).reshape(table.shape[:1] + k2.shape)
+    layout = _layout(4 * len(limit) + 13 * len(members))
+    coef = _rate_coefficients(grid, shared, kap, limit + tuple(m for _, m in members), len(limit))
+    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, prop, layout, coef)
+
+
+def _u_rows(pairs: np.ndarray, p: Params, n_mean: float, h: float) -> dict:
+    """u's two prop_half rows per (|k|^2, |k_full|^2) pair, by part:
+    e^{h v_T} and e^{h v_L} - e^{h v_T}."""
+    # as the physical-space viscous operator: full |k|^2 Laplacian,
+    # derivative wavenumbers in grad div
+    v_tra = -p.mu * pairs[:, 1] / n_mean
+    v_lon = v_tra - (p.mu + p.lam) * pairs[:, 0] / n_mean
+    e_tra = np.exp(h * v_tra)
+    return {"x": e_tra, "s": np.exp(h * v_lon) - e_tra}
+
+
+def _table(pairs: np.ndarray, p: Params, n_mean: float, h: float) -> np.ndarray:
+    """prop_half rows in _TERMS order per (|k|^2, |k_full|^2) pair."""
+    u = _u_rows(pairs, p, n_mean, h)
     ex_lon, ex_hel = _exp_blocks(pairs, p, n_mean, h)
-    e_tra = np.exp(h * (-p.mu * pairs[:, 1] / n_mean))
     rows = []
     for part, i, j in _TERMS:
-        if i == 0:  # u's two: e^{h v_T} and e^{h v_L} - e^{h v_T}
-            rows.append(e_tra if part == "x" else ex_lon[0, 0] - e_tra)
+        if i == 0:
+            rows.append(u[part])
         else:
             entry = ex_hel[i - 1, j - 1]
             rows.append(ex_lon[i - 1, j - 1] - entry if part == "s" else entry)
@@ -375,8 +386,8 @@ def _expm3(a: np.ndarray) -> np.ndarray:
 
 def _check_step(t: float, **fields: np.ndarray) -> None:
     """Name the first non-finite field, else report a vacuum via min n.  On
-    a batch the error's ``member`` is the first failing one along the axes
-    before the grid's of n."""
+    several states the error's ``member`` is the first failing one along
+    the axes before the grid's of n."""
     members = fields["n"].shape[:-3]
     for name, arr in fields.items():
         if not np.isfinite(arr).all():
@@ -386,54 +397,29 @@ def _check_step(t: float, **fields: np.ndarray) -> None:
     _require_positive(fields["n"], f"at t={t:g}")
 
 
+def _report_failure(t: float, lay: _Layout, y: np.ndarray) -> None:
+    """Raise the failure of a stepped stack y through ``_check_step``, with
+    ``member`` its index in the set: the members with a current are checked
+    before the limit, as when each system had a step of its own."""
+    sh = lay.shapes(y.shape[1:])
+    n, u, lim = y[lay.n], y[lay.u].reshape(sh.u), lay.limit
+    groups = [(0, dict(n=n[:1], u=u[:1]))] if lim else []
+    if lay.currents:
+        groups.insert(0, (lim, dict(n=n[lim:], u=u[lim:], J=y[lay.J].reshape(sh.cur),
+                                    E=y[lay.E].reshape(sh.cur), B=y[lay.B].reshape(sh.cur))))
+    for first, fields in groups:
+        try:
+            _check_step(t, **fields)
+        except (BlowUpError, VacuumError) as exc:
+            exc.member += first
+            raise
+
+
 def _require_step_dt(op: StiffLinearOperator, sc: StepControl) -> None:
     """ConfigError for an operator built for another dt than the step's: its
     half-steps would not match the SSP-RK2 stage."""
     if op.dt != sc.dt:
         raise ConfigError(f"the operator was built for dt={op.dt!r}, the step has dt={sc.dt!r}")
-
-
-def _uJEB(x: np.ndarray) -> np.ndarray:
-    """(..., 4, 3, *half) view of the (u, J, E, B) rows of a stacked full state."""
-    return x[_ROWS[1, None]].reshape(x.shape[:-4] + (4, 3) + x.shape[-3:])
-
-
-def _strang_step(grid: Grid, x: np.ndarray, h: np.ndarray, dt: float, t: float,
-                 rate: Callable, forcing: Callable | None, rows: Callable,
-                 half_step: Callable, project: bool = False) -> np.ndarray:
-    """The Strang/SSP-RK2 body shared by ``step_full`` and ``step_limit``.
-
-    ``x`` is the physical stack passed to the stepper and ``h`` its
-    half-spectrum, with J = kappa j~ for the scaled system; h is stepped in
-    place.  ``rate(y, guard)`` is the remainder of the half-spectrum stack
-    y, ``rows(h)`` the view of the stiff rows of h and ``half_step`` the
-    operator's propagator for them; ``project`` Leray projects the last two
-    of those rows (E and B) after the second half-step.  The
-    predictor-stage rate is guarded with the density of x: only members
-    passed in with a positive density count there, and a vacuum passed in
-    is reported after the step.  Returns the stepped physical stack, J
-    still kappa j~."""
-    rows(h)[:] = half_step(rows(h))
-
-    def remainder(y, tt, guard=None):
-        out = rate(y, guard)
-        if forcing is not None:
-            out += array_rfft(grid, forcing(tt))
-        return out
-
-    k1 = remainder(h, t)
-    k2 = remainder(h + dt * k1, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[_ROWS[0]]))
-    k1 += k2  # h + dt/2 (k1 + k2), with k1 as its buffer
-    h += np.multiply(0.5 * dt, k1, out=k1)
-
-    v = half_step(rows(h))
-    if project:
-        half_leray_project(grid, v[_EB], out=v[_EB])
-    rows(h)[:] = v
-    y = array_irfft(grid, h)
-    if not (np.isfinite(y).all() and y[_ROWS[0]].min() > 0.0):
-        _check_step(t + dt, **dict(zip(("n", "u", "J", "E", "B"), _split(y))))
-    return y
 
 
 def step_full(
@@ -445,64 +431,76 @@ def step_full(
     forcing: Callable | None = None,
     t: float = 0.0,
 ) -> np.ndarray:
-    """One Strang step of the scaled system; returns the stepped stack.
+    """One Strang step of a member set; returns the stepped stack.
 
-    ``x`` holds the physical rows (n, u, j~, E, B) of one state, (13,
-    *shape), with ``p`` its Params; or of a batch, (K, 13, *shape), with a
-    tuple of K Params that differ only in kappa.  Each member's result is
-    bit for bit what it gets when stepped alone.  ``op`` must have been
-    built for the same form and for ``sc.dt`` (ConfigError otherwise).
-    ``x`` is not modified.
+    ``x`` holds the physical rows of a member set (``model``, "member
+    sets"): one state's (n, u, j~, E, B), (13, *shape), or the limit
+    system's (n, u), (4, *shape), with ``p`` its Params; or several states
+    in field-major rows, the limit first if it is one of them, with a tuple
+    of Params, one per state with a current, that differ only in kappa.
+    Each member's result is bit for bit what it gets when stepped alone.
+    ``op`` must have been built for the same member set (``limit_mean``
+    for the limit) and for ``sc.dt`` (ConfigError otherwise).  ``x`` is not
+    modified.
 
     The stack is transformed once on entry, with j~ scaled to J = kappa j~,
     and once on exit; in between, the stiff half-steps, the SSP-RK2 stages
     and the Leray projection work on the half-spectrum (n, u, J, E, B).
-    ``forcing(t)`` may supply extra explicit rates of (n, u, J, E, B) as
-    one stacked physical array, e.g. for manufactured-solution tests; a
-    batch gets the same forcing per member.
+    ``forcing(t)`` may supply extra explicit rates in the layout of x, with
+    J for j~, e.g. for manufactured-solution tests.
 
     A density that turns non-positive in the SSP-RK2 predictor stage, or is
     not positive after the step, raises VacuumError, and a non-finite field
     after the step BlowUpError; both name the time and carry the index of
-    the failing member (0 for a single state).  The first stage is not
-    checked: the stiff half-step leaves n alone, so it sees the density
-    passed in.  A failure returns nothing for the other members; the caller
-    can drop the member from ``x`` and redo the step.
+    the failing member in the set (0 for a single state), the members with
+    a current before the limit.  The first stage is not checked: the stiff
+    half-step leaves n alone, so it sees the density passed in.  A failure
+    returns nothing for the other members; the caller can drop the member
+    from ``x`` (``model._drop``) and redo the step.
     """
-    shared, kap = _shared_params(p)
+    lay = _layout(len(x))
     if op is None:
-        op = build_stiff_operator(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), sc.dt)
+        means = [float(n.mean()) for n in x[lay.n]]
+        limit_mean = means.pop(0) if lay.limit else None
+        n_mean = tuple(means) if isinstance(p, tuple) else means[0] if means else ()
+        op = build_stiff_operator(grid, p, n_mean, sc.dt, limit_mean=limit_mean)
     _require_step_dt(op, sc)
-    h = x.copy()
-    h[_ROWS[4, 7]] *= kap
-    h = array_rfft(grid, h)
-    y = _strang_step(grid, x, h, sc.dt, t,
-                     lambda y, guard: _full_rate(grid, shared, y, kap, guard, op.n_mean),
-                     forcing, _uJEB, op.apply_half, project=True)
-    y[_ROWS[4, 7]] /= kap
+    if op.layout is not lay:
+        raise ConfigError(f"the operator was built for a member set of {op.prop_half.shape[0]} "
+                          f"coefficient rows, not for the step's {len(x)} stack rows")
+    coef = _rate_coefficients(grid, *_shared_params(p)) if op.coef is None else op.coef
+    dt, k = sc.dt, lay.currents
+    if k:
+        h = x.copy()
+        h[lay.J] *= coef.kap_rows
+        h = array_rfft(grid, h)
+    else:
+        h = array_rfft(grid, x)
+    stiff = h[lay.stiff].reshape(lay.shapes(h.shape[1:]).stiff)
+    stiff[:] = op.apply_half(stiff)
+
+    def remainder(y, tt, guard=None):
+        out = _full_rate(grid, None, y, coef, guard)
+        if forcing is not None:
+            out += array_rfft(grid, forcing(tt))
+        return out
+
+    k1 = remainder(h, t)
+    k2 = remainder(h + dt * k1, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[lay.n]))
+    k1 += k2  # h + dt/2 (k1 + k2), with k1 as its buffer
+    h += np.multiply(0.5 * dt, k1, out=k1)
+
+    v = op.apply_half(stiff)
+    if k:
+        eb = v[lay.members + k:]
+        half_leray_project(grid, eb, out=eb)
+    stiff[:] = v
+    y = array_irfft(grid, h)
+    if not (np.isfinite(y).all() and y[lay.n].min() > 0.0):
+        _report_failure(t + dt, lay, y)
+    if k:
+        y[lay.J] /= coef.kap_rows
     return y
-
-
-def step_limit(
-    grid: Grid,
-    x: np.ndarray,
-    p,
-    sc: StepControl,
-    op: StiffLinearOperator | None = None,
-    forcing: Callable | None = None,
-    t: float = 0.0,
-) -> np.ndarray:
-    """One IMEX step of the limit system: exact viscous multiplier around
-    an explicit SSP-RK2 stage for advection and pressure, on the stacked
-    (n, u), (4, *shape) or (K, 4, *shape), as in ``step_full``, with the
-    same batch form and the same failure reports."""
-    shared = _shared_params(p)[0]
-    if op is None:
-        op = StiffLinearOperator.viscous(grid, p, x[_ROWS[0]].mean(axis=(-3, -2, -1)), sc.dt)
-    _require_step_dt(op, sc)
-    return _strang_step(grid, x, array_rfft(grid, x), sc.dt, t,
-                        lambda y, guard: _limit_rate(grid, shared, y, guard, op.n_mean),
-                        forcing, lambda h: h[_ROWS[1, 4]], op.apply_half_u)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +537,6 @@ def evolve(
     the march with that status.  Returns (final_state, StepLog)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
-    full = isinstance(state, FullState)
-    stepper = step_full if full else step_limit
     n_steps = sc.n_steps
     grid = state.grid
     x = _stacked(state)
@@ -549,11 +545,14 @@ def evolve(
     if observer is not None:
         observer(0, 0.0, state)
 
-    build = build_stiff_operator if full else StiffLinearOperator.viscous
-    op = build(grid, p, float(x[_ROWS[0]].mean()), sc.dt)
+    mean = float(x[0].mean())
+    if isinstance(state, FullState):
+        op = build_stiff_operator(grid, p, mean, sc.dt)
+    else:
+        op = build_stiff_operator(grid, p, (), sc.dt, limit_mean=mean)
     try:
         while log.n_steps < n_steps:
-            x = stepper(grid, x, p, sc, op=op, forcing=forcing, t=log.n_steps * sc.dt)
+            x = step_full(grid, x, p, sc, op=op, forcing=forcing, t=log.n_steps * sc.dt)
             log.n_steps += 1
             if observer is not None and log.n_steps % stride == 0:
                 observer(log.n_steps, log.n_steps * sc.dt, _state_view(grid, x))

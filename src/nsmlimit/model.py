@@ -10,24 +10,26 @@ Three systems are evaluated here, all on the periodic torus:
   variable substitution and scaling algebra between the three forms can
   be certified numerically (``reformulation_check``).
 
-The stepping rates ``_full_rate`` and ``_limit_rate`` take the stacked
-state on the real-FFT half-spectrum and return its time derivative there.
-Every pointwise product of a rate is formed on the grid and all of them are
+The stepping rate ``_full_rate`` takes the stack of a member set, the
+states stepped together, on the real-FFT half-spectrum and returns its time
+derivative there.  A member set holds scaled-system states and, first, the
+limit system's, which is the scaled system on J = E = B = 0: its rows are
+the same rates less the current, field and source terms that vanish there,
+formed in the same numpy calls as the other members' (``_Layout``).  Every
+pointwise product of a rate is formed on the grid and all of them are
 transformed in one batched call.  The products are laid out so that paired
-work is one numpy call (``_full_products``): n u and n J are adjacent, so
-one multiply forms both and one cross product with B gives n u x B and
-n J x B, and the symmetric tensors are stored diagonal first, so the
-pressure is one slice add.  In the call-overhead-bound 1-D steps the number
-of numpy calls, not the arithmetic, sets the time; every regrouping keeps
-each element's floating-point operations and their order, so the rates
-give the same bits as the row-by-row forms (``tests/support.py``).  The
-2/3 mask is linear, so the nonlinear terms of each equation are summed
-first and masked once (Orszag, J. Atmos. Sci. 28, 1971); the linear
-viscous and curl terms stay unmasked.  The rates
-and their helpers index fields on axis -4, so a leading member axis (a
-batch of states stepped together) broadcasts through them, with kappa as a
-(K, 1, 1, 1, 1) column.  The certificate forms (``_two_fluid_rate``,
-``_reformed_rate``) work on the same half-spectrum but term by term: each
+work is one numpy call (``_products``): the n u and n J of a member set are
+adjacent, so one cross product with B gives every n u x B and n J x B, and
+the symmetric tensors are stored diagonal first, so the pressure is one
+slice add.  In the call-overhead-bound 1-D steps the number of numpy calls,
+not the arithmetic, sets the time; every regrouping keeps each element's
+floating-point operations and their order, so the rates give the same bits
+as the row-by-row forms (``tests/support.py``) and each member's rows the
+same bits whatever set it is stepped in.  The 2/3 mask is linear, so the
+nonlinear terms of each equation are summed first and masked once
+(Orszag, J. Atmos. Sci. 28, 1971); the linear viscous and curl terms stay
+unmasked.  The certificate forms (``_two_fluid_rate``, ``_reformed_rate``)
+work on the same half-spectrum but term by term: each
 term's product is transformed on its own and masked once, as the final
 operation of the term, the terms are summed there, and one inverse
 transform brings all five rates to the grid.  Intermediate sub-products
@@ -40,10 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import VacuumError
+from .errors import ConfigError, VacuumError
 from .spectral import (
     Grid,
     ScalarField,
@@ -201,27 +204,6 @@ class TwoFluidState:
 # array-level helpers
 
 
-class _RowIndex(dict):
-    """``x[_ROWS[a, b]]`` is ``x[..., a:b, :, :, :]``, rows a:b along the
-    field (or component) axis -4, and ``x[_ROWS[a]]`` is row a.  Each index
-    is built once: built on every use it costs twice the indexing itself,
-    which shows in the call-overhead-bound 1-D steps."""
-
-    def __missing__(self, key):
-        row = slice(*key) if isinstance(key, tuple) else key
-        index = self[key] = (Ellipsis, row, slice(None), slice(None), slice(None))
-        return index
-
-
-_ROWS = _RowIndex()
-
-
-def _fields(f) -> tuple:
-    """``x[_fields(f)]`` is ``x[..., f, :, :, :, :]``: entry or entries f
-    along axis -5, the field axis of (..., fields, 3, *shape) stacks."""
-    return (Ellipsis, f) + (slice(None),) * 4
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the component axis -4 of (..., 3, *shape) arrays, as
     a[1, 2, 0] b[2, 0, 1] - a[2, 0, 1] b[1, 2, 0]."""
@@ -241,11 +223,14 @@ def _member_min(n: np.ndarray) -> np.ndarray:
     return n.reshape(n.shape[:-3] + (-1,)).min(axis=-1).ravel()
 
 
-def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None) -> None:
+def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None,
+                      first: int = 0) -> None:
     """Raise VacuumError naming ``where`` and the minimum density for the
     first member whose density n is not positive; ``member`` is 0 for a
     single state.  Given ``entry``, another density of the same members,
-    only members whose entry density is positive count."""
+    only members whose entry density is positive count.  Members from
+    ``first`` on are looked at before the ones ahead of it (the limit, which
+    leads a member set, after the members of the scaled system)."""
     if n.min() > 0.0:
         return
     n_min = _member_min(n)
@@ -254,25 +239,111 @@ def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None
         bad &= _member_min(entry) > 0.0
     bad = np.flatnonzero(bad)
     if bad.size:
-        k = int(bad[0])
+        later = bad[bad >= first]
+        k = int((later if later.size else bad)[0])
         raise VacuumError(f"vacuum state {where}: min n = {n_min[k]:.6g}", member=k)
 
 
 # ---------------------------------------------------------------------------
-# half-spectrum stepping rates
+# member sets
 #
-# A state is stacked as (n, u, J, E, B) or (n, u) along axis -4 (``_stack``)
-# and passed as its real-FFT half-spectrum; a batch adds a leading member
-# axis.  Symmetric 3x3 tensors are stored diagonal first, as their entries
-# (00, 11, 22, 01, 02, 12), so a multiple of I is added to rows 0:3.  The
-# symmetric product of vectors a, b multiplies a gathered by _SYM_ROW with
-# b gathered by _SYM_COL.
+# The states stepped together, a member set, are one field-major stack,
+# (4M + 9K, *shape): the densities n of its M members, then their velocities
+# u (3 rows each), then the currents J (or j~), then the fields E and then B
+# of the K members of the scaled system (3 rows each).  The limit system,
+# when the set holds it, is the first member and has no J, E or B rows
+# (M = K + 1); else M = K.  So a lone FullState is its (n, u, j~, E, B)
+# stack (``_stack``) and a lone LimitState its (n, u) one.  The limit is the
+# scaled system on J = E = B = 0, so it steps with the same rates and
+# operator, less the terms that vanish there.  The layout keeps the u rows
+# of every member and the J rows after them one block, and the (u, J) pairs
+# of the scaled members, (2, K, 3, *shape), a view of it; so each paired
+# operation is one numpy call for all members.  Symmetric 3x3 tensors are
+# stored diagonal first, as their entries (00, 11, 22, 01, 02, 12), so a
+# multiple of I is added to rows 0:3.  The symmetric product of vectors a, b
+# multiplies a gathered by _SYM_ROW with b gathered by _SYM_COL.
 
 _SYM_ROW = np.array([0, 1, 2, 0, 0, 1])
 _SYM_COL = np.array([0, 1, 2, 1, 2, 2])
 _SYM_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # storage row of entry (i, j)
-# the first and second of a pair of vectors, (..., 2, 3, *shape)
-_FIRST, _SECOND = _fields(0), _fields(1)
+
+
+class _Layout:
+    """The row blocks of a member set's stack of ``rows`` rows, as slices
+    along axis 0, and those of its grid products (``_products``): n u of
+    every member, n J, the fluxes F of every member and C, and the sources
+    of d(n u) and d(n J), (9M + 15K, *shape).  Built once per row count
+    (``_layout``)."""
+
+    def __init__(self, rows: int):
+        currents, extra = divmod(rows, 13)
+        if extra not in (0, 4) or not rows:
+            raise ConfigError(f"a stack of {rows} rows holds no member set")
+        limit = extra // 4
+        m, k = currents + limit, currents
+        self.members, self.currents, self.limit = m, k, limit
+        j, e, b = 4 * m, 4 * m + 3 * k, 4 * m + 6 * k
+        self.n, self.u, self.J, self.E, self.B = (slice(0, m), slice(m, j), slice(j, e),
+                                                   slice(e, b), slice(b, rows))
+        # (u, J), then (n, u, J) and the stiff rows (u, J, E, B)
+        self.uJ, self.nuJ, self.stiff = slice(m, e), slice(0, e), slice(m, rows)
+        # n (M, 1, *shape), the K members' n, and each (u, J) vector's own n:
+        # one row broadcasts for a lone state
+        self.n_col, self.n_cur = (slice(0, m), None), (slice(limit, m), None)
+        self.n_uJ = (slice(0, 1), None) if m == 1 else (np.r_[0:m, limit:m], None)
+        self.p_nu, self.p_nJ = slice(0, 3 * m), slice(3 * m, 3 * (m + k))
+        self.p_nuJ = slice(0, 3 * (m + k))
+        self.p_F, self.p_C = slice(3 * (m + k), 9 * m + 3 * k), slice(9 * m + 3 * k, 9 * (m + k))
+        self.p_FC = slice(3 * (m + k), 9 * (m + k))
+        self.p_src, self.p_rows = slice(9 * (m + k), 9 * m + 15 * k), 9 * m + 15 * k
+        self._shapes = {}
+
+    def shapes(self, tail: tuple) -> "_Shapes":
+        """The shapes of the vector and tensor views of row blocks with
+        trailing shape ``tail``, made once per shape: reshaping to a ready
+        shape costs half of building it, which shows in the 1-D steps."""
+        try:
+            return self._shapes[tail]
+        except KeyError:
+            m, k = self.members, self.currents
+            shapes = self._shapes[tail] = _Shapes(*(dims + tail for dims in (
+                (m + k, 3), (m, 3), (k, 3), (2 * k, 3), (2, k, 3), (1, k, 3), (3, k, 3), (m + 3 * k, 3),
+                (m + k, 6), (m, 6), (k, 6))))
+            return shapes
+
+    def member_rows(self, member: int) -> list:
+        """The rows of one member, in the order of its own stack: (n, u, J,
+        E, B), or (n, u) for the limit."""
+        m, k, current = self.members, self.currents, member - self.limit
+        starts = [m + 3 * member]
+        if current >= 0:
+            starts += [4 * m + 3 * current, 4 * m + 3 * (k + current), 4 * m + 3 * (2 * k + current)]
+        return [member] + [r + i for r in starts for i in range(3)]
+
+
+class _Shapes(NamedTuple):
+    """View shapes of a layout's blocks (``_Layout.shapes``): the vectors of
+    (u, J) of every member, of u, of the K members' J (E, B), of their
+    (u, J) pairs and sources, also as (2, K, 3), of B as (1, K, 3), of
+    (J, E, B) as (3, K, 3) and of the stiff rows; the tensors of F and C,
+    of F and of C."""
+
+    uJ: tuple
+    u: tuple
+    cur: tuple
+    pairs: tuple
+    pairs2: tuple
+    cur1: tuple
+    jeb: tuple
+    stiff: tuple
+    FC: tuple
+    F: tuple
+    C: tuple
+
+
+@lru_cache(maxsize=32)
+def _layout(rows: int) -> _Layout:
+    return _Layout(rows)
 
 
 def _stack(*fields: np.ndarray) -> np.ndarray:
@@ -282,7 +353,7 @@ def _stack(*fields: np.ndarray) -> np.ndarray:
 
 def _split(x: np.ndarray) -> tuple:
     """Views (n, u, ...) of a stack built by ``_stack``, along axis -4."""
-    return (x[_ROWS[0]],) + tuple(x[_ROWS[i, i + 3]] for i in range(1, x.shape[-4], 3))
+    return (x[..., 0, :, :, :],) + tuple(x[..., i:i + 3, :, :, :] for i in range(1, x.shape[-4], 3))
 
 
 def _stacked(state) -> np.ndarray:
@@ -290,11 +361,86 @@ def _stacked(state) -> np.ndarray:
     return _stack(*(f.values for f in vars(state).values()))
 
 
-def _state_view(grid: Grid, x: np.ndarray):
-    """The FullState (13 rows) or LimitState (4 rows) viewing the stack x."""
-    n, *vectors = _split(x)
-    cls = FullState if len(vectors) == 4 else LimitState
-    return cls(ScalarField(grid, n), *(VectorField(grid, v) for v in vectors))
+def _join(stacks) -> np.ndarray:
+    """The member set's stack of lone stacks (``_stacked``), the limit's,
+    if any, first."""
+    fields = [_split(x) for x in stacks]
+    currents = fields[1:] if len(fields[0]) == 2 else fields
+    return np.concatenate([f[0][None] for f in fields] + [f[1] for f in fields]
+                          + [f[i] for i in (2, 3, 4) for f in currents])
+
+
+def _drop(x: np.ndarray, member: int) -> np.ndarray:
+    """The stack x without the rows of one member."""
+    return np.delete(x, _layout(len(x)).member_rows(member), axis=0)
+
+
+def _state_view(grid: Grid, x: np.ndarray, member: int = 0):
+    """The state of one member of the stack x as views: a FullState, or the
+    LimitState of the limit; by default the first member, so that of a lone
+    stack."""
+    n, *rows = _layout(len(x)).member_rows(member)
+    cls = FullState if len(rows) == 12 else LimitState
+    return cls(ScalarField(grid, x[n]), *(VectorField(grid, x[r:r + 3]) for r in rows[::3]))
+
+
+class _RateCoefficients(NamedTuple):
+    """What ``_full_rate`` takes of a member set beyond its stack: the
+    shared Params ``p``, the multipliers of ``_rate_multipliers`` and the
+    kappa- and mean-density coefficients, each a float for one value and a
+    (K, 1, 1, 1, 1) column, or (M + K, ...) for ``visc_mean``, for several;
+    ``kap_rows`` is kappa per J row, a float or a (3K, 1, 1, 1) column.
+    ``n_mean`` is the frozen mean density of the members with a current and
+    ``visc_mean`` that of each (u, J) vector, in the layout's order; both
+    are None, as is ``a_n_mean``, for the rates without one."""
+
+    p: Params
+    multipliers: tuple
+    kap: object
+    kap_rows: object
+    a: float
+    kap_tau: object
+    kap_tau_eps: object
+    kap_eps: object
+    friction: object
+    n_mean: object = None
+    a_n_mean: object = None
+    visc_mean: object = None
+
+
+def _column(values: tuple):
+    """One value as a float, several as a (len, 1, 1, 1, 1) column."""
+    return values[0] if len(values) == 1 else np.reshape(values, (-1, 1, 1, 1, 1))
+
+
+def _rate_coefficients(grid: Grid, p: Params, kap, means=None, limit: int = 0) -> _RateCoefficients:
+    """The coefficients of a member set's rates on ``grid``, from the shared
+    Params ``p`` and the kappa ``kap`` of its members with a current, a
+    float or a (K, 1, 1, 1, 1) column; given the mean density of every
+    member, ``means`` (the limit's first when ``limit`` is 1), those of the
+    remainder N(y) - L y too.  Each is the product the rates formed on
+    every call before, in the same order."""
+    eps = p.epsilon
+    a = (1.0 + eps) / (p.tau * eps)
+    kap_rows = np.repeat(np.ravel(kap), 3).reshape(-1, 1, 1, 1) if np.ndim(kap) else kap
+    coefs = dict(p=p, multipliers=_rate_multipliers(grid, p), kap=kap, kap_rows=kap_rows, a=a,
+                 kap_tau=kap / p.tau, kap_tau_eps=kap / (p.tau * eps),
+                 kap_eps=(eps - 1.0) * kap / (p.tau * eps),
+                 # kap * kap, not kap**2: a float's ** (libm pow) and an
+                 # array's ** (a square) round differently in about 1e-3 of cases
+                 friction=a * p.kappa_ei * p.k_rate * (kap * kap))
+    if means is not None:
+        means = tuple(means)
+        current = means[limit:]
+        coefs["visc_mean"] = _column(means + current) if len(means) > 1 else means[0]
+        if current:
+            coefs["n_mean"] = _column(current)
+            coefs["a_n_mean"] = a * coefs["n_mean"]
+    return _RateCoefficients(**coefs)
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum stepping rates
 
 
 def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
@@ -302,7 +448,9 @@ def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
     k = grid.half_wavenumbers
     out = k[0] * t.take(_SYM_FULL[0], axis=-4)
     for j in range(1, grid.dims_active):
-        out += k[j] * t.take(_SYM_FULL[j], axis=-4)
+        term = t.take(_SYM_FULL[j], axis=-4)
+        term *= k[j]
+        out += term
     out *= 1j
     return out
 
@@ -319,10 +467,11 @@ def _rate_multipliers(grid: Grid, p: Params) -> tuple[np.ndarray, np.ndarray, np
     return out
 
 
-def _visc_hat(grid: Grid, p: Params, v: np.ndarray) -> np.ndarray:
-    """mu lap v + (mu+lam) grad div v for half-spectrum vectors (..., 3, *half)."""
-    lap, grad_div, _ = _rate_multipliers(grid, p)
-    kv = (grid.half_wavenumbers * v).sum(axis=-4, keepdims=True)
+def _visc_hat(grid: Grid, p: Params, v: np.ndarray, multipliers: tuple | None = None) -> np.ndarray:
+    """mu lap v + (mu+lam) grad div v for half-spectrum vectors (..., 3,
+    *half); ``multipliers`` are ``_rate_multipliers(grid, p)``, if at hand."""
+    lap, grad_div, _ = multipliers or _rate_multipliers(grid, p)
+    kv = np.add.reduce(grid.half_wavenumbers * v, axis=-4, keepdims=True)
     out = lap * v
     out -= grad_div * kv
     return out
@@ -334,100 +483,110 @@ def _curl_hat(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 def _momentum_flux(p: Params, n: np.ndarray, nu_row: np.ndarray, u_col: np.ndarray,
                    out: np.ndarray) -> None:
-    """The fluid flux n u u^T/(1+eps) + (1+eps) eta/tau P(n) I into ``out``
-    (..., 6, *shape), from n u and u gathered by _SYM_ROW and _SYM_COL.
-    ``n`` is (..., 1, *shape), so it broadcasts over the components."""
-    np.multiply(nu_row, u_col / (1.0 + p.epsilon), out=out)
-    diagonal = out[_ROWS[0, 3]]
+    """The fluid flux n u u^T/(1+eps) + (1+eps) eta/tau P(n) I of M members
+    into ``out`` (M, 6, *shape), from n u and u gathered by _SYM_ROW and
+    _SYM_COL.  ``n`` is (M, 1, *shape), so it broadcasts over the
+    components."""
+    np.divide(u_col, 1.0 + p.epsilon, out=out)
+    np.multiply(nu_row, out, out=out)
+    diagonal = out[:, :3]
     diagonal += ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
 
 
-def _continuity(grid: Grid, p: Params, nu_hat: np.ndarray, out: np.ndarray) -> None:
-    """dn = -div(n u)/(1+eps), masked, from the transformed n u, into ``out``."""
-    div = (grid.half_wavenumbers * nu_hat).sum(axis=-4)
+def _continuity(grid: Grid, multipliers: tuple, nu_hat: np.ndarray, out: np.ndarray) -> None:
+    """dn = -div(n u)/(1+eps), masked, from the transformed n u, into
+    ``out``; ``multipliers`` are ``_rate_multipliers``."""
+    div = np.add.reduce(grid.half_wavenumbers * nu_hat, axis=-4)
     np.multiply(1j, div, out=div)
-    np.multiply(_rate_multipliers(grid, p)[2], div, out=out)
+    np.multiply(multipliers[2], div, out=out)
 
 
-def _to_primitive(grid: Grid, out: np.ndarray, state: np.ndarray, rows: int) -> None:
-    """Turn d_t n (row 0 of ``out``) and the conservative rates d_t(n v)
-    (rows 1:rows) into d_t v = (d_t(n v) - v d_t n)/n, masked, in place."""
-    cons = array_irfft(grid, out[_ROWS[0, rows]])
-    quot = state[_ROWS[1, rows]] * cons[_ROWS[0, 1]]
-    np.subtract(cons[_ROWS[1, rows]], quot, out=quot)
-    quot /= state[_ROWS[0, 1]]
-    np.multiply(grid.half_dealias_mask, array_rfft(grid, quot), out=out[_ROWS[1, rows]])
+def _to_primitive(grid: Grid, lay: _Layout, out: np.ndarray, state: np.ndarray, n_uJ: np.ndarray,
+                  d_uJ: np.ndarray, uJ: tuple) -> None:
+    """Turn d_t n (the n rows of ``out``) and the conservative rates d_t(n v)
+    (its (u, J) vectors ``d_uJ``) into d_t v = (d_t(n v) - v d_t n)/n,
+    masked, in place; ``n_uJ`` is each (u, J) vector's n and ``uJ`` the
+    shape of the grid's (u, J) vectors."""
+    cons = array_irfft(grid, out[lay.nuJ])
+    quot = state[lay.uJ].reshape(uJ) * cons[lay.n_uJ]
+    np.subtract(cons[lay.uJ].reshape(uJ), quot, out=quot)
+    quot /= n_uJ
+    np.multiply(grid.half_dealias_mask, array_rfft(grid, quot), out=d_uJ)
 
 
-def _fluid_products(p: Params, n: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Grid products of ``_limit_rate``, (..., 9, *shape): n u (rows 0:3)
-    and the fluid flux F (3:9)."""
-    prod = np.empty(n.shape[:-4] + (9,) + n.shape[-3:])
-    nu = np.multiply(n, u, out=prod[_ROWS[0, 3]])
-    _momentum_flux(p, n, nu.take(_SYM_ROW, axis=-4), u.take(_SYM_COL, axis=-4), prod[_ROWS[3, 9]])
-    return prod
-
-
-def _symmetric_fluxes(p: Params, n: np.ndarray, nuJ: np.ndarray, uJ: np.ndarray,
+def _symmetric_fluxes(p: Params, lay: _Layout, n: np.ndarray, nuJ: np.ndarray, uJ: np.ndarray,
                       flux: np.ndarray, cur_flux: np.ndarray) -> None:
-    """The fluxes F and C of ``_full_rate`` into ``flux`` and ``cur_flux``
-    (..., 6, *shape), from the pairs (n u, n J) and (u, J), (..., 2, 3,
-    *shape).  Its two gathers, (..., 2, 6, *shape) each, are freed on
+    """The fluxes F of every member and C of the members with a current of
+    ``_full_rate`` into ``flux`` (M, 6, *shape) and ``cur_flux`` (K, 6,
+    *shape), from the (u, J) vectors and their products with n, (M + K, 3,
+    *shape) each.  Its two gathers, (M + K, 6, *shape) each, are freed on
     return, before the cross products with B: held on, they would raise the
     peak memory of a 3-D step."""
+    row, col = nuJ.take(_SYM_ROW, axis=-4), uJ.take(_SYM_COL, axis=-4)
+    if not lay.currents:
+        _momentum_flux(p, n, row, col, flux)
+        return
+    m, lim = lay.members, lay.limit
+    _momentum_flux(p, n, row[:m], col[:m], flux)
     eps = p.epsilon
     inv = 1.0 / (1.0 + eps)
-    row, col = nuJ.take(_SYM_ROW, axis=-4), uJ.take(_SYM_COL, axis=-4)
-    nu_row, nJ_row, u_col, J_col = row[_FIRST], row[_SECOND], col[_FIRST], col[_SECOND]
-    _momentum_flux(p, n, nu_row, u_col, flux)
+    nu_row, nJ_row, u_col, J_col = row[lim:m], row[m:], col[lim:m], col[m:]
     nJJ = nJ_row * J_col
-    tmp = np.multiply(inv * eps, nJJ)
-    flux += tmp
+    cur = flux[lim:]
+    cur += np.multiply(inv * eps, nJJ, out=cur_flux)  # cur_flux as scratch
     np.multiply(nu_row, J_col, out=cur_flux)
-    cur_flux += np.multiply(nJ_row, u_col, out=tmp)
-    cur_flux += np.multiply(eps - 1.0, nJJ, out=tmp)
+    cur_flux += np.multiply(nJ_row, u_col, out=nu_row)  # n u is not needed any more
+    nJJ *= eps - 1.0
+    cur_flux += nJJ
     cur_flux *= inv
 
 
-def _full_products(p: Params, kap, n, uJ, E, B) -> np.ndarray:
-    """Grid products of ``_full_rate``, (..., 24, *shape): n u and n J (rows
-    0:6), the symmetric fluxes F and C (6:18), and the sources of d(nu) and
-    d(nJ) (18:24).  ``uJ`` is the state's (u, J) rows; ``kap`` is a float or
-    a member column."""
-    eps = p.epsilon
-    a_coef = (1.0 + eps) / (p.tau * eps)
-    lead, shape = n.shape[:-4], n.shape[-3:]
-    pairs = lead + (2, 3) + shape
-    prod = np.empty(lead + (24,) + shape)
-    nuJ = np.multiply(n, uJ, out=prod[_ROWS[0, 6]]).reshape(pairs)
-    nJ, src = prod[_ROWS[3, 6]], prod[_ROWS[21, 24]]
-    _symmetric_fluxes(p, n, nuJ, uJ.reshape(pairs), prod[_ROWS[6, 12]], prod[_ROWS[12, 18]])
-    xB = _cross(nuJ, B[_fields(None)])
-    nuxB, nJxB = xB[_FIRST], xB[_SECOND]
-    np.multiply(kap / p.tau, nJxB, out=prod[_ROWS[18, 21]])
-    np.multiply(a_coef * n, E, out=src)
-    src += np.multiply(kap / (p.tau * eps), nuxB, out=nuxB)
-    src += np.multiply((eps - 1.0) * kap / (p.tau * eps), nJxB, out=nJxB)
-    # kap * kap, not kap**2: a float's ** (libm pow) and an array's ** (a
-    # square) round differently in about 1e-3 of cases
-    src -= np.multiply((a_coef * p.kappa_ei * p.k_rate * (kap * kap)) * n, nJ, out=nuxB)
+def _products(p: Params, coef: _RateCoefficients, lay: _Layout, state: np.ndarray,
+              n_uJ: np.ndarray, sh: _Shapes) -> np.ndarray:
+    """Grid products of ``_full_rate`` in the layout's product rows: n u of
+    every member and n J, the fluxes F of every member and C, and the
+    sources of d(nu) and d(nJ).  For one state that is n u and n J (rows
+    0:6), F and C (6:18) and the sources (18:24); for the limit alone n u
+    and F.  ``sh`` are the layout's shapes on the grid."""
+    k = lay.currents
+    prod = np.empty((lay.p_rows,) + state.shape[1:])
+    uJ = state[lay.uJ].reshape(sh.uJ)
+    nuJ = np.multiply(n_uJ, uJ, out=prod[lay.p_nuJ].reshape(sh.uJ))
+    _symmetric_fluxes(p, lay, state[lay.n_col], nuJ, uJ, prod[lay.p_F].reshape(sh.F),
+                      prod[lay.p_C].reshape(sh.C) if k else None)
+    if not k:
+        return prod
+    # the (n u, n J) pairs of the members with a current, (2, K, 3, *shape)
+    pairs = nuJ[lay.limit:].reshape(sh.pairs2)
+    n = state[lay.n_cur]
+    nuxB, nJxB = _cross(pairs, state[lay.B].reshape(sh.cur1))
+    src_nu, src = prod[lay.p_src].reshape(sh.pairs2)
+    np.multiply(coef.kap_tau, nJxB, out=src_nu)
+    np.multiply(coef.a * n, state[lay.E].reshape(sh.cur), out=src)
+    src += np.multiply(coef.kap_tau_eps, nuxB, out=nuxB)
+    src += np.multiply(coef.kap_eps, nJxB, out=nJxB)
+    src -= np.multiply(coef.friction * n, pairs[1], out=nuxB)
     return prod
 
 
-def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None, n_mean=None) -> np.ndarray:
-    """Primitive rates of the scaled system in the variables (n, u, J, E, B).
+def _full_rate(grid: Grid, p: Params | None, x: np.ndarray, coef: _RateCoefficients | None = None,
+               guard=None) -> np.ndarray:
+    """Primitive rates of the scaled system in the variables (n, u, J, E, B),
+    for every member of a member set.
 
-    ``x`` is the stacked state with J = kappa j~ on the half-spectrum, of
-    shape (13, *half) or (K, 13, *half) for a batch; the result is its time
-    derivative in the same layout.  ``kappa`` replaces ``p.kappa``, e.g. by
-    a (K, 1, 1, 1, 1) column.  ``guard``, the arguments after n of
+    ``x`` is the set's stack (see "member sets" above) with J = kappa j~ on
+    the half-spectrum, e.g. (13, *half) for one state; the result is its
+    time derivative in the same layout.  ``coef`` holds the members'
+    Params and coefficients (``_rate_coefficients``; by default those of
+    one state at ``p``).  ``guard``, the arguments after n of
     ``_require_positive``, makes a density that is not positive on the grid
-    raise VacuumError before the pressure law sees it.
+    raise VacuumError before the pressure law sees it; the members of the
+    scaled system are looked at before the limit.
 
-    Given a StiffLinearOperator's frozen mean density ``n_mean``, it returns
-    the Strang remainder N(y) - L y: u and J lose their viscous term over
-    n_mean, J also a n_mean E, dE is P(n_mean J - n J) and dB zero; the
-    1/kappa curl terms, shared by N and L, are never formed.
+    Given the frozen mean densities of a StiffLinearOperator (in ``coef``),
+    it returns the Strang remainder N(y) - L y: u and J lose their viscous
+    term over n_mean, J also a n_mean E, dE is P(n_mean J - n J) and dB
+    zero; the 1/kappa curl terms, shared by N and L, are never formed.
 
     dn      = -1/(1+eps) div(n u)
     d(nu)   = -div F + mu lap u + (mu+lam) grad div u + kappa/tau n J x B
@@ -438,62 +597,54 @@ def _full_rate(grid: Grid, p: Params, x: np.ndarray, kappa=None, guard=None, n_m
     C = ((eps-1) n J J^T + n (u J^T + J u^T))/(1+eps), the source
     S = a n E + kappa/(tau eps) n u x B + (eps-1) kappa/(tau eps) n J x B
     - a kappa_ei k_rate kappa^2 n^2 J with a = (1+eps)/(tau eps), and P the
-    Leray projector.  The momentum equations are converted to primitive form
-    via d_t u = (d_t(nu) - u d_t n)/n, and likewise for J.
+    Leray projector.  The limit's rows are these at J = E = B = 0, where
+    the terms with J, E or B vanish and are not formed.  The momentum
+    equations are converted to primitive form via
+    d_t u = (d_t(nu) - u d_t n)/n, and likewise for J.
     """
-    kap = p.kappa if kappa is None else kappa
+    lay = _layout(len(x))
+    k, lim = lay.currents, lay.limit
+    sh = lay.shapes(x.shape[1:])
+    if coef is None:
+        coef = _rate_coefficients(grid, p, p.kappa)
+    p = coef.p
     state = array_irfft(grid, x)
-    n = state[_ROWS[0, 1]]
     if guard is not None:
-        _require_positive(n, *guard)
-    hat = array_rfft(grid, _full_products(p, kap, n, state[_ROWS[1, 7]], state[_ROWS[7, 10]],
-                                          state[_ROWS[10, 13]]))
-    lead, half = hat.shape[:-4], hat.shape[-3:]
+        _require_positive(state[lay.n_col], *guard, first=lim)
+    n_uJ = state[lay.n_uJ]
+    grid_shapes = lay.shapes(state.shape[1:])
+    hat = array_rfft(grid, _products(p, coef, lay, state, n_uJ, grid_shapes))
     mask = grid.half_dealias_mask
-    out = np.empty_like(x)
-    _continuity(grid, p, hat[_ROWS[0, 3]], out[_ROWS[0]])
-    flux = _div_sym(grid, hat[_ROWS[6, 18]].reshape(lead + (2, 6) + half))
-    np.subtract(hat[_ROWS[18, 24]].reshape(lead + (2, 3) + half), flux, out=flux)
+    flux = _div_sym(grid, hat[lay.p_FC].reshape(sh.FC))
+    if lim:
+        head = flux[:1] if k else flux
+        np.negative(head, out=head)
+    if k:
+        tail = flux[lim:]
+        np.subtract(hat[lay.p_src].reshape(sh.pairs), tail, out=tail)
     np.multiply(mask, flux, out=flux)
-    visc = _visc_hat(grid, p, x[_ROWS[1, 7]].reshape(lead + (2, 3) + half)).reshape(lead + (6,) + half)
-    np.add(flux.reshape(visc.shape), visc, out=out[_ROWS[1, 7]])
-    nJ = mask * hat[_ROWS[3, 6]]
-    if n_mean is None:
-        out[_ROWS[7, 10]] = _curl_hat(grid, x[_ROWS[10, 13]]) / kap - half_leray_project(grid, nJ)
-        out[_ROWS[10, 13]] = _curl_hat(grid, x[_ROWS[7, 10]]) / -kap
-    else:
-        half_leray_project(grid, n_mean * x[_ROWS[4, 7]] - nJ, out=out[_ROWS[7, 10]])
-        out[_ROWS[10, 13]] = 0.0
-    _to_primitive(grid, out, state, 7)
-    if n_mean is not None:
-        du = out[_ROWS[1, 7]]
-        du -= visc / n_mean
-        dJ = out[_ROWS[4, 7]]
-        dJ -= ((1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean) * x[_ROWS[7, 10]]
-    return out
-
-
-def _limit_rate(grid: Grid, p: Params, x: np.ndarray, guard=None, n_mean=None) -> np.ndarray:
-    """Primitive rates of the limit system for the stacked half-spectrum (n, u):
-    dn = -1/(1+eps) div(n u) and d(nu) = -div F + mu lap u + (mu+lam) grad div u
-    with the fluid flux F of ``_full_rate`` at J = 0; ``x``, ``guard`` and
-    ``n_mean`` as there: given n_mean, u loses its viscous term divided by it."""
-    state = array_irfft(grid, x)
-    n = state[_ROWS[0, 1]]
-    if guard is not None:
-        _require_positive(n, *guard)
-    hat = array_rfft(grid, _fluid_products(p, n, state[_ROWS[1, 4]]))
+    nJ = mask * hat[lay.p_nJ].reshape(sh.cur) if k else None
     out = np.empty_like(x)
-    _continuity(grid, p, hat[_ROWS[0, 3]], out[_ROWS[0]])
-    flux = _div_sym(grid, hat[_ROWS[3, 9]])
-    np.negative(flux, out=flux)
-    np.multiply(grid.half_dealias_mask, flux, out=flux)
-    visc = _visc_hat(grid, p, x[_ROWS[1, 4]])
-    np.add(flux, visc, out=out[_ROWS[1, 4]])
-    _to_primitive(grid, out, state, 4)
-    if n_mean is not None:
-        du = out[_ROWS[1, 4]]
-        du -= visc / n_mean
+    d_uJ = out[lay.uJ].reshape(sh.uJ)
+    _continuity(grid, coef.multipliers, hat[lay.p_nu].reshape(sh.u), out[lay.n])
+    del hat  # the largest array of the rate: held on, it would raise the peak memory of a 3-D step
+    visc = _visc_hat(grid, p, x[lay.uJ].reshape(sh.uJ), coef.multipliers)
+    np.add(flux, visc, out=d_uJ)
+    del flux
+    if k:
+        dE, dB = out[lay.E].reshape(sh.cur), out[lay.B]
+        if coef.n_mean is None:
+            dE[:] = _curl_hat(grid, x[lay.B].reshape(sh.cur)) / coef.kap - half_leray_project(grid, nJ)
+            dB.reshape(sh.cur)[:] = _curl_hat(grid, x[lay.E].reshape(sh.cur)) / -coef.kap
+        else:
+            half_leray_project(grid, coef.n_mean * x[lay.J].reshape(sh.cur) - nJ, out=dE)
+            dB[:] = 0.0
+    _to_primitive(grid, lay, out, state, n_uJ, d_uJ, grid_shapes.uJ)
+    if coef.visc_mean is not None:
+        d_uJ -= visc / coef.visc_mean
+        if k:
+            dJ = out[lay.J].reshape(sh.cur)
+            dJ -= coef.a_n_mean * x[lay.E].reshape(sh.cur)
     return out
 
 

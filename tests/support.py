@@ -20,7 +20,6 @@ from nsmlimit.model import (
     PressureLaw,
     _cross,
     _full_rate,
-    _limit_rate,
     _stack,
 )
 from nsmlimit.spectral import (
@@ -488,7 +487,7 @@ class ManufacturedLimit:
 
     def forcing(self, t):
         g = self.grid
-        rate = array_irfft(g, _limit_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
+        rate = array_irfft(g, _full_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
         return _stack(*self.rate_arrays(t)) - rate
 
     def error_after(self, dt, t_end) -> float:
@@ -602,8 +601,8 @@ class DenseStiffReference:
 
 # The stepping rates evaluated term by term: physical arrays in and out, each
 # nonlinear term masked on its own, a few FFT round trips per term.  A slow
-# but direct reference for the batched half-spectrum model._full_rate and
-# model._limit_rate.
+# but direct reference for the batched half-spectrum model._full_rate, whose
+# limit-system rows are those of per_term_limit_rate.
 
 
 def per_term_fluid_rate(grid: Grid, p: Params, n: np.ndarray, u: np.ndarray):
@@ -686,26 +685,52 @@ _HALF_STEP_TERMS = (
 )
 
 
+def member_prop_rows(layout, member: int) -> list:
+    """The ``prop_half`` rows of one member of a member set, per _TERMS
+    entry: u's terms hold a row for every member, the other terms one for
+    every member with a current (None for the limit)."""
+    m, k, current = layout.members, layout.currents, member - layout.limit
+    rows, start = [], 0
+    for _, i, _ in _TERMS:
+        rows.append(start + member if i == 0 else start + current if current >= 0 else None)
+        start += m if i == 0 else k
+    return rows
+
+
+def member_stiff_rows(layout, member: int) -> list:
+    """The rows of one member's (u, J, E, B), or its u for the limit, in the
+    stiff rows (M + 3K, 3, *half) of a member set."""
+    m, k, current = layout.members, layout.currents, member - layout.limit
+    return [member] + ([m + current, m + k + current, m + 2 * k + current] if current >= 0 else [])
+
+
 def term_by_term_half_step(op, x: np.ndarray) -> np.ndarray:
-    """``op.apply_half(x)`` one term at a time, each field's terms summed
-    from zero in _HALF_STEP_TERMS order; ``op.prop_half`` rows are looked up
-    by the operator's own term order (``integrator._TERMS``)."""
+    """``op.apply_half(x)`` one member and one term at a time, each field's
+    terms summed from zero in _HALF_STEP_TERMS order; ``op.prop_half`` rows
+    are looked up by the operator's own term order (``integrator._TERMS``)."""
     kh = op.khat
-    s = (kh * x).sum(axis=-4, keepdims=True)
-    rot = componentwise_cross(kh, x)
-    rot *= -1j
-    out, lon = np.zeros_like(x), np.zeros_like(s)
-    parts = {"x": x, "s": s, "rot": rot}
-    for term in _HALF_STEP_TERMS:
-        part, i, j = term
-        coef = op.prop_half[..., _TERMS.index(term), None, :, :, :]
-        acc = lon if part == "s" else out
-        acc[..., i, :, :, :, :] += coef * parts[part][..., j, :, :, :, :]
-    out += kh * lon
-    return out
+    result = np.empty_like(x)
+    for member in range(op.layout.members):
+        stiff, prop_rows = member_stiff_rows(op.layout, member), member_prop_rows(op.layout, member)
+        y = x[stiff]
+        s = (kh * y).sum(axis=-4, keepdims=True)
+        rot = componentwise_cross(kh, y)
+        rot *= -1j
+        out, lon = np.zeros_like(y), np.zeros_like(s)
+        parts = {"x": y, "s": s, "rot": rot}
+        for term in _HALF_STEP_TERMS:
+            part, i, j = term
+            if max(i, j) >= len(stiff):
+                continue
+            coef = op.prop_half[prop_rows[_TERMS.index(term)], None, :, :, :]
+            acc = lon if part == "s" else out
+            acc[i] += coef * parts[part][j]
+        out += kh * lon
+        result[stiff] = out
+    return result
 
 
-# row i of the products of model._full_products is row _FULL_ROWS[i] of those
+# row i of one state's products (model._products) is row _FULL_ROWS[i] of those
 # below: n u, F and C with symmetric entries (00, 01, 02, 11, 12, 22), the
 # two sources, then n J
 _FULL_ROWS = [0, 1, 2, 21, 22, 23, 3, 6, 8, 4, 5, 7, 9, 12, 14, 10, 11, 13, 15, 16, 17, 18, 19, 20]
@@ -720,17 +745,34 @@ def _row_by_row_flux(p: Params, n, nu, u):
     return rows
 
 
+def member_product_rows(layout, member: int) -> list:
+    """The rows of one member of a member set in its products
+    (``model._products``), in the order of one state's: n u, n J, F, C and
+    the two sources, or n u and F for the limit."""
+    m, k, current = layout.members, layout.currents, member - layout.limit
+
+    def rows(start, width, index):
+        return list(range(start + width * index, start + width * (index + 1)))
+
+    if current < 0:
+        return rows(0, 3, member) + rows(3 * (m + k), 6, member)
+    return (rows(0, 3, member) + rows(3 * m, 3, current) + rows(3 * (m + k), 6, member)
+            + rows(9 * m + 3 * k, 6, current) + rows(9 * (m + k), 3, current)
+            + rows(9 * (m + k) + 3 * k, 3, current))
+
+
 def row_by_row_fluid_products(p: Params, n, u) -> np.ndarray:
-    """``model._fluid_products``: n u, then the fluid flux F's entries in
-    the diagonal-first order (00, 11, 22, 01, 02, 12)."""
+    """The limit system's products (``model._products``): n u, then the
+    fluid flux F's entries in the diagonal-first order (00, 11, 22, 01, 02,
+    12)."""
     nu = n * u
     flux = _row_by_row_flux(p, n, nu, u)
     return np.stack([nu[..., i, :, :, :] for i in range(3)] + [flux[d] for d in (0, 3, 5, 1, 2, 4)], axis=-4)
 
 
 def row_by_row_full_products(p: Params, kap, n, u, J, E, B) -> np.ndarray:
-    """``model._full_products``, one row at a time; ``kap`` a float or a
-    member column."""
+    """One state's products (``model._products``), one row at a time;
+    ``kap`` a float or a member column."""
     eps = p.epsilon
     inv = 1.0 / (1.0 + eps)
     a_coef = (1.0 + eps) / (p.tau * eps)

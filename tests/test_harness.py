@@ -10,6 +10,8 @@ from nsmlimit import harness
 from nsmlimit.cli import _with_seed, main
 from nsmlimit.diagnostics import LEDGER_COLUMNS
 from nsmlimit.errors import ConfigError, VacuumError
+from nsmlimit.initdata import make_limit_data
+from nsmlimit.integrator import evolve
 from nsmlimit.model import FullState, LimitState, Params
 from nsmlimit.harness import (
     InitialSpec,
@@ -246,9 +248,9 @@ class TestRunSingle:
 
         def step_full(grid, x, p, *args, _step=harness.step_full, **kwargs):
             out = _step(grid, x, p, *args, **kwargs)
-            steps.append(x.shape[:-4])  # the members stepped
+            steps.append(len(x))  # the rows stepped: 4 of the limit, 13 per member
             if len(steps) == 40:
-                out[1, 0, 5] = -0.5
+                out[2, 5] = -0.5  # the density of member 0.1, after the limit's and 0.4's
             return out
 
         monkeypatch.setattr(harness, "step_full", step_full)
@@ -256,7 +258,7 @@ class TestRunSingle:
         assert (left.status, left.message, left.n_steps) == (
             "vacuum", "vacuum state: total density nonpositive (min n = -0.5) at t=0.008", 40)
         assert len(left.snapshots) == 40 and left.rows == clean[1].rows[:40]
-        assert steps == [(2,)] * 40 + [()] * 10
+        assert steps == [4 + 2 * 13] * 40 + [4 + 13] * 10
         assert (kept.status, kept.n_steps, kept.rows) == ("completed", 50, clean[0].rows)
 
     def test_one_ledger_call_per_member_after_the_march(self, monkeypatch):
@@ -451,6 +453,77 @@ class TestBatchedSweep:
         assert result.summary["sup_error"] == survivors
 
 
+class TestPairedLimit:
+    """The limit system steps as the first member of a run's stack."""
+
+    @staticmethod
+    def _evolved_limit(cfg):
+        """(t, n, u) of ``evolve`` on the run's limit data, at the run's
+        snapshot stride."""
+        ini = cfg.initial
+        limit = make_limit_data(cfg.grid, seed=ini.seed, amplitude=ini.base_amplitude,
+                                velocity_amplitude=ini.velocity_amplitude,
+                                max_wavenumber=ini.max_wavenumber)
+        seen = []
+        _, log = evolve(limit, cfg.params, cfg.step, stride=cfg.snapshot_stride,
+                        observer=lambda i, t, s: seen.append((t, s.n.values.copy(), s.u.values.copy())))
+        assert log.status == "completed"
+        return seen
+
+    @staticmethod
+    def _assert_prefix(rec, want):
+        assert 0 < len(rec.snapshots) <= len(want)
+        for (t, _, limit), (t_want, n, u) in zip(rec.snapshots, want):
+            assert t == t_want
+            assert np.array_equal(limit.n.values, n) and np.array_equal(limit.u.values, u)
+
+    @pytest.mark.parametrize("kappa", [0.2, (0.4, 0.2, 0.1)], ids=["single", "batch"])
+    def test_limit_snapshots_are_evolve_s(self, kappa):
+        cfg = parse_config_text(SHORT_CONFIG)
+        want = self._evolved_limit(cfg)
+        recs = run_single(cfg, kappa=kappa)
+        for rec in recs if isinstance(kappa, tuple) else [recs]:
+            assert rec.status == "completed" and len(rec.snapshots) == len(want)
+            self._assert_prefix(rec, want)
+
+    def test_limit_snapshots_when_a_member_leaves(self):
+        # members 0.4 and 0.1 leave at steps 3 and 64; the limit steps on
+        # with 0.01 as it does alone
+        cfg = _stiff_epsilon_config("0.4, 0.1, 0.01")
+        want = self._evolved_limit(cfg)
+        recs = run_single(cfg, kappa=tuple(cfg.kappa_list))
+        assert [(r.status, r.n_steps) for r in recs] == [("vacuum", 3), ("vacuum", 64), ("completed", 100)]
+        assert len(recs[2].snapshots) == len(want)
+        for rec in recs:
+            self._assert_prefix(rec, want)
+
+    @pytest.mark.parametrize("value, status, message", [
+        (math.nan, "blowup", "blow-up detected at t=0.0008: non-finite n"),
+        (-1.0, "vacuum", "vacuum state at t=0.0008: min n = -"),
+    ], ids=["blowup", "vacuum"])
+    def test_limit_failure_ends_every_member(self, monkeypatch, value, status, message):
+        # the limit's density is spoiled at one point before step 4, once:
+        # its failure ends every member at 3 steps with its message, and no
+        # member redoes the step; linear pressure keeps the rates finite at
+        # negative density
+        cfg = parse_config_text(SHORT_CONFIG + "\n[params]\npressure_gamma = 1.0\n")
+        spoiled = []
+
+        def step_full(grid, x, p, sc, *args, _step=harness.step_full, t=0.0, **kwargs):
+            if t == 3 * sc.dt and not spoiled:
+                spoiled.append(t)
+                x = x.copy()
+                x[0, 5] = value  # the limit's n, the stack's first row
+            return _step(grid, x, p, sc, *args, t=t, **kwargs)
+
+        monkeypatch.setattr(harness, "step_full", step_full)
+        recs = run_single(cfg, kappa=(0.4, 0.2))
+        assert [(r.status, r.n_steps) for r in recs] == [(status, 3)] * 2
+        assert recs[0].message == recs[1].message
+        assert recs[0].message.startswith(message)
+        assert [len(r.snapshots) for r in recs] == [1, 1]
+
+
 class TestCli:
     def test_run_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
@@ -501,6 +574,16 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_step_count_exit_two(self, tmp_path, capsys):
+        # a positive dt so small that t_end / dt overflows used to crash in
+        # StepControl.n_steps with an OverflowError (exit 1)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[step]\ndt = 1e-320\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error: step.dt = 1e-320 is too small" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("path", ["configs/acceptance.ini", "perfbench/paired_3d.ini",

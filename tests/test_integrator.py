@@ -14,6 +14,7 @@ from support import (
     array_divergence,
     array_leray_project,
     count_fft_calls,
+    member_prop_rows,
     observed_order,
     term_by_term_half_step,
 )
@@ -21,6 +22,7 @@ from support import (
 from nsmlimit.errors import BlowUpError, ConfigError, VacuumError
 from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
 from nsmlimit.integrator import (
+    _TERMS,
     StepControl,
     StiffLinearOperator,
     _check_step,
@@ -28,11 +30,10 @@ from nsmlimit.integrator import (
     build_stiff_operator,
     evolve,
     step_full,
-    step_limit,
 )
 from nsmlimit.model import (
-    FullState, LimitState, Params, PressureLaw, _full_rate, _limit_rate, _split, _stack, _stacked,
-    _state_view,
+    FullState, LimitState, Params, PressureLaw, _full_rate, _join, _layout, _rate_coefficients, _split,
+    _stack, _stacked, _state_view,
 )
 from nsmlimit.spectral import (
     Grid,
@@ -81,12 +82,13 @@ class TestStiffOperator:
         # closed form against dense complex expm of the (M, 9, 9) blocks
         p = Params(kappa=kappa, epsilon=epsilon, lam=lam)
         op = build_stiff_operator(grid, p, n_mean=1.07, dt=0.01)
+        limit = build_stiff_operator(grid, p, (), dt=0.01, limit_mean=1.07)
         ref = DenseStiffReference(grid, p, n_mean=1.07, dt=0.01)
         fields = _random_fields(grid, 11)
         x = array_rfft(grid, np.stack(fields))
         prop = ref.apply_half(*fields)
         for got, want in [(array_irfft(grid, op.apply_half(x)), prop),
-                          ([array_irfft(grid, op.apply_half_u(x[0]))], prop[:1])]:
+                          (array_irfft(grid, limit.apply_half(x[:1])), prop[:1])]:
             got, want = np.stack(got), np.stack(want)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -152,26 +154,26 @@ class TestStiffOperator:
         with pytest.raises(ConfigError):
             build_stiff_operator(grid64, Params(kappa=0.5), 1.0, dt=0.0)
         with pytest.raises(ConfigError):
-            StiffLinearOperator.viscous(grid64, Params(kappa=0.5), 1.0, dt=0.0)
+            build_stiff_operator(grid64, Params(kappa=0.5), (), dt=0.0, limit_mean=1.0)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     def test_viscous_operator_steps_as_full_builder(self, grid):
-        # the limit system's u-only operator tabulates the same viscous rows
-        # as the full builder, for one state and for a batch
+        # the limit system's operator, u's viscous rows alone, tabulates the
+        # full builder's u rows, alone and ahead of a batch, and a lone limit
+        # state steps the same with it as with the one step_full builds
         ps = tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.05))
-        limits = [make_limit_data(grid, seed=s, amplitude=0.1) for s in (3, 4)]
+        limit = make_limit_data(grid, seed=3, amplitude=0.1)
         sc = StepControl(dt=2e-4, t_end=1.0)
-        means = tuple(s.n.mean for s in limits)
-        for p, m, x in ((ps[0], means[0], _stacked(limits[0])),
-                        (ps, means, np.stack([_stacked(s) for s in limits]))):
-            viscous = StiffLinearOperator.viscous(grid, p, m, sc.dt)
-            full = build_stiff_operator(grid, p, m, sc.dt)
-            a = b = x
-            for i in range(3):
-                a = step_limit(grid, a, p, sc, op=viscous, t=i * sc.dt)
-                b = step_limit(grid, b, p, sc, op=full, t=i * sc.dt)
-            assert np.array_equal(a, b)
-            assert np.array_equal(step_limit(grid, x, p, sc), step_limit(grid, x, p, sc, op=full))
+        m = limit.n.mean
+        alone = build_stiff_operator(grid, ps[0], (), sc.dt, limit_mean=m)
+        full = build_stiff_operator(grid, ps[0], m, sc.dt)
+        paired = build_stiff_operator(grid, ps, (1.02, 0.97), sc.dt, limit_mean=m)
+        u_terms = [t for t, (_, i, _) in enumerate(_TERMS) if i == 0]
+        for op, member in ((full, 0), (paired, 0)):
+            rows = [member_prop_rows(op.layout, member)[t] for t in u_terms]
+            assert np.array_equal(op.prop_half[rows], alone.prop_half)
+        x = _stacked(limit)
+        assert np.array_equal(step_full(grid, x, ps[0], sc), step_full(grid, x, ps[0], sc, op=alone))
 
 
 def _mode_pairs(grid):
@@ -199,11 +201,12 @@ def _rel_err(got, want):
     return np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
 
 
-def _operator_inputs(grid, members):
-    """Params and mean densities of one state (members None) or a batch of 3."""
+def _operator(grid, members, dt=0.01):
+    """The operator of one state (members None) or of the limit and a batch of 3."""
     if members is None:
-        return Params(kappa=0.1, lam=0.05), 1.07
-    return tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.1, 0.02)), (1.07, 0.98, 1.0)
+        return build_stiff_operator(grid, Params(kappa=0.1, lam=0.05), 1.07, dt)
+    ps = tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.1, 0.02))
+    return build_stiff_operator(grid, ps, (1.07, 0.98, 1.0), dt, limit_mean=1.03)
 
 
 class TestGroupedHalfStep:
@@ -211,22 +214,19 @@ class TestGroupedHalfStep:
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     def test_apply_half_bit_for_bit(self, grid, members):
-        p, n_mean = _operator_inputs(grid, members)
-        op = build_stiff_operator(grid, p, n_mean, dt=0.01)
+        op = _operator(grid, members)
+        lay = op.layout
         rng = np.random.default_rng(5)
-        shape = ((members,) if members else ()) + (4, 3) + grid.half_wavenumbers.shape[1:]
+        shape = (lay.members + 3 * lay.currents, 3) + grid.half_wavenumbers.shape[1:]
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        x[..., 2:, 0, :, :, :] = 0.0  # exact zeros, as in the x rows of a 1-D E and B
-        want = term_by_term_half_step(op, x)
-        assert np.array_equal(op.apply_half(x), want)
-        assert np.array_equal(op.apply_half_u(x[..., 0, :, :, :, :]), want[..., 0, :, :, :, :])
+        x[lay.members + lay.currents:, 0] = 0.0  # exact zeros, as in the x rows of a 1-D E and B
+        assert np.array_equal(op.apply_half(x), term_by_term_half_step(op, x))
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     def test_prop_half_is_c_contiguous(self, grid, members):
-        p, n_mean = _operator_inputs(grid, members)
-        for op in (build_stiff_operator(grid, p, n_mean, dt=0.01),
-                   StiffLinearOperator.viscous(grid, p, n_mean, dt=0.01)):
+        for op in (_operator(grid, members),
+                   build_stiff_operator(grid, Params(kappa=0.1), (), dt=0.01, limit_mean=1.07)):
             assert op.prop_half.flags.c_contiguous
 
 
@@ -317,29 +317,32 @@ class TestRemainder:
     @pytest.mark.parametrize("kappas", [(0.05,), (0.4, 0.05, 1e-3)], ids=["single", "batch3"])
     @pytest.mark.parametrize("system", ["full", "limit"])
     def test_matches_rate_minus_dense_generator(self, grid, kappas, system):
+        # "limit" is the limit system alone (single) or ahead of the batch
         xs, ps = _random_state(grid, 5, kappas)
-        rows = 13 if system == "full" else 4
-        xs = [x[:rows] for x in xs]
-        means = [float(array_irfft(grid, x[0]).mean()) for x in xs]
         batch = len(kappas) > 1
-        x = np.stack(xs) if batch else xs[0]
-        p, m = (tuple(ps), tuple(means)) if batch else (ps[0], means[0])
-        n_mean = build_stiff_operator(grid, p, m, dt=0.01).n_mean
-        kap = np.reshape(kappas, (-1, 1, 1, 1, 1)) if batch else kappas[0]
-        if system == "full":
-            got = _full_rate(grid, ps[0], x, kap, n_mean=n_mean)
-            rate = _full_rate(grid, ps[0], x, kap)
+        limit = [_random_state(grid, 6, (1.0,))[0][0][:4]] if system == "limit" else []
+        members = list(zip(xs, ps)) if system == "full" or batch else []
+        stacks = limit + [x for x, _ in members]
+        means = [float(array_irfft(grid, x[0]).mean()) for x in stacks]
+        lim = len(limit)
+        if len(members) > 1:
+            p, m = tuple(q for _, q in members), tuple(means[lim:])
         else:
-            got = _limit_rate(grid, ps[0], x, n_mean=n_mean)
-            rate = _limit_rate(grid, ps[0], x)
-        for k in range(len(kappas)):
-            member = (lambda a: a[k]) if batch else (lambda a: a)
-            want = array_irfft(grid, member(rate))
-            fields = list(array_irfft(grid, xs[k])[1:].reshape(-1, 3, *grid.shape))
+            p, m = (members[0][1], means[lim]) if members else (ps[0], ())
+        x = _join(stacks)
+        op = build_stiff_operator(grid, p, m, dt=0.01, limit_mean=means[0] if lim else None)
+        got = _full_rate(grid, ps[0], x, op.coef)
+        rate = _full_rate(grid, ps[0], x, _rate_coefficients(grid, ps[0], op.coef.kap))
+        lay = _layout(len(x))
+        for k, stack in enumerate(stacks):
+            rows = lay.member_rows(k)
+            want = array_irfft(grid, rate[rows])
+            fields = list(array_irfft(grid, stack)[1:].reshape(-1, 3, *grid.shape))
             fields += [np.zeros_like(fields[0])] * (4 - len(fields))
-            lin = DenseStiffReference(grid, ps[k], means[k], dt=0.01).linear_rate(*fields)
-            want[1:] -= np.concatenate(lin)[: rows - 1]
-            err = np.abs(array_irfft(grid, member(got)) - want).max()
+            q = ps[0] if k < lim else members[k - lim][1]
+            lin = DenseStiffReference(grid, q, means[k], dt=0.01).linear_rate(*fields)
+            want[1:] -= np.concatenate(lin)[: len(rows) - 1]
+            err = np.abs(array_irfft(grid, got[rows]) - want).max()
             assert err <= 1e-12 * max(1.0, np.abs(want).max()), (k, err)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
@@ -353,7 +356,7 @@ class TestRemainder:
         z = np.zeros_like(E)
         x = array_rfft(grid, _stack(np.ones(grid.shape), z, z, E, B))
         op = build_stiff_operator(grid, p, 1.0, dt=2e-4)
-        remainder = array_irfft(grid, _full_rate(grid, p, x, n_mean=op.n_mean))
+        remainder = array_irfft(grid, _full_rate(grid, p, x, op.coef))
         assert np.abs(remainder[7:]).max() <= 1e-14
 
 
@@ -485,7 +488,7 @@ class TestStepFull:
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         state = LimitState(ScalarField(grid64, 1.0 + 1.5 * np.sin(x)), VectorField.zeros(grid64))
         with pytest.raises(VacuumError, match=r"at t=0\.001: min n = -0\.49"):
-            step_limit(grid64, _stacked(state), p, StepControl(dt=1e-3, t_end=1e-3))
+            step_full(grid64, _stacked(state), p, StepControl(dt=1e-3, t_end=1e-3))
 
     def test_asymptotic_robustness_quick(self, grid64):
         # identical grid/dt across three decades of kappa; the full-horizon
@@ -504,48 +507,55 @@ class TestStepFull:
 @pytest.mark.parametrize("grid", [Grid(3, 8), Grid(1, 64)], ids=["3d8", "1d64"])
 def test_transform_calls_per_step(grid, monkeypatch):
     # one transform each way at the step boundary plus four per rate
-    # evaluation: 10 calls for either stepper, for one state or a batch of 4
+    # evaluation: 10 calls for one state, the limit alone, a batch of 4, or
+    # the limit and a batch of 4 stepped together
     p = Params(kappa=0.1)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
     sc = StepControl(dt=2e-4, t_end=2e-4)
     batch_p = tuple(Params(kappa=k) for k in (0.4, 0.2, 0.1, 0.05))
+    x, xl, m, ml = _stacked(full), _stacked(limit), full.n.mean, limit.n.mean
     calls = count_fft_calls(monkeypatch)
-    for stepper, state in ((step_full, full), (step_limit, limit)):
-        x = _stacked(state)
-        for xs, params, means in ((x, p, state.n.mean),
-                                  (np.stack([x] * 4), batch_p, (state.n.mean,) * 4)):
-            op = build_stiff_operator(grid, params, means, sc.dt)
-            calls.clear()
-            stepper(grid, xs, params, sc, op=op)
-            assert 0 < len(calls) <= 12, (stepper.__name__, calls)
+    for stack, params, means, limit_mean in ((x, p, m, None), (xl, p, (), ml),
+                                             (_join([x] * 4), batch_p, (m,) * 4, None),
+                                             (_join([xl] + [x] * 4), batch_p, (m,) * 4, ml)):
+        op = build_stiff_operator(grid, params, means, sc.dt, limit_mean=limit_mean)
+        calls.clear()
+        step_full(grid, stack, params, sc, op=op)
+        assert len(calls) == 10, (len(stack), calls)
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
 def test_batch_matches_single_steps(grid):
-    # a batch is one stack with kappa as a column; every member must come
-    # out bit for bit as when stepped alone, operator tables included
+    # a batch is one stack with kappa as a column, with or without the limit
+    # ahead of it; every member must come out bit for bit as when stepped
+    # alone, operator tables included
     kappas = (0.4, 0.05, 1e-3)
     ps = tuple(Params(kappa=k) for k in kappas)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     fulls = tuple(make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=k))
                   for k in kappas)
-    limits = tuple(make_limit_data(grid, seed=s, amplitude=0.1) for s in (3, 4, 5))
     sc = StepControl(dt=2e-4, t_end=1.0)
-    for stepper, states in ((step_full, fulls), (step_limit, limits)):
-        op = build_stiff_operator(grid, ps, tuple(s.n.mean for s in states), sc.dt)
-        ops = [build_stiff_operator(grid, p, s.n.mean, sc.dt) for p, s in zip(ps, states)]
-        for k, single in enumerate(ops):
-            assert op.n_mean[k, 0, 0, 0, 0] == single.n_mean
-            assert np.array_equal(op.prop_half[k], single.prop_half)
+    ops = [build_stiff_operator(grid, p, s.n.mean, sc.dt) for p, s in zip(ps, fulls)]
+    ops.insert(0, build_stiff_operator(grid, ps[0], (), sc.dt, limit_mean=limit.n.mean))
+    for limits in ([], [limit]):
+        states = limits + list(fulls)
+        op = build_stiff_operator(grid, ps, tuple(s.n.mean for s in fulls), sc.dt,
+                                  limit_mean=limit.n.mean if limits else None)
+        singles = ops[1 - len(limits):]
+        for k, single in enumerate(singles):
+            assert np.array_equal(op.prop_half[[r for r in member_prop_rows(op.layout, k) if r is not None]],
+                                  single.prop_half)
+        assert np.array_equal(op.coef.n_mean[:, 0, 0, 0, 0], [s.coef.n_mean for s in ops[1:]])
         alone = [_stacked(s) for s in states]
-        batch = np.stack(alone)
+        batch = _join(alone)
+        params = [ps[0]] * len(limits) + list(ps)
         for i in range(3):
-            batch = stepper(grid, batch, ps, sc, op=op, t=i * sc.dt)
-            alone = [stepper(grid, x, p, sc, op=o, t=i * sc.dt) for x, p, o in zip(alone, ps, ops)]
-        assert batch.shape == (len(states),) + alone[0].shape
-        for b, a in zip(batch, alone):
-            assert np.array_equal(b, a)
+            batch = step_full(grid, batch, ps, sc, op=op, t=i * sc.dt)
+            alone = [step_full(grid, x, p, sc, op=o, t=i * sc.dt) for x, p, o in zip(alone, params, singles)]
+        assert batch.shape == (sum(len(a) for a in alone),) + alone[0].shape[1:]
+        for k, a in enumerate(alone):
+            assert np.array_equal(batch[op.layout.member_rows(k)], a)
 
 
 class TestBatchFailures:
@@ -560,62 +570,66 @@ class TestBatchFailures:
         with pytest.raises(BlowUpError) as alone:
             step_full(grid64, _stacked(bad), ps[1], sc)
         with pytest.raises(BlowUpError) as batch:
-            step_full(grid64, np.stack([_stacked(x) for x in (s, bad, s)]), ps, sc)
+            step_full(grid64, _join([_stacked(x) for x in (s, bad, s)]), ps, sc)
         assert batch.value.member == 1
         assert str(batch.value) == str(alone.value)
 
     def test_vacuum_names_member_and_min_density(self, grid64):
-        # linear pressure keeps the rates finite at negative density
+        # linear pressure keeps the rates finite at negative density; the
+        # limit leads the set, so the failing member is number 2
         ps = tuple(Params(kappa=k, pressure=PressureLaw(gamma=1.0)) for k in (0.4, 0.2))
         x = grid64.coordinate(0) * np.ones(grid64.shape)
-        good = LimitState(ScalarField(grid64, 1.0 + 0.1 * np.sin(x)), VectorField.zeros(grid64))
-        bad = LimitState(ScalarField(grid64, 1.0 + 1.5 * np.sin(x)), VectorField.zeros(grid64))
+        z = VectorField.zeros(grid64)
+        good, bad = (ScalarField(grid64, 1.0 + a * np.sin(x)) for a in (0.1, 1.5))
+        stacks = [_stacked(LimitState(good, z))] + [_stacked(FullState(n, z, z, z, z)) for n in (good, bad)]
         sc = StepControl(dt=1e-3, t_end=1e-3)
         with pytest.raises(VacuumError, match=r"^vacuum state at t=0\.001: min n = -0\.49") as exc:
-            step_limit(grid64, np.stack([_stacked(good), _stacked(bad)]), ps, sc)
-        assert exc.value.member == 1
+            step_full(grid64, _join(stacks), ps, sc)
+        assert exc.value.member == 2
 
     def test_limit_predictor_stage_vacuum_names_member(self, grid64):
         # positive on entry, negative in the SSP-RK2 predictor stage; linear
-        # pressure keeps the first-stage rate finite
+        # pressure keeps the first-stage rate finite.  The limit is member 0
+        # of the set it leads.
         ps = tuple(Params(kappa=k, pressure=PressureLaw(gamma=1.0)) for k in (0.4, 0.2))
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         zero = np.zeros(grid64.shape)
-        good = LimitState(ScalarField(grid64, 1.0 + 0.1 * np.sin(x)), VectorField.zeros(grid64))
+        z = VectorField.zeros(grid64)
+        good = FullState(ScalarField(grid64, 1.0 + 0.1 * np.sin(x)), z, z, z, z)
         bad = LimitState(ScalarField(grid64, 1.0 + 0.5 * np.sin(x)),
                          VectorField(grid64, np.stack([10.0 * np.sin(x), zero, zero])))
         sc = StepControl(dt=0.2, t_end=0.2)
         with pytest.raises(VacuumError) as alone:
-            step_limit(grid64, _stacked(bad), ps[1], sc)
+            step_full(grid64, _stacked(bad), ps[1], sc)
         assert str(alone.value).startswith("vacuum state in the SSP-RK2 predictor stage at t=0.2: min n = -")
         with pytest.raises(VacuumError) as batch:
-            step_limit(grid64, np.stack([_stacked(good), _stacked(bad)]), ps, sc)
-        assert batch.value.member == 1
+            step_full(grid64, _join([_stacked(bad), _stacked(good)]), ps[1], sc)
+        assert batch.value.member == 0
         assert str(batch.value) == str(alone.value)
 
     def test_params_must_differ_only_in_kappa(self, grid64):
         s = _uniform(grid64)
         ps = (Params(kappa=0.4), Params(kappa=0.2, mu=0.2))
         with pytest.raises(ConfigError, match="differ only in kappa"):
-            step_full(grid64, np.stack([_stacked(s)] * 2), ps, StepControl(dt=1e-3, t_end=1e-3))
+            step_full(grid64, _join([_stacked(s)] * 2), ps, StepControl(dt=1e-3, t_end=1e-3))
 
 
 class TestStepLimit:
+    # the limit system stepped alone, as its 4-row stack
     def test_equilibrium(self, grid64):
         p = Params(kappa=0.2)
         s = LimitState(ScalarField(grid64, np.ones(grid64.shape)),
                        VectorField.zeros(grid64))
-        out = _state_view(grid64, step_limit(grid64, _stacked(s), p, StepControl(dt=0.1, t_end=0.1)))
+        out = _state_view(grid64, step_full(grid64, _stacked(s), p, StepControl(dt=0.1, t_end=0.1)))
         assert np.abs(out.n.values - 1.0).max() < 1e-14
         assert sup_norm(out.u) < 1e-14
 
     def test_operator_for_another_dt_rejected(self, grid64):
         p = Params(kappa=0.2)
-        op = StiffLinearOperator.viscous(grid64, p, 1.0, 4e-3)
+        op = build_stiff_operator(grid64, p, (), 4e-3, limit_mean=1.0)
         s = LimitState(ScalarField(grid64, np.ones(grid64.shape)), VectorField.zeros(grid64))
         with pytest.raises(ConfigError, match=r"^the operator was built for dt=0\.004, the step has dt=0\.001$"):
-            step_limit(grid64, _stacked(s), p, StepControl(dt=1e-3, t_end=1e-3), op=op)
-
+            step_full(grid64, _stacked(s), p, StepControl(dt=1e-3, t_end=1e-3), op=op)
     def test_manufactured_order(self, grid64):
         mms = ManufacturedLimit(grid64, Params(kappa=0.5))
         errors = [mms.error_after(dt, t_end=3.2e-2) for dt in (4e-3, 2e-3, 1e-3)]
@@ -635,11 +649,11 @@ class TestStepLimit:
         dt, t_end = 2e-3, 40.0
         n_steps = round(t_end / dt)
         sc = StepControl(dt=dt, t_end=t_end)
-        op = build_stiff_operator(grid, p, 1.0, dt)
+        op = build_stiff_operator(grid, p, (), dt, limit_mean=1.0)
         series = np.empty(n_steps)
         x = _stacked(state)
         for i in range(n_steps):
-            x = step_limit(grid, x, p, sc, op=op, t=i * dt)
+            x = step_full(grid, x, p, sc, op=op, t=i * dt)
             series[i] = x[0, 4, 0, 0] - 1.0  # n at x = pi/2: sin mode peak
         window = np.hanning(n_steps)
         spec = np.abs(np.fft.rfft(series * window))
@@ -668,7 +682,7 @@ class TestStepLimit:
         x = _stacked(state)
         with pytest.raises((VacuumError, BlowUpError)):
             for i in range(200):
-                x = step_limit(grid64, x, p, StepControl(dt=0.05, t_end=10.0), t=i * 0.05)
+                x = step_full(grid64, x, p, StepControl(dt=0.05, t_end=10.0), t=i * 0.05)
 
 
 class TestEvolve:

@@ -8,6 +8,7 @@ from support import (
     array_dealias,
     array_leray_project,
     componentwise_cross,
+    member_product_rows,
     per_term_full_rate,
     per_term_limit_rate,
     row_by_row_fluid_products,
@@ -16,7 +17,7 @@ from support import (
 )
 
 from nsmlimit.errors import VacuumError
-from nsmlimit.integrator import StepControl, step_limit
+from nsmlimit.integrator import StepControl, step_full
 from nsmlimit.model import (
     FullState,
     LimitState,
@@ -24,10 +25,11 @@ from nsmlimit.model import (
     PressureLaw,
     TwoFluidState,
     _cross,
-    _fluid_products,
-    _full_products,
     _full_rate,
-    _limit_rate,
+    _join,
+    _layout,
+    _products,
+    _rate_coefficients,
     _reformed_rate,
     _split,
     _stack,
@@ -62,8 +64,8 @@ def full_rate(s: FullState, p: Params, guard=None):
 
 
 def limit_rate(s: LimitState, p: Params):
-    """(dn, du) of ``_limit_rate`` on the grid."""
-    return _split(array_irfft(s.grid, _limit_rate(s.grid, p, array_rfft(s.grid, _stacked(s)))))
+    """(dn, du) of ``_full_rate`` on the grid for a lone limit state."""
+    return _split(array_irfft(s.grid, _full_rate(s.grid, p, array_rfft(s.grid, _stacked(s)))))
 
 
 def two_fluid_rate(s: TwoFluidState, p: Params):
@@ -275,7 +277,7 @@ class TestRhsLimit:
         ]))
         errs = []
         for dt in (2e-3, 1e-3):
-            stepped = step_limit(grid64, _stacked(LimitState(n, u)), p, StepControl(dt=dt, t_end=dt))
+            stepped = step_full(grid64, _stacked(LimitState(n, u)), p, StepControl(dt=dt, t_end=dt))
             shifted = translate(n, (c * dt / (1.0 + p.epsilon), 0.0, 0.0))
             errs.append(np.abs(stepped[0] - shifted.values).max())
         assert errs[0] < 1e-7
@@ -306,7 +308,7 @@ class TestBatchedRates:
 
         cases = [
             (stepping(_full_rate), (n, u, J, E, B), lambda *x: per_term_full_rate(grid, p, *x)),
-            (stepping(_limit_rate), (n, u), lambda *x: per_term_limit_rate(grid, p, *x)),
+            (stepping(_full_rate), (n, u), lambda *x: per_term_limit_rate(grid, p, *x)),
             (certificate(_two_fluid_rate), (n, u, J, E, B), certificate(support._two_fluid_rate)),
             (certificate(_reformed_rate), (n, u, J, E, B), certificate(support._reformed_rate)),
         ]
@@ -392,18 +394,46 @@ class TestGroupedProducts:
         kap = np.array(kappas).reshape(-1, 1, 1, 1, 1)
         return Params(kappa=kappas[0], lam=0.05), kap, n, u, J, E, B
 
+    @staticmethod
+    def _products(grid, p, kap, x):
+        """``_products`` of a member set's grid stack x."""
+        lay = _layout(len(x))
+        return _products(p, _rate_coefficients(grid, p, kap), lay, x, x[lay.n_uJ], lay.shapes(x.shape[1:]))
+
+    @staticmethod
+    def _limit_fields(grid):
+        rng = np.random.default_rng(10)
+        return 1.0 + 0.1 * rng.normal(size=(1,) + grid.shape), rng.normal(size=(3,) + grid.shape)
+
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     def test_full_products_bit_for_bit(self, grid, members):
+        # one state, or three with the limit ahead of them: each member's rows
         p, kap, n, u, J, E, B = self._inputs(grid, members)
-        got = _full_products(p, kap, n, np.concatenate([u, J], axis=-4), E, B)
-        assert np.array_equal(got, row_by_row_full_products(p, kap, n, u, J, E, B))
+        want = row_by_row_full_products(p, kap, n, u, J, E, B)
+        if members is None:
+            assert np.array_equal(self._products(grid, p, kap, _stack(n, u, J, E, B)), want)
+            return
+        stacks = [_stack(*self._limit_fields(grid))] + [_stack(*f) for f in zip(n, u, J, E, B)]
+        got = self._products(grid, p, kap, _join(stacks))
+        lay = _layout(4 + 13 * members)
+        for k in range(members):
+            assert np.array_equal(got[member_product_rows(lay, k + 1)], want[k])
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     def test_fluid_products_bit_for_bit(self, grid, members):
-        p, _, n, u, *_ = self._inputs(grid, members)
-        assert np.array_equal(_fluid_products(p, n, u), row_by_row_fluid_products(p, n, u))
+        # the limit system's products: n u and F, alone or ahead of three
+        # members with a current
+        p, kap, n, u, J, E, B = self._inputs(grid, members)
+        n0, u0 = self._limit_fields(grid)
+        want = row_by_row_fluid_products(p, n0, u0)
+        if members is None:
+            assert np.array_equal(self._products(grid, p, kap, _stack(n0, u0)), want)
+            return
+        x = _join([_stack(n0, u0)] + [_stack(*f) for f in zip(n, u, J, E, B)])
+        got = self._products(grid, p, kap, x)
+        assert np.array_equal(got[member_product_rows(_layout(len(x)), 0)], want)
 
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     def test_cross_bit_for_bit(self, members):

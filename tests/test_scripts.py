@@ -155,7 +155,35 @@ def test_step_ab_smoke(tmp_path, capsys):
     assert re.search(r"^run run\.ini: 2 rounds of 2 paired steps per tree$", out, re.M)
     for tag in "AB":
         assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+ +\d+$", out, re.M)) == 2
-    assert len(re.findall(r"B faster in \d/2 rounds; final stacks bit-identical$", out, re.M)) == 2
+    assert len(re.findall(r"B faster in \d/2 rounds; final states bit-identical$", out, re.M)) == 2
+
+
+def test_step_ab_compares_states_across_layouts():
+    # the final states of a tree that steps the limit and the members as one
+    # stack against those of a tree with a stack per system: equal field by
+    # field, member by member, the limit first; one changed bit differs
+    import nsmlimit.model as model
+    from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
+    from nsmlimit.spectral import Grid
+
+    step_ab = _load("step_ab")
+    grid = Grid(1, 16)
+    limit = make_limit_data(grid, seed=3, amplitude=0.1)
+    fulls = [model._stacked(make_well_prepared(WellPreparedSpec.from_seed(limit, seed=3, c0=1.0, kappa=k)))
+             for k in (0.4, 0.2)]
+    pkg = sys.modules["nsmlimit"]
+    xl = model._stacked(limit)
+    for members in (fulls, fulls[:1]):
+        one = (model._join([xl] + members),)
+        two = (np.stack(members) if len(members) > 1 else members[0], xl)
+        fields = step_ab.member_fields(pkg, grid, one)
+        assert [len(f) for f in fields] == [2] + [5] * len(members)
+        assert all(np.array_equal(a, b) for fa, fb in zip(fields, step_ab.member_fields(pkg, grid, two))
+                   for a, b in zip(fa, fb))
+        assert step_ab.same_states({"A": (pkg, one), "B": (pkg, two)}, grid)
+        changed = one[0].copy()
+        changed[-1, 3] = np.nextafter(changed[-1, 3], np.inf)  # the last member's B
+        assert not step_ab.same_states({"A": (pkg, (changed,)), "B": (pkg, two)}, grid)
 
 
 def test_step_ab_column_differences():
