@@ -11,21 +11,30 @@ interpreter, the numpy build and the machine state.  Each input is a config
 file: ``--sweep`` steps the batch of its ``[sweep] kappa_list`` (as
 ``nsmlimit sweep`` does) and ``--run`` its single ``[params] kappa`` (as
 ``nsmlimit run``); by default the inputs are ``--sweep
-configs/acceptance.ini --run perfbench/paired_3d.ini``.  Each tree takes its
-initial stacks and operators from its own ``harness.run_single``: its first
-paired step is caught and the run stopped there.
+configs/acceptance.ini --run perfbench/paired_3d.ini``.
 
-A paired step is what one step of ``run_single`` calls: one ``step_full``
-on the stack that holds the limit and every member (a tree whose harness
-has no ``step_limit``), or one ``step_full`` on the members' stack and one
-``step_limit`` on the limit's (a tree whose harness has one).  Per round
-and input, each tree runs S paired steps from the initial stacks, the two
-trees in alternating order, after one untimed warm-up round.  Reported per
-input and tree: the median and quartiles of the paired-step time over all
-rounds, the median minor page faults per ``step_full`` and per paired
-step, the rounds in which B's median step was faster than A's, and whether
-both trees' final states are bit for bit equal, field by field and member
-by member (the limit first), whatever the layout of their stacks.
+A paired step is one step of ``run_single``: one ``step_full`` call on the
+stack that holds the limit and every member.  Each tree's first such call
+is caught, with its arguments bound by name, and the run stopped there; a
+step replays that call with only its stack ``x`` and its time ``t``
+replaced.  So the two trees may pass the step different arguments: a tree
+whose ``step_full`` takes the grid, Params and StepControl beside the
+stack and the operator runs against one whose ``step_full`` takes the
+stack and the operator alone.  Per round and input, each tree runs S
+paired steps from the initial stack, the two trees in alternating order,
+after one untimed warm-up round.  Reported per input and tree: the median
+and quartiles of the paired-step time over all rounds, the median minor
+page faults per step, the rounds in which B's median step was faster than
+A's, and whether both trees' final states are bit for bit equal, field by
+field and member by member (the limit first).
+
+Both trees share one process and its heap, so each side's temporaries are
+placed by the other's allocation history.  On the call-overhead-bound 1-D
+inputs that does not show, but a 3-D ratio from here is not reproducible:
+three runs on the same two trees with ``perfbench/paired_3d.ini`` read
+B/A 1.106, 0.965 and 1/1.05, and the median minor faults per step ranged
+from 364 to 4,238 for the same code.  3-D comparisons use
+``scripts/bench.py`` pairs, one process per tree and run.
 
 ``--audit`` times what a run does with its snapshots: each tree runs the
 config's single ``[params] kappa`` once through its own ``run_single``
@@ -43,10 +52,12 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import resource
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,74 +81,69 @@ def import_tree(tree: Path, name: str):
     return module
 
 
-def first_step_args(pkg, config: Path, batch: bool) -> dict:
-    """The arguments of the steppers' calls in the first paired step of
-    ``harness.run_single`` on ``config`` in package ``pkg``: ``full``, and
-    ``limit`` where the harness steps the limit with a ``step_limit`` of its
-    own."""
+def bind_call(stepper, args: tuple, kwargs: dict) -> dict:
+    """The arguments of a call of ``stepper``, by parameter name."""
+    return dict(inspect.signature(stepper).bind(*args, **kwargs).arguments)
+
+
+def replay(stepper, arguments: dict, x: np.ndarray, t: float) -> np.ndarray:
+    """A call bound by ``bind_call`` again, with its stack and time replaced."""
+    return stepper(**(arguments | {"x": x, "t": t}))
+
+
+class Call(NamedTuple):
+    """A caught step: its tree's ``step_full``, its arguments by name, and
+    the grid and dt of the config it came from."""
+
+    stepper: object
+    arguments: dict
+    grid: object
+    dt: float
+
+
+def first_step(pkg, config: Path, batch: bool) -> Call:
+    """The first ``step_full`` call of ``harness.run_single`` on ``config``
+    in package ``pkg``."""
     harness = pkg.harness
     cfg = harness.parse_config(config)
-    names = ("step_full", "step_limit") if hasattr(harness, "step_limit") else ("step_full",)
-    caught, saved = {}, {name: getattr(harness, name) for name in names}
+    step_full, caught = harness.step_full, {}
 
-    def catch(key, stepper, last):
-        def wrapper(grid, x, p, sc, op=None, forcing=None, t=0.0):
-            caught[key] = (grid, x, p, sc, op)
-            if last:
-                raise _Caught
-            return stepper(grid, x, p, sc, op=op, forcing=forcing, t=t)
-        return wrapper
+    def catch(*args, **kwargs):
+        caught.update(bind_call(step_full, args, kwargs))
+        raise _Caught
 
-    for key, name in zip(("full", "limit"), names):
-        setattr(harness, name, catch(key, saved[name], name == names[-1]))
+    harness.step_full = catch
     try:
         harness.run_single(cfg, kappa=tuple(cfg.kappa_list) if batch else None)
     except _Caught:
         pass
     finally:
-        for name, stepper in saved.items():
-            setattr(harness, name, stepper)
-    if len(caught) < len(names):
+        harness.step_full = step_full
+    if not caught:
         raise SystemExit(f"{config}: the run made no step")
-    return caught
+    return Call(step_full, caught, cfg.grid, cfg.step.dt)
 
 
-def paired_steps(pkg, args: dict, steps: int):
-    """S paired steps from the caught arguments: the per-step seconds, the
-    minor faults per ``step_full`` and per paired step, and the final stacks."""
-    step_full = pkg.integrator.step_full
-    grid, x, p, sc, op = args["full"]
-    step_limit = pkg.integrator.step_limit if "limit" in args else None
-    if step_limit is not None:
-        _, xl, pl, _, opl = args["limit"]
-    seconds, full_faults, pair_faults = [], [], []
+def paired_steps(call: Call, steps: int):
+    """S paired steps from the caught call: the per-step seconds, the minor
+    faults per step, and the final stack."""
+    x = call.arguments["x"]
+    seconds, faults = [], []
     for i in range(steps):
-        t = i * sc.dt
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        x = step_full(grid, x, p, sc, op=op, t=t)
-        f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        if step_limit is not None:
-            xl = step_limit(grid, xl, pl, sc, op=opl, t=t)
+        x = replay(call.stepper, call.arguments, x, i * call.dt)
         t1 = time.perf_counter()
-        f2 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         seconds.append(t1 - t0)
-        full_faults.append(f1 - f0)
-        pair_faults.append(f2 - f0)
-    return seconds, full_faults, pair_faults, (x,) if step_limit is None else (x, xl)
+    return seconds, faults, x
 
 
-def member_fields(pkg, grid, stacks) -> list:
-    """The field arrays of each member of a paired step's final stacks, the
-    limit first: ``stacks`` is the one stack of the whole member set, or
-    the members' stack (one state, or (K, 13, *shape)) and the limit's."""
+def member_fields(pkg, grid, x: np.ndarray) -> list:
+    """The field arrays of each member of a member set's stack x, the limit
+    first."""
     model = pkg.model
-    if len(stacks) == 1:
-        states = [model._state_view(grid, stacks[0], m)
-                  for m in range(model._layout(len(stacks[0])).members)]
-    else:
-        x, xl = stacks
-        states = [model._state_view(grid, s) for s in [xl] + ([x] if x.ndim == xl.ndim else list(x))]
+    states = [model._state_view(grid, x, m) for m in range(model._layout(len(x)).members)]
     return [[f.values for f in vars(state).values()] for state in states]
 
 
@@ -152,29 +158,27 @@ def same_states(sides: dict, grid) -> bool:
 
 def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int) -> None:
     """Run the A/B of one input and print its table."""
-    sides = [(tag, pkg, first_step_args(pkg, config, batch)) for tag, pkg in trees]
-    for _, pkg, args in sides:  # warm-up, untimed
-        paired_steps(pkg, args, steps)
-    samples = {tag: {"s": [], "full": [], "pair": []} for tag, _, _ in sides}
+    sides = [(tag, pkg, first_step(pkg, config, batch)) for tag, pkg in trees]
+    for _, _, call in sides:  # warm-up, untimed
+        paired_steps(call, steps)
+    samples = {tag: {"s": [], "faults": []} for tag, _, _ in sides}
     wins, identical = 0, True
     for r in range(rounds):
         medians, finals = {}, {}
-        for tag, pkg, args in sides if r % 2 == 0 else sides[::-1]:
-            seconds, full_faults, pair_faults, stacks = paired_steps(pkg, args, steps)
-            finals[tag] = (pkg, stacks)
+        for tag, pkg, call in sides if r % 2 == 0 else sides[::-1]:
+            seconds, faults, x = paired_steps(call, steps)
+            finals[tag] = (pkg, x)
             samples[tag]["s"] += seconds
-            samples[tag]["full"] += full_faults
-            samples[tag]["pair"] += pair_faults
+            samples[tag]["faults"] += faults
             medians[tag] = np.median(seconds)
         wins += medians["B"] < medians["A"]
-        identical &= same_states(finals, sides[0][2]["full"][0])
+        identical &= same_states(finals, sides[0][2].grid)
     print(f"{name}: {rounds} rounds of {steps} paired steps per tree")
-    print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/full':>12} {'faults/pair':>12}")
+    print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/step':>12}")
     median_ms = {}
     for tag, _, _ in sides:
         q1, median_ms[tag], q3 = np.percentile(samples[tag]["s"], [25, 50, 75]) * 1e3
-        full_f, pair_f = (np.median(samples[tag][k]) for k in ("full", "pair"))
-        print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {full_f:12.0f} {pair_f:12.0f}")
+        print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {np.median(samples[tag]['faults']):12.0f}")
     print(f"  B/A median {median_ms['B'] / median_ms['A']:.3f}; B faster in {wins}/{rounds} rounds; "
           f"final states {'bit-identical' if identical else 'DIFFER'}")
 

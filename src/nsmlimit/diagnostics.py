@@ -74,13 +74,15 @@ def _first_vacuum(ts, checks) -> None:
 
     ``checks`` are (what, per-snapshot minimum) pairs in the order a
     snapshot's checks are made, so the error is the one the snapshot alone
-    gives; ``ts`` names its time (None: no time)."""
+    gives; ``ts`` names its time, in the message and as the error's
+    ``time`` (None: no time)."""
     bad = np.logical_or.reduce([m <= 0.0 for _, m in checks])
     if bad.any():
         s = int(bad.argmax())
         what, n_min = next((what, m[s]) for what, m in checks if m[s] <= 0.0)
+        time = None if ts is None else float(ts[s])
         at = "" if ts is None else f" at t={ts[s]:g}"
-        raise VacuumError(f"vacuum state: {what} nonpositive (min n = {n_min:.6g}){at}")
+        raise VacuumError(f"vacuum state: {what} nonpositive (min n = {n_min:.6g}){at}", time=time)
 
 
 def _check_ledger_densities(ts, n: np.ndarray, n0: np.ndarray) -> None:

@@ -10,10 +10,13 @@ class VacuumError(SimulationError):
 
     ``member`` is the index of the failing state within a batch of states
     stepped together (0 for a single state; None where no step is involved).
+    ``time`` is the time the message names, as for BlowUpError (None where
+    it names none).
     """
 
-    def __init__(self, message: str = "", member: int | None = None):
+    def __init__(self, message: str = "", member: int | None = None, time: float | None = None):
         self.member = member
+        self.time = time
         super().__init__(message)
 
 

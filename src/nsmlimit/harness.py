@@ -9,7 +9,8 @@ A run steps one stacked array, the member set of ``integrator.step_full``,
 and builds states only where it records: the limit system, which does not
 depend on kappa and is the scaled system without current and fields, is
 its first member, and the scaled system at each kappa of the run one more.
-So a paired step is one ``step_full`` call and one operator serves both
+So a paired step is one ``step_full`` call on the stack, and the set's one
+operator, which holds its grid, dt, Params and coefficients, serves both
 systems.  ``run_single`` with a tuple of kappas runs them as one batch, and
 the limit is built, stepped and recorded once for all of them.  Each
 member's records are bit for bit those of its own run.  A member that
@@ -334,10 +335,11 @@ def run_single(
     A tuple is a batch run together.  The run holds one stack, the member
     set (``model``, "member sets") of the limit system, which does not
     depend on kappa and is made once, and of the K members, (4 + 13 K,
-    *shape); every step is one ``step_full`` call on it, with one operator
-    for the set.  A record builds FullState/LimitState views of the current
-    stack (the stepper returns a new one, so a snapshot is never
-    overwritten) and runs the ledger's density checks on them.  After the
+    *shape); every step is one ``step_full`` call on it with the set's
+    operator, built again only when a member leaves.  A record builds
+    FullState/LimitState views of the current stack (the stepper returns a
+    new one, so a snapshot is never overwritten) and runs the ledger's
+    density checks on them.  After the
     march, each member's ledger rows are one ``make_energy_ledger`` call on
     its snapshots.  A member's records are bit for bit those of its own
     run.  A member that blows up or hits vacuum gets its own status,
@@ -346,7 +348,8 @@ def run_single(
     limit's message and step count; a member that fails the same check is
     reported first, with its own.  Every member's ``wall_seconds`` is the
     batch's, and ``batch_members`` says how many ran.  A record is tagged
-    ``run_kappa<kappa>``.
+    ``run_kappa<kappa>``.  Initial data with a nonpositive density raise
+    ConfigError, naming the member's kappa and min n, before any step.
 
     This is the only loop that steps both systems (``integrator.evolve``
     marches one state).  It calls the solver through this module's names on
@@ -373,7 +376,10 @@ def run_single(
             limit, seed=ini.seed, c0=ini.c0, kappa=p.kappa, l=cfg.l,
             max_wavenumber=ini.max_wavenumber, well_prepared=ini.well_prepared,
         )
-        full = make_well_prepared(spec)
+        try:
+            full = make_well_prepared(spec)
+        except VacuumError as exc:  # inadmissible data: a config error, before anything is written
+            raise ConfigError(f"initial data at kappa = {p.kappa:g}: {exc}") from None
         records.append(RunRecord(
             kappa=p.kappa, status="completed", message="", n_steps=0, dt=dt,
             t_end=cfg.step.t_end, l=cfg.l, rows=[], snapshots=[],
@@ -426,7 +432,7 @@ def run_single(
                 members, means = members[0], means[0]
             op = build_stiff_operator(grid, members, means, dt, limit_mean=limit.n.mean)
         try:
-            stepped = step_full(grid, x, members, cfg.step, op=op, t=t)
+            stepped = step_full(x, op, t=t)
         except (BlowUpError, VacuumError) as exc:
             if exc.member:
                 leave(exc.member, exc)  # the others redo this step
@@ -661,8 +667,6 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepResult:
     if len(cfg.kappa_list) < 3:
         raise ConfigError("sweep needs at least 3 kappa values")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     records = run_single(cfg, kappa=tuple(cfg.kappa_list))
     rows = []
     for rec in records:

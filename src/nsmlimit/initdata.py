@@ -155,7 +155,7 @@ def make_well_prepared(spec: WellPreparedSpec) -> FullState:
     x *= factors[:, None, None, None]
     x[:4] += _stacked(spec.base)
     if x[0].min() <= 0.0:
-        raise VacuumError("vacuum state: perturbed density nonpositive")
+        raise VacuumError(f"vacuum state: perturbed density nonpositive (min n = {x[0].min():.6g})")
     state = _state_view(grid, x)
     if spec.well_prepared:
         norm = hypothesis_norm(state, spec.base, spec.kappa, l)

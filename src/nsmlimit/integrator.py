@@ -23,21 +23,24 @@ and the 1/kappa curl terms, which N and L share, are never formed.
 rows.  A lone state is its own stack, (n, u, j~, E, B), (13, *shape), or
 (n, u), (4, *shape), for the limit system; ``harness.run_single`` steps the
 limit and the scaled system at each kappa as one set, the limit first.  The
-limit is the scaled system on J = E = B = 0: its operator is u's viscous
-block alone, and the rates skip the terms that vanish there.  A step scales
-j~ to J = kappa j~ and transforms once on entry, and transforms back and
-divides J by kappa once on exit; the half-steps, the SSP-RK2 updates and
-the Leray projection are element-wise work on the half-spectrum in between,
-and each rate evaluation leaves Fourier space only to form its pointwise
-products (``model._full_rate``).  States are built only where fields are
-read (``evolve``'s observer and result).
+set's operator (``build_stiff_operator``) describes it whole: the grid, dt,
+the row layout and the rate coefficients, so a step takes the stack, the
+operator and the time alone.  The limit is the scaled system on
+J = E = B = 0: its operator is u's viscous block alone, and the rates skip
+the terms that vanish there.  A step scales j~ to J = kappa j~ and
+transforms once on entry, and transforms back and divides J by kappa once
+on exit; the half-steps, the SSP-RK2 updates and the Leray projection are
+element-wise work on the half-spectrum in between, and each rate
+evaluation leaves Fourier space only to form its pointwise products
+(``model._full_rate``).  States are built only where fields are read
+(``evolve``'s observer and result).
 
-The members of a set share their Params but for kappa, given as a tuple of
-Params, one per member with a current; the operator tables and the rate
-coefficients hold one row or column entry per member.  Every operation acts
-on each member alone and the transforms give the same bits whatever rows
-they transform together, so a member's result does not depend on the set
-it ran in.
+The members of a set share their Params but for kappa, given to
+``build_stiff_operator`` as a tuple of Params, one per member with a
+current; the operator tables and the rate coefficients hold one row or
+column entry per member.  Every operation acts on each member alone and the
+transforms give the same bits whatever rows they transform together, so a
+member's result does not depend on the set it ran in.
 
 The 1-D steps are bound by numpy call overhead, so the propagator applies
 its per-mode coefficients in seven grouped multiplies (``_GROUPS``), and the
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -157,26 +160,18 @@ class StiffLinearOperator:
     every member of the set (``layout``), the others on the members with a
     current; so each group ``apply_half`` multiplies at once is a view of
     it.  L is not tabulated: the rates take the frozen mean densities in
-    ``coef`` (``model._rate_coefficients``; None for L = 0) and form
-    N(y) - L y directly.
+    ``coef`` (``model._rate_coefficients``) and form N(y) - L y directly.
+    The operator keeps the grid and dt it was built for, so it is all a
+    step needs beside the stack (``step_full``).
     """
 
-    def __init__(self, dt: float, khat: np.ndarray, prop_half: np.ndarray, layout: _Layout,
-                 coef=None):
+    def __init__(self, grid: Grid, dt: float, prop_half: np.ndarray, layout: _Layout, coef):
+        self.grid = grid
         self.dt = dt
-        self.khat = khat            # (3, *half)
-        self.prop_half = prop_half  # (rows, *half)
+        self.khat = grid.half_unit_wavenumbers  # (3, *half)
+        self.prop_half = prop_half              # (rows, *half)
         self.layout = layout
         self.coef = coef
-
-    @classmethod
-    def zero(cls, grid: Grid, dt: float) -> "StiffLinearOperator":
-        """L = 0 for one state: the identity propagator, so steps are plain
-        SSP-RK2."""
-        k = grid.half_wavenumbers
-        prop = np.zeros((len(_TERMS),) + k.shape[1:])
-        prop[_GROUPS[0][0]:_GROUPS[0][1]] = 1.0  # the "x" diagonal
-        return cls(dt, np.zeros_like(k), prop, _layout(13))
 
     @cached_property
     def _groups(self) -> tuple:
@@ -229,24 +224,15 @@ class StiffLinearOperator:
 
 
 def _shared_params(p):
-    """The Params a batch shares, and its kappa: ``p.kappa`` for one Params,
-    a read-only (K, 1, 1, 1, 1) column for a tuple of Params that differ
-    only in kappa."""
+    """The Params a member set shares, and its kappa: ``p.kappa`` for one
+    Params, a (K, 1, 1, 1, 1) column for a tuple of Params, which must
+    differ only in kappa (ConfigError otherwise)."""
     if isinstance(p, Params):
         return p, p.kappa
-    return _batch_params(p)
-
-
-@lru_cache(maxsize=16)
-def _batch_params(p: tuple):
-    """``_shared_params`` of a tuple, checked and built once per tuple: a
-    batch steps with the same tuple every step."""
     first = vars(p[0]) | {"kappa": None}
     if any(vars(q) | {"kappa": None} != first for q in p[1:]):
         raise ConfigError("the Params of a batch must differ only in kappa")
-    kap = np.array([q.kappa for q in p]).reshape(-1, 1, 1, 1, 1)
-    kap.flags.writeable = False
-    return p[0], kap
+    return p[0], np.array([q.kappa for q in p]).reshape(-1, 1, 1, 1, 1)
 
 
 def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> StiffLinearOperator:
@@ -255,11 +241,13 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> S
     pairs are told apart by one complex key, |k|^2 + i |k_full|^2.
 
     ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
-    each for several states (Params differing only in kappa); each member is
-    tabulated on its own.  ``limit_mean``, when given, adds the limit system
-    as the set's first member, at that mean density; a lone limit state
-    passes its Params with ``n_mean = ()``.  The operator also forms the
-    set's rate coefficients (``model._rate_coefficients``)."""
+    each for several states (Params differing only in kappa, ConfigError
+    otherwise); each member is tabulated on its own.  ``limit_mean``, when
+    given, adds the limit system as the set's first member, at that mean
+    density; a lone limit state passes its Params with ``n_mean = ()``.  The
+    operator also forms the set's rate coefficients
+    (``model._rate_coefficients``) and keeps ``grid`` and ``dt``: it is
+    what ``step_full`` takes of the set beside its stack."""
     if not dt > 0:
         raise ConfigError("dt must be positive")
     shared, kap = _shared_params(p)
@@ -282,7 +270,7 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> S
     prop = np.ascontiguousarray(table[:, inverse]).reshape(table.shape[:1] + k2.shape)
     layout = _layout(4 * len(limit) + 13 * len(members))
     coef = _rate_coefficients(grid, shared, kap, limit + tuple(m for _, m in members), len(limit))
-    return StiffLinearOperator(dt, grid.half_unit_wavenumbers, prop, layout, coef)
+    return StiffLinearOperator(grid, dt, prop, layout, coef)
 
 
 def _u_rows(pairs: np.ndarray, p: Params, n_mean: float, h: float) -> dict:
@@ -394,7 +382,7 @@ def _check_step(t: float, **fields: np.ndarray) -> None:
             finite = np.isfinite(arr).reshape(members + (-1,)).all(axis=-1)
             raise BlowUpError(t, f"blow-up detected at t={t:g}: non-finite {name}",
                               member=int(np.argmin(finite)))
-    _require_positive(fields["n"], f"at t={t:g}")
+    _require_positive(fields["n"], f"at t={t:g}", time=t)
 
 
 def _report_failure(t: float, lay: _Layout, y: np.ndarray) -> None:
@@ -415,33 +403,19 @@ def _report_failure(t: float, lay: _Layout, y: np.ndarray) -> None:
             raise
 
 
-def _require_step_dt(op: StiffLinearOperator, sc: StepControl) -> None:
-    """ConfigError for an operator built for another dt than the step's: its
-    half-steps would not match the SSP-RK2 stage."""
-    if op.dt != sc.dt:
-        raise ConfigError(f"the operator was built for dt={op.dt!r}, the step has dt={sc.dt!r}")
-
-
-def step_full(
-    grid: Grid,
-    x: np.ndarray,
-    p,
-    sc: StepControl,
-    op: StiffLinearOperator | None = None,
-    forcing: Callable | None = None,
-    t: float = 0.0,
-) -> np.ndarray:
-    """One Strang step of a member set; returns the stepped stack.
+def step_full(x: np.ndarray, op: StiffLinearOperator, t: float = 0.0,
+              forcing: Callable | None = None) -> np.ndarray:
+    """One Strang step of a member set from time ``t``; returns the stepped
+    stack.
 
     ``x`` holds the physical rows of a member set (``model``, "member
-    sets"): one state's (n, u, j~, E, B), (13, *shape), or the limit
-    system's (n, u), (4, *shape), with ``p`` its Params; or several states
-    in field-major rows, the limit first if it is one of them, with a tuple
-    of Params, one per state with a current, that differ only in kappa.
-    Each member's result is bit for bit what it gets when stepped alone.
-    ``op`` must have been built for the same member set (``limit_mean``
-    for the limit) and for ``sc.dt`` (ConfigError otherwise).  ``x`` is not
-    modified.
+    sets"): one state's (n, u, j~, E, B), (13, *shape), the limit system's
+    (n, u), (4, *shape), or several states in field-major rows, the limit
+    first if it is one of them.  ``op`` is the set's operator
+    (``build_stiff_operator``): the grid, dt, Params and coefficients of
+    the step are its own.  It must have been built for a set of the same
+    layout (ConfigError otherwise).  Each member's result is bit for bit
+    what it gets when stepped alone.  ``x`` is not modified.
 
     The stack is transformed once on entry, with j~ scaled to J = kappa j~,
     and once on exit; in between, the stiff half-steps, the SSP-RK2 stages
@@ -451,25 +425,19 @@ def step_full(
 
     A density that turns non-positive in the SSP-RK2 predictor stage, or is
     not positive after the step, raises VacuumError, and a non-finite field
-    after the step BlowUpError; both name the time and carry the index of
-    the failing member in the set (0 for a single state), the members with
-    a current before the limit.  The first stage is not checked: the stiff
-    half-step leaves n alone, so it sees the density passed in.  A failure
-    returns nothing for the other members; the caller can drop the member
-    from ``x`` (``model._drop``) and redo the step.
+    after the step BlowUpError; both name the time, carry it as ``time``
+    and carry the index of the failing member in the set as ``member`` (0
+    for a single state), the members with a current before the limit.  The
+    first stage is not checked: the stiff half-step leaves n alone, so it
+    sees the density passed in.  A failure returns nothing for the other
+    members; the caller can drop the member from ``x`` (``model._drop``)
+    and redo the step.
     """
     lay = _layout(len(x))
-    if op is None:
-        means = [float(n.mean()) for n in x[lay.n]]
-        limit_mean = means.pop(0) if lay.limit else None
-        n_mean = tuple(means) if isinstance(p, tuple) else means[0] if means else ()
-        op = build_stiff_operator(grid, p, n_mean, sc.dt, limit_mean=limit_mean)
-    _require_step_dt(op, sc)
     if op.layout is not lay:
         raise ConfigError(f"the operator was built for a member set of {op.prop_half.shape[0]} "
                           f"coefficient rows, not for the step's {len(x)} stack rows")
-    coef = _rate_coefficients(grid, *_shared_params(p)) if op.coef is None else op.coef
-    dt, k = sc.dt, lay.currents
+    grid, dt, coef, k = op.grid, op.dt, op.coef, lay.currents
     if k:
         h = x.copy()
         h[lay.J] *= coef.kap_rows
@@ -480,13 +448,14 @@ def step_full(
     stiff[:] = op.apply_half(stiff)
 
     def remainder(y, tt, guard=None):
-        out = _full_rate(grid, None, y, coef, guard)
+        out = _full_rate(grid, y, coef, guard)
         if forcing is not None:
             out += array_rfft(grid, forcing(tt))
         return out
 
     k1 = remainder(h, t)
-    k2 = remainder(h + dt * k1, t + dt, (f"in the SSP-RK2 predictor stage at t={t + dt:g}", x[lay.n]))
+    stage = f"in the SSP-RK2 predictor stage at t={t + dt:g}"
+    k2 = remainder(h + dt * k1, t + dt, (stage, x[lay.n], t + dt))
     k1 += k2  # h + dt/2 (k1 + k2), with k1 as its buffer
     h += np.multiply(0.5 * dt, k1, out=k1)
 
@@ -533,8 +502,9 @@ def evolve(
     initial mean density, and the march makes ``sc.n_steps`` steps at
     t = i*dt (``StepControl`` has checked that they end at t_end).
     observer(step_index, t, state) runs at t = 0 and every ``stride``
-    steps; ``forcing`` is passed to every step.  A blow-up or vacuum ends
-    the march with that status.  Returns (final_state, StepLog)."""
+    steps, and the states it gets keep their values: each step returns a
+    new stack.  ``forcing`` is passed to every step.  A blow-up or vacuum
+    ends the march with that status.  Returns (final_state, StepLog)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     n_steps = sc.n_steps
@@ -552,7 +522,7 @@ def evolve(
         op = build_stiff_operator(grid, p, (), sc.dt, limit_mean=mean)
     try:
         while log.n_steps < n_steps:
-            x = step_full(grid, x, p, sc, op=op, forcing=forcing, t=log.n_steps * sc.dt)
+            x = step_full(x, op, t=log.n_steps * sc.dt, forcing=forcing)
             log.n_steps += 1
             if observer is not None and log.n_steps % stride == 0:
                 observer(log.n_steps, log.n_steps * sc.dt, _state_view(grid, x))

@@ -224,13 +224,14 @@ def _member_min(n: np.ndarray) -> np.ndarray:
 
 
 def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None,
-                      first: int = 0) -> None:
+                      time: float | None = None, first: int = 0) -> None:
     """Raise VacuumError naming ``where`` and the minimum density for the
     first member whose density n is not positive; ``member`` is 0 for a
-    single state.  Given ``entry``, another density of the same members,
-    only members whose entry density is positive count.  Members from
-    ``first`` on are looked at before the ones ahead of it (the limit, which
-    leads a member set, after the members of the scaled system)."""
+    single state, and ``time`` is the error's.  Given ``entry``, another
+    density of the same members, only members whose entry density is
+    positive count.  Members from ``first`` on are looked at before the ones
+    ahead of it (the limit, which leads a member set, after the members of
+    the scaled system)."""
     if n.min() > 0.0:
         return
     n_min = _member_min(n)
@@ -241,7 +242,7 @@ def _require_positive(n: np.ndarray, where: str, entry: np.ndarray | None = None
     if bad.size:
         later = bad[bad >= first]
         k = int((later if later.size else bad)[0])
-        raise VacuumError(f"vacuum state {where}: min n = {n_min[k]:.6g}", member=k)
+        raise VacuumError(f"vacuum state {where}: min n = {n_min[k]:.6g}", member=k, time=time)
 
 
 # ---------------------------------------------------------------------------
@@ -569,24 +570,23 @@ def _products(p: Params, coef: _RateCoefficients, lay: _Layout, state: np.ndarra
     return prod
 
 
-def _full_rate(grid: Grid, p: Params | None, x: np.ndarray, coef: _RateCoefficients | None = None,
-               guard=None) -> np.ndarray:
+def _full_rate(grid: Grid, x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray:
     """Primitive rates of the scaled system in the variables (n, u, J, E, B),
     for every member of a member set.
 
     ``x`` is the set's stack (see "member sets" above) with J = kappa j~ on
     the half-spectrum, e.g. (13, *half) for one state; the result is its
     time derivative in the same layout.  ``coef`` holds the members'
-    Params and coefficients (``_rate_coefficients``; by default those of
-    one state at ``p``).  ``guard``, the arguments after n of
-    ``_require_positive``, makes a density that is not positive on the grid
-    raise VacuumError before the pressure law sees it; the members of the
-    scaled system are looked at before the limit.
+    Params and coefficients (``_rate_coefficients``).  ``guard``, the
+    arguments after n of ``_require_positive``, makes a density that is not
+    positive on the grid raise VacuumError before the pressure law sees it;
+    the members of the scaled system are looked at before the limit.
 
     Given the frozen mean densities of a StiffLinearOperator (in ``coef``),
     it returns the Strang remainder N(y) - L y: u and J lose their viscous
     term over n_mean, J also a n_mean E, dE is P(n_mean J - n J) and dB
     zero; the 1/kappa curl terms, shared by N and L, are never formed.
+    Without them (``reformulation_check``) it returns the rates themselves.
 
     dn      = -1/(1+eps) div(n u)
     d(nu)   = -div F + mu lap u + (mu+lam) grad div u + kappa/tau n J x B
@@ -605,8 +605,6 @@ def _full_rate(grid: Grid, p: Params | None, x: np.ndarray, coef: _RateCoefficie
     lay = _layout(len(x))
     k, lim = lay.currents, lay.limit
     sh = lay.shapes(x.shape[1:])
-    if coef is None:
-        coef = _rate_coefficients(grid, p, p.kappa)
     p = coef.p
     state = array_irfft(grid, x)
     if guard is not None:
@@ -815,7 +813,8 @@ def reformulation_check(s: TwoFluidState, p: Params) -> ReformReport:
     B_s = B / kap**2
     J = kap * jt
     fn, fu, fJ, fE, fB = _split(
-        array_irfft(grid, _full_rate(grid, p, array_rfft(grid, _stack(n, u, J, E_s, B_s))))
+        array_irfft(grid, _full_rate(grid, array_rfft(grid, _stack(n, u, J, E_s, B_s)),
+                                     _rate_coefficients(grid, p, p.kappa)))
     )
     # compare in primitive variables, converting the substituted rates the
     # same way the production side does (same dealias placement)

@@ -12,7 +12,7 @@ import scipy.linalg
 from nsmlimit.diagnostics import EnergyLedger
 from nsmlimit.errors import VacuumError
 from nsmlimit.harness import InitialSpec, RunConfig, run_single
-from nsmlimit.integrator import _TERMS, StepControl, evolve
+from nsmlimit.integrator import _TERMS, StepControl, build_stiff_operator, evolve, step_full
 from nsmlimit.model import (
     FullState,
     LimitState,
@@ -20,6 +20,8 @@ from nsmlimit.model import (
     PressureLaw,
     _cross,
     _full_rate,
+    _layout,
+    _rate_coefficients,
     _stack,
 )
 from nsmlimit.spectral import (
@@ -437,7 +439,7 @@ class ManufacturedFull:
 
     def forcing(self, t):
         g = self.grid
-        rate = array_irfft(g, _full_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
+        rate = array_irfft(g, plain_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
         return _stack(*self.rate_arrays(t)) - rate
 
     def error_after(self, dt, t_end) -> float:
@@ -487,7 +489,7 @@ class ManufacturedLimit:
 
     def forcing(self, t):
         g = self.grid
-        rate = array_irfft(g, _full_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
+        rate = array_irfft(g, plain_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
         return _stack(*self.rate_arrays(t)) - rate
 
     def error_after(self, dt, t_end) -> float:
@@ -517,6 +519,28 @@ def count_fft_calls(monkeypatch) -> list:
         for name in _FFT_ENTRY_POINTS:
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return calls
+
+
+def plain_rate(grid: Grid, p: Params, x: np.ndarray, guard=None) -> np.ndarray:
+    """``model._full_rate`` of one state's (or the limit's) stack x on the
+    half-spectrum with the coefficients of Params p alone: the rates
+    themselves, not the remainder of an operator."""
+    return _full_rate(grid, x, _rate_coefficients(grid, p, p.kappa), guard)
+
+
+def stack_operator(grid: Grid, x: np.ndarray, p, dt: float):
+    """The operator of the member set x, at the mean density of each member:
+    ``p`` is one Params, or a tuple of one per member with a current."""
+    lay = _layout(len(x))
+    means = [float(n.mean()) for n in x[lay.n]]
+    limit_mean = means.pop(0) if lay.limit else None
+    n_mean = tuple(means) if isinstance(p, tuple) else means[0] if means else ()
+    return build_stiff_operator(grid, p, n_mean, dt, limit_mean=limit_mean)
+
+
+def step_once(grid: Grid, x: np.ndarray, p, dt: float, t: float = 0.0) -> np.ndarray:
+    """One ``step_full`` of the member set x with its ``stack_operator``."""
+    return step_full(x, stack_operator(grid, x, p, dt), t=t)
 
 
 def observed_order(errors: list[float]) -> float:

@@ -264,8 +264,9 @@ class TestEnergyLedger:
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         z = VectorField.zeros(grid64)
         full = FullState(ScalarField(grid64, 0.5 + np.cos(x)), z, z, z, z)
-        with pytest.raises(VacuumError, match=r"min n = -0\.5\) at t=0\.5$"):
+        with pytest.raises(VacuumError, match=r"min n = -0\.5\) at t=0\.5$") as exc:
             make_energy_ledger(0.5, full, limit, p, 4.0, 1.0)
+        assert exc.value.time == 0.5
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8)],
@@ -382,6 +383,7 @@ def test_chunk_vacuum_names_the_first_bad_snapshot(grid64):
     with pytest.raises(VacuumError) as chunk:
         make_energy_ledger(*zip(*snaps), p, 4.0, 1.0)
     assert str(chunk.value) == str(alone.value)
+    assert chunk.value.time == 0.02
     with pytest.raises(VacuumError, match=r"^vacuum state: total density nonpositive "
                                           r"\(min n = -0\.75\) at t=0\.04$"):
         make_energy_ledger(*zip(*snaps[3:]), p, 4.0, 1.0)
@@ -429,8 +431,9 @@ class TestEnergyAudit:
         bad = FullState(ScalarField(grid64, 0.5 + np.cos(x)), z, z, z, z)
         good = FullState(flat.n, z, z, z, z)
         snaps = [(0.0, good, flat), (0.01, good, flat), (0.02, bad, flat)]
-        with pytest.raises(VacuumError, match=r"min n = -0\.5\) at t=0\.02$"):
+        with pytest.raises(VacuumError, match=r"min n = -0\.5\) at t=0\.02$") as exc:
             energy_identity_audit(snaps, p)
+        assert exc.value.time == 0.02
 
     def test_bad_drop_term(self, grid64):
         snaps, p = paired_trajectory(grid64, kappa=0.1, dt=2e-3, n_steps=2)

@@ -246,8 +246,8 @@ class TestRunSingle:
         clean = run_single(cfg, kappa=(0.4, 0.1))
         steps = []
 
-        def step_full(grid, x, p, *args, _step=harness.step_full, **kwargs):
-            out = _step(grid, x, p, *args, **kwargs)
+        def step_full(x, *args, _step=harness.step_full, **kwargs):
+            out = _step(x, *args, **kwargs)
             steps.append(len(x))  # the rows stepped: 4 of the limit, 13 per member
             if len(steps) == 40:
                 out[2, 5] = -0.5  # the density of member 0.1, after the limit's and 0.4's
@@ -509,12 +509,12 @@ class TestPairedLimit:
         cfg = parse_config_text(SHORT_CONFIG + "\n[params]\npressure_gamma = 1.0\n")
         spoiled = []
 
-        def step_full(grid, x, p, sc, *args, _step=harness.step_full, t=0.0, **kwargs):
-            if t == 3 * sc.dt and not spoiled:
+        def step_full(x, op, *args, _step=harness.step_full, t=0.0, **kwargs):
+            if t == 3 * op.dt and not spoiled:
                 spoiled.append(t)
                 x = x.copy()
                 x[0, 5] = value  # the limit's n, the stack's first row
-            return _step(grid, x, p, sc, *args, t=t, **kwargs)
+            return _step(x, op, *args, t=t, **kwargs)
 
         monkeypatch.setattr(harness, "step_full", step_full)
         recs = run_single(cfg, kappa=(0.4, 0.2))
@@ -584,6 +584,22 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "config error: step.dt = 1e-320 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, kappa, min_n", [
+        ("sweep", "", "0.4", "-6.91588"),
+        ("run", "well_prepared = false\n", "0.1", "-18.938"),
+    ], ids=["sweep", "run_not_well_prepared"])
+    def test_inadmissible_initial_data_exit_two(self, tmp_path, capsys, command, extra, kappa, min_n):
+        # a c0 so large that the perturbed density is negative used to end
+        # in an uncaught VacuumError (exit 1) that named neither the member
+        # nor its density; nothing is written
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[initial]\nc0 = 5000\n{extra}\n[step]\nt_end = 0.002\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: initial data at kappa = {kappa}: vacuum state: "
+                                           f"perturbed density nonpositive (min n = {min_n})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("path", ["configs/acceptance.ini", "perfbench/paired_3d.ini",

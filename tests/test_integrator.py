@@ -16,12 +16,16 @@ from support import (
     count_fft_calls,
     member_prop_rows,
     observed_order,
+    plain_rate,
+    stack_operator,
+    step_once,
     term_by_term_half_step,
 )
 
 from nsmlimit.errors import BlowUpError, ConfigError, VacuumError
 from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
 from nsmlimit.integrator import (
+    _GROUPS,
     _TERMS,
     StepControl,
     StiffLinearOperator,
@@ -159,21 +163,17 @@ class TestStiffOperator:
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     def test_viscous_operator_steps_as_full_builder(self, grid):
         # the limit system's operator, u's viscous rows alone, tabulates the
-        # full builder's u rows, alone and ahead of a batch, and a lone limit
-        # state steps the same with it as with the one step_full builds
+        # full builder's u rows, alone and ahead of a batch
         ps = tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.05))
         limit = make_limit_data(grid, seed=3, amplitude=0.1)
-        sc = StepControl(dt=2e-4, t_end=1.0)
-        m = limit.n.mean
-        alone = build_stiff_operator(grid, ps[0], (), sc.dt, limit_mean=m)
-        full = build_stiff_operator(grid, ps[0], m, sc.dt)
-        paired = build_stiff_operator(grid, ps, (1.02, 0.97), sc.dt, limit_mean=m)
+        m, dt = limit.n.mean, 2e-4
+        alone = build_stiff_operator(grid, ps[0], (), dt, limit_mean=m)
+        full = build_stiff_operator(grid, ps[0], m, dt)
+        paired = build_stiff_operator(grid, ps, (1.02, 0.97), dt, limit_mean=m)
         u_terms = [t for t, (_, i, _) in enumerate(_TERMS) if i == 0]
         for op, member in ((full, 0), (paired, 0)):
             rows = [member_prop_rows(op.layout, member)[t] for t in u_terms]
             assert np.array_equal(op.prop_half[rows], alone.prop_half)
-        x = _stacked(limit)
-        assert np.array_equal(step_full(grid, x, ps[0], sc), step_full(grid, x, ps[0], sc, op=alone))
 
 
 def _mode_pairs(grid):
@@ -331,8 +331,8 @@ class TestRemainder:
             p, m = (members[0][1], means[lim]) if members else (ps[0], ())
         x = _join(stacks)
         op = build_stiff_operator(grid, p, m, dt=0.01, limit_mean=means[0] if lim else None)
-        got = _full_rate(grid, ps[0], x, op.coef)
-        rate = _full_rate(grid, ps[0], x, _rate_coefficients(grid, ps[0], op.coef.kap))
+        got = _full_rate(grid, x, op.coef)
+        rate = _full_rate(grid, x, _rate_coefficients(grid, ps[0], op.coef.kap))
         lay = _layout(len(x))
         for k, stack in enumerate(stacks):
             rows = lay.member_rows(k)
@@ -356,7 +356,7 @@ class TestRemainder:
         z = np.zeros_like(E)
         x = array_rfft(grid, _stack(np.ones(grid.shape), z, z, E, B))
         op = build_stiff_operator(grid, p, 1.0, dt=2e-4)
-        remainder = array_irfft(grid, _full_rate(grid, p, x, op.coef))
+        remainder = array_irfft(grid, _full_rate(grid, x, op.coef))
         assert np.abs(remainder[7:]).max() <= 1e-14
 
 
@@ -371,7 +371,7 @@ class TestStepFull:
         p = Params(kappa=0.2)
         x = _stacked(_uniform(grid64))
         for dt in (1e-4, 0.05, 0.5):
-            out = _state_view(grid64, step_full(grid64, x, p, StepControl(dt=dt, t_end=dt)))
+            out = _state_view(grid64, step_once(grid64, x, p, dt))
             assert np.abs(out.n.values - 1.0).max() < 1e-14
             assert sup_norm(out.u) < 1e-14
             assert sup_norm(out.E) < 1e-14
@@ -393,17 +393,10 @@ class TestStepFull:
         em0 = sobolev_norm(E0, 0.0) ** 2 + sobolev_norm(B0, 0.0) ** 2
         x = _stacked(state)
         for i in range(100):
-            x = step_full(grid64, x, p, sc, op=op, t=i * sc.dt)
+            x = step_full(x, op, t=i * sc.dt)
         state = _state_view(grid64, x)
         em1 = sobolev_norm(state.E, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2
         assert abs(em1 - em0) / em0 < 1e-8
-
-    def test_operator_for_another_dt_rejected(self, grid64):
-        # its half-steps would not match the SSP-RK2 stage at the step's dt
-        p = Params(kappa=0.2)
-        op = build_stiff_operator(grid64, p, 1.0, 4e-3)
-        with pytest.raises(ConfigError, match=r"^the operator was built for dt=0\.004, the step has dt=0\.001$"):
-            step_full(grid64, _stacked(_uniform(grid64)), p, StepControl(dt=1e-3, t_end=1e-3), op=op)
 
     def test_zero_operator_reduces_to_heun(self, grid64):
         # with L = 0 the Strang composition collapses to plain SSP-RK2
@@ -412,15 +405,19 @@ class TestStepFull:
         limit = make_limit_data(grid64, seed=3, amplitude=0.08)
         spec = WellPreparedSpec.from_seed(limit, seed=3, c0=1.0, kappa=p.kappa)
         state = make_well_prepared(spec)
-        out = _state_view(grid64, step_full(grid64, _stacked(state), p, sc,
-                                            op=StiffLinearOperator.zero(grid64, sc.dt)))
-
         grid = grid64
+        # L = 0 for one state: the identity propagator, and the rates
+        # themselves rather than a remainder
+        prop = np.zeros((len(_TERMS),) + grid.half_wavenumbers.shape[1:])
+        prop[_GROUPS[0][0]:_GROUPS[0][1]] = 1.0  # the "x" diagonal
+        identity = StiffLinearOperator(grid, sc.dt, prop, _layout(13), _rate_coefficients(grid, p, p.kappa))
+        out = _state_view(grid, step_full(_stacked(state), identity))
+
         J = p.kappa * state.jt.values
         s0 = (state.n.values, state.u.values, J, state.E.values, state.B.values)
-        k1 = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, _stack(*s0)))))
+        k1 = _split(array_irfft(grid, plain_rate(grid, p, array_rfft(grid, _stack(*s0)))))
         s1 = tuple(x + sc.dt * k for x, k in zip(s0, k1))
-        k2 = _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, _stack(*s1)))))
+        k2 = _split(array_irfft(grid, plain_rate(grid, p, array_rfft(grid, _stack(*s1)))))
         heun = tuple(x + 0.5 * sc.dt * (a + b) for x, a, b in zip(s0, k1, k2))
         assert np.abs(out.n.values - heun[0]).max() < 1e-15
         assert np.abs(out.u.values - heun[1]).max() < 1e-15
@@ -443,7 +440,7 @@ class TestStepFull:
         op = build_stiff_operator(grid64, p, state.n.mean, sc.dt)
         x = _stacked(state)
         for i in range(50):
-            x = step_full(grid64, x, p, sc, op=op, t=i * sc.dt)
+            x = step_full(x, op, t=i * sc.dt)
             state = _state_view(grid64, x)
             tol = 1e-10 * (1.0 + sup_norm(state.E) + sup_norm(state.B))
             assert np.abs(array_divergence(grid64, state.E.values)).max() <= tol
@@ -459,7 +456,7 @@ class TestStepFull:
         op = build_stiff_operator(grid64, p, state.n.mean, sc.dt)
         x = _stacked(state)
         for i in range(100):
-            x = step_full(grid64, x, p, sc, op=op, t=i * sc.dt)
+            x = step_full(x, op, t=i * sc.dt)
         assert abs(grid_integral(grid64, x[0]) - mass0) / mass0 < 1e-10
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -470,7 +467,7 @@ class TestStepFull:
         bad_u[0, 0] = np.inf
         bad = FullState(s.n, VectorField(grid64, bad_u), s.jt, s.E, s.B)
         with pytest.raises(BlowUpError, match="blow-up detected at t="):
-            step_full(grid64, _stacked(bad), p, StepControl(dt=1e-3, t_end=1e-3))
+            step_once(grid64, _stacked(bad), p, 1e-3)
 
     @pytest.mark.parametrize("name", ["n", "u", "J", "E", "B"])
     def test_blowup_names_first_nonfinite_field(self, grid64, name):
@@ -487,8 +484,34 @@ class TestStepFull:
         p = Params(kappa=0.2, pressure=PressureLaw(gamma=1.0))
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         state = LimitState(ScalarField(grid64, 1.0 + 1.5 * np.sin(x)), VectorField.zeros(grid64))
-        with pytest.raises(VacuumError, match=r"at t=0\.001: min n = -0\.49"):
-            step_full(grid64, _stacked(state), p, StepControl(dt=1e-3, t_end=1e-3))
+        with pytest.raises(VacuumError, match=r"at t=0\.001: min n = -0\.49") as exc:
+            step_once(grid64, _stacked(state), p, 1e-3)
+        assert exc.value.time == 1e-3  # as BlowUpError's
+
+    def test_operator_for_another_member_set_rejected(self, grid64):
+        # the operator is the set's whole description; one built for the
+        # limit alone cannot step a scaled-system state
+        op = build_stiff_operator(grid64, Params(kappa=0.2), (), 1e-3, limit_mean=1.0)
+        with pytest.raises(ConfigError, match=r"^the operator was built for a member set of 2 coefficient "
+                                              r"rows, not for the step's 13 stack rows$"):
+            step_full(_stacked(_uniform(grid64)), op)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    def test_input_stack_unchanged(self, grid):
+        # the stepped stack is a new array and the input keeps its bits: the
+        # limit with two kappa members, and the limit alone (its stack goes
+        # to the transform uncopied)
+        kappas = (0.4, 0.05)
+        limit = make_limit_data(grid, seed=7, amplitude=0.1)
+        fulls = [make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=k)) for k in kappas]
+        paired = _join([_stacked(limit)] + [_stacked(f) for f in fulls])
+        for x, p in ((paired, tuple(Params(kappa=k) for k in kappas)), (_stacked(limit), Params(kappa=0.4))):
+            before = x.copy()
+            op = stack_operator(grid, x, p, 2e-4)
+            y = step_full(x, op)
+            assert x.tobytes() == before.tobytes()
+            assert not np.shares_memory(x, y)
+            assert step_full(x, op).tobytes() == y.tobytes()
 
     def test_asymptotic_robustness_quick(self, grid64):
         # identical grid/dt across three decades of kappa; the full-horizon
@@ -521,7 +544,7 @@ def test_transform_calls_per_step(grid, monkeypatch):
                                              (_join([xl] + [x] * 4), batch_p, (m,) * 4, ml)):
         op = build_stiff_operator(grid, params, means, sc.dt, limit_mean=limit_mean)
         calls.clear()
-        step_full(grid, stack, params, sc, op=op)
+        step_full(stack, op)
         assert len(calls) == 10, (len(stack), calls)
 
 
@@ -549,10 +572,9 @@ def test_batch_matches_single_steps(grid):
         assert np.array_equal(op.coef.n_mean[:, 0, 0, 0, 0], [s.coef.n_mean for s in ops[1:]])
         alone = [_stacked(s) for s in states]
         batch = _join(alone)
-        params = [ps[0]] * len(limits) + list(ps)
         for i in range(3):
-            batch = step_full(grid, batch, ps, sc, op=op, t=i * sc.dt)
-            alone = [step_full(grid, x, p, sc, op=o, t=i * sc.dt) for x, p, o in zip(alone, params, singles)]
+            batch = step_full(batch, op, t=i * sc.dt)
+            alone = [step_full(x, o, t=i * sc.dt) for x, o in zip(alone, singles)]
         assert batch.shape == (sum(len(a) for a in alone),) + alone[0].shape[1:]
         for k, a in enumerate(alone):
             assert np.array_equal(batch[op.layout.member_rows(k)], a)
@@ -566,11 +588,10 @@ class TestBatchFailures:
         bad_u = np.zeros((3,) + grid64.shape)
         bad_u[0, 0] = np.inf
         bad = FullState(s.n, VectorField(grid64, bad_u), s.jt, s.E, s.B)
-        sc = StepControl(dt=1e-3, t_end=1e-3)
         with pytest.raises(BlowUpError) as alone:
-            step_full(grid64, _stacked(bad), ps[1], sc)
+            step_once(grid64, _stacked(bad), ps[1], 1e-3)
         with pytest.raises(BlowUpError) as batch:
-            step_full(grid64, _join([_stacked(x) for x in (s, bad, s)]), ps, sc)
+            step_once(grid64, _join([_stacked(x) for x in (s, bad, s)]), ps, 1e-3)
         assert batch.value.member == 1
         assert str(batch.value) == str(alone.value)
 
@@ -582,9 +603,8 @@ class TestBatchFailures:
         z = VectorField.zeros(grid64)
         good, bad = (ScalarField(grid64, 1.0 + a * np.sin(x)) for a in (0.1, 1.5))
         stacks = [_stacked(LimitState(good, z))] + [_stacked(FullState(n, z, z, z, z)) for n in (good, bad)]
-        sc = StepControl(dt=1e-3, t_end=1e-3)
         with pytest.raises(VacuumError, match=r"^vacuum state at t=0\.001: min n = -0\.49") as exc:
-            step_full(grid64, _join(stacks), ps, sc)
+            step_once(grid64, _join(stacks), ps, 1e-3)
         assert exc.value.member == 2
 
     def test_limit_predictor_stage_vacuum_names_member(self, grid64):
@@ -598,20 +618,19 @@ class TestBatchFailures:
         good = FullState(ScalarField(grid64, 1.0 + 0.1 * np.sin(x)), z, z, z, z)
         bad = LimitState(ScalarField(grid64, 1.0 + 0.5 * np.sin(x)),
                          VectorField(grid64, np.stack([10.0 * np.sin(x), zero, zero])))
-        sc = StepControl(dt=0.2, t_end=0.2)
         with pytest.raises(VacuumError) as alone:
-            step_full(grid64, _stacked(bad), ps[1], sc)
+            step_once(grid64, _stacked(bad), ps[1], 0.2)
         assert str(alone.value).startswith("vacuum state in the SSP-RK2 predictor stage at t=0.2: min n = -")
         with pytest.raises(VacuumError) as batch:
-            step_full(grid64, _join([_stacked(bad), _stacked(good)]), ps[1], sc)
+            step_once(grid64, _join([_stacked(bad), _stacked(good)]), ps[1], 0.2)
         assert batch.value.member == 0
         assert str(batch.value) == str(alone.value)
+        assert alone.value.time == batch.value.time == 0.2
 
     def test_params_must_differ_only_in_kappa(self, grid64):
-        s = _uniform(grid64)
         ps = (Params(kappa=0.4), Params(kappa=0.2, mu=0.2))
         with pytest.raises(ConfigError, match="differ only in kappa"):
-            step_full(grid64, _join([_stacked(s)] * 2), ps, StepControl(dt=1e-3, t_end=1e-3))
+            build_stiff_operator(grid64, ps, (1.0, 1.0), 1e-3)
 
 
 class TestStepLimit:
@@ -620,16 +639,10 @@ class TestStepLimit:
         p = Params(kappa=0.2)
         s = LimitState(ScalarField(grid64, np.ones(grid64.shape)),
                        VectorField.zeros(grid64))
-        out = _state_view(grid64, step_full(grid64, _stacked(s), p, StepControl(dt=0.1, t_end=0.1)))
+        out = _state_view(grid64, step_once(grid64, _stacked(s), p, 0.1))
         assert np.abs(out.n.values - 1.0).max() < 1e-14
         assert sup_norm(out.u) < 1e-14
 
-    def test_operator_for_another_dt_rejected(self, grid64):
-        p = Params(kappa=0.2)
-        op = build_stiff_operator(grid64, p, (), 4e-3, limit_mean=1.0)
-        s = LimitState(ScalarField(grid64, np.ones(grid64.shape)), VectorField.zeros(grid64))
-        with pytest.raises(ConfigError, match=r"^the operator was built for dt=0\.004, the step has dt=0\.001$"):
-            step_full(grid64, _stacked(s), p, StepControl(dt=1e-3, t_end=1e-3), op=op)
     def test_manufactured_order(self, grid64):
         mms = ManufacturedLimit(grid64, Params(kappa=0.5))
         errors = [mms.error_after(dt, t_end=3.2e-2) for dt in (4e-3, 2e-3, 1e-3)]
@@ -648,12 +661,11 @@ class TestStepLimit:
         )
         dt, t_end = 2e-3, 40.0
         n_steps = round(t_end / dt)
-        sc = StepControl(dt=dt, t_end=t_end)
         op = build_stiff_operator(grid, p, (), dt, limit_mean=1.0)
         series = np.empty(n_steps)
         x = _stacked(state)
         for i in range(n_steps):
-            x = step_full(grid, x, p, sc, op=op, t=i * dt)
+            x = step_full(x, op, t=i * dt)
             series[i] = x[0, 4, 0, 0] - 1.0  # n at x = pi/2: sin mode peak
         window = np.hanning(n_steps)
         spec = np.abs(np.fft.rfft(series * window))
@@ -682,7 +694,7 @@ class TestStepLimit:
         x = _stacked(state)
         with pytest.raises((VacuumError, BlowUpError)):
             for i in range(200):
-                x = step_full(grid64, x, p, StepControl(dt=0.05, t_end=10.0), t=i * 0.05)
+                x = step_once(grid64, x, p, 0.05, t=i * 0.05)
 
 
 class TestEvolve:
@@ -715,6 +727,21 @@ class TestEvolve:
         evolve(s, p, StepControl(dt=1e-3, t_end=1e-2),
                observer=lambda i, t, st: seen.append((i, t)), stride=5)
         assert [i for i, _ in seen] == [0, 5, 10]
+
+    def test_observer_states_keep_their_values(self, grid64):
+        # each step returns a new stack, so the states an observer kept from
+        # earlier steps are not overwritten by later steps
+        p = Params(kappa=0.2)
+        limit = make_limit_data(grid64, seed=9, amplitude=0.1)
+        full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=9, c0=1.0, kappa=p.kappa))
+        for state in (full, limit):
+            kept = []
+            evolve(state, p, StepControl(dt=5e-4, t_end=5e-3),
+                   observer=lambda i, t, st: kept.append((st, _stacked(st))))
+            assert len(kept) == 11
+            assert len({copy.tobytes() for _, copy in kept}) == 11
+            for st, copy in kept:
+                assert _stacked(st).tobytes() == copy.tobytes()
 
     def test_dt_mismatch_rejected(self, grid64):
         p = Params(kappa=0.2)

@@ -11,13 +11,14 @@ from support import (
     member_product_rows,
     per_term_full_rate,
     per_term_limit_rate,
+    plain_rate,
     row_by_row_fluid_products,
     row_by_row_full_products,
+    step_once,
     translate,
 )
 
 from nsmlimit.errors import VacuumError
-from nsmlimit.integrator import StepControl, step_full
 from nsmlimit.model import (
     FullState,
     LimitState,
@@ -25,7 +26,6 @@ from nsmlimit.model import (
     PressureLaw,
     TwoFluidState,
     _cross,
-    _full_rate,
     _join,
     _layout,
     _products,
@@ -60,12 +60,12 @@ def full_rate(s: FullState, p: Params, guard=None):
     """(dn, du, dJ, dE, dB) of ``_full_rate`` on the grid, dJ = d(kappa j~)/dt."""
     grid = s.grid
     x = _stack(s.n.values, s.u.values, p.kappa * s.jt.values, s.E.values, s.B.values)
-    return _split(array_irfft(grid, _full_rate(grid, p, array_rfft(grid, x), guard=guard)))
+    return _split(array_irfft(grid, plain_rate(grid, p, array_rfft(grid, x), guard=guard)))
 
 
 def limit_rate(s: LimitState, p: Params):
     """(dn, du) of ``_full_rate`` on the grid for a lone limit state."""
-    return _split(array_irfft(s.grid, _full_rate(s.grid, p, array_rfft(s.grid, _stacked(s)))))
+    return _split(array_irfft(s.grid, plain_rate(s.grid, p, array_rfft(s.grid, _stacked(s)))))
 
 
 def two_fluid_rate(s: TwoFluidState, p: Params):
@@ -277,7 +277,7 @@ class TestRhsLimit:
         ]))
         errs = []
         for dt in (2e-3, 1e-3):
-            stepped = step_full(grid64, _stacked(LimitState(n, u)), p, StepControl(dt=dt, t_end=dt))
+            stepped = step_once(grid64, _stacked(LimitState(n, u)), p, dt)
             shifted = translate(n, (c * dt / (1.0 + p.epsilon), 0.0, 0.0))
             errs.append(np.abs(stepped[0] - shifted.values).max())
         assert errs[0] < 1e-7
@@ -307,8 +307,8 @@ class TestBatchedRates:
             return lambda *x: rate(grid, p, *x, kappa**2, kappa**4)
 
         cases = [
-            (stepping(_full_rate), (n, u, J, E, B), lambda *x: per_term_full_rate(grid, p, *x)),
-            (stepping(_full_rate), (n, u), lambda *x: per_term_limit_rate(grid, p, *x)),
+            (stepping(plain_rate), (n, u, J, E, B), lambda *x: per_term_full_rate(grid, p, *x)),
+            (stepping(plain_rate), (n, u), lambda *x: per_term_limit_rate(grid, p, *x)),
             (certificate(_two_fluid_rate), (n, u, J, E, B), certificate(support._two_fluid_rate)),
             (certificate(_reformed_rate), (n, u, J, E, B), certificate(support._reformed_rate)),
         ]

@@ -154,14 +154,14 @@ def test_step_ab_smoke(tmp_path, capsys):
     assert re.search(r"^sweep sweep\.ini: 2 rounds of 2 paired steps per tree$", out, re.M)
     assert re.search(r"^run run\.ini: 2 rounds of 2 paired steps per tree$", out, re.M)
     for tag in "AB":
-        assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+ +\d+$", out, re.M)) == 2
+        assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+$", out, re.M)) == 2
     assert len(re.findall(r"B faster in \d/2 rounds; final states bit-identical$", out, re.M)) == 2
 
 
-def test_step_ab_compares_states_across_layouts():
-    # the final states of a tree that steps the limit and the members as one
-    # stack against those of a tree with a stack per system: equal field by
-    # field, member by member, the limit first; one changed bit differs
+def test_step_ab_compares_states_member_by_member():
+    # the final stack of a member set, field by field and member by member,
+    # the limit first: equal to the stacks of its members alone; one changed
+    # bit differs
     import nsmlimit.model as model
     from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
     from nsmlimit.spectral import Grid
@@ -174,16 +174,41 @@ def test_step_ab_compares_states_across_layouts():
     pkg = sys.modules["nsmlimit"]
     xl = model._stacked(limit)
     for members in (fulls, fulls[:1]):
-        one = (model._join([xl] + members),)
-        two = (np.stack(members) if len(members) > 1 else members[0], xl)
-        fields = step_ab.member_fields(pkg, grid, one)
+        x = model._join([xl] + members)
+        fields = step_ab.member_fields(pkg, grid, x)
         assert [len(f) for f in fields] == [2] + [5] * len(members)
-        assert all(np.array_equal(a, b) for fa, fb in zip(fields, step_ab.member_fields(pkg, grid, two))
-                   for a, b in zip(fa, fb))
-        assert step_ab.same_states({"A": (pkg, one), "B": (pkg, two)}, grid)
-        changed = one[0].copy()
+        alone = [step_ab.member_fields(pkg, grid, y)[0] for y in [xl] + members]
+        assert all(np.array_equal(a, b) for fa, fb in zip(fields, alone) for a, b in zip(fa, fb))
+        assert step_ab.same_states({"A": (pkg, x), "B": (pkg, x.copy())}, grid)
+        changed = x.copy()
         changed[-1, 3] = np.nextafter(changed[-1, 3], np.inf)  # the last member's B
-        assert not step_ab.same_states({"A": (pkg, (changed,)), "B": (pkg, two)}, grid)
+        assert not step_ab.same_states({"A": (pkg, changed), "B": (pkg, x)}, grid)
+
+
+def test_step_ab_replays_either_step_signature():
+    # a step_full that takes the grid, Params and StepControl beside the
+    # stack and the operator, and one that takes the stack and the operator
+    # alone: each caught call is replayed with only x and t replaced
+    step_ab = _load("step_ab")
+    seen = []
+
+    def old(grid, x, p, sc, op=None, forcing=None, t=0.0):
+        seen.append((grid, x, p, sc, op, forcing, t))
+        return x + 1
+
+    def new(x, op, t=0.0, forcing=None):
+        seen.append((x, op, t, forcing))
+        return x + 1
+
+    for stepper, args, kwargs, want in (
+            (old, ("grid", 10, "p", "sc"), {"op": "op", "t": 0.0},
+             lambda x, t: ("grid", x, "p", "sc", "op", None, t)),
+            (new, (10, "op"), {"t": 0.0}, lambda x, t: (x, "op", t, None))):
+        arguments = step_ab.bind_call(stepper, args, kwargs)
+        for x, t in ((11, 0.5), (12, 1.0)):  # the caught arguments are left as they were
+            assert step_ab.replay(stepper, arguments, x, t) == x + 1
+            assert seen.pop() == want(x, t)
+        assert arguments["x"] == 10 and arguments["t"] == 0.0
 
 
 def test_step_ab_column_differences():

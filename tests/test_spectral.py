@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import support
-from support import count_fft_calls
+from support import count_fft_calls, plain_rate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepa
 from nsmlimit.model import (
     Params,
     _curl_hat,
-    _full_rate,
     _stacked,
     _visc_hat,
     random_two_fluid_state,
@@ -476,7 +475,7 @@ def test_single_real_spectral_layout(grid, monkeypatch):
          lambda: reformulation_check(random_two_fluid_state(grid, p, seed=1), p)),
         ("moser_ratios", lambda: moser_ratios(random_smooth_field(grid, 1, 1.0),
                                               random_smooth_field(grid, 2, 1.0), 4)),
-        ("_full_rate", lambda: _full_rate(grid, p, array_rfft(grid, _stacked(state["full"])))),
+        ("_full_rate", lambda: plain_rate(grid, p, array_rfft(grid, _stacked(state["full"])))),
     ]
     for name, run in entries:
         calls.clear()
