@@ -17,16 +17,22 @@ A paired step is one step of ``run_single``: one ``step_full`` call on the
 stack that holds the limit and every member.  Each tree's first such call
 is caught, with its arguments bound by name, and the run stopped there; a
 step replays that call with only its stack ``x`` and its time ``t``
-replaced.  So the two trees may pass the step different arguments: a tree
-whose ``step_full`` takes the grid, Params and StepControl beside the
-stack and the operator runs against one whose ``step_full`` takes the
-stack and the operator alone.  Per round and input, each tree runs S
-paired steps from the initial stack, the two trees in alternating order,
-after one untimed warm-up round.  Reported per input and tree: the median
-and quartiles of the paired-step time over all rounds, the median minor
-page faults per step, the rounds in which B's median step was faster than
-A's, and whether both trees' final states are bit for bit equal, field by
-field and member by member (the limit first).
+replaced, and its ``record`` flag where its ``step_full`` takes one.  So
+the two trees may pass the step different arguments: a tree whose
+``step_full`` takes the grid, Params and StepControl beside the stack and
+the operator runs against one whose ``step_full`` takes the stack and the
+operator alone, and a tree whose steps all end on the grid against one
+whose unrecorded steps stay on the half-spectrum.  Per round and input,
+each tree runs S paired steps from the initial stack, as ``run_single``
+runs them between two records: every step but the last unrecorded, the
+last recorded, so the final state is a grid stack.  The two trees run in
+alternating order, after one untimed warm-up round.  Reported per input
+and tree: the median and quartiles of the paired-step time over all
+rounds, the median minor page faults per step, the rounds in which B's
+median step was faster than A's, and whether both trees' final states are
+bit for bit equal, field by field and member by member (the limit first);
+if not, each field whose bits differ, with its largest difference
+relative to the field's largest magnitude in either tree.
 
 Both trees share one process and its heap, so each side's temporaries are
 placed by the other's allocation history.  On the call-overhead-bound 1-D
@@ -86,9 +92,10 @@ def bind_call(stepper, args: tuple, kwargs: dict) -> dict:
     return dict(inspect.signature(stepper).bind(*args, **kwargs).arguments)
 
 
-def replay(stepper, arguments: dict, x: np.ndarray, t: float) -> np.ndarray:
-    """A call bound by ``bind_call`` again, with its stack and time replaced."""
-    return stepper(**(arguments | {"x": x, "t": t}))
+def replay(stepper, arguments: dict, x, t: float, **changes):
+    """A call bound by ``bind_call`` again, with its stack, its time and
+    any further ``changes`` replaced."""
+    return stepper(**(arguments | {"x": x, "t": t} | changes))
 
 
 class Call(NamedTuple):
@@ -125,14 +132,17 @@ def first_step(pkg, config: Path, batch: bool) -> Call:
 
 
 def paired_steps(call: Call, steps: int):
-    """S paired steps from the caught call: the per-step seconds, the minor
-    faults per step, and the final stack."""
+    """S paired steps from the caught call, all but the last unrecorded
+    where the tree's ``step_full`` takes ``record``: the per-step seconds,
+    the minor faults per step, and the final stack."""
     x = call.arguments["x"]
+    fused = "record" in inspect.signature(call.stepper).parameters
     seconds, faults = [], []
     for i in range(steps):
+        changes = {"record": i == steps - 1} if fused else {}
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        x = replay(call.stepper, call.arguments, x, i * call.dt)
+        x = replay(call.stepper, call.arguments, x, i * call.dt, **changes)
         t1 = time.perf_counter()
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         seconds.append(t1 - t0)
@@ -147,13 +157,30 @@ def member_fields(pkg, grid, x: np.ndarray) -> list:
     return [[f.values for f in vars(state).values()] for state in states]
 
 
-def same_states(sides: dict, grid) -> bool:
-    """Whether both trees' final states agree bit for bit, field by field."""
+FIELD_NAMES = ("n", "u", "jt", "E", "B")  # a member's fields; the limit has the first two
+
+
+def field_differences(sides: dict, grid) -> list | None:
+    """(member and field, largest difference) of each field of both trees'
+    final states whose bits differ, the difference relative to the field's
+    largest magnitude in either tree (0 where both are 0); None when the two
+    sets do not hold the same members and fields."""
     (pkg_a, a), (pkg_b, b) = sides["A"], sides["B"]
     fields_a, fields_b = member_fields(pkg_a, grid, a), member_fields(pkg_b, grid, b)
-    return len(fields_a) == len(fields_b) and all(
-        len(fa) == len(fb) and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(fa, fb))
-        for fa, fb in zip(fields_a, fields_b))
+    if [[f.shape for f in fa] for fa in fields_a] != [[f.shape for f in fb] for fb in fields_b]:
+        return None
+    out = []
+    for member, (fa, fb) in enumerate(zip(fields_a, fields_b)):
+        for name, x, y in zip(FIELD_NAMES, fa, fb):
+            if x.tobytes() != y.tobytes():
+                scale = max(np.abs(x).max(), np.abs(y).max())
+                out.append((f"member {member} {name}", float(np.abs(x - y).max() / scale) if scale else 0.0))
+    return out
+
+
+def same_states(sides: dict, grid) -> bool:
+    """Whether both trees' final states agree bit for bit, field by field."""
+    return field_differences(sides, grid) == []
 
 
 def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int) -> None:
@@ -172,7 +199,8 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
             samples[tag]["faults"] += faults
             medians[tag] = np.median(seconds)
         wins += medians["B"] < medians["A"]
-        identical &= same_states(finals, sides[0][2].grid)
+        differences = field_differences(finals, sides[0][2].grid)
+        identical &= differences == []
     print(f"{name}: {rounds} rounds of {steps} paired steps per tree")
     print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/step':>12}")
     median_ms = {}
@@ -181,6 +209,10 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {np.median(samples[tag]['faults']):12.0f}")
     print(f"  B/A median {median_ms['B'] / median_ms['A']:.3f}; B faster in {wins}/{rounds} rounds; "
           f"final states {'bit-identical' if identical else 'DIFFER'}")
+    if differences is None:
+        print("  the final states hold different members or fields")
+    for name, rel in differences or ():
+        print(f"  {name} differs: max relative difference {rel:.3g}")
 
 
 def audit_pass(pkg, snaps: list, p, l: float):

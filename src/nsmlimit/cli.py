@@ -7,10 +7,12 @@ Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 ``sweep`` exits 3 when any member blows up or hits vacuum; it still prints
 the per-kappa table, and with fewer than 3 completed members it fits no
 rate and writes no sweep_summary.json.  ``audit`` takes the Params from
-the config text the snapshots file stores; it exits 2 on a snapshots file
-it cannot read, with fewer than 3 snapshots, with unevenly spaced snapshot
-times, when ``--config`` gives other Params, or when the file stores no
-config and ``--config`` is not given.
+the config text the snapshots file stores; it leaves out a last snapshot
+closer to the one before than the others are to each other, the last step
+of a run whose step count its snapshot stride does not divide.  It exits 2
+on a snapshots file it cannot read, with fewer than 3 snapshots, with
+unevenly spaced snapshot times otherwise, when ``--config`` gives other
+Params, or when the file stores no config and ``--config`` is not given.
 """
 
 from __future__ import annotations
@@ -144,12 +146,18 @@ def _audit_params(args, kappa: float) -> Params:
 def _cmd_audit(args) -> int:
     kappa, snaps = load_snapshots(args.record)
     p = _audit_params(args, kappa)
+    # a run whose step count its snapshot stride does not divide records its
+    # last step too, closer to the snapshot before: that one is left out
+    times = [t for t, _, _ in snaps]
+    short_end = len(times) > 3 and times[-1] - times[-2] < (1.0 - 1e-9) * (times[1] - times[0])
+    audited = snaps[:-1] if short_end else snaps
     try:
-        report = energy_identity_audit(snaps, p, drop_term=args.drop_term)
+        report = energy_identity_audit(audited, p, drop_term=args.drop_term)
     except (ValueError, SnapshotSpacingError) as exc:
         # fewer than 3 snapshots, a drop term outside 1..6, or uneven times
         raise ConfigError(str(exc)) from None
-    print(f"snapshots: {len(snaps)}  interior points: {len(report.residuals)}")
+    left_out = f" (the last, at t={times[-1]:g}, left out: a shorter spacing)" if short_end else ""
+    print(f"snapshots: {len(audited)}{left_out}  interior points: {len(report.residuals)}")
     print(f"max residual  = {report.max_residual:.6e}")
     print(f"mean residual = {report.mean_residual:.6e}")
     for key in ("ddt", "dissipation", "T1", "T2", "T3", "T4", "T5", "T6"):

@@ -1,9 +1,10 @@
 """Run configuration, paired full/limit runs, kappa sweeps and persistence.
 
 A run evolves the scaled system and its limit on the same grid and step,
-recording a snapshot every ``snapshot_stride`` steps; after the march each
-snapshot gets its EnergyLedger row.  A sweep runs a decreasing kappa list
-and fits the log-log rate of sup_t sqrt(Gamma) against kappa.
+recording a snapshot every ``snapshot_stride`` steps and at the last step;
+after the march each snapshot gets its EnergyLedger row.  A sweep runs a
+decreasing kappa list and fits the log-log rate of sup_t sqrt(Gamma)
+against kappa.
 
 A run steps one stacked array, the member set of ``integrator.step_full``,
 and builds states only where it records: the limit system, which does not
@@ -11,9 +12,12 @@ depend on kappa and is the scaled system without current and fields, is
 its first member, and the scaled system at each kappa of the run one more.
 So a paired step is one ``step_full`` call on the stack, and the set's one
 operator, which holds its grid, dt, Params and coefficients, serves both
-systems.  ``run_single`` with a tuple of kappas runs them as one batch, and
-the limit is built, stepped and recorded once for all of them.  Each
-member's records are bit for bit those of its own run.  A member that
+systems.  Only the steps that record bring the stack to the grid; between
+them the run carries the set on the half-spectrum
+(``integrator.HalfStack``) from one step to the next, its Strang
+half-steps fused.  ``run_single`` with a tuple of kappas runs them as one
+batch, and the limit is built, stepped and recorded once for all of them.
+Each member's records are bit for bit those of its own run.  A member that
 blows up or hits vacuum gets its own status, message and step count and
 leaves the set; the others redo that step without it.  A failure of the
 limit ends every member with the limit's message.  A sweep is one such
@@ -58,7 +62,7 @@ from .diagnostics import LEDGER_COLUMNS, _check_ledger_densities, bound_monitor,
 from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
-from .integrator import StepControl, build_stiff_operator, step_full
+from .integrator import HalfStack, StepControl, build_stiff_operator, step_full
 from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
@@ -336,17 +340,19 @@ def run_single(
     set (``model``, "member sets") of the limit system, which does not
     depend on kappa and is made once, and of the K members, (4 + 13 K,
     *shape); every step is one ``step_full`` call on it with the set's
-    operator, built again only when a member leaves.  A record builds
-    FullState/LimitState views of the current stack (the stepper returns a
-    new one, so a snapshot is never overwritten) and runs the ledger's
-    density checks on them.  After the
-    march, each member's ledger rows are one ``make_energy_ledger`` call on
-    its snapshots.  A member's records are bit for bit those of its own
-    run.  A member that blows up or hits vacuum gets its own status,
-    message and step count and leaves the stack; the others redo that
-    step.  A blow-up or vacuum of the limit ends every member with the
-    limit's message and step count; a member that fails the same check is
-    reported first, with its own.  Every member's ``wall_seconds`` is the
+    operator, built again only when a member leaves.  A step is recorded
+    every ``snapshot_stride`` steps and at the last step; the steps between
+    records are not, and the run carries the set on the half-spectrum
+    from one of them to the next.  A record builds FullState/LimitState
+    views of the stack its step returned (each recorded step returns a new
+    one, so a snapshot is never overwritten) and runs the ledger's density
+    checks on them.  After the march, each member's ledger rows are one
+    ``make_energy_ledger`` call on its snapshots.  A member's records are
+    bit for bit those of its own run.  A member that blows up or hits
+    vacuum gets its own status, message and step count and leaves the
+    stack; the others redo that step.  A blow-up or vacuum of the limit
+    ends every member with the limit's message and step count; a member
+    that fails the same check is reported first, with its own.  Every member's ``wall_seconds`` is the
     batch's, and ``batch_members`` says how many ran.  A record is tagged
     ``run_kappa<kappa>``.  Initial data with a nonpositive density raise
     ConfigError, naming the member's kappa and min n, before any step.
@@ -404,7 +410,7 @@ def run_single(
         records[k].status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
         records[k].message = str(exc)
         records[k].n_steps = steps_done
-        x = _drop(x, i)
+        x = x.drop(i) if isinstance(x, HalfStack) else _drop(x, i)
         op = None
 
     def record(t):
@@ -431,8 +437,9 @@ def run_single(
             if len(live) == 1:
                 members, means = members[0], means[0]
             op = build_stiff_operator(grid, members, means, dt, limit_mean=limit.n.mean)
+        recorded = (steps_done + 1) % cfg.snapshot_stride == 0 or steps_done + 1 == n_steps
         try:
-            stepped = step_full(x, op, t=t)
+            stepped = step_full(x, op, t=t, record=recorded)
         except (BlowUpError, VacuumError) as exc:
             if exc.member:
                 leave(exc.member, exc)  # the others redo this step
@@ -442,7 +449,7 @@ def run_single(
             break
         x = stepped
         steps_done += 1
-        if steps_done % cfg.snapshot_stride == 0:
+        if recorded:
             record(steps_done * dt)
     for k in live:
         records[k].n_steps = steps_done

@@ -16,24 +16,35 @@ A step is the Strang composition
 which is second order, unconditionally stable in kappa, and reduces to
 plain SSP-RK2 when L = 0.  E and B are Leray-projected after every step.
 The remainder N - L is formed directly by the rates, so L is never applied
-and the 1/kappa curl terms, which N and L share, are never formed.
+and the 1/kappa curl terms, which N and L share, are never formed.  In a
+march of such steps the closing half-flow of one step and the opening
+half-flow of the next compose into one full flow exp(dt L) (Strang, SIAM
+J. Numer. Anal. 5, 1968; Hairer, Lubich & Wanner, *Geometric Numerical
+Integration*, 2006), so between two recorded steps a march stays on
+the half-spectrum and applies exp(dt L) once per step; only a recorded
+step closes with exp(dt/2 L) and returns to the grid.  The operator
+tabulates both exponentials.
 
-``step_full`` takes and returns the physical stack of a member set
-(``model``, "member sets"): the states stepped together, in field-major
-rows.  A lone state is its own stack, (n, u, j~, E, B), (13, *shape), or
-(n, u), (4, *shape), for the limit system; ``harness.run_single`` steps the
-limit and the scaled system at each kappa as one set, the limit first.  The
-set's operator (``build_stiff_operator``) describes it whole: the grid, dt,
-the row layout and the rate coefficients, so a step takes the stack, the
-operator and the time alone.  The limit is the scaled system on
-J = E = B = 0: its operator is u's viscous block alone, and the rates skip
-the terms that vanish there.  A step scales j~ to J = kappa j~ and
-transforms once on entry, and transforms back and divides J by kappa once
-on exit; the half-steps, the SSP-RK2 updates and the Leray projection are
-element-wise work on the half-spectrum in between, and each rate
-evaluation leaves Fourier space only to form its pointwise products
-(``model._full_rate``).  States are built only where fields are read
-(``evolve``'s observer and result).
+``step_full`` steps a member set (``model``, "member sets"): the states
+stepped together, in field-major rows.  A lone state is its own stack,
+(n, u, j~, E, B), (13, *shape), or (n, u), (4, *shape), for the limit
+system; ``harness.run_single`` steps the limit and the scaled system at
+each kappa as one set, the limit first.  The set's operator
+(``build_stiff_operator``) describes it whole: the grid, dt, the row
+layout and the rate coefficients, so a step takes the stack, the operator
+and the time alone.  The limit is the scaled system on J = E = B = 0: its
+operator is u's viscous block alone, and the rates skip the terms that
+vanish there.  A step from the physical stack scales j~ to J = kappa j~ and
+transforms once on entry; a recorded step transforms back and divides J by
+kappa once on exit.  A step that is not recorded returns a ``HalfStack``,
+the set on the half-spectrum and its densities on the grid (the one small
+transform it makes on exit, for its positivity check and the next step's
+predictor check), which the next step takes in place of the physical
+stack.  The half-steps, the SSP-RK2 updates and the Leray projection are
+element-wise work on the half-spectrum, and each rate evaluation leaves
+Fourier space only to form its pointwise products (``model._full_rate``).
+States are built only where fields are read (``evolve``'s observer and
+result).
 
 The members of a set share their Params but for kappa, given to
 ``build_stiff_operator`` as a tuple of Params, one per member with a
@@ -55,7 +66,7 @@ import math
 import time as _time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +77,7 @@ from .model import (
     Params,
     _Layout,
     _cross,
+    _drop,
     _full_rate,
     _layout,
     _rate_coefficients,
@@ -80,6 +92,7 @@ __all__ = [
     "StiffLinearOperator",
     "build_stiff_operator",
     "step_full",
+    "HalfStack",
     "evolve",
     "StepLog",
 ]
@@ -133,8 +146,8 @@ _GROUPS = ((0, 4), (4, 6), (6, 10), (10, 12), (12, 14), (14, 15), (15, 16))
 
 
 class StiffLinearOperator:
-    """Per-mode stiff generator L of a member set and its half-step
-    exponential, in closed form.
+    """Per-mode stiff generator L of a member set and its half-step and
+    full-step exponentials, in closed form.
 
     Per Fourier mode the (J, E, B) block is d_t J = V J + a E with
     a = (1+eps)/(tau eps) n_mean, d_t E = (ik x B)/kappa - n_mean P_k J and
@@ -159,38 +172,45 @@ class StiffLinearOperator:
     half-spectrum coefficients per member the term acts on: u's terms on
     every member of the set (``layout``), the others on the members with a
     current; so each group ``apply_half`` multiplies at once is a view of
-    it.  L is not tabulated: the rates take the frozen mean densities in
-    ``coef`` (``model._rate_coefficients``) and form N(y) - L y directly.
+    it.  ``prop_full`` holds exp(dt L) in the same rows, for
+    ``apply_full``.  L is not tabulated: the rates take the frozen mean
+    densities in ``coef`` (``model._rate_coefficients``) and form
+    N(y) - L y directly.
     The operator keeps the grid and dt it was built for, so it is all a
     step needs beside the stack (``step_full``).
     """
 
-    def __init__(self, grid: Grid, dt: float, prop_half: np.ndarray, layout: _Layout, coef):
+    def __init__(self, grid: Grid, dt: float, prop_half: np.ndarray, prop_full: np.ndarray,
+                 layout: _Layout, coef):
         self.grid = grid
         self.dt = dt
         self.khat = grid.half_unit_wavenumbers  # (3, *half)
         self.prop_half = prop_half              # (rows, *half)
+        self.prop_full = prop_full              # (rows, *half)
         self.layout = layout
         self.coef = coef
 
     @cached_property
     def _groups(self) -> tuple:
-        """Views of ``prop_half`` per _GROUPS entry, with a member axis for
-        the J <-> E and rotation groups and a component axis of 1."""
+        """Views of ``prop_half`` and of ``prop_full`` per _GROUPS entry,
+        with a member axis for the J <-> E and rotation groups and a
+        component axis of 1."""
         m, k = self.layout.members, self.layout.currents
         ends = np.cumsum([m if i == 0 else k for _, i, _ in _TERMS])
         starts = np.concatenate([[0], ends[:-1]])
         tail = (1,) + self.prop_half.shape[1:]
         shapes = ((-1,), (2, k), (-1,), (2, k), (2, k), (k,), (k,))
-        return tuple(self.prop_half[starts[a]:ends[b - 1]].reshape(shape + tail)
-                     for (a, b), shape in zip(_GROUPS, shapes))
+        return tuple(tuple(table[starts[a]:ends[b - 1]].reshape(shape + tail)
+                           for (a, b), shape in zip(_GROUPS, shapes))
+                     for table in (self.prop_half, self.prop_full))
 
     def apply_half(self, x):
-        """One half-step exact propagation of the half-spectrum stiff rows
-        of a member set, (M + 3K, 3, *half): u of every member, then J, E
-        and B of the members with a current; (4, 3, *half) for one state.
-        The per-mode sum over _TERMS is one multiply per group of _GROUPS,
-        with "rot" formed for J, E and B alone, the only fields it acts on.
+        """One half-step exact propagation, exp(dt/2 L), of the
+        half-spectrum stiff rows of a member set, (M + 3K, 3, *half): u of
+        every member, then J, E and B of the members with a current;
+        (4, 3, *half) for one state.  The per-mode sum over _TERMS is one
+        multiply per group of _GROUPS, with "rot" formed for J, E and B
+        alone, the only fields it acts on.
 
         Every product is the one of the term-by-term sum, and each field
         adds its products in that sum's order, except that E's two "x"
@@ -198,8 +218,17 @@ class StiffLinearOperator:
         not depend on their order) and no field starts from a zero (x + 0.0
         is x for every double but -0.0).  So the result has the bits of the
         term-by-term sum, up to the sign of an exact zero."""
+        return self._propagate(x, self._groups[0])
+
+    def apply_full(self, x):
+        """One full-step exact propagation, exp(dt L), as ``apply_half``
+        with the ``prop_full`` coefficients: the closing half-step of one
+        Strang step and the opening one of the next in one."""
+        return self._propagate(x, self._groups[1])
+
+    def _propagate(self, x, groups):
         kh = self.khat
-        diag, off, s_diag, s_off, rot_b, rot_j, rot_e = self._groups
+        diag, off, s_diag, s_off, rot_b, rot_j, rot_e = groups
         m, k = self.layout.members, self.layout.currents
         s = np.add.reduce(kh * x, axis=-4, keepdims=True)
         out = diag * x
@@ -236,9 +265,11 @@ def _shared_params(p):
 
 
 def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> StiffLinearOperator:
-    """Tabulate the half-step exponential of a member set per distinct
-    (|k|^2, |k_full|^2) pair and spread it over the half-spectrum.  The
-    pairs are told apart by one complex key, |k|^2 + i |k_full|^2.
+    """Tabulate the half-step and the full-step exponential of a member set
+    per distinct (|k|^2, |k_full|^2) pair, in one pass with the step length
+    as an axis of two, and spread both over the half-spectrum in one
+    gather.  The pairs are told apart by one complex key,
+    |k|^2 + i |k_full|^2.
 
     ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
     each for several states (Params differing only in kappa, ConfigError
@@ -261,21 +292,21 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> S
     pairs, inverse = np.unique(k2.ravel() + 1j * grid.half_k_squared.ravel(),
                                return_inverse=True)
     pairs = np.stack([pairs.real, pairs.imag], axis=1)
-    h = 0.5 * dt
+    h = np.array([[0.5 * dt], [dt]])  # (steps, 1): the half step and the full step
     limit_rows = [_u_rows(pairs, shared, m, h) for m in limit]
     tables = [_table(pairs, q, m, h) for q, m in members]
     table = np.stack([row for t, (part, i, _) in enumerate(_TERMS)
-                      for row in [u[part] for u in limit_rows if i == 0] + [tb[t] for tb in tables]])
+                      for row in [u[part] for u in limit_rows if i == 0] + [tb[t] for tb in tables]], axis=1)
     # C order: the gather alone leaves the row axis innermost
-    prop = np.ascontiguousarray(table[:, inverse]).reshape(table.shape[:1] + k2.shape)
+    prop = np.ascontiguousarray(table[:, :, inverse]).reshape(table.shape[:2] + k2.shape)
     layout = _layout(4 * len(limit) + 13 * len(members))
     coef = _rate_coefficients(grid, shared, kap, limit + tuple(m for _, m in members), len(limit))
-    return StiffLinearOperator(grid, dt, prop, layout, coef)
+    return StiffLinearOperator(grid, dt, prop[0], prop[1], layout, coef)
 
 
-def _u_rows(pairs: np.ndarray, p: Params, n_mean: float, h: float) -> dict:
-    """u's two prop_half rows per (|k|^2, |k_full|^2) pair, by part:
-    e^{h v_T} and e^{h v_L} - e^{h v_T}."""
+def _u_rows(pairs: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> dict:
+    """u's two propagator rows per step length h, a (steps, 1) column, and
+    (|k|^2, |k_full|^2) pair, by part: e^{h v_T} and e^{h v_L} - e^{h v_T}."""
     # as the physical-space viscous operator: full |k|^2 Laplacian,
     # derivative wavenumbers in grad div
     v_tra = -p.mu * pairs[:, 1] / n_mean
@@ -284,8 +315,9 @@ def _u_rows(pairs: np.ndarray, p: Params, n_mean: float, h: float) -> dict:
     return {"x": e_tra, "s": np.exp(h * v_lon) - e_tra}
 
 
-def _table(pairs: np.ndarray, p: Params, n_mean: float, h: float) -> np.ndarray:
-    """prop_half rows in _TERMS order per (|k|^2, |k_full|^2) pair."""
+def _table(pairs: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> np.ndarray:
+    """Propagator rows in _TERMS order per step length h, a (steps, 1)
+    column, and (|k|^2, |k_full|^2) pair, (terms, steps, pairs)."""
     u = _u_rows(pairs, p, n_mean, h)
     ex_lon, ex_hel = _exp_blocks(pairs, p, n_mean, h)
     rows = []
@@ -298,11 +330,12 @@ def _table(pairs: np.ndarray, p: Params, n_mean: float, h: float) -> np.ndarray:
     return np.stack(rows)
 
 
-def _exp_blocks(pairs: np.ndarray, p: Params, n_mean: float, h: float):
-    """exp(h Long) and exp(h M), each (3, 3, pairs), per (|k|^2, |k_full|^2)
-    pair.  Long has zero E and B rows, so its exponential is closed form:
-    e^x and a h (e^x - 1)/x in the J row, with x = h v_L and the limit a h
-    at x = 0.  M's goes through ``_expm3``."""
+def _exp_blocks(pairs: np.ndarray, p: Params, n_mean: float, h):
+    """exp(h Long) and exp(h M), each (3, 3, *x.shape), per step length h
+    and (|k|^2, |k_full|^2) pair, with x = h v_L: (3, 3, pairs) for a float
+    h, (3, 3, steps, pairs) for a (steps, 1) column.  Long has zero E and B
+    rows, so its exponential is closed form: e^x and a h (e^x - 1)/x in the
+    J row, and the limit a h at x = 0.  M's goes through ``_expm3``."""
     # as the physical-space viscous operator: full |k|^2 Laplacian,
     # derivative wavenumbers in grad div
     v_tra = -p.mu * pairs[:, 1] / n_mean
@@ -312,10 +345,10 @@ def _exp_blocks(pairs: np.ndarray, p: Params, n_mean: float, h: float):
     x = h * v_lon
     phi = np.ones_like(x)  # (e^x - 1)/x
     phi[x != 0.0] = np.expm1(x[x != 0.0]) / x[x != 0.0]
-    ex_lon = np.zeros((3, 3, len(pairs)))
+    ex_lon = np.zeros((3, 3) + x.shape)
     ex_lon[0, 0], ex_lon[0, 1] = np.exp(x), a * h * phi
     ex_lon[1, 1] = ex_lon[2, 2] = 1.0
-    hel = np.zeros((3, 3, len(pairs)))
+    hel = np.zeros((3, 3) + x.shape)
     hel[0, 0], hel[0, 1], hel[1, 0] = h * v_tra, h * a, -h * n_mean
     hel[1, 2], hel[2, 1] = -h * omega, h * omega
     return ex_lon, _expm3(hel)
@@ -332,12 +365,12 @@ _THETA13 = 5.371920351148152
 
 
 def _mul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of stacked 3x3 matrices, (3, 3, P), element-wise (no BLAS)."""
+    """Products of stacked 3x3 matrices, (3, 3, *P), element-wise (no BLAS)."""
     return a[:, 0, None] * b[0] + a[:, 1, None] * b[1] + a[:, 2, None] * b[2]
 
 
 def _expm3(a: np.ndarray) -> np.ndarray:
-    """exp of each real 3x3 matrix a[:, :, i] by scaling and squaring with
+    """exp of each real 3x3 matrix a[:, :, *i] by scaling and squaring with
     the [13/13] Pade approximant, the squaring count chosen per matrix
     from its 1-norm; the Pade quotient is solved by the adjugate."""
     norm = np.abs(a).sum(axis=0).max(axis=0)
@@ -403,25 +436,47 @@ def _report_failure(t: float, lay: _Layout, y: np.ndarray) -> None:
             raise
 
 
-def step_full(x: np.ndarray, op: StiffLinearOperator, t: float = 0.0,
-              forcing: Callable | None = None) -> np.ndarray:
-    """One Strang step of a member set from time ``t``; returns the stepped
-    stack.
+class HalfStack(NamedTuple):
+    """A member set between two steps that were not recorded (``step_full``
+    with ``record=False``): its stack on the half-spectrum, with J = kappa
+    j~, which the next step's opening half-step has already propagated, and
+    its densities on the grid, (M, *shape), which that step's predictor
+    stage takes as the entry densities of its vacuum check."""
+
+    half: np.ndarray
+    n: np.ndarray
+
+    def drop(self, member: int) -> "HalfStack":
+        """The set without the rows of one member (``model._drop``)."""
+        return HalfStack(_drop(self.half, member), np.delete(self.n, member, axis=0))
+
+
+def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | None = None,
+              record: bool = True):
+    """One Strang step of a member set from time ``t``.
 
     ``x`` holds the physical rows of a member set (``model``, "member
     sets"): one state's (n, u, j~, E, B), (13, *shape), the limit system's
     (n, u), (4, *shape), or several states in field-major rows, the limit
-    first if it is one of them.  ``op`` is the set's operator
+    first if it is one of them; or it is the HalfStack of such a set that
+    the previous step returned.  ``op`` is the set's operator
     (``build_stiff_operator``): the grid, dt, Params and coefficients of
     the step are its own.  It must have been built for a set of the same
     layout (ConfigError otherwise).  Each member's result is bit for bit
     what it gets when stepped alone.  ``x`` is not modified.
 
-    The stack is transformed once on entry, with j~ scaled to J = kappa j~,
-    and once on exit; in between, the stiff half-steps, the SSP-RK2 stages
-    and the Leray projection work on the half-spectrum (n, u, J, E, B).
-    ``forcing(t)`` may supply extra explicit rates in the layout of x, with
-    J for j~, e.g. for manufactured-solution tests.
+    A grid stack is transformed on entry, with j~ scaled to J = kappa j~,
+    and gets its opening half-step exp(dt/2 L); a HalfStack has had both.
+    The SSP-RK2 stages follow on the half-spectrum (n, u, J, E, B).  A
+    step with ``record`` then applies its closing half-step, Leray-projects
+    E and B, and transforms once back, dividing J by kappa: it returns the
+    stepped grid stack.  A step without ``record`` projects E and B and
+    applies exp(dt L) in one, its own closing half-step fused with the
+    opening half-step of the next (Strang splitting composes so), and
+    returns the HalfStack for the next step; of the stack it brings only
+    the densities to the grid, for its checks.  ``forcing(t)`` may supply
+    extra explicit rates in the layout of the grid stack, with J for j~,
+    e.g. for manufactured-solution tests.
 
     A density that turns non-positive in the SSP-RK2 predictor stage, or is
     not positive after the step, raises VacuumError, and a non-finite field
@@ -429,23 +484,32 @@ def step_full(x: np.ndarray, op: StiffLinearOperator, t: float = 0.0,
     and carry the index of the failing member in the set as ``member`` (0
     for a single state), the members with a current before the limit.  The
     first stage is not checked: the stiff half-step leaves n alone, so it
-    sees the density passed in.  A failure returns nothing for the other
-    members; the caller can drop the member from ``x`` (``model._drop``)
-    and redo the step.
+    sees the density passed in.  A step without ``record`` that finds a
+    non-finite value or a vacuum closes as a recorded step does and
+    reports the failure from its grid stack, so it names the same field
+    and member.  A failure returns nothing for the other members; the
+    caller can drop the member from ``x`` (``model._drop``,
+    ``HalfStack.drop``) and redo the step.
     """
-    lay = _layout(len(x))
+    carried = isinstance(x, HalfStack)
+    rows = len(x.half) if carried else len(x)
+    lay = _layout(rows)
     if op.layout is not lay:
         raise ConfigError(f"the operator was built for a member set of {op.prop_half.shape[0]} "
-                          f"coefficient rows, not for the step's {len(x)} stack rows")
+                          f"coefficient rows, not for the step's {rows} stack rows")
     grid, dt, coef, k = op.grid, op.dt, op.coef, lay.currents
-    if k:
-        h = x.copy()
-        h[lay.J] *= coef.kap_rows
-        h = array_rfft(grid, h)
+    if carried:
+        h, entry = x
     else:
-        h = array_rfft(grid, x)
-    stiff = h[lay.stiff].reshape(lay.shapes(h.shape[1:]).stiff)
-    stiff[:] = op.apply_half(stiff)
+        if k:
+            h = x.copy()
+            h[lay.J] *= coef.kap_rows
+            h = array_rfft(grid, h)
+        else:
+            h = array_rfft(grid, x)
+        stiff = h[lay.stiff].reshape(lay.shapes(h.shape[1:]).stiff)
+        stiff[:] = op.apply_half(stiff)
+        entry = x[lay.n]
 
     def remainder(y, tt, guard=None):
         out = _full_rate(grid, y, coef, guard)
@@ -455,10 +519,20 @@ def step_full(x: np.ndarray, op: StiffLinearOperator, t: float = 0.0,
 
     k1 = remainder(h, t)
     stage = f"in the SSP-RK2 predictor stage at t={t + dt:g}"
-    k2 = remainder(h + dt * k1, t + dt, (stage, x[lay.n], t + dt))
-    k1 += k2  # h + dt/2 (k1 + k2), with k1 as its buffer
-    h += np.multiply(0.5 * dt, k1, out=k1)
-
+    k2 = remainder(h + dt * k1, t + dt, (stage, entry, t + dt))
+    k1 += k2  # h + dt/2 (k1 + k2), in k1's buffer: a HalfStack passed in stays as it was
+    k1 *= 0.5 * dt
+    k1 += h
+    h = k1
+    stiff = h[lay.stiff].reshape(lay.shapes(h.shape[1:]).stiff)
+    if not record:
+        n = array_irfft(grid, h[lay.n])
+        if n.min() > 0.0 and np.isfinite(h).all():
+            if k:
+                eb = stiff[lay.members + k:]
+                half_leray_project(grid, eb, out=eb)
+            stiff[:] = op.apply_full(stiff)
+            return HalfStack(h, n)
     v = op.apply_half(stiff)
     if k:
         eb = v[lay.members + k:]
@@ -503,13 +577,17 @@ def evolve(
     t = i*dt (``StepControl`` has checked that they end at t_end).
     observer(step_index, t, state) runs at t = 0 and every ``stride``
     steps, and the states it gets keep their values: each step returns a
-    new stack.  ``forcing`` is passed to every step.  A blow-up or vacuum
-    ends the march with that status.  Returns (final_state, StepLog)."""
+    new stack.  Only those steps and the last are recorded (``step_full``);
+    between them the march stays on the half-spectrum.  ``forcing`` is
+    passed to every step.  A blow-up or vacuum ends the march with that
+    status, and the state returned is then the last one brought to the
+    grid: the last observed state, or the initial one.  Returns
+    (final_state, StepLog)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     n_steps = sc.n_steps
     grid = state.grid
-    x = _stacked(state)
+    x, shown = _stacked(state), None  # shown: the last stack stepped to the grid
     log = StepLog()
     start = _time.perf_counter()
     if observer is not None:
@@ -522,12 +600,16 @@ def evolve(
         op = build_stiff_operator(grid, p, (), sc.dt, limit_mean=mean)
     try:
         while log.n_steps < n_steps:
-            x = step_full(x, op, t=log.n_steps * sc.dt, forcing=forcing)
-            log.n_steps += 1
-            if observer is not None and log.n_steps % stride == 0:
-                observer(log.n_steps, log.n_steps * sc.dt, _state_view(grid, x))
+            i = log.n_steps + 1
+            seen = observer is not None and i % stride == 0
+            x = step_full(x, op, t=log.n_steps * sc.dt, forcing=forcing, record=seen or i == n_steps)
+            log.n_steps = i
+            if not isinstance(x, HalfStack):
+                shown = x
+            if seen:
+                observer(i, i * sc.dt, _state_view(grid, x))
     except (BlowUpError, VacuumError) as exc:
         log.status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
         log.message = str(exc)
     log.wall_seconds = _time.perf_counter() - start
-    return (_state_view(grid, x) if log.n_steps else state), log
+    return (state if shown is None else _state_view(grid, shown)), log

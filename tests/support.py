@@ -504,15 +504,20 @@ _FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "i
                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
-def count_fft_calls(monkeypatch) -> list:
+def count_fft_calls(monkeypatch, rows: list | None = None) -> list:
     """Wrap every numpy.fft and scipy.fft transform entry point; the returned
-    list collects the name of each call (clear it before the counted code)."""
+    list collects the name of each call (clear it before the counted code).
+    A ``rows`` list given collects the number of rows each call transforms:
+    the input's size over that of the transformed axes."""
     calls = []
 
     def counting(fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(a, *args, **kwargs):
             calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+            if rows is not None:
+                axes = kwargs.get("axes", (kwargs.get("axis", -1),))
+                rows.append(a.size // math.prod(a.shape[i] for i in axes))
+            return fn(a, *args, **kwargs)
         return wrapper
 
     for module in (np.fft, scipy.fft):
@@ -728,10 +733,13 @@ def member_stiff_rows(layout, member: int) -> list:
     return [member] + ([m + current, m + k + current, m + 2 * k + current] if current >= 0 else [])
 
 
-def term_by_term_half_step(op, x: np.ndarray) -> np.ndarray:
+def term_by_term_half_step(op, x: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """``op.apply_half(x)`` one member and one term at a time, each field's
-    terms summed from zero in _HALF_STEP_TERMS order; ``op.prop_half`` rows
-    are looked up by the operator's own term order (``integrator._TERMS``)."""
+    terms summed from zero in _HALF_STEP_TERMS order; the rows of
+    ``table``, by default ``op.prop_half`` (``op.prop_full`` for
+    ``op.apply_full``), are looked up by the operator's own term order
+    (``integrator._TERMS``)."""
+    table = op.prop_half if table is None else table
     kh = op.khat
     result = np.empty_like(x)
     for member in range(op.layout.members):
@@ -746,7 +754,7 @@ def term_by_term_half_step(op, x: np.ndarray) -> np.ndarray:
             part, i, j = term
             if max(i, j) >= len(stiff):
                 continue
-            coef = op.prop_half[prop_rows[_TERMS.index(term)], None, :, :, :]
+            coef = table[prop_rows[_TERMS.index(term)], None, :, :, :]
             acc = lon if part == "s" else out
             acc[i] += coef * parts[part][j]
         out += kh * lon

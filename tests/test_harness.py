@@ -11,8 +11,9 @@ from nsmlimit.cli import _with_seed, main
 from nsmlimit.diagnostics import LEDGER_COLUMNS
 from nsmlimit.errors import ConfigError, VacuumError
 from nsmlimit.initdata import make_limit_data
-from nsmlimit.integrator import evolve
-from nsmlimit.model import FullState, LimitState, Params
+from nsmlimit.integrator import HalfStack, evolve
+from nsmlimit.model import FullState, LimitState, Params, _layout
+from nsmlimit.spectral import array_rfft
 from nsmlimit.harness import (
     InitialSpec,
     RunConfig,
@@ -343,6 +344,94 @@ class TestRunSingle:
         assert recs[0].snapshots[1][1].n.values.base is recs[2].snapshots[1][1].B.values.base
 
 
+class TestUnrecordedSteps:
+    """Between two records a run's steps stay on the half-spectrum
+    (``step_full`` with ``record=False``): a member set that closes its steps
+    on the grid only where it records."""
+
+    # Snapshots of one run at strides 1 and 5 differ by roundoff only: the
+    # unrecorded steps fuse the closing and the opening half-step into one
+    # exp(dt L) and skip a transform pair.  Over the 50 steps of the short
+    # batch below the largest field difference measured 3.3e-14 of the
+    # field's sup (E of kappa 0.1) and the largest Gamma difference 5.7e-13
+    # relative.  The bounds give a 30x margin over those figures, so a
+    # machine whose FFT rounds differently still passes, and they stay four
+    # orders below the 1e-8 at which the benchmark references would move;
+    # a propagator or ordering error is O(dt) or larger and fails them.
+    FIELD_BOUND = 1e-12
+    GAMMA_BOUND = 2e-11
+
+    def test_strides_agree_at_shared_times(self):
+        kappas = (0.4, 0.2, 0.1)
+        every, fused = (run_single(parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10",
+                                                                          f"snapshot_stride = {stride}")),
+                                   kappa=kappas) for stride in (1, 5))
+        for a, b in zip(every, fused):
+            assert len(a.snapshots) == 51 and len(b.snapshots) == 11
+            shared = a.snapshots[::5]
+            assert [t for t, _, _ in shared] == [t for t, _, _ in b.snapshots]
+            for (_, full_a, limit_a), (_, full_b, limit_b) in zip(shared, b.snapshots):
+                for x, y in zip(list(vars(full_a).values()) + list(vars(limit_a).values()),
+                                list(vars(full_b).values()) + list(vars(limit_b).values())):
+                    scale = max(np.abs(x.values).max(), np.abs(y.values).max(), 1e-300)
+                    assert np.abs(x.values - y.values).max() <= self.FIELD_BOUND * scale
+            gam_a, gam_b = a.gammas()[::5], b.gammas()
+            assert np.abs(gam_a - gam_b).max() <= self.GAMMA_BOUND * gam_a.max()
+
+    def test_final_step_is_recorded(self):
+        # 10 steps at stride 50: the last step is recorded although 10 is not
+        # a multiple of 50, as at stride 10, where it is; the ledger used to
+        # hold the t = 0 row alone
+        text = SHORT_CONFIG.replace("t_end = 0.01", "t_end = 2e-3")
+        rec = run_single(parse_config_text(text.replace("snapshot_stride = 10", "snapshot_stride = 50")), kappa=0.2)
+        whole = run_single(parse_config_text(text), kappa=0.2)
+        assert (rec.status, rec.n_steps) == ("completed", 10)
+        assert [t for t, _, _ in rec.snapshots] == [0.0, 10 * 2e-4]
+        assert rec.rows == whole.rows
+
+    def test_vacuum_after_a_step_and_in_the_predictor_stage(self):
+        # members 0.4 and 0.1 of the epsilon = 1e-6 config fail at steps 3
+        # and 64, neither a multiple of the stride 25: with the time, step,
+        # member and message (min n included) of a run that records every
+        # step, which are those of the steps that all closed on the grid;
+        # the other member redoes each step and keeps its own run's records
+        cfg = _stiff_epsilon_config("0.4, 0.1, 0.01")
+        recs = run_single(cfg, kappa=tuple(cfg.kappa_list))
+        assert [(r.status, r.n_steps, r.message) for r in recs] == [
+            ("vacuum", 3, "vacuum state at t=0.0008: min n = -0.531263"),
+            ("vacuum", 64, "vacuum state in the SSP-RK2 predictor stage at t=0.013: min n = -7.47644"),
+            ("completed", 100, "")]
+        every = run_single(replace(cfg, snapshot_stride=1), kappa=tuple(cfg.kappa_list))
+        assert [(r.status, r.n_steps, r.message) for r in every] == [
+            (r.status, r.n_steps, r.message) for r in recs]
+        assert recs[2].rows == run_single(cfg, kappa=0.01).rows
+
+    def test_non_finite_member(self, monkeypatch):
+        # member 0.2 (set member 2) gets a NaN in u before step 4, which is not
+        # recorded: its step closes on the grid to name the first non-finite
+        # field, as a recorded step does, and it leaves at 3 steps; 0.4
+        # redoes the step and keeps its own run's records
+        cfg = parse_config_text(SHORT_CONFIG)
+        spoiled = []
+
+        def step_full(x, op, *args, _step=harness.step_full, t=0.0, **kwargs):
+            if t == 3 * op.dt and not spoiled:
+                spoiled.append(kwargs["record"])
+                half = x.half.copy()
+                half[_layout(len(half)).member_rows(2)[1], 5] = math.nan  # u_x of member 0.2
+                x = HalfStack(half, x.n)
+            return _step(x, op, *args, t=t, **kwargs)
+
+        monkeypatch.setattr(harness, "step_full", step_full)
+        kept, left = run_single(cfg, kappa=(0.4, 0.2))
+        assert spoiled == [False]
+        assert (left.status, left.n_steps, left.message) == (
+            "blowup", 3, "blow-up detected at t=0.0008: non-finite n")
+        assert len(left.snapshots) == 1
+        monkeypatch.undo()
+        assert (kept.status, kept.n_steps, kept.rows) == ("completed", 50, run_single(cfg, kappa=0.4).rows)
+
+
 class TestPersistence:
     def test_written_files_and_header(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -505,15 +594,19 @@ class TestPairedLimit:
         # the limit's density is spoiled at one point before step 4, once:
         # its failure ends every member at 3 steps with its message, and no
         # member redoes the step; linear pressure keeps the rates finite at
-        # negative density
+        # negative density.  Step 3 is not recorded, so step 4 takes the set
+        # on the half-spectrum: its grid densities and their transform are
+        # spoiled alike
         cfg = parse_config_text(SHORT_CONFIG + "\n[params]\npressure_gamma = 1.0\n")
         spoiled = []
 
         def step_full(x, op, *args, _step=harness.step_full, t=0.0, **kwargs):
             if t == 3 * op.dt and not spoiled:
                 spoiled.append(t)
-                x = x.copy()
-                x[0, 5] = value  # the limit's n, the stack's first row
+                n, half = x.n.copy(), x.half.copy()
+                n[0, 5] = value  # the limit's n, the stack's first row
+                half[:1] = array_rfft(cfg.grid, n[:1])
+                x = HalfStack(half, n)
             return _step(x, op, *args, t=t, **kwargs)
 
         monkeypatch.setattr(harness, "step_full", step_full)
@@ -770,6 +863,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert "config error: nonuniform snapshot spacing" in captured.err
         assert captured.out == ""
+
+    def test_audit_leaves_out_a_short_last_spacing(self, tmp_path, capsys):
+        # 7 steps at stride 2 record steps 0, 2, 4, 6 and the last, 7: the
+        # audit leaves that one out and reads what the run to step 6 gives
+        outs = []
+        for t_end in ("1.4e-3", "1.2e-3"):
+            cfg_path = tmp_path / f"cfg{t_end}.ini"
+            cfg_path.write_text(f"[step]\ndt = 2e-4\nt_end = {t_end}\n\n[diagnostics]\nsnapshot_stride = 2\n")
+            out = tmp_path / t_end
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["audit", "--record", str(out / "run_kappa0.1_snapshots.npz")]) == 0
+            outs.append(capsys.readouterr().out.splitlines())
+        assert outs[0][0] == "snapshots: 4 (the last, at t=0.0014, left out: a shorter spacing)  interior points: 2"
+        assert outs[1][0] == "snapshots: 4  interior points: 2"
+        assert outs[0][1:] == outs[1][1:]
 
     @pytest.mark.parametrize("content", [None, b"not an npz file\n", "wrong_keys"],
                              ids=["missing", "not_npz", "wrong_keys"])

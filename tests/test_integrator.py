@@ -46,6 +46,7 @@ from nsmlimit.spectral import (
     array_irfft,
     array_rfft,
     grid_integral,
+    half_divergence,
     random_smooth_vector,
     sobolev_norm,
     sup_norm,
@@ -221,13 +222,28 @@ class TestGroupedHalfStep:
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         x[lay.members + lay.currents:, 0] = 0.0  # exact zeros, as in the x rows of a 1-D E and B
         assert np.array_equal(op.apply_half(x), term_by_term_half_step(op, x))
+        assert np.array_equal(op.apply_full(x), term_by_term_half_step(op, x, op.prop_full))
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     def test_prop_half_is_c_contiguous(self, grid, members):
         for op in (_operator(grid, members),
                    build_stiff_operator(grid, Params(kappa=0.1), (), dt=0.01, limit_mean=1.07)):
-            assert op.prop_half.flags.c_contiguous
+            assert op.prop_half.flags.c_contiguous and op.prop_full.flags.c_contiguous
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
+    def test_full_step_is_two_half_steps(self, grid, members):
+        # exp(dt L) = exp(dt/2 L)^2: the full-step table, tabulated in the
+        # same pass as the half-step one, agrees with two half-steps to
+        # roundoff (measured: 5e-16 to 7.4e-16 of the largest result)
+        op = _operator(grid, members)
+        lay = op.layout
+        rng = np.random.default_rng(6)
+        shape = (lay.members + 3 * lay.currents, 3) + grid.half_wavenumbers.shape[1:]
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        twice = op.apply_half(op.apply_half(x))
+        assert np.abs(op.apply_full(x) - twice).max() <= 1e-13 * np.abs(twice).max()
 
 
 class TestBlockExponentials:
@@ -410,7 +426,7 @@ class TestStepFull:
         # themselves rather than a remainder
         prop = np.zeros((len(_TERMS),) + grid.half_wavenumbers.shape[1:])
         prop[_GROUPS[0][0]:_GROUPS[0][1]] = 1.0  # the "x" diagonal
-        identity = StiffLinearOperator(grid, sc.dt, prop, _layout(13), _rate_coefficients(grid, p, p.kappa))
+        identity = StiffLinearOperator(grid, sc.dt, prop, prop, _layout(13), _rate_coefficients(grid, p, p.kappa))
         out = _state_view(grid, step_full(_stacked(state), identity))
 
         J = p.kappa * state.jt.values
@@ -445,6 +461,22 @@ class TestStepFull:
             tol = 1e-10 * (1.0 + sup_norm(state.E) + sup_norm(state.B))
             assert np.abs(array_divergence(grid64, state.E.values)).max() <= tol
             assert np.abs(array_divergence(grid64, state.B.values)).max() <= tol
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    def test_unrecorded_step_projects_E_and_B(self, grid):
+        # E and B with a gradient part: a step that is not recorded projects
+        # both before its exp(dt L), which leaves longitudinal E and B as
+        # they are, so the set it returns is divergence-free
+        p = Params(kappa=0.2)
+        s = _uniform(grid)
+        x = grid.coordinate(0) * np.ones(grid.shape)
+        grad = VectorField(grid, np.stack([0.1 * np.cos(x), 0.05 * np.sin(x), np.zeros(grid.shape)]))
+        before = FullState(s.n, s.u, s.jt, grad, grad)
+        assert np.abs(half_divergence(grid, array_rfft(grid, grad.values))).max() > 1.0
+        out = step_full(_stacked(before), stack_operator(grid, _stacked(before), p, 1e-3), record=False)
+        lay = _layout(13)
+        for rows in (lay.E, lay.B):  # the unnormalised coefficients are O(npoints)
+            assert np.abs(half_divergence(grid, out.half[rows])).max() <= 1e-12 * grid.npoints
 
     def test_mass_conserved(self, grid64):
         p = Params(kappa=0.1)
@@ -512,6 +544,13 @@ class TestStepFull:
             assert x.tobytes() == before.tobytes()
             assert not np.shares_memory(x, y)
             assert step_full(x, op).tobytes() == y.tobytes()
+            # a carried half-spectrum stack too, which a failed step's other
+            # members step again
+            carried = step_full(x, op, record=False)
+            kept = [a.copy() for a in carried]
+            for stepped in (step_full(carried, op, record=False), (step_full(carried, op),)):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(carried, kept))
+                assert not any(np.shares_memory(a, b) for a in carried for b in stepped)
 
     def test_asymptotic_robustness_quick(self, grid64):
         # identical grid/dt across three decades of kappa; the full-horizon
@@ -529,30 +568,49 @@ class TestStepFull:
 
 @pytest.mark.parametrize("grid", [Grid(3, 8), Grid(1, 64)], ids=["3d8", "1d64"])
 def test_transform_calls_per_step(grid, monkeypatch):
-    # one transform each way at the step boundary plus four per rate
-    # evaluation: 10 calls for one state, the limit alone, a batch of 4, or
-    # the limit and a batch of 4 stepped together
+    # four transforms per rate evaluation, so eight per step, and one more
+    # each way at the step's ends: a step from a grid stack transforms it on
+    # entry, one from the half-spectrum stack of an unrecorded step does
+    # not; a recorded step transforms the whole stack back, one that is not
+    # recorded only the densities.  So 10 calls from a grid stack and 9
+    # from a carried one, recorded or not, for one state, the limit alone, a
+    # batch of 4, or the limit and a batch of 4 stepped together.
     p = Params(kappa=0.1)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
     sc = StepControl(dt=2e-4, t_end=2e-4)
     batch_p = tuple(Params(kappa=k) for k in (0.4, 0.2, 0.1, 0.05))
     x, xl, m, ml = _stacked(full), _stacked(limit), full.n.mean, limit.n.mean
-    calls = count_fft_calls(monkeypatch)
+    rows = []
+    calls = count_fft_calls(monkeypatch, rows)
     for stack, params, means, limit_mean in ((x, p, m, None), (xl, p, (), ml),
                                              (_join([x] * 4), batch_p, (m,) * 4, None),
                                              (_join([xl] + [x] * 4), batch_p, (m,) * 4, ml)):
         op = build_stiff_operator(grid, params, means, sc.dt, limit_mean=limit_mean)
-        calls.clear()
-        step_full(stack, op)
-        assert len(calls) == 10, (len(stack), calls)
+        counts = []
+
+        def counted(y, record):
+            calls.clear()
+            rows.clear()
+            y = step_full(y, op, record=record)
+            counts.append((len(calls), sum(rows)))
+            return y
+
+        counted(stack, True)
+        fused = counted(counted(stack, False), False)
+        counted(fused, True)
+        assert [c for c, _ in counts] == [10, 10, 9, 9], (len(stack), counts)
+    # the limit and 4 members, 56 rows: 220 per rate evaluation, and 56 each
+    # way on entry and exit, or the 5 densities
+    assert [r for _, r in counts] == [552, 501, 445, 496]
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
 def test_batch_matches_single_steps(grid):
     # a batch is one stack with kappa as a column, with or without the limit
     # ahead of it; every member must come out bit for bit as when stepped
-    # alone, operator tables included
+    # alone, operator tables included, on the half-spectrum between records
+    # as on the grid
     kappas = (0.4, 0.05, 1e-3)
     ps = tuple(Params(kappa=k) for k in kappas)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
@@ -567,14 +625,19 @@ def test_batch_matches_single_steps(grid):
                                   limit_mean=limit.n.mean if limits else None)
         singles = ops[1 - len(limits):]
         for k, single in enumerate(singles):
-            assert np.array_equal(op.prop_half[[r for r in member_prop_rows(op.layout, k) if r is not None]],
-                                  single.prop_half)
+            rows = [r for r in member_prop_rows(op.layout, k) if r is not None]
+            assert np.array_equal(op.prop_half[rows], single.prop_half)
+            assert np.array_equal(op.prop_full[rows], single.prop_full)
         assert np.array_equal(op.coef.n_mean[:, 0, 0, 0, 0], [s.coef.n_mean for s in ops[1:]])
         alone = [_stacked(s) for s in states]
         batch = _join(alone)
-        for i in range(3):
-            batch = step_full(batch, op, t=i * sc.dt)
-            alone = [step_full(x, o, t=i * sc.dt) for x, o in zip(alone, singles)]
+        for i, record in enumerate((False, False, True, False, True)):
+            batch = step_full(batch, op, t=i * sc.dt, record=record)
+            alone = [step_full(x, o, t=i * sc.dt, record=record) for x, o in zip(alone, singles)]
+            if not record:
+                for k, a in enumerate(alone):
+                    assert np.array_equal(batch.half[op.layout.member_rows(k)], a.half)
+                    assert np.array_equal(batch.n[k], a.n[0])
         assert batch.shape == (sum(len(a) for a in alone),) + alone[0].shape[1:]
         for k, a in enumerate(alone):
             assert np.array_equal(batch[op.layout.member_rows(k)], a)
@@ -665,8 +728,9 @@ class TestStepLimit:
         series = np.empty(n_steps)
         x = _stacked(state)
         for i in range(n_steps):
-            x = step_full(x, op, t=i * dt)
-            series[i] = x[0, 4, 0, 0] - 1.0  # n at x = pi/2: sin mode peak
+            # unrecorded steps: the density is the only row brought to the grid
+            x = step_full(x, op, t=i * dt, record=False)
+            series[i] = x.n[0, 4, 0, 0] - 1.0  # n at x = pi/2: sin mode peak
         window = np.hanning(n_steps)
         spec = np.abs(np.fft.rfft(series * window))
         freqs = np.fft.rfftfreq(n_steps, d=dt) * 2 * math.pi
@@ -742,6 +806,25 @@ class TestEvolve:
             assert len({copy.tobytes() for _, copy in kept}) == 11
             for st, copy in kept:
                 assert _stacked(st).tobytes() == copy.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_returns_the_last_state_on_the_grid(self, grid64):
+        # steep compression hits vacuum in step 5: the march ends after 4
+        # steps, and the state returned is the last one a step brought to
+        # the grid, the initial one without an observer, the one observed at
+        # step 4 with an observer every 2 steps
+        p = Params(kappa=0.2, tau=1e14, mu=1e-14)
+        x = grid64.coordinate(0) * np.ones(grid64.shape)
+        zero = np.zeros(grid64.shape)
+        state = LimitState(ScalarField(grid64, 1.0 + 0.5 * np.sin(x)),
+                           VectorField(grid64, np.stack([5.0 * np.sin(x), zero, zero])))
+        sc = StepControl(dt=0.05, t_end=10.0)
+        final, log = evolve(state, p, sc)
+        assert (log.status, log.n_steps) == ("vacuum", 4) and final is state
+        seen = []
+        final, log = evolve(state, p, sc, observer=lambda i, t, st: seen.append((i, st)), stride=2)
+        assert (log.status, log.n_steps) == ("vacuum", 4) and [i for i, _ in seen] == [0, 2, 4]
+        assert _stacked(final).tobytes() == _stacked(seen[-1][1]).tobytes()
 
     def test_dt_mismatch_rejected(self, grid64):
         p = Params(kappa=0.2)

@@ -183,12 +183,20 @@ def test_step_ab_compares_states_member_by_member():
         changed = x.copy()
         changed[-1, 3] = np.nextafter(changed[-1, 3], np.inf)  # the last member's B
         assert not step_ab.same_states({"A": (pkg, changed), "B": (pkg, x)}, grid)
+        # the field that differs, relative to its largest magnitude
+        diffs = step_ab.field_differences({"A": (pkg, changed), "B": (pkg, x)}, grid)
+        assert [name for name, _ in diffs] == [f"member {len(members)} B"]
+        scale = np.abs(x[-3:]).max()
+        assert diffs[0][1] == abs(changed[-1, 3] - x[-1, 3]).max() / scale
+    # sets of other members are not compared field by field
+    assert step_ab.field_differences({"A": (pkg, model._join([xl] + fulls)), "B": (pkg, x)}, grid) is None
 
 
 def test_step_ab_replays_either_step_signature():
     # a step_full that takes the grid, Params and StepControl beside the
-    # stack and the operator, and one that takes the stack and the operator
-    # alone: each caught call is replayed with only x and t replaced
+    # stack and the operator, one that takes the stack and the operator
+    # alone, and one that also takes ``record``: each caught call is
+    # replayed with only x and t replaced, and record where it is taken
     step_ab = _load("step_ab")
     seen = []
 
@@ -200,15 +208,29 @@ def test_step_ab_replays_either_step_signature():
         seen.append((x, op, t, forcing))
         return x + 1
 
+    def fused(x, op, t=0.0, forcing=None, record=True):
+        seen.append((x, op, t, forcing, record))
+        return x + 1
+
     for stepper, args, kwargs, want in (
             (old, ("grid", 10, "p", "sc"), {"op": "op", "t": 0.0},
              lambda x, t: ("grid", x, "p", "sc", "op", None, t)),
-            (new, (10, "op"), {"t": 0.0}, lambda x, t: (x, "op", t, None))):
+            (new, (10, "op"), {"t": 0.0}, lambda x, t: (x, "op", t, None)),
+            (fused, (10, "op"), {"t": 0.0, "record": False}, lambda x, t: (x, "op", t, None, False))):
         arguments = step_ab.bind_call(stepper, args, kwargs)
         for x, t in ((11, 0.5), (12, 1.0)):  # the caught arguments are left as they were
             assert step_ab.replay(stepper, arguments, x, t) == x + 1
             assert seen.pop() == want(x, t)
         assert arguments["x"] == 10 and arguments["t"] == 0.0
+    # S paired steps as run_single makes them between records: a stepper
+    # that takes ``record`` records the last step alone
+    for stepper, flags in ((new, [None] * 3), (fused, [False, False, True])):
+        arguments = step_ab.bind_call(stepper, (10, "op"), {"t": 0.0})
+        _, _, final = step_ab.paired_steps(step_ab.Call(stepper, arguments, "grid", 0.5), 3)
+        assert final == 13
+        assert [call[4] if len(call) == 5 else None for call in seen] == flags
+        assert [call[2] for call in seen] == [0.0, 0.5, 1.0]
+        seen.clear()
 
 
 def test_step_ab_column_differences():
