@@ -28,9 +28,10 @@ runs them between two records: every step but the last unrecorded, the
 last recorded, so the final state is a grid stack.  The two trees run in
 alternating order, after one untimed warm-up round.  Reported per input
 and tree: the median and quartiles of the paired-step time over all
-rounds, the median minor page faults per step, the rounds in which B's
-median step was faster than A's, and whether both trees' final states are
-bit for bit equal, field by field and member by member (the limit first);
+rounds, the median minor page faults per step, for ``--run`` inputs the
+median tracemalloc peak per step, the rounds in which B's median step was
+faster than A's, and whether both trees' final states are bit for bit
+equal, field by field and member by member (the limit first);
 if not, each field whose bits differ, with its largest difference
 relative to the field's largest magnitude in either tree.
 
@@ -40,7 +41,11 @@ inputs that does not show, but a 3-D ratio from here is not reproducible:
 three runs on the same two trees with ``perfbench/paired_3d.ini`` read
 B/A 1.106, 0.965 and 1/1.05, and the median minor faults per step ranged
 from 364 to 4,238 for the same code.  3-D comparisons use
-``scripts/bench.py`` pairs, one process per tree and run.
+``scripts/bench.py`` pairs, one process per tree and run.  The tracemalloc
+peak of a step does not depend on that history: it is the most memory
+numpy and Python held during the step above what they held at its start
+(its temporaries and its result), taken in one untimed, traced pass of S
+paired steps per tree after the timed rounds.
 
 ``--audit`` times what a run does with its snapshots: each tree runs the
 config's single ``[params] kappa`` once through its own ``run_single``
@@ -62,6 +67,7 @@ import inspect
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,21 +137,34 @@ def first_step(pkg, config: Path, batch: bool) -> Call:
     return Call(step_full, caught, cfg.grid, cfg.step.dt)
 
 
-def paired_steps(call: Call, steps: int):
+def paired_steps(call: Call, steps: int, peaks: list | None = None):
     """S paired steps from the caught call, all but the last unrecorded
     where the tree's ``step_full`` takes ``record``: the per-step seconds,
-    the minor faults per step, and the final stack."""
+    the minor faults per step, and the final stack.  Given a ``peaks``
+    list, the steps run under tracemalloc, which slows them, and each
+    appends its peak traced bytes above the traced bytes at its start."""
     x = call.arguments["x"]
     fused = "record" in inspect.signature(call.stepper).parameters
     seconds, faults = [], []
-    for i in range(steps):
-        changes = {"record": i == steps - 1} if fused else {}
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        t0 = time.perf_counter()
-        x = replay(call.stepper, call.arguments, x, i * call.dt, **changes)
-        t1 = time.perf_counter()
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-        seconds.append(t1 - t0)
+    if peaks is not None:
+        tracemalloc.start()
+    try:
+        for i in range(steps):
+            changes = {"record": i == steps - 1} if fused else {}
+            if peaks is not None:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.perf_counter()
+            x = replay(call.stepper, call.arguments, x, i * call.dt, **changes)
+            t1 = time.perf_counter()
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+            seconds.append(t1 - t0)
+            if peaks is not None:
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if peaks is not None:
+            tracemalloc.stop()
     return seconds, faults, x
 
 
@@ -201,12 +220,20 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         wins += medians["B"] < medians["A"]
         differences = field_differences(finals, sides[0][2].grid)
         identical &= differences == []
+    peak = {}
+    if not batch:  # one traced pass per tree, untimed
+        for tag, _, call in sides:
+            peaks = []
+            paired_steps(call, steps, peaks)
+            peak[tag] = f" {np.median(peaks) / 2**20:14.3f}"
     print(f"{name}: {rounds} rounds of {steps} paired steps per tree")
-    print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/step':>12}")
+    print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/step':>12}"
+          + (f" {'peak_MiB/step':>14}" if peak else ""))
     median_ms = {}
     for tag, _, _ in sides:
         q1, median_ms[tag], q3 = np.percentile(samples[tag]["s"], [25, 50, 75]) * 1e3
-        print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {np.median(samples[tag]['faults']):12.0f}")
+        print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f} {np.median(samples[tag]['faults']):12.0f}"
+              + peak.get(tag, ""))
     print(f"  B/A median {median_ms['B'] / median_ms['A']:.3f}; B faster in {wins}/{rounds} rounds; "
           f"final states {'bit-identical' if identical else 'DIFFER'}")
     if differences is None:

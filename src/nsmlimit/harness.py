@@ -13,7 +13,7 @@ its first member, and the scaled system at each kappa of the run one more.
 So a paired step is one ``step_full`` call on the stack, and the set's one
 operator, which holds its grid, dt, Params and coefficients, serves both
 systems.  Only the steps that record bring the stack to the grid; between
-them the run carries the set on the half-spectrum
+them the run carries the set on the 2/3-rule box
 (``integrator.HalfStack``) from one step to the next, its Strang
 half-steps fused.  ``run_single`` with a tuple of kappas runs them as one
 batch, and the limit is built, stepped and recorded once for all of them.
@@ -61,7 +61,8 @@ import numpy as np
 from .diagnostics import LEDGER_COLUMNS, _check_ledger_densities, bound_monitor, make_energy_ledger
 from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
 from .errors import BlowUpError, ConfigError, VacuumError
-from .initdata import WellPreparedSpec, hypothesis_certificate, make_limit_data, make_well_prepared
+from .initdata import (WellPreparedSpec, _perturbations, hypothesis_certificate, make_limit_data,
+                       make_well_prepared)
 from .integrator import HalfStack, StepControl, build_stiff_operator, step_full
 from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
@@ -144,6 +145,12 @@ class RunConfig:
         if self.initial.max_wavenumber < k_min:
             raise ConfigError(f"initial.max_wavenumber must be at least 2 pi/period = {k_min:g}, "
                               f"got {self.initial.max_wavenumber!r}")
+        # the stepper holds the 2/3-rule box alone (spectral, "Conventions"):
+        # data modes above it would be dropped by the first step
+        k_cut = 2.0 / 3.0 * self.grid.nyquist_wavenumber
+        if self.initial.max_wavenumber > k_cut:
+            raise ConfigError(f"initial.max_wavenumber must be at most the 2/3-rule cutoff "
+                              f"(2/3) pi points/period = {k_cut:g}, got {self.initial.max_wavenumber!r}")
         ks = self.kappa_list
         if any(k2 >= k1 for k1, k2 in zip(ks, ks[1:])):
             raise ConfigError("kappa_list must be strictly decreasing")
@@ -342,7 +349,7 @@ def run_single(
     *shape); every step is one ``step_full`` call on it with the set's
     operator, built again only when a member leaves.  A step is recorded
     every ``snapshot_stride`` steps and at the last step; the steps between
-    records are not, and the run carries the set on the half-spectrum
+    records are not, and the run carries the set on the 2/3-rule box
     from one of them to the next.  A record builds FullState/LimitState
     views of the stack its step returned (each recorded step returns a new
     one, so a snapshot is never overwritten) and runs the ledger's density
@@ -377,13 +384,16 @@ def run_single(
         max_wavenumber=ini.max_wavenumber,
     )
     records, stacks, masses, n_means = [], [_stacked(limit)], [], []
+    perturbations = None  # the members' unit perturbations: their specs differ in kappa alone
     for p in params:
         spec = WellPreparedSpec.from_seed(
             limit, seed=ini.seed, c0=ini.c0, kappa=p.kappa, l=cfg.l,
             max_wavenumber=ini.max_wavenumber, well_prepared=ini.well_prepared,
         )
+        if perturbations is None:
+            perturbations = _perturbations(spec)
         try:
-            full = make_well_prepared(spec)
+            full = make_well_prepared(spec, perturbations)
         except VacuumError as exc:  # inadmissible data: a config error, before anything is written
             raise ConfigError(f"initial data at kappa = {p.kappa:g}: {exc}") from None
         records.append(RunRecord(
@@ -399,7 +409,7 @@ def run_single(
         n_means.append(full.n.mean)
     live = list(range(len(params)))  # members still stepping, in stack order after the limit
     x = _join(stacks)
-    del stacks  # x holds their rows
+    del stacks, perturbations  # x holds their rows
     steps_done, op = 0, None
 
     def leave(i, exc):

@@ -126,19 +126,14 @@ def make_limit_data(
     return LimitState(ScalarField(grid, n), VectorField(grid, u))
 
 
-def make_well_prepared(spec: WellPreparedSpec) -> FullState:
-    """Full-system initial data satisfying the O(kappa) hypothesis.
-
-    n = n0 + kappa dn, u = u0 + kappa du, j~ = dj, E = kappa dE, B = kappa dB
-    with each unit perturbation carrying H^l norm c0/sqrt(5) (dE, dB
-    Leray-projected before they are normalized), so the combined hypothesis
-    norm is c0*kappa up to roundoff and scales exactly linearly in kappa.
-    """
+def _perturbations(spec: WellPreparedSpec) -> np.ndarray:
+    """The unit perturbation rows (dn, du, dj, dE, dB) of
+    ``make_well_prepared`` on the grid, (13, *shape), each field with H^l
+    norm share = 0.999 c0/sqrt(5) before the kappa factors.  They depend on
+    the spec's seeds, c0, l, max_wavenumber and grid, not on its kappa, so a
+    batch of kappas draws them once."""
     grid = spec.base.grid
-    l = spec.l
     share = _BUDGET_SAFETY * spec.c0 / math.sqrt(5.0)
-    scale = spec.kappa if spec.well_prepared else 1.0
-
     # the 13 half-spectrum rows of (dn, du, dj, dE, dB), normalized by their
     # H^l norms (Parseval sums) and brought to the grid in one transform
     sample = dict(max_wavenumber=spec.max_wavenumber, zero_mean=True)
@@ -147,18 +142,35 @@ def make_well_prepared(spec: WellPreparedSpec) -> FullState:
     vec[2:] = half_leray_project(grid, vec[2:])
     hat = np.concatenate([_smooth_hat(grid, seeds[0], _DECAY, **sample)[None],
                           vec.reshape((12,) + vec.shape[2:])])
-    # per row: 1/norm of its field, then the factor of (n, u, j~, E, B)
-    inv_norms = np.repeat([1.0 / norm for norm in _field_norms(grid, hat, l)], (1, 3, 3, 3, 3))
+    # per row: 1/norm of its field
+    inv_norms = np.repeat([1.0 / norm for norm in _field_norms(grid, hat, spec.l)], (1, 3, 3, 3, 3))
+    return array_irfft(grid, hat) * inv_norms[:, None, None, None] * share
+
+
+def make_well_prepared(spec: WellPreparedSpec, perturbations: np.ndarray | None = None) -> FullState:
+    """Full-system initial data satisfying the O(kappa) hypothesis.
+
+    n = n0 + kappa dn, u = u0 + kappa du, j~ = dj, E = kappa dE, B = kappa dB
+    with each unit perturbation carrying H^l norm c0/sqrt(5) (dE, dB
+    Leray-projected before they are normalized), so the combined hypothesis
+    norm is c0*kappa up to roundoff and scales exactly linearly in kappa.
+    ``perturbations`` are the spec's unit perturbations
+    (``_perturbations``), drawn here if not given; a batch passes the
+    ones it drew for a spec differing from this one in kappa alone.
+    """
+    grid = spec.base.grid
+    scale = spec.kappa if spec.well_prepared else 1.0
     jt_factor = 1.0 if spec.well_prepared else 1.0 / spec.kappa
-    factors = np.repeat([scale, jt_factor, scale], (4, 3, 6))
-    x = array_irfft(grid, hat) * inv_norms[:, None, None, None] * share
-    x *= factors[:, None, None, None]
+    factors = np.repeat([scale, jt_factor, scale], (4, 3, 6))  # per row of (n, u, j~, E, B)
+    if perturbations is None:
+        perturbations = _perturbations(spec)
+    x = perturbations * factors[:, None, None, None]
     x[:4] += _stacked(spec.base)
     if x[0].min() <= 0.0:
         raise VacuumError(f"vacuum state: perturbed density nonpositive (min n = {x[0].min():.6g})")
     state = _state_view(grid, x)
     if spec.well_prepared:
-        norm = hypothesis_norm(state, spec.base, spec.kappa, l)
+        norm = hypothesis_norm(state, spec.base, spec.kappa, spec.l)
         if norm > spec.c0 * spec.kappa * (1.0 + 1e-9):
             raise AssertionError(
                 f"hypothesis norm {norm} exceeds budget {spec.c0 * spec.kappa}"

@@ -4,11 +4,12 @@ The scaled system has two stiff mechanisms: the 1/kappa Maxwell rotation
 and the 1/(tau*eps) current-field coupling.  Both are linear once the
 density in the coupling terms is frozen at its spatial mean, so each
 Fourier mode carries a constant generator L.  L splits into a longitudinal
-and two helical transverse parts whose 3x3 exponentials depend only on the
-pair (|k|^2, |k_full|^2): they are tabulated once per distinct pair and
-applied on the real-FFT half-spectrum.  The longitudinal exponential is
-closed form and the helical one a vectorised scaling-and-squaring Pade
-approximant (``_expm3``), both element-wise numpy work with no BLAS call.
+and two helical transverse parts whose 3x3 exponentials depend only on
+|k|^2: they are tabulated once per distinct |k|^2 and applied on the
+2/3-rule box (``spectral``, "Conventions"), the stepper's one spectral
+layout.  The longitudinal exponential is closed form and the helical one a
+vectorised scaling-and-squaring Pade approximant (``_expm3``), both
+element-wise numpy work with no BLAS call.
 A step is the Strang composition
 
     exp(dt/2 L)  o  SSP-RK2 on (full RHS - L)  o  exp(dt/2 L)
@@ -20,10 +21,10 @@ and the 1/kappa curl terms, which N and L share, are never formed.  In a
 march of such steps the closing half-flow of one step and the opening
 half-flow of the next compose into one full flow exp(dt L) (Strang, SIAM
 J. Numer. Anal. 5, 1968; Hairer, Lubich & Wanner, *Geometric Numerical
-Integration*, 2006), so between two recorded steps a march stays on
-the half-spectrum and applies exp(dt L) once per step; only a recorded
-step closes with exp(dt/2 L) and returns to the grid.  The operator
-tabulates both exponentials.
+Integration*, 2006), so between two recorded steps a march stays on the
+box and applies exp(dt L) once per step; only a recorded step closes with
+exp(dt/2 L) and returns to the grid.  The operator tabulates both
+exponentials.
 
 ``step_full`` steps a member set (``model``, "member sets"): the states
 stepped together, in field-major rows.  A lone state is its own stack,
@@ -37,14 +38,17 @@ operator is u's viscous block alone, and the rates skip the terms that
 vanish there.  A step from the physical stack scales j~ to J = kappa j~ and
 transforms once on entry; a recorded step transforms back and divides J by
 kappa once on exit.  A step that is not recorded returns a ``HalfStack``,
-the set on the half-spectrum and its densities on the grid (the one small
-transform it makes on exit, for its positivity check and the next step's
-predictor check), which the next step takes in place of the physical
-stack.  The half-steps, the SSP-RK2 updates and the Leray projection are
-element-wise work on the half-spectrum, and each rate evaluation leaves
-Fourier space only to form its pointwise products (``model._full_rate``).
-States are built only where fields are read (``evolve``'s observer and
-result).
+the set on the box and its densities on the grid (the one small transform
+it makes on exit, for its positivity check and the next step's predictor
+check), which the next step takes in place of the physical stack.  The
+half-steps, the SSP-RK2 updates and the Leray projection are element-wise
+work on the box, and each rate evaluation leaves Fourier space only to form
+its pointwise products (``model._full_rate``).  A state on the box stays
+there: every rate is formed on it, and the propagator acts mode by mode.
+So the step stores, propagates and transforms the box modes alone, 28% of
+the half-spectrum on 32^3; content of a state above the 2/3 cutoff is
+dropped by the step's first transform.  States are built only where fields
+are read (``evolve``'s observer and result).
 
 The members of a set share their Params but for kappa, given to
 ``build_stiff_operator`` as a tuple of Params, one per member with a
@@ -85,7 +89,7 @@ from .model import (
     _stacked,
     _state_view,
 )
-from .spectral import Grid, array_irfft, array_rfft, half_leray_project
+from .spectral import Grid, box_irfft, box_rfft, leray_project
 
 __all__ = [
     "StepControl",
@@ -165,15 +169,15 @@ class StiffLinearOperator:
     helicity carries D M D, D = diag(1, 1, -1), so Even/Odd keep the entries
     of M with D_ii D_jj = +1/-1 (Waleffe, Phys. Fluids A 4, 1992).  The same
     identity with exp(h Long) and exp(h M) gives the exact propagator
-    (``_exp_blocks``).  The k = 0 and pure-Nyquist modes have khat = 0 and
-    omega = 0.  The limit system's L is u's viscous block alone.
+    (``_exp_blocks``).  The k = 0 mode has khat = 0 and omega = 0.  On the
+    2/3-rule box no mode is a Nyquist mode, so |k_full| = |k| and L depends
+    on |k|^2 alone.  The limit system's L is u's viscous block alone.
 
-    ``prop_half`` holds, term by term in _TERMS order, one row of real
-    half-spectrum coefficients per member the term acts on: u's terms on
-    every member of the set (``layout``), the others on the members with a
-    current; so each group ``apply_half`` multiplies at once is a view of
-    it.  ``prop_full`` holds exp(dt L) in the same rows, for
-    ``apply_full``.  L is not tabulated: the rates take the frozen mean
+    ``prop_half`` holds, term by term in _TERMS order, one row of real box
+    coefficients per member the term acts on: u's terms on every member of
+    the set (``layout``), the others on the members with a current; so each
+    group ``apply_half`` multiplies at once is a view of it.  ``prop_full``
+    holds exp(dt L) in the same rows, for ``apply_full``.  L is not tabulated: the rates take the frozen mean
     densities in ``coef`` (``model._rate_coefficients``) and form
     N(y) - L y directly.
     The operator keeps the grid and dt it was built for, so it is all a
@@ -184,9 +188,9 @@ class StiffLinearOperator:
                  layout: _Layout, coef):
         self.grid = grid
         self.dt = dt
-        self.khat = grid.half_unit_wavenumbers  # (3, *half)
-        self.prop_half = prop_half              # (rows, *half)
-        self.prop_full = prop_full              # (rows, *half)
+        self.khat = grid.box.khat  # (3, *box)
+        self.prop_half = prop_half  # (rows, *box)
+        self.prop_full = prop_full  # (rows, *box)
         self.layout = layout
         self.coef = coef
 
@@ -205,12 +209,11 @@ class StiffLinearOperator:
                      for table in (self.prop_half, self.prop_full))
 
     def apply_half(self, x):
-        """One half-step exact propagation, exp(dt/2 L), of the
-        half-spectrum stiff rows of a member set, (M + 3K, 3, *half): u of
-        every member, then J, E and B of the members with a current;
-        (4, 3, *half) for one state.  The per-mode sum over _TERMS is one
-        multiply per group of _GROUPS, with "rot" formed for J, E and B
-        alone, the only fields it acts on.
+        """One half-step exact propagation, exp(dt/2 L), of the box stiff
+        rows of a member set, (M + 3K, 3, *box): u of every member, then J,
+        E and B of the members with a current; (4, 3, *box) for one state.
+        The per-mode sum over _TERMS is one multiply per group of _GROUPS,
+        with "rot" formed for J, E and B alone, the only fields it acts on.
 
         Every product is the one of the term-by-term sum, and each field
         adds its products in that sum's order, except that E's two "x"
@@ -234,7 +237,7 @@ class StiffLinearOperator:
         out = diag * x
         lon = s_diag * s
         if k:
-            # (J, E, B) of the members with a current, (3, K, 3, *half)
+            # (J, E, B) of the members with a current, (3, K, 3, *box)
             jeb_shape = self.layout.shapes(x.shape[2:]).jeb
             jeb = x[m:].reshape(jeb_shape)
             rot = _cross(kh, jeb)  # rot J, rot E, rot B
@@ -266,10 +269,8 @@ def _shared_params(p):
 
 def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> StiffLinearOperator:
     """Tabulate the half-step and the full-step exponential of a member set
-    per distinct (|k|^2, |k_full|^2) pair, in one pass with the step length
-    as an axis of two, and spread both over the half-spectrum in one
-    gather.  The pairs are told apart by one complex key,
-    |k|^2 + i |k_full|^2.
+    per distinct |k|^2 of the 2/3-rule box, in one pass with the step
+    length as an axis of two, and spread both over the box in one gather.
 
     ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
     each for several states (Params differing only in kappa, ConfigError
@@ -287,14 +288,11 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> S
     else:
         members = ((p, n_mean),) if np.ndim(n_mean) == 0 else ()
     limit = () if limit_mean is None else (limit_mean,)
-    k = grid.half_wavenumbers
-    k2 = (k**2).sum(axis=0)
-    pairs, inverse = np.unique(k2.ravel() + 1j * grid.half_k_squared.ravel(),
-                               return_inverse=True)
-    pairs = np.stack([pairs.real, pairs.imag], axis=1)
+    k2 = grid.box.k2
+    keys, inverse = np.unique(k2.ravel(), return_inverse=True)
     h = np.array([[0.5 * dt], [dt]])  # (steps, 1): the half step and the full step
-    limit_rows = [_u_rows(pairs, shared, m, h) for m in limit]
-    tables = [_table(pairs, q, m, h) for q, m in members]
+    limit_rows = [_u_rows(keys, shared, m, h) for m in limit]
+    tables = [_table(keys, q, m, h) for q, m in members]
     table = np.stack([row for t, (part, i, _) in enumerate(_TERMS)
                       for row in [u[part] for u in limit_rows if i == 0] + [tb[t] for tb in tables]], axis=1)
     # C order: the gather alone leaves the row axis innermost
@@ -304,22 +302,20 @@ def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> S
     return StiffLinearOperator(grid, dt, prop[0], prop[1], layout, coef)
 
 
-def _u_rows(pairs: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> dict:
+def _u_rows(k2: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> dict:
     """u's two propagator rows per step length h, a (steps, 1) column, and
-    (|k|^2, |k_full|^2) pair, by part: e^{h v_T} and e^{h v_L} - e^{h v_T}."""
-    # as the physical-space viscous operator: full |k|^2 Laplacian,
-    # derivative wavenumbers in grad div
-    v_tra = -p.mu * pairs[:, 1] / n_mean
-    v_lon = v_tra - (p.mu + p.lam) * pairs[:, 0] / n_mean
+    distinct |k|^2 k2, by part: e^{h v_T} and e^{h v_L} - e^{h v_T}."""
+    v_tra = -p.mu * k2 / n_mean
+    v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
     e_tra = np.exp(h * v_tra)
     return {"x": e_tra, "s": np.exp(h * v_lon) - e_tra}
 
 
-def _table(pairs: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> np.ndarray:
+def _table(k2: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> np.ndarray:
     """Propagator rows in _TERMS order per step length h, a (steps, 1)
-    column, and (|k|^2, |k_full|^2) pair, (terms, steps, pairs)."""
-    u = _u_rows(pairs, p, n_mean, h)
-    ex_lon, ex_hel = _exp_blocks(pairs, p, n_mean, h)
+    column, and distinct |k|^2 k2, (terms, steps, modes)."""
+    u = _u_rows(k2, p, n_mean, h)
+    ex_lon, ex_hel = _exp_blocks(k2, p, n_mean, h)
     rows = []
     for part, i, j in _TERMS:
         if i == 0:
@@ -330,17 +326,15 @@ def _table(pairs: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> np.nda
     return np.stack(rows)
 
 
-def _exp_blocks(pairs: np.ndarray, p: Params, n_mean: float, h):
+def _exp_blocks(k2: np.ndarray, p: Params, n_mean: float, h):
     """exp(h Long) and exp(h M), each (3, 3, *x.shape), per step length h
-    and (|k|^2, |k_full|^2) pair, with x = h v_L: (3, 3, pairs) for a float
-    h, (3, 3, steps, pairs) for a (steps, 1) column.  Long has zero E and B
-    rows, so its exponential is closed form: e^x and a h (e^x - 1)/x in the
-    J row, and the limit a h at x = 0.  M's goes through ``_expm3``."""
-    # as the physical-space viscous operator: full |k|^2 Laplacian,
-    # derivative wavenumbers in grad div
-    v_tra = -p.mu * pairs[:, 1] / n_mean
-    v_lon = v_tra - (p.mu + p.lam) * pairs[:, 0] / n_mean
-    omega = np.sqrt(pairs[:, 0]) / p.kappa
+    and |k|^2 of k2, with x = h v_L: (3, 3, modes) for a float h, (3, 3,
+    steps, modes) for a (steps, 1) column.  Long has zero E and B rows, so
+    its exponential is closed form: e^x and a h (e^x - 1)/x in the J row,
+    and the limit a h at x = 0.  M's goes through ``_expm3``."""
+    v_tra = -p.mu * k2 / n_mean
+    v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
+    omega = np.sqrt(k2) / p.kappa
     a = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
     x = h * v_lon
     phi = np.ones_like(x)  # (e^x - 1)/x
@@ -438,7 +432,7 @@ def _report_failure(t: float, lay: _Layout, y: np.ndarray) -> None:
 
 class HalfStack(NamedTuple):
     """A member set between two steps that were not recorded (``step_full``
-    with ``record=False``): its stack on the half-spectrum, with J = kappa
+    with ``record=False``): its stack on the 2/3-rule box, with J = kappa
     j~, which the next step's opening half-step has already propagated, and
     its densities on the grid, (M, *shape), which that step's predictor
     stage takes as the entry densities of its vacuum check."""
@@ -459,15 +453,17 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
     sets"): one state's (n, u, j~, E, B), (13, *shape), the limit system's
     (n, u), (4, *shape), or several states in field-major rows, the limit
     first if it is one of them; or it is the HalfStack of such a set that
-    the previous step returned.  ``op`` is the set's operator
+    the previous step returned.  The step holds the 2/3-rule box alone, so
+    the content of a grid stack above it is dropped by its first
+    transform.  ``op`` is the set's operator
     (``build_stiff_operator``): the grid, dt, Params and coefficients of
     the step are its own.  It must have been built for a set of the same
     layout (ConfigError otherwise).  Each member's result is bit for bit
     what it gets when stepped alone.  ``x`` is not modified.
 
-    A grid stack is transformed on entry, with j~ scaled to J = kappa j~,
-    and gets its opening half-step exp(dt/2 L); a HalfStack has had both.
-    The SSP-RK2 stages follow on the half-spectrum (n, u, J, E, B).  A
+    A grid stack is transformed to the box on entry, with j~ scaled to
+    J = kappa j~, and gets its opening half-step exp(dt/2 L); a HalfStack
+    has had both.  The SSP-RK2 stages follow on the box (n, u, J, E, B).  A
     step with ``record`` then applies its closing half-step, Leray-projects
     E and B, and transforms once back, dividing J by kappa: it returns the
     stepped grid stack.  A step without ``record`` projects E and B and
@@ -504,17 +500,17 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
         if k:
             h = x.copy()
             h[lay.J] *= coef.kap_rows
-            h = array_rfft(grid, h)
+            h = box_rfft(grid, h)
         else:
-            h = array_rfft(grid, x)
+            h = box_rfft(grid, x)
         stiff = h[lay.stiff].reshape(lay.shapes(h.shape[1:]).stiff)
         stiff[:] = op.apply_half(stiff)
         entry = x[lay.n]
 
     def remainder(y, tt, guard=None):
-        out = _full_rate(grid, y, coef, guard)
+        out = _full_rate(y, coef, guard)
         if forcing is not None:
-            out += array_rfft(grid, forcing(tt))
+            out += box_rfft(grid, forcing(tt))
         return out
 
     k1 = remainder(h, t)
@@ -526,19 +522,19 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
     h = k1
     stiff = h[lay.stiff].reshape(lay.shapes(h.shape[1:]).stiff)
     if not record:
-        n = array_irfft(grid, h[lay.n])
+        n = box_irfft(grid, h[lay.n])
         if n.min() > 0.0 and np.isfinite(h).all():
             if k:
                 eb = stiff[lay.members + k:]
-                half_leray_project(grid, eb, out=eb)
+                leray_project(op.khat, eb, out=eb)
             stiff[:] = op.apply_full(stiff)
             return HalfStack(h, n)
     v = op.apply_half(stiff)
     if k:
         eb = v[lay.members + k:]
-        half_leray_project(grid, eb, out=eb)
+        leray_project(op.khat, eb, out=eb)
     stiff[:] = v
-    y = array_irfft(grid, h)
+    y = box_irfft(grid, h)
     if not (np.isfinite(y).all() and y[lay.n].min() > 0.0):
         _report_failure(t + dt, lay, y)
     if k:
@@ -578,10 +574,14 @@ def evolve(
     observer(step_index, t, state) runs at t = 0 and every ``stride``
     steps, and the states it gets keep their values: each step returns a
     new stack.  Only those steps and the last are recorded (``step_full``);
-    between them the march stays on the half-spectrum.  ``forcing`` is
-    passed to every step.  A blow-up or vacuum ends the march with that
-    status, and the state returned is then the last one brought to the
-    grid: the last observed state, or the initial one.  Returns
+    between them the march stays on the 2/3-rule box.  The steps hold the
+    box modes alone, so a state with content above the 2/3 cutoff loses
+    that content at the first step's transform (a run's initial data are
+    band-limited inside it: ``harness.RunConfig`` bounds
+    ``initial.max_wavenumber``).  ``forcing`` is passed to every step.  A
+    blow-up or vacuum ends the march with that status, and the state
+    returned is then the last one brought to the grid: the last observed
+    state, or the initial one.  Returns
     (final_state, StepLog)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")

@@ -11,8 +11,8 @@ Three systems are evaluated here, all on the periodic torus:
   be certified numerically (``reformulation_check``).
 
 The stepping rate ``_full_rate`` takes the stack of a member set, the
-states stepped together, on the real-FFT half-spectrum and returns its time
-derivative there.  A member set holds scaled-system states and, first, the
+states stepped together, on the 2/3-rule box (``spectral``, "Conventions")
+and returns its time derivative there.  A member set holds scaled-system states and, first, the
 limit system's, which is the scaled system on J = E = B = 0: its rows are
 the same rates less the current, field and source terms that vanish there,
 formed in the same numpy calls as the other members' (``_Layout``).  Every
@@ -25,11 +25,12 @@ slice add.  In the call-overhead-bound 1-D steps the number of numpy calls,
 not the arithmetic, sets the time; every regrouping keeps each element's
 floating-point operations and their order, so the rates give the same bits
 as the row-by-row forms (``tests/support.py``) and each member's rows the
-same bits whatever set it is stepped in.  The 2/3 mask is linear, so the
-nonlinear terms of each equation are summed first and masked once
-(Orszag, J. Atmos. Sci. 28, 1971); the linear viscous and curl terms stay
-unmasked.  The certificate forms (``_two_fluid_rate``, ``_reformed_rate``)
-work on the same half-spectrum but term by term: each
+same bits whatever set it is stepped in.  The 2/3 rule (Orszag, J. Atmos.
+Sci. 28, 1971) is the layout itself: the products' transforms keep the box
+modes alone, so the rates need no mask, and a state on the box stays
+there, because the linear terms keep each mode's support.  The certificate
+forms (``_two_fluid_rate``, ``_reformed_rate``) work on the real-FFT
+half-spectrum instead, term by term: each
 term's product is transformed on its own and masked once, as the final
 operation of the term, the terms are summed there, and one inverse
 transform brings all five rates to the grid.  Intermediate sub-products
@@ -51,10 +52,12 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField,
+    Modes,
     array_irfft,
     array_rfft,
     half_divergence,
     half_leray_project,
+    leray_project,
     derive_seed,
     random_smooth_field,
     random_smooth_vector,
@@ -387,8 +390,9 @@ def _state_view(grid: Grid, x: np.ndarray, member: int = 0):
 
 class _RateCoefficients(NamedTuple):
     """What ``_full_rate`` takes of a member set beyond its stack: the
-    shared Params ``p``, the multipliers of ``_rate_multipliers`` and the
-    kappa- and mean-density coefficients, each a float for one value and a
+    shared Params ``p``, the spectral layout ``modes`` of the stack, the
+    viscous multipliers (``_visc_multipliers``) on it, and the kappa- and
+    mean-density coefficients, each a float for one value and a
     (K, 1, 1, 1, 1) column, or (M + K, ...) for ``visc_mean``, for several;
     ``kap_rows`` is kappa per J row, a float or a (3K, 1, 1, 1) column.
     ``n_mean`` is the frozen mean density of the members with a current and
@@ -396,6 +400,7 @@ class _RateCoefficients(NamedTuple):
     are None, as is ``a_n_mean``, for the rates without one."""
 
     p: Params
+    modes: Modes
     multipliers: tuple
     kap: object
     kap_rows: object
@@ -414,17 +419,21 @@ def _column(values: tuple):
     return values[0] if len(values) == 1 else np.reshape(values, (-1, 1, 1, 1, 1))
 
 
-def _rate_coefficients(grid: Grid, p: Params, kap, means=None, limit: int = 0) -> _RateCoefficients:
+def _rate_coefficients(grid: Grid, p: Params, kap, means=None, limit: int = 0,
+                       modes: Modes | None = None) -> _RateCoefficients:
     """The coefficients of a member set's rates on ``grid``, from the shared
     Params ``p`` and the kappa ``kap`` of its members with a current, a
     float or a (K, 1, 1, 1, 1) column; given the mean density of every
     member, ``means`` (the limit's first when ``limit`` is 1), those of the
     remainder N(y) - L y too.  Each is the product the rates formed on
-    every call before, in the same order."""
+    every call before, in the same order.  The rates are formed on
+    ``modes``, by default the 2/3-rule box ``grid.box``, the stepper's
+    layout."""
     eps = p.epsilon
     a = (1.0 + eps) / (p.tau * eps)
     kap_rows = np.repeat(np.ravel(kap), 3).reshape(-1, 1, 1, 1) if np.ndim(kap) else kap
-    coefs = dict(p=p, multipliers=_rate_multipliers(grid, p), kap=kap, kap_rows=kap_rows, a=a,
+    modes = grid.box if modes is None else modes
+    coefs = dict(p=p, modes=modes, multipliers=_visc_multipliers(modes, p), kap=kap, kap_rows=kap_rows, a=a,
                  kap_tau=kap / p.tau, kap_tau_eps=kap / (p.tau * eps),
                  kap_eps=(eps - 1.0) * kap / (p.tau * eps),
                  # kap * kap, not kap**2: a float's ** (libm pow) and an
@@ -441,14 +450,15 @@ def _rate_coefficients(grid: Grid, p: Params, kap, means=None, limit: int = 0) -
 
 
 # ---------------------------------------------------------------------------
-# half-spectrum stepping rates
+# stepping rates on the 2/3-rule box
 
 
-def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
-    """ik . t for symmetric tensors (..., 6, *half) -> (..., 3, *half)."""
-    k = grid.half_wavenumbers
+def _div_sym(modes: Modes, t: np.ndarray) -> np.ndarray:
+    """ik . t for symmetric tensors (..., 6, *modes) -> (..., 3, *modes) of
+    a layout."""
+    k = modes.k
     out = k[0] * t.take(_SYM_FULL[0], axis=-4)
-    for j in range(1, grid.dims_active):
+    for j in range(1, modes.active):
         term = t.take(_SYM_FULL[j], axis=-4)
         term *= k[j]
         out += term
@@ -456,30 +466,25 @@ def _div_sym(grid: Grid, t: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _rate_multipliers(grid: Grid, p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The half-spectrum multipliers of the rates that depend only on the
-    grid and the Params, made once per (grid, Params): -mu |k|^2 and
-    (mu+lam) k of ``_visc_hat``, and -mask/(1+eps) of ``_continuity``."""
-    out = (-p.mu * grid.half_k_squared, (p.mu + p.lam) * grid.half_wavenumbers,
-           (-1.0 / (1.0 + p.epsilon)) * grid.half_dealias_mask)
-    for a in out:
-        a.flags.writeable = False
-    return out
+def _visc_multipliers(modes: Modes, p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multipliers of ``_visc_hat`` on a layout: its wavevector k,
+    -mu |k|^2 and (mu+lam) k."""
+    return modes.k, -p.mu * modes.k2, (p.mu + p.lam) * modes.k
 
 
-def _visc_hat(grid: Grid, p: Params, v: np.ndarray, multipliers: tuple | None = None) -> np.ndarray:
-    """mu lap v + (mu+lam) grad div v for half-spectrum vectors (..., 3,
-    *half); ``multipliers`` are ``_rate_multipliers(grid, p)``, if at hand."""
-    lap, grad_div, _ = multipliers or _rate_multipliers(grid, p)
-    kv = np.add.reduce(grid.half_wavenumbers * v, axis=-4, keepdims=True)
+def _visc_hat(multipliers: tuple, v: np.ndarray) -> np.ndarray:
+    """mu lap v + (mu+lam) grad div v for spectral vectors (..., 3, *modes),
+    from the ``_visc_multipliers`` of their layout."""
+    k, lap, grad_div = multipliers
+    kv = np.add.reduce(k * v, axis=-4, keepdims=True)
     out = lap * v
     out -= grad_div * kv
     return out
 
 
-def _curl_hat(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return 1j * _cross(grid.half_wavenumbers, v)
+def _curl_hat(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ik x v for spectral vectors (..., 3, *modes) with wavevector k."""
+    return 1j * _cross(k, v)
 
 
 def _momentum_flux(p: Params, n: np.ndarray, nu_row: np.ndarray, u_col: np.ndarray,
@@ -494,25 +499,25 @@ def _momentum_flux(p: Params, n: np.ndarray, nu_row: np.ndarray, u_col: np.ndarr
     diagonal += ((1.0 + p.epsilon) * p.eta / p.tau) * p.pressure.pressure(n)
 
 
-def _continuity(grid: Grid, multipliers: tuple, nu_hat: np.ndarray, out: np.ndarray) -> None:
-    """dn = -div(n u)/(1+eps), masked, from the transformed n u, into
-    ``out``; ``multipliers`` are ``_rate_multipliers``."""
-    div = np.add.reduce(grid.half_wavenumbers * nu_hat, axis=-4)
+def _continuity(k: np.ndarray, p: Params, nu_hat: np.ndarray, out: np.ndarray) -> None:
+    """dn = -div(n u)/(1+eps) from the transformed n u, into ``out``; k is
+    the wavevector of its modes."""
+    div = np.add.reduce(k * nu_hat, axis=-4)
     np.multiply(1j, div, out=div)
-    np.multiply(multipliers[2], div, out=out)
+    np.multiply(-1.0 / (1.0 + p.epsilon), div, out=out)
 
 
-def _to_primitive(grid: Grid, lay: _Layout, out: np.ndarray, state: np.ndarray, n_uJ: np.ndarray,
+def _to_primitive(modes: Modes, lay: _Layout, out: np.ndarray, state: np.ndarray, n_uJ: np.ndarray,
                   d_uJ: np.ndarray, uJ: tuple) -> None:
     """Turn d_t n (the n rows of ``out``) and the conservative rates d_t(n v)
-    (its (u, J) vectors ``d_uJ``) into d_t v = (d_t(n v) - v d_t n)/n,
-    masked, in place; ``n_uJ`` is each (u, J) vector's n and ``uJ`` the
-    shape of the grid's (u, J) vectors."""
-    cons = array_irfft(grid, out[lay.nuJ])
+    (its (u, J) vectors ``d_uJ``) into d_t v = (d_t(n v) - v d_t n)/n, in
+    place; ``n_uJ`` is each (u, J) vector's n and ``uJ`` the shape of the
+    grid's (u, J) vectors."""
+    cons = modes.inverse(out[lay.nuJ])
     quot = state[lay.uJ].reshape(uJ) * cons[lay.n_uJ]
     np.subtract(cons[lay.uJ].reshape(uJ), quot, out=quot)
     quot /= n_uJ
-    np.multiply(grid.half_dealias_mask, array_rfft(grid, quot), out=d_uJ)
+    modes.forward(quot, out=d_uJ)
 
 
 def _symmetric_fluxes(p: Params, lay: _Layout, n: np.ndarray, nuJ: np.ndarray, uJ: np.ndarray,
@@ -570,14 +575,15 @@ def _products(p: Params, coef: _RateCoefficients, lay: _Layout, state: np.ndarra
     return prod
 
 
-def _full_rate(grid: Grid, x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray:
+def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray:
     """Primitive rates of the scaled system in the variables (n, u, J, E, B),
     for every member of a member set.
 
     ``x`` is the set's stack (see "member sets" above) with J = kappa j~ on
-    the half-spectrum, e.g. (13, *half) for one state; the result is its
-    time derivative in the same layout.  ``coef`` holds the members'
-    Params and coefficients (``_rate_coefficients``).  ``guard``, the
+    the layout ``coef.modes``, the 2/3-rule box but in the certificate
+    (``reformulation_check``), e.g. (13, *box) for one state; the result
+    is its time derivative in the same layout.  ``coef`` holds the
+    members' Params and coefficients (``_rate_coefficients``).  ``guard``, the
     arguments after n of ``_require_positive``, makes a density that is not
     positive on the grid raise VacuumError before the pressure law sees it;
     the members of the scaled system are looked at before the limit.
@@ -605,39 +611,37 @@ def _full_rate(grid: Grid, x: np.ndarray, coef: _RateCoefficients, guard=None) -
     lay = _layout(len(x))
     k, lim = lay.currents, lay.limit
     sh = lay.shapes(x.shape[1:])
-    p = coef.p
-    state = array_irfft(grid, x)
+    p, modes = coef.p, coef.modes
+    state = modes.inverse(x)
     if guard is not None:
         _require_positive(state[lay.n_col], *guard, first=lim)
     n_uJ = state[lay.n_uJ]
     grid_shapes = lay.shapes(state.shape[1:])
-    hat = array_rfft(grid, _products(p, coef, lay, state, n_uJ, grid_shapes))
-    mask = grid.half_dealias_mask
-    flux = _div_sym(grid, hat[lay.p_FC].reshape(sh.FC))
+    hat = modes.forward(_products(p, coef, lay, state, n_uJ, grid_shapes))
+    flux = _div_sym(modes, hat[lay.p_FC].reshape(sh.FC))
     if lim:
         head = flux[:1] if k else flux
         np.negative(head, out=head)
     if k:
         tail = flux[lim:]
         np.subtract(hat[lay.p_src].reshape(sh.pairs), tail, out=tail)
-    np.multiply(mask, flux, out=flux)
-    nJ = mask * hat[lay.p_nJ].reshape(sh.cur) if k else None
     out = np.empty_like(x)
     d_uJ = out[lay.uJ].reshape(sh.uJ)
-    _continuity(grid, coef.multipliers, hat[lay.p_nu].reshape(sh.u), out[lay.n])
-    del hat  # the largest array of the rate: held on, it would raise the peak memory of a 3-D step
-    visc = _visc_hat(grid, p, x[lay.uJ].reshape(sh.uJ), coef.multipliers)
-    np.add(flux, visc, out=d_uJ)
-    del flux
+    _continuity(modes.k, p, hat[lay.p_nu].reshape(sh.u), out[lay.n])
     if k:
+        nJ = hat[lay.p_nJ].reshape(sh.cur)
         dE, dB = out[lay.E].reshape(sh.cur), out[lay.B]
         if coef.n_mean is None:
-            dE[:] = _curl_hat(grid, x[lay.B].reshape(sh.cur)) / coef.kap - half_leray_project(grid, nJ)
-            dB.reshape(sh.cur)[:] = _curl_hat(grid, x[lay.E].reshape(sh.cur)) / -coef.kap
+            dE[:] = _curl_hat(modes.k, x[lay.B].reshape(sh.cur)) / coef.kap - leray_project(modes.khat, nJ)
+            dB.reshape(sh.cur)[:] = _curl_hat(modes.k, x[lay.E].reshape(sh.cur)) / -coef.kap
         else:
-            half_leray_project(grid, coef.n_mean * x[lay.J].reshape(sh.cur) - nJ, out=dE)
+            leray_project(modes.khat, coef.n_mean * x[lay.J].reshape(sh.cur) - nJ, out=dE)
             dB[:] = 0.0
-    _to_primitive(grid, lay, out, state, n_uJ, d_uJ, grid_shapes.uJ)
+    del hat  # the products' coefficients, freed before the viscous term is formed
+    visc = _visc_hat(coef.multipliers, x[lay.uJ].reshape(sh.uJ))
+    np.add(flux, visc, out=d_uJ)
+    del flux
+    _to_primitive(modes, lay, out, state, n_uJ, d_uJ, grid_shapes.uJ)
     if coef.visc_mean is not None:
         d_uJ -= visc / coef.visc_mean
         if k:
@@ -679,8 +683,9 @@ def _two_fluid_rate(grid: Grid, p: Params, n, u_e, u_i, E, B, alpha, beta):
     """
     eps = p.epsilon
     D = lambda arr: _masked(grid, arr)
-    visc = lambda v: _visc_hat(grid, p, array_rfft(grid, v))
-    curl = lambda v: _curl_hat(grid, array_rfft(grid, v))
+    mult = _visc_multipliers(grid.masked_half, p)
+    visc = lambda v: _visc_hat(mult, array_rfft(grid, v))
+    curl = lambda v: _curl_hat(grid.half_wavenumbers, array_rfft(grid, v))
     grad_p = _grad_nl(grid, p.pressure.pressure(n))
     fric = p.kappa_ei * beta / p.kappa**2 * p.k_rate
 
@@ -721,8 +726,9 @@ def _reformed_rate(grid: Grid, p: Params, n, u, jt, E, B, alpha, beta):
     inv = 1.0 / (1.0 + eps)
     kap = p.kappa
     D = lambda arr: _masked(grid, arr)
-    visc = lambda v: _visc_hat(grid, p, array_rfft(grid, v))
-    curl = lambda v: _curl_hat(grid, array_rfft(grid, v))
+    mult = _visc_multipliers(grid.masked_half, p)
+    visc = lambda v: _visc_hat(mult, array_rfft(grid, v))
+    curl = lambda v: _curl_hat(grid.half_wavenumbers, array_rfft(grid, v))
 
     dn = -inv * _masked_div(grid, n * u)
     dnu = (
@@ -812,9 +818,11 @@ def reformulation_check(s: TwoFluidState, p: Params) -> ReformReport:
     E_s = E / kap
     B_s = B / kap**2
     J = kap * jt
+    # on the masked half-spectrum: the fields of these states are not
+    # band-limited to the box (u_e has the factor 1/n)
     fn, fu, fJ, fE, fB = _split(
-        array_irfft(grid, _full_rate(grid, array_rfft(grid, _stack(n, u, J, E_s, B_s)),
-                                     _rate_coefficients(grid, p, p.kappa)))
+        array_irfft(grid, _full_rate(array_rfft(grid, _stack(n, u, J, E_s, B_s)),
+                                     _rate_coefficients(grid, p, p.kappa, modes=grid.masked_half)))
     )
     # compare in primitive variables, converting the substituted rates the
     # same way the production side does (same dealias placement)

@@ -11,14 +11,31 @@ Conventions
 -----------
 * Physical values are real float64 arrays of shape ``grid.shape`` (size-1
   entries along inactive axes).
-* There is one spectral layout, the real-FFT half-spectrum: ``array_rfft``
-  maps values of shape (..., *grid.shape) to coefficients F of shape
-  (..., *half), where the last active axis keeps its first n//2 + 1 modes
-  (``Grid.half_cut``), and ``array_irfft`` maps them back.  F is not
-  normalized: f(x) = sum_k c_k exp(i k.x) with c_k = F_k / grid.npoints,
-  the conjugate partners of the omitted modes being implied.  Operators
-  are multipliers on F (``Grid.half_wavenumbers``, ``half_divergence``,
-  ``half_leray_project``, ``Grid.half_dealias_mask``).
+* There are two spectral layouts.  The real-FFT half-spectrum:
+  ``array_rfft`` maps values of shape (..., *grid.shape) to coefficients F
+  of shape (..., *half), where the last active axis keeps its first
+  n//2 + 1 modes (``Grid.half_cut``), and ``array_irfft`` maps them back.
+  F is not normalized: f(x) = sum_k c_k exp(i k.x) with c_k =
+  F_k / grid.npoints, the conjugate partners of the omitted modes being
+  implied.  Operators are multipliers on F (``Grid.half_wavenumbers``,
+  ``half_divergence``, ``half_leray_project``, ``Grid.half_dealias_mask``).
+  Diagnostics, initial data and the certificates use it, because they
+  transform products that are not band-limited.
+* The 2/3-rule box, the stepper's layout: the modes of the half-spectrum
+  with every |k_i| <= (2/3) k_max (``Grid.box_index``), where the 2/3 mask
+  is identically 1 and no mode is a Nyquist mode: c = n//3 + 1 modes of
+  the last active axis, 2c - 1 of each other one (21 x 21 x 11, 28% of
+  the half-spectrum, on 32^3).  ``box_rfft`` and ``box_irfft`` transform
+  to and from it directly, pruned: the forward transform takes the rfft
+  of the last active axis, then transforms each other active axis only
+  on the lines that reach the box, and keeps the box; the inverse places
+  the box in a zero half-spectrum and inverts each of those axes only on
+  the lines that hold box modes (Canuto, Hussaini, Quarteroni & Zang,
+  *Spectral Methods: Fundamentals in Single Domains*, 2006, section 3.4).
+  Both give the bits of the half-spectrum transforms on the box modes,
+  and content outside the box is dropped.  ``Grid.box`` holds the box as
+  a layout (``Modes``): its transforms and the multipliers of its modes
+  (``leray_project`` takes its ``khat``).
 * The H^l norm is the Fourier-multiplier form
   ``sqrt(V * sum_k (1+|k|^2)^l |c_k|^2)`` with V the domain volume, so
   l = 0 reproduces the L^2 norm.  It is summed on the half-spectrum by
@@ -29,8 +46,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as _iproduct
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +73,22 @@ _TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------------------
 # grid
+
+
+class Modes(NamedTuple):
+    """A spectral layout of a grid's coefficients: the wavevector k of its
+    modes, (3, *modes), whose components past the grid's ``active`` axes
+    are 0; k over |k|, and 0 where k = 0 (the Leray projector's); |k|^2;
+    the forward transform, grid values (..., *grid.shape) to coefficients
+    (..., *modes), with an optional ``out`` as for a numpy ufunc; and the
+    inverse transform."""
+
+    k: np.ndarray
+    khat: np.ndarray
+    k2: np.ndarray
+    active: int
+    forward: Callable
+    inverse: Callable
 
 
 @dataclass(frozen=True)
@@ -178,9 +212,7 @@ class Grid:
     @cached_property
     def half_unit_wavenumbers(self) -> np.ndarray:
         """``half_wavenumbers`` over |k|, and 0 where k = 0 (Leray projector)."""
-        k = self.half_wavenumbers
-        k2 = (k**2).sum(axis=0)
-        return k / np.sqrt(np.where(k2 == 0.0, 1.0, k2))
+        return _unit(self.half_wavenumbers)
 
     @cached_property
     def half_parseval_weight(self) -> np.ndarray:
@@ -217,6 +249,78 @@ class Grid:
         return np.ascontiguousarray(self.dealias_mask[self.half_cut], dtype=float)
 
     @cached_property
+    def box_modes(self) -> int:
+        """c, the modes per axis of the 2/3-rule box: the mode indices |m| <=
+        n//3 = c - 1 are the ones with |k| <= (2/3) k_max (n, a power of two,
+        is never a multiple of 3), so the Nyquist index n/2 is outside."""
+        return self.points_per_dim // 3 + 1
+
+    @cached_property
+    def box_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index of the 2/3-rule box within the half-spectrum, an open mesh
+        (``np.ix_``): the last active axis keeps its modes 0..c-1, every
+        other active axis the modes 0..c-1 and -(c-1)..-1, two blocks."""
+        n, c = self.points_per_dim, self.box_modes
+        both = np.r_[0:c, n - c + 1:n]
+        last = self.dims_active - 1
+        return np.ix_(*(both if ax < last else np.arange(c) if ax == last else np.zeros(1, int)
+                        for ax in range(3)))
+
+    def _box_lines(self, i: int, before: bool) -> list:
+        """Views, as indices into the half-spectrum, of the lines along the
+        i-th active axis that reach the box: the first c modes of the last
+        active axis, and the box blocks of the other active axes transformed
+        before it (``before``, the forward transform) or after it (the
+        inverse); one index per combination of blocks."""
+        n, c, last = self.points_per_dim, self.box_modes, self.dims_active - 1
+        blocks = (slice(0, c), slice(n - c + 1, n))
+        others = range(i) if before else range(i + 1, last)
+        out = []
+        for chosen in _iproduct(blocks, repeat=len(others)):
+            index = [slice(None)] * 3
+            index[last] = slice(0, c)
+            for ax, block in zip(others, chosen):
+                index[ax] = block
+            out.append((...,) + tuple(index))
+        return out
+
+    @cached_property
+    def _box_blocks(self) -> list:
+        """(box index, half-spectrum index) pairs of the box's blocks: one
+        per combination of the two blocks of each active axis but the last,
+        whose first c modes each block holds."""
+        n, c, last = self.points_per_dim, self.box_modes, self.dims_active - 1
+        pairs = ((slice(0, c), slice(0, c)), (slice(c, 2 * c - 1), slice(n - c + 1, n)))
+        out = []
+        for chosen in _iproduct(pairs, repeat=last):
+            box, half = [slice(None)] * 3, [slice(None)] * 3
+            half[last] = slice(0, c)
+            for ax, (b, h) in enumerate(chosen):
+                box[ax], half[ax] = b, h
+            out.append(((...,) + tuple(box), (...,) + tuple(half)))
+        return out
+
+    @cached_property
+    def box(self) -> "Modes":
+        """The 2/3-rule box as a layout, with ``box_rfft`` and ``box_irfft``.
+        No box mode is a Nyquist mode, so the derivative and the full
+        wavenumbers agree there, and |k|^2 is the sum of squares of k."""
+        k = self.half_wavenumbers[(slice(None),) + self.box_index]
+        return Modes(k, _unit(k), (k**2).sum(axis=0), self.dims_active, partial(box_rfft, self),
+                     partial(box_irfft, self))
+
+    @cached_property
+    def masked_half(self) -> "Modes":
+        """The half-spectrum as a layout whose forward transform is 2/3-masked
+        (``half_dealias_mask``): on it the rates are formed of states that
+        are not band-limited to the box, as the reformulation certificate's
+        are, with their products dealiased as on the box."""
+        mask = self.half_dealias_mask
+        return Modes(self.half_wavenumbers, self.half_unit_wavenumbers, self.half_k_squared, self.dims_active,
+                     lambda values, out=None: np.multiply(mask, array_rfft(self, values), out=out),
+                     partial(array_irfft, self))
+
+    @cached_property
     def fft_axes(self) -> tuple[int, ...]:
         """Axes actually transformed; size-1 axes are skipped (identity)."""
         return tuple(range(-3, -3 + self.dims_active))
@@ -230,6 +334,12 @@ class Grid:
         shape = [1, 1, 1]
         shape[axis] = x.size
         return x.reshape(shape)
+
+
+def _unit(k: np.ndarray) -> np.ndarray:
+    """Wavevectors (3, ...) over their length, and 0 where k = 0."""
+    k2 = (k**2).sum(axis=0)
+    return k / np.sqrt(np.where(k2 == 0.0, 1.0, k2))
 
 
 def _require_same_grid(a: Grid, b: Grid) -> Grid:
@@ -263,14 +373,73 @@ def array_irfft(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(hat, s=(grid.points_per_dim,) * len(axes), axes=axes)
 
 
-def half_leray_project(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The box coefficients (..., *box) of values (..., *grid.shape): the
+    rfft of the last active axis, then a c2c transform of each other active
+    axis, in the order ``array_rfft`` takes them, on the lines that reach
+    the box alone: the first c modes of the last axis, and the box blocks
+    of the axes transformed before.  Bit for bit ``array_rfft`` restricted
+    to ``Grid.box_index``.  On one active axis it is numpy's rfft and one
+    contiguous copy of the kept modes.  ``out`` receives the result, as
+    for a numpy ufunc."""
+    axes = grid.fft_axes
+    if len(axes) == 1:
+        hat = np.fft.rfft(values, axis=axes[0])
+    else:
+        import scipy.fft
+        hat = scipy.fft.rfft(values, axis=axes[-1])
+        for i, ax in enumerate(axes[:-1]):
+            for view in grid._box_lines(i, before=True):
+                _in_place(scipy.fft.fft, hat[view], ax)
+    if out is None:
+        out = np.empty(hat.shape[:-3] + grid.box.k2.shape, dtype=complex)
+    for box, half in grid._box_blocks:
+        out[box] = hat[half]
+    return out
+
+
+def box_irfft(grid: Grid, box: np.ndarray) -> np.ndarray:
+    """Grid values (..., *grid.shape) of box coefficients (..., *box), bit
+    for bit ``array_irfft`` of the zero-padded half-spectrum: the box is
+    placed in a zero half-spectrum, each active axis but the last is
+    inverted, in the order ``array_irfft`` takes them, on the lines that
+    hold box modes alone (the first c modes of the last axis, and the box
+    blocks of the axes inverted after it), then the last axis' irfft."""
+    n, axes = grid.points_per_dim, grid.fft_axes
+    if len(axes) == 1:
+        return np.fft.irfft(box, n=n, axis=axes[0])
+    import scipy.fft
+    hat = np.zeros(box.shape[:-3] + grid.half_k_squared.shape, dtype=complex)
+    for part, half in grid._box_blocks:
+        hat[half] = box[part]
+    for i, ax in enumerate(axes[:-1]):
+        for view in grid._box_lines(i, before=False):
+            _in_place(scipy.fft.ifft, hat[view], ax)
+    return scipy.fft.irfft(hat, n=n, axis=axes[-1])
+
+
+def _in_place(transform, view: np.ndarray, axis: int) -> None:
+    """A scipy.fft c2c transform of a view along ``axis``, written into it:
+    scipy transforms a complex view given ``overwrite_x`` in place, and the
+    result is copied back should it not."""
+    result = transform(view, axis=axis, overwrite_x=True)
+    if not np.may_share_memory(result, view):
+        view[...] = result
+
+
+def leray_project(khat: np.ndarray, v_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal projection onto divergence-free fields (mean part kept) of
-    half-spectrum vectors (..., 3, *half): v_hat - k (k.v_hat)/|k|^2, with
-    the derivative wavenumbers (Nyquist zeroed), so it is exact and
-    consistent with ``half_divergence``.  ``out`` receives the result, as
-    for a numpy ufunc; it may be ``v_hat`` itself."""
-    kh = grid.half_unit_wavenumbers
-    return np.subtract(v_hat, kh * (kh * v_hat).sum(axis=-4, keepdims=True), out=out)
+    spectral vectors (..., 3, *modes): v_hat - khat (khat . v_hat), with
+    ``khat`` the ``Modes.khat`` of their layout.  ``out`` receives the
+    result, as for a numpy ufunc; it may be ``v_hat`` itself."""
+    return np.subtract(v_hat, khat * (khat * v_hat).sum(axis=-4, keepdims=True), out=out)
+
+
+def half_leray_project(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``leray_project`` of half-spectrum vectors (..., 3, *half), with the
+    derivative wavenumbers (Nyquist zeroed), so it is exact and consistent
+    with ``half_divergence``."""
+    return leray_project(grid.half_unit_wavenumbers, v_hat, out)
 
 
 def half_divergence(grid: Grid, v_hat: np.ndarray) -> np.ndarray:

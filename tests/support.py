@@ -34,6 +34,8 @@ from nsmlimit.spectral import (
     _multi_indices,
     array_irfft,
     array_rfft,
+    box_irfft,
+    box_rfft,
     grid_integral,
     sup_norm,
 )
@@ -439,7 +441,7 @@ class ManufacturedFull:
 
     def forcing(self, t):
         g = self.grid
-        rate = array_irfft(g, plain_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
+        rate = box_irfft(g, plain_rate(g, self.p, box_rfft(g, _stack(*self.state_arrays(t)))))
         return _stack(*self.rate_arrays(t)) - rate
 
     def error_after(self, dt, t_end) -> float:
@@ -489,7 +491,7 @@ class ManufacturedLimit:
 
     def forcing(self, t):
         g = self.grid
-        rate = array_irfft(g, plain_rate(g, self.p, array_rfft(g, _stack(*self.state_arrays(t)))))
+        rate = box_irfft(g, plain_rate(g, self.p, box_rfft(g, _stack(*self.state_arrays(t)))))
         return _stack(*self.rate_arrays(t)) - rate
 
     def error_after(self, dt, t_end) -> float:
@@ -528,9 +530,14 @@ def count_fft_calls(monkeypatch, rows: list | None = None) -> list:
 
 def plain_rate(grid: Grid, p: Params, x: np.ndarray, guard=None) -> np.ndarray:
     """``model._full_rate`` of one state's (or the limit's) stack x on the
-    half-spectrum with the coefficients of Params p alone: the rates
+    2/3-rule box with the coefficients of Params p alone: the rates
     themselves, not the remainder of an operator."""
-    return _full_rate(grid, x, _rate_coefficients(grid, p, p.kappa), guard)
+    return _full_rate(x, _rate_coefficients(grid, p, p.kappa), guard)
+
+
+def box_projection(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Grid values with their coefficients outside the 2/3-rule box removed."""
+    return box_irfft(grid, box_rfft(grid, values))
 
 
 def stack_operator(grid: Grid, x: np.ndarray, p, dt: float):
@@ -568,20 +575,20 @@ def paired_trajectory(grid, kappa, dt, n_steps, seed=7, amplitude=0.1, c0=1.0,
 
 class DenseStiffReference:
     """The stiff operator assembled as dense (M, 9, 9) complex per-mode blocks
-    on the full spectrum and exponentiated with scipy's expm: a slow but
-    direct reference for the closed-form StiffLinearOperator."""
+    on the 2/3-rule box and exponentiated with scipy's expm: a slow but
+    direct reference for the closed-form StiffLinearOperator.  It maps grid
+    values to grid values, through the box: the content of the fields
+    outside it is dropped."""
 
     def __init__(self, grid: Grid, p: Params, n_mean: float, dt: float):
         self.grid = grid
-        kx, ky, kz = (np.broadcast_to(k, grid.shape).ravel() for k in grid.wavenumbers)
-        kvec = np.stack([kx, ky, kz], axis=1)  # (M, 3), Nyquist-zeroed derivative k
+        kvec = grid.box.k.reshape(3, -1).T  # (M, 3)
         m = kvec.shape[0]
         k2 = (kvec**2).sum(axis=1)
-        k2_full = np.broadcast_to(grid.k_squared, grid.shape).ravel()
         eye = np.eye(3)
 
         kk = np.einsum("mi,mj->mij", kvec, kvec)
-        visc = -(p.mu * k2_full[:, None, None] * eye + (p.mu + p.lam) * kk) / n_mean
+        visc = -(p.mu * k2[:, None, None] * eye + (p.mu + p.lam) * kk) / n_mean
 
         cross = np.zeros((m, 3, 3))
         cross[:, 0, 1] = -kvec[:, 2]
@@ -608,12 +615,11 @@ class DenseStiffReference:
         self.prop_jeb_half = scipy.linalg.expm(gen * (0.5 * dt))
 
     def _hats(self, arrs):
-        h = np.fft.fftn(arrs, axes=self.grid.fft_axes)
+        h = box_rfft(self.grid, arrs)
         return h.reshape(h.shape[0], -1).T
 
     def _phys(self, hats):
-        h = hats.T.reshape((3,) + self.grid.shape)
-        return np.fft.ifftn(h, axes=self.grid.fft_axes).real
+        return box_irfft(self.grid, hats.T.reshape((3,) + self.grid.box.k2.shape))
 
     def _apply(self, blk_u, blk_jeb, u, J, E, B):
         zu = np.einsum("mij,mj->mi", blk_u, self._hats(u))
@@ -630,7 +636,7 @@ class DenseStiffReference:
 
 # The stepping rates evaluated term by term: physical arrays in and out, each
 # nonlinear term masked on its own, a few FFT round trips per term.  A slow
-# but direct reference for the batched half-spectrum model._full_rate, whose
+# but direct reference for the batched model._full_rate, whose
 # limit-system rows are those of per_term_limit_rate.
 
 

@@ -1,0 +1,47 @@
+"""Convergence guards: the kappa gap the sweep measures is the model's, not
+the time step's."""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nsmlimit.harness import parse_config, run_single
+from nsmlimit.integrator import StepControl
+
+ACCEPTANCE = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1e-3])
+def test_dt_halving_is_second_order_and_far_below_the_kappa_gap(epsilon):
+    # The acceptance batch to t = 0.02 with dt = 2e-4, 1e-4 and 5e-5,
+    # compared at the shared record times t = 0.005 j (the sup over records
+    # depends on their spacing, so records are compared one by one).  Per
+    # member, d(dt) is the largest change of sqrt(Gamma) over the records
+    # when dt halves, relative to sqrt(Gamma).
+    #
+    # Measured: d(2e-4)/d(1e-4) = 3.97-4.00 at eps = 0.1 and 4.00-4.03 at
+    # eps = 1e-3; d(2e-4) <= 2.6e-9 and <= 1.4e-4, against sqrt(Gamma) >=
+    # 0.05 and >= 0.13 at t > 0.
+    # * The ratio must lie in [3.5, 4.5]: second order gives 4, and the
+    #   measured ratios are within 0.04 of it.  The order reduction Strang
+    #   splitting can suffer on stiff problems would take it towards 2
+    #   (first order); already order 1.5 (2.8) fails.
+    # * d(2e-4) must stay below 1e-3, 7x above the largest measured value:
+    #   the sweep halves kappa between members, which moves sqrt(Gamma) by a
+    #   factor of about 2 at eps = 0.1, so the step's share of the kappa gap
+    #   stays below 0.1%, and the C1 slope well inside its bounds.
+    base = parse_config(ACCEPTANCE)
+    gaps = []
+    for dt in (2e-4, 1e-4, 5e-5):
+        cfg = replace(base, params=replace(base.params, epsilon=epsilon), step=StepControl(dt=dt, t_end=0.02),
+                      snapshot_stride=round(0.005 / dt))
+        records = run_single(cfg, kappa=tuple(cfg.kappa_list))
+        assert [r.status for r in records] == ["completed"] * len(records)
+        assert np.allclose(records[0].times(), [0.0, 0.005, 0.01, 0.015, 0.02], rtol=0.0, atol=1e-15)
+        gaps.append(np.array([np.sqrt(r.gammas()[1:]) for r in records]))  # (members, records t > 0)
+    d = [(np.abs(a - b) / b).max(axis=1) for a, b in zip(gaps, gaps[1:])]
+    ratio = d[0] / d[1]
+    assert ((3.5 <= ratio) & (ratio <= 4.5)).all(), ratio
+    assert (d[0] <= 1e-3).all(), d[0]

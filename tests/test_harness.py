@@ -13,7 +13,7 @@ from nsmlimit.errors import ConfigError, VacuumError
 from nsmlimit.initdata import make_limit_data
 from nsmlimit.integrator import HalfStack, evolve
 from nsmlimit.model import FullState, LimitState, Params, _layout
-from nsmlimit.spectral import array_rfft
+from nsmlimit.spectral import box_rfft
 from nsmlimit.harness import (
     InitialSpec,
     RunConfig,
@@ -595,7 +595,7 @@ class TestPairedLimit:
         # its failure ends every member at 3 steps with its message, and no
         # member redoes the step; linear pressure keeps the rates finite at
         # negative density.  Step 3 is not recorded, so step 4 takes the set
-        # on the half-spectrum: its grid densities and their transform are
+        # on the 2/3-rule box: its grid densities and their transform are
         # spoiled alike
         cfg = parse_config_text(SHORT_CONFIG + "\n[params]\npressure_gamma = 1.0\n")
         spoiled = []
@@ -605,7 +605,7 @@ class TestPairedLimit:
                 spoiled.append(t)
                 n, half = x.n.copy(), x.half.copy()
                 n[0, 5] = value  # the limit's n, the stack's first row
-                half[:1] = array_rfft(cfg.grid, n[:1])
+                half[:1] = box_rfft(cfg.grid, n[:1])
                 x = HalfStack(half, n)
             return _step(x, op, *args, t=t, **kwargs)
 
@@ -668,6 +668,22 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_max_wavenumber_above_the_cutoff_exit_two(self, tmp_path, capsys, command):
+        # the stepper holds the 2/3-rule box alone, |k_i| <= (2/3) pi
+        # points/period (21.33 on 64 points), so data modes above it would
+        # be dropped by the first step; up to it the data are admitted
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[initial]\nmax_wavenumber = 21.5\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: initial.max_wavenumber must be at most the 2/3-rule "
+                                           "cutoff (2/3) pi points/period = 21.3333, got 21.5\n")
+        assert not out.exists()
+        assert parse_config_text("[initial]\nmax_wavenumber = 21.3\n").initial.max_wavenumber == 21.3
+        with pytest.raises(ConfigError, match=r"cutoff \(2/3\) pi points/period = 2\.66667, got 4\.0$"):
+            parse_config_text("[grid]\ndims_active = 3\npoints_per_dim = 8\n")
 
     def test_overflowing_step_count_exit_two(self, tmp_path, capsys):
         # a positive dt so small that t_end / dt overflows used to crash in

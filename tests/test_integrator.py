@@ -13,6 +13,7 @@ from support import (
     ManufacturedLimit,
     array_divergence,
     array_leray_project,
+    box_projection,
     count_fft_calls,
     member_prop_rows,
     observed_order,
@@ -43,8 +44,9 @@ from nsmlimit.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    array_irfft,
     array_rfft,
+    box_irfft,
+    box_rfft,
     grid_integral,
     half_divergence,
     random_smooth_vector,
@@ -90,10 +92,10 @@ class TestStiffOperator:
         limit = build_stiff_operator(grid, p, (), dt=0.01, limit_mean=1.07)
         ref = DenseStiffReference(grid, p, n_mean=1.07, dt=0.01)
         fields = _random_fields(grid, 11)
-        x = array_rfft(grid, np.stack(fields))
+        x = box_rfft(grid, np.stack(fields))
         prop = ref.apply_half(*fields)
-        for got, want in [(array_irfft(grid, op.apply_half(x)), prop),
-                          (array_irfft(grid, limit.apply_half(x[:1])), prop[:1])]:
+        for got, want in [(box_irfft(grid, op.apply_half(x)), prop),
+                          (box_irfft(grid, limit.apply_half(x[:1])), prop[:1])]:
             got, want = np.stack(got), np.stack(want)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -111,7 +113,7 @@ class TestStiffOperator:
         z0 = np.random.default_rng(0).normal(size=9)
         ones = np.ones((3,) + grid64.shape)
         J0, E0, B0 = (z0[s:s + 3, None, None, None] * ones for s in (0, 3, 6))
-        u, J, E, B = array_irfft(grid64, op.apply_half(array_rfft(grid64, np.stack([ones, J0, E0, B0]))))
+        u, J, E, B = box_irfft(grid64, op.apply_half(box_rfft(grid64, np.stack([ones, J0, E0, B0]))))
         got = np.concatenate([J, E, B])
         assert np.abs(got - (expected @ z0)[:, None, None, None]).max() < 1e-12
         assert np.abs(u - 1.0).max() < 1e-12
@@ -126,7 +128,7 @@ class TestStiffOperator:
         wave = [a[i] * np.cos(x) + b[i] * np.sin(x) for i in range(4)]
         E0, B0 = np.stack([0 * x, wave[0], wave[1]]), np.stack([0 * x, wave[2], wave[3]])
         z = np.zeros_like(E0)
-        _, _, E, B = array_irfft(grid64, op.apply_half(array_rfft(grid64, np.stack([z, z, E0, B0]))))
+        _, _, E, B = box_irfft(grid64, op.apply_half(box_rfft(grid64, np.stack([z, z, E0, B0]))))
         norm0 = np.sqrt((E0**2).sum() + (B0**2).sum())
         assert abs(np.sqrt((E**2).sum() + (B**2).sum()) - norm0) < 1e-13 * norm0
 
@@ -141,15 +143,15 @@ class TestStiffOperator:
         u = J = np.zeros_like(E)
         em0 = (E**2).sum() + (B**2).sum()
         for _ in range(10):
-            u, J, E, B = array_irfft(grid64, op.apply_half(array_rfft(grid64, np.stack([u, J, E, B]))))
+            u, J, E, B = box_irfft(grid64, op.apply_half(box_rfft(grid64, np.stack([u, J, E, B]))))
         assert abs((E**2).sum() + (B**2).sum() - em0) / em0 < tol
 
     def test_small_dt_is_identity(self, grid64):
         p = Params(kappa=0.5)
         op = build_stiff_operator(grid64, p, n_mean=1.0, dt=1e-9)
-        fields = [v / np.abs(v).max() for v in _random_fields(grid64, 3)]
-        hat = array_rfft(grid64, np.stack(fields))
-        dev = max(np.abs(y - x).max() for x, y in zip(fields, array_irfft(grid64, op.apply_half(hat))))
+        fields = [box_projection(grid64, v / np.abs(v).max()) for v in _random_fields(grid64, 3)]
+        hat = box_rfft(grid64, np.stack(fields))
+        dev = max(np.abs(y - x).max() for x, y in zip(fields, box_irfft(grid64, op.apply_half(hat))))
         # deviation is O(dt |L|), dominated by the viscous mu k^2 block
         ref = DenseStiffReference(grid64, p, n_mean=1.0, dt=1e-9)
         lmax = max(np.abs(r).max() for r in ref.linear_rate(*fields))
@@ -177,22 +179,21 @@ class TestStiffOperator:
             assert np.array_equal(op.prop_half[rows], alone.prop_half)
 
 
-def _mode_pairs(grid):
-    """The distinct (|k|^2, |k_full|^2) pairs of a grid's half-spectrum."""
-    k2 = (grid.half_wavenumbers**2).sum(axis=0).ravel()
-    return np.unique(np.stack([k2, grid.k_squared[grid.half_cut].ravel()], axis=1), axis=0)
+def _mode_keys(grid):
+    """The distinct |k|^2 of a grid's 2/3-rule box."""
+    return np.unique(grid.box.k2)
 
 
-def _generators(pairs, p, n_mean, h):
-    """h Long and h M per pair, (P, 3, 3), as the StiffLinearOperator
+def _generators(k2, p, n_mean, h):
+    """h Long and h M per |k|^2 of k2, (P, 3, 3), as the StiffLinearOperator
     docstring defines them."""
-    v_tra = -p.mu * pairs[:, 1] / n_mean
-    v_lon = v_tra - (p.mu + p.lam) * pairs[:, 0] / n_mean
-    omega = np.sqrt(pairs[:, 0]) / p.kappa
+    v_tra = -p.mu * k2 / n_mean
+    v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
+    omega = np.sqrt(k2) / p.kappa
     a = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
-    lon = np.zeros((len(pairs), 3, 3))
+    lon = np.zeros((len(k2), 3, 3))
     lon[:, 0, 0], lon[:, 0, 1] = v_lon, a
-    hel = np.zeros((len(pairs), 3, 3))
+    hel = np.zeros((len(k2), 3, 3))
     hel[:, 0, 0], hel[:, 0, 1], hel[:, 1, 0], hel[:, 1, 2], hel[:, 2, 1] = v_tra, a, -n_mean, -omega, omega
     return h * lon, h * hel
 
@@ -218,7 +219,7 @@ class TestGroupedHalfStep:
         op = _operator(grid, members)
         lay = op.layout
         rng = np.random.default_rng(5)
-        shape = (lay.members + 3 * lay.currents, 3) + grid.half_wavenumbers.shape[1:]
+        shape = (lay.members + 3 * lay.currents, 3) + grid.box.k2.shape
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         x[lay.members + lay.currents:, 0] = 0.0  # exact zeros, as in the x rows of a 1-D E and B
         assert np.array_equal(op.apply_half(x), term_by_term_half_step(op, x))
@@ -240,7 +241,7 @@ class TestGroupedHalfStep:
         op = _operator(grid, members)
         lay = op.layout
         rng = np.random.default_rng(6)
-        shape = (lay.members + 3 * lay.currents, 3) + grid.half_wavenumbers.shape[1:]
+        shape = (lay.members + 3 * lay.currents, 3) + grid.box.k2.shape
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         twice = op.apply_half(op.apply_half(x))
         assert np.abs(op.apply_full(x) - twice).max() <= 1e-13 * np.abs(twice).max()
@@ -258,9 +259,9 @@ class TestBlockExponentials:
         # it both lose accuracy with the squaring count, and agree to
         # 2e-15 ||h M||_1.  The longitudinal block is closed form and agrees
         # everywhere.
-        pairs, p, h = _mode_pairs(Grid(3, 16)), Params(kappa=kappa, epsilon=epsilon, lam=0.05), 0.5 * dt
-        ex_lon, ex_hel = (np.moveaxis(b, -1, 0) for b in _exp_blocks(pairs, p, 1.07, h))
-        lon, hel = _generators(pairs, p, 1.07, h)
+        keys, p, h = _mode_keys(Grid(3, 32)), Params(kappa=kappa, epsilon=epsilon, lam=0.05), 0.5 * dt
+        ex_lon, ex_hel = (np.moveaxis(b, -1, 0) for b in _exp_blocks(keys, p, 1.07, h))
+        lon, hel = _generators(keys, p, 1.07, h)
         assert _rel_err(ex_lon, scipy.linalg.expm(lon + 0j).real).max() <= 1e-12
         norm = np.abs(hel).sum(axis=1).max(axis=1)
         err = _rel_err(ex_hel, scipy.linalg.expm(hel + 0j).real)
@@ -271,12 +272,12 @@ class TestBlockExponentials:
     def test_helical_block_rotates_beyond_pade_range(self, kappa, dt):
         # coupling off (tau = 1e14): (E, B) rotate by h omega, up to the
         # rounding of h omega itself; ||h M||_1 reaches ~2e7
-        pairs, p, h = _mode_pairs(Grid(3, 16)), Params(kappa=kappa, tau=1e14), 0.5 * dt
-        _, hel = _generators(pairs, p, 1.0, h)
+        keys, p, h = _mode_keys(Grid(3, 32)), Params(kappa=kappa, tau=1e14), 0.5 * dt
+        _, hel = _generators(keys, p, 1.0, h)
         beyond = np.abs(hel).sum(axis=1).max(axis=1) > 1e3
         assert beyond.sum() > 10
-        eb = _exp_blocks(pairs[beyond], p, 1.0, h)[1][1:, 1:]
-        theta = h * np.sqrt(pairs[beyond, 0]) / kappa
+        eb = _exp_blocks(keys[beyond], p, 1.0, h)[1][1:, 1:]
+        theta = h * np.sqrt(keys[beyond]) / kappa
         c, s = np.cos(theta), np.sin(theta)
         assert (np.abs(eb - np.array([[c, -s], [s, c]])).max(axis=(0, 1)) <= 1e-15 * theta).all()
 
@@ -284,15 +285,15 @@ class TestBlockExponentials:
         # the J-E entry a h (e^x - 1)/x, x = h v_L, is exactly a h at x = 0
         # and keeps full accuracy at |x| ~ 1e-17
         p, h = Params(mu=1e-15, kappa=0.2), 0.005
-        pairs = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
-        ex_lon = _exp_blocks(pairs, p, 1.0, h)[0]
+        keys = np.array([0.0, 1.0, 3.0])
+        ex_lon = _exp_blocks(keys, p, 1.0, h)[0]
         a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
-        x = h * (-2e-15 * pairs[:, 0])
+        x = h * (-2e-15 * keys)
         assert np.abs(x[1:]).min() == pytest.approx(1e-17)
         assert ex_lon[0, 1, 0] == a * h
         assert np.abs(ex_lon[0, 1] - a * h * (1.0 + 0.5 * x)).max() <= 1e-16 * a * h
         assert np.array_equal(ex_lon[0, 0], np.exp(x))
-        lon = _generators(pairs, p, 1.0, h)[0]
+        lon = _generators(keys, p, 1.0, h)[0]
         assert _rel_err(np.moveaxis(ex_lon, -1, 0), scipy.linalg.expm(lon + 0j).real).max() <= 1e-15
 
 
@@ -318,12 +319,12 @@ def test_setup_does_not_import_scipy_linalg():
 
 
 def _random_state(grid, seed, kappas):
-    """Random stacked (n, u, J, E, B) half-spectra with 0.9 <= n <= 1.1, one
-    per kappa, and their Params."""
+    """Random stacked (n, u, J, E, B) box coefficients with 0.9 <= n <= 1.1
+    before the box is cut, one per kappa, and their Params."""
     rng = np.random.default_rng(seed)
     xs = [np.concatenate([1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(1,) + grid.shape),
                           rng.normal(size=(12,) + grid.shape)]) for _ in kappas]
-    return [array_rfft(grid, x) for x in xs], [Params(kappa=k, lam=0.05) for k in kappas]
+    return [box_rfft(grid, x) for x in xs], [Params(kappa=k, lam=0.05) for k in kappas]
 
 
 class TestRemainder:
@@ -339,7 +340,7 @@ class TestRemainder:
         limit = [_random_state(grid, 6, (1.0,))[0][0][:4]] if system == "limit" else []
         members = list(zip(xs, ps)) if system == "full" or batch else []
         stacks = limit + [x for x, _ in members]
-        means = [float(array_irfft(grid, x[0]).mean()) for x in stacks]
+        means = [float(box_irfft(grid, x[0]).mean()) for x in stacks]
         lim = len(limit)
         if len(members) > 1:
             p, m = tuple(q for _, q in members), tuple(means[lim:])
@@ -347,18 +348,18 @@ class TestRemainder:
             p, m = (members[0][1], means[lim]) if members else (ps[0], ())
         x = _join(stacks)
         op = build_stiff_operator(grid, p, m, dt=0.01, limit_mean=means[0] if lim else None)
-        got = _full_rate(grid, x, op.coef)
-        rate = _full_rate(grid, x, _rate_coefficients(grid, ps[0], op.coef.kap))
+        got = _full_rate(x, op.coef)
+        rate = _full_rate(x, _rate_coefficients(grid, ps[0], op.coef.kap))
         lay = _layout(len(x))
         for k, stack in enumerate(stacks):
             rows = lay.member_rows(k)
-            want = array_irfft(grid, rate[rows])
-            fields = list(array_irfft(grid, stack)[1:].reshape(-1, 3, *grid.shape))
+            want = box_irfft(grid, rate[rows])
+            fields = list(box_irfft(grid, stack)[1:].reshape(-1, 3, *grid.shape))
             fields += [np.zeros_like(fields[0])] * (4 - len(fields))
             q = ps[0] if k < lim else members[k - lim][1]
             lin = DenseStiffReference(grid, q, means[k], dt=0.01).linear_rate(*fields)
             want[1:] -= np.concatenate(lin)[: len(rows) - 1]
-            err = np.abs(array_irfft(grid, got[rows]) - want).max()
+            err = np.abs(box_irfft(grid, got[rows]) - want).max()
             assert err <= 1e-12 * max(1.0, np.abs(want).max()), (k, err)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
@@ -370,9 +371,9 @@ class TestRemainder:
         E, B = (array_leray_project(grid, random_smooth_vector(grid, s, 0.8, zero_mean=True).values)
                 for s in (5, 6))
         z = np.zeros_like(E)
-        x = array_rfft(grid, _stack(np.ones(grid.shape), z, z, E, B))
+        x = box_rfft(grid, _stack(np.ones(grid.shape), z, z, E, B))
         op = build_stiff_operator(grid, p, 1.0, dt=2e-4)
-        remainder = array_irfft(grid, _full_rate(grid, x, op.coef))
+        remainder = box_irfft(grid, _full_rate(x, op.coef))
         assert np.abs(remainder[7:]).max() <= 1e-14
 
 
@@ -424,16 +425,16 @@ class TestStepFull:
         grid = grid64
         # L = 0 for one state: the identity propagator, and the rates
         # themselves rather than a remainder
-        prop = np.zeros((len(_TERMS),) + grid.half_wavenumbers.shape[1:])
+        prop = np.zeros((len(_TERMS),) + grid.box.k2.shape)
         prop[_GROUPS[0][0]:_GROUPS[0][1]] = 1.0  # the "x" diagonal
         identity = StiffLinearOperator(grid, sc.dt, prop, prop, _layout(13), _rate_coefficients(grid, p, p.kappa))
         out = _state_view(grid, step_full(_stacked(state), identity))
 
         J = p.kappa * state.jt.values
         s0 = (state.n.values, state.u.values, J, state.E.values, state.B.values)
-        k1 = _split(array_irfft(grid, plain_rate(grid, p, array_rfft(grid, _stack(*s0)))))
+        k1 = _split(box_irfft(grid, plain_rate(grid, p, box_rfft(grid, _stack(*s0)))))
         s1 = tuple(x + sc.dt * k for x, k in zip(s0, k1))
-        k2 = _split(array_irfft(grid, plain_rate(grid, p, array_rfft(grid, _stack(*s1)))))
+        k2 = _split(box_irfft(grid, plain_rate(grid, p, box_rfft(grid, _stack(*s1)))))
         heun = tuple(x + 0.5 * sc.dt * (a + b) for x, a, b in zip(s0, k1, k2))
         assert np.abs(out.n.values - heun[0]).max() < 1e-15
         assert np.abs(out.u.values - heun[1]).max() < 1e-15
@@ -476,7 +477,30 @@ class TestStepFull:
         out = step_full(_stacked(before), stack_operator(grid, _stacked(before), p, 1e-3), record=False)
         lay = _layout(13)
         for rows in (lay.E, lay.B):  # the unnormalised coefficients are O(npoints)
-            assert np.abs(half_divergence(grid, out.half[rows])).max() <= 1e-12 * grid.npoints
+            assert np.abs((grid.box.k * out.half[rows]).sum(axis=0)).max() <= 1e-12 * grid.npoints
+
+    def test_content_above_the_box_steps_as_its_box_projection(self, grid64):
+        # a k = 30 mode of u lies above the 2/3 cutoff (21.3 on 64 points):
+        # the step holds the box alone, so the state steps as its box
+        # projection, to roundoff, recorded or not, and the mode is gone.
+        # Kept on the half-spectrum, such a mode used to be frozen: 0.99995
+        # of it was left after t = 0.01 at mu = 0.1, where exp(-mu k^2 t) is
+        # 0.41, because the masked rate cancelled the propagator's viscous
+        # decay.
+        p = Params(kappa=0.2)
+        limit = make_limit_data(grid64, seed=7, amplitude=0.1)
+        x = _stacked(make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa)))
+        high = x.copy()
+        high[2] += 1e-3 * np.cos(30.0 * grid64.coordinate(0))  # u_y
+        op = build_stiff_operator(grid64, p, float(x[0].mean()), 2e-4)
+        for record in (True, False):
+            got, want = (step_full(y, op, record=record) for y in (high, box_projection(grid64, high)))
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+        y = step_full(high, op)
+        # the mode's coefficient is down to the roundoff of the grid round trip
+        mode = [np.abs(array_rfft(grid64, u)[30]).max() for u in (y[2], high[2])]
+        assert mode[0] <= 1e-12 * mode[1]
 
     def test_mass_conserved(self, grid64):
         p = Params(kappa=0.1)
@@ -570,11 +594,14 @@ class TestStepFull:
 def test_transform_calls_per_step(grid, monkeypatch):
     # four transforms per rate evaluation, so eight per step, and one more
     # each way at the step's ends: a step from a grid stack transforms it on
-    # entry, one from the half-spectrum stack of an unrecorded step does
-    # not; a recorded step transforms the whole stack back, one that is not
-    # recorded only the densities.  So 10 calls from a grid stack and 9
-    # from a carried one, recorded or not, for one state, the limit alone, a
-    # batch of 4, or the limit and a batch of 4 stepped together.
+    # entry, one from the box stack of an unrecorded step does not; a
+    # recorded step transforms the whole stack back, one that is not
+    # recorded only the densities.  So 10 transforms from a grid stack and
+    # 9 from a carried one, recorded or not, for one state, the limit alone,
+    # a batch of 4, or the limit and a batch of 4 stepped together.  A box
+    # transform is numpy's rfft or irfft on one active axis; on three, the
+    # real transform of the last axis, one c2c transform of the first and
+    # one of the second for each of the first axis' two box blocks.
     p = Params(kappa=0.1)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
@@ -593,13 +620,18 @@ def test_transform_calls_per_step(grid, monkeypatch):
             calls.clear()
             rows.clear()
             y = step_full(y, op, record=record)
-            counts.append((len(calls), sum(rows)))
+            # stack rows: each real transform (of the last active axis)
+            # counts the lines over the other active axes as rows
+            lines = grid.points_per_dim ** (grid.dims_active - 1)
+            real = sum(r for c, r in zip(calls, rows) if c in ("rfft", "irfft"))
+            counts.append((len(calls), real // lines))
             return y
 
         counted(stack, True)
         fused = counted(counted(stack, False), False)
         counted(fused, True)
-        assert [c for c, _ in counts] == [10, 10, 9, 9], (len(stack), counts)
+        per = {1: 1, 3: 4}[grid.dims_active]  # calls per box transform
+        assert [c for c, _ in counts] == [10 * per, 10 * per, 9 * per, 9 * per], (len(stack), counts)
     # the limit and 4 members, 56 rows: 220 per rate evaluation, and 56 each
     # way on entry and exit, or the 5 densities
     assert [r for _, r in counts] == [552, 501, 445, 496]

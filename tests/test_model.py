@@ -7,6 +7,7 @@ import support
 from support import (
     array_dealias,
     array_leray_project,
+    box_projection,
     componentwise_cross,
     member_product_rows,
     per_term_full_rate,
@@ -42,8 +43,9 @@ from nsmlimit.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    array_irfft,
     array_rfft,
+    box_irfft,
+    box_rfft,
     grid_integral,
     random_smooth_vector,
     sup_norm,
@@ -60,12 +62,12 @@ def full_rate(s: FullState, p: Params, guard=None):
     """(dn, du, dJ, dE, dB) of ``_full_rate`` on the grid, dJ = d(kappa j~)/dt."""
     grid = s.grid
     x = _stack(s.n.values, s.u.values, p.kappa * s.jt.values, s.E.values, s.B.values)
-    return _split(array_irfft(grid, plain_rate(grid, p, array_rfft(grid, x), guard=guard)))
+    return _split(box_irfft(grid, plain_rate(grid, p, box_rfft(grid, x), guard=guard)))
 
 
 def limit_rate(s: LimitState, p: Params):
     """(dn, du) of ``_full_rate`` on the grid for a lone limit state."""
-    return _split(array_irfft(s.grid, plain_rate(s.grid, p, array_rfft(s.grid, _stacked(s)))))
+    return _split(box_irfft(s.grid, plain_rate(s.grid, p, box_rfft(s.grid, _stacked(s)))))
 
 
 def two_fluid_rate(s: TwoFluidState, p: Params):
@@ -291,24 +293,26 @@ class TestBatchedRates:
     @pytest.mark.parametrize("epsilon", [0.1, 1e-6])
     @pytest.mark.parametrize("lam", [0.0, 0.05])
     def test_matches_per_term_reference(self, grid, kappa, epsilon, lam):
-        # one batched transform and one merged mask against the per-term
-        # dealiased rates; relative, since the rates reach ~1e6 at eps = 1e-6.
-        # The half-spectrum certificate forms against their full-spectrum
-        # references likewise.
+        # one batched transform on the 2/3-rule box against the per-term
+        # dealiased rates of the fields' box projection; relative, since the
+        # rates reach ~1e6 at eps = 1e-6.  The half-spectrum certificate
+        # forms against their full-spectrum references likewise, on the
+        # fields themselves.
         p = Params(kappa=kappa, epsilon=epsilon, lam=lam)
         rng = np.random.default_rng(17)
         n = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=grid.shape)
         u, J, E, B = (rng.normal(size=(3,) + grid.shape) for _ in range(4))
+        boxed = [box_projection(grid, f) for f in (n, u, J, E, B)]
 
         def stepping(rate):
-            return lambda *x: _split(array_irfft(grid, rate(grid, p, array_rfft(grid, _stack(*x)))))
+            return lambda *x: _split(box_irfft(grid, rate(grid, p, box_rfft(grid, _stack(*x)))))
 
         def certificate(rate):
             return lambda *x: rate(grid, p, *x, kappa**2, kappa**4)
 
         cases = [
-            (stepping(plain_rate), (n, u, J, E, B), lambda *x: per_term_full_rate(grid, p, *x)),
-            (stepping(plain_rate), (n, u), lambda *x: per_term_limit_rate(grid, p, *x)),
+            (stepping(plain_rate), boxed, lambda *x: per_term_full_rate(grid, p, *x)),
+            (stepping(plain_rate), boxed[:2], lambda *x: per_term_limit_rate(grid, p, *x)),
             (certificate(_two_fluid_rate), (n, u, J, E, B), certificate(support._two_fluid_rate)),
             (certificate(_reformed_rate), (n, u, J, E, B), certificate(support._reformed_rate)),
         ]

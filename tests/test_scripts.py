@@ -137,12 +137,15 @@ def test_bench_records_tier1_and_src_lines(tmp_path):
 
 def test_step_ab_smoke(tmp_path, capsys):
     # this tree against itself on tiny inputs: one batch (1-D) and one single
-    # run (3-D); each side is imported under its own package name
+    # run (3-D), which alone reports the tracemalloc peak per step; each side
+    # is imported under its own package name.  8 points keep modes up to
+    # 8/3 inside the 2/3 cutoff, so the data are band-limited to |k| <= 2
     step_ab = _load("step_ab")
     sweep, run = tmp_path / "sweep.ini", tmp_path / "run.ini"
     sweep.write_text("[grid]\npoints_per_dim = 16\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n\n"
                      "[sweep]\nkappa_list = 0.4, 0.2\n")
-    run.write_text("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n")
+    run.write_text("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n\n"
+                   "[initial]\nmax_wavenumber = 2\n")
     tree = str(SCRIPTS.parent)
     try:
         assert step_ab.main(["--tree", tree, "--tree", tree, "--rounds", "2", "--steps", "2",
@@ -153,8 +156,13 @@ def test_step_ab_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.search(r"^sweep sweep\.ini: 2 rounds of 2 paired steps per tree$", out, re.M)
     assert re.search(r"^run run\.ini: 2 rounds of 2 paired steps per tree$", out, re.M)
+    assert len(re.findall(r"^  tree +median_ms +q1_ms +q3_ms +faults/step$", out, re.M)) == 1
+    assert len(re.findall(r"^  tree +median_ms +q1_ms +q3_ms +faults/step +peak_MiB/step$", out, re.M)) == 1
+    times = r" +\d+\.\d{3} +\d+\.\d{3} +\d+\.\d{3} +\d+"
     for tag in "AB":
-        assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+$", out, re.M)) == 2
+        assert len(re.findall(rf"^  {tag}{times}$", out, re.M)) == 1
+        peaks = re.findall(rf"^  {tag}{times} +(\d+\.\d{{3}})$", out, re.M)
+        assert len(peaks) == 1 and float(peaks[0]) > 0.0
     assert len(re.findall(r"B faster in \d/2 rounds; final states bit-identical$", out, re.M)) == 2
 
 

@@ -14,6 +14,7 @@ from nsmlimit.model import (
     _curl_hat,
     _stacked,
     _visc_hat,
+    _visc_multipliers,
     random_two_fluid_state,
     reformulation_check,
 )
@@ -25,6 +26,8 @@ from nsmlimit.spectral import (
     _smooth_hat,
     array_irfft,
     array_rfft,
+    box_irfft,
+    box_rfft,
     derive_seed,
     grid_integral,
     half_divergence,
@@ -55,7 +58,7 @@ def gradient(grid, values):
 
 
 def curl(grid, v):
-    return array_irfft(grid, _curl_hat(grid, array_rfft(grid, v)))
+    return array_irfft(grid, _curl_hat(grid.half_wavenumbers, array_rfft(grid, v)))
 
 
 def divergence(grid, v):
@@ -187,7 +190,7 @@ class TestVectorCalculus:
         p = Params(mu=0.3, lam=0.05)
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         v = np.stack([np.zeros_like(x), np.sin(2 * x), np.zeros_like(x)])
-        visc = array_irfft(grid64, _visc_hat(grid64, p, array_rfft(grid64, v)))
+        visc = array_irfft(grid64, _visc_hat(_visc_multipliers(grid64.masked_half, p), array_rfft(grid64, v)))
         assert np.abs(visc - p.mu * -4.0 * v).max() < 1e-12
         assert np.abs(derivative(grid64, v[1], 0, 2) + 4.0 * v[1]).max() < 1e-12
 
@@ -460,7 +463,9 @@ class TestMatchesFullSpectrumReference:
 @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
 def test_single_real_spectral_layout(grid, monkeypatch):
     # every transform the package makes is a real one (array_rfft and
-    # array_irfft); no entry point reaches a complex fftn/ifftn
+    # array_irfft), or the pruned box transform (box_rfft and box_irfft),
+    # whose other axes are 1-d c2c transforms of the real transform's slab
+    # on several active axes; no entry point reaches a complex fftn/ifftn
     calls = count_fft_calls(monkeypatch)
     p = Params(kappa=0.2)
     state = {}
@@ -475,10 +480,34 @@ def test_single_real_spectral_layout(grid, monkeypatch):
          lambda: reformulation_check(random_two_fluid_state(grid, p, seed=1), p)),
         ("moser_ratios", lambda: moser_ratios(random_smooth_field(grid, 1, 1.0),
                                               random_smooth_field(grid, 2, 1.0), 4)),
-        ("_full_rate", lambda: plain_rate(grid, p, array_rfft(grid, _stacked(state["full"])))),
+        ("_full_rate", lambda: plain_rate(grid, p, box_rfft(grid, _stacked(state["full"])))),
     ]
     for name, run in entries:
         calls.clear()
         run()
         assert calls, name
-        assert set(calls) <= {"rfft", "irfft", "rfftn", "irfftn"}, (name, sorted(set(calls)))
+        slab = {"fft", "ifft"} if grid.dims_active > 1 else set()
+        assert set(calls) <= {"rfft", "irfft", "rfftn", "irfftn"} | slab, (name, sorted(set(calls)))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8), Grid(3, 32)],
+                         ids=["1d64", "2d16", "3d8", "3d32"])
+@pytest.mark.parametrize("rows", [1, 17], ids=["1row", "17rows"])
+def test_box_transforms_are_the_half_spectrum_ones_on_the_box(grid, rows):
+    # the pruned transforms give the bits of array_rfft on the box modes,
+    # and of array_irfft of the half-spectrum that is zero outside the box;
+    # the box is where the 2/3 mask is 1, and holds no Nyquist mode
+    values = np.random.default_rng(rows).normal(size=(rows,) + grid.shape)
+    half = array_rfft(grid, values)
+    box = box_rfft(grid, values)
+    assert box.flags.c_contiguous and box.shape == (rows,) + grid.box.k2.shape
+    assert np.array_equal(box, half[(...,) + grid.box_index])
+    out = np.empty_like(box)
+    assert box_rfft(grid, values, out=out) is out and np.array_equal(out, box)
+    padded = np.zeros_like(half)
+    padded[(...,) + grid.box_index] = box
+    assert np.array_equal(box_irfft(grid, box), array_irfft(grid, padded))
+    mask = grid.half_dealias_mask
+    assert mask[grid.box_index].all() and mask.sum() == box[0].size
+    assert np.array_equal(grid.box.k, grid.half_wavenumbers[(slice(None),) + grid.box_index])
+    assert np.abs(grid.box.k).max() < grid.nyquist_wavenumber
