@@ -316,7 +316,8 @@ class Grid:
         are not band-limited to the box, as the reformulation certificate's
         are, with their products dealiased as on the box."""
         mask = self.half_dealias_mask
-        return Modes(self.half_wavenumbers, self.half_unit_wavenumbers, self.half_k_squared, self.dims_active,
+        return Modes(self.half_wavenumbers, self.half_unit_wavenumbers, self.half_k_squared,
+                     self.dims_active,
                      lambda values, out=None: np.multiply(mask, array_rfft(self, values), out=out),
                      partial(array_irfft, self))
 

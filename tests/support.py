@@ -32,8 +32,6 @@ from nsmlimit.spectral import (
     VectorField,
     _hash_unit,
     _multi_indices,
-    array_irfft,
-    array_rfft,
     box_irfft,
     box_rfft,
     grid_integral,
