@@ -315,11 +315,8 @@ class Grid:
         (``half_dealias_mask``): on it the rates are formed of states that
         are not band-limited to the box, as the reformulation certificate's
         are, with their products dealiased as on the box."""
-        mask = self.half_dealias_mask
         return Modes(self.half_wavenumbers, self.half_unit_wavenumbers, self.half_k_squared,
-                     self.dims_active,
-                     lambda values, out=None: np.multiply(mask, array_rfft(self, values), out=out),
-                     partial(array_irfft, self))
+                     self.dims_active, partial(_masked_rfft, self), partial(array_irfft, self))
 
     @cached_property
     def fft_axes(self) -> tuple[int, ...]:
@@ -372,6 +369,11 @@ def array_irfft(grid: Grid, hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft(hat, n=grid.points_per_dim, axis=axes[0])
     import scipy.fft
     return scipy.fft.irfftn(hat, s=(grid.points_per_dim,) * len(axes), axes=axes)
+
+
+def _masked_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``array_rfft`` times the 2/3 mask (``Grid.masked_half``)."""
+    return np.multiply(grid.half_dealias_mask, array_rfft(grid, values), out=out)
 
 
 def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
