@@ -12,12 +12,12 @@ Three systems are evaluated here, all on the periodic torus:
 
 The stepping rate ``_full_rate`` takes the stack of a member set, the
 states stepped together, on the 2/3-rule box (``spectral``, "Conventions")
-and returns its time derivative there.  A member set holds scaled-system states and, first, the
-limit system's, which is the scaled system on J = E = B = 0: its rows are
-the same rates less the current, field and source terms that vanish there,
-formed in the same numpy calls as the other members' (``_Layout``).  Every
-pointwise product of a rate is formed on the grid and all of them are
-transformed in one batched call.  The products are laid out so that paired
+and returns its time derivative there.  A member set holds scaled-system
+states and, first, the limit system's, which is the scaled system on
+J = E = B = 0: its rows are the same rates less the current, field and
+source terms that vanish there, formed in the same numpy calls as the
+other members' (``_Layout``).  Every pointwise product of a rate is formed
+on the grid and all of them are transformed in one batched call.  The products are laid out so that paired
 work is one numpy call (``_products``): the n u and n J of a member set are
 adjacent, so one cross product with B gives every n u x B and n J x B, and
 the symmetric tensors are stored diagonal first, so the pressure is one
@@ -433,7 +433,8 @@ def _rate_coefficients(grid: Grid, p: Params, kap, means=None, limit: int = 0,
     a = (1.0 + eps) / (p.tau * eps)
     kap_rows = np.repeat(np.ravel(kap), 3).reshape(-1, 1, 1, 1) if np.ndim(kap) else kap
     modes = grid.box if modes is None else modes
-    coefs = dict(p=p, modes=modes, multipliers=_visc_multipliers(modes, p), kap=kap, kap_rows=kap_rows, a=a,
+    coefs = dict(p=p, modes=modes, multipliers=_visc_multipliers(modes, p), kap=kap, kap_rows=kap_rows,
+                 a=a,
                  kap_tau=kap / p.tau, kap_tau_eps=kap / (p.tau * eps),
                  kap_eps=(eps - 1.0) * kap / (p.tau * eps),
                  # kap * kap, not kap**2: a float's ** (libm pow) and an
