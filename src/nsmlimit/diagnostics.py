@@ -255,7 +255,7 @@ def _ledger_rows(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[E
     high[-2:] = div_eb.swapaxes(0, 1)
     # not held through the inverse transform, the chunk's memory peak
     del x, x0, N, n0, rho, hat, div_eb
-    d = array_irfft(grid, high)
+    d = array_irfft(grid, high, overwrite=True)
     weighted = _integrals(grid, weight * np.einsum("a...,a...->...", d[:-2], d[:-2]))
     div_e = np.abs(d[-2]).max(axis=_SPACE) / div_scale
     div_b = np.abs(d[-1]).max(axis=_SPACE) / div_scale
@@ -321,7 +321,7 @@ def _audit_chunk(ts, fulls, limits, p: Params) -> dict:
         half_divergence(grid, V[:, :2]),
         grads.reshape((len(fulls), 27) + V.shape[3:]),
         _visc_hat(_visc_multipliers(grid.masked_half, p), V[:, 3]),
-    ], axis=1))
+    ], axis=1), overwrite=True)
     div_nU, div_nu = d[:, 0], d[:, 1]
     grad_U, grad_u0, grad_jt = d[:, 2:29].reshape((len(fulls), 3, 3, 3) + grid.shape).swapaxes(0, 1)
     visc0 = d[:, 29:]

@@ -363,12 +363,20 @@ def array_rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
     return scipy.fft.rfftn(values, axes=axes)
 
 
-def array_irfft(grid: Grid, hat: np.ndarray) -> np.ndarray:
+def array_irfft(grid: Grid, hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Grid values of half-spectrum coefficients.  With ``overwrite`` on
+    several axes, the c2c transforms of the other axes run in place in
+    ``hat``, in irfftn's axis order, so the bits are irfftn's, without the
+    copy of ``hat`` irfftn makes; the caller gives up ``hat``."""
     axes = grid.fft_axes
     if len(axes) == 1:
         return np.fft.irfft(hat, n=grid.points_per_dim, axis=axes[0])
     import scipy.fft
-    return scipy.fft.irfftn(hat, s=(grid.points_per_dim,) * len(axes), axes=axes)
+    if not overwrite:
+        return scipy.fft.irfftn(hat, s=(grid.points_per_dim,) * len(axes), axes=axes)
+    for ax in axes[:-1]:
+        _in_place(scipy.fft.ifft, hat, ax)
+    return scipy.fft.irfft(hat, n=grid.points_per_dim, axis=axes[-1])
 
 
 def _masked_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

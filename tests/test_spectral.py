@@ -511,3 +511,12 @@ def test_box_transforms_are_the_half_spectrum_ones_on_the_box(grid, rows):
     assert mask[grid.box_index].all() and mask.sum() == box[0].size
     assert np.array_equal(grid.box.k, grid.half_wavenumbers[(slice(None),) + grid.box_index])
     assert np.abs(grid.box.k).max() < grid.nyquist_wavenumber
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 8), Grid(3, 32)],
+                         ids=["1d64", "2d16", "3d8", "3d32"])
+def test_array_irfft_overwrite_gives_the_same_bits(grid):
+    # the in-place inverse (the ledger's and the audit's) against irfftn
+    hat = array_rfft(grid, np.random.default_rng(3).normal(size=(5,) + grid.shape))
+    want = array_irfft(grid, hat)
+    assert np.array_equal(array_irfft(grid, hat.copy(), overwrite=True), want)
