@@ -394,14 +394,17 @@ def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> n
     contiguous copy of the kept modes.  ``out`` receives the result, as
     for a numpy ufunc."""
     axes = grid.fft_axes
-    if len(axes) == 1:
-        hat = np.fft.rfft(values, axis=axes[0])
-    else:
-        import scipy.fft
-        hat = scipy.fft.rfft(values, axis=axes[-1])
-        for i, ax in enumerate(axes[:-1]):
-            for view in grid._box_lines(i, before=True):
-                _in_place(scipy.fft.fft, hat[view], ax)
+    if len(axes) == 1:  # one block, the first c modes: a plain copy, the fewest numpy calls
+        hat = np.fft.rfft(values, axis=axes[0])[grid._box_blocks[0][1]]
+        if out is None:
+            return hat.copy()
+        np.copyto(out, hat)
+        return out
+    import scipy.fft
+    hat = scipy.fft.rfft(values, axis=axes[-1])
+    for i, ax in enumerate(axes[:-1]):
+        for view in grid._box_lines(i, before=True):
+            _in_place(scipy.fft.fft, hat[view], ax)
     if out is None:
         out = np.empty(hat.shape[:-3] + grid.box.k2.shape, dtype=complex)
     for box, half in grid._box_blocks:
