@@ -320,7 +320,7 @@ def _audit_chunk(ts, fulls, limits, p: Params) -> dict:
     d = array_irfft(grid, np.concatenate([
         half_divergence(grid, V[:, :2]),
         grads.reshape((len(fulls), 27) + V.shape[3:]),
-        _visc_hat(_visc_multipliers(grid.masked_half, p), V[:, 3]),
+        _visc_hat(_visc_multipliers(grid.half_wavenumbers, grid.half_k_squared, p), V[:, 3]),
     ], axis=1), overwrite=True)
     div_nU, div_nu = d[:, 0], d[:, 1]
     grad_U, grad_u0, grad_jt = d[:, 2:29].reshape((len(fulls), 3, 3, 3) + grid.shape).swapaxes(0, 1)

@@ -144,7 +144,7 @@ def _perturbations(spec: WellPreparedSpec) -> np.ndarray:
                           vec.reshape((12,) + vec.shape[2:])])
     # per row: 1/norm of its field
     inv_norms = np.repeat([1.0 / norm for norm in _field_norms(grid, hat, spec.l)], (1, 3, 3, 3, 3))
-    return array_irfft(grid, hat) * inv_norms[:, None, None, None] * share
+    return array_irfft(grid, hat, overwrite=True) * inv_norms[:, None, None, None] * share
 
 
 def make_well_prepared(spec: WellPreparedSpec, perturbations: np.ndarray | None = None) -> FullState:
@@ -195,7 +195,8 @@ def hypothesis_certificate(
     grid = full.grid
     hat = array_rfft(grid, _error_stack(full, base, kappa))
     norm = _error_norm(grid, hat, l)
-    div_e, div_b = array_irfft(grid, half_divergence(grid, hat[7:].reshape((2, 3) + hat.shape[1:])))
+    div_e, div_b = array_irfft(grid, half_divergence(grid, hat[7:].reshape((2, 3) + hat.shape[1:])),
+                               overwrite=True)
     return {
         "hypothesis_norm": norm,
         "budget": c0 * kappa,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -433,8 +433,8 @@ def _rate_coefficients(grid: Grid, p: Params, kap, means=None, limit: int = 0,
     a = (1.0 + eps) / (p.tau * eps)
     kap_rows = np.repeat(np.ravel(kap), 3).reshape(-1, 1, 1, 1) if np.ndim(kap) else kap
     modes = grid.box if modes is None else modes
-    coefs = dict(p=p, modes=modes, multipliers=_visc_multipliers(modes, p), kap=kap, kap_rows=kap_rows,
-                 a=a,
+    coefs = dict(p=p, modes=modes, multipliers=_visc_multipliers(modes.k, modes.k2, p), kap=kap,
+                 kap_rows=kap_rows, a=a,
                  kap_tau=kap / p.tau, kap_tau_eps=kap / (p.tau * eps),
                  kap_eps=(eps - 1.0) * kap / (p.tau * eps),
                  # kap * kap, not kap**2: a float's ** (libm pow) and an
@@ -467,10 +467,10 @@ def _div_sym(modes: Modes, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _visc_multipliers(modes: Modes, p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The multipliers of ``_visc_hat`` on a layout: its wavevector k,
-    -mu |k|^2 and (mu+lam) k."""
-    return modes.k, -p.mu * modes.k2, (p.mu + p.lam) * modes.k
+def _visc_multipliers(k: np.ndarray, k2: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multipliers of ``_visc_hat`` on the modes of wavevector k and
+    |k|^2 k2: k, -mu |k|^2 and (mu+lam) k."""
+    return k, -p.mu * k2, (p.mu + p.lam) * k
 
 
 def _visc_hat(multipliers: tuple, v: np.ndarray) -> np.ndarray:
@@ -655,9 +655,19 @@ def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray
 # half-spectrum coefficients of one term, masked as its final operation.
 
 
-def _masked(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """2/3-masked coefficients of a (nonlinear-product) field."""
-    return grid.half_dealias_mask * array_rfft(grid, arr)
+def _masked(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2/3-masked coefficients of a (nonlinear-product) field; ``out``
+    receives them, as for a numpy ufunc."""
+    return np.multiply(grid.half_dealias_mask, array_rfft(grid, arr), out=out)
+
+
+def _masked_half(grid: Grid) -> Modes:
+    """The half-spectrum as a layout whose forward transform is ``_masked``:
+    on it ``_full_rate`` forms the rates of states that are not band-limited
+    to the box, as the certificate's are, with their products dealiased as
+    on the box."""
+    return Modes(grid.half_wavenumbers, grid.half_unit_wavenumbers, grid.half_k_squared,
+                 grid.dims_active, partial(_masked, grid), partial(array_irfft, grid))
 
 
 def _masked_div(grid: Grid, t: np.ndarray) -> np.ndarray:
@@ -684,7 +694,7 @@ def _two_fluid_rate(grid: Grid, p: Params, n, u_e, u_i, E, B, alpha, beta):
     """
     eps = p.epsilon
     D = lambda arr: _masked(grid, arr)
-    mult = _visc_multipliers(grid.masked_half, p)
+    mult = _visc_multipliers(grid.half_wavenumbers, grid.half_k_squared, p)
     visc = lambda v: _visc_hat(mult, array_rfft(grid, v))
     curl = lambda v: _curl_hat(grid.half_wavenumbers, array_rfft(grid, v))
     grad_p = _grad_nl(grid, p.pressure.pressure(n))
@@ -727,7 +737,7 @@ def _reformed_rate(grid: Grid, p: Params, n, u, jt, E, B, alpha, beta):
     inv = 1.0 / (1.0 + eps)
     kap = p.kappa
     D = lambda arr: _masked(grid, arr)
-    mult = _visc_multipliers(grid.masked_half, p)
+    mult = _visc_multipliers(grid.half_wavenumbers, grid.half_k_squared, p)
     visc = lambda v: _visc_hat(mult, array_rfft(grid, v))
     curl = lambda v: _curl_hat(grid.half_wavenumbers, array_rfft(grid, v))
 
@@ -823,7 +833,7 @@ def reformulation_check(s: TwoFluidState, p: Params) -> ReformReport:
     # band-limited to the box (u_e has the factor 1/n)
     fn, fu, fJ, fE, fB = _split(
         array_irfft(grid, _full_rate(array_rfft(grid, _stack(n, u, J, E_s, B_s)),
-                                     _rate_coefficients(grid, p, p.kappa, modes=grid.masked_half)))
+                                     _rate_coefficients(grid, p, p.kappa, modes=_masked_half(grid))))
     )
     # compare in primitive variables, converting the substituted rates the
     # same way the production side does (same dealias placement)

@@ -310,15 +310,6 @@ class Grid:
                      partial(box_irfft, self))
 
     @cached_property
-    def masked_half(self) -> "Modes":
-        """The half-spectrum as a layout whose forward transform is 2/3-masked
-        (``half_dealias_mask``): on it the rates are formed of states that
-        are not band-limited to the box, as the reformulation certificate's
-        are, with their products dealiased as on the box."""
-        return Modes(self.half_wavenumbers, self.half_unit_wavenumbers, self.half_k_squared,
-                     self.dims_active, partial(_masked_rfft, self), partial(array_irfft, self))
-
-    @cached_property
     def fft_axes(self) -> tuple[int, ...]:
         """Axes actually transformed; size-1 axes are skipped (identity)."""
         return tuple(range(-3, -3 + self.dims_active))
@@ -364,24 +355,20 @@ def array_rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def array_irfft(grid: Grid, hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Grid values of half-spectrum coefficients.  With ``overwrite`` on
-    several axes, the c2c transforms of the other axes run in place in
-    ``hat``, in irfftn's axis order, so the bits are irfftn's, without the
-    copy of ``hat`` irfftn makes; the caller gives up ``hat``."""
+    """Grid values of half-spectrum coefficients.  On several axes the c2c
+    transforms of the other axes run in place, in irfftn's axis order, so
+    the bits are irfftn's, then the last axis' irfft: on a copy of ``hat``,
+    the one irfftn makes, or with ``overwrite`` on ``hat`` itself, which
+    the caller gives up."""
     axes = grid.fft_axes
     if len(axes) == 1:
         return np.fft.irfft(hat, n=grid.points_per_dim, axis=axes[0])
     import scipy.fft
     if not overwrite:
-        return scipy.fft.irfftn(hat, s=(grid.points_per_dim,) * len(axes), axes=axes)
+        hat = hat.astype(complex)
     for ax in axes[:-1]:
         _in_place(scipy.fft.ifft, hat, ax)
     return scipy.fft.irfft(hat, n=grid.points_per_dim, axis=axes[-1])
-
-
-def _masked_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``array_rfft`` times the 2/3 mask (``Grid.masked_half``)."""
-    return np.multiply(grid.half_dealias_mask, array_rfft(grid, values), out=out)
 
 
 def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

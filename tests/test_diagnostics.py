@@ -310,7 +310,7 @@ def test_transform_calls_per_row_and_snapshot(grid, monkeypatch):
         assert calls == one_way, (fn.__name__, calls)
     calls.clear()
     hypothesis_certificate(full, limit, p.kappa, 1.0, 4.0)
-    assert 0 < len(calls) <= 2, calls
+    assert calls == one_way, calls
     snaps = [(0.01 * s, full, limit) for s in range(2 * _chunk_size(grid) + 1)]  # three chunks
     for fn, args in ((make_energy_ledger, (*zip(*snaps), p, 4.0, 1.0)),
                      (energy_identity_audit, (snaps, p))):
