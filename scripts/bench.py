@@ -8,8 +8,8 @@ Runs ``perfbench/run.py --workload all --seconds S`` of the checkout DIR
 ``BENCH_<T>.json`` at the root of this repository: per workload, each
 end-to-end metric's median, quartiles and samples (one per run), the
 correct/attempted/failed counts summed over the runs, and the Python, numpy
-and scipy versions, the thread environment and the git commit of the
-measured tree.  After each perfbench run the tree's Tier-1 test command
+and scipy versions (scipy None where it is not installed), the thread
+environment and the git commit of the measured tree.  After each perfbench run the tree's Tier-1 test command
 (``TIER1``, with the tree's ``src`` on PYTHONPATH) runs once; the record
 holds its wall time (median, quartiles, samples) and its pass/fail/error
 counts per run, and the line count of the tree's ``src/nsmlimit/*.py``.
@@ -111,8 +111,11 @@ def assemble(tag: str, seconds: float, runs: list, environment: dict,
 
 def environment(tree: Path = ROOT) -> dict:
     import numpy
-    import scipy
 
+    try:  # a test dependency only; None where it is not installed
+        import scipy
+    except ImportError:
+        scipy = None
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -121,7 +124,7 @@ def environment(tree: Path = ROOT) -> dict:
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": None if scipy is None else scipy.__version__,
         "platform": platform.platform(),
         "nproc": cpus,
         "thread_env": {v: os.environ.get(v) for v in THREAD_VARS},

@@ -35,6 +35,18 @@ equal, field by field and member by member (the limit first);
 if not, each field whose bits differ, with its largest difference
 relative to the field's largest magnitude in either tree.
 
+For ``--run`` inputs on two or three active axes, the tables end with an
+A/B of the box transforms alone: each tree's rate, evaluated once on the
+box coefficients of the caught stack, records the forward and inverse
+transforms it makes (``model._full_rate`` through its layout), and a pass
+replays them on copies of their arguments.  Per round each tree makes one
+pass, in alternating order, after one untimed warm-up pass.  Reported per
+tree: the rows of each transform, the median and quartiles of the pass
+time, and the rounds in which B's pass was faster.  That ratio resolves a
+few percent where whole 3-D steps do not: two runs on the same two trees
+read 1.17 and 1.20, while their steps read 53-105 ms from one process to
+the next.
+
 Both trees share one process and its heap, so each side's temporaries are
 placed by the other's allocation history.  On the call-overhead-bound 1-D
 inputs that does not show, but a 3-D ratio from here is not reproducible:
@@ -64,6 +76,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import inspect
+import math
 import resource
 import sys
 import time
@@ -202,6 +215,69 @@ def same_states(sides: dict, grid) -> bool:
     return field_differences(sides, grid) == []
 
 
+def rate_transforms(pkg, call: Call) -> list | None:
+    """The box transforms of one rate evaluation of the caught step, as
+    (transform, argument, keyword arguments) triples to replay: the
+    forward and inverse calls ``model._full_rate`` makes through its
+    layout on the box coefficients of the step's stack.  None for a tree
+    whose operator or rate coefficients hold no such layout."""
+    coef = getattr(call.arguments.get("op"), "coef", None)
+    modes = getattr(coef, "modes", None)
+    if modes is None or not hasattr(modes, "forward"):
+        return None
+    calls = []
+
+    def recording(transform):
+        def wrapper(a, **kwargs):
+            calls.append((transform, a.copy(), {k: np.empty_like(v) for k, v in kwargs.items()}))
+            return transform(a, **kwargs)
+        return wrapper
+
+    spy = coef._replace(modes=modes._replace(forward=recording(modes.forward),
+                                             inverse=recording(modes.inverse)))
+    pkg.model._full_rate(modes.forward(call.arguments["x"]), spy)
+    return calls
+
+
+def transform_pass(calls: list) -> float:
+    """Seconds to replay the recorded transforms of one rate evaluation once."""
+    t0 = time.perf_counter()
+    for transform, a, kwargs in calls:
+        transform(a, **kwargs)
+    return time.perf_counter() - t0
+
+
+def compare_transforms(sides: list, rounds: int) -> None:
+    """Print the A/B of the box transforms of one rate evaluation: per tree
+    the median and quartiles of a pass over them, the two trees in
+    alternating order per round after one untimed warm-up pass."""
+    recorded = [(tag, rate_transforms(pkg, call)) for tag, pkg, call in sides]
+    if any(calls is None for _, calls in recorded):
+        print("  transforms: a tree's rate holds no box layout; not compared")
+        return
+    grid, k2 = sides[0][2].grid, sides[0][2].arguments["op"].coef.modes.k2
+    rows = [(("forward", a.size // math.prod(grid.shape)) if a.dtype.kind == "f"
+             else ("inverse", a.size // k2.size)) for _, a, _ in recorded[0][1]]
+    for _, calls in recorded:
+        transform_pass(calls)
+    samples, wins = {tag: [] for tag, _ in recorded}, 0
+    for r in range(rounds):
+        seconds = {}
+        for tag, calls in recorded if r % 2 == 0 else recorded[::-1]:
+            seconds[tag] = transform_pass(calls)
+            samples[tag].append(seconds[tag])
+        wins += seconds["B"] < seconds["A"]
+    print("  transforms of one rate evaluation, rows: "
+          + ", ".join(f"{kind} {n}" for kind, n in rows))
+    print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9}")
+    median_ms = {}
+    for tag, _ in recorded:
+        q1, median_ms[tag], q3 = np.percentile(samples[tag], [25, 50, 75]) * 1e3
+        print(f"  {tag:4} {median_ms[tag]:10.3f} {q1:9.3f} {q3:9.3f}")
+    print(f"  transforms B/A median {median_ms['B'] / median_ms['A']:.3f}; "
+          f"B faster in {wins}/{rounds} rounds")
+
+
 def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int) -> None:
     """Run the A/B of one input and print its table."""
     sides = [(tag, pkg, first_step(pkg, config, batch)) for tag, pkg in trees]
@@ -240,6 +316,8 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         print("  the final states hold different members or fields")
     for name, rel in differences or ():
         print(f"  {name} differs: max relative difference {rel:.3g}")
+    if not batch and sides[0][2].grid.dims_active > 1:
+        compare_transforms(sides, rounds)
 
 
 def audit_pass(pkg, snaps: list, p, l: float):

@@ -24,18 +24,22 @@ Conventions
 * The 2/3-rule box, the stepper's layout: the modes of the half-spectrum
   with every |k_i| <= (2/3) k_max (``Grid.box_index``), where the 2/3 mask
   is identically 1 and no mode is a Nyquist mode: c = n//3 + 1 modes of
-  the last active axis, 2c - 1 of each other one (21 x 21 x 11, 28% of
-  the half-spectrum, on 32^3).  ``box_rfft`` and ``box_irfft`` transform
-  to and from it directly, pruned: the forward transform takes the rfft
-  of the last active axis, then transforms each other active axis only
-  on the lines that reach the box, and keeps the box; the inverse places
-  the box in a zero half-spectrum and inverts each of those axes only on
-  the lines that hold box modes (Canuto, Hussaini, Quarteroni & Zang,
-  *Spectral Methods: Fundamentals in Single Domains*, 2006, section 3.4).
-  Both give the bits of the half-spectrum transforms on the box modes,
-  and content outside the box is dropped.  ``Grid.box`` holds the box as
-  a layout (``Modes``): its transforms and the multipliers of its modes
-  (``leray_project`` takes its ``khat``).
+  the last active axis, 2c - 1 of each other one (28% of the
+  half-spectrum on 32^3).  On three axes the box stores the last axis'
+  modes second, 21 x 11 x 21 on 32^3, the order its forward transform
+  makes them in; every box operation acts mode by mode.  ``box_rfft`` and
+  ``box_irfft`` transform to and from it directly, pruned: the forward
+  transform takes the rfft of the last active axis, then transforms each
+  other active axis only on the lines that reach the box, and keeps the
+  box; the inverse places the box in a zero half-spectrum and inverts
+  each of those axes only on the lines that hold box modes (Canuto,
+  Hussaini, Quarteroni & Zang, *Spectral Methods: Fundamentals in Single
+  Domains*, 2006, section 3.4).  Both give the bits of the half-spectrum
+  transforms on the box modes, and content outside the box is dropped.
+  ``Grid.box`` holds the box as a layout (``Modes``): its transforms and
+  the multipliers of its modes (``leray_project`` takes its ``khat``).
+* Every transform is numpy's: on several axes its 1-d transforms, axis
+  by axis in the order of rfftn and irfftn, whose bits they give.
 * The H^l norm is the Fourier-multiplier form
   ``sqrt(V * sum_k (1+|k|^2)^l |c_k|^2)`` with V the domain volume, so
   l = 0 reproduces the L^2 norm.  It is summed on the half-spectrum by
@@ -257,48 +261,32 @@ class Grid:
 
     @cached_property
     def box_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index of the 2/3-rule box within the half-spectrum, an open mesh
-        (``np.ix_``): the last active axis keeps its modes 0..c-1, every
-        other active axis the modes 0..c-1 and -(c-1)..-1, two blocks."""
+        """Index of the 2/3-rule box within the half-spectrum, an open mesh:
+        the last active axis keeps its modes 0..c-1, every other active axis
+        the modes 0..c-1 and -(c-1)..-1, two blocks.  The box stores the
+        last active axis second, so on three axes it is (2c - 1, c, 2c - 1),
+        its rows in the order ``box_rfft`` makes them in."""
         n, c = self.points_per_dim, self.box_modes
-        both = np.r_[0:c, n - c + 1:n]
-        last = self.dims_active - 1
-        return np.ix_(*(both if ax < last else np.arange(c) if ax == last else np.zeros(1, int)
-                        for ax in range(3)))
-
-    def _box_lines(self, i: int, before: bool) -> list:
-        """Views, as indices into the half-spectrum, of the lines along the
-        i-th active axis that reach the box: the first c modes of the last
-        active axis, and the box blocks of the other active axes transformed
-        before it (``before``, the forward transform) or after it (the
-        inverse); one index per combination of blocks."""
-        n, c, last = self.points_per_dim, self.box_modes, self.dims_active - 1
-        blocks = (slice(0, c), slice(n - c + 1, n))
-        others = range(i) if before else range(i + 1, last)
-        out = []
-        for chosen in _iproduct(blocks, repeat=len(others)):
-            index = [slice(None)] * 3
-            index[last] = slice(0, c)
-            for ax, block in zip(others, chosen):
-                index[ax] = block
-            out.append((...,) + tuple(index))
-        return out
+        both, first, zero = np.r_[0:c, n - c + 1:n], np.arange(c), np.zeros(1, int)
+        if self.dims_active == 3:
+            a, m, b = np.ix_(both, first, both)
+            return a, b, m
+        return np.ix_(*([both] * (self.dims_active - 1) + [first] + [zero] * (3 - self.dims_active)))
 
     @cached_property
-    def _box_blocks(self) -> list:
-        """(box index, half-spectrum index) pairs of the box's blocks: one
-        per combination of the two blocks of each active axis but the last,
-        whose first c modes each block holds."""
-        n, c, last = self.points_per_dim, self.box_modes, self.dims_active - 1
-        pairs = ((slice(0, c), slice(0, c)), (slice(c, 2 * c - 1), slice(n - c + 1, n)))
-        out = []
-        for chosen in _iproduct(pairs, repeat=last):
-            box, half = [slice(None)] * 3, [slice(None)] * 3
-            half[last] = slice(0, c)
-            for ax, (b, h) in enumerate(chosen):
-                box[ax], half[ax] = b, h
-            out.append(((...,) + tuple(box), (...,) + tuple(half)))
-        return out
+    def _chunk_rows(self) -> int:
+        """Rows per chunk of ``box_rfft`` on three axes: as many as hold
+        4 MiB of half-spectrum, at least one (15 on 32^3)."""
+        n = self.points_per_dim
+        return max(1, 2**22 // (16 * n ** (self.dims_active - 1) * (n // 2 + 1)))
+
+    @cached_property
+    def _box_blocks(self) -> tuple:
+        """(index in the box, index of the modes) pairs of the two blocks of
+        lines the box keeps of each active axis but the last: the modes
+        0..c-1 and -(c-1)..-1."""
+        n, c = self.points_per_dim, self.box_modes
+        return ((slice(0, c), slice(0, c)), (slice(c, 2 * c - 1), slice(n - c + 1, n)))
 
     @cached_property
     def box(self) -> "Modes":
@@ -341,91 +329,109 @@ def _require_same_grid(a: Grid, b: Grid) -> Grid:
 # half-spectrum transforms and kernels
 
 
-# Real-data transforms to and from the half-spectrum (``Grid.half_cut``).  On
-# several axes scipy's rfftn is 1.5-2.5x faster than numpy's; on one active
-# axis numpy's 1-d entry points cost less per call than either n-d one, which
-# matters on the small grids that are bound by call overhead.  scipy.fft is
-# imported on first use, so one-axis runs do not load it (about 5 MB resident).
+# Real-data transforms to and from the half-spectrum (``Grid.half_cut``) and
+# the 2/3-rule box (``Grid.box``), all numpy's.  On several axes they are its
+# 1-d transforms axis by axis in the order of rfftn and irfftn, so the bits are
+# theirs.  numpy hands pocketfft every line of a call at once, as scipy does,
+# when the lines run along the outermost axis of a contiguous block or along
+# its last; along a middle axis it makes one call per short run of lines,
+# about 1.7 us each on 32^3.  The half-spectrum transforms in place and pays
+# that on its middle axis.  The box needs a new array anyway, to gather or to
+# zero-pad its modes, and lays that out so that each c2c transform is one call.
 def array_rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    axes = grid.fft_axes
-    if len(axes) == 1:
-        return np.fft.rfft(values, axis=axes[0])
-    import scipy.fft
-    return scipy.fft.rfftn(values, axes=axes)
+    last = grid.dims_active - 4
+    hat = np.fft.rfft(values, axis=last)
+    for ax in range(-3, last):
+        np.fft.fft(hat, axis=ax, out=hat)
+    return hat
 
 
 def array_irfft(grid: Grid, hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Grid values of half-spectrum coefficients.  On several axes the c2c
-    transforms of the other axes run in place, in irfftn's axis order, so
-    the bits are irfftn's, then the last axis' irfft: on a copy of ``hat``,
-    the one irfftn makes, or with ``overwrite`` on ``hat`` itself, which
-    the caller gives up."""
-    axes = grid.fft_axes
-    if len(axes) == 1:
-        return np.fft.irfft(hat, n=grid.points_per_dim, axis=axes[0])
-    import scipy.fft
-    if not overwrite:
-        hat = hat.astype(complex)
-    for ax in axes[:-1]:
-        _in_place(scipy.fft.ifft, hat, ax)
-    return scipy.fft.irfft(hat, n=grid.points_per_dim, axis=axes[-1])
+    inverses of the axes but the last run in place, in irfftn's order, then
+    the last axis' irfft: in a new array, or with ``overwrite`` in ``hat``
+    itself, which the caller gives up."""
+    last = grid.dims_active - 4
+    for ax in range(-3, last):
+        hat = np.fft.ifft(hat, axis=ax, out=hat if overwrite or ax > -3 else None)
+    return np.fft.irfft(hat, n=grid.points_per_dim, axis=last)
 
 
 def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The box coefficients (..., *box) of values (..., *grid.shape): the
-    rfft of the last active axis, then a c2c transform of each other active
-    axis, in the order ``array_rfft`` takes them, on the lines that reach
-    the box alone: the first c modes of the last axis, and the box blocks
-    of the axes transformed before.  Bit for bit ``array_rfft`` restricted
-    to ``Grid.box_index``.  On one active axis it is numpy's rfft and one
-    contiguous copy of the kept modes.  ``out`` receives the result, as
-    for a numpy ufunc."""
-    axes = grid.fft_axes
-    if len(axes) == 1:  # one block, the first c modes: a plain copy, the fewest numpy calls
-        hat = np.fft.rfft(values, axis=axes[0])[grid._box_blocks[0][1]]
-        if out is None:
-            return hat.copy()
-        np.copyto(out, hat)
+    """The box coefficients (..., *box) of values (..., *grid.shape), bit
+    for bit ``array_rfft`` restricted to ``Grid.box_index``: the rfft of the
+    last active axis, then a c2c transform of the first on its first c
+    modes, then of the second on the first's box lines alone.  On three
+    axes the rows go in chunks of ``Grid._chunk_rows`` (``_box_rfft_rows``),
+    so its temporaries stay small.  On one active axis it is numpy's rfft
+    and one copy of the kept modes.  ``out`` receives the result, as for a
+    numpy ufunc."""
+    n, d, c = grid.points_per_dim, grid.dims_active, grid.box_modes
+    target = out if out is not None and out.flags.c_contiguous else \
+        np.empty(values.shape[:-3] + grid.box.k2.shape, dtype=complex)
+    if d == 1:  # the first c modes: a plain copy, the fewest numpy calls
+        np.copyto(target, np.fft.rfft(values, axis=-3)[..., :c, :, :])
+    elif d == 2:
+        hat = np.fft.rfft(values, axis=-2)[..., :c, :]
+        np.fft.fft(hat, axis=-3, out=hat)
+        for into, line in grid._box_blocks:
+            target[..., into, :, :] = hat[..., line, :, :]
+    else:
+        x, rows = values.reshape((-1, n, n, n)), target.reshape((-1,) + grid.box.k2.shape)
+        step = grid._chunk_rows
+        for r in range(0, len(x), step):
+            _box_rfft_rows(grid, x[r:r + step], rows[r:r + step])
+    if out is not None and target is not out:
+        np.copyto(out, target)
         return out
-    import scipy.fft
-    hat = scipy.fft.rfft(values, axis=axes[-1])
-    for i, ax in enumerate(axes[:-1]):
-        for view in grid._box_lines(i, before=True):
-            _in_place(scipy.fft.fft, hat[view], ax)
-    if out is None:
-        out = np.empty(hat.shape[:-3] + grid.box.k2.shape, dtype=complex)
-    for box, half in grid._box_blocks:
-        out[box] = hat[half]
-    return out
+    return target
+
+
+def _box_rfft_rows(grid: Grid, x: np.ndarray, out: np.ndarray) -> None:
+    """``box_rfft`` on three axes of rows x (rows, n, n, n) into ``out``
+    (rows, *box), through a slab (first, rows, c, second) in which both c2c
+    transforms are one call."""
+    n, c = grid.points_per_dim, grid.box_modes
+    hat = np.fft.rfft(x, axis=-1)[..., :c]
+    slab = np.empty((n, len(x), c, n), dtype=complex)
+    np.copyto(slab, np.moveaxis(hat.swapaxes(-1, -2), 1, 0))
+    del hat  # not held through the transforms
+    np.fft.fft(slab, axis=0, out=slab)
+    for into, line in grid._box_blocks:
+        part = slab[line]
+        np.fft.fft(part, axis=-1, out=part)
+        for into_b, line_b in grid._box_blocks:
+            out[:, into, :, into_b] = part[..., line_b].swapaxes(0, 1)
 
 
 def box_irfft(grid: Grid, box: np.ndarray) -> np.ndarray:
     """Grid values (..., *grid.shape) of box coefficients (..., *box), bit
-    for bit ``array_irfft`` of the zero-padded half-spectrum: the box is
-    placed in a zero half-spectrum, each active axis but the last is
-    inverted, in the order ``array_irfft`` takes them, on the lines that
-    hold box modes alone (the first c modes of the last axis, and the box
-    blocks of the axes inverted after it), then the last axis' irfft."""
-    n, axes = grid.points_per_dim, grid.fft_axes
-    if len(axes) == 1:
-        return np.fft.irfft(box, n=n, axis=axes[0])
-    import scipy.fft
-    hat = np.zeros(box.shape[:-3] + grid.half_k_squared.shape, dtype=complex)
-    for part, half in grid._box_blocks:
-        hat[half] = box[part]
-    for i, ax in enumerate(axes[:-1]):
-        for view in grid._box_lines(i, before=False):
-            _in_place(scipy.fft.ifft, hat[view], ax)
-    return scipy.fft.irfft(hat, n=n, axis=axes[-1])
-
-
-def _in_place(transform, view: np.ndarray, axis: int) -> None:
-    """A scipy.fft c2c transform of a view along ``axis``, written into it:
-    scipy transforms a complex view given ``overwrite_x`` in place, and the
-    result is copied back should it not."""
-    result = transform(view, axis=axis, overwrite_x=True)
-    if not np.may_share_memory(result, view):
-        view[...] = result
+    for bit ``array_irfft`` of the zero-padded half-spectrum: the box in a
+    zero array (first, [second,] rows, c) that holds the first c modes of
+    the last axis, a c2c inverse of the first axis on the box lines of the
+    second, then one of the second, then the last axis' irfft, which pads
+    the c modes with zeros."""
+    n, d, c = grid.points_per_dim, grid.dims_active, grid.box_modes
+    if d == 1:
+        return np.fft.irfft(box, n=n, axis=-3)
+    out = np.empty(box.shape[:-3] + grid.shape)
+    rows = out.reshape((-1,) + (n,) * d)
+    # the box as (first, [second,] rows, c)
+    stored = box.reshape((len(rows),) + grid.box.k2.shape[:d])
+    stored = stored.transpose((1, 3, 0, 2) if d == 3 else (1, 0, 2))
+    half = np.zeros((n,) * (d - 1) + (len(rows), c), dtype=complex)
+    seconds = grid._box_blocks if d == 3 else ((slice(None), slice(None)),)
+    for into, line in grid._box_blocks:
+        for into_b, line_b in seconds:
+            half[line, line_b] = stored[into, into_b]
+    for _, line_b in seconds:
+        part = half[:, line_b]
+        np.fft.ifft(part, axis=0, out=part)
+    if d == 3:
+        np.fft.ifft(half, axis=1, out=half)
+    # rows first in both operands, so each call runs on the lines of a row
+    np.fft.irfft(np.moveaxis(half, -2, 0), n=n, axis=-1, out=rows)
+    return out
 
 
 def leray_project(khat: np.ndarray, v_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -318,6 +318,44 @@ def test_setup_does_not_import_scipy_linalg():
     assert proc.returncode == 0, proc.stderr
 
 
+_NO_SCIPY_CONFIGS = {
+    "grid3.ini": "[grid]\ndims_active = 3\npoints_per_dim = 8\n[step]\ndt = 2e-4\nt_end = 1.2e-3\n"
+                 "[initial]\nmax_wavenumber = 2\n[diagnostics]\nsnapshot_stride = 2\n",
+    "grid2.ini": "[grid]\ndims_active = 2\npoints_per_dim = 16\n[step]\ndt = 2e-4\nt_end = 1e-3\n",
+}
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import refused, a
+    # 3-D run and the audit of its snapshots, a 2-D sweep, the reformulation
+    # check and the Moser ensemble exit as they do with it, and load no
+    # scipy module
+    for name, text in _NO_SCIPY_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    code = (
+        "import importlib.abc, sys\n"
+        "class NoScipy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} refused')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from nsmlimit.cli import main\n"
+        "codes = [main(['run', '--config', 'grid3.ini', '--out', 'out3']),\n"
+        "         main(['audit', '--record', 'out3/run_kappa0.1_snapshots.npz']),\n"
+        "         main(['sweep', '--config', 'grid2.ini', '--out', 'out2']),\n"
+        "         main(['reform-check', '--config', 'grid3.ini', '--states', '2']),\n"
+        "         main(['moser', '--config', 'grid2.ini', '--pairs', '2'])]\n"
+        "assert codes == [0] * 5, codes\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _random_state(grid, seed, kappas):
     """Random stacked (n, u, J, E, B) box coefficients with 0.9 <= n <= 1.1
     before the box is cut, one per kappa, and their Params."""
@@ -599,9 +637,12 @@ def test_transform_calls_per_step(grid, monkeypatch):
     # recorded only the densities.  So 10 transforms from a grid stack and
     # 9 from a carried one, recorded or not, for one state, the limit alone,
     # a batch of 4, or the limit and a batch of 4 stepped together.  A box
-    # transform is numpy's rfft or irfft on one active axis; on three, the
-    # real transform of the last axis, one c2c transform of the first and
-    # one of the second for each of the first axis' two box blocks.
+    # transform is numpy's rfft or irfft on one active axis.  On three, the
+    # forward one is the real transform of the last axis, one c2c transform
+    # of the first, and one of the second for each of the first axis' two
+    # box blocks (per chunk of rows, one chunk here); the inverse one is a
+    # c2c inverse of the first axis for each of the second axis' two box
+    # blocks, one of the second, then the last axis' irfft.
     p = Params(kappa=0.1)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))

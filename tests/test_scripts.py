@@ -88,6 +88,24 @@ def test_bench_record_assembly():
     assert set(bench.environment()) >= {"python", "numpy", "scipy", "thread_env", "git_commit"}
 
 
+def test_bench_environment_without_scipy(monkeypatch):
+    # scipy is a test dependency only: where it cannot be imported the
+    # record names no version for it
+    import builtins
+
+    bench = _load("bench")
+    real_import = builtins.__import__
+
+    def refuse_scipy(name, *args, **kwargs):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} refused")
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", refuse_scipy)
+    env = bench.environment()
+    assert env["scipy"] is None and env["numpy"]
+
+
 def test_bench_repeats_give_median_and_quartiles():
     bench = _load("bench")
 
@@ -164,6 +182,16 @@ def test_step_ab_smoke(tmp_path, capsys):
         peaks = re.findall(rf"^  {tag}{times} +(\d+\.\d{{3}})$", out, re.M)
         assert len(peaks) == 1 and float(peaks[0]) > 0.0
     assert len(re.findall(r"B faster in \d/2 rounds; final states bit-identical$", out, re.M)) == 2
+    # the 3-D run alone ends with the A/B of its rate's box transforms: the
+    # paired stack (the limit's 4 rows and the member's 13) to the grid, its
+    # 33 product rows forward, 11 conservative-rate rows back and 9
+    # quotient rows forward
+    assert re.findall(r"^  transforms of one rate evaluation, rows: (.*)$", out, re.M) == [
+        "inverse 17, forward 33, inverse 11, forward 9"]
+    assert len(re.findall(r"^  tree +median_ms +q1_ms +q3_ms$", out, re.M)) == 1
+    for tag in "AB":
+        assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}}$", out, re.M)) == 1
+    assert re.search(r"^  transforms B/A median \d+\.\d{3}; B faster in \d/2 rounds$", out, re.M)
 
 
 def test_step_ab_compares_states_member_by_member():

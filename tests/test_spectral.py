@@ -526,3 +526,22 @@ def test_array_irfft_gives_the_irfftn_bits(grid):
     want = irfftn(hat, s=(grid.points_per_dim,) * grid.dims_active, axes=grid.fft_axes)
     assert np.array_equal(array_irfft(grid, hat), want) and np.array_equal(hat, kept)
     assert np.array_equal(array_irfft(grid, hat, overwrite=True), want)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16), Grid(3, 8), Grid(3, 32)], ids=["2d16", "3d8", "3d32"])
+@pytest.mark.parametrize("rows", [1, 17, 33], ids=["1row", "17rows", "33rows"])
+def test_array_rfft_gives_the_rfftn_bits(grid, rows):
+    # the forward transform axis by axis in numpy against scipy's n-d one,
+    # and the box transforms against it restricted to the box and on the
+    # zero-padded half-spectrum, against scipy's n-d inverse
+    import scipy.fft
+    values = np.random.default_rng(rows).normal(size=(rows,) + grid.shape)
+    kept = values.copy()
+    want = scipy.fft.rfftn(values, axes=grid.fft_axes)
+    assert np.array_equal(array_rfft(grid, values), want) and np.array_equal(values, kept)
+    box = box_rfft(grid, values)
+    assert np.array_equal(box, want[(...,) + grid.box_index])
+    padded = np.zeros_like(want)
+    padded[(...,) + grid.box_index] = box
+    shape = (grid.points_per_dim,) * grid.dims_active
+    assert np.array_equal(box_irfft(grid, box), scipy.fft.irfftn(padded, s=shape, axes=grid.fft_axes))
