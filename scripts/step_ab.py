@@ -42,10 +42,10 @@ transforms it makes (``model._full_rate`` through its layout), and a pass
 replays them on copies of their arguments.  Per round each tree makes one
 pass, in alternating order, after one untimed warm-up pass.  Reported per
 tree: the rows of each transform, the median and quartiles of the pass
-time, and the rounds in which B's pass was faster.  That ratio resolves a
-few percent where whole 3-D steps do not: two runs on the same two trees
-read 1.17 and 1.20, while their steps read 53-105 ms from one process to
-the next.
+time, and the rounds in which B's pass was faster.  That ratio spreads
+less than whole 3-D steps do: four 30-round runs on the same two trees
+read 1.004, 1.064, 1.066 and 1.106, while their step ratios read 0.967 to
+1.035 and their median steps 66-89 ms from one process to the next.
 
 Both trees share one process and its heap, so each side's temporaries are
 placed by the other's allocation history.  On the call-overhead-bound 1-D
