@@ -336,8 +336,9 @@ def _require_same_grid(a: Grid, b: Grid) -> Grid:
 # when the lines run along the outermost axis of a contiguous block or along
 # its last; along a middle axis it makes one call per short run of lines,
 # about 1.7 us each on 32^3.  The half-spectrum transforms in place and pays
-# that on its middle axis.  The box needs a new array anyway, to gather or to
-# zero-pad its modes, and lays that out so that each c2c transform is one call.
+# that on its middle axis: turning the axis last costs two full copies, which
+# measured slower.  The box needs a new array anyway, to gather or to zero-pad
+# its modes, and lays that out so that each c2c transform is one call.
 def array_rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
     last = grid.dims_active - 4
     hat = np.fft.rfft(values, axis=last)
