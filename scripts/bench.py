@@ -12,7 +12,8 @@ and scipy versions (scipy None where it is not installed), the thread
 environment and the git commit of the measured tree.  After each perfbench run the tree's Tier-1 test command
 (``TIER1``, with the tree's ``src`` on PYTHONPATH) runs once; the record
 holds its wall time (median, quartiles, samples) and its pass/fail/error
-counts per run, and the line count of the tree's ``src/nsmlimit/*.py``.
+counts per run, and the line count of the tree's ``src/nsmlimit/*.py``,
+all lines and code lines alone (``src_code_lines``).
 Several ``--tag``/``--tree`` pairs are measured in turn, one run of each
 per repeat, in reversed order on every other repeat, so that their samples
 alternate and each side runs first as often.
@@ -21,6 +22,8 @@ alternate and each side runs first as often.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -28,6 +31,7 @@ import re
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,13 +86,40 @@ def src_lines(tree: Path = ROOT) -> int:
     return sum(path.read_text().count("\n") for path in (tree / "src" / "nsmlimit").glob("*.py"))
 
 
+# tokens that are no code of their own
+_LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                  tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def src_code_lines(tree: Path = ROOT) -> int:
+    """Lines of ``src/nsmlimit/*.py`` in ``tree`` that hold code: not blank,
+    not a comment alone, and not part of a module, class or function
+    docstring."""
+    total = 0
+    for path in (tree / "src" / "nsmlimit").glob("*.py"):
+        text = path.read_text()
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _LAYOUT_TOKENS:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = node.body[0] if node.body else None
+                if (isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+                        and isinstance(doc.value.value, str)):
+                    lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+        total += len(lines)
+    return total
+
+
 def assemble(tag: str, seconds: float, runs: list, environment: dict,
-             tier1: list = (), lines: int | None = None) -> dict:
+             tier1: list = (), lines: int | None = None, code_lines: int | None = None) -> dict:
     """The BENCH record of ``runs``, one ``parse_workloads`` result per run:
     per workload, every end-to-end metric's ``summarize`` over the runs with
     its unit, and the unit counts summed over the runs; with ``tier1``, one
     ``run_tier1`` result per run, the Tier-1 wall time's ``summarize`` and
-    the per-run counts; and ``lines``, the ``src_lines`` of the tree."""
+    the per-run counts; and ``lines`` and ``code_lines``, the ``src_lines``
+    and ``src_code_lines`` of the tree."""
     workloads = {}
     for name in runs[0]:
         rows = [run[name] for run in runs]
@@ -101,7 +132,8 @@ def assemble(tag: str, seconds: float, runs: list, environment: dict,
             "units": {k: m["unit"] for k, m in metrics.items()},
         }
     record = {"tag": tag, "seconds": seconds, "runs": len(runs), "environment": environment,
-              "workloads": workloads, "src_lines": lines, "tier1": None}
+              "workloads": workloads, "src_lines": lines,
+              "src_code_lines": code_lines, "tier1": None}
     if tier1:
         record["tier1"] = {"command": "python " + " ".join(TIER1),
                            "wall_s": summarize([r["wall_s"] for r in tier1]),
@@ -165,7 +197,8 @@ def main(argv=None) -> int:
             tier1[tag].append(run_tier1(tree))
             print(f"bench: Tier-1 of {tag}: {tier1[tag][-1]}", flush=True)
     for tag, tree in sides:
-        record = assemble(tag, args.seconds, runs[tag], environment(tree), tier1[tag], src_lines(tree))
+        record = assemble(tag, args.seconds, runs[tag], environment(tree), tier1[tag], src_lines(tree),
+                          src_code_lines(tree))
         out = ROOT / f"BENCH_{tag}.json"
         out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
         print(f"wrote {out}")

@@ -11,8 +11,10 @@ class VacuumError(SimulationError):
     ``member`` is the index of the failing state within a batch of states
     stepped together (0 for a single state; None where no step is involved).
     ``time`` is the time the message names, as for BlowUpError (None where
-    it names none).
+    it names none).  ``status`` is the run status the error ends a run with.
     """
+
+    status = "vacuum"
 
     def __init__(self, message: str = "", member: int | None = None, time: float | None = None):
         self.member = member
@@ -21,7 +23,10 @@ class VacuumError(SimulationError):
 
 
 class BlowUpError(SimulationError):
-    """NaN/Inf detected during time stepping; ``member`` as for VacuumError."""
+    """NaN/Inf detected during time stepping; ``member`` and ``status`` as
+    for VacuumError."""
+
+    status = "blowup"
 
     def __init__(self, time: float, message: str | None = None, member: int | None = None):
         self.time = time

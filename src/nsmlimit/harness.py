@@ -1,27 +1,15 @@
 """Run configuration, paired full/limit runs, kappa sweeps and persistence.
 
-A run evolves the scaled system and its limit on the same grid and step,
-recording a snapshot every ``snapshot_stride`` steps and at the last step;
-after the march each snapshot gets its EnergyLedger row.  A sweep runs a
-decreasing kappa list and fits the log-log rate of sup_t sqrt(Gamma)
+A run marches one member set (``integrator.march``): the limit system,
+which does not depend on kappa and is the scaled system without current
+and fields, first, then the scaled system at each kappa of the run.  So a
+paired step is one ``step_full`` call, and the set's one operator serves
+both systems.  Each recorded step gives every member a snapshot, and after
+the march each member's snapshots get their EnergyLedger rows.
+``run_single`` with a tuple of kappas runs them as one batch, with one
+limit for all; each member's records are bit for bit those of its own run.
+A sweep is one such batch, and fits the log-log rate of sup_t sqrt(Gamma)
 against kappa.
-
-A run steps one stacked array, the member set of ``integrator.step_full``,
-and builds states only where it records: the limit system, which does not
-depend on kappa and is the scaled system without current and fields, is
-its first member, and the scaled system at each kappa of the run one more.
-So a paired step is one ``step_full`` call on the stack, and the set's one
-operator, which holds its grid, dt, Params and coefficients, serves both
-systems.  Only the steps that record bring the stack to the grid; between
-them the run carries the set on the 2/3-rule box
-(``integrator.HalfStack``) from one step to the next, its Strang
-half-steps fused.  ``run_single`` with a tuple of kappas runs them as one
-batch, and the limit is built, stepped and recorded once for all of them.
-Each member's records are bit for bit those of its own run.  A member that
-blows up or hits vacuum gets its own status, message and step count and
-leaves the set; the others redo that step without it.  A failure of the
-limit ends every member with the limit's message.  A sweep is one such
-batch.
 
 ``run_single`` calls ``step_full``, ``build_stiff_operator``,
 ``make_energy_ledger``, ``make_limit_data``, ``make_well_prepared`` and
@@ -63,7 +51,7 @@ from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
 from .errors import BlowUpError, ConfigError, VacuumError
 from .initdata import (WellPreparedSpec, _perturbations, hypothesis_certificate, make_limit_data,
                        make_well_prepared)
-from .integrator import HalfStack, StepControl, build_stiff_operator, step_full
+from .integrator import StepControl, build_stiff_operator, march, step_full
 from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
@@ -338,36 +326,22 @@ def run_single(
     cfg: RunConfig,
     kappa: float | tuple[float, ...] | None = None,
 ):
-    """Evolve the paired full/limit systems, collecting ledger rows and
-    snapshots at the configured stride.
+    """March the paired full/limit systems (``integrator.march``),
+    collecting snapshots every ``snapshot_stride`` steps and at the last.
 
     ``kappa`` is one value (default: the config's), returning one
-    RunRecord, or a tuple of values, returning their RunRecords in order.
-    A tuple is a batch run together.  The run holds one stack, the member
-    set (``model``, "member sets") of the limit system, which does not
-    depend on kappa and is made once, and of the K members, (4 + 13 K,
-    *shape); every step is one ``step_full`` call on it with the set's
-    operator, built again only when a member leaves.  A step is recorded
-    every ``snapshot_stride`` steps and at the last step; the steps between
-    records are not, and the run carries the set on the 2/3-rule box
-    from one of them to the next.  A record builds FullState/LimitState
-    views of the stack its step returned (each recorded step returns a new
-    one, so a snapshot is never overwritten) and runs the ledger's density
-    checks on them.  After the march, each member's ledger rows are one
-    ``make_energy_ledger`` call on its snapshots.  A member's records are
-    bit for bit those of its own run.  A member that blows up or hits
-    vacuum gets its own status, message and step count and leaves the
-    stack; the others redo that step.  A blow-up or vacuum of the limit
-    ends every member with the limit's message and step count; a member
-    that fails the same check is reported first, with its own.  Every member's ``wall_seconds`` is the
-    batch's, and ``batch_members`` says how many ran.  A record is tagged
+    RunRecord, or a tuple of values, a batch run together, returning their
+    RunRecords in order.  A record views the stack its step returned and
+    runs the ledger's density checks.  After the march, each member's
+    ledger rows are one ``make_energy_ledger`` call on its snapshots.  A
+    member that blows up, hits vacuum or fails a record's density check
+    gets its own status, message and step count and leaves the set.  A
+    failure of the limit ends every member with the limit's message and
+    step count; a member that fails the same check is reported first, with
+    its own.  Every member's ``wall_seconds`` is the batch's, and
+    ``batch_members`` says how many ran.  A record is tagged
     ``run_kappa<kappa>``.  Initial data with a nonpositive density raise
-    ConfigError, naming the member's kappa and min n, before any step.
-
-    This is the only loop that steps both systems (``integrator.evolve``
-    marches one state).  It calls the solver through this module's names on
-    every step (see the module docstring): perfbench wraps them there, and
-    times set-up from entry to the first ``harness.step_full`` call."""
+    ConfigError, naming the member's kappa and min n, before any step."""
     batch = isinstance(kappa, tuple)
     kappas = kappa if batch else (cfg.params.kappa if kappa is None else kappa,)
     try:
@@ -410,59 +384,47 @@ def run_single(
     live = list(range(len(params)))  # members still stepping, in stack order after the limit
     x = _join(stacks)
     del stacks, perturbations  # x holds their rows
-    steps_done, op = 0, None
 
-    def leave(i, exc):
-        """The member at stack position i (the limit is 0) fails and leaves
-        the stack; the others get a new operator."""
-        nonlocal x, op
-        k = live.pop(i - 1)
-        records[k].status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
-        records[k].message = str(exc)
-        records[k].n_steps = steps_done
-        x = x.drop(i) if isinstance(x, HalfStack) else _drop(x, i)
-        op = None
+    def end(k, exc, steps):
+        records[k].status, records[k].message, records[k].n_steps = exc.status, str(exc), steps
 
-    def record(t):
+    def build():
+        members, means = zip(*[(params[k], n_means[k]) for k in live])
+        if len(live) == 1:
+            members, means = members[0], means[0]
+        return build_stiff_operator(grid, members, means, dt, limit_mean=limit.n.mean)
+
+    def record(i, y):
         """A snapshot of every live member, as views of the stack.  The
         ledger's density checks run here, so a member leaves at the step they
         fail."""
-        limit = _state_view(grid, x)
-        for i in reversed(range(1, len(live) + 1)):  # backwards, so leave() keeps the positions before i
-            full = _state_view(grid, x, i)
+        t = i * dt
+        limit = _state_view(grid, y)
+        for pos in reversed(range(1, len(live) + 1)):  # backwards, so a drop keeps the positions before
+            full = _state_view(grid, y, pos)
             try:
                 _check_ledger_densities((t,), full.n.values[None], limit.n.values[None])
             except VacuumError as exc:
-                leave(i, exc)
+                end(live.pop(pos - 1), exc, i)
+                y = _drop(y, pos)
             else:
-                records[live[i - 1]].snapshots.append((t, full, limit))
+                records[live[pos - 1]].snapshots.append((t, full, limit))
+        return y if live else None
+
+    def leave(i, exc):
+        """The member at stack position ``exc.member`` leaves; a failure of
+        the limit (position 0) ends every member."""
+        for k in [live[exc.member - 1]] if exc.member else live[:]:
+            live.remove(k)
+            end(k, exc, i)
+        return bool(live)
 
     start = _time.perf_counter()
-    record(0.0)
-    n_steps = cfg.step.n_steps
-    while steps_done < n_steps and live:
-        t = steps_done * dt
-        if op is None:
-            members, means = zip(*[(params[k], n_means[k]) for k in live])
-            if len(live) == 1:
-                members, means = members[0], means[0]
-            op = build_stiff_operator(grid, members, means, dt, limit_mean=limit.n.mean)
-        recorded = (steps_done + 1) % cfg.snapshot_stride == 0 or steps_done + 1 == n_steps
-        try:
-            stepped = step_full(x, op, t=t, record=recorded)
-        except (BlowUpError, VacuumError) as exc:
-            if exc.member:
-                leave(exc.member, exc)  # the others redo this step
-                continue
-            while live:  # the limit failed: every member ends with it
-                leave(1, exc)
-            break
-        x = stepped
-        steps_done += 1
-        if recorded:
-            record(steps_done * dt)
+    # step_full is looked up per step: perfbench swaps it for a one-shot probe
+    steps = march(x, build, cfg.step.n_steps, dt, cfg.snapshot_stride, record, leave,
+                  step=lambda *a, **k: step_full(*a, **k))
     for k in live:
-        records[k].n_steps = steps_done
+        records[k].n_steps = steps
     for rec, p, mass0 in zip(records, params, masses):
         if rec.snapshots:
             rec.rows = make_energy_ledger(*zip(*rec.snapshots), p, cfg.l, mass0)

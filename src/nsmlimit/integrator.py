@@ -18,19 +18,20 @@ which is second order, unconditionally stable in kappa, and reduces to
 plain SSP-RK2 when L = 0.  E and B are Leray-projected after every step.
 The remainder N - L is formed directly by the rates, so L is never applied
 and the 1/kappa curl terms, which N and L share, are never formed.  In a
-march of such steps the closing half-flow of one step and the opening
+sequence of such steps the closing half-flow of one step and the opening
 half-flow of the next compose into one full flow exp(dt L) (Strang, SIAM
 J. Numer. Anal. 5, 1968; Hairer, Lubich & Wanner, *Geometric Numerical
-Integration*, 2006), so between two recorded steps a march stays on the
-box and applies exp(dt L) once per step; only a recorded step closes with
+Integration*, 2006), so between two recorded steps the set stays on the
+box and gets exp(dt L) once per step; only a recorded step closes with
 exp(dt/2 L) and returns to the grid.  The operator tabulates both
-exponentials.
+exponentials.  ``march`` is the one loop of such steps: ``evolve`` marches
+a lone state through it, and ``harness.run_single`` a run's member set.
 
 ``step_full`` steps a member set (``model``, "member sets"): the states
 stepped together, in field-major rows.  A lone state is its own stack,
 (n, u, j~, E, B), (13, *shape), or (n, u), (4, *shape), for the limit
-system; ``harness.run_single`` steps the limit and the scaled system at
-each kappa as one set, the limit first.  The set's operator
+system; a run steps the limit and the scaled system at each kappa as one
+set, the limit first.  The set's operator
 (``build_stiff_operator``) describes it whole: the grid, dt, the row
 layout and the rate coefficients, so a step takes the stack, the operator
 and the time alone.  The limit is the scaled system on J = E = B = 0: its
@@ -67,7 +68,6 @@ term-by-term form.
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -97,6 +97,7 @@ __all__ = [
     "build_stiff_operator",
     "step_full",
     "HalfStack",
+    "march",
     "evolve",
     "StepLog",
 ]
@@ -546,6 +547,45 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
 # driver
 
 
+def march(x, build: Callable, n_steps: int, dt: float, stride: int, record: Callable,
+          leave: Callable, step: Callable = step_full, forcing: Callable | None = None) -> int:
+    """March the member set x, a grid stack, through ``n_steps`` steps of
+    ``dt`` from t = 0, and return the number of steps made; the one stepping
+    loop of the package.
+
+    ``record(i, y)`` gets the grid stack y after i steps, at i = 0, every
+    ``stride`` steps and at the last step, the only steps recorded
+    (``step_full``): between them the set stays on the 2/3-rule box as the
+    HalfStack each step hands the next.  It returns the set to march on
+    with: y, y less members that left at the record (``model._drop``), or
+    None to stop.  A step that fails with BlowUpError or VacuumError calls
+    ``leave(i, exc)``, i the steps made: when it returns true, the failing
+    member (``exc.member``) leaves the set and the others redo the step, and
+    otherwise the march stops there.  The operator is ``build()``, called
+    before the first step and again after every change of the set.  Each
+    step is ``step(x, op, t=, forcing=, record=)``: ``step_full``, or a
+    callable that looks a stepper up at each call, so that a stepper swapped
+    in during the march is the one that runs."""
+    x, op, i = record(0, x), None, 0
+    while x is not None and i < n_steps:
+        if op is None:
+            op = build()
+        last = (i + 1) % stride == 0 or i + 1 == n_steps
+        try:
+            y = step(x, op, t=i * dt, forcing=forcing, record=last)
+        except (BlowUpError, VacuumError) as exc:
+            if not leave(i, exc):
+                break
+            x = x.drop(exc.member) if isinstance(x, HalfStack) else _drop(x, exc.member)
+            op = None
+            continue
+        i += 1
+        x = record(i, y) if last else y
+        if x is not y:  # members left at the record
+            op = None
+    return i
+
+
 @dataclass
 class StepLog:
     """What happened during an evolve call."""
@@ -553,7 +593,6 @@ class StepLog:
     status: str = "completed"
     message: str = ""
     n_steps: int = 0
-    wall_seconds: float = 0.0
 
 
 def evolve(
@@ -564,52 +603,37 @@ def evolve(
     stride: int = 1,
     forcing: Callable | None = None,
 ):
-    """March one full or limit state to t_end (the paired full/limit run is
-    ``harness.run_single``).
+    """March one full or limit state to t_end (``march``) with the operator
+    built at its initial mean density; ``forcing`` is passed to every step.
 
-    The state is stacked once; states viewing the stack are built only for
-    the observer and the result.  The stiff operator is built once, at the
-    initial mean density, and the march makes ``sc.n_steps`` steps at
-    t = i*dt (``StepControl`` has checked that they end at t_end).
     observer(step_index, t, state) runs at t = 0 and every ``stride``
-    steps, and the states it gets keep their values: each step returns a
-    new stack.  Only those steps and the last are recorded (``step_full``);
-    between them the march stays on the 2/3-rule box.  The steps hold the
-    box modes alone, so a state with content above the 2/3 cutoff loses
-    that content at the first step's transform (a run's initial data are
-    band-limited inside it: ``harness.RunConfig`` bounds
-    ``initial.max_wavenumber``).  ``forcing`` is passed to every step.  A
-    blow-up or vacuum ends the march with that status, and the state
-    returned is then the last one brought to the grid: the last observed
-    state, or the initial one.  Returns
-    (final_state, StepLog)."""
+    steps; without one only the last step is recorded.  The states it gets
+    view the stack their step returned, so they keep their values.  A
+    blow-up or vacuum ends the march with that status.  Returns
+    (final_state, StepLog): the final state is the last one recorded, the
+    state passed in if none was."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
-    n_steps = sc.n_steps
-    grid = state.grid
-    x, shown = _stacked(state), None  # shown: the last stack stepped to the grid
-    log = StepLog()
-    start = _time.perf_counter()
-    if observer is not None:
-        observer(0, 0.0, state)
-
+    grid, log, shown = state.grid, StepLog(), state
+    x = _stacked(state)
     mean = float(x[0].mean())
-    if isinstance(state, FullState):
-        op = build_stiff_operator(grid, p, mean, sc.dt)
-    else:
-        op = build_stiff_operator(grid, p, (), sc.dt, limit_mean=mean)
-    try:
-        while log.n_steps < n_steps:
-            i = log.n_steps + 1
-            seen = observer is not None and i % stride == 0
-            x = step_full(x, op, t=log.n_steps * sc.dt, forcing=forcing, record=seen or i == n_steps)
-            log.n_steps = i
-            if not isinstance(x, HalfStack):
-                shown = x
-            if seen:
-                observer(i, i * sc.dt, _state_view(grid, x))
-    except (BlowUpError, VacuumError) as exc:
-        log.status = "blowup" if isinstance(exc, BlowUpError) else "vacuum"
-        log.message = str(exc)
-    log.wall_seconds = _time.perf_counter() - start
-    return (state if shown is None else _state_view(grid, shown)), log
+    n_mean, limit_mean = (mean, None) if isinstance(state, FullState) else ((), mean)
+
+    def build():
+        return build_stiff_operator(grid, p, n_mean, sc.dt, limit_mean=limit_mean)
+
+    def record(i, y):
+        nonlocal shown
+        if i:
+            shown = _state_view(grid, y)
+        if observer is not None and i % stride == 0:
+            observer(i, i * sc.dt, shown)
+        return y
+
+    def leave(i, exc):
+        log.status, log.message = exc.status, str(exc)
+        return False
+
+    log.n_steps = march(x, build, sc.n_steps, sc.dt, stride if observer is not None else max(sc.n_steps, 1),
+                        record, leave, forcing=forcing)
+    return shown, log

@@ -85,6 +85,9 @@ class PressureLaw:
     gamma: float = 5.0 / 3.0
 
     def __post_init__(self):
+        for name, value in (("pressure amplitude", self.amplitude), ("adiabatic exponent", self.gamma)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.amplitude > 0:
             raise ValueError("pressure amplitude must be positive")
         if not self.gamma >= 1:
@@ -147,6 +150,9 @@ class Params:
             raise ValueError("kappa must lie in (0, 1]")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
+        for name in ("mu", "lam", "tau", "eta", "kappa_ei", "k_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
         if not 2.0 * self.mu + 3.0 * self.lam > 0:

@@ -1,5 +1,5 @@
 """Convergence guards: the kappa gap the sweep measures is the model's, not
-the time step's."""
+the time step's or the grid's."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nsmlimit import harness
 from nsmlimit.harness import parse_config, run_single
 from nsmlimit.integrator import StepControl
+from nsmlimit.model import _stacked, _state_view
+from nsmlimit.spectral import Grid
 
 ACCEPTANCE = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
 
@@ -45,3 +48,44 @@ def test_dt_halving_is_second_order_and_far_below_the_kappa_gap(epsilon):
     ratio = d[0] / d[1]
     assert ((3.5 <= ratio) & (ratio <= 4.5)).all(), ratio
     assert (d[0] <= 1e-3).all(), d[0]
+
+
+def _padded(state, grid):
+    """A 1-D state's fields zero-padded spectrally onto the finer ``grid``."""
+    n = grid.points_per_dim
+    values = np.fft.irfft(np.fft.rfft(_stacked(state), axis=-3), n=n, axis=-3)
+    return _state_view(grid, values * (n / state.grid.points_per_dim))
+
+
+def test_refining_the_grid_under_the_same_data_keeps_every_gamma(monkeypatch):
+    # The acceptance batch to t = 0.02 on 64 points and on 128, where the
+    # 128-point run starts from the 64-point data zero-padded spectrally:
+    # make_limit_data and make_well_prepared build them on 64 points.  (The
+    # data recipe itself depends on the grid at O(h^2): data built on 128
+    # points move these Gammas by 1.3e-6 to 3.0e-6 relative.)
+    #
+    # Measured: every ledger Gamma agrees to <= 3.2e-13 relative at 128
+    # points and <= 8.0e-13 at 256 (<= 3.4e-12 to t = 0.1).  The bound is
+    # 1e-11, a 30x margin, five orders below what grid-dependent data move;
+    # Gamma differs by a factor of about 4 from one member to the next.
+    cfg = replace(parse_config(ACCEPTANCE), step=StepControl(dt=2e-4, t_end=0.02))
+    kappas = tuple(cfg.kappa_list)
+    coarse = run_single(cfg, kappa=kappas)
+    fine_grid = Grid(1, 128, cfg.grid.period)
+    limit = []
+    make_limit_data, make_well_prepared = harness.make_limit_data, harness.make_well_prepared
+
+    def padded_limit(grid, **kwargs):
+        limit.append(make_limit_data(cfg.grid, **kwargs))
+        return _padded(limit[-1], grid)
+
+    def padded_full(spec, perturbations=None):
+        return _padded(make_well_prepared(replace(spec, base=limit[-1])), fine_grid)
+
+    monkeypatch.setattr(harness, "make_limit_data", padded_limit)
+    monkeypatch.setattr(harness, "make_well_prepared", padded_full)
+    fine = run_single(replace(cfg, grid=fine_grid), kappa=kappas)
+    for a, b in zip(coarse, fine):
+        assert (a.status, b.status, len(a.rows)) == ("completed", "completed", 5)
+        assert np.array_equal(a.times(), b.times())
+        assert (np.abs(b.gammas() - a.gammas()) <= 1e-11 * a.gammas()).all(), a.kappa

@@ -344,6 +344,30 @@ class TestRunSingle:
         assert recs[0].snapshots[1][1].n.values.base is recs[2].snapshots[1][1].B.values.base
 
 
+class TestSetupProbe:
+    """perfbench times a run's set-up with a one-shot probe in place of
+    ``harness.step_full`` that puts the original back on its first call, so
+    a run must look the name up at every step."""
+
+    @pytest.mark.parametrize("kappa", [0.2, (0.4, 0.2, 0.1)], ids=["single", "batch"])
+    def test_probe_runs_once_and_every_later_step_reaches_the_original(self, monkeypatch, kappa):
+        original, probed, stepped = harness.step_full, [], []
+
+        def counted(*args, **kwargs):
+            stepped.append(True)
+            return original(*args, **kwargs)
+
+        def probe(*args, **kwargs):
+            probed.append(True)
+            harness.step_full = counted
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "step_full", probe)
+        recs = run_single(parse_config_text(SHORT_CONFIG), kappa=kappa)
+        assert all(r.status == "completed" for r in (recs if isinstance(kappa, tuple) else [recs]))
+        assert (len(probed), len(stepped)) == (1, 50)
+
+
 class TestUnrecordedSteps:
     """Between two records a run's steps stay on the half-spectrum
     (``step_full`` with ``record=False``): a member set that closes its steps
@@ -634,7 +658,8 @@ class TestCli:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("section, key", [
         ("step", "dt"), ("step", "t_end"), ("diagnostics", "l"), ("params", "mu"),
-        ("params", "pressure_gamma"), ("initial", "c0"), ("params", "tau")])
+        ("params", "pressure_gamma"), ("initial", "c0"), ("params", "tau"), ("params", "lambda"),
+        ("params", "eta"), ("params", "kappa_ei"), ("params", "k_rate"), ("params", "pressure_amplitude")])
     def test_non_finite_value_exit_two(self, tmp_path, capsys, section, key, value):
         # a non-finite number is a config error before anything runs or is written
         cfg_path = tmp_path / "cfg.ini"

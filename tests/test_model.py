@@ -132,6 +132,20 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(**bad)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["mu", "lam", "tau", "eta", "kappa_ei", "k_rate"])
+    def test_non_finite_rejected(self, key, value):
+        # built in code, not parsed: mu = inf used to run to a blow-up at
+        # t = 0.0002, tau = inf to a completed run
+        with pytest.raises(ValueError, match=rf"^{key} must be finite, got {value!r}$"):
+            Params(**{key: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key, name", [("amplitude", "pressure amplitude"), ("gamma", "adiabatic exponent")])
+    def test_non_finite_pressure_law_rejected(self, key, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+            PressureLaw(**{key: value})
+
     def test_viscosity_pair_constraint(self):
         # 2 mu + 3 lam > 0 admits slightly negative lam
         Params(mu=0.3, lam=-0.1)

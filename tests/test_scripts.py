@@ -140,13 +140,21 @@ def test_bench_records_tier1_and_src_lines(tmp_path):
     (pkg / "b.py").write_text("z = 3\n")
     (pkg / "notes.txt").write_text("not counted\n")
     assert bench.src_lines(tmp_path) == 3
+    assert bench.src_code_lines(tmp_path) == 3
+    # blank lines, comments and docstrings are no code; strings and
+    # continued lines are
+    (pkg / "c.py").write_text('"""Module\n\ndocstring."""\n\n# a comment\nclass C:\n    """One line."""\n\n'
+                              '    def f(self):  # trailing comment\n        """Two\n        lines."""\n'
+                              '        return ("""a\nb""",\n                1)\n')
+    assert bench.src_lines(tmp_path) == 3 + 14
+    assert bench.src_code_lines(tmp_path) == 3 + 5
 
     run = {"sweep_1d": {"correct": True, "attempted": 3, "failed": 0,
                         "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}}
     tier1 = [{"wall_s": 21.0, "passed": 419, "failed": 0, "errors": 0},
              {"wall_s": 23.0, "passed": 418, "failed": 1, "errors": 0}]
-    record = json.loads(json.dumps(bench.assemble("t", 25.0, [run, run], {}, tier1, 3300)))
-    assert record["src_lines"] == 3300
+    record = json.loads(json.dumps(bench.assemble("t", 25.0, [run, run], {}, tier1, 3300, 2100)))
+    assert (record["src_lines"], record["src_code_lines"]) == (3300, 2100)
     assert record["tier1"] == {"command": "python -m pytest -q --continue-on-collection-errors",
                                "wall_s": {"median": 22.0, "q1": 21.5, "q3": 22.5, "samples": [21.0, 23.0]},
                                "passed": [419, 418], "failed": [0, 1], "errors": [0, 0]}
