@@ -48,7 +48,7 @@ import numpy as np
 
 from .diagnostics import LEDGER_COLUMNS, _check_ledger_densities, bound_monitor, make_energy_ledger
 from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
-from .errors import BlowUpError, ConfigError, VacuumError
+from .errors import ConfigError, VacuumError
 from .initdata import (WellPreparedSpec, _perturbations, hypothesis_certificate, make_limit_data,
                        make_well_prepared)
 from .integrator import StepControl, build_stiff_operator, march, step_full
