@@ -59,6 +59,14 @@ numpy and Python held during the step above what they held at its start
 (its temporaries and its result), taken in one untimed, traced pass of S
 paired steps per tree after the timed rounds.
 
+``--run`` inputs also report, per tree, three tracemalloc figures that do
+not depend on the heap either: the traced memory a run of the config holds
+at its first ``step_full`` call (its set-up, through the same catch), and
+the transients of ``write_record`` and of one ``make_energy_ledger`` call on
+the record of a whole run of it, each the peak above the traced memory at
+the call's start, taken after one untraced warm-up call.  They are the
+heap-independent twins of ``peak_rss_mb``.
+
 ``--audit`` times what a run does with its snapshots: each tree runs the
 config's single ``[params] kappa`` once through its own ``run_single``
 (untimed), and a pass is the ledger rows of those snapshots (one
@@ -79,6 +87,7 @@ import inspect
 import math
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -127,15 +136,18 @@ class Call(NamedTuple):
     dt: float
 
 
-def first_step(pkg, config: Path, batch: bool) -> Call:
+def first_step(pkg, config: Path, batch: bool, probe=None) -> Call:
     """The first ``step_full`` call of ``harness.run_single`` on ``config``
-    in package ``pkg``."""
+    in package ``pkg``; ``probe()``, if given, is called in it, while the
+    run is still on the stack."""
     harness = pkg.harness
     cfg = harness.parse_config(config)
     step_full, caught = harness.step_full, {}
 
     def catch(*args, **kwargs):
         caught.update(bind_call(step_full, args, kwargs))
+        if probe is not None:
+            probe()
         raise _Caught
 
     harness.step_full = catch
@@ -179,6 +191,47 @@ def paired_steps(call: Call, steps: int, peaks: list | None = None):
         if peaks is not None:
             tracemalloc.stop()
     return seconds, faults, x
+
+
+def traced_peak(fn) -> int:
+    """The most bytes tracemalloc saw held while ``fn()`` ran, above those
+    held at its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def held_at_first_step(pkg, config: Path) -> int:
+    """The traced bytes a single run of ``config`` holds at its first
+    ``step_full`` call: its config, initial data, stack, operator and
+    anything else it keeps from its set-up."""
+    held = []
+    tracemalloc.start()
+    try:
+        first_step(pkg, config, False, probe=lambda: held.append(tracemalloc.get_traced_memory()[0]))
+    finally:
+        tracemalloc.stop()
+    return held[0]
+
+
+def record_transients(pkg, config: Path) -> tuple[int, int]:
+    """The traced transients of ``write_record`` and of ``make_energy_ledger``
+    on the record of a single run of ``config``, each after one untraced
+    warm-up call."""
+    cfg = pkg.harness.parse_config(config)
+    rec = pkg.harness.run_single(cfg)
+    snaps = rec.snapshots
+    mass0 = pkg.spectral.grid_integral(cfg.grid, snaps[0][1].n.values)
+    with tempfile.TemporaryDirectory() as out:
+        calls = (lambda: pkg.harness.write_record(rec, out),
+                 lambda: pkg.diagnostics.make_energy_ledger(*zip(*snaps), cfg.params, cfg.l, mass0))
+        for call in calls:
+            call()
+        return tuple(traced_peak(call) for call in calls)
 
 
 def member_fields(pkg, grid, x: np.ndarray) -> list:
@@ -296,12 +349,13 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         wins += medians["B"] < medians["A"]
         differences = field_differences(finals, sides[0][2].grid)
         identical &= differences == []
-    peak = {}
-    if not batch:  # one traced pass per tree, untimed
-        for tag, _, call in sides:
+    peak, memory = {}, {}
+    if not batch:  # traced passes per tree, untimed
+        for tag, pkg, call in sides:
             peaks = []
             paired_steps(call, steps, peaks)
             peak[tag] = f" {np.median(peaks) / 2**20:14.3f}"
+            memory[tag] = (held_at_first_step(pkg, config), *record_transients(pkg, config))
     print(f"{name}: {rounds} rounds of {steps} paired steps per tree")
     print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/step':>12}"
           + (f" {'peak_MiB/step':>14}" if peak else ""))
@@ -316,6 +370,12 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         print("  the final states hold different members or fields")
     for name, rel in differences or ():
         print(f"  {name} differs: max relative difference {rel:.3g}")
+    if memory:
+        print("  traced MiB: held at the first step; transients of write_record and make_energy_ledger "
+              "on the run's record")
+        print(f"  {'tree':4} {'held_MiB':>10} {'write_MiB':>10} {'ledger_MiB':>11}")
+        for tag, (held, write, ledger) in memory.items():
+            print(f"  {tag:4} {held / 2**20:10.2f} {write / 2**20:10.2f} {ledger / 2**20:11.2f}")
     if not batch and sides[0][2].grid.dims_active > 1:
         compare_transforms(sides, rounds)
 

@@ -10,9 +10,10 @@ rate and writes no sweep_summary.json.  ``audit`` takes the Params from
 the config text the snapshots file stores; it leaves out a last snapshot
 closer to the one before than the others are to each other, the last step
 of a run whose step count its snapshot stride does not divide.  It exits 2
-on a snapshots file it cannot read, with fewer than 3 snapshots, with
-unevenly spaced snapshot times otherwise, when ``--config`` gives other
-Params, or when the file stores no config and ``--config`` is not given.
+on a snapshots file it cannot read, on one that holds fewer than 3
+snapshots (naming the file and its count), with unevenly spaced snapshot
+times otherwise, when ``--config`` gives other Params, or when the file
+stores no config and ``--config`` is not given.
 """
 
 from __future__ import annotations
@@ -145,6 +146,9 @@ def _audit_params(args, kappa: float) -> Params:
 
 def _cmd_audit(args) -> int:
     kappa, snaps = load_snapshots(args.record)
+    if len(snaps) < 3:
+        raise ConfigError(f"need at least 3 snapshots for the energy audit; {args.record} holds "
+                          f"{len(snaps)} snapshot{'' if len(snaps) == 1 else 's'}")
     p = _audit_params(args, kappa)
     # a run whose step count its snapshot stride does not divide records its
     # last step too, closer to the snapshot before: that one is left out
@@ -154,7 +158,7 @@ def _cmd_audit(args) -> int:
     try:
         report = energy_identity_audit(audited, p, drop_term=args.drop_term)
     except (ValueError, SnapshotSpacingError) as exc:
-        # fewer than 3 snapshots, a drop term outside 1..6, or uneven times
+        # a drop term outside 1..6, or uneven times
         raise ConfigError(str(exc)) from None
     left_out = f" (the last, at t={times[-1]:g}, left out: a shorter spacing)" if short_end else ""
     print(f"snapshots: {len(audited)}{left_out}  interior points: {len(report.residuals)}")

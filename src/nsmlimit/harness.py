@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import math
 import os
@@ -382,8 +381,9 @@ def run_single(
         masses.append(grid_integral(grid, full.n.values))
         n_means.append(full.n.mean)
     live = list(range(len(params)))  # members still stepping, in stack order after the limit
+    limit_mean = limit.n.mean
     x = _join(stacks)
-    del stacks, perturbations  # x holds their rows
+    del stacks, perturbations, full, limit, spec  # x holds their rows
 
     def end(k, exc, steps):
         records[k].status, records[k].message, records[k].n_steps = exc.status, str(exc), steps
@@ -392,7 +392,7 @@ def run_single(
         members, means = zip(*[(params[k], n_means[k]) for k in live])
         if len(live) == 1:
             members, means = members[0], means[0]
-        return build_stiff_operator(grid, members, means, dt, limit_mean=limit.n.mean)
+        return build_stiff_operator(grid, members, means, dt, limit_mean=limit_mean)
 
     def record(i, y):
         """A snapshot of every live member, as views of the stack.  The
@@ -444,12 +444,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def _csv_text(rows) -> str:
     lines = [",".join(LEDGER_COLUMNS)]
     for r in rows:
@@ -481,6 +475,40 @@ def record_json_dict(rec: RunRecord) -> dict:
     }
 
 
+def _snapshot_arrays(rec: RunRecord):
+    """The snapshots file's (key, array) entries in ``np.savez``'s order, each
+    field's stack built only when the entry is reached."""
+    snaps = rec.snapshots
+    grid = snaps[0][1].grid
+    yield "t", np.array([t for t, _, _ in snaps])
+    for name in ("n", "u", "jt", "E", "B"):
+        yield f"full_{name}", np.stack([getattr(f, name).values for _, f, _ in snaps])
+    for name in ("n", "u"):
+        yield f"limit_{name}", np.stack([getattr(lm, name).values for _, _, lm in snaps])
+    yield "grid_meta", np.array([grid.dims_active, grid.points_per_dim, grid.period])
+    yield "kappa", np.array([rec.kappa])
+    if rec.config_text:
+        yield "config", np.array(rec.config_text)
+
+
+def _write_snapshots(path: Path, rec: RunRecord) -> None:
+    """The snapshots file, streamed entry by entry into its ``.tmp`` file with
+    the calls ``np.savez`` makes, then moved into place.  It holds the bytes
+    ``np.savez`` writes, while memory holds about one field's stack and its
+    bytes at a time, not every stack and the whole file.  A write that fails
+    removes the ``.tmp`` file and leaves ``path`` as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for key, array in _snapshot_arrays(rec):
+                with zf.open(key + ".npy", "w", force_zip64=True) as fid:
+                    np.lib.format.write_array(fid, array)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def write_record(rec: RunRecord, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -495,26 +523,7 @@ def write_record(rec: RunRecord, out_dir: str | Path) -> dict[str, Path]:
         paths["json"], json.dumps(record_json_dict(rec), indent=2) + "\n"
     )
     if rec.snapshots:
-        grid = rec.snapshots[0][1].grid
-        arrays = {
-            "t": np.array([t for t, _, _ in rec.snapshots]),
-            "full_n": np.stack([f.n.values for _, f, _ in rec.snapshots]),
-            "full_u": np.stack([f.u.values for _, f, _ in rec.snapshots]),
-            "full_jt": np.stack([f.jt.values for _, f, _ in rec.snapshots]),
-            "full_E": np.stack([f.E.values for _, f, _ in rec.snapshots]),
-            "full_B": np.stack([f.B.values for _, f, _ in rec.snapshots]),
-            "limit_n": np.stack([lm.n.values for _, _, lm in rec.snapshots]),
-            "limit_u": np.stack([lm.u.values for _, _, lm in rec.snapshots]),
-            "grid_meta": np.array(
-                [grid.dims_active, grid.points_per_dim, grid.period]
-            ),
-            "kappa": np.array([rec.kappa]),
-        }
-        if rec.config_text:
-            arrays["config"] = np.array(rec.config_text)
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        _atomic_write_bytes(paths["npz"], buf.getvalue())
+        _write_snapshots(paths["npz"], rec)
     timing = f"wall_seconds = {rec.wall_seconds:.6f}\n"
     if rec.batch_members > 1:
         timing += ("# wall_seconds is the wall time of the whole batch this run was stepped in\n"

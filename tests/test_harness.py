@@ -1,5 +1,9 @@
+import gc
+import io
 import json
 import math
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -45,7 +49,8 @@ kappa_list = 0.4, 0.2, 0.1
 snapshot_stride = 10
 """
 
-ACCEPTANCE_PATH = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
+ROOT = Path(__file__).resolve().parent.parent
+ACCEPTANCE_PATH = ROOT / "configs" / "acceptance.ini"
 ACCEPTANCE_TEXT = ACCEPTANCE_PATH.read_text()
 
 
@@ -506,6 +511,124 @@ class TestPersistence:
             assert all(np.array_equal(field_of(s), field_of(r)) for s, r in zip(snaps, rec.snapshots))
 
 
+    @staticmethod
+    def _savez_bytes(rec) -> bytes:
+        """The snapshots file as ``np.savez`` of every stack at once wrote it."""
+        snaps = rec.snapshots
+        grid = snaps[0][1].grid
+        arrays = {"t": np.array([t for t, _, _ in snaps])}
+        for name in ("n", "u", "jt", "E", "B"):
+            arrays[f"full_{name}"] = np.stack([getattr(f, name).values for _, f, _ in snaps])
+        for name in ("n", "u"):
+            arrays[f"limit_{name}"] = np.stack([getattr(lm, name).values for _, _, lm in snaps])
+        arrays["grid_meta"] = np.array([grid.dims_active, grid.points_per_dim, grid.period])
+        arrays["kappa"] = np.array([rec.kappa])
+        if rec.config_text:
+            arrays["config"] = np.array(rec.config_text)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("text, config_text", [
+        (SHORT_CONFIG, None),
+        ("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 1e-3\n\n"
+         "[initial]\nmax_wavenumber = 2\n\n[diagnostics]\nsnapshot_stride = 2\n", ""),
+    ], ids=["1d-with-config", "3d-without-config"])
+    def test_snapshots_file_is_the_bytes_of_savez(self, tmp_path, text, config_text):
+        # the streamed writer holds one stack at a time and writes what
+        # np.savez of all of them writes; the file loads back to the record
+        rec = run_single(parse_config_text(text), kappa=0.2)
+        if config_text is not None:
+            rec = replace(rec, config_text=config_text)
+        path = write_record(rec, tmp_path)["npz"]
+        assert path.read_bytes() == self._savez_bytes(rec)
+        assert load_snapshot_config(path) == (rec.config_text or None)
+        kappa, snaps = load_snapshots(path)
+        assert kappa == 0.2 and len(snaps) == len(rec.snapshots) >= 3
+        for (t, full, limit), (t0, full0, limit0) in zip(snaps, rec.snapshots):
+            assert t == t0
+            for a, b in zip(list(vars(full).values()) + list(vars(limit).values()),
+                            list(vars(full0).values()) + list(vars(limit0).values())):
+                assert np.array_equal(a.values, b.values)
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        # a write that raises part-way, at its third array, removes its .tmp
+        # file and leaves the snapshots file it would have replaced as it was
+        cfg = parse_config_text(SHORT_CONFIG)
+        path = write_record(run_single(cfg, kappa=0.2), tmp_path)["npz"]
+        before = path.read_bytes()
+        rec = run_single(replace(cfg, snapshot_stride=5), kappa=0.2)
+        calls, write_array = [], np.lib.format.write_array
+
+        def failing(*args, **kwargs):
+            calls.append(True)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return write_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_record(rec, tmp_path)
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+        monkeypatch.undo()
+        assert write_record(rec, tmp_path)["npz"].read_bytes() != before  # the write would have changed it
+
+
+class TestMemory:
+    """Guards on the memory a run and its record hold, read with tracemalloc,
+    so they do not depend on the heap or on what the process held before."""
+
+    def test_write_record_holds_one_stack_at_a_time(self, tmp_path):
+        # perfbench/paired_3d.ini at 16 points per axis: 3 snapshots of 17
+        # rows of 16^3 points, 1,632 KiB; building every stack and then the
+        # whole npz image before writing used to take 3,568 KiB above the
+        # record, streaming takes about 592 KiB
+        text = (ROOT / "perfbench" / "paired_3d.ini").read_text()
+        rec = run_single(parse_config_text(text.replace("points_per_dim = 32", "points_per_dim = 16")))
+        assert len(rec.snapshots) == 3
+        data = sum(f.values.nbytes for _, full, limit in rec.snapshots
+                   for f in list(vars(full).values()) + list(vars(limit).values()))
+        assert data == 3 * 17 * 16**3 * 8
+        write_record(rec, tmp_path / "warm")  # imports and first-call caches stay out of the figure
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_record(rec, tmp_path)
+            transient = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert transient < data / 2
+
+    @pytest.mark.parametrize("kappa", [0.2, (0.4, 0.2, 0.1)], ids=["single", "batch"])
+    def test_initial_data_are_let_go_before_the_first_step(self, monkeypatch, kappa):
+        # once the set's stack holds them, the states the initial-data calls
+        # returned are dropped: at the first step, in a one-shot probe in
+        # place of harness.step_full, no field array of theirs is alive
+        refs, alive = [], []
+        for name in ("make_limit_data", "make_well_prepared"):
+            def watched(*args, _fn=getattr(harness, name), **kwargs):
+                state = _fn(*args, **kwargs)
+                refs.extend(weakref.ref(f.values) for f in vars(state).values())
+                return state
+            monkeypatch.setattr(harness, name, watched)
+        original = harness.step_full
+
+        def probe(*args, **kwargs):
+            harness.step_full = original
+            gc.collect()
+            alive.extend(ref for ref in refs if ref() is not None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "step_full", probe)
+        recs = run_single(parse_config_text(SHORT_CONFIG), kappa=kappa)
+        members = len(kappa) if isinstance(kappa, tuple) else 1
+        assert len(refs) == 2 + 5 * members
+        assert alive == []
+        assert all(r.status == "completed" for r in (recs if isinstance(kappa, tuple) else [recs]))
+
+
 class TestRunSweep:
     def test_needs_three_kappas(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG.replace(
@@ -888,6 +1011,23 @@ class TestCli:
         record = out / "run_kappa0.1_snapshots.npz"
         assert main(["audit", "--config", str(cfg_path), "--record", str(record), *extra]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_end, count", [("0", "1 snapshot"), ("2e-4", "2 snapshots")],
+                             ids=["no_step", "one_step"])
+    def test_audit_too_short_record_names_the_file_and_count(self, tmp_path, capsys, t_end, count):
+        # a run of one step records its start and its last step; the audit
+        # refuses it before it reads the params, naming the file
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[step]\ndt = 2e-4\nt_end = {t_end}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        record = out / "run_kappa0.1_snapshots.npz"
+        assert main(["audit", "--record", str(record)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: need at least 3 snapshots for the energy audit; "
+                                f"{record} holds {count}\n")
+        assert captured.out == ""
 
     def test_audit_uneven_snapshot_times_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

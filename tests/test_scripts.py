@@ -190,6 +190,14 @@ def test_step_ab_smoke(tmp_path, capsys):
         peaks = re.findall(rf"^  {tag}{times} +(\d+\.\d{{3}})$", out, re.M)
         assert len(peaks) == 1 and float(peaks[0]) > 0.0
     assert len(re.findall(r"B faster in \d/2 rounds; final states bit-identical$", out, re.M)) == 2
+    # the single run alone reports the traced memory held at its first step
+    # and the transients of writing its record and of its ledger
+    assert len(re.findall(r"^  traced MiB: held at the first step; transients of write_record "
+                          r"and make_energy_ledger on the run's record$", out, re.M)) == 1
+    assert len(re.findall(r"^  tree +held_MiB +write_MiB +ledger_MiB$", out, re.M)) == 1
+    for tag in "AB":
+        memory = re.findall(rf"^  {tag} +(\d+\.\d\d) +(\d+\.\d\d) +(\d+\.\d\d)$", out, re.M)
+        assert len(memory) == 1 and all(float(v) > 0.0 for v in memory[0])
     # the 3-D run alone ends with the A/B of its rate's box transforms: the
     # paired stack (the limit's 4 rows and the member's 13) to the grid, its
     # 33 product rows forward, 11 conservative-rate rows back and 9
