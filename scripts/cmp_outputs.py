@@ -9,9 +9,11 @@ is ``nsmlimit sweep --config CONFIG``, ``--run`` is ``nsmlimit run
 --config CONFIG`` (``--run`` with no CONFIG runs without ``--config``, on
 the default config).  ``--seed S`` is passed to every one of them.  The
 same process then runs ``nsmlimit audit --record`` on every snapshots
-file the command wrote.  Each command's exit code and stdout are saved
-next to the outputs, as ``command.txt`` and ``<tag>.audit.txt``, with the
-output directory's path written as ``OUT``.
+file the command wrote.  Each command's exit code, stdout and, after the
+line ``--- stderr ---``, stderr are saved next to the outputs, as
+``command.txt`` and ``<tag>.audit.txt``, with the output directory's path
+written as ``OUT``.  A warning is written as ``Category: message``, without
+the file and line that raised it, which differ between trees.
 
 Every output file except ``*.time.txt`` is compared byte for byte.  Per
 input the script prints whether all of them are identical, or else each
@@ -37,17 +39,19 @@ from step_ab import column_differences  # noqa: E402
 # Runs in the subprocess: argv is the output directory, then the command's
 # arguments without --out.
 _DRIVER = """\
-import contextlib, io, sys
+import contextlib, io, sys, warnings
 from pathlib import Path
 from nsmlimit.cli import main
 
 out = Path(sys.argv[1])
+warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\\n"
 
 def cli(name, argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(argv)
-    (out / name).write_text(f"exit {code}\\n" + buf.getvalue().replace(str(out), "OUT"))
+    text = f"exit {code}\\n{buf.getvalue()}--- stderr ---\\n{err.getvalue()}"
+    (out / name).write_text(text.replace(str(out), "OUT"))
 
 cli("command.txt", sys.argv[2:] + ["--out", str(out)])
 for npz in sorted(out.glob("*_snapshots.npz")):

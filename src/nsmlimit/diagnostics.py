@@ -75,14 +75,13 @@ def _first_vacuum(ts, checks) -> None:
     ``checks`` are (what, per-snapshot minimum) pairs in the order a
     snapshot's checks are made, so the error is the one the snapshot alone
     gives; ``ts`` names its time, in the message and as the error's
-    ``time`` (None: no time)."""
+    ``time``."""
     bad = np.logical_or.reduce([m <= 0.0 for _, m in checks])
     if bad.any():
         s = int(bad.argmax())
         what, n_min = next((what, m[s]) for what, m in checks if m[s] <= 0.0)
-        time = None if ts is None else float(ts[s])
-        at = "" if ts is None else f" at t={ts[s]:g}"
-        raise VacuumError(f"vacuum state: {what} nonpositive (min n = {n_min:.6g}){at}", time=time)
+        raise VacuumError(f"vacuum state: {what} nonpositive (min n = {n_min:.6g}) at t={ts[s]:g}",
+                          time=float(ts[s]))
 
 
 def _check_ledger_densities(ts, n: np.ndarray, n0: np.ndarray) -> None:
@@ -216,16 +215,13 @@ class EnergyLedger:
         return tuple(getattr(self, c) for c in LEDGER_COLUMNS)
 
 
-def make_energy_ledger(t, full, limit, p: Params, l: float, mass0: float):
-    """The EnergyLedger row of one snapshot (t, full, limit), or the list of
-    rows of equal-length sequences of times, full states and limit states,
-    computed a chunk at a time.  A row is the same in either form.
+def make_energy_ledger(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[EnergyLedger]:
+    """The EnergyLedger rows of equal-length sequences of times, full states
+    and limit states, computed a chunk at a time.
 
     A nonpositive density raises VacuumError naming the time of the first
     snapshot that has one."""
-    if isinstance(full, FullState):
-        return _ledger_rows((t,), (full,), (limit,), p, l, mass0)[0]
-    snapshots = list(zip(t, full, limit, strict=True))
+    snapshots = list(zip(ts, fulls, limits, strict=True))
     if not snapshots:
         return []
     return [row for chunk in _chunks(snapshots[0][1].grid, snapshots)
@@ -293,14 +289,9 @@ class AuditReport:
     mean_residual: float
 
 
-def _audit_terms(full: FullState, limit: LimitState, p: Params) -> dict:
-    """The audit terms of one snapshot, as floats: a chunk of one."""
-    return {key: v.item() for key, v in _audit_chunk(None, (full,), (limit,), p).items()}
-
-
 def _audit_chunk(ts, fulls, limits, p: Params) -> dict:
     """The audit terms of a chunk of snapshots, one (S,) array per term; a
-    vacuum names the time in ``ts`` (None: no time) of the first bad one."""
+    vacuum names the time in ``ts`` of the first bad one."""
     grid = fulls[0].grid
     eps = p.epsilon
     law = p.pressure

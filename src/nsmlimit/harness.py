@@ -389,10 +389,8 @@ def run_single(
         records[k].status, records[k].message, records[k].n_steps = exc.status, str(exc), steps
 
     def build():
-        members, means = zip(*[(params[k], n_means[k]) for k in live])
-        if len(live) == 1:
-            members, means = members[0], means[0]
-        return build_stiff_operator(grid, members, means, dt, limit_mean=limit_mean)
+        return build_stiff_operator(grid, cfg.params, dt, [kappas[k] for k in live],
+                                    [n_means[k] for k in live], limit_mean)
 
     def record(i, y):
         """A snapshot of every live member, as views of the stack.  The

@@ -51,12 +51,13 @@ the half-spectrum on 32^3; content of a state above the 2/3 cutoff is
 dropped by the step's first transform.  States are built only where fields
 are read (``evolve``'s observer and result).
 
-The members of a set share their Params but for kappa, given to
-``build_stiff_operator`` as a tuple of Params, one per member with a
-current; the operator tables and the rate coefficients hold one row or
-column entry per member.  Every operation acts on each member alone and the
-transforms give the same bits whatever rows they transform together, so a
-member's result does not depend on the set it ran in.
+The members of a set share their Params but for kappa, so
+``build_stiff_operator`` takes the shared Params and one kappa and one mean
+density per member with a current, ``kappas`` and ``means``; the operator
+tables and the rate coefficients hold one row or column entry per member,
+for a lone state as for many.  Every operation acts on each member alone
+and the transforms give the same bits whatever rows they transform
+together, so a member's result does not depend on the set it ran in.
 
 The 1-D steps are bound by numpy call overhead, so the propagator applies
 its per-mode coefficients in seven grouped multiplies (``_GROUPS``), and the
@@ -256,50 +257,35 @@ class StiffLinearOperator:
         return out
 
 
-def _shared_params(p):
-    """The Params a member set shares, and its kappa: ``p.kappa`` for one
-    Params, a (K, 1, 1, 1, 1) column for a tuple of Params, which must
-    differ only in kappa (ConfigError otherwise)."""
-    if isinstance(p, Params):
-        return p, p.kappa
-    first = vars(p[0]) | {"kappa": None}
-    if any(vars(q) | {"kappa": None} != first for q in p[1:]):
-        raise ConfigError("the Params of a batch must differ only in kappa")
-    return p[0], np.array([q.kappa for q in p]).reshape(-1, 1, 1, 1, 1)
-
-
-def build_stiff_operator(grid: Grid, p, n_mean, dt: float, limit_mean=None) -> StiffLinearOperator:
+def build_stiff_operator(grid: Grid, p: Params, dt: float, kappas=(), means=(),
+                         limit_mean=None) -> StiffLinearOperator:
     """Tabulate the half-step and the full-step exponential of a member set
     per distinct |k|^2 of the 2/3-rule box, in one pass with the step
     length as an axis of two, and spread both over the box in one gather.
 
-    ``p`` and ``n_mean`` are one Params and one mean density, or a tuple of
-    each for several states (Params differing only in kappa, ConfigError
-    otherwise); each member is tabulated on its own.  ``limit_mean``, when
-    given, adds the limit system as the set's first member, at that mean
-    density; a lone limit state passes its Params with ``n_mean = ()``.  The
-    operator also forms the set's rate coefficients
-    (``model._rate_coefficients``) and keeps ``grid`` and ``dt``: it is
-    what ``step_full`` takes of the set beside its stack."""
+    ``p`` holds the constants the members share; its own kappa is not read.
+    ``kappas`` and ``means`` hold one kappa and one mean density per member
+    with a current, each tabulated on its own (ValueError if their lengths
+    differ).  ``limit_mean``, when given, adds the limit system as the
+    set's first member, at that mean density.  The operator also forms the
+    set's rate coefficients (``model._rate_coefficients``) and keeps
+    ``grid`` and ``dt``: it is what ``step_full`` takes of the set beside
+    its stack."""
     if not dt > 0:
         raise ConfigError("dt must be positive")
-    shared, kap = _shared_params(p)
-    if isinstance(p, tuple):
-        members = tuple(zip(p, n_mean))
-    else:
-        members = ((p, n_mean),) if np.ndim(n_mean) == 0 else ()
+    members = tuple(zip(kappas, means, strict=True))
     limit = () if limit_mean is None else (limit_mean,)
     k2 = grid.box.k2
     keys, inverse = np.unique(k2.ravel(), return_inverse=True)
     h = np.array([[0.5 * dt], [dt]])  # (steps, 1): the half step and the full step
-    limit_rows = [_u_rows(keys, shared, m, h) for m in limit]
-    tables = [_table(keys, q, m, h) for q, m in members]
+    limit_rows = [_u_rows(keys, p, m, h) for m in limit]
+    tables = [_table(keys, p, kap, m, h) for kap, m in members]
     table = np.stack([row for t, (part, i, _) in enumerate(_TERMS)
                       for row in [u[part] for u in limit_rows if i == 0] + [tb[t] for tb in tables]], axis=1)
     # C order: the gather alone leaves the row axis innermost
     prop = np.ascontiguousarray(table[:, :, inverse]).reshape(table.shape[:2] + k2.shape)
     layout = _layout(4 * len(limit) + 13 * len(members))
-    coef = _rate_coefficients(grid, shared, kap, limit + tuple(m for _, m in members), len(limit))
+    coef = _rate_coefficients(grid, p, kappas, limit + tuple(means), len(limit))
     return StiffLinearOperator(grid, dt, prop[0], prop[1], layout, coef)
 
 
@@ -312,11 +298,12 @@ def _u_rows(k2: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> dict:
     return {"x": e_tra, "s": np.exp(h * v_lon) - e_tra}
 
 
-def _table(k2: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> np.ndarray:
-    """Propagator rows in _TERMS order per step length h, a (steps, 1)
-    column, and distinct |k|^2 k2, (terms, steps, modes)."""
+def _table(k2: np.ndarray, p: Params, kappa: float, n_mean: float, h: np.ndarray) -> np.ndarray:
+    """Propagator rows in _TERMS order of the member at ``kappa`` per step
+    length h, a (steps, 1) column, and distinct |k|^2 k2, (terms, steps,
+    modes)."""
     u = _u_rows(k2, p, n_mean, h)
-    ex_lon, ex_hel = _exp_blocks(k2, p, n_mean, h)
+    ex_lon, ex_hel = _exp_blocks(k2, p, kappa, n_mean, h)
     rows = []
     for part, i, j in _TERMS:
         if i == 0:
@@ -327,15 +314,15 @@ def _table(k2: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> np.ndarra
     return np.stack(rows)
 
 
-def _exp_blocks(k2: np.ndarray, p: Params, n_mean: float, h):
-    """exp(h Long) and exp(h M), each (3, 3, *x.shape), per step length h
-    and |k|^2 of k2, with x = h v_L: (3, 3, modes) for a float h, (3, 3,
-    steps, modes) for a (steps, 1) column.  Long has zero E and B rows, so
-    its exponential is closed form: e^x and a h (e^x - 1)/x in the J row,
-    and the limit a h at x = 0.  M's goes through ``_expm3``."""
+def _exp_blocks(k2: np.ndarray, p: Params, kappa: float, n_mean: float, h):
+    """exp(h Long) and exp(h M) at ``kappa``, each (3, 3, *x.shape), per step
+    length h and |k|^2 of k2, with x = h v_L: (3, 3, modes) for a float h,
+    (3, 3, steps, modes) for a (steps, 1) column.  Long has zero E and B
+    rows, so its exponential is closed form: e^x and a h (e^x - 1)/x in the
+    J row, and the limit a h at x = 0.  M's goes through ``_expm3``."""
     v_tra = -p.mu * k2 / n_mean
     v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
-    omega = np.sqrt(k2) / p.kappa
+    omega = np.sqrt(k2) / kappa
     a = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
     x = h * v_lon
     phi = np.ones_like(x)  # (e^x - 1)/x
@@ -617,10 +604,11 @@ def evolve(
     grid, log, shown = state.grid, StepLog(), state
     x = _stacked(state)
     mean = float(x[0].mean())
-    n_mean, limit_mean = (mean, None) if isinstance(state, FullState) else ((), mean)
 
     def build():
-        return build_stiff_operator(grid, p, n_mean, sc.dt, limit_mean=limit_mean)
+        if isinstance(state, FullState):
+            return build_stiff_operator(grid, p, sc.dt, (p.kappa,), (mean,))
+        return build_stiff_operator(grid, p, sc.dt, limit_mean=mean)
 
     def record(i, y):
         nonlocal shown

@@ -398,58 +398,56 @@ class _RateCoefficients(NamedTuple):
     """What ``_full_rate`` takes of a member set beyond its stack: the
     shared Params ``p``, the spectral layout ``modes`` of the stack, the
     viscous multipliers (``_visc_multipliers``) on it, and the kappa- and
-    mean-density coefficients, each a float for one value and a
-    (K, 1, 1, 1, 1) column, or (M + K, ...) for ``visc_mean``, for several;
-    ``kap_rows`` is kappa per J row, a float or a (3K, 1, 1, 1) column.
-    ``n_mean`` is the frozen mean density of the members with a current and
-    ``visc_mean`` that of each (u, J) vector, in the layout's order; both
-    are None, as is ``a_n_mean``, for the rates without one."""
+    mean-density coefficients, each a (K, 1, 1, 1, 1) column over the
+    members with a current, or (M + K, ...) for ``visc_mean``; ``kap_rows``
+    is kappa per J row, a (3K, 1, 1, 1) column.  ``n_mean`` is the frozen
+    mean density of the members with a current and ``visc_mean`` that of
+    each (u, J) vector, in the layout's order; both are None, as is
+    ``a_n_mean``, for the rates without one."""
 
     p: Params
     modes: Modes
     multipliers: tuple
-    kap: object
-    kap_rows: object
+    kap: np.ndarray
+    kap_rows: np.ndarray
     a: float
-    kap_tau: object
-    kap_tau_eps: object
-    kap_eps: object
-    friction: object
-    n_mean: object = None
-    a_n_mean: object = None
-    visc_mean: object = None
+    kap_tau: np.ndarray
+    kap_tau_eps: np.ndarray
+    kap_eps: np.ndarray
+    friction: np.ndarray
+    n_mean: np.ndarray | None = None
+    a_n_mean: np.ndarray | None = None
+    visc_mean: np.ndarray | None = None
 
 
-def _column(values: tuple):
-    """One value as a float, several as a (len, 1, 1, 1, 1) column."""
-    return values[0] if len(values) == 1 else np.reshape(values, (-1, 1, 1, 1, 1))
+def _column(values) -> np.ndarray:
+    """Values as a (len, 1, 1, 1, 1) member column."""
+    return np.reshape(values, (-1, 1, 1, 1, 1))
 
 
-def _rate_coefficients(grid: Grid, p: Params, kap, means=None, limit: int = 0,
+def _rate_coefficients(grid: Grid, p: Params, kappas, means=None, limit: int = 0,
                        modes: Modes | None = None) -> _RateCoefficients:
     """The coefficients of a member set's rates on ``grid``, from the shared
-    Params ``p`` and the kappa ``kap`` of its members with a current, a
-    float or a (K, 1, 1, 1, 1) column; given the mean density of every
-    member, ``means`` (the limit's first when ``limit`` is 1), those of the
+    Params ``p`` (its own kappa is not read) and the kappa of each member
+    with a current, ``kappas``; given the mean density of every member,
+    ``means`` (the limit's first when ``limit`` is 1), those of the
     remainder N(y) - L y too.  Each is the product the rates formed on
     every call before, in the same order.  The rates are formed on
     ``modes``, by default the 2/3-rule box ``grid.box``, the stepper's
     layout."""
     eps = p.epsilon
     a = (1.0 + eps) / (p.tau * eps)
-    kap_rows = np.repeat(np.ravel(kap), 3).reshape(-1, 1, 1, 1) if np.ndim(kap) else kap
+    kap = _column(kappas)
     modes = grid.box if modes is None else modes
     coefs = dict(p=p, modes=modes, multipliers=_visc_multipliers(modes.k, modes.k2, p), kap=kap,
-                 kap_rows=kap_rows, a=a,
+                 kap_rows=np.repeat(kap, 3).reshape(-1, 1, 1, 1), a=a,
                  kap_tau=kap / p.tau, kap_tau_eps=kap / (p.tau * eps),
                  kap_eps=(eps - 1.0) * kap / (p.tau * eps),
-                 # kap * kap, not kap**2: a float's ** (libm pow) and an
-                 # array's ** (a square) round differently in about 1e-3 of cases
                  friction=a * p.kappa_ei * p.k_rate * (kap * kap))
     if means is not None:
         means = tuple(means)
         current = means[limit:]
-        coefs["visc_mean"] = _column(means + current) if len(means) > 1 else means[0]
+        coefs["visc_mean"] = _column(means + current)
         if current:
             coefs["n_mean"] = _column(current)
             coefs["a_n_mean"] = a * coefs["n_mean"]
@@ -839,7 +837,7 @@ def reformulation_check(s: TwoFluidState, p: Params) -> ReformReport:
     # band-limited to the box (u_e has the factor 1/n)
     fn, fu, fJ, fE, fB = _split(
         array_irfft(grid, _full_rate(array_rfft(grid, _stack(n, u, J, E_s, B_s)),
-                                     _rate_coefficients(grid, p, p.kappa, modes=_masked_half(grid))))
+                                     _rate_coefficients(grid, p, (p.kappa,), modes=_masked_half(grid))))
     )
     # compare in primitive variables, converting the substituted rates the
     # same way the production side does (same dealias placement)

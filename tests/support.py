@@ -530,7 +530,7 @@ def plain_rate(grid: Grid, p: Params, x: np.ndarray, guard=None) -> np.ndarray:
     """``model._full_rate`` of one state's (or the limit's) stack x on the
     2/3-rule box with the coefficients of Params p alone: the rates
     themselves, not the remainder of an operator."""
-    return _full_rate(x, _rate_coefficients(grid, p, p.kappa), guard)
+    return _full_rate(x, _rate_coefficients(grid, p, (p.kappa,)), guard)
 
 
 def box_projection(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -538,19 +538,20 @@ def box_projection(grid: Grid, values: np.ndarray) -> np.ndarray:
     return box_irfft(grid, box_rfft(grid, values))
 
 
-def stack_operator(grid: Grid, x: np.ndarray, p, dt: float):
+def stack_operator(grid: Grid, x: np.ndarray, p: Params, dt: float, kappas=None):
     """The operator of the member set x, at the mean density of each member:
-    ``p`` is one Params, or a tuple of one per member with a current."""
+    ``kappas`` holds the kappa of each member with a current, by default
+    ``p.kappa`` for each."""
     lay = _layout(len(x))
     means = [float(n.mean()) for n in x[lay.n]]
     limit_mean = means.pop(0) if lay.limit else None
-    n_mean = tuple(means) if isinstance(p, tuple) else means[0] if means else ()
-    return build_stiff_operator(grid, p, n_mean, dt, limit_mean=limit_mean)
+    kappas = (p.kappa,) * lay.currents if kappas is None else kappas
+    return build_stiff_operator(grid, p, dt, kappas, means, limit_mean)
 
 
-def step_once(grid: Grid, x: np.ndarray, p, dt: float, t: float = 0.0) -> np.ndarray:
+def step_once(grid: Grid, x: np.ndarray, p: Params, dt: float, t: float = 0.0, kappas=None) -> np.ndarray:
     """One ``step_full`` of the member set x with its ``stack_operator``."""
-    return step_full(x, stack_operator(grid, x, p, dt), t=t)
+    return step_full(x, stack_operator(grid, x, p, dt, kappas), t=t)
 
 
 def observed_order(errors: list[float]) -> float:

@@ -17,7 +17,6 @@ from nsmlimit.errors import GridMismatchError, SnapshotSpacingError, VacuumError
 from nsmlimit.diagnostics import (
     LEDGER_COLUMNS,
     _audit_chunk,
-    _audit_terms,
     _chunk_size,
     _chunks,
     _ledger_stack_bytes,
@@ -80,8 +79,18 @@ def density_error_pair(grid, N=None, n0=None):
     return FullState(ScalarField(grid, full_n), z, z, z, z), LimitState(ScalarField(grid, n0), z)
 
 
+def one_row(t, full, limit, p, l, mass0):
+    """The ledger row of one snapshot."""
+    return make_energy_ledger((t,), (full,), (limit,), p, l, mass0)[0]
+
+
+def one_audit(t, full, limit, p):
+    """The audit terms of one snapshot, as floats."""
+    return {key: v.item() for key, v in _audit_chunk((t,), (full,), (limit,), p).items()}
+
+
 def ledger_row(full, limit, law=PressureLaw(), l=4.0, kappa=0.2):
-    return make_energy_ledger(0.0, full, limit, Params(kappa=kappa, pressure=law), l, 1.0)
+    return one_row(0.0, full, limit, Params(kappa=kappa, pressure=law), l, 1.0)
 
 
 NORM_COLUMNS = ("norm_N", "norm_U", "norm_J", "norm_E", "norm_B")
@@ -119,7 +128,7 @@ class TestErrorState:
         base64 = make_limit_data(grid64, seed=7, amplitude=0.1)
         full = make_well_prepared(WellPreparedSpec.from_seed(base64, 7, 1.0, 0.2))
         with pytest.raises(GridMismatchError):
-            make_energy_ledger(0.0, full, base32, Params(kappa=0.2), 4.0, 1.0)
+            one_row(0.0, full, base32, Params(kappa=0.2), 4.0, 1.0)
         with pytest.raises(GridMismatchError):
             hypothesis_certificate(full, base32, 0.2, 1.0, 4.0)
 
@@ -250,7 +259,7 @@ class TestEnergyLedger:
         base = make_limit_data(grid64, seed=7, amplitude=0.1)
         full = make_well_prepared(WellPreparedSpec.from_seed(base, 7, 1.0, 0.2))
         mass0 = grid_integral(grid64, full.n.values)
-        row = make_energy_ledger(0.0, full, base, p, 4.0, mass0)
+        row = one_row(0.0, full, base, p, 4.0, mass0)
         assert row.mass_err == 0.0
         assert row.gamma == pytest.approx((0.999 * 0.2) ** 2, rel=1e-9)
         assert row.divE < 1e-12 and row.divB < 1e-12
@@ -265,7 +274,7 @@ class TestEnergyLedger:
         z = VectorField.zeros(grid64)
         full = FullState(ScalarField(grid64, 0.5 + np.cos(x)), z, z, z, z)
         with pytest.raises(VacuumError, match=r"min n = -0\.5\) at t=0\.5$") as exc:
-            make_energy_ledger(0.5, full, limit, p, 4.0, 1.0)
+            one_row(0.5, full, limit, p, 4.0, 1.0)
         assert exc.value.time == 0.5
 
 
@@ -279,13 +288,13 @@ def test_matches_grid_space_reference(grid, kappa, lam):
     p = Params(kappa=kappa, lam=lam)
     full, limit = smooth_pair(grid)
     mass0 = 0.9 * grid_integral(grid, full.n.values)
-    got = make_energy_ledger(0.25, full, limit, p, 4.0, mass0)
+    got = one_row(0.25, full, limit, p, 4.0, mass0)
     want = grid_space_ledger(0.25, full, limit, p, 4.0, mass0)
     for col in LEDGER_COLUMNS:
         g, w = getattr(got, col), getattr(want, col)
         tol = 1e-14 if col in ("divE", "divB") else 1e-12 * max(1.0, abs(w))
         assert abs(g - w) <= tol, (col, g, w)
-    got = _audit_terms(full, limit, p)
+    got = one_audit(0.25, full, limit, p)
     want = grid_space_audit_terms(full, limit, p)
     assert got.keys() == want.keys()
     for key, w in want.items():
@@ -305,8 +314,8 @@ def test_transform_calls_per_row_and_snapshot(grid, monkeypatch):
     calls = count_fft_calls(monkeypatch)
     one_way = (["rfft", "irfft"] if grid.dims_active == 1
                else ["rfft", "fft", "fft", "ifft", "ifft", "irfft"])
-    for fn, args in ((make_energy_ledger, (0.0, full, limit, p, 4.0, 1.0)),
-                     (_audit_terms, (full, limit, p))):
+    for fn, args in ((make_energy_ledger, ((0.0,), (full,), (limit,), p, 4.0, 1.0)),
+                     (_audit_chunk, ((0.0,), (full,), (limit,), p))):
         calls.clear()
         fn(*args)
         assert calls == one_way, (fn.__name__, calls)
@@ -361,12 +370,12 @@ def test_chunks_match_single_snapshots_bit_for_bit(grid):
     p = Params(kappa=0.3, lam=0.05)
     snaps = chunk_snapshots(grid, 2 * _chunk_size(grid) + 1)
     rows = make_energy_ledger(*zip(*snaps), p, 4.0, 7.0)
-    singles = [make_energy_ledger(t, full, limit, p, 4.0, 7.0) for t, full, limit in snaps]
+    singles = [one_row(t, full, limit, p, 4.0, 7.0) for t, full, limit in snaps]
     assert len(rows) == len(snaps)
     for col in LEDGER_COLUMNS:
         assert np.array_equal([getattr(r, col) for r in rows], [getattr(r, col) for r in singles]), col
     terms = [_audit_chunk(*chunk, p) for chunk in _chunks(grid, snaps)]
-    singles = [_audit_terms(full, limit, p) for _, full, limit in snaps]
+    singles = [one_audit(*snap, p) for snap in snaps]
     for key in singles[0]:
         assert np.array_equal(np.concatenate([t[key] for t in terms]), [t[key] for t in singles]), key
 
@@ -381,7 +390,7 @@ def test_chunk_vacuum_names_the_first_bad_snapshot(grid64):
     snaps[2] = (0.02, *density_error_pair(grid64, N=np.full(grid64.shape, 1.0), n0=0.5 + np.cos(x)))
     snaps[4] = (0.04, *density_error_pair(grid64, N=np.cos(x) - 0.75))
     with pytest.raises(VacuumError) as alone:
-        make_energy_ledger(*snaps[2], p, 4.0, 1.0)
+        one_row(*snaps[2], p, 4.0, 1.0)
     assert str(alone.value) == ("vacuum state: density in the inner integral range nonpositive "
                                 "(min n = -0.5) at t=0.02")
     with pytest.raises(VacuumError) as chunk:

@@ -88,8 +88,8 @@ class TestStiffOperator:
     def test_matches_dense_reference(self, grid, kappa, epsilon, lam):
         # closed form against dense complex expm of the (M, 9, 9) blocks
         p = Params(kappa=kappa, epsilon=epsilon, lam=lam)
-        op = build_stiff_operator(grid, p, n_mean=1.07, dt=0.01)
-        limit = build_stiff_operator(grid, p, (), dt=0.01, limit_mean=1.07)
+        op = build_stiff_operator(grid, p, 0.01, (kappa,), (1.07,))
+        limit = build_stiff_operator(grid, p, 0.01, limit_mean=1.07)
         ref = DenseStiffReference(grid, p, n_mean=1.07, dt=0.01)
         fields = _random_fields(grid, 11)
         x = box_rfft(grid, np.stack(fields))
@@ -104,7 +104,7 @@ class TestStiffOperator:
         # the matrix exponential of the bare current-field coupling
         p = Params(kappa=0.3)
         dt = 0.01
-        op = build_stiff_operator(grid64, p, n_mean=1.0, dt=dt)
+        op = build_stiff_operator(grid64, p, dt, (p.kappa,), (1.0,))
         a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
         gen = np.zeros((9, 9))
         gen[0:3, 3:6] = a * np.eye(3)
@@ -122,7 +122,7 @@ class TestStiffOperator:
         # kappa = 1, single mode k = (1,0,0): the (E, B) pair rotates
         # (collision coupling switched off via huge tau)
         p = Params(kappa=1.0, tau=1e14)
-        op = build_stiff_operator(grid64, p, n_mean=1.0, dt=0.37)
+        op = build_stiff_operator(grid64, p, 0.37, (p.kappa,), (1.0,))
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         a, b = np.random.default_rng(0).normal(size=(2, 4))
         wave = [a[i] * np.cos(x) + b[i] * np.sin(x) for i in range(4)]
@@ -137,7 +137,7 @@ class TestStiffOperator:
         # fluid at rest, coupling off: ten half-steps at omega*dt up to ~1e8
         # keep |E|^2 + |B|^2
         p = Params(kappa=kappa, tau=1e14)
-        op = build_stiff_operator(grid64, p, n_mean=1.0, dt=0.37)
+        op = build_stiff_operator(grid64, p, 0.37, (p.kappa,), (1.0,))
         E = array_leray_project(grid64, random_smooth_vector(grid64, 5, 0.8, zero_mean=True).values)
         B = array_leray_project(grid64, random_smooth_vector(grid64, 6, 0.8, zero_mean=True).values)
         u = J = np.zeros_like(E)
@@ -148,7 +148,7 @@ class TestStiffOperator:
 
     def test_small_dt_is_identity(self, grid64):
         p = Params(kappa=0.5)
-        op = build_stiff_operator(grid64, p, n_mean=1.0, dt=1e-9)
+        op = build_stiff_operator(grid64, p, 1e-9, (p.kappa,), (1.0,))
         fields = [box_projection(grid64, v / np.abs(v).max()) for v in _random_fields(grid64, 3)]
         hat = box_rfft(grid64, np.stack(fields))
         dev = max(np.abs(y - x).max() for x, y in zip(fields, box_irfft(grid64, op.apply_half(hat))))
@@ -159,20 +159,20 @@ class TestStiffOperator:
 
     def test_invalid_dt(self, grid64):
         with pytest.raises(ConfigError):
-            build_stiff_operator(grid64, Params(kappa=0.5), 1.0, dt=0.0)
+            build_stiff_operator(grid64, Params(kappa=0.5), 0.0, (0.5,), (1.0,))
         with pytest.raises(ConfigError):
-            build_stiff_operator(grid64, Params(kappa=0.5), (), dt=0.0, limit_mean=1.0)
+            build_stiff_operator(grid64, Params(kappa=0.5), 0.0, limit_mean=1.0)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     def test_viscous_operator_steps_as_full_builder(self, grid):
         # the limit system's operator, u's viscous rows alone, tabulates the
         # full builder's u rows, alone and ahead of a batch
-        ps = tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.05))
+        p = Params(lam=0.05)
         limit = make_limit_data(grid, seed=3, amplitude=0.1)
         m, dt = limit.n.mean, 2e-4
-        alone = build_stiff_operator(grid, ps[0], (), dt, limit_mean=m)
-        full = build_stiff_operator(grid, ps[0], m, dt)
-        paired = build_stiff_operator(grid, ps, (1.02, 0.97), dt, limit_mean=m)
+        alone = build_stiff_operator(grid, p, dt, limit_mean=m)
+        full = build_stiff_operator(grid, p, dt, (0.4,), (m,))
+        paired = build_stiff_operator(grid, p, dt, (0.4, 0.05), (1.02, 0.97), limit_mean=m)
         u_terms = [t for t, (_, i, _) in enumerate(_TERMS) if i == 0]
         for op, member in ((full, 0), (paired, 0)):
             rows = [member_prop_rows(op.layout, member)[t] for t in u_terms]
@@ -205,10 +205,10 @@ def _rel_err(got, want):
 
 def _operator(grid, members, dt=0.01):
     """The operator of one state (members None) or of the limit and a batch of 3."""
+    p = Params(lam=0.05)
     if members is None:
-        return build_stiff_operator(grid, Params(kappa=0.1, lam=0.05), 1.07, dt)
-    ps = tuple(Params(kappa=k, lam=0.05) for k in (0.4, 0.1, 0.02))
-    return build_stiff_operator(grid, ps, (1.07, 0.98, 1.0), dt, limit_mean=1.03)
+        return build_stiff_operator(grid, p, dt, (0.1,), (1.07,))
+    return build_stiff_operator(grid, p, dt, (0.4, 0.1, 0.02), (1.07, 0.98, 1.0), limit_mean=1.03)
 
 
 class TestGroupedHalfStep:
@@ -229,7 +229,7 @@ class TestGroupedHalfStep:
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     def test_prop_half_is_c_contiguous(self, grid, members):
         for op in (_operator(grid, members),
-                   build_stiff_operator(grid, Params(kappa=0.1), (), dt=0.01, limit_mean=1.07)):
+                   build_stiff_operator(grid, Params(kappa=0.1), 0.01, limit_mean=1.07)):
             assert op.prop_half.flags.c_contiguous and op.prop_full.flags.c_contiguous
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
@@ -260,7 +260,7 @@ class TestBlockExponentials:
         # 2e-15 ||h M||_1.  The longitudinal block is closed form and agrees
         # everywhere.
         keys, p, h = _mode_keys(Grid(3, 32)), Params(kappa=kappa, epsilon=epsilon, lam=0.05), 0.5 * dt
-        ex_lon, ex_hel = (np.moveaxis(b, -1, 0) for b in _exp_blocks(keys, p, 1.07, h))
+        ex_lon, ex_hel = (np.moveaxis(b, -1, 0) for b in _exp_blocks(keys, p, kappa, 1.07, h))
         lon, hel = _generators(keys, p, 1.07, h)
         assert _rel_err(ex_lon, scipy.linalg.expm(lon + 0j).real).max() <= 1e-12
         norm = np.abs(hel).sum(axis=1).max(axis=1)
@@ -276,7 +276,7 @@ class TestBlockExponentials:
         _, hel = _generators(keys, p, 1.0, h)
         beyond = np.abs(hel).sum(axis=1).max(axis=1) > 1e3
         assert beyond.sum() > 10
-        eb = _exp_blocks(keys[beyond], p, 1.0, h)[1][1:, 1:]
+        eb = _exp_blocks(keys[beyond], p, kappa, 1.0, h)[1][1:, 1:]
         theta = h * np.sqrt(keys[beyond]) / kappa
         c, s = np.cos(theta), np.sin(theta)
         assert (np.abs(eb - np.array([[c, -s], [s, c]])).max(axis=(0, 1)) <= 1e-15 * theta).all()
@@ -286,7 +286,7 @@ class TestBlockExponentials:
         # and keeps full accuracy at |x| ~ 1e-17
         p, h = Params(mu=1e-15, kappa=0.2), 0.005
         keys = np.array([0.0, 1.0, 3.0])
-        ex_lon = _exp_blocks(keys, p, 1.0, h)[0]
+        ex_lon = _exp_blocks(keys, p, p.kappa, 1.0, h)[0]
         a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
         x = h * (-2e-15 * keys)
         assert np.abs(x[1:]).min() == pytest.approx(1e-17)
@@ -309,7 +309,7 @@ def test_setup_does_not_import_scipy_linalg():
         "rec = run_single(parse_config_text('[step]\\ndt = 2e-4\\nt_end = 1e-3\\n'))\n"
         "assert rec.status == 'completed' and rec.n_steps == 5, rec.status\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy after 1-D run'\n"
-        "build_stiff_operator(Grid(3, 8), Params(kappa=1e-3), 1.0, 0.01)\n"
+        "build_stiff_operator(Grid(3, 8), Params(kappa=1e-3), 0.01, (1e-3,), (1.0,))\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg after 3-D build'\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
@@ -380,14 +380,11 @@ class TestRemainder:
         stacks = limit + [x for x, _ in members]
         means = [float(box_irfft(grid, x[0]).mean()) for x in stacks]
         lim = len(limit)
-        if len(members) > 1:
-            p, m = tuple(q for _, q in members), tuple(means[lim:])
-        else:
-            p, m = (members[0][1], means[lim]) if members else (ps[0], ())
+        member_kappas = [q.kappa for _, q in members]
         x = _join(stacks)
-        op = build_stiff_operator(grid, p, m, dt=0.01, limit_mean=means[0] if lim else None)
+        op = build_stiff_operator(grid, ps[0], 0.01, member_kappas, means[lim:], means[0] if lim else None)
         got = _full_rate(x, op.coef)
-        rate = _full_rate(x, _rate_coefficients(grid, ps[0], op.coef.kap))
+        rate = _full_rate(x, _rate_coefficients(grid, ps[0], member_kappas))
         lay = _layout(len(x))
         for k, stack in enumerate(stacks):
             rows = lay.member_rows(k)
@@ -410,7 +407,7 @@ class TestRemainder:
                 for s in (5, 6))
         z = np.zeros_like(E)
         x = box_rfft(grid, _stack(np.ones(grid.shape), z, z, E, B))
-        op = build_stiff_operator(grid, p, 1.0, dt=2e-4)
+        op = build_stiff_operator(grid, p, 2e-4, (kappa,), (1.0,))
         remainder = box_irfft(grid, _full_rate(x, op.coef))
         assert np.abs(remainder[7:]).max() <= 1e-14
 
@@ -444,7 +441,7 @@ class TestStepFull:
             VectorField.zeros(grid64), VectorField.zeros(grid64), E0, B0,
         )
         sc = StepControl(dt=1e-3, t_end=0.1)
-        op = build_stiff_operator(grid64, p, 1.0, sc.dt)
+        op = build_stiff_operator(grid64, p, sc.dt, (p.kappa,), (1.0,))
         em0 = sobolev_norm(E0, 0.0) ** 2 + sobolev_norm(B0, 0.0) ** 2
         x = _stacked(state)
         for i in range(100):
@@ -465,7 +462,8 @@ class TestStepFull:
         # themselves rather than a remainder
         prop = np.zeros((len(_TERMS),) + grid.box.k2.shape)
         prop[_GROUPS[0][0]:_GROUPS[0][1]] = 1.0  # the "x" diagonal
-        identity = StiffLinearOperator(grid, sc.dt, prop, prop, _layout(13), _rate_coefficients(grid, p, p.kappa))
+        identity = StiffLinearOperator(grid, sc.dt, prop, prop, _layout(13),
+                                       _rate_coefficients(grid, p, (p.kappa,)))
         out = _state_view(grid, step_full(_stacked(state), identity))
 
         J = p.kappa * state.jt.values
@@ -492,7 +490,7 @@ class TestStepFull:
         spec = WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa)
         state = make_well_prepared(spec)
         sc = StepControl(dt=2e-4, t_end=0.01)
-        op = build_stiff_operator(grid64, p, state.n.mean, sc.dt)
+        op = build_stiff_operator(grid64, p, sc.dt, (p.kappa,), (state.n.mean,))
         x = _stacked(state)
         for i in range(50):
             x = step_full(x, op, t=i * sc.dt)
@@ -530,7 +528,7 @@ class TestStepFull:
         x = _stacked(make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa)))
         high = x.copy()
         high[2] += 1e-3 * np.cos(30.0 * grid64.coordinate(0))  # u_y
-        op = build_stiff_operator(grid64, p, float(x[0].mean()), 2e-4)
+        op = build_stiff_operator(grid64, p, 2e-4, (p.kappa,), (float(x[0].mean()),))
         for record in (True, False):
             got, want = (step_full(y, op, record=record) for y in (high, box_projection(grid64, high)))
             for a, b in zip(got, want):
@@ -547,7 +545,7 @@ class TestStepFull:
         state = make_well_prepared(spec)
         mass0 = grid_integral(grid64, state.n.values)
         sc = StepControl(dt=2e-4, t_end=0.02)
-        op = build_stiff_operator(grid64, p, state.n.mean, sc.dt)
+        op = build_stiff_operator(grid64, p, sc.dt, (p.kappa,), (state.n.mean,))
         x = _stacked(state)
         for i in range(100):
             x = step_full(x, op, t=i * sc.dt)
@@ -585,7 +583,7 @@ class TestStepFull:
     def test_operator_for_another_member_set_rejected(self, grid64):
         # the operator is the set's whole description; one built for the
         # limit alone cannot step a scaled-system state
-        op = build_stiff_operator(grid64, Params(kappa=0.2), (), 1e-3, limit_mean=1.0)
+        op = build_stiff_operator(grid64, Params(kappa=0.2), 1e-3, limit_mean=1.0)
         with pytest.raises(ConfigError, match=r"^the operator was built for a member set of 2 coefficient "
                                               r"rows, not for the step's 13 stack rows$"):
             step_full(_stacked(_uniform(grid64)), op)
@@ -599,9 +597,9 @@ class TestStepFull:
         limit = make_limit_data(grid, seed=7, amplitude=0.1)
         fulls = [make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=k)) for k in kappas]
         paired = _join([_stacked(limit)] + [_stacked(f) for f in fulls])
-        for x, p in ((paired, tuple(Params(kappa=k) for k in kappas)), (_stacked(limit), Params(kappa=0.4))):
+        for x, member_kappas in ((paired, kappas), (_stacked(limit), ())):
             before = x.copy()
-            op = stack_operator(grid, x, p, 2e-4)
+            op = stack_operator(grid, x, Params(), 2e-4, member_kappas)
             y = step_full(x, op)
             assert x.tobytes() == before.tobytes()
             assert not np.shares_memory(x, y)
@@ -647,14 +645,14 @@ def test_transform_calls_per_step(grid, monkeypatch):
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
     sc = StepControl(dt=2e-4, t_end=2e-4)
-    batch_p = tuple(Params(kappa=k) for k in (0.4, 0.2, 0.1, 0.05))
+    batch = (0.4, 0.2, 0.1, 0.05)
     x, xl, m, ml = _stacked(full), _stacked(limit), full.n.mean, limit.n.mean
     rows = []
     calls = count_fft_calls(monkeypatch, rows)
-    for stack, params, means, limit_mean in ((x, p, m, None), (xl, p, (), ml),
-                                             (_join([x] * 4), batch_p, (m,) * 4, None),
-                                             (_join([xl] + [x] * 4), batch_p, (m,) * 4, ml)):
-        op = build_stiff_operator(grid, params, means, sc.dt, limit_mean=limit_mean)
+    for stack, kappas, means, limit_mean in ((x, (p.kappa,), (m,), None), (xl, (), (), ml),
+                                             (_join([x] * 4), batch, (m,) * 4, None),
+                                             (_join([xl] + [x] * 4), batch, (m,) * 4, ml)):
+        op = build_stiff_operator(grid, p, sc.dt, kappas, means, limit_mean)
         counts = []
 
         def counted(y, record):
@@ -685,23 +683,23 @@ def test_batch_matches_single_steps(grid):
     # alone, operator tables included, on the half-spectrum between records
     # as on the grid
     kappas = (0.4, 0.05, 1e-3)
-    ps = tuple(Params(kappa=k) for k in kappas)
+    p = Params()
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     fulls = tuple(make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=k))
                   for k in kappas)
     sc = StepControl(dt=2e-4, t_end=1.0)
-    ops = [build_stiff_operator(grid, p, s.n.mean, sc.dt) for p, s in zip(ps, fulls)]
-    ops.insert(0, build_stiff_operator(grid, ps[0], (), sc.dt, limit_mean=limit.n.mean))
+    ops = [build_stiff_operator(grid, p, sc.dt, (k,), (s.n.mean,)) for k, s in zip(kappas, fulls)]
+    ops.insert(0, build_stiff_operator(grid, p, sc.dt, limit_mean=limit.n.mean))
     for limits in ([], [limit]):
         states = limits + list(fulls)
-        op = build_stiff_operator(grid, ps, tuple(s.n.mean for s in fulls), sc.dt,
-                                  limit_mean=limit.n.mean if limits else None)
+        op = build_stiff_operator(grid, p, sc.dt, kappas, [s.n.mean for s in fulls],
+                                  limit.n.mean if limits else None)
         singles = ops[1 - len(limits):]
         for k, single in enumerate(singles):
             rows = [r for r in member_prop_rows(op.layout, k) if r is not None]
             assert np.array_equal(op.prop_half[rows], single.prop_half)
             assert np.array_equal(op.prop_full[rows], single.prop_full)
-        assert np.array_equal(op.coef.n_mean[:, 0, 0, 0, 0], [s.coef.n_mean for s in ops[1:]])
+        assert np.array_equal(op.coef.n_mean, np.concatenate([s.coef.n_mean for s in ops[1:]]))
         alone = [_stacked(s) for s in states]
         batch = _join(alone)
         for i, record in enumerate((False, False, True, False, True)):
@@ -719,35 +717,35 @@ def test_batch_matches_single_steps(grid):
 class TestBatchFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_names_member(self, grid64):
-        ps = tuple(Params(kappa=k) for k in (0.4, 0.2, 0.1))
         s = _uniform(grid64)
         bad_u = np.zeros((3,) + grid64.shape)
         bad_u[0, 0] = np.inf
         bad = FullState(s.n, VectorField(grid64, bad_u), s.jt, s.E, s.B)
         with pytest.raises(BlowUpError) as alone:
-            step_once(grid64, _stacked(bad), ps[1], 1e-3)
+            step_once(grid64, _stacked(bad), Params(kappa=0.2), 1e-3)
         with pytest.raises(BlowUpError) as batch:
-            step_once(grid64, _join([_stacked(x) for x in (s, bad, s)]), ps, 1e-3)
+            step_once(grid64, _join([_stacked(x) for x in (s, bad, s)]), Params(), 1e-3,
+                      kappas=(0.4, 0.2, 0.1))
         assert batch.value.member == 1
         assert str(batch.value) == str(alone.value)
 
     def test_vacuum_names_member_and_min_density(self, grid64):
         # linear pressure keeps the rates finite at negative density; the
         # limit leads the set, so the failing member is number 2
-        ps = tuple(Params(kappa=k, pressure=PressureLaw(gamma=1.0)) for k in (0.4, 0.2))
+        p = Params(pressure=PressureLaw(gamma=1.0))
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         z = VectorField.zeros(grid64)
         good, bad = (ScalarField(grid64, 1.0 + a * np.sin(x)) for a in (0.1, 1.5))
         stacks = [_stacked(LimitState(good, z))] + [_stacked(FullState(n, z, z, z, z)) for n in (good, bad)]
         with pytest.raises(VacuumError, match=r"^vacuum state at t=0\.001: min n = -0\.49") as exc:
-            step_once(grid64, _join(stacks), ps, 1e-3)
+            step_once(grid64, _join(stacks), p, 1e-3, kappas=(0.4, 0.2))
         assert exc.value.member == 2
 
     def test_limit_predictor_stage_vacuum_names_member(self, grid64):
         # positive on entry, negative in the SSP-RK2 predictor stage; linear
         # pressure keeps the first-stage rate finite.  The limit is member 0
         # of the set it leads.
-        ps = tuple(Params(kappa=k, pressure=PressureLaw(gamma=1.0)) for k in (0.4, 0.2))
+        p = Params(kappa=0.2, pressure=PressureLaw(gamma=1.0))
         x = grid64.coordinate(0) * np.ones(grid64.shape)
         zero = np.zeros(grid64.shape)
         z = VectorField.zeros(grid64)
@@ -755,18 +753,19 @@ class TestBatchFailures:
         bad = LimitState(ScalarField(grid64, 1.0 + 0.5 * np.sin(x)),
                          VectorField(grid64, np.stack([10.0 * np.sin(x), zero, zero])))
         with pytest.raises(VacuumError) as alone:
-            step_once(grid64, _stacked(bad), ps[1], 0.2)
+            step_once(grid64, _stacked(bad), p, 0.2)
         assert str(alone.value).startswith("vacuum state in the SSP-RK2 predictor stage at t=0.2: min n = -")
         with pytest.raises(VacuumError) as batch:
-            step_once(grid64, _join([_stacked(bad), _stacked(good)]), ps[1], 0.2)
+            step_once(grid64, _join([_stacked(bad), _stacked(good)]), p, 0.2)
         assert batch.value.member == 0
         assert str(batch.value) == str(alone.value)
         assert alone.value.time == batch.value.time == 0.2
 
-    def test_params_must_differ_only_in_kappa(self, grid64):
-        ps = (Params(kappa=0.4), Params(kappa=0.2, mu=0.2))
-        with pytest.raises(ConfigError, match="differ only in kappa"):
-            build_stiff_operator(grid64, ps, (1.0, 1.0), 1e-3)
+    @pytest.mark.parametrize("kappas, means", [((0.4, 0.2), (1.0,)), ((0.4,), (1.0, 1.0))])
+    def test_kappas_and_means_must_pair(self, grid64, kappas, means):
+        # one kappa and one mean density per member with a current
+        with pytest.raises(ValueError):
+            build_stiff_operator(grid64, Params(), 1e-3, kappas, means)
 
 
 class TestStepLimit:
@@ -797,7 +796,7 @@ class TestStepLimit:
         )
         dt, t_end = 2e-3, 40.0
         n_steps = round(t_end / dt)
-        op = build_stiff_operator(grid, p, (), dt, limit_mean=1.0)
+        op = build_stiff_operator(grid, p, dt, limit_mean=1.0)
         series = np.empty(n_steps)
         x = _stacked(state)
         for i in range(n_steps):

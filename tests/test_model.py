@@ -416,7 +416,8 @@ class TestGroupedProducts:
     def _products(grid, p, kap, x):
         """``_products`` of a member set's grid stack x."""
         lay = _layout(len(x))
-        return _products(p, _rate_coefficients(grid, p, kap), lay, x, x[lay.n_uJ], lay.shapes(x.shape[1:]))
+        coef = _rate_coefficients(grid, p, np.ravel(kap))
+        return _products(p, coef, lay, x, x[lay.n_uJ], lay.shapes(x.shape[1:]))
 
     @staticmethod
     def _limit_fields(grid):

@@ -339,6 +339,21 @@ def test_cmp_outputs_smoke(tmp_path, capsys):
     assert capsys.readouterr().out == "sweep sweep.ini: 14 outputs identical\n"
 
 
+def test_cmp_outputs_saves_stderr(tmp_path):
+    # a one-step run records 2 snapshots, too few for the audit: its config
+    # error on stderr is saved after the separator line, with the output
+    # directory written as OUT, so a changed error message is a difference
+    cmp_outputs = _load("cmp_outputs")
+    config = tmp_path / "run.ini"
+    config.write_text("[step]\ndt = 2e-4\nt_end = 2e-4\n")
+    out = tmp_path / "out"
+    cmp_outputs.run_tree(SCRIPTS.parent, out, ["run", "--config", str(config)])
+    assert (out / "command.txt").read_text().endswith("OUT/run_kappa0.1.json\n--- stderr ---\n")
+    assert (out / "run_kappa0.1.audit.txt").read_text() == (
+        "exit 2\n--- stderr ---\nconfig error: need at least 3 snapshots for the energy audit; "
+        "OUT/run_kappa0.1_snapshots.npz holds 2 snapshots\n")
+
+
 def test_cmp_outputs_names_what_differs(tmp_path):
     cmp_outputs = _load("cmp_outputs")
     a, b = tmp_path / "A", tmp_path / "B"
