@@ -3,16 +3,17 @@ direct reference kernels for the tests to compare the solver against."""
 
 import math
 from itertools import product as _iproduct
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft
 import scipy.linalg
 
+from nsmlimit import harness
 from nsmlimit.diagnostics import EnergyLedger
 from nsmlimit.errors import VacuumError
 from nsmlimit.harness import InitialSpec, RunConfig, run_single
-from nsmlimit.integrator import _TERMS, StepControl, build_stiff_operator, evolve, step_full
+from nsmlimit.integrator import _TERMS, HalfStack, StepControl, build_stiff_operator, evolve, step_full
 from nsmlimit.model import (
     FullState,
     LimitState,
@@ -572,12 +573,82 @@ def paired_trajectory(grid, kappa, dt, n_steps, seed=7, amplitude=0.1, c0=1.0,
     return rec.snapshots, cfg.params
 
 
+def inject_faults(monkeypatch, *faults) -> list:
+    """Swap ``harness.step_full``, which a run looks up at every step, for a
+    step that first adds faults to the member set it is given.
+
+    A fault ``(kappa, steps, add)`` adds ``add(grid, n)``, (4, *shape) on the
+    grid, to the (n, u) rows of the member at ``kappa`` before the step from
+    t = steps dt; n is that member's density on the grid.  The fault is
+    keyed on the member's kappa, read from the operator, and on the time,
+    not on the member's place in the set: a batch member and its standalone
+    run get the same fault, and a step redone after another member left
+    gets it again.  A carried HalfStack gets the fault as the state it
+    stands for, on the 2/3-rule box and through the opening half-step.
+    Returns a list that gets the ``record`` flag of each faulted step."""
+    flags, step = [], harness.step_full
+
+    def faulty(x, op, *args, t=0.0, **kwargs):
+        kappas = list(op.coef.kap.ravel())
+        for kappa, steps, add in faults:
+            if t == steps * op.dt and kappa in kappas:
+                x = _add_to_member(x, op, op.layout.limit + kappas.index(kappa), add)
+                flags.append(kwargs["record"])
+        return step(x, op, *args, t=t, **kwargs)
+
+    monkeypatch.setattr(harness, "step_full", faulty)
+    return flags
+
+
+def _add_to_member(x, op, member: int, add):
+    """The member set x, a grid stack or a HalfStack, with ``add`` of
+    ``inject_faults`` added to the (n, u) rows of one member."""
+    lay, carried = op.layout, isinstance(x, HalfStack)
+    n = x.n if carried else x[lay.n]
+    delta = np.zeros(((x.half if carried else x).shape[0],) + n.shape[1:])
+    delta[lay.member_rows(member)[:4]] = add(op.grid, n[member])
+    if not carried:
+        return x + delta
+    hat = box_rfft(op.grid, delta)
+    stiff = hat[lay.stiff].reshape(lay.shapes(hat.shape[1:]).stiff)
+    stiff[:] = op.apply_half(stiff)
+    return HalfStack(x.half + hat, n + delta[lay.n])
+
+
+class StiffEntries(NamedTuple):
+    """The per-mode entries of a member's stiff generator L
+    (``StiffLinearOperator``), each a float or an array over |k|^2: u's and
+    J's transverse and longitudinal viscous rates ``v_tra`` and ``v_lon``,
+    the J-E coupling ``j_e``, the E-J coupling ``e_j`` (of the Leray
+    projector), the Maxwell frequency ``omega`` = |k|/kappa and the friction
+    ``friction``, which J's diagonal loses beside the viscous rates."""
+
+    v_tra: np.ndarray
+    v_lon: np.ndarray
+    j_e: float
+    e_j: float
+    omega: np.ndarray
+    friction: float
+
+
+def stiff_entries(p: Params, kappa: float, n_mean: float, k2) -> StiffEntries:
+    """The entries of the stiff generator of the member at ``kappa`` and mean
+    density ``n_mean`` per |k|^2 of ``k2``: the one statement of them on the
+    test side, which the dense references assemble."""
+    v_tra = -p.mu * k2 / n_mean
+    v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
+    a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
+    return StiffEntries(v_tra, v_lon, a * n_mean, -n_mean, np.sqrt(k2) / kappa, 0.0)
+
+
 class DenseStiffReference:
     """The stiff operator assembled as dense (M, 9, 9) complex per-mode blocks
-    on the 2/3-rule box and exponentiated with scipy's expm: a slow but
-    direct reference for the closed-form StiffLinearOperator.  It maps grid
-    values to grid values, through the box: the content of the fields
-    outside it is dropped."""
+    on the 2/3-rule box from k k^T and the cross-product matrix of k, with
+    the entries of ``stiff_entries``, and exponentiated with scipy's expm: a
+    slow but direct reference for the closed-form StiffLinearOperator, which
+    splits the blocks into helical parts instead.  It maps grid values to
+    grid values, through the box: the content of the fields outside it is
+    dropped."""
 
     def __init__(self, grid: Grid, p: Params, n_mean: float, dt: float):
         self.grid = grid
@@ -585,29 +656,28 @@ class DenseStiffReference:
         m = kvec.shape[0]
         k2 = (kvec**2).sum(axis=1)
         eye = np.eye(3)
-
-        kk = np.einsum("mi,mj->mij", kvec, kvec)
-        visc = -(p.mu * k2[:, None, None] * eye + (p.mu + p.lam) * kk) / n_mean
-
-        cross = np.zeros((m, 3, 3))
-        cross[:, 0, 1] = -kvec[:, 2]
-        cross[:, 0, 2] = kvec[:, 1]
-        cross[:, 1, 0] = kvec[:, 2]
-        cross[:, 1, 2] = -kvec[:, 0]
-        cross[:, 2, 0] = -kvec[:, 1]
-        cross[:, 2, 1] = kvec[:, 0]
+        e = stiff_entries(p, p.kappa, n_mean, k2)
 
         k2_safe = np.where(k2 == 0.0, 1.0, k2)
-        leray = eye - kk / k2_safe[:, None, None]
-        leray[k2 == 0.0] = eye
+        khat = kvec / np.sqrt(k2_safe)[:, None]
+        kk = np.einsum("mi,mj->mij", khat, khat)  # zero at k = 0
+        visc = e.v_tra[:, None, None] * eye + (e.v_lon - e.v_tra)[:, None, None] * kk
 
-        a_coef = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
+        cross = np.zeros((m, 3, 3))
+        cross[:, 0, 1] = -khat[:, 2]
+        cross[:, 0, 2] = khat[:, 1]
+        cross[:, 1, 0] = khat[:, 2]
+        cross[:, 1, 2] = -khat[:, 0]
+        cross[:, 2, 0] = -khat[:, 1]
+        cross[:, 2, 1] = khat[:, 0]
+        rot = e.omega[:, None, None] * cross
+
         gen = np.zeros((m, 9, 9), dtype=complex)
-        gen[:, 0:3, 0:3] = visc
-        gen[:, 0:3, 3:6] = a_coef * eye
-        gen[:, 3:6, 0:3] = -n_mean * leray
-        gen[:, 3:6, 6:9] = 1j * cross / p.kappa
-        gen[:, 6:9, 3:6] = -1j * cross / p.kappa
+        gen[:, 0:3, 0:3] = visc - e.friction * eye
+        gen[:, 0:3, 3:6] = e.j_e * eye
+        gen[:, 3:6, 0:3] = e.e_j * (eye - kk)
+        gen[:, 3:6, 6:9] = 1j * rot
+        gen[:, 6:9, 3:6] = -1j * rot
         self.gen_u = visc.astype(complex)
         self.gen_jeb = gen
         self.prop_u_half = scipy.linalg.expm(self.gen_u * (0.5 * dt))

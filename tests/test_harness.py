@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from support import inject_faults
 
 from nsmlimit import harness
 from nsmlimit.cli import _with_seed, main
@@ -16,7 +17,7 @@ from nsmlimit.diagnostics import LEDGER_COLUMNS
 from nsmlimit.errors import ConfigError, VacuumError
 from nsmlimit.initdata import make_limit_data
 from nsmlimit.integrator import HalfStack, evolve
-from nsmlimit.model import FullState, LimitState, Params, _layout
+from nsmlimit.model import FullState, LimitState, Params
 from nsmlimit.spectral import box_rfft
 from nsmlimit.harness import (
     InitialSpec,
@@ -54,16 +55,34 @@ ACCEPTANCE_PATH = ROOT / "configs" / "acceptance.ini"
 ACCEPTANCE_TEXT = ACCEPTANCE_PATH.read_text()
 
 
-def _stiff_epsilon_text(kappa_list: str) -> str:
-    """The acceptance config at epsilon = 1e-6 and t_end = 0.02, where the
-    larger kappas lose positivity."""
-    return (ACCEPTANCE_TEXT.replace("epsilon = 0.1", "epsilon = 1e-6")
-            .replace("t_end = 0.1", "t_end = 0.02")
+def _velocity_kick(grid, n):
+    """A velocity of -6000 sin x: the density of the next SSP-RK2 predictor
+    stage turns negative where u_x falls steeply."""
+    add = np.zeros((4,) + n.shape)
+    add[1] = -6000.0 * np.sin(grid.coordinate(0))
+    return add
+
+
+def _density_hole(grid, n):
+    """A density of -0.5 at one point."""
+    add = np.zeros((4,) + n.shape)
+    add[0].flat[5] = -0.5 - n.flat[5]
+    return add
+
+
+def _faulted_text(monkeypatch, kappa_list: str, gamma: str = "1.0") -> str:
+    """The acceptance config at t_end = 0.02, with ``kappa_list`` and
+    pressure_gamma ``gamma``, where every member completes, and every run of
+    it given two faults (``inject_faults``).  Member 0.4 gets a density hole
+    before step 4: the predictor check skips a member whose entry density is
+    not positive, linear pressure keeps its rates finite, and the step ends
+    in a vacuum.  Member 0.1 gets a velocity kick before step 65, which
+    empties the density of its SSP-RK2 predictor stage.  Neither step is a
+    multiple of the snapshot stride 25."""
+    inject_faults(monkeypatch, (0.4, 3, _density_hole), (0.1, 64, _velocity_kick))
+    return (ACCEPTANCE_TEXT.replace("t_end = 0.1", "t_end = 0.02")
+            .replace("pressure_gamma = 1.6666666666666667", f"pressure_gamma = {gamma}")
             .replace("kappa_list = 0.4, 0.2, 0.1, 0.05", f"kappa_list = {kappa_list}"))
-
-
-def _stiff_epsilon_config(kappa_list: str):
-    return parse_config_text(_stiff_epsilon_text(kappa_list))
 
 
 def _assert_same_files(out, alone_paths):
@@ -235,10 +254,11 @@ class TestRunSingle:
         assert rec.certificates["hypothesis_norm"] <= 0.1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_predictor_stage_vacuum_is_typed(self):
+    def test_predictor_stage_vacuum_is_typed(self, monkeypatch):
         # the density of the SSP-RK2 predictor turns negative before the
-        # pressure law sees it; that used to end as a blow-up in u
-        rec = run_single(_stiff_epsilon_config("0.4, 0.1, 0.01"), kappa=0.1)
+        # gamma-law pressure sees it; that used to end as a blow-up in u
+        text = _faulted_text(monkeypatch, "0.4, 0.1, 0.01", gamma="1.6666666666666667")
+        rec = run_single(parse_config_text(text), kappa=0.1)
         assert rec.status == "vacuum"
         assert rec.message.startswith("vacuum state in the SSP-RK2 predictor stage at t=0.013: min n = -")
         assert rec.n_steps == 64
@@ -418,17 +438,17 @@ class TestUnrecordedSteps:
         assert [t for t, _, _ in rec.snapshots] == [0.0, 10 * 2e-4]
         assert rec.rows == whole.rows
 
-    def test_vacuum_after_a_step_and_in_the_predictor_stage(self):
-        # members 0.4 and 0.1 of the epsilon = 1e-6 config fail at steps 3
+    def test_vacuum_after_a_step_and_in_the_predictor_stage(self, monkeypatch):
+        # members 0.4 and 0.1 of the faulted config leave after steps 3
         # and 64, neither a multiple of the stride 25: with the time, step,
         # member and message (min n included) of a run that records every
         # step, which are those of the steps that all closed on the grid;
         # the other member redoes each step and keeps its own run's records
-        cfg = _stiff_epsilon_config("0.4, 0.1, 0.01")
+        cfg = parse_config_text(_faulted_text(monkeypatch, "0.4, 0.1, 0.01"))
         recs = run_single(cfg, kappa=tuple(cfg.kappa_list))
         assert [(r.status, r.n_steps, r.message) for r in recs] == [
-            ("vacuum", 3, "vacuum state at t=0.0008: min n = -0.531263"),
-            ("vacuum", 64, "vacuum state in the SSP-RK2 predictor stage at t=0.013: min n = -7.47644"),
+            ("vacuum", 3, "vacuum state at t=0.0008: min n = -0.027218"),
+            ("vacuum", 64, "vacuum state in the SSP-RK2 predictor stage at t=0.013: min n = -0.0995365"),
             ("completed", 100, "")]
         every = run_single(replace(cfg, snapshot_stride=1), kappa=tuple(cfg.kappa_list))
         assert [(r.status, r.n_steps, r.message) for r in every] == [
@@ -441,17 +461,13 @@ class TestUnrecordedSteps:
         # field, as a recorded step does, and it leaves at 3 steps; 0.4
         # redoes the step and keeps its own run's records
         cfg = parse_config_text(SHORT_CONFIG)
-        spoiled = []
 
-        def step_full(x, op, *args, _step=harness.step_full, t=0.0, **kwargs):
-            if t == 3 * op.dt and not spoiled:
-                spoiled.append(kwargs["record"])
-                half = x.half.copy()
-                half[_layout(len(half)).member_rows(2)[1], 5] = math.nan  # u_x of member 0.2
-                x = HalfStack(half, x.n)
-            return _step(x, op, *args, t=t, **kwargs)
+        def nan_velocity(grid, n):
+            add = np.zeros((4,) + n.shape)
+            add[1].flat[5] = math.nan
+            return add
 
-        monkeypatch.setattr(harness, "step_full", step_full)
+        spoiled = inject_faults(monkeypatch, (0.2, 3, nan_velocity))
         kept, left = run_single(cfg, kappa=(0.4, 0.2))
         assert spoiled == [False]
         assert (left.status, left.n_steps, left.message) == (
@@ -670,8 +686,8 @@ class TestBatchedSweep:
             assert timing[2] == "batch_members = 3"
             assert len(paths["time"].read_text().splitlines()) == 1
 
-    def test_member_failure_keeps_the_others(self, tmp_path):
-        cfg = _stiff_epsilon_config("0.4, 0.1, 0.01, 0.003, 0.001")
+    def test_member_failure_keeps_the_others(self, tmp_path, monkeypatch):
+        cfg = parse_config_text(_faulted_text(monkeypatch, "0.4, 0.1, 0.01, 0.003, 0.001"))
         out = tmp_path / "sweep"
         with pytest.warns(UserWarning, match="sweep members failed"):
             result = run_sweep(cfg, out_dir=out)
@@ -722,10 +738,10 @@ class TestPairedLimit:
             assert rec.status == "completed" and len(rec.snapshots) == len(want)
             self._assert_prefix(rec, want)
 
-    def test_limit_snapshots_when_a_member_leaves(self):
+    def test_limit_snapshots_when_a_member_leaves(self, monkeypatch):
         # members 0.4 and 0.1 leave at steps 3 and 64; the limit steps on
         # with 0.01 as it does alone
-        cfg = _stiff_epsilon_config("0.4, 0.1, 0.01")
+        cfg = parse_config_text(_faulted_text(monkeypatch, "0.4, 0.1, 0.01"))
         want = self._evolved_limit(cfg)
         recs = run_single(cfg, kappa=tuple(cfg.kappa_list))
         assert [(r.status, r.n_steps) for r in recs] == [("vacuum", 3), ("vacuum", 64), ("completed", 100)]
@@ -894,11 +910,11 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "sweep_summary.json").exists()
 
-    def test_sweep_too_few_completed_exit_three(self, tmp_path, capsys):
+    def test_sweep_too_few_completed_exit_three(self, tmp_path, capsys, monkeypatch):
         # two of three members hit vacuum: every record is written and the
         # table printed, but there is no rate fit and no summary file
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(_stiff_epsilon_text("0.4, 0.1, 0.01"))
+        cfg_path.write_text(_faulted_text(monkeypatch, "0.4, 0.1, 0.01"))
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="sweep members failed"):
             rc = main(["sweep", "--config", str(cfg_path), "--out", str(out)])

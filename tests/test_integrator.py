@@ -20,6 +20,7 @@ from support import (
     plain_rate,
     stack_operator,
     step_once,
+    stiff_entries,
     term_by_term_half_step,
 )
 
@@ -105,11 +106,9 @@ class TestStiffOperator:
         p = Params(kappa=0.3)
         dt = 0.01
         op = build_stiff_operator(grid64, p, dt, (p.kappa,), (1.0,))
-        a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
-        gen = np.zeros((9, 9))
-        gen[0:3, 3:6] = a * np.eye(3)
-        gen[3:6, 0:3] = -np.eye(3)
-        expected = scipy.linalg.expm(gen * (dt / 2))
+        # at k = 0 each component of (J, E, B) follows M, the helical block
+        gen = np.kron(_generators(np.zeros(1), p, 1.0, dt / 2)[1][0], np.eye(3))
+        expected = scipy.linalg.expm(gen)
         z0 = np.random.default_rng(0).normal(size=9)
         ones = np.ones((3,) + grid64.shape)
         J0, E0, B0 = (z0[s:s + 3, None, None, None] * ones for s in (0, 3, 6))
@@ -186,15 +185,13 @@ def _mode_keys(grid):
 
 def _generators(k2, p, n_mean, h):
     """h Long and h M per |k|^2 of k2, (P, 3, 3), as the StiffLinearOperator
-    docstring defines them."""
-    v_tra = -p.mu * k2 / n_mean
-    v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
-    omega = np.sqrt(k2) / p.kappa
-    a = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
+    docstring defines them, from ``stiff_entries``."""
+    e = stiff_entries(p, p.kappa, n_mean, k2)
     lon = np.zeros((len(k2), 3, 3))
-    lon[:, 0, 0], lon[:, 0, 1] = v_lon, a
+    lon[:, 0, 0], lon[:, 0, 1] = e.v_lon - e.friction, e.j_e
     hel = np.zeros((len(k2), 3, 3))
-    hel[:, 0, 0], hel[:, 0, 1], hel[:, 1, 0], hel[:, 1, 2], hel[:, 2, 1] = v_tra, a, -n_mean, -omega, omega
+    hel[:, 0, 0], hel[:, 0, 1], hel[:, 1, 0] = e.v_tra - e.friction, e.j_e, e.e_j
+    hel[:, 1, 2], hel[:, 2, 1] = -e.omega, e.omega
     return h * lon, h * hel
 
 
@@ -287,13 +284,12 @@ class TestBlockExponentials:
         p, h = Params(mu=1e-15, kappa=0.2), 0.005
         keys = np.array([0.0, 1.0, 3.0])
         ex_lon = _exp_blocks(keys, p, p.kappa, 1.0, h)[0]
-        a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
-        x = h * (-2e-15 * keys)
-        assert np.abs(x[1:]).min() == pytest.approx(1e-17)
-        assert ex_lon[0, 1, 0] == a * h
-        assert np.abs(ex_lon[0, 1] - a * h * (1.0 + 0.5 * x)).max() <= 1e-16 * a * h
-        assert np.array_equal(ex_lon[0, 0], np.exp(x))
         lon = _generators(keys, p, 1.0, h)[0]
+        x, a_h = lon[:, 0, 0], lon[0, 0, 1]
+        assert np.abs(x[1:]).min() == pytest.approx(1e-17)
+        assert ex_lon[0, 1, 0] == a_h
+        assert np.abs(ex_lon[0, 1] - a_h * (1.0 + 0.5 * x)).max() <= 1e-16 * a_h
+        assert np.array_equal(ex_lon[0, 0], np.exp(x))
         assert _rel_err(np.moveaxis(ex_lon, -1, 0), scipy.linalg.expm(lon + 0j).real).max() <= 1e-15
 
 
