@@ -1,13 +1,16 @@
 """Time integration: exact per-mode stiff propagation + explicit SSP-RK2.
 
 The scaled system has two stiff mechanisms: the 1/kappa Maxwell rotation
-and the 1/(tau*eps) current-field coupling.  Both are linear once the
-density in the coupling terms is frozen at its spatial mean, so each
-Fourier mode carries a constant generator L.  L splits into a longitudinal
-and two helical transverse parts whose 3x3 exponentials depend only on
-|k|^2: they are tabulated once per distinct |k|^2 and applied on the
-2/3-rule box (``spectral``, "Conventions"), the stepper's one spectral
-layout.  The longitudinal exponential is closed form and the helical one a
+and the 1/(tau*eps) current-field coupling with its electron-ion friction.
+Both are linear once the density in the coupling terms is frozen at its
+spatial mean, so each Fourier mode carries a constant generator L, which
+takes up the friction and the whole J-E coupling of the primitive J
+equation: the split is asymptotic preserving, exact in the stiff part at
+any eps (Jin, 2012; Filbet & Jin, J. Comput. Phys. 229, 2010).  L splits
+into a longitudinal and two helical transverse parts whose 3x3
+exponentials depend only on |k|^2: they are tabulated once per distinct
+|k|^2 and applied on the 2/3-rule box (``spectral``, "Conventions"), the
+stepper's one spectral layout.  The longitudinal exponential is closed form and the helical one a
 vectorised scaling-and-squaring Pade approximant (``_expm3``), both
 element-wise numpy work with no BLAS call.
 A step is the Strang composition
@@ -155,17 +158,18 @@ class StiffLinearOperator:
     """Per-mode stiff generator L of a member set and its half-step and
     full-step exponentials, in closed form.
 
-    Per Fourier mode the (J, E, B) block is d_t J = V J + a E with
-    a = (1+eps)/(tau eps) n_mean, d_t E = (ik x B)/kappa - n_mean P_k J and
-    d_t B = -(ik x E)/kappa; V = -(mu |k_full|^2 + (mu+lam) k k^T)/n_mean is
-    the viscous multiplier, which u carries alone, and P_k the Leray
-    projector.  With khat = k/|k| and omega = |k|/kappa,
+    Per Fourier mode the (J, E, B) block is d_t J = (V - f) J + a E with
+    a = (1+eps)/(tau eps) and the friction rate
+    f = a kappa_ei k_rate kappa^2 n_mean, d_t E = (ik x B)/kappa - n_mean P_k J
+    and d_t B = -(ik x E)/kappa; V = -(mu |k_full|^2 + (mu+lam) k k^T)/n_mean
+    is the viscous multiplier, which u carries alone without f, and P_k the
+    Leray projector.  With khat = k/|k| and omega = |k|/kappa,
 
         L = Long (x) khat khat^T + Even(M) (x) (I - khat khat^T)
             + Odd(M) (x) (-i khat x),
 
-    Long = [[v_L, a, 0], [0, 0, 0], [0, 0, 0]] and
-    M = [[v_T, a, 0], [-n_mean, 0, -omega], [0, omega, 0]], with
+    Long = [[v_L - f, a, 0], [0, 0, 0], [0, 0, 0]] and
+    M = [[v_T - f, a, 0], [-n_mean, 0, -omega], [0, omega, 0]], with
     v_T = -mu |k_full|^2/n_mean and v_L = v_T - (mu+lam)|k|^2/n_mean.  M is
     the generator on one helical transverse part (khat x = i); the other
     helicity carries D M D, D = diag(1, 1, -1), so Even/Odd keep the entries
@@ -316,22 +320,25 @@ def _table(k2: np.ndarray, p: Params, kappa: float, n_mean: float, h: np.ndarray
 
 def _exp_blocks(k2: np.ndarray, p: Params, kappa: float, n_mean: float, h):
     """exp(h Long) and exp(h M) at ``kappa``, each (3, 3, *x.shape), per step
-    length h and |k|^2 of k2, with x = h v_L: (3, 3, modes) for a float h,
-    (3, 3, steps, modes) for a (steps, 1) column.  Long has zero E and B
-    rows, so its exponential is closed form: e^x and a h (e^x - 1)/x in the
-    J row, and the limit a h at x = 0.  M's goes through ``_expm3``."""
+    length h and |k|^2 of k2: (3, 3, modes) for a float h,
+    (3, 3, steps, modes) for a (steps, 1) column; x = h (v_L - f) and M's
+    J diagonal v_T - f carry the friction rate f, u's rows (``_u_rows``)
+    do not.  Long has zero E and B rows, so its exponential is closed form:
+    e^x and a h (e^x - 1)/x in the J row, and the limit a h at x = 0.  M's
+    goes through ``_expm3``."""
     v_tra = -p.mu * k2 / n_mean
     v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
     omega = np.sqrt(k2) / kappa
-    a = (1.0 + p.epsilon) / (p.tau * p.epsilon) * n_mean
-    x = h * v_lon
+    a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
+    fric = a * p.kappa_ei * p.k_rate * (kappa * kappa) * n_mean
+    x = h * (v_lon - fric)
     phi = np.ones_like(x)  # (e^x - 1)/x
     phi[x != 0.0] = np.expm1(x[x != 0.0]) / x[x != 0.0]
     ex_lon = np.zeros((3, 3) + x.shape)
     ex_lon[0, 0], ex_lon[0, 1] = np.exp(x), a * h * phi
     ex_lon[1, 1] = ex_lon[2, 2] = 1.0
     hel = np.zeros((3, 3) + x.shape)
-    hel[0, 0], hel[0, 1], hel[1, 0] = h * v_tra, h * a, -h * n_mean
+    hel[0, 0], hel[0, 1], hel[1, 0] = h * (v_tra - fric), h * a, -h * n_mean
     hel[1, 2], hel[2, 1] = -h * omega, h * omega
     return ex_lon, _expm3(hel)
 

@@ -402,8 +402,9 @@ class _RateCoefficients(NamedTuple):
     members with a current, or (M + K, ...) for ``visc_mean``; ``kap_rows``
     is kappa per J row, a (3K, 1, 1, 1) column.  ``n_mean`` is the frozen
     mean density of the members with a current and ``visc_mean`` that of
-    each (u, J) vector, in the layout's order; both are None, as is
-    ``a_n_mean``, for the rates without one."""
+    each (u, J) vector, in the layout's order, and ``fric_mean`` the
+    friction at the frozen mean, ``friction`` n_mean; all three are None
+    for the rates without one."""
 
     p: Params
     modes: Modes
@@ -416,7 +417,7 @@ class _RateCoefficients(NamedTuple):
     kap_eps: np.ndarray
     friction: np.ndarray
     n_mean: np.ndarray | None = None
-    a_n_mean: np.ndarray | None = None
+    fric_mean: np.ndarray | None = None
     visc_mean: np.ndarray | None = None
 
 
@@ -450,7 +451,7 @@ def _rate_coefficients(grid: Grid, p: Params, kappas, means=None, limit: int = 0
         coefs["visc_mean"] = _column(means + current)
         if current:
             coefs["n_mean"] = _column(current)
-            coefs["a_n_mean"] = a * coefs["n_mean"]
+            coefs["fric_mean"] = coefs["friction"] * coefs["n_mean"]
     return _RateCoefficients(**coefs)
 
 
@@ -595,8 +596,9 @@ def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray
 
     Given the frozen mean densities of a StiffLinearOperator (in ``coef``),
     it returns the Strang remainder N(y) - L y: u and J lose their viscous
-    term over n_mean, J also a n_mean E, dE is P(n_mean J - n J) and dB
-    zero; the 1/kappa curl terms, shared by N and L, are never formed.
+    term over n_mean, J also a E and gains the frozen-mean friction
+    a kappa_ei k_rate kappa^2 n_mean J (``fric_mean``), dE is
+    P(n_mean J - n J) and dB zero; the 1/kappa curl terms, shared by N and L, are never formed.
     Without them (``reformulation_check``) it returns the rates themselves.
 
     dn      = -1/(1+eps) div(n u)
@@ -651,7 +653,8 @@ def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray
         d_uJ -= visc / coef.visc_mean
         if k:
             dJ = out[lay.J].reshape(sh.cur)
-            dJ -= coef.a_n_mean * x[lay.E].reshape(sh.cur)
+            dJ -= coef.a * x[lay.E].reshape(sh.cur)
+            dJ += coef.fric_mean * x[lay.J].reshape(sh.cur)
     return out
 
 

@@ -605,7 +605,7 @@ def _add_to_member(x, op, member: int, add):
     ``inject_faults`` added to the (n, u) rows of one member."""
     lay, carried = op.layout, isinstance(x, HalfStack)
     n = x.n if carried else x[lay.n]
-    delta = np.zeros(((x.half if carried else x).shape[0],) + n.shape[1:])
+    delta = np.zeros((len(x.half) if carried else len(x),) + n.shape[1:])
     delta[lay.member_rows(member)[:4]] = add(op.grid, n[member])
     if not carried:
         return x + delta
@@ -638,7 +638,8 @@ def stiff_entries(p: Params, kappa: float, n_mean: float, k2) -> StiffEntries:
     v_tra = -p.mu * k2 / n_mean
     v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
     a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
-    return StiffEntries(v_tra, v_lon, a * n_mean, -n_mean, np.sqrt(k2) / kappa, 0.0)
+    friction = a * p.kappa_ei * p.k_rate * (kappa * kappa) * n_mean
+    return StiffEntries(v_tra, v_lon, a, -n_mean, np.sqrt(k2) / kappa, friction)
 
 
 class DenseStiffReference:

@@ -279,9 +279,11 @@ class TestBlockExponentials:
         assert (np.abs(eb - np.array([[c, -s], [s, c]])).max(axis=(0, 1)) <= 1e-15 * theta).all()
 
     def test_longitudinal_entry_at_vanishing_viscous_rate(self):
-        # the J-E entry a h (e^x - 1)/x, x = h v_L, is exactly a h at x = 0
-        # and keeps full accuracy at |x| ~ 1e-17
-        p, h = Params(mu=1e-15, kappa=0.2), 0.005
+        # the J-E entry a h (e^x - 1)/x, x = h (v_L - f), is exactly a h at
+        # x = 0 and keeps full accuracy at |x| ~ 1e-17; kappa_ei puts h f at
+        # 2.2e-25, so x at k = 0 rounds e^x and (e^x - 1)/x to 1 and the
+        # other x stay within 1e-7 of h v_L
+        p, h = Params(mu=1e-15, kappa=0.2, kappa_ei=1e-22), 0.005
         keys = np.array([0.0, 1.0, 3.0])
         ex_lon = _exp_blocks(keys, p, p.kappa, 1.0, h)[0]
         lon = _generators(keys, p, 1.0, h)[0]
@@ -392,6 +394,25 @@ class TestRemainder:
             want[1:] -= np.concatenate(lin)[: len(rows) - 1]
             err = np.abs(box_irfft(grid, got[rows]) - want).max()
             assert err <= 1e-12 * max(1.0, np.abs(want).max()), (k, err)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1e-6])
+    @pytest.mark.parametrize("n_mean", [1.0, 2.0])
+    def test_current_row_vanishes_on_a_uniform_state(self, epsilon, n_mean):
+        # at rest at its mean density, with uniform J and E, the J rate is
+        # a E - f J, the generator's J row, so the remainder's J row is
+        # roundoff: measured <= 7.3e-17 of the bound's scale.  It read 0.022
+        # and 3.34 (epsilon 0.1, n_mean 1 and 2) and 2.0e3 and 3.0e5
+        # (epsilon 1e-6) when the generator's J-E entry was a n_mean and its
+        # J diagonal had no friction
+        grid, p = Grid(1, 16), Params(kappa=0.1, epsilon=epsilon)
+        z = np.zeros((3,) + grid.shape)
+        J, E = z.copy(), z.copy()
+        J[0], E[0] = 0.2, 0.3
+        x = box_rfft(grid, _stack(np.full(grid.shape, n_mean), z, J, E, z))
+        op = build_stiff_operator(grid, p, 2e-4, (p.kappa,), (n_mean,))
+        dJ = box_irfft(grid, _full_rate(x, op.coef))[op.layout.J]
+        e = stiff_entries(p, p.kappa, n_mean, 0.0)
+        assert np.abs(dJ).max() <= 1e-15 * (0.3 * e.j_e + 0.2 * e.friction)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
     @pytest.mark.parametrize("kappa", [1.0, 1e-2, 1e-4])
