@@ -3,7 +3,7 @@ path, in two source trees.
 
     python scripts/step_ab.py --tree A_DIR --tree B_DIR [--rounds R] [--steps S]
                               [--sweep CONFIG ...] [--run CONFIG ...]
-                              [--audit CONFIG ...]
+                              [--audit CONFIG ...] [--phases CONFIG ...]
 
 Imports each tree's ``src/nsmlimit`` under its own package name
 (``nsmlimit_a``, ``nsmlimit_b``) into one process, so both sides share the
@@ -77,6 +77,19 @@ the pass time and its median minor page faults, the rounds in which B's
 pass was faster, and whether both trees' rows and audit residuals are bit
 for bit equal; if not, each ledger column (and the audit residual) whose
 bits differ, with its largest relative difference.
+
+``--phases`` times a whole unit of a config's single run, ``run_single``
+and ``write_record`` into a temporary directory, phase by phase, with no
+two trees in one process: per round each tree runs in a fresh process of
+its own, with its ``src`` first on PYTHONPATH, the trees in alternating
+order.  The process runs ``--units`` units (default 2) and reports the
+last, so the ones before it warm it up.  Its phases are the set-up (from
+the call of ``run_single`` to its first ``step_full`` call), the
+``step_full`` calls, the ``make_energy_ledger`` calls and
+``write_record``, each timed through the name ``harness`` calls it by, and
+the whole unit.  Reported per phase and tree: the median wall time and the
+median minor page faults over the rounds (of every thread of the process),
+and the rounds in which B's phase was faster than A's.
 """
 
 from __future__ import annotations
@@ -84,8 +97,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import inspect
+import json
 import math
+import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -448,9 +464,86 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
             print(f"  {name} differs: max relative difference {rel:.3g}")
 
 
+PHASES = ("set-up", "step_full", "make_energy_ledger", "write_record", "unit")
+
+
+def phase_unit(config: Path, units: int) -> dict:
+    """Per phase of the last of ``units`` units of ``config``'s single run
+    in the ``nsmlimit`` on sys.path: [seconds, minor faults]."""
+    from nsmlimit import harness
+
+    cfg = harness.parse_config(config)
+    clock = lambda: (time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    def add(name, start):
+        (t0, f0), (t1, f1) = start, clock()
+        phases[name][0] += t1 - t0
+        phases[name][1] += f1 - f0
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "step_full" and set_up:
+                add("set-up", set_up.pop())
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                add(name, start)
+        return wrapper
+
+    originals = {name: getattr(harness, name) for name in ("step_full", "make_energy_ledger")}
+    for name, fn in originals.items():
+        setattr(harness, name, timed(name, fn))
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            for _ in range(units):
+                phases = {name: [0.0, 0] for name in PHASES}
+                unit = clock()
+                set_up = [unit]
+                rec = harness.run_single(cfg)
+                start = clock()
+                harness.write_record(rec, out)
+                add("write_record", start)
+                add("unit", unit)
+    finally:
+        for name, fn in originals.items():
+            setattr(harness, name, fn)
+    return phases
+
+
+def run_phases(tree: Path, config: Path, units: int) -> dict:
+    """``phase_unit`` in a fresh process with ``tree``'s ``src`` first on
+    PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, __file__, "--phase-child", str(config), "--units", str(units)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: the unit of {config} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def compare_phases(trees, config: Path, rounds: int, units: int) -> None:
+    """Run the phase A/B of one config and print its table."""
+    samples = {tag: [] for tag, _ in trees}
+    for r in range(rounds):
+        for tag, tree in trees if r % 2 == 0 else trees[::-1]:
+            samples[tag].append(run_phases(tree, config, units))
+    print(f"phases {config.name}: {rounds} rounds, a fresh process per tree and round, "
+          f"the last of {units} units each")
+    print(f"  {'phase':20} {'A_ms':>9} {'B_ms':>9} {'B/A':>6} {'B_faster':>9} {'A_faults':>9} {'B_faults':>9}")
+    for phase in PHASES:
+        ms = {tag: [s[phase][0] * 1e3 for s in runs] for tag, runs in samples.items()}
+        faults = {tag: np.median([s[phase][1] for s in runs]) for tag, runs in samples.items()}
+        a, b = np.median(ms["A"]), np.median(ms["B"])
+        wins = sum(y < x for x, y in zip(ms["A"], ms["B"]))
+        print(f"  {phase:20} {a:9.2f} {b:9.2f} {b / a:6.3f} {f'{wins}/{rounds}':>9} "
+              f"{faults['A']:9.0f} {faults['B']:9.0f}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tree", action="append", type=Path, required=True,
+    ap.add_argument("--tree", action="append", type=Path, default=[],
                     help="source tree A, then source tree B")
     ap.add_argument("--rounds", type=int, default=30, help="timed rounds per input")
     ap.add_argument("--steps", type=int, default=10, help="paired steps per tree and round")
@@ -461,14 +554,29 @@ def main(argv=None) -> int:
     ap.add_argument("--audit", action="append", type=Path, default=[],
                     help="config run once at its single [params] kappa, whose snapshots "
                          "get ledger rows and the energy-identity audit")
+    ap.add_argument("--phases", action="append", type=Path, default=[],
+                    help="config whose single run and record are timed phase by phase, "
+                         "in a fresh process per tree and round")
+    ap.add_argument("--units", type=int, default=2,
+                    help="units per --phases process, the last one reported")
+    ap.add_argument("--phase-child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.phase_child is not None:
+        print(json.dumps(phase_unit(args.phase_child, args.units)))
+        return 0
     if len(args.tree) != 2:
         ap.error("give --tree twice: A, then B")
-    if args.rounds < 1 or args.steps < 1:
-        ap.error("--rounds and --steps must be at least 1")
+    if args.rounds < 1 or args.steps < 1 or args.units < 1:
+        ap.error("--rounds, --steps and --units must be at least 1")
     inputs = [(path, True) for path in args.sweep] + [(path, False) for path in args.run]
-    if not inputs and not args.audit:
+    if args.phases:
+        tree_dirs = [(tag, tree.resolve()) for tag, tree in zip("AB", args.tree)]
+        for path in args.phases:
+            compare_phases(tree_dirs, path.resolve(), args.rounds, args.units)
+    if not inputs and not args.audit and not args.phases:
         inputs = [(ROOT / "configs" / "acceptance.ini", True), (ROOT / "perfbench" / "paired_3d.ini", False)]
+    if not inputs and not args.audit:
+        return 0
     trees = [(tag, import_tree(tree.resolve(), f"nsmlimit_{tag.lower()}"))
              for tag, tree in zip("AB", args.tree)]
     for path, batch in inputs:

@@ -41,7 +41,9 @@ import time as _time
 import warnings
 import zipfile
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -140,11 +142,12 @@ class RunConfig:
                               f"(2/3) pi points/period = {k_cut:g}, got {self.initial.max_wavenumber!r}")
         ks = self.kappa_list
         if any(k2 >= k1 for k1, k2 in zip(ks, ks[1:])):
-            raise ConfigError("kappa_list must be strictly decreasing")
-        if any(not (0.0 < k <= 1.0) for k in ks):
-            raise ConfigError("kappa values must lie in (0, 1]")
+            raise ConfigError(f"sweep.kappa_list must be strictly decreasing, got {ks!r}")
+        for k in ks:
+            if not 0.0 < k <= 1.0:
+                raise ConfigError(f"sweep.kappa_list values must lie in (0, 1], got {k!r}")
         if self.snapshot_stride < 1:
-            raise ConfigError("snapshot_stride must be >= 1")
+            raise ConfigError(f"diagnostics.snapshot_stride must be >= 1, got {self.snapshot_stride!r}")
 
     @property
     def config_hash(self) -> str:
@@ -181,6 +184,21 @@ _SCHEMA = {
 
 # sections whose numbers the dataclasses they fill check for finiteness
 _CHECKED_BY_DATACLASS = ("initial", "diagnostics")
+
+# the config keys of the fields that Params and PressureLaw name otherwise
+_CONFIG_KEYS = {"lam": "lambda", "pressure amplitude": "pressure_amplitude",
+                "adiabatic exponent": "pressure_gamma"}
+
+
+def _keyed(section: str, build: Callable):
+    """``build()``, its ValueError, whose message names a field before
+    " must ", turned into a ConfigError that names the config key
+    ``section.key`` instead."""
+    try:
+        return build()
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" must ")
+        raise ConfigError(f"{section}.{_CONFIG_KEYS.get(field, field)} must {rest}") from None
 
 
 def default_config_text() -> str:
@@ -253,14 +271,15 @@ def parse_config_text(text: str) -> RunConfig:
 
     physics, stepping, diagnostics = values["params"], values["step"], values["diagnostics"]
     try:
-        grid = Grid(**values["grid"])
-        pressure = PressureLaw(amplitude=physics.pop("pressure_amplitude"), gamma=physics.pop("pressure_gamma"))
-        params = Params(lam=physics.pop("lambda"), pressure=pressure, **physics)
+        grid = _keyed("grid", partial(Grid, **values["grid"]))
+        pressure = _keyed("params", partial(PressureLaw, amplitude=physics.pop("pressure_amplitude"),
+                                            gamma=physics.pop("pressure_gamma")))
+        params = _keyed("params", partial(Params, lam=physics.pop("lambda"), pressure=pressure, **physics))
         # [step] cfl and mode are kept for old configs; the step is always fixed
         if not 0.0 < stepping["cfl"] <= 1.0:
-            raise ConfigError("cfl must lie in (0, 1]")
+            raise ConfigError(f"step.cfl must lie in (0, 1], got {stepping['cfl']!r}")
         if stepping["mode"] != "fixed_dt":
-            raise ConfigError("mode must be 'fixed_dt', the only stepping mode")
+            raise ConfigError(f"step.mode must be 'fixed_dt', the only stepping mode, got {stepping['mode']!r}")
         step = StepControl(dt=stepping["dt"], t_end=stepping["t_end"])
         initial = InitialSpec(**values["initial"])
         kappa_list = tuple(float(tok) for tok in values["sweep"]["kappa_list"].replace(",", " ").split())

@@ -279,17 +279,18 @@ def build_stiff_operator(grid: Grid, p: Params, dt: float, kappas=(), means=(),
         raise ConfigError("dt must be positive")
     members = tuple(zip(kappas, means, strict=True))
     limit = () if limit_mean is None else (limit_mean,)
+    coef = _rate_coefficients(grid, p, kappas, limit + tuple(means), len(limit))
     k2 = grid.box.k2
     keys, inverse = np.unique(k2.ravel(), return_inverse=True)
     h = np.array([[0.5 * dt], [dt]])  # (steps, 1): the half step and the full step
     limit_rows = [_u_rows(keys, p, m, h) for m in limit]
-    tables = [_table(keys, p, kap, m, h) for kap, m in members]
+    fric = () if coef.fric_mean is None else coef.fric_mean.ravel()
+    tables = [_table(keys, p, kap, m, coef.a, f, h) for (kap, m), f in zip(members, fric)]
     table = np.stack([row for t, (part, i, _) in enumerate(_TERMS)
                       for row in [u[part] for u in limit_rows if i == 0] + [tb[t] for tb in tables]], axis=1)
     # C order: the gather alone leaves the row axis innermost
     prop = np.ascontiguousarray(table[:, :, inverse]).reshape(table.shape[:2] + k2.shape)
     layout = _layout(4 * len(limit) + 13 * len(members))
-    coef = _rate_coefficients(grid, p, kappas, limit + tuple(means), len(limit))
     return StiffLinearOperator(grid, dt, prop[0], prop[1], layout, coef)
 
 
@@ -302,12 +303,13 @@ def _u_rows(k2: np.ndarray, p: Params, n_mean: float, h: np.ndarray) -> dict:
     return {"x": e_tra, "s": np.exp(h * v_lon) - e_tra}
 
 
-def _table(k2: np.ndarray, p: Params, kappa: float, n_mean: float, h: np.ndarray) -> np.ndarray:
+def _table(k2: np.ndarray, p: Params, kappa: float, n_mean: float, a: float, fric: float,
+           h: np.ndarray) -> np.ndarray:
     """Propagator rows in _TERMS order of the member at ``kappa`` per step
     length h, a (steps, 1) column, and distinct |k|^2 k2, (terms, steps,
-    modes)."""
+    modes); ``a`` and ``fric`` as for ``_exp_blocks``."""
     u = _u_rows(k2, p, n_mean, h)
-    ex_lon, ex_hel = _exp_blocks(k2, p, kappa, n_mean, h)
+    ex_lon, ex_hel = _exp_blocks(k2, p, kappa, n_mean, a, fric, h)
     rows = []
     for part, i, j in _TERMS:
         if i == 0:
@@ -318,19 +320,20 @@ def _table(k2: np.ndarray, p: Params, kappa: float, n_mean: float, h: np.ndarray
     return np.stack(rows)
 
 
-def _exp_blocks(k2: np.ndarray, p: Params, kappa: float, n_mean: float, h):
+def _exp_blocks(k2: np.ndarray, p: Params, kappa: float, n_mean: float, a: float, fric: float, h):
     """exp(h Long) and exp(h M) at ``kappa``, each (3, 3, *x.shape), per step
     length h and |k|^2 of k2: (3, 3, modes) for a float h,
-    (3, 3, steps, modes) for a (steps, 1) column; x = h (v_L - f) and M's
-    J diagonal v_T - f carry the friction rate f, u's rows (``_u_rows``)
-    do not.  Long has zero E and B rows, so its exponential is closed form:
-    e^x and a h (e^x - 1)/x in the J row, and the limit a h at x = 0.  M's
-    goes through ``_expm3``."""
+    (3, 3, steps, modes) for a (steps, 1) column.  ``a`` = (1+eps)/(tau eps)
+    and the friction rate ``fric`` f are the member's entries of the rate
+    coefficients (``model._rate_coefficients``: ``a`` and ``fric_mean``),
+    the one source of both halves of the split; x = h (v_L - f) and M's J
+    diagonal v_T - f carry f, u's rows (``_u_rows``) do not.  Long has zero
+    E and B rows, so its exponential is closed form: e^x and a h (e^x - 1)/x
+    in the J row, and the limit a h at x = 0.  M's goes through
+    ``_expm3``."""
     v_tra = -p.mu * k2 / n_mean
     v_lon = v_tra - (p.mu + p.lam) * k2 / n_mean
     omega = np.sqrt(k2) / kappa
-    a = (1.0 + p.epsilon) / (p.tau * p.epsilon)
-    fric = a * p.kappa_ei * p.k_rate * (kappa * kappa) * n_mean
     x = h * (v_lon - fric)
     phi = np.ones_like(x)  # (e^x - 1)/x
     phi[x != 0.0] = np.expm1(x[x != 0.0]) / x[x != 0.0]

@@ -53,6 +53,7 @@ from .spectral import (
     ScalarField,
     VectorField,
     Modes,
+    _in_parts,
     array_irfft,
     array_rfft,
     half_divergence,
@@ -89,9 +90,9 @@ class PressureLaw:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.amplitude > 0:
-            raise ValueError("pressure amplitude must be positive")
+            raise ValueError(f"pressure amplitude must be positive, got {self.amplitude!r}")
         if not self.gamma >= 1:
-            raise ValueError("adiabatic exponent must be >= 1")
+            raise ValueError(f"adiabatic exponent must be >= 1, got {self.gamma!r}")
 
     def pressure(self, rho):
         return self.amplitude * rho**self.gamma
@@ -146,20 +147,19 @@ class Params:
     pressure: PressureLaw = field(default_factory=PressureLaw)
 
     def __post_init__(self):
-        if not (0.0 < self.kappa <= 1.0):
-            raise ValueError("kappa must lie in (0, 1]")
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError("epsilon must lie in (0, 1]")
+        for name in ("kappa", "epsilon"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)!r}")
         for name in ("mu", "lam", "tau", "eta", "kappa_ei", "k_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.mu > 0:
-            raise ValueError("mu must be positive")
+            raise ValueError(f"mu must be positive, got {self.mu!r}")
         if not 2.0 * self.mu + 3.0 * self.lam > 0:
-            raise ValueError("2*mu + 3*lam must be positive")
+            raise ValueError(f"lam must exceed -2 mu/3 = {-2.0 * self.mu / 3.0:g}, got {self.lam!r}")
         for name in ("tau", "eta", "kappa_ei", "k_rate"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -554,20 +554,33 @@ def _symmetric_fluxes(p: Params, lay: _Layout, n: np.ndarray, nuJ: np.ndarray, u
 
 
 def _products(p: Params, coef: _RateCoefficients, lay: _Layout, state: np.ndarray,
-              n_uJ: np.ndarray, sh: _Shapes) -> np.ndarray:
+              n_uJ: np.ndarray) -> np.ndarray:
     """Grid products of ``_full_rate`` in the layout's product rows: n u of
     every member and n J, the fluxes F of every member and C, and the
     sources of d(nu) and d(nJ).  For one state that is n u and n J (rows
     0:6), F and C (6:18) and the sources (18:24); for the limit alone n u
-    and F.  ``sh`` are the layout's shapes on the grid."""
-    k = lay.currents
+    and F.  The planes of the first grid axis go in blocks
+    (``spectral._in_parts``), each into its planes of the one stack."""
     prod = np.empty((lay.p_rows,) + state.shape[1:])
+    _in_parts(coef.modes.active, state.shape[1], prod[:, 0].size,
+              lambda lo, hi: _product_planes(p, coef, lay, state[:, lo:hi], n_uJ[..., lo:hi, :, :],
+                                             prod[:, lo:hi]))
+    return prod
+
+
+def _product_planes(p: Params, coef: _RateCoefficients, lay: _Layout, state: np.ndarray,
+                    n_uJ: np.ndarray, prod: np.ndarray) -> None:
+    """``_products`` of grid planes: of the planes ``state`` of a stack, with
+    ``n_uJ`` their planes of each (u, J) vector's n, into the same planes
+    ``prod`` of the product stack."""
+    k = lay.currents
+    sh = lay.shapes(state.shape[1:])
     uJ = state[lay.uJ].reshape(sh.uJ)
     nuJ = np.multiply(n_uJ, uJ, out=prod[lay.p_nuJ].reshape(sh.uJ))
     _symmetric_fluxes(p, lay, state[lay.n_col], nuJ, uJ, prod[lay.p_F].reshape(sh.F),
                       prod[lay.p_C].reshape(sh.C) if k else None)
     if not k:
-        return prod
+        return
     # the (n u, n J) pairs of the members with a current, (2, K, 3, *shape)
     pairs = nuJ[lay.limit:].reshape(sh.pairs2)
     n = state[lay.n_cur]
@@ -578,7 +591,6 @@ def _products(p: Params, coef: _RateCoefficients, lay: _Layout, state: np.ndarra
     src += np.multiply(coef.kap_tau_eps, nuxB, out=nuxB)
     src += np.multiply(coef.kap_eps, nJxB, out=nJxB)
     src -= np.multiply(coef.friction * n, pairs[1], out=nuxB)
-    return prod
 
 
 def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray:
@@ -623,8 +635,7 @@ def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray
     if guard is not None:
         _require_positive(state[lay.n_col], *guard, first=lim)
     n_uJ = state[lay.n_uJ]
-    grid_shapes = lay.shapes(state.shape[1:])
-    hat = modes.forward(_products(p, coef, lay, state, n_uJ, grid_shapes))
+    hat = modes.forward(_products(p, coef, lay, state, n_uJ))
     flux = _div_sym(modes, hat[lay.p_FC].reshape(sh.FC))
     if lim:
         head = flux[:1] if k else flux
@@ -648,7 +659,7 @@ def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray
     visc = _visc_hat(coef.multipliers, x[lay.uJ].reshape(sh.uJ))
     np.add(flux, visc, out=d_uJ)
     del flux
-    _to_primitive(modes, lay, out, state, n_uJ, d_uJ, grid_shapes.uJ)
+    _to_primitive(modes, lay, out, state, n_uJ, d_uJ, lay.shapes(state.shape[1:]).uJ)
     if coef.visc_mean is not None:
         d_uJ -= visc / coef.visc_mean
         if k:

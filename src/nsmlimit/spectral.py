@@ -40,6 +40,16 @@ Conventions
   the multipliers of its modes (``leray_project`` takes its ``khat``).
 * Every transform is numpy's: on several axes its 1-d transforms, axis
   by axis in the order of rfftn and irfftn, whose bits they give.
+* The transforms run their leading rows, and ``model._full_rate`` its grid
+  products the planes of the first axis, in blocks of at most
+  ``_SPLIT_POINTS`` (2^17) grid points, and on three active axes the
+  CPUs of the process' affinity mask share the blocks (``_in_parts``):
+  the calling thread and a pool of one thread per further CPU each take
+  the next block until none is left.  A call holds at least 2^17 grid
+  points per thread it uses, so 8^3 stacks and grids of one or two axes
+  never start the pool.  Each line is its own pocketfft call and each
+  product element goes through the same operations, so no result depends
+  on the blocks or the threads, bit for bit.
 * The H^l norm is the Fourier-multiplier form
   ``sqrt(V * sum_k (1+|k|^2)^l |c_k|^2)`` with V the domain volume, so
   l = 0 reproduces the L^2 norm.  It is summed on the half-spectrum by
@@ -48,7 +58,10 @@ Conventions
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product as _iproduct
@@ -116,12 +129,12 @@ class Grid:
 
     def __post_init__(self):
         if self.dims_active not in (1, 2, 3):
-            raise ValueError("dims_active must be 1, 2 or 3")
+            raise ValueError(f"dims_active must be 1, 2 or 3, got {self.dims_active!r}")
         n = self.points_per_dim
         if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError("points_per_dim must be a power of two >= 8")
+            raise ValueError(f"points_per_dim must be a power of two >= 8, got {n!r}")
         if not self.period > 0:
-            raise ValueError("period must be positive")
+            raise ValueError(f"period must be positive, got {self.period!r}")
 
     @cached_property
     def shape(self) -> tuple[int, int, int]:
@@ -274,13 +287,6 @@ class Grid:
         return np.ix_(*([both] * (self.dims_active - 1) + [first] + [zero] * (3 - self.dims_active)))
 
     @cached_property
-    def _chunk_rows(self) -> int:
-        """Rows per chunk of ``box_rfft`` on three axes: as many as hold
-        4 MiB of half-spectrum, at least one (15 on 32^3)."""
-        n = self.points_per_dim
-        return max(1, 2**22 // (16 * n ** (self.dims_active - 1) * (n // 2 + 1)))
-
-    @cached_property
     def _box_blocks(self) -> tuple:
         """(index in the box, index of the modes) pairs of the two blocks of
         lines the box keeps of each active axis but the last: the modes
@@ -326,6 +332,89 @@ def _require_same_grid(a: Grid, b: Grid) -> Grid:
 
 
 # ---------------------------------------------------------------------------
+# a call in blocks, shared by the CPUs
+#
+# Rows of a transform, and planes of a product, are independent: each line
+# is its own pocketfft call, which gives the line the same bits whatever
+# other lines share the call, and each element of a product goes through
+# the same operations wherever it sits.  So a call runs a range of them in
+# blocks of contiguous units of at most ``_SPLIT_POINTS`` grid points,
+# which keeps each block's temporaries small, and on three active axes the
+# blocks are shared out as they come: the calling thread and the threads
+# of a pool, one per further CPU of the process' affinity mask (``taskset``
+# and cpusets restrict it), each take the next block until none is left,
+# so a thread that wakes late takes fewer.  A call shares its blocks among
+# at most as many threads as it holds ``_SPLIT_POINTS`` grid points, so
+# 8^3 stacks and every grid of one or two axes run in the calling thread
+# alone and never start the pool.  The pool is made at the first shared
+# call, and ``concurrent.futures`` imported then.  Each block allocates its
+# own temporaries, so a pool thread's stay in its own heap arena, whose
+# pages the allocator keeps.
+
+_SPLIT_POINTS = 2**17  # grid points of a block at most, and per thread of a shared call at least
+_workers = None  # the pool's threads: the CPUs of the affinity mask less one, on first use
+_pool = None
+
+
+def _drop_pool() -> None:
+    """Forget the pool: a forked child has none of its threads."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _in_parts(active: int, count: int, points: int, body: Callable[[int, int], None]) -> None:
+    """Run ``body(lo, hi)`` over range(count), each unit of which holds
+    ``points`` grid points of a grid of ``active`` axes, in blocks of
+    contiguous units; on three axes the blocks are shared by the calling
+    thread, in its own context, and as many threads of the pool as leave
+    each thread ``_SPLIT_POINTS`` points, each in a copy of it (numpy's
+    error state is in it).  The call returns once every block taken has
+    ended, or then raises the first error a block raised, after which no
+    block is taken; a pool thread that wakes after the last block was
+    taken takes none, and the call does not wait for it.  A block must not
+    call ``_in_parts`` itself."""
+    global _workers, _pool
+    block = max(1, _SPLIT_POINTS // points)
+    starts, running, errors, ended = iter(range(0, count, block)), 0, [], threading.Condition()
+
+    def take() -> None:  # raises nothing: a block's error goes to ``errors``
+        nonlocal running
+        while True:
+            with ended:
+                start = None if errors else next(starts, None)
+                if start is None:
+                    return
+                running += 1
+            error = None
+            try:
+                body(start, min(start + block, count))
+            except BaseException as exc:  # raised by the caller once no block runs
+                error = exc
+            with ended:
+                running -= 1
+                errors.extend([error] if error is not None else [])
+                ended.notify_all()
+
+    if active == 3:
+        if _workers is None:
+            _workers = len(os.sched_getaffinity(0)) - 1
+        threads = min(1 + _workers, count, count * points // _SPLIT_POINTS)
+        if threads > 1 and _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_workers, thread_name_prefix="nsmlimit-part")
+        for _ in range(threads - 1):
+            _pool.submit(contextvars.copy_context().run, take)
+    take()
+    with ended:
+        ended.wait_for(lambda: not running)
+    if errors:
+        raise errors[0]
+
+
+# ---------------------------------------------------------------------------
 # half-spectrum transforms and kernels
 
 
@@ -338,12 +427,21 @@ def _require_same_grid(a: Grid, b: Grid) -> Grid:
 # about 1.7 us each on 32^3.  The half-spectrum transforms in place and pays
 # that on its middle axis: turning the axis last costs two full copies, which
 # measured slower.  The box needs a new array anyway, to gather or to zero-pad
-# its modes, and lays that out so that each c2c transform is one call.
+# its modes, and lays that out so that each c2c transform is one call per
+# block.  Each transform runs its leading rows through ``_in_parts``.
 def array_rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    last = grid.dims_active - 4
-    hat = np.fft.rfft(values, axis=last)
-    for ax in range(-3, last):
-        np.fft.fft(hat, axis=ax, out=hat)
+    last, half = grid.dims_active - 4, grid.half_k_squared.shape
+    x = values.reshape((-1,) + grid.shape)
+    hat = np.empty(values.shape[:-3] + half, dtype=complex)
+    rows = hat.reshape((-1,) + half)
+
+    def part(lo, hi):
+        h = rows[lo:hi]
+        np.fft.rfft(x[lo:hi], axis=last, out=h)
+        for ax in range(-3, last):
+            np.fft.fft(h, axis=ax, out=h)
+
+    _in_parts(grid.dims_active, len(x), grid.npoints, part)
     return hat
 
 
@@ -353,9 +451,17 @@ def array_irfft(grid: Grid, hat: np.ndarray, overwrite: bool = False) -> np.ndar
     the last axis' irfft: in a new array, or with ``overwrite`` in ``hat``
     itself, which the caller gives up."""
     last = grid.dims_active - 4
-    for ax in range(-3, last):
-        hat = np.fft.ifft(hat, axis=ax, out=hat if overwrite or ax > -3 else None)
-    return np.fft.irfft(hat, n=grid.points_per_dim, axis=last)
+    values = np.empty(hat.shape[:-3] + grid.shape)
+    x, rows = hat.reshape((-1,) + hat.shape[-3:]), values.reshape((-1,) + grid.shape)
+
+    def part(lo, hi):
+        h = x[lo:hi]
+        for ax in range(-3, last):
+            h = np.fft.ifft(h, axis=ax, out=h if overwrite or ax > -3 else None)
+        np.fft.irfft(h, n=grid.points_per_dim, axis=last, out=rows[lo:hi])
+
+    _in_parts(grid.dims_active, len(x), grid.npoints, part)
+    return values
 
 
 def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -363,10 +469,9 @@ def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> n
     for bit ``array_rfft`` restricted to ``Grid.box_index``: the rfft of the
     last active axis, then a c2c transform of the first on its first c
     modes, then of the second on the first's box lines alone.  On three
-    axes the rows go in chunks of ``Grid._chunk_rows`` (``_box_rfft_rows``),
-    so its temporaries stay small.  On one active axis it is numpy's rfft
-    and one copy of the kept modes.  ``out`` receives the result, as for a
-    numpy ufunc."""
+    axes the rows go in blocks (``_in_parts``, ``_box_rfft_rows``), so its
+    temporaries stay small.  On one active axis it is numpy's rfft and one copy of the kept
+    modes.  ``out`` receives the result, as for a numpy ufunc."""
     n, d, c = grid.points_per_dim, grid.dims_active, grid.box_modes
     target = out if out is not None and out.flags.c_contiguous else \
         np.empty(values.shape[:-3] + grid.box.k2.shape, dtype=complex)
@@ -379,9 +484,7 @@ def box_rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> n
             target[..., into, :, :] = hat[..., line, :, :]
     else:
         x, rows = values.reshape((-1, n, n, n)), target.reshape((-1,) + grid.box.k2.shape)
-        step = grid._chunk_rows
-        for r in range(0, len(x), step):
-            _box_rfft_rows(grid, x[r:r + step], rows[r:r + step])
+        _in_parts(d, len(x), grid.npoints, lambda lo, hi: _box_rfft_rows(grid, x[lo:hi], rows[lo:hi]))
     if out is not None and target is not out:
         np.copyto(out, target)
         return out
@@ -407,12 +510,9 @@ def _box_rfft_rows(grid: Grid, x: np.ndarray, out: np.ndarray) -> None:
 
 def box_irfft(grid: Grid, box: np.ndarray) -> np.ndarray:
     """Grid values (..., *grid.shape) of box coefficients (..., *box), bit
-    for bit ``array_irfft`` of the zero-padded half-spectrum: the box in a
-    zero array (first, [second,] rows, c) that holds the first c modes of
-    the last axis, a c2c inverse of the first axis on the box lines of the
-    second, then one of the second, then the last axis' irfft, which pads
-    the c modes with zeros."""
-    n, d, c = grid.points_per_dim, grid.dims_active, grid.box_modes
+    for bit ``array_irfft`` of the zero-padded half-spectrum; on several
+    axes through ``_box_irfft_rows``, its rows in blocks (``_in_parts``)."""
+    n, d = grid.points_per_dim, grid.dims_active
     if d == 1:
         return np.fft.irfft(box, n=n, axis=-3)
     out = np.empty(box.shape[:-3] + grid.shape)
@@ -420,7 +520,20 @@ def box_irfft(grid: Grid, box: np.ndarray) -> np.ndarray:
     # the box as (first, [second,] rows, c)
     stored = box.reshape((len(rows),) + grid.box.k2.shape[:d])
     stored = stored.transpose((1, 3, 0, 2) if d == 3 else (1, 0, 2))
-    half = np.zeros((n,) * (d - 1) + (len(rows), c), dtype=complex)
+    _in_parts(d, len(rows), grid.npoints,
+              lambda lo, hi: _box_irfft_rows(grid, stored[..., lo:hi, :], rows[lo:hi]))
+    return out
+
+
+def _box_irfft_rows(grid: Grid, stored: np.ndarray, out: np.ndarray) -> None:
+    """``box_irfft`` on several axes of the box rows ``stored`` (first,
+    [second,] rows, c) into ``out`` (rows, *grid shape): the box in a zero
+    array (first, [second,] rows, c) that holds the first c modes of the
+    last axis, a c2c inverse of the first axis on the box lines of the
+    second, then one of the second, then the last axis' irfft, which pads
+    the c modes with zeros."""
+    n, d = grid.points_per_dim, grid.dims_active
+    half = np.zeros((n,) * (d - 1) + stored.shape[-2:], dtype=complex)
     seconds = grid._box_blocks if d == 3 else ((slice(None), slice(None)),)
     for into, line in grid._box_blocks:
         for into_b, line_b in seconds:
@@ -431,8 +544,7 @@ def box_irfft(grid: Grid, box: np.ndarray) -> np.ndarray:
     if d == 3:
         np.fft.ifft(half, axis=1, out=half)
     # rows first in both operands, so each call runs on the lines of a row
-    np.fft.irfft(np.moveaxis(half, -2, 0), n=n, axis=-1, out=rows)
-    return out
+    np.fft.irfft(np.moveaxis(half, -2, 0), n=n, axis=-1, out=out)
 
 
 def leray_project(khat: np.ndarray, v_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

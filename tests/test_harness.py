@@ -172,7 +172,7 @@ class TestConfigParsing:
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path)]) == 2
-        assert "config error: mode must be 'fixed_dt'" in capsys.readouterr().err
+        assert "config error: step.mode must be 'fixed_dt'" in capsys.readouterr().err
 
 
 class TestFitRate:
@@ -820,8 +820,29 @@ class TestCli:
         ("initial", "well_prepared", "maybe", "bad value for initial.well_prepared: 'maybe'"),
         ("step", "dt", "-1", "step.dt must be positive, got -1.0"),
         ("step", "t_end", "0.0003", "step.t_end = 0.0003 must be an integer multiple of step.dt = 0.0002"),
+        ("params", "kappa", "2", "params.kappa must lie in (0, 1], got 2.0"),
+        ("params", "epsilon", "0", "params.epsilon must lie in (0, 1], got 0.0"),
+        ("params", "mu", "0", "params.mu must be positive, got 0.0"),
+        ("params", "lambda", "-1", "params.lambda must exceed -2 mu/3 = -0.0666667, got -1.0"),
+        ("params", "tau", "0", "params.tau must be positive, got 0.0"),
+        ("params", "eta", "-1", "params.eta must be positive, got -1.0"),
+        ("params", "kappa_ei", "0", "params.kappa_ei must be positive, got 0.0"),
+        ("params", "k_rate", "0", "params.k_rate must be positive, got 0.0"),
+        ("params", "pressure_amplitude", "0", "params.pressure_amplitude must be positive, got 0.0"),
+        ("params", "pressure_gamma", "0.5", "params.pressure_gamma must be >= 1, got 0.5"),
+        ("grid", "dims_active", "4", "grid.dims_active must be 1, 2 or 3, got 4"),
+        ("grid", "points_per_dim", "12", "grid.points_per_dim must be a power of two >= 8, got 12"),
+        ("grid", "period", "0", "grid.period must be positive, got 0.0"),
+        ("step", "cfl", "1.5", "step.cfl must lie in (0, 1], got 1.5"),
+        ("step", "mode", "leapfrog", "step.mode must be 'fixed_dt', the only stepping mode, got 'leapfrog'"),
+        ("sweep", "kappa_list", "0.1, 0.2", "sweep.kappa_list must be strictly decreasing, got (0.1, 0.2)"),
+        ("sweep", "kappa_list", "2, 0.1", "sweep.kappa_list values must lie in (0, 1], got 2.0"),
+        ("diagnostics", "snapshot_stride", "0", "diagnostics.snapshot_stride must be >= 1, got 0"),
     ], ids=["l", "c0", "max_wavenumber", "base_amplitude_above_1", "base_amplitude_negative",
-            "velocity_amplitude", "well_prepared", "dt", "t_end"])
+            "velocity_amplitude", "well_prepared", "dt", "t_end", "kappa", "epsilon", "mu", "lambda", "tau",
+            "eta", "kappa_ei", "k_rate", "pressure_amplitude", "pressure_gamma", "dims_active",
+            "points_per_dim", "period", "cfl", "mode", "kappa_list_order", "kappa_list_range",
+            "snapshot_stride"])
     def test_out_of_range_value_exit_two(self, tmp_path, capsys, section, key, value, message):
         # each is a config error naming its key and value before anything
         # runs; most used to crash inside the run (exit 1) or, when

@@ -195,6 +195,14 @@ def _generators(k2, p, n_mean, h):
     return h * lon, h * hel
 
 
+def _exp_blocks_of(k2, p, kappa, n_mean, h):
+    """``_exp_blocks`` of the member at kappa and n_mean, with the a and the
+    friction rate of its rate coefficients, as ``build_stiff_operator``
+    passes them."""
+    coef = _rate_coefficients(Grid(1, 8), p, (kappa,), (n_mean,))
+    return _exp_blocks(k2, p, kappa, n_mean, coef.a, coef.fric_mean.item(), h)
+
+
 def _rel_err(got, want):
     """Per-matrix max-abs error relative to the largest entry, (P,)."""
     return np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
@@ -257,7 +265,7 @@ class TestBlockExponentials:
         # 2e-15 ||h M||_1.  The longitudinal block is closed form and agrees
         # everywhere.
         keys, p, h = _mode_keys(Grid(3, 32)), Params(kappa=kappa, epsilon=epsilon, lam=0.05), 0.5 * dt
-        ex_lon, ex_hel = (np.moveaxis(b, -1, 0) for b in _exp_blocks(keys, p, kappa, 1.07, h))
+        ex_lon, ex_hel = (np.moveaxis(b, -1, 0) for b in _exp_blocks_of(keys, p, kappa, 1.07, h))
         lon, hel = _generators(keys, p, 1.07, h)
         assert _rel_err(ex_lon, scipy.linalg.expm(lon + 0j).real).max() <= 1e-12
         norm = np.abs(hel).sum(axis=1).max(axis=1)
@@ -273,7 +281,7 @@ class TestBlockExponentials:
         _, hel = _generators(keys, p, 1.0, h)
         beyond = np.abs(hel).sum(axis=1).max(axis=1) > 1e3
         assert beyond.sum() > 10
-        eb = _exp_blocks(keys[beyond], p, kappa, 1.0, h)[1][1:, 1:]
+        eb = _exp_blocks_of(keys[beyond], p, kappa, 1.0, h)[1][1:, 1:]
         theta = h * np.sqrt(keys[beyond]) / kappa
         c, s = np.cos(theta), np.sin(theta)
         assert (np.abs(eb - np.array([[c, -s], [s, c]])).max(axis=(0, 1)) <= 1e-15 * theta).all()
@@ -285,7 +293,7 @@ class TestBlockExponentials:
         # other x stay within 1e-7 of h v_L
         p, h = Params(mu=1e-15, kappa=0.2, kappa_ei=1e-22), 0.005
         keys = np.array([0.0, 1.0, 3.0])
-        ex_lon = _exp_blocks(keys, p, p.kappa, 1.0, h)[0]
+        ex_lon = _exp_blocks_of(keys, p, p.kappa, 1.0, h)[0]
         lon = _generators(keys, p, 1.0, h)[0]
         x, a_h = lon[:, 0, 0], lon[0, 0, 1]
         assert np.abs(x[1:]).min() == pytest.approx(1e-17)

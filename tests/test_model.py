@@ -417,7 +417,7 @@ class TestGroupedProducts:
         """``_products`` of a member set's grid stack x."""
         lay = _layout(len(x))
         coef = _rate_coefficients(grid, p, np.ravel(kap))
-        return _products(p, coef, lay, x, x[lay.n_uJ], lay.shapes(x.shape[1:]))
+        return _products(p, coef, lay, x, x[lay.n_uJ])
 
     @staticmethod
     def _limit_fields(grid):

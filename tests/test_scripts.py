@@ -210,6 +210,28 @@ def test_step_ab_smoke(tmp_path, capsys):
     assert re.search(r"^  transforms B/A median \d+\.\d{3}; B faster in \d/2 rounds$", out, re.M)
 
 
+def test_step_ab_phases_smoke(tmp_path, capsys):
+    # this tree against itself on a tiny 3-D run, phase by phase, in a fresh
+    # process per tree and round: none of them is imported here
+    step_ab = _load("step_ab")
+    run = tmp_path / "run.ini"
+    run.write_text("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n\n"
+                   "[initial]\nmax_wavenumber = 2\n")
+    tree = str(SCRIPTS.parent)
+    assert step_ab.main(["--tree", tree, "--tree", tree, "--rounds", "2", "--phases", str(run)]) == 0
+    assert not [m for m in sys.modules if m.split(".")[0] in ("nsmlimit_a", "nsmlimit_b")]
+    out = capsys.readouterr().out
+    assert re.search(r"^phases run\.ini: 2 rounds, a fresh process per tree and round, "
+                     r"the last of 2 units each$", out, re.M)
+    assert re.search(r"^  phase +A_ms +B_ms +B/A +B_faster +A_faults +B_faults$", out, re.M)
+    rows = re.findall(r"^  (\S+) +(\d+\.\d\d) +(\d+\.\d\d) +\d+\.\d{3} +\d/2 +\d+ +\d+$", out, re.M)
+    assert [name for name, _, _ in rows] == list(step_ab.PHASES)
+    assert all(float(a) > 0.0 and float(b) > 0.0 for _, a, b in rows)
+    # the phases of a unit take part of its time
+    ms = {name: float(a) for name, a, _ in rows}
+    assert sum(ms[name] for name in step_ab.PHASES[:-1]) < ms["unit"]
+
+
 def test_step_ab_compares_states_member_by_member():
     # the final stack of a member set, field by field and member by member,
     # the limit first: equal to the stacks of its members alone; one changed
