@@ -337,19 +337,12 @@ def _require_same_grid(a: Grid, b: Grid) -> Grid:
 # Rows of a transform, and planes of a product, are independent: each line
 # is its own pocketfft call, which gives the line the same bits whatever
 # other lines share the call, and each element of a product goes through
-# the same operations wherever it sits.  So a call runs a range of them in
-# blocks of contiguous units of at most ``_SPLIT_POINTS`` grid points,
-# which keeps each block's temporaries small, and on three active axes the
-# blocks are shared out as they come: the calling thread and the threads
-# of a pool, one per further CPU of the process' affinity mask (``taskset``
-# and cpusets restrict it), each take the next block until none is left,
-# so a thread that wakes late takes fewer.  A call shares its blocks among
-# at most as many threads as it holds ``_SPLIT_POINTS`` grid points, so
-# 8^3 stacks and every grid of one or two axes run in the calling thread
-# alone and never start the pool.  The pool is made at the first shared
-# call, and ``concurrent.futures`` imported then.  Each block allocates its
-# own temporaries, so a pool thread's stay in its own heap arena, whose
-# pages the allocator keeps.
+# the same operations wherever it sits.  Blocks of at most ``_SPLIT_POINTS``
+# grid points keep each block's temporaries small, and threads take them as
+# they come, so one that wakes late takes fewer.  ``concurrent.futures`` is
+# imported at the first shared call: imported eagerly it costs the 1-D runs
+# 0.5 MB of peak RSS.  Each block allocates its own temporaries, so a pool
+# thread's stay in its own heap arena, whose pages the allocator keeps.
 
 _SPLIT_POINTS = 2**17  # grid points of a block at most, and per thread of a shared call at least
 _workers = None  # the pool's threads: the CPUs of the affinity mask less one, on first use
@@ -378,6 +371,9 @@ def _in_parts(active: int, count: int, points: int, body: Callable[[int, int], N
     call ``_in_parts`` itself."""
     global _workers, _pool
     block = max(1, _SPLIT_POINTS // points)
+    if count <= block:  # one block, which no other thread could share
+        body(0, count)
+        return
     starts, running, errors, ended = iter(range(0, count, block)), 0, [], threading.Condition()
 
     def take() -> None:  # raises nothing: a block's error goes to ``errors``
