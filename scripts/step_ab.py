@@ -82,9 +82,9 @@ bits differ, with its largest relative difference.
 and ``write_record`` into a temporary directory, phase by phase, with no
 two trees in one process: per round each tree runs in a fresh process of
 its own, with its ``src`` first on PYTHONPATH, the trees in alternating
-order.  The process runs ``--units`` units (default 2) and reports the
-last, so the ones before it warm it up.  Its phases are the set-up (from
-the call of ``run_single`` to its first ``step_full`` call), the
+order.  The process runs ``UNITS`` (2) units and reports the last, so
+the first warms it up.  Its phases are the set-up (from the call of
+``run_single`` to its first ``step_full`` call), the
 ``step_full`` calls, the ``make_energy_ledger`` calls and
 ``write_record``, each timed through the name ``harness`` calls it by, and
 the whole unit.  Reported per phase and tree: the median wall time and the
@@ -465,10 +465,11 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
 
 
 PHASES = ("set-up", "step_full", "make_energy_ledger", "write_record", "unit")
+UNITS = 2  # units per --phases process, the last reported: the first warms up
 
 
-def phase_unit(config: Path, units: int) -> dict:
-    """Per phase of the last of ``units`` units of ``config``'s single run
+def phase_unit(config: Path) -> dict:
+    """Per phase of the last of ``UNITS`` units of ``config``'s single run
     in the ``nsmlimit`` on sys.path: [seconds, minor faults]."""
     from nsmlimit import harness
 
@@ -496,7 +497,7 @@ def phase_unit(config: Path, units: int) -> dict:
         setattr(harness, name, timed(name, fn))
     try:
         with tempfile.TemporaryDirectory() as out:
-            for _ in range(units):
+            for _ in range(UNITS):
                 phases = {name: [0.0, 0] for name in PHASES}
                 unit = clock()
                 set_up = [unit]
@@ -511,26 +512,26 @@ def phase_unit(config: Path, units: int) -> dict:
     return phases
 
 
-def run_phases(tree: Path, config: Path, units: int) -> dict:
+def run_phases(tree: Path, config: Path) -> dict:
     """``phase_unit`` in a fresh process with ``tree``'s ``src`` first on
     PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, __file__, "--phase-child", str(config), "--units", str(units)],
+    proc = subprocess.run([sys.executable, __file__, "--phase-child", str(config)],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: the unit of {config} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def compare_phases(trees, config: Path, rounds: int, units: int) -> None:
+def compare_phases(trees, config: Path, rounds: int) -> None:
     """Run the phase A/B of one config and print its table."""
     samples = {tag: [] for tag, _ in trees}
     for r in range(rounds):
         for tag, tree in trees if r % 2 == 0 else trees[::-1]:
-            samples[tag].append(run_phases(tree, config, units))
+            samples[tag].append(run_phases(tree, config))
     print(f"phases {config.name}: {rounds} rounds, a fresh process per tree and round, "
-          f"the last of {units} units each")
+          f"the last of {UNITS} units each")
     print(f"  {'phase':20} {'A_ms':>9} {'B_ms':>9} {'B/A':>6} {'B_faster':>9} {'A_faults':>9} {'B_faults':>9}")
     for phase in PHASES:
         ms = {tag: [s[phase][0] * 1e3 for s in runs] for tag, runs in samples.items()}
@@ -557,22 +558,20 @@ def main(argv=None) -> int:
     ap.add_argument("--phases", action="append", type=Path, default=[],
                     help="config whose single run and record are timed phase by phase, "
                          "in a fresh process per tree and round")
-    ap.add_argument("--units", type=int, default=2,
-                    help="units per --phases process, the last one reported")
     ap.add_argument("--phase-child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.phase_child is not None:
-        print(json.dumps(phase_unit(args.phase_child, args.units)))
+        print(json.dumps(phase_unit(args.phase_child)))
         return 0
     if len(args.tree) != 2:
         ap.error("give --tree twice: A, then B")
-    if args.rounds < 1 or args.steps < 1 or args.units < 1:
-        ap.error("--rounds, --steps and --units must be at least 1")
+    if args.rounds < 1 or args.steps < 1:
+        ap.error("--rounds and --steps must be at least 1")
     inputs = [(path, True) for path in args.sweep] + [(path, False) for path in args.run]
     if args.phases:
         tree_dirs = [(tag, tree.resolve()) for tag, tree in zip("AB", args.tree)]
         for path in args.phases:
-            compare_phases(tree_dirs, path.resolve(), args.rounds, args.units)
+            compare_phases(tree_dirs, path.resolve(), args.rounds)
     if not inputs and not args.audit and not args.phases:
         inputs = [(ROOT / "configs" / "acceptance.ini", True), (ROOT / "perfbench" / "paired_3d.ini", False)]
     if not inputs and not args.audit:

@@ -6,7 +6,6 @@ the pool, and a forked child drops it."""
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -164,10 +163,10 @@ def test_one_axis_run_imports_no_thread_pool():
     assert out.stdout.split() == ["True", "False"]
 
 
-def test_every_block_runs_once_and_an_error_waits_for_every_block(parts):
+def test_every_block_runs_once_and_an_error_waits_for_every_thread(parts):
     # 4 threads on 10 blocks of 3 units and one of 2; when the block at 6
-    # raises, no block is taken after it, and every block taken has ended
-    # before the call raises
+    # raises, its thread takes no more, the others take the rest, and every
+    # block has ended before the call raises
     parts(3)
     blocks = [(lo, min(lo + 3, 32)) for lo in range(0, 32, 3)]
     taken = []
@@ -184,8 +183,8 @@ def test_every_block_runs_once_and_an_error_waits_for_every_block(parts):
 
     with pytest.raises(ValueError, match="block 6"):
         spectral._in_parts(3, 32, spectral._SPLIT_POINTS // 3, body)
-    assert 6 in started and sorted(ended + [6]) == sorted(started)
-    assert len(started) == len(set(started)) and set(started) <= {lo for lo, _ in blocks}
+    assert sorted(started) == [lo for lo, _ in blocks]
+    assert sorted(ended + [6]) == sorted(started)
     assert spectral._pool is not None
 
 
@@ -198,14 +197,29 @@ def test_blocks_are_handed_out_once_under_contention(parts):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=spectral._in_parts,
-                                  args=(3, 5000, spectral._SPLIT_POINTS, lambda lo, hi: taken.append((lo, hi))))
-        runner.start()
-        runner.join(timeout=60.0)
+        spectral._in_parts(3, 5000, spectral._SPLIT_POINTS, lambda lo, hi: taken.append((lo, hi)))
     finally:
         sys.setswitchinterval(interval)
-    assert not runner.is_alive()
     assert sorted(taken) == [(lo, lo + 1) for lo in range(5000)]
+
+
+def test_shares_without_an_affinity_mask_or_fork_hooks():
+    # where os has neither (macOS, Windows) the module imports, the pool
+    # takes the CPU count, and a shared call keeps its bits
+    code = ("import os\n"
+            "del os.sched_getaffinity, os.register_at_fork\n"
+            "import numpy as np\n"
+            "import nsmlimit.spectral as spectral\n"
+            "grid = spectral.Grid(3, 8)\n"
+            "values = np.random.default_rng(7).standard_normal((3,) + grid.shape)\n"
+            "want = spectral.box_rfft(grid, values)\n"
+            "spectral._SPLIT_POINTS = 1\n"
+            "got = spectral.box_rfft(grid, values)\n"
+            "print(spectral._workers == (os.cpu_count() or 1) - 1, got.tobytes() == want.tobytes())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                     os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "True"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
