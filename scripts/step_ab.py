@@ -89,7 +89,12 @@ the first warms it up.  Its phases are the set-up (from the call of
 ``write_record``, each timed through the name ``harness`` calls it by, and
 the whole unit.  Reported per phase and tree: the median wall time and the
 median minor page faults over the rounds (of every thread of the process),
-and the rounds in which B's phase was faster than A's.
+and the rounds in which B's phase was faster than A's.  A second table
+gives per phase and tree the median rise of the process' ``ru_maxrss``
+during the phase, in the unit getrusage reports it in (KiB on Linux), in
+the first unit and in the last: a phase whose rise is not 0 raised the
+process' peak RSS.  Below it stands the first (cold) unit's
+set-up time per tree, against the last unit's in the first table.
 """
 
 from __future__ import annotations
@@ -466,20 +471,24 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
 
 PHASES = ("set-up", "step_full", "make_energy_ledger", "write_record", "unit")
 UNITS = 2  # units per --phases process, the last reported: the first warms up
+RSS_UNIT = "B" if sys.platform == "darwin" else "KiB"  # of ru_maxrss, as getrusage reports it
 
 
-def phase_unit(config: Path) -> dict:
-    """Per phase of the last of ``UNITS`` units of ``config``'s single run
-    in the ``nsmlimit`` on sys.path: [seconds, minor faults]."""
+def phase_unit(config: Path) -> list:
+    """Per unit of the ``UNITS`` units of ``config``'s single run in the
+    ``nsmlimit`` on sys.path, per phase: [seconds, minor faults, rise of
+    ru_maxrss]."""
     from nsmlimit import harness
 
     cfg = harness.parse_config(config)
-    clock = lambda: (time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    def clock():
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        return time.perf_counter(), usage.ru_minflt, usage.ru_maxrss
 
     def add(name, start):
-        (t0, f0), (t1, f1) = start, clock()
-        phases[name][0] += t1 - t0
-        phases[name][1] += f1 - f0
+        for k, (v0, v1) in enumerate(zip(start, clock())):
+            phases[name][k] += v1 - v0
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
@@ -495,10 +504,11 @@ def phase_unit(config: Path) -> dict:
     originals = {name: getattr(harness, name) for name in ("step_full", "make_energy_ledger")}
     for name, fn in originals.items():
         setattr(harness, name, timed(name, fn))
+    units = []
     try:
         with tempfile.TemporaryDirectory() as out:
             for _ in range(UNITS):
-                phases = {name: [0.0, 0] for name in PHASES}
+                phases = {name: [0.0, 0, 0] for name in PHASES}
                 unit = clock()
                 set_up = [unit]
                 rec = harness.run_single(cfg)
@@ -506,13 +516,14 @@ def phase_unit(config: Path) -> dict:
                 harness.write_record(rec, out)
                 add("write_record", start)
                 add("unit", unit)
+                units.append(phases)
     finally:
         for name, fn in originals.items():
             setattr(harness, name, fn)
-    return phases
+    return units
 
 
-def run_phases(tree: Path, config: Path) -> dict:
+def run_phases(tree: Path, config: Path) -> list:
     """``phase_unit`` in a fresh process with ``tree``'s ``src`` first on
     PYTHONPATH."""
     env = dict(os.environ)
@@ -525,7 +536,10 @@ def run_phases(tree: Path, config: Path) -> dict:
 
 
 def compare_phases(trees, config: Path, rounds: int) -> None:
-    """Run the phase A/B of one config and print its table."""
+    """Run the phase A/B of one config and print its tables: the time and
+    faults of each phase of the last unit, then the rise of ru_maxrss in
+    each phase of the first unit and of the last, and the first unit's
+    set-up time."""
     samples = {tag: [] for tag, _ in trees}
     for r in range(rounds):
         for tag, tree in trees if r % 2 == 0 else trees[::-1]:
@@ -534,12 +548,21 @@ def compare_phases(trees, config: Path, rounds: int) -> None:
           f"the last of {UNITS} units each")
     print(f"  {'phase':20} {'A_ms':>9} {'B_ms':>9} {'B/A':>6} {'B_faster':>9} {'A_faults':>9} {'B_faults':>9}")
     for phase in PHASES:
-        ms = {tag: [s[phase][0] * 1e3 for s in runs] for tag, runs in samples.items()}
-        faults = {tag: np.median([s[phase][1] for s in runs]) for tag, runs in samples.items()}
+        ms = {tag: [units[-1][phase][0] * 1e3 for units in runs] for tag, runs in samples.items()}
+        faults = {tag: np.median([units[-1][phase][1] for units in runs]) for tag, runs in samples.items()}
         a, b = np.median(ms["A"]), np.median(ms["B"])
         wins = sum(y < x for x, y in zip(ms["A"], ms["B"]))
         print(f"  {phase:20} {a:9.2f} {b:9.2f} {b / a:6.3f} {f'{wins}/{rounds}':>9} "
               f"{faults['A']:9.0f} {faults['B']:9.0f}")
+    print(f"  median rise of ru_maxrss ({RSS_UNIT}) per phase, in the first unit and in the last")
+    print(f"  {'phase':20} {'A_first':>9} {'B_first':>9} {'A_last':>9} {'B_last':>9}")
+    for phase in PHASES:
+        rises = [np.median([units[u][phase][2] for units in samples[tag]]) for u in (0, -1) for tag in "AB"]
+        print(f"  {phase:20} " + " ".join(f"{v:9.0f}" for v in rises))
+    cold = {tag: [units[0]["set-up"][0] * 1e3 for units in runs] for tag, runs in samples.items()}
+    a, b = np.median(cold["A"]), np.median(cold["B"])
+    wins = sum(y < x for x, y in zip(cold["A"], cold["B"]))
+    print(f"  first unit's set-up: A {a:.2f} ms, B {b:.2f} ms, B/A {b / a:.3f}; B faster in {wins}/{rounds} rounds")
 
 
 def main(argv=None) -> int:

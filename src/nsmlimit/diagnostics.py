@@ -13,7 +13,7 @@ dissipation of U and J; the audit checks the zero-order kinetic-energy
 balance term by term.
 
 Both take all of a run's snapshots in one call and split them into chunks
-here, with one transform of a stacked array each way per chunk.  A chunk
+here, with one forward transform of a stacked array per chunk.  A chunk
 holds at most ``_chunk_size`` snapshots, a fixed budget of 2048 grid
 points (32 snapshots on a 64-point line, one on 32^3); one snapshot is a
 chunk of one.  Every per-element operation and every reduction is the
@@ -28,12 +28,19 @@ stacks; the five H^l norms and the two dissipation rates are sums over
 those coefficients by the discrete Parseval identity
 (``Grid.half_parseval_weight``: interior modes of the last active axis
 count twice, its 0 and n/2 planes once), with the full |k|^2 in the norms
-and the Nyquist-zeroed derivative wavenumbers in the dissipation.  One
-``array_irfft`` then brings every d^a N with 1 <= |a| <= l, div E and
-div B to the grid, for the pointwise weight and the constraint residuals.
-A chunk of audit snapshots transforms (n U, n u, U, u0, j~) once and
-brings div(n U), div(n u), the gradients of U, u0 and j~ and the viscous
-term of u0 back in one call; its dissipation is again a Parseval sum.
+and the Nyquist-zeroed derivative wavenumbers in the dissipation.  The
+rows d^a N with 1 <= |a| <= l come from ``spectral._derivative_groups`` a
+group of at most 2^18 grid points at a time, with div E and div B leading
+the first group, and each group's ``array_irfft`` brings it to the grid
+before the next is made: the constraint residuals are read from it, and
+sum_a |d^a N|^2, for the pointwise weight, adds it up row by row, which
+gives the bits of a sum over all rows at once.  So a ledger call holds a
+group, not every row, whose count grows like l^d.  Where every row fits in
+one group, as on the 1-D and 2-D grids of the configs and tests and on 8^3
+at l = 4, a chunk makes one inverse transform.  A chunk of audit
+snapshots transforms (n U, n u, U, u0, j~) once and brings div(n U),
+div(n u), the gradients of U, u0 and j~ and the viscous term of u0 back
+in one call; its dissipation is again a Parseval sum.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ from .errors import SnapshotSpacingError, VacuumError
 from .model import FullState, LimitState, Params, _cross, _stack, _stacked, _visc_hat, _visc_multipliers
 from .spectral import (
     Grid,
+    _derivative_groups,
     _mode_sums,
-    _partials_hat,
     _require_same_grid,
     _sobolev_weight,
     array_irfft,
@@ -119,16 +126,20 @@ def _chunk_size(grid: Grid) -> int:
     return max(1, _CHUNK_POINTS // grid.npoints)
 
 
-# A ledger chunk's largest arrays hold every d^a N with 1 <= |a| <= l, a
-# count that grows like l^d, so one row at a large l could take the machine's
-# memory.  256 MiB admits l <= 12 on 32^3 (456 rows of one snapshot, 235 MiB)
-# and rejects l = 20 there (1,772 rows, 914 MiB).
+# A ledger chunk's derivative rows, every d^a N with 1 <= |a| <= l, are a
+# count that grows like l^d.  They reach the grid a group at a time, so a
+# call holds far fewer of them at once, but the guard prices them all: its
+# estimate is an upper bound of the rows a call holds.  256 MiB admits
+# l <= 12 on 32^3 (456 rows of one snapshot, 235 MiB) and rejects l = 20
+# there (1,772 rows, 914 MiB).
 _LEDGER_STACK_BUDGET = 256 * 2**20
 
 
 def _ledger_stack_bytes(grid: Grid, l: float) -> int:
-    """Bytes of a chunk's ``_partials_hat`` stack (C(int(l) + d, d) + 1 rows)
-    at 16 B per half-spectrum mode, and of its image on the grid."""
+    """Bytes of a chunk's derivative rows and its div E and div B
+    (C(int(l) + d, d) + 1 rows) at 16 B per half-spectrum mode, and of their
+    image on the grid, were they all held at once: an upper bound of the
+    groups and the rows that ``spectral._derivative_groups`` holds."""
     d, n = grid.dims_active, grid.points_per_dim
     rows = math.comb(int(l) + d, d) + 1
     half_modes = grid.npoints // n * (n // 2 + 1)
@@ -246,15 +257,22 @@ def _ledger_rows(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[E
     hat = array_rfft(grid, x)
     norms = _field_norms(grid, hat, l)
     diss_u, diss_j = _dissipation(grid, p, hat[:, 1:4]), _dissipation(grid, p, hat[:, 4:7])
-    high = _partials_hat(grid, hat[:, 0], int(l), 2)  # (rows, S, *half)
-    div_eb = half_divergence(grid, hat[:, 7:].reshape((len(ts), 2, 3) + hat.shape[2:]))
-    high[-2:] = div_eb.swapaxes(0, 1)
-    # not held through the inverse transform, the chunk's memory peak
-    del x, x0, N, n0, rho, hat, div_eb
-    d = array_irfft(grid, high, overwrite=True)
-    weighted = _integrals(grid, weight * np.einsum("a...,a...->...", d[:-2], d[:-2]))
-    div_e = np.abs(d[-2]).max(axis=_SPACE) / div_scale
-    div_b = np.abs(d[-1]).max(axis=_SPACE) / div_scale
+    # div E and div B lead the first group of the derivative rows
+    groups = _derivative_groups(grid, hat[:, 0].copy(), int(l), half_divergence(
+        grid, hat[:, 7:].reshape((len(ts), 2, 3) + hat.shape[2:])).swapaxes(0, 1))
+    # not held through the inverse transforms
+    del x, x0, N, n0, rho, hat
+    sq, div = np.zeros((len(ts),) + grid.shape), None  # sum_a |d^a N|^2, row by row
+    for group in groups:
+        d = array_irfft(grid, group, overwrite=True)
+        del group
+        if div is None:
+            div, d = np.abs(d[:2]).max(axis=_SPACE) / div_scale, d[2:]
+        for row in d:
+            sq += row * row
+        d = row = None
+    weighted = _integrals(grid, weight * sq)
+    div_e, div_b = div
     columns = zip(ts, norms, *(a.tolist() for a in (enthalpy, weighted, diss_u, diss_j,
                                                     div_e, div_b, mass)))
     return [

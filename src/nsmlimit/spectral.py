@@ -581,21 +581,45 @@ def _multi_indices(dims: int, max_order: int, min_order: int = 0):
             yield alpha
 
 
-def _partials_hat(grid: Grid, n_hat: np.ndarray, l: int, extra: int) -> np.ndarray:
-    """(ik)^a n_hat for every multi-index 1 <= |a| <= l (in ``_multi_indices``
-    order), then ``extra`` rows left for the caller.  Each row is one
-    multiply of an earlier row (the index lowered by one on its first
-    nonzero axis) or of n_hat."""
+# Derivative rows come a group at a time, each group at most
+# ``_GROUP_POINTS`` grid points (8 rows of 32^3): a caller brings one group to
+# the grid before the next is made, so what it holds does not grow with the
+# number of rows, which grows like l^d.
+_GROUP_POINTS = 2**18
+
+
+def _derivative_groups(grid: Grid, hat: np.ndarray, l: int, lead: np.ndarray | None = None):
+    """(ik)^a hat for every multi-index 1 <= |a| <= l, in ``_multi_indices``
+    order, as groups (rows, *hat.shape) of at most ``_GROUP_POINTS`` grid
+    points and at least one row.  ``lead`` (k, *hat.shape), if given, leads
+    the first group, whose budget it shares.  Each row is one multiply of an
+    earlier row (the index lowered by one on its first nonzero axis) or of
+    hat; a row is held past its group, as a copy, only until a later group
+    has made its last row from it, so a caller may overwrite a group."""
     alphas = list(_multi_indices(grid.dims_active, l, 1))
-    out = np.empty((len(alphas) + extra,) + n_hat.shape, dtype=complex)
+    row_of = {alpha: i for i, alpha in enumerate(alphas)}
+    axes = [next(j for j, order in enumerate(alpha) if order) for alpha in alphas]
+    sources = [row_of.get(alpha[:ax] + (alpha[ax] - 1,) + alpha[ax + 1:])  # None: hat itself
+               for alpha, ax in zip(alphas, axes)]
+    last_use = {src: i for i, src in enumerate(sources)}
     ik = 1j * grid.half_wavenumbers
-    row_of = {}
-    for i, alpha in enumerate(alphas):
-        ax = next(j for j, order in enumerate(alpha) if order)
-        lower = alpha[:ax] + (alpha[ax] - 1,) + alpha[ax + 1:]
-        np.multiply(out[row_of[lower]] if lower in row_of else n_hat, ik[ax], out=out[i])
-        row_of[alpha] = i
-    return out
+    size = max(1, _GROUP_POINTS // (math.prod(hat.shape[:-3]) * grid.npoints))
+    head = 0 if lead is None else len(lead)
+    held = {}  # copies of the rows that later groups make rows from
+    lo, hi = 0, min(len(alphas), max(1, size - head))
+    while lo < hi or head:
+        group = np.empty((head + hi - lo,) + hat.shape, dtype=complex)
+        if head:
+            group[:head], lead = lead, None
+        for i in range(lo, hi):
+            src = sources[i]
+            base = hat if src is None else group[head + src - lo] if src >= lo else held[src]
+            np.multiply(base, ik[axes[i]], out=group[head + i - lo])
+        held = {i: row for i, row in held.items() if last_use[i] >= hi}
+        held.update((i, group[head + i - lo].copy()) for i in range(lo, hi) if last_use.get(i, -1) >= hi)
+        yield group
+        del group  # the caller's to free
+        head, lo, hi = 0, hi, min(len(alphas), hi + size)
 
 
 # ---------------------------------------------------------------------------
@@ -807,29 +831,30 @@ def moser_ratios(f: ScalarField, g: ScalarField, s: int) -> tuple[float, float]:
     """Max product-rule and commutator ratios over multi-indices |alpha| <= s.
 
     One transform of (f, g, fg); the homogeneous seminorms
-    sqrt(V sum |k|^{2s} |c_k|^2) are Parseval sums on the half-spectrum, and
-    one inverse transform brings grad f and every d^a g and d^a (fg) with
-    1 <= |a| <= s to the grid."""
+    sqrt(V sum |k|^{2s} |c_k|^2) are Parseval sums on the half-spectrum.
+    One inverse transform brings grad f to the grid, and one per group of
+    ``_derivative_groups`` the rows d^a g and d^a (fg) with 1 <= |a| <= s;
+    each row's L^2 norm is its own, so the maxima do not depend on the
+    groups."""
     grid = _require_same_grid(f.grid, g.grid)
     fg = f.values * g.values
     hat = array_rfft(grid, np.stack([f.values, g.values, fg]))
     k2 = grid.half_k_squared
     semi_f, semi_g = np.sqrt(_mode_sums(grid, hat[:2], k2**s))
     semi_g1 = math.sqrt(_mode_sums(grid, hat[1], k2 ** (s - 1)))
-    partials = _partials_hat(grid, hat[1:], s, 0)  # rows (d^a g, d^a fg) per a
-    d = array_irfft(grid, np.concatenate([
-        1j * grid.half_wavenumbers * hat[0],
-        partials.reshape((-1,) + hat.shape[1:]),
-    ]))
-    sup_df = float(np.sqrt((d[:3] ** 2).sum(axis=0)).max())
-    d_g, d_fg = d[3::2], d[4::2]
+    df = array_irfft(grid, 1j * grid.half_wavenumbers * hat[0])
+    sup_df = float(np.sqrt((df**2).sum(axis=0)).max())
+    l2_fg, l2_comm = _row_l2(grid, fg[None]).max(), 0.0
+    for group in _derivative_groups(grid, hat[1:], s):  # rows (d^a g, d^a fg) per a
+        d = array_irfft(grid, group, overwrite=True)
+        d_g, d_fg = d[:, 0], d[:, 1]
+        l2_fg = max(l2_fg, _row_l2(grid, d_fg).max())
+        l2_comm = max(l2_comm, _row_l2(grid, d_fg - f.values * d_g).max())
     sup_f = sup_norm(f)
     sup_g = sup_norm(g)
     den1 = sup_f * semi_g + sup_g * semi_f
     den2 = sup_df * semi_g1 + sup_g * semi_f
-    r1 = float(_row_l2(grid, np.concatenate([fg[None], d_fg])).max()) / den1
-    r2 = float(_row_l2(grid, d_fg - f.values * d_g).max(initial=0.0)) / den2
-    return r1, r2
+    return float(l2_fg) / den1, float(l2_comm) / den2
 
 
 def moser_ensemble(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,15 +32,18 @@ from nsmlimit.initdata import (
     make_limit_data,
     make_well_prepared,
 )
+from nsmlimit import spectral
 from nsmlimit.model import FullState, LimitState, Params, PressureLaw
 from nsmlimit.spectral import (
     Grid,
     ScalarField,
     VectorField,
+    _derivative_groups,
     _multi_indices,
     array_rfft,
     derive_seed,
     grid_integral,
+    moser_ratios,
     random_smooth_field,
     random_smooth_vector,
     sobolev_norm,
@@ -400,6 +404,82 @@ def test_chunk_vacuum_names_the_first_bad_snapshot(grid64):
     with pytest.raises(VacuumError, match=r"^vacuum state: total density nonpositive "
                                           r"\(min n = -0\.75\) at t=0\.04$"):
         make_energy_ledger(*zip(*snaps[3:]), p, 4.0, 1.0)
+
+
+def group_budget(monkeypatch, rows, points):
+    """Groups of ``_derivative_groups`` of ``rows`` rows of ``points`` grid
+    points each, or every row in one group when ``rows`` is None."""
+    monkeypatch.setattr(spectral, "_GROUP_POINTS", 2**62 if rows is None else rows * points)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("l", [0, 1, 4])
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+def test_derivative_groups_are_the_rows_of_one_group(grid, l, rows, monkeypatch):
+    # each group holds the budget's rows, the lead rows sharing the first
+    # group's budget but for one row of its own; the rows of all groups are
+    # those of one group, bit for bit, in _multi_indices order, although the
+    # caller overwrites every group before it asks for the next
+    hat = array_rfft(grid, np.stack([random_smooth_field(grid, s, 1.0).values for s in range(2)]))
+    lead = hat[::-1, None] * np.array([2.0, 3.0])[:, None, None, None]  # two rows (2, 2, *half)
+    count = len(list(_multi_indices(grid.dims_active, l, 1)))
+    group_budget(monkeypatch, None, 0)
+    (whole,) = _derivative_groups(grid, hat, l, lead)
+    assert whole.shape == (2 + count, 2) + hat.shape[1:]
+    assert np.array_equal(whole[:2], lead)
+    group_budget(monkeypatch, rows, 2 * grid.npoints)
+    got = []
+    for group in _derivative_groups(grid, hat, l, lead):
+        got.append(group.copy())
+        group[...] = np.nan
+    first = max(1, rows - 2) if count else 0
+    sizes = [2 + min(first, count)] + [min(rows, count - i) for i in range(first, count, rows)]
+    assert [len(g) for g in got] == sizes
+    assert np.array_equal(np.concatenate(got), whole)
+    assert [len(g) for g in _derivative_groups(grid, hat, l)] == (
+        [min(rows, count - i) for i in range(0, count, rows)])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("l", [4, 6])
+@pytest.mark.parametrize("grid", [Grid(3, 8), Grid(3, 16)], ids=["3d8", "3d16"])
+def test_groups_give_the_one_group_ledger_and_moser_ratios(grid, l, rows, monkeypatch):
+    # ledger rows (a chunk's derivative rows hold a point of each of its
+    # snapshots) and moser_ratios (d^a g and d^a fg per row) in groups of 1
+    # and 3 rows against every row in one group: equal, not close
+    p = Params(kappa=0.3, lam=0.05)
+    snaps = chunk_snapshots(grid, _chunk_size(grid) + 1)
+    f, g = (random_smooth_field(grid, s, 1.0) for s in (5, 6))
+    results = []
+    for budget in (None, rows):
+        group_budget(monkeypatch, budget, _chunk_size(grid) * grid.npoints)
+        ledger = [r.as_tuple() for r in make_energy_ledger(*zip(*snaps), p, float(l), 7.0)]
+        group_budget(monkeypatch, budget, 2 * grid.npoints)
+        results.append((ledger, moser_ratios(f, g, l)))
+    (ledger_one, moser_one), (ledger, moser) = results
+    assert np.array(ledger).tobytes() == np.array(ledger_one).tobytes()
+    assert moser == moser_one
+
+
+def test_ledger_memory_does_not_grow_with_the_derivative_rows():
+    # one 32^3 snapshot: the traced peak of a ledger row at l = 8 (164 rows
+    # of d^a N) stays within 1.6 times that at l = 4 (34 rows); formed all
+    # at once they took 4.3 times as much
+    grid = Grid(3, 32)
+    p = Params(kappa=0.1)
+    limit = make_limit_data(grid, seed=7, amplitude=0.1)
+    full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
+    peaks = {}
+    for l in (4.0, 8.0):
+        make_energy_ledger((0.0,), (full,), (limit,), p, l, 1.0)  # warm-up, untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            make_energy_ledger((0.0,), (full,), (limit,), p, l, 1.0)
+            peaks[l] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peaks[8.0] < 1.6 * peaks[4.0], peaks
 
 
 class TestEnergyAudit:

@@ -232,6 +232,30 @@ def test_step_ab_phases_smoke(tmp_path, capsys):
     assert sum(ms[name] for name in step_ab.PHASES[:-1]) < ms["unit"]
 
 
+def test_step_ab_phases_memory_table(tmp_path, capsys):
+    # below the time table: per phase the rise of ru_maxrss in the first
+    # unit of each process and in the last, whose phases are disjoint parts
+    # of the unit, then the first unit's set-up time
+    step_ab = _load("step_ab")
+    run = tmp_path / "run.ini"
+    run.write_text("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 2e-3\n\n"
+                   "[initial]\nmax_wavenumber = 2\n")
+    tree = str(SCRIPTS.parent)
+    assert step_ab.main(["--tree", tree, "--tree", tree, "--rounds", "1", "--phases", str(run)]) == 0
+    out = capsys.readouterr().out
+    title = re.search(rf"^  median rise of ru_maxrss \({step_ab.RSS_UNIT}\) per phase, "
+                      r"in the first unit and in the last$", out, re.M)
+    assert title and title.start() > out.index("B_faults")
+    assert re.search(r"^  phase +A_first +B_first +A_last +B_last$", out, re.M)
+    rows = re.findall(r"^  (\S+) +(\d+) +(\d+) +(\d+) +(\d+)$", out, re.M)
+    assert [name for name, *_ in rows] == list(step_ab.PHASES)
+    rises = np.array([[int(v) for v in values] for _, *values in rows])
+    assert (rises[:-1].sum(axis=0) <= rises[-1]).all(), rows
+    cold = re.findall(r"^  first unit's set-up: A (\d+\.\d\d) ms, B (\d+\.\d\d) ms, "
+                      r"B/A \d+\.\d{3}; B faster in \d/1 rounds$", out, re.M)
+    assert len(cold) == 1 and all(float(v) > 0.0 for v in cold[0])
+
+
 def test_step_ab_compares_states_member_by_member():
     # the final stack of a member set, field by field and member by member,
     # the limit first: equal to the stacks of its members alone; one changed
