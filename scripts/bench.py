@@ -15,8 +15,9 @@ holds its wall time (median, quartiles, samples) and its pass/fail/error
 counts per run, and the line count of the tree's ``src/nsmlimit/*.py``,
 all lines and code lines alone (``src_code_lines``).
 Several ``--tag``/``--tree`` pairs are measured in turn, one run of each
-per repeat, in reversed order on every other repeat, so that their samples
-alternate and each side runs first as often.
+per repeat, the order rotated by one tree per repeat (``run_order``): over
+N repeats of N trees each tree runs in each place once, first, in the
+middle and last, and two trees alternate A, B / B, A.
 """
 
 from __future__ import annotations
@@ -112,6 +113,13 @@ def src_code_lines(tree: Path = ROOT) -> int:
     return total
 
 
+def run_order(sides: list, repeat: int) -> list:
+    """The trees of repeat ``repeat`` (from 0) in the order they run:
+    ``sides`` rotated to start at tree ``repeat`` mod N."""
+    start = repeat % len(sides)
+    return sides[start:] + sides[:start]
+
+
 def assemble(tag: str, seconds: float, runs: list, environment: dict,
              tier1: list = (), lines: int | None = None, code_lines: int | None = None) -> dict:
     """The BENCH record of ``runs``, one ``parse_workloads`` result per run:
@@ -185,7 +193,7 @@ def main(argv=None) -> int:
     tier1 = {tag: [] for tag in args.tag}
     sides = list(zip(args.tag, trees))
     for i in range(args.repeat):
-        for tag, tree in sides if i % 2 == 0 else sides[::-1]:
+        for tag, tree in run_order(sides, i):
             print(f"bench: run {i + 1}/{args.repeat} of {tag} ({tree})", flush=True)
             proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "all",
                                    "--seconds", str(args.seconds)], cwd=tree, capture_output=True, text=True)

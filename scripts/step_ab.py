@@ -38,14 +38,15 @@ relative to the field's largest magnitude in either tree.
 For ``--run`` inputs on two or three active axes, the tables end with an
 A/B of the box transforms alone: each tree's rate, evaluated once on the
 box coefficients of the caught stack, records the forward and inverse
-transforms it makes (``model._full_rate`` through its layout), and a pass
-replays them on copies of their arguments.  Per round each tree makes one
-pass, in alternating order, after one untimed warm-up pass.  Reported per
-tree: the rows of each transform, the median and quartiles of the pass
-time, and the rounds in which B's pass was faster.  That ratio spreads
-less than whole 3-D steps do: four 30-round runs on the same two trees
-read 1.004, 1.064, 1.066 and 1.106, while their step ratios read 0.967 to
-1.035 and their median steps 66-89 ms from one process to the next.
+transforms it makes (``model._full_rate`` through its rate coefficients),
+and a pass replays them on copies of their arguments.  Per round each
+tree makes one pass, in alternating order, after one untimed warm-up
+pass.  Reported per tree: the rows of each transform, the median and
+quartiles of the pass time, and the rounds in which B's pass was faster.
+That ratio spreads less than whole 3-D steps do: four 30-round runs on
+the same two trees read 1.004, 1.064, 1.066 and 1.106, while their step
+ratios read 0.967 to 1.035 and their median steps 66-89 ms from one
+process to the next.
 
 Both trees share one process and its heap, so each side's temporaries are
 placed by the other's allocation history.  On the call-overhead-bound 1-D
@@ -83,11 +84,12 @@ and ``write_record`` into a temporary directory, phase by phase, with no
 two trees in one process: per round each tree runs in a fresh process of
 its own, with its ``src`` first on PYTHONPATH, the trees in alternating
 order.  The process runs ``UNITS`` (2) units and reports the last, so
-the first warms it up.  Its phases are the set-up (from the call of
-``run_single`` to its first ``step_full`` call), the
-``step_full`` calls, the ``make_energy_ledger`` calls and
-``write_record``, each timed through the name ``harness`` calls it by, and
-the whole unit.  Reported per phase and tree: the median wall time and the
+the first warms it up; each unit lets go of its record before the next
+starts, so no figure of a unit holds the snapshots of the one before.
+Its phases are the set-up (from the call of ``run_single`` to its first
+``step_full`` call), the ``step_full`` calls, the ``make_energy_ledger``
+calls and ``write_record``, each timed through the name ``harness`` calls
+it by, and the whole unit.  Reported per phase and tree: the median wall time and the
 median minor page faults over the rounds (of every thread of the process),
 and the rounds in which B's phase was faster than A's.  A second table
 gives per phase and tree the median rise of the process' ``ru_maxrss``
@@ -292,12 +294,13 @@ def same_states(sides: dict, grid) -> bool:
 def rate_transforms(pkg, call: Call) -> list | None:
     """The box transforms of one rate evaluation of the caught step, as
     (transform, argument, keyword arguments) triples to replay: the
-    forward and inverse calls ``model._full_rate`` makes through its
-    layout on the box coefficients of the step's stack.  None for a tree
-    whose operator or rate coefficients hold no such layout."""
+    forward and inverse calls ``model._full_rate`` makes through its rate
+    coefficients, or in a tree whose layout holds its transforms through
+    ``coef.modes``, on the box coefficients of the step's stack.  None for
+    a tree whose operator holds no such transforms."""
     coef = getattr(call.arguments.get("op"), "coef", None)
-    modes = getattr(coef, "modes", None)
-    if modes is None or not hasattr(modes, "forward"):
+    owner = coef if hasattr(coef, "forward") else getattr(coef, "modes", None)
+    if not hasattr(owner, "forward"):
         return None
     calls = []
 
@@ -307,9 +310,10 @@ def rate_transforms(pkg, call: Call) -> list | None:
             return transform(a, **kwargs)
         return wrapper
 
-    spy = coef._replace(modes=modes._replace(forward=recording(modes.forward),
-                                             inverse=recording(modes.inverse)))
-    pkg.model._full_rate(modes.forward(call.arguments["x"]), spy)
+    spy = owner._replace(forward=recording(owner.forward), inverse=recording(owner.inverse))
+    if owner is not coef:
+        spy = coef._replace(modes=spy)
+    pkg.model._full_rate(owner.forward(call.arguments["x"]), spy)
     return calls
 
 
@@ -327,7 +331,7 @@ def compare_transforms(sides: list, rounds: int) -> None:
     alternating order per round after one untimed warm-up pass."""
     recorded = [(tag, rate_transforms(pkg, call)) for tag, pkg, call in sides]
     if any(calls is None for _, calls in recorded):
-        print("  transforms: a tree's rate holds no box layout; not compared")
+        print("  transforms: a tree's rate holds no box transforms; not compared")
         return
     grid, k2 = sides[0][2].grid, sides[0][2].arguments["op"].coef.modes.k2
     rows = [(("forward", a.size // math.prod(grid.shape)) if a.dtype.kind == "f"
@@ -517,6 +521,7 @@ def phase_unit(config: Path) -> list:
                 add("write_record", start)
                 add("unit", unit)
                 units.append(phases)
+                del rec  # held into the next unit, its snapshots would be part of that unit's figures
     finally:
         for name, fn in originals.items():
             setattr(harness, name, fn)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +56,8 @@ from .spectral import (
     _in_parts,
     array_irfft,
     array_rfft,
+    box_irfft,
+    box_rfft,
     half_divergence,
     half_leray_project,
     leray_project,
@@ -396,8 +398,11 @@ def _state_view(grid: Grid, x: np.ndarray, member: int = 0):
 
 class _RateCoefficients(NamedTuple):
     """What ``_full_rate`` takes of a member set beyond its stack: the
-    shared Params ``p``, the spectral layout ``modes`` of the stack, the
-    viscous multipliers (``_visc_multipliers``) on it, and the kappa- and
+    shared Params ``p``, the spectral layout ``modes`` of the stack, its
+    ``forward`` transform, grid values (..., *grid.shape) to coefficients
+    (..., *modes) with an optional ``out`` as for a numpy ufunc, and its
+    ``inverse``, both bound to the grid, the viscous multipliers
+    (``_visc_multipliers``) on the layout, and the kappa- and
     mean-density coefficients, each a (K, 1, 1, 1, 1) column over the
     members with a current, or (M + K, ...) for ``visc_mean``; ``kap_rows``
     is kappa per J row, a (3K, 1, 1, 1) column.  ``n_mean`` is the frozen
@@ -408,6 +413,8 @@ class _RateCoefficients(NamedTuple):
 
     p: Params
     modes: Modes
+    forward: Callable
+    inverse: Callable
     multipliers: tuple
     kap: np.ndarray
     kap_rows: np.ndarray
@@ -427,20 +434,31 @@ def _column(values) -> np.ndarray:
 
 
 def _rate_coefficients(grid: Grid, p: Params, kappas, means=None, limit: int = 0,
-                       modes: Modes | None = None) -> _RateCoefficients:
+                       masked_half: bool = False) -> _RateCoefficients:
     """The coefficients of a member set's rates on ``grid``, from the shared
     Params ``p`` (its own kappa is not read) and the kappa of each member
     with a current, ``kappas``; given the mean density of every member,
     ``means`` (the limit's first when ``limit`` is 1), those of the
     remainder N(y) - L y too.  Each is the product the rates formed on
-    every call before, in the same order.  The rates are formed on
-    ``modes``, by default the 2/3-rule box ``grid.box``, the stepper's
-    layout."""
+    every call before, in the same order.  The rates are formed on the
+    2/3-rule box ``grid.box``, the stepper's layout, through ``box_rfft``
+    and ``box_irfft``; with ``masked_half``, on the half-spectrum through
+    ``_masked`` and ``array_irfft``, where they are those of states that
+    are not band-limited to the box, as the certificate's are, with their
+    products dealiased as on the box.  The transforms are bound to
+    ``grid`` here, so the coefficients hold the grid, and the grid's
+    caches hold nothing that holds it."""
     eps = p.epsilon
     a = (1.0 + eps) / (p.tau * eps)
     kap = _column(kappas)
-    modes = grid.box if modes is None else modes
-    coefs = dict(p=p, modes=modes, multipliers=_visc_multipliers(modes.k, modes.k2, p), kap=kap,
+    if masked_half:
+        modes = Modes(grid.half_wavenumbers, grid.half_unit_wavenumbers, grid.half_k_squared,
+                      grid.dims_active)
+        forward, inverse = _masked, array_irfft
+    else:
+        modes, forward, inverse = grid.box, box_rfft, box_irfft
+    coefs = dict(p=p, modes=modes, forward=partial(forward, grid), inverse=partial(inverse, grid),
+                 multipliers=_visc_multipliers(modes.k, modes.k2, p), kap=kap,
                  kap_rows=np.repeat(kap, 3).reshape(-1, 1, 1, 1), a=a,
                  kap_tau=kap / p.tau, kap_tau_eps=kap / (p.tau * eps),
                  kap_eps=(eps - 1.0) * kap / (p.tau * eps),
@@ -513,17 +531,17 @@ def _continuity(k: np.ndarray, p: Params, nu_hat: np.ndarray, out: np.ndarray) -
     np.multiply(-1.0 / (1.0 + p.epsilon), div, out=out)
 
 
-def _to_primitive(modes: Modes, lay: _Layout, out: np.ndarray, state: np.ndarray, n_uJ: np.ndarray,
-                  d_uJ: np.ndarray, uJ: tuple) -> None:
+def _to_primitive(coef: _RateCoefficients, lay: _Layout, out: np.ndarray, state: np.ndarray,
+                  n_uJ: np.ndarray, d_uJ: np.ndarray, uJ: tuple) -> None:
     """Turn d_t n (the n rows of ``out``) and the conservative rates d_t(n v)
     (its (u, J) vectors ``d_uJ``) into d_t v = (d_t(n v) - v d_t n)/n, in
-    place; ``n_uJ`` is each (u, J) vector's n and ``uJ`` the shape of the
-    grid's (u, J) vectors."""
-    cons = modes.inverse(out[lay.nuJ])
+    place, through the transforms of ``coef``; ``n_uJ`` is each (u, J)
+    vector's n and ``uJ`` the shape of the grid's (u, J) vectors."""
+    cons = coef.inverse(out[lay.nuJ])
     quot = state[lay.uJ].reshape(uJ) * cons[lay.n_uJ]
     np.subtract(cons[lay.uJ].reshape(uJ), quot, out=quot)
     quot /= n_uJ
-    modes.forward(quot, out=d_uJ)
+    coef.forward(quot, out=d_uJ)
 
 
 def _symmetric_fluxes(p: Params, lay: _Layout, n: np.ndarray, nuJ: np.ndarray, uJ: np.ndarray,
@@ -631,11 +649,11 @@ def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray
     k, lim = lay.currents, lay.limit
     sh = lay.shapes(x.shape[1:])
     p, modes = coef.p, coef.modes
-    state = modes.inverse(x)
+    state = coef.inverse(x)
     if guard is not None:
         _require_positive(state[lay.n_col], *guard, first=lim)
     n_uJ = state[lay.n_uJ]
-    hat = modes.forward(_products(p, coef, lay, state, n_uJ))
+    hat = coef.forward(_products(p, coef, lay, state, n_uJ))
     flux = _div_sym(modes, hat[lay.p_FC].reshape(sh.FC))
     if lim:
         head = flux[:1] if k else flux
@@ -659,7 +677,7 @@ def _full_rate(x: np.ndarray, coef: _RateCoefficients, guard=None) -> np.ndarray
     visc = _visc_hat(coef.multipliers, x[lay.uJ].reshape(sh.uJ))
     np.add(flux, visc, out=d_uJ)
     del flux
-    _to_primitive(modes, lay, out, state, n_uJ, d_uJ, lay.shapes(state.shape[1:]).uJ)
+    _to_primitive(coef, lay, out, state, n_uJ, d_uJ, lay.shapes(state.shape[1:]).uJ)
     if coef.visc_mean is not None:
         d_uJ -= visc / coef.visc_mean
         if k:
@@ -677,15 +695,6 @@ def _masked(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.nd
     """2/3-masked coefficients of a (nonlinear-product) field; ``out``
     receives them, as for a numpy ufunc."""
     return np.multiply(grid.half_dealias_mask, array_rfft(grid, arr), out=out)
-
-
-def _masked_half(grid: Grid) -> Modes:
-    """The half-spectrum as a layout whose forward transform is ``_masked``:
-    on it ``_full_rate`` forms the rates of states that are not band-limited
-    to the box, as the certificate's are, with their products dealiased as
-    on the box."""
-    return Modes(grid.half_wavenumbers, grid.half_unit_wavenumbers, grid.half_k_squared,
-                 grid.dims_active, partial(_masked, grid), partial(array_irfft, grid))
 
 
 def _masked_div(grid: Grid, t: np.ndarray) -> np.ndarray:
@@ -851,7 +860,7 @@ def reformulation_check(s: TwoFluidState, p: Params) -> ReformReport:
     # band-limited to the box (u_e has the factor 1/n)
     fn, fu, fJ, fE, fB = _split(
         array_irfft(grid, _full_rate(array_rfft(grid, _stack(n, u, J, E_s, B_s)),
-                                     _rate_coefficients(grid, p, (p.kappa,), modes=_masked_half(grid))))
+                                     _rate_coefficients(grid, p, (p.kappa,), masked_half=True)))
     )
     # compare in primitive variables, converting the substituted rates the
     # same way the production side does (same dealias placement)

@@ -36,8 +36,13 @@ Conventions
   Hussaini, Quarteroni & Zang, *Spectral Methods: Fundamentals in Single
   Domains*, 2006, section 3.4).  Both give the bits of the half-spectrum
   transforms on the box modes, and content outside the box is dropped.
-  ``Grid.box`` holds the box as a layout (``Modes``): its transforms and
-  the multipliers of its modes (``leray_project`` takes its ``khat``).
+  ``Grid.box`` holds the box as a layout (``Modes``): the multipliers of
+  its modes (``leray_project`` takes its ``khat``).
+* A grid caches arrays alone, nothing that refers back to it, such as a
+  transform bound to it: a run's grid and its caches are freed by
+  reference counting when the run lets go of them, not at the next cyclic
+  collection.  What binds a transform to a grid (``model._RateCoefficients``)
+  holds the grid, and the grid holds nothing of it.
 * Every transform is numpy's: on several axes its 1-d transforms, axis
   by axis in the order of rfftn and irfftn, whose bits they give.
 * The transforms run their leading rows, and ``model._full_rate`` its grid
@@ -63,7 +68,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as _iproduct
 from typing import Callable, NamedTuple
 
@@ -93,19 +98,16 @@ _TWO_PI = 2.0 * math.pi
 
 
 class Modes(NamedTuple):
-    """A spectral layout of a grid's coefficients: the wavevector k of its
-    modes, (3, *modes), whose components past the grid's ``active`` axes
-    are 0; k over |k|, and 0 where k = 0 (the Leray projector's); |k|^2;
-    the forward transform, grid values (..., *grid.shape) to coefficients
-    (..., *modes), with an optional ``out`` as for a numpy ufunc; and the
-    inverse transform."""
+    """A spectral layout of a grid's coefficients, as plain arrays: the
+    wavevector k of its modes, (3, *modes), whose components past the
+    grid's ``active`` axes are 0; k over |k|, and 0 where k = 0 (the Leray
+    projector's); and |k|^2.  It holds no transform: one bound to the grid
+    would make the grid's cache refer back to the grid."""
 
     k: np.ndarray
     khat: np.ndarray
     k2: np.ndarray
     active: int
-    forward: Callable
-    inverse: Callable
 
 
 @dataclass(frozen=True)
@@ -296,12 +298,13 @@ class Grid:
 
     @cached_property
     def box(self) -> "Modes":
-        """The 2/3-rule box as a layout, with ``box_rfft`` and ``box_irfft``.
-        No box mode is a Nyquist mode, so the derivative and the full
-        wavenumbers agree there, and |k|^2 is the sum of squares of k."""
+        """The 2/3-rule box as a layout, the arrays of its modes; its
+        transforms are ``box_rfft`` and ``box_irfft``, and ``k2.shape`` is
+        the box shape.  No box mode is a Nyquist mode, so the derivative
+        and the full wavenumbers agree there, and |k|^2 is the sum of
+        squares of k."""
         k = self.half_wavenumbers[(slice(None),) + self.box_index]
-        return Modes(k, _unit(k), (k**2).sum(axis=0), self.dims_active, partial(box_rfft, self),
-                     partial(box_irfft, self))
+        return Modes(k, _unit(k), (k**2).sum(axis=0), self.dims_active)
 
     @cached_property
     def fft_axes(self) -> tuple[int, ...]:

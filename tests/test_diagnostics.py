@@ -345,8 +345,9 @@ def test_chunk_is_a_budget_of_grid_points(grid, size):
 @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16), Grid(3, 32)], ids=["1d64", "2d16", "3d32"])
 @pytest.mark.parametrize("l", [0.0, 4.0, 7.5, 20.0])
 def test_ledger_stack_bytes_counts_the_derivative_rows(grid, l):
-    # the rows of ``_partials_hat`` (1 <= |a| <= l, then div E and div B) of
-    # a chunk, at the sizes of their half-spectrum and grid arrays
+    # the rows of a chunk that ``_derivative_groups`` brings to the grid (div
+    # E and div B first, then 1 <= |a| <= l), at the sizes of their
+    # half-spectrum and grid arrays
     rows = len(list(_multi_indices(grid.dims_active, int(l), 1))) + 2
     half = array_rfft(grid, np.zeros(grid.shape)).size
     assert _ledger_stack_bytes(grid, l) == rows * _chunk_size(grid) * (16 * half + 8 * grid.npoints)

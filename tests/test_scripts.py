@@ -4,7 +4,10 @@ import importlib.util
 import json
 import re
 import sys
+import types
+import weakref
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -127,6 +130,16 @@ def test_bench_needs_one_tree_per_tag(tmp_path, capsys):
             bench.main(argv)
         assert exc.value.code == 2
         assert "give one --tree per --tag" in capsys.readouterr().err
+
+
+def test_bench_rotates_the_tree_order():
+    # two trees alternate; with three, each runs first, in the middle and
+    # last once in three repeats
+    bench = _load("bench")
+    assert [bench.run_order(["A", "B"], i) for i in range(4)] == [["A", "B"], ["B", "A"]] * 2
+    orders = [bench.run_order(["A", "B", "C"], i) for i in range(3)]
+    assert orders == [["A", "B", "C"], ["B", "C", "A"], ["C", "A", "B"]]
+    assert all(sorted(place) == ["A", "B", "C"] for place in zip(*orders))
 
 
 def test_bench_records_tier1_and_src_lines(tmp_path):
@@ -254,6 +267,61 @@ def test_step_ab_phases_memory_table(tmp_path, capsys):
     cold = re.findall(r"^  first unit's set-up: A (\d+\.\d\d) ms, B (\d+\.\d\d) ms, "
                       r"B/A \d+\.\d{3}; B faster in \d/1 rounds$", out, re.M)
     assert len(cold) == 1 and all(float(v) > 0.0 for v in cold[0])
+
+
+def test_step_ab_phases_release_the_record_before_the_next_unit(tmp_path, monkeypatch):
+    # the record of a unit is gone when the next unit's run starts, so the
+    # last unit's figures do not hold the snapshots of the first
+    from nsmlimit import harness
+
+    step_ab = _load("step_ab")
+    run = tmp_path / "run.ini"
+    run.write_text("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[initial]\nmax_wavenumber = 2\n")
+    records, alive = [], []
+
+    class Record:
+        pass
+
+    def run_single(cfg):
+        alive.append([ref() is not None for ref in records])
+        rec = Record()
+        records.append(weakref.ref(rec))
+        return rec
+
+    monkeypatch.setattr(harness, "run_single", run_single)
+    monkeypatch.setattr(harness, "write_record", lambda rec, out: None)
+    assert len(step_ab.phase_unit(run)) == step_ab.UNITS == 2
+    assert alive == [[], [False]]
+    assert [ref() for ref in records] == [None, None]
+
+
+def test_step_ab_spies_on_the_transforms_of_either_tree():
+    # a tree whose rate coefficients hold the rate's transforms and one
+    # whose layout ``coef.modes`` holds them: both record the calls the
+    # rate makes, in order, on copies of their arguments
+    step_ab = _load("step_ab")
+
+    class Transforms(NamedTuple):
+        forward: object
+        inverse: object
+
+    class Layout(NamedTuple):
+        modes: Transforms
+
+    def forward(a):
+        return a + 1.0
+
+    def inverse(a):
+        return a - 1.0
+
+    for coef, owner in ((Transforms(forward, inverse), lambda c: c),
+                        (Layout(Transforms(forward, inverse)), lambda c: c.modes)):
+        rate = lambda x, c, owner=owner: owner(c).forward(owner(c).inverse(x))
+        pkg = types.SimpleNamespace(model=types.SimpleNamespace(_full_rate=rate))
+        call = step_ab.Call(None, {"op": types.SimpleNamespace(coef=coef), "x": np.zeros(2)}, None, 0.1)
+        calls = step_ab.rate_transforms(pkg, call)
+        assert [(t, a.tolist()) for t, a, _ in calls] == [(inverse, [1.0, 1.0]), (forward, [0.0, 0.0])]
+    assert step_ab.rate_transforms(None, step_ab.Call(None, {"op": None}, None, 0.1)) is None
 
 
 def test_step_ab_compares_states_member_by_member():
