@@ -60,13 +60,17 @@ numpy and Python held during the step above what they held at its start
 (its temporaries and its result), taken in one untimed, traced pass of S
 paired steps per tree after the timed rounds.
 
-``--run`` inputs also report, per tree, three tracemalloc figures that do
+``--run`` inputs also report, per tree, four tracemalloc figures that do
 not depend on the heap either: the traced memory a run of the config holds
-at its first ``step_full`` call (its set-up, through the same catch), and
-the transients of ``write_record`` and of one ``make_energy_ledger`` call on
-the record of a whole run of it, each the peak above the traced memory at
-the call's start, taken after one untraced warm-up call.  They are the
-heap-independent twins of ``peak_rss_mb``.
+at its first ``step_full`` call (its set-up, through the same catch), the
+transients of ``write_record`` and of one ``make_energy_ledger`` call on
+the record of a whole run of it, and the peak of one whole unit,
+``run_single`` and ``write_record``, each the peak above the traced memory
+at the call's start, taken after one untraced warm-up call.  They are the
+heap-independent twins of ``peak_rss_mb``; the unit's peak is the one that
+follows what a run holds through its march.  A tree whose ``march`` hands
+the step its stack in a one-slot holder is caught and replayed on the stack
+the holder holds.
 
 ``--audit`` times what a run does with its snapshots: each tree runs the
 config's single ``[params] kappa`` once through its own ``run_single``
@@ -182,6 +186,8 @@ def first_step(pkg, config: Path, batch: bool, probe=None) -> Call:
         harness.step_full = step_full
     if not caught:
         raise SystemExit(f"{config}: the run made no step")
+    if isinstance(caught["x"], list):  # a march that hands the step its stack in a one-slot holder
+        caught["x"] = caught["x"][0]
     return Call(step_full, caught, cfg.grid, cfg.step.dt)
 
 
@@ -255,6 +261,19 @@ def record_transients(pkg, config: Path) -> tuple[int, int]:
         for call in calls:
             call()
         return tuple(traced_peak(call) for call in calls)
+
+
+def unit_peak(pkg, config: Path) -> int:
+    """The traced peak of one whole unit of a single run of ``config``,
+    ``run_single`` and ``write_record`` into a temporary directory, above
+    the traced memory at its start, after one untraced warm-up unit."""
+    cfg = pkg.harness.parse_config(config)
+    with tempfile.TemporaryDirectory() as out:
+        def unit():
+            pkg.harness.write_record(pkg.harness.run_single(cfg), out)
+
+        unit()
+        return traced_peak(unit)
 
 
 def member_fields(pkg, grid, x: np.ndarray) -> list:
@@ -380,7 +399,8 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
             peaks = []
             paired_steps(call, steps, peaks)
             peak[tag] = f" {np.median(peaks) / 2**20:14.3f}"
-            memory[tag] = (held_at_first_step(pkg, config), *record_transients(pkg, config))
+            memory[tag] = (held_at_first_step(pkg, config), *record_transients(pkg, config),
+                           unit_peak(pkg, config))
     print(f"{name}: {rounds} rounds of {steps} paired steps per tree")
     print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/step':>12}"
           + (f" {'peak_MiB/step':>14}" if peak else ""))
@@ -397,10 +417,11 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         print(f"  {name} differs: max relative difference {rel:.3g}")
     if memory:
         print("  traced MiB: held at the first step; transients of write_record and make_energy_ledger "
-              "on the run's record")
-        print(f"  {'tree':4} {'held_MiB':>10} {'write_MiB':>10} {'ledger_MiB':>11}")
-        for tag, (held, write, ledger) in memory.items():
-            print(f"  {tag:4} {held / 2**20:10.2f} {write / 2**20:10.2f} {ledger / 2**20:11.2f}")
+              "on the run's record; peak of a whole run_single + write_record")
+        print(f"  {'tree':4} {'held_MiB':>10} {'write_MiB':>10} {'ledger_MiB':>11} {'unit_MiB':>10}")
+        for tag, (held, write, ledger, unit) in memory.items():
+            print(f"  {tag:4} {held / 2**20:10.2f} {write / 2**20:10.2f} {ledger / 2**20:11.2f} "
+                  f"{unit / 2**20:10.2f}")
     if not batch and sides[0][2].grid.dims_active > 1:
         compare_transforms(sides, rounds)
 
@@ -438,10 +459,10 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
     sides = []
     for tag, pkg in trees:
         cfg = pkg.harness.parse_config(config)
-        rec = pkg.harness.run_single(cfg)
-        if len(rec.snapshots) < 3:
-            raise SystemExit(f"{config}: the run recorded {len(rec.snapshots)} snapshots, the audit needs 3")
-        sides.append((tag, pkg, rec.snapshots, cfg.params, cfg.l))
+        snaps = pkg.harness.run_single(cfg).snapshots  # read from the run's store at each access
+        if len(snaps) < 3:
+            raise SystemExit(f"{config}: the run recorded {len(snaps)} snapshots, the audit needs 3")
+        sides.append((tag, pkg, snaps, cfg.params, cfg.l))
     for _, pkg, *args in sides:  # warm-up, untimed
         audit_pass(pkg, *args)
     samples = {tag: {"s": [], "faults": []} for tag, *_ in sides}

@@ -4,8 +4,14 @@ A run marches one member set (``integrator.march``): the limit system,
 which does not depend on kappa and is the scaled system without current
 and fields, first, then the scaled system at each kappa of the run.  So a
 paired step is one ``step_full`` call, and the set's one operator serves
-both systems.  Each recorded step gives every member a snapshot, and after
-the march each member's snapshots get their EnergyLedger rows.
+both systems.  Each recorded step gives every member a snapshot.  A run
+holds at most one ledger chunk of them (``diagnostics._chunk_size``) in
+memory and appends each full chunk to a spill file in ``tempfile``'s
+directory, which its RunRecords own and which goes with them
+(``_Snapshots``); the march frees every grid stack once its set is on the
+box.  After the march each member's snapshots get their EnergyLedger rows,
+one ``make_energy_ledger`` call per chunk read back.  So a run's memory
+does not grow with its snapshot count; its disk use does.
 ``run_single`` with a tuple of kappas runs them as one batch, with one
 limit for all; each member's records are bit for bit those of its own run.
 A sweep is one such batch, and fits the log-log rate of sup_t sqrt(Gamma)
@@ -37,8 +43,10 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import time as _time
 import warnings
+import weakref
 import zipfile
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -48,12 +56,12 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import LEDGER_COLUMNS, _check_ledger_densities, bound_monitor, make_energy_ledger
-from .diagnostics import _LEDGER_STACK_BUDGET, _ledger_stack_bytes
+from .diagnostics import _LEDGER_STACK_BUDGET, _chunk_size, _ledger_stack_bytes
 from .errors import ConfigError, VacuumError
 from .initdata import (WellPreparedSpec, _perturbations, hypothesis_certificate, make_limit_data,
                        make_well_prepared)
 from .integrator import StepControl, build_stiff_operator, march, step_full
-from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _stacked, _state_view
+from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _layout, _stacked
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
 __all__ = [
@@ -310,6 +318,113 @@ def parse_config(path: str | Path) -> RunConfig:
 # run records
 
 
+# (first row, rows) of n, u, j~, E and B in a member's own stack; the limit's are the first two
+_FIELDS = ((0, 1), (1, 3), (4, 3), (7, 3), (10, 3))
+
+
+def _remove_spill(spill, path: str) -> None:
+    spill.close()
+    Path(path).unlink(missing_ok=True)
+
+
+class _Snapshots:
+    """The snapshots of a run's member set, held a ledger chunk at a time.
+
+    A record is the set's grid stack at a recorded step, as the step
+    returned it, with the members it holds.  The records of the open chunk
+    stay in memory; when ``diagnostics._chunk_size`` of them have come, the
+    limit's fields and those of every member with records among them are
+    appended to the spill file, field by field, and the chunk is let go.
+    So a run holds at most one chunk of records: 32 on the 64-point line,
+    one on 16^3 and above.  The spill is made at the first full chunk, with
+    plain writes, in ``tempfile``'s directory (``TMPDIR``), and removed when
+    the store, which the run's RunRecords share, is freed.  A member's
+    snapshots are the first records of the run, as many as it has, and the
+    limit's fields are spilled once per chunk for all members."""
+
+    def __init__(self, grid: Grid, members: int):
+        self.grid, self.size = grid, _chunk_size(grid)
+        self.times, self.counts, self.open = [], [0] * members, []
+        self.offsets = {}  # (chunk, owner) -> spill offset; owner 0 is the limit, k + 1 member k
+        self.spill = None
+
+    def add(self, t: float, y: np.ndarray, live: list) -> None:
+        """Record the grid stack y at time t; ``live`` are the members it
+        holds, in stack order after the limit."""
+        self.times.append(t)
+        self.open.append((y, tuple(live)))
+        for k in live:
+            self.counts[k] += 1
+        if len(self.open) == self.size:
+            self._write()
+
+    def _write(self) -> None:
+        """Append the open chunk to the spill and let it go."""
+        if self.spill is None:
+            fd, path = tempfile.mkstemp(prefix="nsmlimit-spill-")
+            self.spill = open(fd, "w+b")
+            weakref.finalize(self, _remove_spill, self.spill, path)
+        self.spill.seek(0, os.SEEK_END)
+        chunk = len(self.times) // self.size - 1
+        owners = [0] + [k + 1 for k, n in enumerate(self.counts) if n > chunk * self.size]
+        for owner in owners:
+            self.offsets[chunk, owner] = self.spill.tell()
+            for f in range(len(_FIELDS) if owner else 2):
+                for a in self._open(owner, f, self.size):
+                    self.spill.write(a)
+        self.open = []
+
+    def _open(self, owner: int, f: int, count: int) -> list:
+        """The views of field f of ``owner`` in the first ``count`` records
+        of the open chunk that hold it."""
+        first, width = _FIELDS[f]
+        out = []
+        for y, live in self.open[:count]:
+            if owner and owner - 1 not in live:
+                break
+            r = _layout(len(y)).member_rows(live.index(owner - 1) + 1 if owner else 0)[first]
+            out.append(y[r] if width == 1 else y[r:r + width])
+        return out
+
+    def _spilled(self, chunk: int, owner: int, f: int, count: int) -> np.ndarray:
+        """The values of field f of ``owner`` in its first ``count``
+        snapshots of a spilled chunk, (count, *shape) or (count, 3, *shape)."""
+        stored = self.size if owner == 0 else min(self.size, self.counts[owner - 1] - chunk * self.size)
+        first, width = _FIELDS[f]
+        out = np.empty((count,) + ((width,) if width > 1 else ()) + self.grid.shape)
+        self.spill.seek(self.offsets[chunk, owner] + stored * first * 8 * self.grid.npoints)
+        if self.spill.readinto(out) != out.nbytes:
+            raise OSError("the snapshot spill file is shorter than its records")
+        return out
+
+    def values(self, k: int, owner: int, f: int):
+        """Per chunk of member k's snapshots, the values of field f of
+        ``owner`` (k + 1, or 0 for the limit) in them: an array over the
+        snapshots where the chunk is spilled, else a list of views."""
+        for chunk in range(-(-self.counts[k] // self.size)):
+            count = min(self.size, self.counts[k] - chunk * self.size)
+            if (chunk, owner) in self.offsets:
+                yield self._spilled(chunk, owner, f, count)
+            else:
+                yield self._open(owner, f, count)
+
+    def chunks(self, k: int):
+        """Member k's snapshots a chunk at a time, as (times, FullStates,
+        LimitStates) whose fields view the chunk read back."""
+        full = zip(*(self.values(k, k + 1, f) for f in range(len(_FIELDS))))
+        limit = zip(*(self.values(k, 0, f) for f in range(2)))
+        for chunk, (full_values, limit_values) in enumerate(zip(full, limit)):
+            ts = self.times[chunk * self.size:][:len(full_values[0])]
+            yield (ts, [_state(self.grid, FullState, full_values, i) for i in range(len(ts))],
+                   [_state(self.grid, LimitState, limit_values, i) for i in range(len(ts))])
+
+
+def _state(grid: Grid, cls, fields, i: int):
+    """The state of snapshot i of a chunk's field values (``_Snapshots``)."""
+    n, *vectors = (values[i] for values in fields)
+    return cls(ScalarField(grid, n), *(VectorField(grid, v) for v in vectors))
+
+
 @dataclass
 class RunRecord:
     kappa: float
@@ -323,9 +438,19 @@ class RunRecord:
     certificates: dict
     config_text: str
     wall_seconds: float
-    snapshots: list  # [(t, FullState, LimitState)]
+    store: _Snapshots = field(repr=False)  # the run's snapshots, shared by its records
     tag: str
     batch_members: int = 1  # members stepped together; they share wall_seconds
+    member: int = 0  # this record's member of the run
+
+    @property
+    def snapshots(self) -> list:
+        """[(t, FullState, LimitState)] of every record of the member, read
+        from the run's store at each access: the states of a spilled chunk
+        view the arrays read back from the spill file, those of the chunk
+        still in memory the stacks the steps returned.  So a run's snapshots
+        are in memory only while the list is."""
+        return [snap for chunk in self.store.chunks(self.member) for snap in zip(*chunk)]
 
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.rows])
@@ -349,9 +474,13 @@ def run_single(
 
     ``kappa`` is one value (default: the config's), returning one
     RunRecord, or a tuple of values, a batch run together, returning their
-    RunRecords in order.  A record views the stack its step returned and
-    runs the ledger's density checks.  After the march, each member's
-    ledger rows are one ``make_energy_ledger`` call on its snapshots.  A
+    RunRecords in order.  A record runs the ledger's density checks and
+    hands the stack its step returned to the run's store (``_Snapshots``),
+    which keeps the open chunk of records and spills each full one; it
+    computes no ledger row.  The stack of the initial set reaches
+    ``march`` in a one-slot holder, so the first step frees it.  After the
+    march, each member's ledger rows are one ``make_energy_ledger`` call
+    per chunk of its snapshots, read back from the store.  A
     member that blows up, hits vacuum or fails a record's density check
     gets its own status, message and step count and leaves the set.  A
     failure of the limit ends every member with the limit's message and
@@ -376,6 +505,7 @@ def run_single(
         max_wavenumber=ini.max_wavenumber,
     )
     records, stacks, masses, n_means = [], [_stacked(limit)], [], []
+    store = _Snapshots(grid, len(params))
     perturbations = None  # the members' unit perturbations: their specs differ in kappa alone
     for p in params:
         spec = WellPreparedSpec.from_seed(
@@ -390,7 +520,7 @@ def run_single(
             raise ConfigError(f"initial data at kappa = {p.kappa:g}: {exc}") from None
         records.append(RunRecord(
             kappa=p.kappa, status="completed", message="", n_steps=0, dt=dt,
-            t_end=cfg.step.t_end, l=cfg.l, rows=[], snapshots=[],
+            t_end=cfg.step.t_end, l=cfg.l, rows=[], store=store, member=len(records),
             certificates=hypothesis_certificate(full, limit, p.kappa, ini.c0, cfg.l),
             config_text=cfg.config_text, wall_seconds=0.0,
             tag=f"run_kappa{p.kappa:g}",
@@ -401,7 +531,7 @@ def run_single(
         n_means.append(full.n.mean)
     live = list(range(len(params)))  # members still stepping, in stack order after the limit
     limit_mean = limit.n.mean
-    x = _join(stacks)
+    x = [_join(stacks)]  # march takes the set's stack out of this holder
     del stacks, perturbations, full, limit, spec  # x holds their rows
 
     def end(k, exc, steps):
@@ -412,21 +542,20 @@ def run_single(
                                     [n_means[k] for k in live], limit_mean)
 
     def record(i, y):
-        """A snapshot of every live member, as views of the stack.  The
+        """The stack y goes to the store for every live member.  The
         ledger's density checks run here, so a member leaves at the step they
         fail."""
         t = i * dt
-        limit = _state_view(grid, y)
         for pos in reversed(range(1, len(live) + 1)):  # backwards, so a drop keeps the positions before
-            full = _state_view(grid, y, pos)
             try:
-                _check_ledger_densities((t,), full.n.values[None], limit.n.values[None])
+                _check_ledger_densities((t,), y[pos:pos + 1], y[:1])
             except VacuumError as exc:
                 end(live.pop(pos - 1), exc, i)
                 y = _drop(y, pos)
-            else:
-                records[live[pos - 1]].snapshots.append((t, full, limit))
-        return y if live else None
+        if not live:
+            return None
+        store.add(t, y, live)
+        return y
 
     def leave(i, exc):
         """The member at stack position ``exc.member`` leaves; a failure of
@@ -442,9 +571,8 @@ def run_single(
                   step=lambda *a, **k: step_full(*a, **k))
     for k in live:
         records[k].n_steps = steps
-    for rec, p, mass0 in zip(records, params, masses):
-        if rec.snapshots:
-            rec.rows = make_energy_ledger(*zip(*rec.snapshots), p, cfg.l, mass0)
+    for k, (rec, p, mass0) in enumerate(zip(records, params, masses)):
+        rec.rows = [row for chunk in store.chunks(k) for row in make_energy_ledger(*chunk, p, cfg.l, mass0)]
     wall = _time.perf_counter() - start
     for rec in records:
         rec.wall_seconds = wall
@@ -493,33 +621,46 @@ def record_json_dict(rec: RunRecord) -> dict:
 
 
 def _snapshot_arrays(rec: RunRecord):
-    """The snapshots file's (key, array) entries in ``np.savez``'s order, each
-    field's stack built only when the entry is reached."""
-    snaps = rec.snapshots
-    grid = snaps[0][1].grid
-    yield "t", np.array([t for t, _, _ in snaps])
-    for name in ("n", "u", "jt", "E", "B"):
-        yield f"full_{name}", np.stack([getattr(f, name).values for _, f, _ in snaps])
-    for name in ("n", "u"):
-        yield f"limit_{name}", np.stack([getattr(lm, name).values for _, _, lm in snaps])
+    """The snapshots file's (key, entry) pairs in ``np.savez``'s order.  An
+    entry is an array, or for a field's stack its shape and the values of
+    each chunk of snapshots, read back from the run's store as the entry
+    is reached."""
+    store, k = rec.store, rec.member
+    count = store.counts[k]
+    grid = store.grid
+    yield "t", np.array(store.times[:count])
+    for prefix, owner, names in (("full", k + 1, ("n", "u", "jt", "E", "B")), ("limit", 0, ("n", "u"))):
+        for f, name in enumerate(names):
+            shape = (count,) + ((3,) if _FIELDS[f][1] > 1 else ()) + grid.shape
+            yield f"{prefix}_{name}", (shape, store.values(k, owner, f))
     yield "grid_meta", np.array([grid.dims_active, grid.points_per_dim, grid.period])
     yield "kappa", np.array([rec.kappa])
     if rec.config_text:
         yield "config", np.array(rec.config_text)
 
 
+_STACK_HEADER = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False}
+
+
 def _write_snapshots(path: Path, rec: RunRecord) -> None:
-    """The snapshots file, streamed entry by entry into its ``.tmp`` file with
-    the calls ``np.savez`` makes, then moved into place.  It holds the bytes
-    ``np.savez`` writes, while memory holds about one field's stack and its
-    bytes at a time, not every stack and the whole file.  A write that fails
-    removes the ``.tmp`` file and leaves ``path`` as it was."""
+    """The snapshots file, streamed entry by entry into its ``.tmp`` file,
+    then moved into place.  It holds the bytes ``np.savez`` writes: a
+    field's entry is the header ``np.savez`` writes for its stack, followed
+    by the values of each chunk of snapshots, so memory holds one chunk's
+    field at a time.  A write that fails removes the ``.tmp`` file and
+    leaves ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-            for key, array in _snapshot_arrays(rec):
+            for key, entry in _snapshot_arrays(rec):
                 with zf.open(key + ".npy", "w", force_zip64=True) as fid:
-                    np.lib.format.write_array(fid, array)
+                    if isinstance(entry, np.ndarray):
+                        np.lib.format.write_array(fid, entry)
+                        continue
+                    shape, chunks = entry
+                    np.lib.format.write_array_header_1_0(fid, _STACK_HEADER | {"shape": shape})
+                    for values in chunks:  # one write per chunk: a field's snapshots are small in 1-D
+                        fid.write(values if isinstance(values, np.ndarray) else np.stack(values))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -539,7 +680,7 @@ def write_record(rec: RunRecord, out_dir: str | Path) -> dict[str, Path]:
     _atomic_write_text(
         paths["json"], json.dumps(record_json_dict(rec), indent=2) + "\n"
     )
-    if rec.snapshots:
+    if rec.store.counts[rec.member]:
         _write_snapshots(paths["npz"], rec)
     timing = f"wall_seconds = {rec.wall_seconds:.6f}\n"
     if rec.batch_members > 1:

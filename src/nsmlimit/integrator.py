@@ -451,7 +451,13 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
     sets"): one state's (n, u, j~, E, B), (13, *shape), the limit system's
     (n, u), (4, *shape), or several states in field-major rows, the limit
     first if it is one of them; or it is the HalfStack of such a set that
-    the previous step returned.  The step holds the 2/3-rule box alone, so
+    the previous step returned; or it is a one-slot list, a holder, of
+    either.  A step takes the stack out of a holder and, once it has
+    entered the box, puts the entered set back in its place as a HalfStack
+    and lets go of the grid stack, its densities copied: so a holder that
+    alone held the grid stack frees it before the first rate, and after a
+    failure it holds the entered set, which the caller can drop a member
+    from and step again.  The step holds the 2/3-rule box alone, so
     the content of a grid stack above it is dropped by its first
     transform.  ``op`` is the set's operator
     (``build_stiff_operator``): the grid, dt, Params and coefficients of
@@ -485,6 +491,9 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
     caller can drop the member from ``x`` (``model._drop``,
     ``HalfStack.drop``) and redo the step.
     """
+    holder = x if isinstance(x, list) else None
+    if holder is not None:
+        x = holder[0]
     carried = isinstance(x, HalfStack)
     rows = len(x.half) if carried else len(x)
     lay = _layout(rows)
@@ -503,7 +512,10 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
             h = box_rfft(grid, x)
         stiff = h[lay.stiff].reshape(lay.shapes(h.shape[1:]).stiff)
         stiff[:] = op.apply_half(stiff)
-        entry = x[lay.n]
+        entry = x[lay.n].copy()  # a view would keep the grid stack
+        if holder is not None:
+            holder[0] = HalfStack(h, entry)
+    del x, holder  # a grid stack that the holder alone held is freed here
 
     def remainder(y, tt, guard=None):
         out = _full_rate(y, coef, guard)
@@ -544,27 +556,35 @@ def step_full(x, op: StiffLinearOperator, t: float = 0.0, forcing: Callable | No
 # driver
 
 
-def march(x, build: Callable, n_steps: int, dt: float, stride: int, record: Callable,
+def march(x: list, build: Callable, n_steps: int, dt: float, stride: int, record: Callable,
           leave: Callable, step: Callable = step_full, forcing: Callable | None = None) -> int:
-    """March the member set x, a grid stack, through ``n_steps`` steps of
-    ``dt`` from t = 0, and return the number of steps made; the one stepping
-    loop of the package.
+    """March the member set whose grid stack the one-slot list x holds
+    through ``n_steps`` steps of ``dt`` from t = 0, and return the number of
+    steps made; the one stepping loop of the package.
 
     ``record(i, y)`` gets the grid stack y after i steps, at i = 0, every
     ``stride`` steps and at the last step, the only steps recorded
     (``step_full``): between them the set stays on the 2/3-rule box as the
     HalfStack each step hands the next.  It returns the set to march on
     with: y, y less members that left at the record (``model._drop``), or
-    None to stop.  A step that fails with BlowUpError or VacuumError calls
-    ``leave(i, exc)``, i the steps made: when it returns true, the failing
-    member (``exc.member``) leaves the set and the others redo the step, and
-    otherwise the march stops there.  The operator is ``build()``, called
-    before the first step and again after every change of the set.  Each
-    step is ``step(x, op, t=, forcing=, record=)``: ``step_full``, or a
-    callable that looks a stepper up at each call, so that a stepper swapped
-    in during the march is the one that runs."""
-    x, op, i = record(0, x), None, 0
-    while x is not None and i < n_steps:
+    None to stop.  The initial set and each recorded one reach the step in
+    a one-slot holder, x first, that nothing else in the march refers to,
+    so the step frees the grid stack once the set is on the box
+    (``step_full``); x is empty when the march returns.  A step that fails
+    with BlowUpError or VacuumError calls ``leave(i, exc)``, i the steps
+    made: when it returns true, the failing member (``exc.member``) leaves
+    the set, dropped from the HalfStack the step was given or left in its
+    holder, and the others redo the step; otherwise the march stops there.
+    The operator is ``build()``, called before the first step and again
+    after every change of the set.  Each step is ``step(x, op, t=,
+    forcing=, record=)``: ``step_full``, or a callable that looks a stepper
+    up at each call, so that a stepper swapped in during the march is the
+    one that runs."""
+    x[0] = record(0, x[0])
+    held, op, i = x, None, 0
+    if x[0] is None:
+        n_steps = 0
+    while i < n_steps:
         if op is None:
             op = build()
         last = (i + 1) % stride == 0 or i + 1 == n_steps
@@ -573,13 +593,24 @@ def march(x, build: Callable, n_steps: int, dt: float, stride: int, record: Call
         except (BlowUpError, VacuumError) as exc:
             if not leave(i, exc):
                 break
-            x = x.drop(exc.member) if isinstance(x, HalfStack) else _drop(x, exc.member)
+            if x is held:
+                x[0] = x[0].drop(exc.member) if isinstance(x[0], HalfStack) else _drop(x[0], exc.member)
+            else:
+                x = x.drop(exc.member)
             op = None
             continue
         i += 1
-        x = record(i, y) if last else y
-        if x is not y:  # members left at the record
-            op = None
+        held.clear()
+        if not last:
+            x = y
+        else:
+            x = held = [record(i, y)]
+            if x[0] is None:
+                break
+            if x[0] is not y:  # members left at the record
+                op = None
+        del y
+    held.clear()
     return i
 
 
@@ -632,6 +663,6 @@ def evolve(
         log.status, log.message = exc.status, str(exc)
         return False
 
-    log.n_steps = march(x, build, sc.n_steps, sc.dt, stride if observer is not None else max(sc.n_steps, 1),
+    log.n_steps = march([x], build, sc.n_steps, sc.dt, stride if observer is not None else max(sc.n_steps, 1),
                         record, leave, forcing=forcing)
     return shown, log

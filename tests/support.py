@@ -584,16 +584,28 @@ def inject_faults(monkeypatch, *faults) -> list:
     not on the member's place in the set: a batch member and its standalone
     run get the same fault, and a step redone after another member left
     gets it again.  A carried HalfStack gets the fault as the state it
-    stands for, on the 2/3-rule box and through the opening half-step.
+    stands for, on the 2/3-rule box and through the opening half-step.  A
+    grid stack in a holder (``integrator.march``) gets the fault in the
+    holder, which the step then enters; a HalfStack in a holder is that
+    entered set, given back for a redo, and already holds its faults.
     Returns a list that gets the ``record`` flag of each faulted step."""
     flags, step = [], harness.step_full
 
     def faulty(x, op, *args, t=0.0, **kwargs):
         kappas = list(op.coef.kap.ravel())
+        held = isinstance(x, list)
+        if held and isinstance(x[0], HalfStack):
+            return step(x, op, *args, t=t, **kwargs)
+        stack = x[0] if held else x
         for kappa, steps, add in faults:
             if t == steps * op.dt and kappa in kappas:
-                x = _add_to_member(x, op, op.layout.limit + kappas.index(kappa), add)
+                stack = _add_to_member(stack, op, op.layout.limit + kappas.index(kappa), add)
                 flags.append(kwargs["record"])
+        if held:
+            x[0] = stack
+        else:
+            x = stack
+        del stack
         return step(x, op, *args, t=t, **kwargs)
 
     monkeypatch.setattr(harness, "step_full", faulty)

@@ -273,8 +273,8 @@ class TestRunSingle:
         steps = []
 
         def step_full(x, *args, _step=harness.step_full, **kwargs):
+            steps.append(len(x[0]))  # the rows stepped, in march's holder: 4 of the limit, 13 per member
             out = _step(x, *args, **kwargs)
-            steps.append(len(x))  # the rows stepped: 4 of the limit, 13 per member
             if len(steps) == 40:
                 out[2, 5] = -0.5  # the density of member 0.1, after the limit's and 0.4's
             return out
@@ -287,10 +287,11 @@ class TestRunSingle:
         assert steps == [4 + 2 * 13] * 40 + [4 + 13] * 10
         assert (kept.status, kept.n_steps, kept.rows) == ("completed", 50, clean[0].rows)
 
-    def test_one_ledger_call_per_member_after_the_march(self, monkeypatch):
+    def test_ledger_calls_per_chunk_after_the_march(self, monkeypatch):
         # a stride-1 run records 51 snapshots per member, more than one chunk
-        # of 32: each member with snapshots gets its rows from one call after
-        # the last step, and a member that left at t = 0 gets none
+        # of 32: each member with snapshots gets its rows from one call per
+        # chunk, 32 and 19 snapshots, after the last step, and a member that
+        # left at t = 0 gets none
         cfg = parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 1"))
         clean = run_single(cfg, kappa=(0.4, 0.2))
         calls = []
@@ -313,7 +314,7 @@ class TestRunSingle:
         monkeypatch.setattr(harness, "make_energy_ledger", make_energy_ledger)
         monkeypatch.setattr(harness, "_check_ledger_densities", check)
         recs = run_single(cfg, kappa=(0.4, 0.2, 0.1))
-        assert calls == ["left"] + ["step"] * 50 + [51, 51]
+        assert calls == ["left"] + ["step"] * 50 + [32, 19, 32, 19]
         assert [r.rows for r in recs] == [clean[0].rows, clean[1].rows, []]
         assert (recs[2].status, recs[2].message, recs[2].n_steps) == ("vacuum", "vacuum state: forced", 0)
 
@@ -339,12 +340,17 @@ class TestRunSingle:
         assert [r.kappa for r in recs] == [0.4, 0.1]
         assert [r.tag for r in recs] == ["run_kappa0.4", "run_kappa0.1"]
         assert all(r.batch_members == 2 for r in recs)
-        assert recs[0].snapshots[1][2] is recs[1].snapshots[1][2]  # one shared limit run
+        # one shared limit run, held once in the store the records share
+        assert recs[0].store is recs[1].store
+        limits = [r.snapshots[1][2] for r in recs]
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(vars(limits[0]).values(), vars(limits[1]).values()))
 
     def test_states_built_only_where_recorded(self, monkeypatch):
-        # the paired loop steps one stack per system: a record builds one
-        # FullState per member and one LimitState, and a step builds none;
-        # states made by the initial-data calls are not counted
+        # the paired loop steps one stack per system, and neither a step nor
+        # a record builds a state: the ledger builds one FullState and one
+        # LimitState per member snapshot, after the march; states made by
+        # the initial-data calls are not counted
         built = {FullState: 0, LimitState: 0}
         setting_up = []
         for cls in built:
@@ -361,11 +367,19 @@ class TestRunSingle:
                     setting_up.pop()
             monkeypatch.setattr(harness, name, setup)
         cfg = parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 25"))
+        ledgers = []
+
+        def ledger(*args, _fn=harness.make_energy_ledger):
+            ledgers.append(dict(built))
+            return _fn(*args)
+
+        monkeypatch.setattr(harness, "make_energy_ledger", ledger)
         recs = run_single(cfg, kappa=(0.4, 0.2, 0.1))
+        assert ledgers[0] == {FullState: 3, LimitState: 3}  # the first member's chunk, built for its call
+        assert built == {FullState: 3 * 3, LimitState: 3 * 3}
         assert [r.n_steps for r in recs] == [50] * 3
         assert [len(r.snapshots) for r in recs] == [3] * 3
-        assert built == {FullState: 3 * 3, LimitState: 3}
-        # the members of one record view one stack
+        # the members of one record view the one stack of the open chunk
         assert recs[0].snapshots[1][1].n.values.base is recs[2].snapshots[1][1].B.values.base
 
 
@@ -545,27 +559,42 @@ class TestPersistence:
         np.savez(buf, **arrays)
         return buf.getvalue()
 
-    @pytest.mark.parametrize("text, config_text", [
-        (SHORT_CONFIG, None),
-        ("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 1e-3\n\n"
-         "[initial]\nmax_wavenumber = 2\n\n[diagnostics]\nsnapshot_stride = 2\n", ""),
-    ], ids=["1d-with-config", "3d-without-config"])
-    def test_snapshots_file_is_the_bytes_of_savez(self, tmp_path, text, config_text):
-        # the streamed writer holds one stack at a time and writes what
-        # np.savez of all of them writes; the file loads back to the record
-        rec = run_single(parse_config_text(text), kappa=0.2)
-        if config_text is not None:
-            rec = replace(rec, config_text=config_text)
-        path = write_record(rec, tmp_path)["npz"]
-        assert path.read_bytes() == self._savez_bytes(rec)
-        assert load_snapshot_config(path) == (rec.config_text or None)
-        kappa, snaps = load_snapshots(path)
-        assert kappa == 0.2 and len(snaps) == len(rec.snapshots) >= 3
-        for (t, full, limit), (t0, full0, limit0) in zip(snaps, rec.snapshots):
-            assert t == t0
-            for a, b in zip(list(vars(full).values()) + list(vars(limit).values()),
-                            list(vars(full0).values()) + list(vars(limit0).values())):
-                assert np.array_equal(a.values, b.values)
+    THREE_D = ("[grid]\ndims_active = 3\npoints_per_dim = 8\n\n[step]\ndt = 2e-4\nt_end = 1e-3\n\n"
+               "[initial]\nmax_wavenumber = 2\n\n[diagnostics]\nsnapshot_stride = 2\n")
+
+    @pytest.mark.parametrize("text, config_text, kappa", [
+        (SHORT_CONFIG, None, 0.2),
+        # 4 records, one spilled chunk of 8^3, then 6: a spilled chunk and 2 in memory
+        (THREE_D, "", 0.2),
+        (THREE_D.replace("snapshot_stride = 2", "snapshot_stride = 1"), "", 0.2),
+        # at stride 1 members 0.4 and 0.1 leave after 4 and 65 of the 101
+        # records: each ends on a part of a spilled chunk of 32
+        ("faulted", None, (0.4, 0.1, 0.01)),
+    ], ids=["1d-with-config", "3d-without-config", "3d-spilled-and-held", "1d-members-leave-early"])
+    def test_snapshots_file_is_the_bytes_of_savez(self, tmp_path, monkeypatch, text, config_text, kappa):
+        # the streamed writer holds one chunk's field at a time and writes
+        # what np.savez of all the stacks writes, from the spill as from
+        # memory; the file loads back to the record
+        if text == "faulted":
+            text = _faulted_text(monkeypatch, "0.4, 0.1, 0.01").replace("snapshot_stride = 25",
+                                                                         "snapshot_stride = 1")
+        recs = run_single(parse_config_text(text), kappa=kappa)
+        recs = recs if isinstance(kappa, tuple) else [recs]
+        if isinstance(kappa, tuple):
+            assert [len(r.snapshots) for r in recs] == [4, 65, 101] and recs[0].store.spill is not None
+        for rec in recs:
+            if config_text is not None:
+                rec = replace(rec, config_text=config_text)
+            path = write_record(rec, tmp_path)["npz"]
+            assert path.read_bytes() == self._savez_bytes(rec)
+            assert load_snapshot_config(path) == (rec.config_text or None)
+            kappa, snaps = load_snapshots(path)
+            assert kappa == rec.kappa and len(snaps) == len(rec.snapshots) >= 3
+            for (t, full, limit), (t0, full0, limit0) in zip(snaps, rec.snapshots):
+                assert t == t0
+                for a, b in zip(list(vars(full).values()) + list(vars(limit).values()),
+                                list(vars(full0).values()) + list(vars(limit0).values())):
+                    assert np.array_equal(a.values, b.values)
 
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         # a write that raises part-way, at its third array, removes its .tmp

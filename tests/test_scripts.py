@@ -203,14 +203,17 @@ def test_step_ab_smoke(tmp_path, capsys):
         peaks = re.findall(rf"^  {tag}{times} +(\d+\.\d{{3}})$", out, re.M)
         assert len(peaks) == 1 and float(peaks[0]) > 0.0
     assert len(re.findall(r"B faster in \d/2 rounds; final states bit-identical$", out, re.M)) == 2
-    # the single run alone reports the traced memory held at its first step
-    # and the transients of writing its record and of its ledger
+    # the single run alone reports the traced memory held at its first step,
+    # the transients of writing its record and of its ledger, and the peak
+    # of a whole unit, which is above the first
     assert len(re.findall(r"^  traced MiB: held at the first step; transients of write_record "
-                          r"and make_energy_ledger on the run's record$", out, re.M)) == 1
-    assert len(re.findall(r"^  tree +held_MiB +write_MiB +ledger_MiB$", out, re.M)) == 1
+                          r"and make_energy_ledger on the run's record; peak of a whole "
+                          r"run_single \+ write_record$", out, re.M)) == 1
+    assert len(re.findall(r"^  tree +held_MiB +write_MiB +ledger_MiB +unit_MiB$", out, re.M)) == 1
     for tag in "AB":
-        memory = re.findall(rf"^  {tag} +(\d+\.\d\d) +(\d+\.\d\d) +(\d+\.\d\d)$", out, re.M)
+        memory = re.findall(rf"^  {tag} +(\d+\.\d\d) +(\d+\.\d\d) +(\d+\.\d\d) +(\d+\.\d\d)$", out, re.M)
         assert len(memory) == 1 and all(float(v) > 0.0 for v in memory[0])
+        assert float(memory[0][3]) > float(memory[0][0])
     # the 3-D run alone ends with the A/B of its rate's box transforms: the
     # paired stack (the limit's 4 rows and the member's 13) to the grid, its
     # 33 product rows forward, 11 conservative-rate rows back and 9
@@ -397,6 +400,25 @@ def test_step_ab_replays_either_step_signature():
         assert [call[4] if len(call) == 5 else None for call in seen] == flags
         assert [call[2] for call in seen] == [0.0, 0.5, 1.0]
         seen.clear()
+
+
+def test_step_ab_catches_the_stack_of_either_march():
+    # a march that hands the step a grid stack, and one that hands it the
+    # stack in a one-slot holder: either caught call replays on the stack
+    step_ab = _load("step_ab")
+    stack = np.arange(4.0)
+
+    def step_full(x, op, t=0.0, forcing=None, record=True):
+        return x
+
+    for handed in (stack, [stack]):
+        def run_single(cfg, kappa=None, _handed=handed):
+            harness.step_full(_handed, "op", t=0.0, forcing=None, record=False)
+
+        harness = types.SimpleNamespace(step_full=step_full, run_single=run_single, parse_config=lambda path:
+                                        types.SimpleNamespace(grid="grid", step=types.SimpleNamespace(dt=0.5)))
+        call = step_ab.first_step(types.SimpleNamespace(harness=harness), Path("run.ini"), False)
+        assert call.arguments["x"] is stack and call.stepper is step_full
 
 
 def test_step_ab_column_differences():
