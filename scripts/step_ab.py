@@ -63,8 +63,9 @@ paired steps per tree after the timed rounds.
 ``--run`` inputs also report, per tree, four tracemalloc figures that do
 not depend on the heap either: the traced memory a run of the config holds
 at its first ``step_full`` call (its set-up, through the same catch), the
-transients of ``write_record`` and of one ``make_energy_ledger`` call on
-the record of a whole run of it, and the peak of one whole unit,
+transients of ``write_record`` on the record of a whole run of it and
+of that run's ``make_energy_ledger`` calls, replayed, and the peak of one
+whole unit,
 ``run_single`` and ``write_record``, each the peak above the traced memory
 at the call's start, taken after one untraced warm-up call.  They are the
 heap-independent twins of ``peak_rss_mb``; the unit's peak is the one that
@@ -74,9 +75,12 @@ the holder holds.
 
 ``--audit`` times what a run does with its snapshots: each tree runs the
 config's single ``[params] kappa`` once through its own ``run_single``
-(untimed), and a pass is the ledger rows of those snapshots (one
-``make_energy_ledger`` call on their sequences) plus ``energy_identity_audit``
-on them.  Per round each tree makes one pass, in alternating order, after
+(untimed), and a pass is the ledger rows of its snapshots plus
+``energy_identity_audit`` on them.  The rows come from the run's own
+``harness.make_energy_ledger`` calls, caught during the run as the first
+step is and replayed (``ledger_run``), so the script calls no ledger
+signature itself and runs on trees whose ledgers take different
+arguments; ``--run`` replays them alike.  Per round each tree makes one pass, in alternating order, after
 one untimed warm-up pass.  Reported per tree: the median and quartiles of
 the pass time and its median minor page faults, the rounds in which B's
 pass was faster, and whether both trees' rows and audit residuals are bit
@@ -247,17 +251,38 @@ def held_at_first_step(pkg, config: Path) -> int:
     return held[0]
 
 
+def ledger_run(pkg, cfg):
+    """A single run of ``cfg`` through the tree's own ``run_single``, and
+    the ``harness.make_energy_ledger`` calls it made, each caught as
+    (function, positional arguments, keyword arguments) to replay: so the
+    caller never calls a ledger signature itself, and either tree's ledger
+    takes the arguments its own run gives it."""
+    harness = pkg.harness
+    ledger, calls = harness.make_energy_ledger, []
+
+    def catch(*args, **kwargs):
+        calls.append((ledger, args, kwargs))
+        return ledger(*args, **kwargs)
+
+    harness.make_energy_ledger = catch
+    try:
+        return harness.run_single(cfg), calls
+    finally:
+        harness.make_energy_ledger = ledger
+
+
+def replay_ledger(calls: list) -> list:
+    """The ledger rows of the calls caught by ``ledger_run``, made again."""
+    return [row for ledger, args, kwargs in calls for row in ledger(*args, **kwargs)]
+
+
 def record_transients(pkg, config: Path) -> tuple[int, int]:
-    """The traced transients of ``write_record`` and of ``make_energy_ledger``
-    on the record of a single run of ``config``, each after one untraced
-    warm-up call."""
-    cfg = pkg.harness.parse_config(config)
-    rec = pkg.harness.run_single(cfg)
-    snaps = rec.snapshots
-    mass0 = pkg.spectral.grid_integral(cfg.grid, snaps[0][1].n.values)
+    """The traced transients of ``write_record`` and of the
+    ``make_energy_ledger`` calls (replayed) on the record of a single run
+    of ``config``, each after one untraced warm-up call."""
+    rec, ledgers = ledger_run(pkg, pkg.harness.parse_config(config))
     with tempfile.TemporaryDirectory() as out:
-        calls = (lambda: pkg.harness.write_record(rec, out),
-                 lambda: pkg.diagnostics.make_energy_ledger(*zip(*snaps), cfg.params, cfg.l, mass0))
+        calls = (lambda: pkg.harness.write_record(rec, out), lambda: replay_ledger(ledgers))
         for call in calls:
             call()
         return tuple(traced_peak(call) for call in calls)
@@ -426,16 +451,15 @@ def compare(trees, name: str, config: Path, batch: bool, rounds: int, steps: int
         compare_transforms(sides, rounds)
 
 
-def audit_pass(pkg, snaps: list, p, l: float):
-    """One pass of the record-and-audit path on a run's snapshots: the
-    seconds, the minor faults, the ledger rows (one ``make_energy_ledger``
-    call) as one array and the audit residuals."""
-    diagnostics = pkg.diagnostics
-    mass0 = pkg.spectral.grid_integral(snaps[0][1].grid, snaps[0][1].n.values)
+def audit_pass(pkg, ledgers: list, snaps: list, p):
+    """One pass of the record-and-audit path on a run: the seconds, the
+    minor faults, the ledger rows of its ``make_energy_ledger`` calls
+    (replayed, ``ledger_run``) as one array and the audit residuals of its
+    snapshots."""
     f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    rows = diagnostics.make_energy_ledger(*zip(*snaps), p, l, mass0)
-    report = diagnostics.energy_identity_audit(snaps, p)
+    rows = replay_ledger(ledgers)
+    report = pkg.diagnostics.energy_identity_audit(snaps, p)
     t1 = time.perf_counter()
     f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     return t1 - t0, f1 - f0, np.array([r.as_tuple() for r in rows]), np.array(report.residuals)
@@ -459,10 +483,11 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
     sides = []
     for tag, pkg in trees:
         cfg = pkg.harness.parse_config(config)
-        snaps = pkg.harness.run_single(cfg).snapshots  # read from the run's store at each access
+        rec, ledgers = ledger_run(pkg, cfg)
+        snaps = rec.snapshots  # read from the run's store at each access
         if len(snaps) < 3:
             raise SystemExit(f"{config}: the run recorded {len(snaps)} snapshots, the audit needs 3")
-        sides.append((tag, pkg, snaps, cfg.params, cfg.l))
+        sides.append((tag, pkg, ledgers, snaps, cfg.params))
     for _, pkg, *args in sides:  # warm-up, untimed
         audit_pass(pkg, *args)
     samples = {tag: {"s": [], "faults": []} for tag, *_ in sides}
@@ -476,7 +501,7 @@ def compare_audit(trees, config: Path, rounds: int) -> None:
         wins += seconds["B"] < seconds["A"]
         identical &= all(a.shape == b.shape and a.tobytes() == b.tobytes()
                          for a, b in zip(outputs["A"], outputs["B"]))
-    print(f"audit {config.name}: {rounds} rounds of one pass over {len(sides[0][2])} snapshots per tree")
+    print(f"audit {config.name}: {rounds} rounds of one pass over {len(sides[0][3])} snapshots per tree")
     print(f"  {'tree':4} {'median_ms':>10} {'q1_ms':>9} {'q3_ms':>9} {'faults/pass':>12}")
     median_ms = {}
     for tag, *_ in sides:

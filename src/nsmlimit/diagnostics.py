@@ -12,8 +12,12 @@ sum_{1<=|a|<=l} integral h'(N+n0)/(N+n0) |d^a N|^2 dx and the viscous
 dissipation of U and J; the audit checks the zero-order kinetic-energy
 balance term by term.
 
-Both take all of a run's snapshots in one call and split them into chunks
-here, with one forward transform of a stacked array per chunk.  A chunk
+The ledger takes a run's snapshots as stacks, (S, 13, *shape) of the full
+states and (S, 4, *shape) of the limit states (``model._stacked``), and
+builds each chunk's error stack from them in one new array, leaving them
+as they are; the audit takes (t, FullState, LimitState) snapshots.  Both
+take all of their snapshots in one call and split them into chunks here,
+with one forward transform of a stacked array per chunk.  A chunk
 holds at most ``_chunk_size`` snapshots, a fixed budget of 2048 grid
 points (32 snapshots on a 64-point line, one on 32^3); one snapshot is a
 chunk of one.  Every per-element operation and every reduction is the
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SnapshotSpacingError, VacuumError
+from .errors import GridMismatchError, SnapshotSpacingError, VacuumError
 from .model import FullState, LimitState, Params, _cross, _stack, _stacked, _visc_hat, _visc_multipliers
 from .spectral import (
     Grid,
@@ -226,30 +230,34 @@ class EnergyLedger:
         return tuple(getattr(self, c) for c in LEDGER_COLUMNS)
 
 
-def make_energy_ledger(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[EnergyLedger]:
-    """The EnergyLedger rows of equal-length sequences of times, full states
-    and limit states, computed a chunk at a time.
+def make_energy_ledger(grid: Grid, ts, fulls: np.ndarray, limits: np.ndarray, p: Params, l: float,
+                       mass0: float) -> list[EnergyLedger]:
+    """The EnergyLedger rows of a sequence of times and the stacks of the
+    full and limit states at them (``model._stacked``), (S, 13, *shape) and
+    (S, 4, *shape), computed a chunk at a time.  The stacks are left as
+    they are.
 
-    A nonpositive density raises VacuumError naming the time of the first
-    snapshot that has one."""
-    snapshots = list(zip(ts, fulls, limits, strict=True))
-    if not snapshots:
-        return []
-    return [row for chunk in _chunks(snapshots[0][1].grid, snapshots)
-            for row in _ledger_rows(*chunk, p, l, mass0)]
+    Stacks whose trailing shape is not the grid's raise GridMismatchError,
+    and a nonpositive density raises VacuumError naming the time of the
+    first snapshot that has one."""
+    if fulls.shape[2:] != grid.shape or limits.shape[2:] != grid.shape:
+        raise GridMismatchError("the stacks do not live on the ledger's grid")
+    if not len(ts) == len(fulls) == len(limits):
+        raise ValueError("need one full and one limit stack per time")
+    size = _chunk_size(grid)
+    return [row for i in range(0, len(ts), size)
+            for row in _ledger_rows(grid, ts[i:i + size], fulls[i:i + size], limits[i:i + size], p, l, mass0)]
 
 
-def _ledger_rows(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[EnergyLedger]:
+def _ledger_rows(grid: Grid, ts, fulls: np.ndarray, limits: np.ndarray, p: Params, l: float,
+                 mass0: float) -> list[EnergyLedger]:
     """The rows of one chunk of snapshots."""
-    grid = fulls[0].grid
-    for state in fulls[1:] + limits:
-        _require_same_grid(grid, state.grid)
-    x, x0 = _chunk_stack(fulls), _chunk_stack(limits)
-    _check_ledger_densities(ts, x[:, 0], x0[:, 0])
-    mass = _integrals(grid, x[:, 0])
-    x[:, :4] -= x0
+    _check_ledger_densities(ts, fulls[:, 0], limits[:, 0])
+    mass = _integrals(grid, fulls[:, 0])
+    x = fulls.copy()  # the error stacks
+    x[:, :4] -= limits
     x[:, 4:7] *= p.kappa
-    N, n0 = x[:, 0], x0[:, 0]
+    N, n0 = x[:, 0], limits[:, 0]
     rho = N + n0
     weight = p.pressure.denthalpy(rho) / rho
     enthalpy = _integrals(grid, p.pressure.relative_enthalpy(N, n0))
@@ -261,7 +269,7 @@ def _ledger_rows(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[E
     groups = _derivative_groups(grid, hat[:, 0].copy(), int(l), half_divergence(
         grid, hat[:, 7:].reshape((len(ts), 2, 3) + hat.shape[2:])).swapaxes(0, 1))
     # not held through the inverse transforms
-    del x, x0, N, n0, rho, hat
+    del x, N, n0, rho, hat
     sq, div = np.zeros((len(ts),) + grid.shape), None  # sum_a |d^a N|^2, row by row
     for group in groups:
         d = array_irfft(grid, group, overwrite=True)

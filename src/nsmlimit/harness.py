@@ -6,12 +6,15 @@ and fields, first, then the scaled system at each kappa of the run.  So a
 paired step is one ``step_full`` call, and the set's one operator serves
 both systems.  Each recorded step gives every member a snapshot.  A run
 holds at most one ledger chunk of them (``diagnostics._chunk_size``) in
-memory and appends each full chunk to a spill file in ``tempfile``'s
-directory, which its RunRecords own and which goes with them
-(``_Snapshots``); the march frees every grid stack once its set is on the
-box.  After the march each member's snapshots get their EnergyLedger rows,
-one ``make_energy_ledger`` call per chunk read back.  So a run's memory
-does not grow with its snapshot count; its disk use does.
+memory and appends each full chunk to an unnamed spill file in
+``tempfile``'s directory, which its RunRecords own and which goes with
+them (``_Snapshots``); the march frees every grid stack once its set is
+on the box.  A member's records in a chunk are one stack, (count, rows,
+*shape), from the march to the CSV: after the march each member's
+snapshots get their EnergyLedger rows, one ``make_energy_ledger`` call
+per chunk on its stack and the limit's, and no state is built on the
+way.  So a run's memory does not grow with its snapshot count; its disk
+use does.
 ``run_single`` with a tuple of kappas runs them as one batch, with one
 limit for all; each member's records are bit for bit those of its own run.
 A sweep is one such batch, and fits the log-log rate of sup_t sqrt(Gamma)
@@ -46,7 +49,6 @@ import os
 import tempfile
 import time as _time
 import warnings
-import weakref
 import zipfile
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -61,7 +63,7 @@ from .errors import ConfigError, VacuumError
 from .initdata import (WellPreparedSpec, _perturbations, hypothesis_certificate, make_limit_data,
                        make_well_prepared)
 from .integrator import StepControl, build_stiff_operator, march, step_full
-from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _layout, _stacked
+from .model import FullState, LimitState, Params, PressureLaw, _drop, _join, _layout, _stacked, _state_view
 from .spectral import Grid, ScalarField, VectorField, grid_integral
 
 __all__ = [
@@ -322,30 +324,31 @@ def parse_config(path: str | Path) -> RunConfig:
 _FIELDS = ((0, 1), (1, 3), (4, 3), (7, 3), (10, 3))
 
 
-def _remove_spill(spill, path: str) -> None:
-    spill.close()
-    Path(path).unlink(missing_ok=True)
-
-
 class _Snapshots:
     """The snapshots of a run's member set, held a ledger chunk at a time.
 
     A record is the set's grid stack at a recorded step, as the step
-    returned it, with the members it holds.  The records of the open chunk
-    stay in memory; when ``diagnostics._chunk_size`` of them have come, the
-    limit's fields and those of every member with records among them are
-    appended to the spill file, field by field, and the chunk is let go.
-    So a run holds at most one chunk of records: 32 on the 64-point line,
-    one on 16^3 and above.  The spill is made at the first full chunk, with
-    plain writes, in ``tempfile``'s directory (``TMPDIR``), and removed when
-    the store, which the run's RunRecords share, is freed.  A member's
-    snapshots are the first records of the run, as many as it has, and the
-    limit's fields are spilled once per chunk for all members."""
+    returned it, with the members it holds.  An owner is the limit (0) or
+    member k (k + 1), and its records in a chunk are one block: the
+    (count, rows, *shape) stack of its own stacks (``model._stacked``),
+    with rows (n, u) of the limit and (n, u, j~, E, B) of a member.  The
+    records of the open chunk stay in memory, and a block of it is
+    gathered from their set stacks.  When ``diagnostics._chunk_size`` of
+    them have come, the block of the limit and that of every member with
+    records among them are appended to the spill file, written from the
+    set stacks' row runs with plain writes, and the chunk is let go; a
+    spilled block is read back with one ``readinto``.  So a run holds at
+    most one chunk of records: 32 on the 64-point line, one on 16^3 and
+    above.  The spill is made at the first full chunk, in ``tempfile``'s
+    directory (``TMPDIR``), with no name: the kernel reclaims it when the
+    store, which the run's RunRecords share, is freed, or when the process
+    dies.  A member's snapshots are the first records of the run, as many
+    as it has."""
 
     def __init__(self, grid: Grid, members: int):
         self.grid, self.size = grid, _chunk_size(grid)
         self.times, self.counts, self.open = [], [0] * members, []
-        self.offsets = {}  # (chunk, owner) -> spill offset; owner 0 is the limit, k + 1 member k
+        self.offsets = {}  # (chunk, owner) -> spill offset of the owner's block
         self.spill = None
 
     def add(self, t: float, y: np.ndarray, live: list) -> None:
@@ -358,71 +361,51 @@ class _Snapshots:
         if len(self.open) == self.size:
             self._write()
 
+    def _records(self, owner: int) -> list:
+        """(set stack, the owner's rows in it) of each record of the open
+        chunk that holds the owner."""
+        return [(y, _layout(len(y)).member_rows(live.index(owner - 1) + 1 if owner else 0))
+                for y, live in self.open if not owner or owner - 1 in live]
+
     def _write(self) -> None:
-        """Append the open chunk to the spill and let it go."""
+        """Append the blocks of the open chunk to the spill and let it go."""
         if self.spill is None:
-            fd, path = tempfile.mkstemp(prefix="nsmlimit-spill-")
-            self.spill = open(fd, "w+b")
-            weakref.finalize(self, _remove_spill, self.spill, path)
+            self.spill = tempfile.TemporaryFile(prefix="nsmlimit-spill-")
         self.spill.seek(0, os.SEEK_END)
         chunk = len(self.times) // self.size - 1
-        owners = [0] + [k + 1 for k, n in enumerate(self.counts) if n > chunk * self.size]
-        for owner in owners:
+        for owner in [0] + [k + 1 for k, n in enumerate(self.counts) if n > chunk * self.size]:
             self.offsets[chunk, owner] = self.spill.tell()
-            for f in range(len(_FIELDS) if owner else 2):
-                for a in self._open(owner, f, self.size):
-                    self.spill.write(a)
+            for y, rows in self._records(owner):
+                for first, width in _FIELDS if owner else _FIELDS[:2]:
+                    self.spill.write(y[rows[first]:rows[first] + width])
         self.open = []
 
-    def _open(self, owner: int, f: int, count: int) -> list:
-        """The views of field f of ``owner`` in the first ``count`` records
-        of the open chunk that hold it."""
-        first, width = _FIELDS[f]
-        out = []
-        for y, live in self.open[:count]:
-            if owner and owner - 1 not in live:
-                break
-            r = _layout(len(y)).member_rows(live.index(owner - 1) + 1 if owner else 0)[first]
-            out.append(y[r] if width == 1 else y[r:r + width])
-        return out
-
-    def _spilled(self, chunk: int, owner: int, f: int, count: int) -> np.ndarray:
-        """The values of field f of ``owner`` in its first ``count``
-        snapshots of a spilled chunk, (count, *shape) or (count, 3, *shape)."""
-        stored = self.size if owner == 0 else min(self.size, self.counts[owner - 1] - chunk * self.size)
-        first, width = _FIELDS[f]
-        out = np.empty((count,) + ((width,) if width > 1 else ()) + self.grid.shape)
-        self.spill.seek(self.offsets[chunk, owner] + stored * first * 8 * self.grid.npoints)
-        if self.spill.readinto(out) != out.nbytes:
+    def block(self, k: int, owner: int, chunk: int, rows: slice = slice(None)) -> np.ndarray:
+        """The rows ``rows`` (all by default) of the block of ``owner``
+        (k + 1, or 0 for the limit) in member k's records of a chunk,
+        (count, rows, *shape), in new memory.  A spilled block is read from
+        the first of those rows to the last with one ``readinto``."""
+        count = min(self.size, self.counts[k] - chunk * self.size)
+        width = 13 if owner else 4
+        first, stop, _ = rows.indices(width)
+        if (chunk, owner) not in self.offsets:
+            out = np.empty((count, stop - first) + self.grid.shape)
+            for i, (y, own) in enumerate(self._records(owner)[:count]):
+                y.take(own[first:stop], axis=0, out=out[i])
+            return out
+        span = np.empty(((count - 1) * width + stop - first,) + self.grid.shape)
+        self.spill.seek(self.offsets[chunk, owner] + first * span[0].nbytes)
+        if self.spill.readinto(span) != span.nbytes:
             raise OSError("the snapshot spill file is shorter than its records")
-        return out
-
-    def values(self, k: int, owner: int, f: int):
-        """Per chunk of member k's snapshots, the values of field f of
-        ``owner`` (k + 1, or 0 for the limit) in them: an array over the
-        snapshots where the chunk is spilled, else a list of views."""
-        for chunk in range(-(-self.counts[k] // self.size)):
-            count = min(self.size, self.counts[k] - chunk * self.size)
-            if (chunk, owner) in self.offsets:
-                yield self._spilled(chunk, owner, f, count)
-            else:
-                yield self._open(owner, f, count)
+        return np.ndarray((count, stop - first) + span.shape[1:], buffer=span,
+                          strides=(width * span.strides[0],) + span.strides)
 
     def chunks(self, k: int):
-        """Member k's snapshots a chunk at a time, as (times, FullStates,
-        LimitStates) whose fields view the chunk read back."""
-        full = zip(*(self.values(k, k + 1, f) for f in range(len(_FIELDS))))
-        limit = zip(*(self.values(k, 0, f) for f in range(2)))
-        for chunk, (full_values, limit_values) in enumerate(zip(full, limit)):
-            ts = self.times[chunk * self.size:][:len(full_values[0])]
-            yield (ts, [_state(self.grid, FullState, full_values, i) for i in range(len(ts))],
-                   [_state(self.grid, LimitState, limit_values, i) for i in range(len(ts))])
-
-
-def _state(grid: Grid, cls, fields, i: int):
-    """The state of snapshot i of a chunk's field values (``_Snapshots``)."""
-    n, *vectors = (values[i] for values in fields)
-    return cls(ScalarField(grid, n), *(VectorField(grid, v) for v in vectors))
+        """Member k's records a chunk at a time, as (times, its block, the
+        limit's block)."""
+        for chunk in range(-(-self.counts[k] // self.size)):
+            ts = self.times[chunk * self.size:min((chunk + 1) * self.size, self.counts[k])]
+            yield ts, self.block(k, k + 1, chunk), self.block(k, 0, chunk)
 
 
 @dataclass
@@ -446,11 +429,13 @@ class RunRecord:
     @property
     def snapshots(self) -> list:
         """[(t, FullState, LimitState)] of every record of the member, read
-        from the run's store at each access: the states of a spilled chunk
-        view the arrays read back from the spill file, those of the chunk
-        still in memory the stacks the steps returned.  So a run's snapshots
+        from the run's store at each access: each state views one row of
+        its chunk's block (``model._state_view``).  So a run's snapshots
         are in memory only while the list is."""
-        return [snap for chunk in self.store.chunks(self.member) for snap in zip(*chunk)]
+        grid = self.store.grid
+        return [(t, _state_view(grid, full), _state_view(grid, limit))
+                for ts, fulls, limits in self.store.chunks(self.member)
+                for t, full, limit in zip(ts, fulls, limits)]
 
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.rows])
@@ -480,7 +465,8 @@ def run_single(
     computes no ledger row.  The stack of the initial set reaches
     ``march`` in a one-slot holder, so the first step frees it.  After the
     march, each member's ledger rows are one ``make_energy_ledger`` call
-    per chunk of its snapshots, read back from the store.  A
+    per chunk of its snapshots, on the stacks of its records and the
+    limit's read back from the store (``_Snapshots.chunks``).  A
     member that blows up, hits vacuum or fails a record's density check
     gets its own status, message and step count and leaves the set.  A
     failure of the limit ends every member with the limit's message and
@@ -572,7 +558,8 @@ def run_single(
     for k in live:
         records[k].n_steps = steps
     for k, (rec, p, mass0) in enumerate(zip(records, params, masses)):
-        rec.rows = [row for chunk in store.chunks(k) for row in make_energy_ledger(*chunk, p, cfg.l, mass0)]
+        rec.rows = [row for ts, fulls, limits in store.chunks(k)
+                    for row in make_energy_ledger(grid, ts, fulls, limits, p, cfg.l, mass0)]
     wall = _time.perf_counter() - start
     for rec in records:
         rec.wall_seconds = wall
@@ -622,17 +609,16 @@ def record_json_dict(rec: RunRecord) -> dict:
 
 def _snapshot_arrays(rec: RunRecord):
     """The snapshots file's (key, entry) pairs in ``np.savez``'s order.  An
-    entry is an array, or for a field's stack its shape and the values of
-    each chunk of snapshots, read back from the run's store as the entry
-    is reached."""
+    entry is an array, or for a field's stack its shape, and its owner and
+    rows in the blocks of the run's store (``_Snapshots``)."""
     store, k = rec.store, rec.member
     count = store.counts[k]
     grid = store.grid
     yield "t", np.array(store.times[:count])
     for prefix, owner, names in (("full", k + 1, ("n", "u", "jt", "E", "B")), ("limit", 0, ("n", "u"))):
-        for f, name in enumerate(names):
-            shape = (count,) + ((3,) if _FIELDS[f][1] > 1 else ()) + grid.shape
-            yield f"{prefix}_{name}", (shape, store.values(k, owner, f))
+        for name, (first, width) in zip(names, _FIELDS):
+            shape = (count,) + ((width,) if width > 1 else ()) + grid.shape
+            yield f"{prefix}_{name}", (shape, owner, slice(first, first + width))
     yield "grid_meta", np.array([grid.dims_active, grid.points_per_dim, grid.period])
     yield "kappa", np.array([rec.kappa])
     if rec.config_text:
@@ -646,10 +632,11 @@ def _write_snapshots(path: Path, rec: RunRecord) -> None:
     """The snapshots file, streamed entry by entry into its ``.tmp`` file,
     then moved into place.  It holds the bytes ``np.savez`` writes: a
     field's entry is the header ``np.savez`` writes for its stack, followed
-    by the values of each chunk of snapshots, so memory holds one chunk's
-    field at a time.  A write that fails removes the ``.tmp`` file and
-    leaves ``path`` as it was."""
+    by the field's rows of each chunk's block, so memory holds one chunk's
+    field at a time.  A write that fails removes the ``.tmp`` file and leaves
+    ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
+    store = rec.store
     try:
         with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
             for key, entry in _snapshot_arrays(rec):
@@ -657,10 +644,10 @@ def _write_snapshots(path: Path, rec: RunRecord) -> None:
                     if isinstance(entry, np.ndarray):
                         np.lib.format.write_array(fid, entry)
                         continue
-                    shape, chunks = entry
+                    shape, owner, rows = entry
                     np.lib.format.write_array_header_1_0(fid, _STACK_HEADER | {"shape": shape})
-                    for values in chunks:  # one write per chunk: a field's snapshots are small in 1-D
-                        fid.write(values if isinstance(values, np.ndarray) else np.stack(values))
+                    for chunk in range(-(-shape[0] // store.size)):  # one write per chunk
+                        fid.write(np.ascontiguousarray(store.block(rec.member, owner, chunk, rows)))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

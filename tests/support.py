@@ -10,7 +10,7 @@ import scipy.fft
 import scipy.linalg
 
 from nsmlimit import harness
-from nsmlimit.diagnostics import EnergyLedger
+from nsmlimit.diagnostics import EnergyLedger, make_energy_ledger
 from nsmlimit.errors import VacuumError
 from nsmlimit.harness import InitialSpec, RunConfig, run_single
 from nsmlimit.integrator import _TERMS, HalfStack, StepControl, build_stiff_operator, evolve, step_full
@@ -24,6 +24,7 @@ from nsmlimit.model import (
     _layout,
     _rate_coefficients,
     _stack,
+    _stacked,
 )
 from nsmlimit.spectral import (
     _TWO_PI,
@@ -571,6 +572,17 @@ def paired_trajectory(grid, kappa, dt, n_steps, seed=7, amplitude=0.1, c0=1.0,
     if rec.status != "completed":
         raise RuntimeError(rec.message)
     return rec.snapshots, cfg.params
+
+
+def state_stacks(states) -> np.ndarray:
+    """The stacks of a sequence of states (``model._stacked``), (S, rows, *shape)."""
+    return np.stack([_stacked(state) for state in states])
+
+
+def state_ledger(ts, fulls, limits, p: Params, l: float, mass0: float) -> list[EnergyLedger]:
+    """``make_energy_ledger`` of sequences of full and limit states, on the
+    grid of the first full state."""
+    return make_energy_ledger(fulls[0].grid, ts, state_stacks(fulls), state_stacks(limits), p, l, mass0)
 
 
 def inject_faults(monkeypatch, *faults) -> list:

@@ -1,8 +1,11 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 import support
 from support import (
@@ -12,6 +15,8 @@ from support import (
     grid_space_audit_terms,
     grid_space_ledger,
     paired_trajectory,
+    state_ledger,
+    state_stacks,
 )
 
 from nsmlimit.errors import GridMismatchError, SnapshotSpacingError, VacuumError
@@ -85,7 +90,7 @@ def density_error_pair(grid, N=None, n0=None):
 
 def one_row(t, full, limit, p, l, mass0):
     """The ledger row of one snapshot."""
-    return make_energy_ledger((t,), (full,), (limit,), p, l, mass0)[0]
+    return state_ledger((t,), (full,), (limit,), p, l, mass0)[0]
 
 
 def one_audit(t, full, limit, p):
@@ -318,7 +323,7 @@ def test_transform_calls_per_row_and_snapshot(grid, monkeypatch):
     calls = count_fft_calls(monkeypatch)
     one_way = (["rfft", "irfft"] if grid.dims_active == 1
                else ["rfft", "fft", "fft", "ifft", "ifft", "irfft"])
-    for fn, args in ((make_energy_ledger, ((0.0,), (full,), (limit,), p, 4.0, 1.0)),
+    for fn, args in ((state_ledger, ((0.0,), (full,), (limit,), p, 4.0, 1.0)),
                      (_audit_chunk, ((0.0,), (full,), (limit,), p))):
         calls.clear()
         fn(*args)
@@ -327,7 +332,7 @@ def test_transform_calls_per_row_and_snapshot(grid, monkeypatch):
     hypothesis_certificate(full, limit, p.kappa, 1.0, 4.0)
     assert calls == one_way, calls
     snaps = [(0.01 * s, full, limit) for s in range(2 * _chunk_size(grid) + 1)]  # three chunks
-    for fn, args in ((make_energy_ledger, (*zip(*snaps), p, 4.0, 1.0)),
+    for fn, args in ((state_ledger, (*zip(*snaps), p, 4.0, 1.0)),
                      (energy_identity_audit, (snaps, p))):
         calls.clear()
         fn(*args)
@@ -374,7 +379,7 @@ def test_chunks_match_single_snapshots_bit_for_bit(grid):
     # one call per snapshot: every column and term is equal, not close
     p = Params(kappa=0.3, lam=0.05)
     snaps = chunk_snapshots(grid, 2 * _chunk_size(grid) + 1)
-    rows = make_energy_ledger(*zip(*snaps), p, 4.0, 7.0)
+    rows = state_ledger(*zip(*snaps), p, 4.0, 7.0)
     singles = [one_row(t, full, limit, p, 4.0, 7.0) for t, full, limit in snaps]
     assert len(rows) == len(snaps)
     for col in LEDGER_COLUMNS:
@@ -383,6 +388,49 @@ def test_chunks_match_single_snapshots_bit_for_bit(grid):
     singles = [one_audit(*snap, p) for snap in snaps]
     for key in singles[0]:
         assert np.array_equal(np.concatenate([t[key] for t in terms]), [t[key] for t in singles]), key
+
+
+@functools.cache
+def stacked_snapshots(grid):
+    """The times and stacks of ``chunk_snapshots`` of three chunks, the last
+    of one snapshot, and the row of each snapshot alone."""
+    p = Params(kappa=0.3, lam=0.05)
+    snaps = chunk_snapshots(grid, 2 * _chunk_size(grid) + 1)
+    ts, fulls, limits = zip(*snaps)
+    singles = np.array([one_row(*snap, p, 4.0, 7.0).as_tuple() for snap in snaps])
+    return p, np.array(ts), state_stacks(fulls), state_stacks(limits), singles
+
+
+class TestLedgerStacks:
+    """``make_energy_ledger`` takes the (S, 13, *shape) and (S, 4, *shape)
+    stacks of the full and limit states."""
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    def test_stacks_are_left_as_they_were(self, grid):
+        p, ts, fulls, limits, _ = stacked_snapshots(grid)
+        before = fulls.tobytes(), limits.tobytes()
+        make_energy_ledger(grid, ts, fulls, limits, p, 4.0, 7.0)
+        assert (fulls.tobytes(), limits.tobytes()) == before
+
+    @given(data=st.data())
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(3, 8)], ids=["1d64", "3d8"])
+    def test_any_count_gives_the_rows_of_one_snapshot_calls(self, grid, data):
+        # S snapshots from any first one, in chunks or in part of one:
+        # every row holds the bytes of the snapshot's call alone
+        p, ts, fulls, limits, singles = stacked_snapshots(grid)
+        first = data.draw(st.integers(0, len(ts) - 1), label="first")
+        end = data.draw(st.integers(first + 1, len(ts)), label="end")
+        rows = make_energy_ledger(grid, ts[first:end], fulls[first:end], limits[first:end], p, 4.0, 7.0)
+        assert np.array([r.as_tuple() for r in rows]).tobytes() == singles[first:end].tobytes()
+
+    def test_stacks_off_the_grid_raise(self, grid64):
+        p, ts, fulls, limits, _ = stacked_snapshots(grid64)
+        make_energy_ledger(grid64, ts[:0], fulls[:0], limits[:0], p, 4.0, 7.0)
+        other = Grid(1, 32)
+        for args in ((other, ts, fulls, limits), (grid64, ts, fulls[:, :, ::2], limits),
+                     (grid64, ts, fulls, limits[:, :, ::2])):
+            with pytest.raises(GridMismatchError):
+                make_energy_ledger(*args, p, 4.0, 7.0)
 
 
 def test_chunk_vacuum_names_the_first_bad_snapshot(grid64):
@@ -399,12 +447,12 @@ def test_chunk_vacuum_names_the_first_bad_snapshot(grid64):
     assert str(alone.value) == ("vacuum state: density in the inner integral range nonpositive "
                                 "(min n = -0.5) at t=0.02")
     with pytest.raises(VacuumError) as chunk:
-        make_energy_ledger(*zip(*snaps), p, 4.0, 1.0)
+        state_ledger(*zip(*snaps), p, 4.0, 1.0)
     assert str(chunk.value) == str(alone.value)
     assert chunk.value.time == 0.02
     with pytest.raises(VacuumError, match=r"^vacuum state: total density nonpositive "
                                           r"\(min n = -0\.75\) at t=0\.04$"):
-        make_energy_ledger(*zip(*snaps[3:]), p, 4.0, 1.0)
+        state_ledger(*zip(*snaps[3:]), p, 4.0, 1.0)
 
 
 def group_budget(monkeypatch, rows, points):
@@ -454,7 +502,7 @@ def test_groups_give_the_one_group_ledger_and_moser_ratios(grid, l, rows, monkey
     results = []
     for budget in (None, rows):
         group_budget(monkeypatch, budget, _chunk_size(grid) * grid.npoints)
-        ledger = [r.as_tuple() for r in make_energy_ledger(*zip(*snaps), p, float(l), 7.0)]
+        ledger = [r.as_tuple() for r in state_ledger(*zip(*snaps), p, float(l), 7.0)]
         group_budget(monkeypatch, budget, 2 * grid.npoints)
         results.append((ledger, moser_ratios(f, g, l)))
     (ledger_one, moser_one), (ledger, moser) = results
@@ -470,13 +518,14 @@ def test_ledger_memory_does_not_grow_with_the_derivative_rows():
     p = Params(kappa=0.1)
     limit = make_limit_data(grid, seed=7, amplitude=0.1)
     full = make_well_prepared(WellPreparedSpec.from_seed(limit, seed=7, c0=1.0, kappa=p.kappa))
+    stacks = state_stacks([full]), state_stacks([limit])
     peaks = {}
     for l in (4.0, 8.0):
-        make_energy_ledger((0.0,), (full,), (limit,), p, l, 1.0)  # warm-up, untraced
+        make_energy_ledger(grid, (0.0,), *stacks, p, l, 1.0)  # warm-up, untraced
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            make_energy_ledger((0.0,), (full,), (limit,), p, l, 1.0)
+            make_energy_ledger(grid, (0.0,), *stacks, p, l, 1.0)
             peaks[l] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -300,9 +300,9 @@ class TestRunSingle:
             calls.append("step")
             return _step(*args, **kwargs)
 
-        def make_energy_ledger(t, *args, _ledger=harness.make_energy_ledger):
+        def make_energy_ledger(grid, t, *args, _ledger=harness.make_energy_ledger):
             calls.append(len(t))
-            return _ledger(t, *args)
+            return _ledger(grid, t, *args)
 
         def check(*args, _check=harness._check_ledger_densities):
             if not calls:  # the first check: the last member's record at t = 0
@@ -347,10 +347,11 @@ class TestRunSingle:
                    for a, b in zip(vars(limits[0]).values(), vars(limits[1]).values()))
 
     def test_states_built_only_where_recorded(self, monkeypatch):
-        # the paired loop steps one stack per system, and neither a step nor
-        # a record builds a state: the ledger builds one FullState and one
-        # LimitState per member snapshot, after the march; states made by
-        # the initial-data calls are not counted
+        # after set-up a run builds no state: not in a step, not in a
+        # record and not in the ledger, which takes each member's stacks;
+        # states made by the initial-data calls are not counted.
+        # RunRecord.snapshots builds one FullState and one LimitState per
+        # member snapshot, when it is read
         built = {FullState: 0, LimitState: 0}
         setting_up = []
         for cls in built:
@@ -369,18 +370,17 @@ class TestRunSingle:
         cfg = parse_config_text(SHORT_CONFIG.replace("snapshot_stride = 10", "snapshot_stride = 25"))
         ledgers = []
 
-        def ledger(*args, _fn=harness.make_energy_ledger):
-            ledgers.append(dict(built))
-            return _fn(*args)
+        def ledger(grid, ts, fulls, limits, *args, _fn=harness.make_energy_ledger):
+            ledgers.append((fulls.shape[:2], limits.shape[:2]))
+            return _fn(grid, ts, fulls, limits, *args)
 
         monkeypatch.setattr(harness, "make_energy_ledger", ledger)
         recs = run_single(cfg, kappa=(0.4, 0.2, 0.1))
-        assert ledgers[0] == {FullState: 3, LimitState: 3}  # the first member's chunk, built for its call
-        assert built == {FullState: 3 * 3, LimitState: 3 * 3}
+        assert ledgers == [((3, 13), (3, 4))] * 3  # one call per member on its stacks and the limit's
+        assert built == {FullState: 0, LimitState: 0}
         assert [r.n_steps for r in recs] == [50] * 3
         assert [len(r.snapshots) for r in recs] == [3] * 3
-        # the members of one record view the one stack of the open chunk
-        assert recs[0].snapshots[1][1].n.values.base is recs[2].snapshots[1][1].B.values.base
+        assert built == {FullState: 3 * 3, LimitState: 3 * 3}
 
 
 class TestSetupProbe:

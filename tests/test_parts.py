@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from support import state_ledger
 
 import nsmlimit.spectral as spectral
-from nsmlimit.diagnostics import _audit_chunk, make_energy_ledger
+from nsmlimit.diagnostics import _audit_chunk
 from nsmlimit.harness import parse_config, parse_config_text, run_single, write_record
 from nsmlimit.initdata import WellPreparedSpec, make_limit_data, make_well_prepared
 from nsmlimit.integrator import HalfStack, build_stiff_operator, step_full
@@ -107,7 +108,7 @@ def test_ledger_and_audit_keep_their_bits(grid, workers, floor, parts):
     ts, fulls, limits = (0.0, 0.01, 0.02), tuple(f for f, _ in snaps), tuple(lim for _, lim in snaps)
 
     def diagnostics():
-        rows = make_energy_ledger(ts, fulls, limits, p, 4.0, 1.0)
+        rows = state_ledger(ts, fulls, limits, p, 4.0, 1.0)
         terms = _audit_chunk(ts, fulls, limits, p)
         return [np.array([r.as_tuple() for r in rows])] + [terms[key] for key in sorted(terms)]
 

@@ -1,9 +1,10 @@
-"""A run holds at most one ledger chunk of records: the rest go to a spill
-file that its records own, and the grid stack a step is handed is freed once
-the set is on the box.  So a run's memory does not grow with its snapshot
-count, and its outputs keep their bytes."""
+"""A run holds at most one ledger chunk of records: the rest go to an
+unnamed spill file that its records own, and the grid stack a step is
+handed is freed once the set is on the box.  So a run's memory does not
+grow with its snapshot count, and its outputs keep their bytes."""
 
 import gc
+import os
 import tempfile
 import tracemalloc
 import weakref
@@ -101,19 +102,30 @@ def test_records_that_fit_one_chunk_make_no_spill():
     assert recs[0].store.spill is None and _spills() == before
 
 
-def test_the_spill_goes_with_the_records(tmp_path, no_cyclic_gc):
-    # a 16^3 batch spills every record; the one spill file of the run is
-    # removed by reference counting once its records are let go
+def test_the_spill_goes_with_the_records(tmp_path, monkeypatch, no_cyclic_gc):
+    # a 16^3 batch spills every record to the run's one spill; it has no
+    # name in TMPDIR while its records live, so a killed run leaves none
+    # behind, and reference counting closes it once its records are let go
+    spills = []
+
+    def temporary_file(*args, _make=tempfile.TemporaryFile, **kwargs):
+        spill = _make(*args, **kwargs)
+        spills.append(weakref.ref(spill))
+        return spill
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
     before = _spills()
     recs = run_single(parse_config_text(_paired_16(3)), kappa=(0.4, 0.1))
-    made = [p for p in _spills() if p not in before]
-    assert len(made) == 1 and made[0].stat().st_size > 0
+    spill = spills[0]()
+    assert len(spills) == 1 and spill is recs[0].store.spill and spill.seek(0, os.SEEK_END) > 0
+    del spill
     for rec in recs:
         write_record(rec, tmp_path)
     del rec
     assert [len(r.snapshots) for r in recs] == [4, 4]
-    del recs
     assert _spills() == before
+    del recs
+    assert spills[0]() is None
 
 
 def _density_hole(grid, n):

@@ -448,8 +448,8 @@ def test_step_ab_audit_smoke(tmp_path, capsys):
         out = capsys.readouterr().out
         pkg = sys.modules["nsmlimit_a"]
         cfg = pkg.harness.parse_config(audit)
-        snaps = pkg.harness.run_single(cfg).snapshots
-        chunked = step_ab.audit_pass(pkg, snaps, cfg.params, cfg.l)
+        rec, ledgers = step_ab.ledger_run(pkg, cfg)
+        chunked = step_ab.audit_pass(pkg, ledgers, rec.snapshots, cfg.params)
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in ("nsmlimit_a", "nsmlimit_b")]:
             del sys.modules[name]
@@ -458,7 +458,9 @@ def test_step_ab_audit_smoke(tmp_path, capsys):
         assert len(re.findall(rf"^  {tag} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+\.\d{{3}} +\d+$", out, re.M)) == 1
     assert re.search(r"B faster in \d/2 rounds; rows and residuals bit-identical$", out, re.M)
     assert "paired steps" not in out
-    assert chunked[2].shape == (11, 14)
+    # the pass replays the run's own ledger calls: its rows are the record's
+    assert len(ledgers) == 1 and chunked[2].shape == (11, 14)
+    assert chunked[2].tobytes() == np.array([r.as_tuple() for r in rec.rows]).tobytes()
 
 
 def test_cmp_outputs_smoke(tmp_path, capsys):
